@@ -28,12 +28,6 @@ from .configurations import (
     PointOutsideCircumcircle,
     ShapeKind,
     base_shape,
-    build_bisector_variant,
-    build_example1,
-    build_example2,
-    build_example3,
-    build_theorem1,
-    second_intersection,
 )
 from .core import (
     DEFAULT_TOL,
@@ -59,7 +53,6 @@ from .core import (
     reflect_point,
     rotate,
     signed_area,
-    translate,
 )
 from .deform import (
     DeformationFamily,
@@ -87,7 +80,6 @@ from .relations import (
     check_equal_length,
     check_midpoints_coincide,
     check_on_conic,
-    check_perp_and_equal,
     check_perpendicular,
     check_perspective,
     check_segment_bisects,
@@ -96,6 +88,7 @@ from .relations import (
 )
 from .render import render, render_svg
 from .script import ArityError, ParseError, Program, UnknownParam, \
-    UseBeforeDefine, evaluate, format_program, parse
+    UseBeforeDefine, evaluate, family_builder, format_program, parse, \
+    second_intersection
 
 __version__ = "0.1.0"

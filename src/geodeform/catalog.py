@@ -1,26 +1,25 @@
 """Built-in deformation families and the claims verified against them.
 
-Each claim names points of the family's configuration and the relation
-they are asserted to satisfy for every deformed sample, not just in the
-degenerate base position.
+A family is one of the `.geo` programs shipped in `geodeform/scripts`
+plus the degenerate coordinates of its base points; its builder reruns
+the program on deformed base points.  Each claim names points of the
+family's configuration and the relation they are asserted to satisfy for
+every deformed sample, not just in the degenerate base position.  A
+claim's labels must be asserted in its family program: the builder
+rejects a draw only when a construction an assertion depends on fails.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from importlib.resources import files
 from typing import Callable
 
-from .configurations import (
-    build_bisector_variant,
-    build_example1,
-    build_example2,
-    build_example3,
-    build_theorem1,
-)
 from .core import Point
 from .deform import DeformationFamily, RelationClaim
 from .relations import check_concyclic
+from .script import family_builder, parse
 
 __all__ = ["UnknownClaim", "BuiltinClaim", "FAMILIES", "CLAIMS", "claim_names"]
 
@@ -35,14 +34,23 @@ _SQUARE = (Point(0.0, 0.0), Point(1.0, 0.0), Point(1.0, 1.0), Point(0.0, 1.0))
 _EQUILATERAL = (Point(0.0, 0.0), Point(1.0, 0.0), Point(0.5, _S3 / 2.0))
 _CENTER = Point(0.5, _S3 / 6.0)
 
+
+def _family(name: str, labels: str, base_points: tuple[Point, ...],
+            epsilon_floor: float = 0.0) -> DeformationFamily:
+    """The family of program `scripts/<name>.geo`, deformed about
+    `base_points` given for the space-separated base `labels`."""
+    source = (files("geodeform") / "scripts" / f"{name}.geo").read_text(
+        encoding="utf-8")
+    builder = family_builder(parse(source), labels.split())
+    return DeformationFamily(name, base_points, builder, epsilon_floor)
+
+
 FAMILIES: dict[str, DeformationFamily] = {
-    "theorem1": DeformationFamily("theorem1", _SQUARE, build_theorem1),
-    "bisector": DeformationFamily("bisector", _SQUARE, build_bisector_variant),
-    "example1": DeformationFamily("example1", _EQUILATERAL, build_example1),
-    "example2": DeformationFamily("example2", _EQUILATERAL, build_example2,
-                                  epsilon_floor=1e-6),
-    "example3": DeformationFamily("example3", _EQUILATERAL + (_CENTER,),
-                                  build_example3),
+    "theorem1": _family("theorem1", "A B C D", _SQUARE),
+    "bisector": _family("bisector", "A B C D", _SQUARE),
+    "example1": _family("example1", "A B C", _EQUILATERAL),
+    "example2": _family("example2", "A B C", _EQUILATERAL, epsilon_floor=1e-6),
+    "example3": _family("example3", "A B C P", _EQUILATERAL + (_CENTER,)),
 }
 
 

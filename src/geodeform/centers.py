@@ -20,11 +20,14 @@ from .core import (
     CollinearPoints,
     GeometryError,
     Line,
+    Parallel,
     Point,
     ToleranceBudget,
     circumcircle,
+    diameter,
     dist,
     intersect,
+    least_squares_meet,
     line_through,
     midpoint,
     perp,
@@ -143,21 +146,14 @@ def _concurrent_point(lines: list[Line], diam: float,
                 meets.append(intersect(lines[i], lines[j], tol)[0])
             except GeometryError as exc:
                 raise IllConditioned(f"defining lines nearly parallel: {exc}") from exc
-    spread = max(dist(p, q) for i, p in enumerate(meets) for q in meets[i + 1:])
+    spread = diameter(meets)
     if spread > tol.rel_tol * diam:
         raise IllConditioned(
             f"defining lines meet with spread {spread:.3e} over scale {diam:.3e}")
-    # normal equations for min sum((a_i x + b_i y + c_i)^2); normals are unit
-    saa = sum(l.a * l.a for l in lines)
-    sab = sum(l.a * l.b for l in lines)
-    sbb = sum(l.b * l.b for l in lines)
-    sac = sum(l.a * l.c for l in lines)
-    sbc = sum(l.b * l.c for l in lines)
-    det = saa * sbb - sab * sab
-    if abs(det) <= tol.abs_floor:
-        raise IllConditioned("defining lines form a near-parallel pencil")
-    return Point((sab * sbc - sbb * sac) / det,
-                 (sab * sac - saa * sbc) / det)
+    try:
+        return least_squares_meet(lines, tol.abs_floor)
+    except Parallel as exc:
+        raise IllConditioned("defining lines form a near-parallel pencil") from exc
 
 
 def triangle_center(kind: CenterKind, a: Point, b: Point, c: Point,

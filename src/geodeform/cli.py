@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
 from . import __version__
 from .catalog import CLAIMS, claim_names
 from .configurations import ShapeKind, base_shape
-from .core import ToleranceBudget
+from .core import DEFAULT_TOL, ToleranceBudget
 from .deform import sample, scaling_probe, verify
 from .render import render
 from .script import ParseError, UnknownParam, evaluate, parse
@@ -44,6 +45,17 @@ def _write_json(path: str, document: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         json.dump(document, handle, indent=2)
         handle.write("\n")
+
+
+def _parse_tol(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(
+            f"--tol wants a finite number > 0, got {text!r}")
+    return value
 
 
 def _parse_eps_grid(text: str) -> list[float]:
@@ -162,32 +174,42 @@ def _parse_overrides(pairs: list[str]) -> dict[str, float]:
     return overrides
 
 
-def cmd_run(args: argparse.Namespace) -> int:
+def _evaluate_script(path: str, pairs: list[str], tol: ToleranceBudget,
+                     hint: str | None = None):
+    """Read, parse and evaluate a script with its --param overrides.
+
+    Returns (program, configuration, verdicts, evaluation seconds), or None
+    after reporting on stderr why the invocation is unusable (exit 2).
+    """
     try:
-        with open(args.path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8") as handle:
             source = handle.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if hint:
+            print(hint, file=sys.stderr)
+        return None
     try:
         program = parse(source)
     except ParseError as exc:
-        print(f"{args.path}:{exc.line}:{exc.col}: {exc.message}",
-              file=sys.stderr)
-        return 2
+        print(f"{path}:{exc.line}:{exc.col}: {exc.message}", file=sys.stderr)
+        return None
     try:
-        overrides = _parse_overrides(args.param)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    tol = _tolerance(args)
-    start = time.perf_counter()
-    try:
+        overrides = _parse_overrides(pairs)
+        start = time.perf_counter()
         config, verdicts = evaluate(program, overrides, tol)
-    except UnknownParam as exc:
+    except (UnknownParam, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return None
+    return program, config, verdicts, time.perf_counter() - start
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    tol = _tolerance(args)
+    loaded = _evaluate_script(args.path, args.param, tol)
+    if loaded is None:
         return 2
-    wall = time.perf_counter() - start
+    program, config, verdicts, wall = loaded
 
     entries = []
     all_passed = True
@@ -243,39 +265,18 @@ def cmd_render(args: argparse.Namespace) -> int:
     if kind is not None:
         config = base_shape(kind)
     else:
-        code = cmd_run_config(args, name)
-        if isinstance(code, int):
-            return code
-        config = code
+        loaded = _evaluate_script(
+            name, args.param, DEFAULT_TOL,
+            "(give a shape name from `geodeform shapes` or a .geo file)")
+        if loaded is None:
+            return 2
+        config = loaded[1]
     try:
         render(config, args.out)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0
-
-
-def cmd_run_config(args: argparse.Namespace, path: str):
-    """Evaluate a script only for its configuration (render path)."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print("(give a shape name from `geodeform shapes` or a .geo file)",
-              file=sys.stderr)
-        return 2
-    try:
-        program = parse(source)
-    except ParseError as exc:
-        print(f"{path}:{exc.line}:{exc.col}: {exc.message}", file=sys.stderr)
-        return 2
-    try:
-        config, _ = evaluate(program, _parse_overrides(args.param))
-    except (UnknownParam, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return config
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--eps-grid", type=_parse_eps_grid, default=None,
                           metavar="A,B,C",
                           help="epsilon grid; runs the scaling probe instead")
-    p_verify.add_argument("--tol", type=float, default=1e-9,
+    p_verify.add_argument("--tol", type=_parse_tol, default=1e-9,
                           help="relative tolerance for the theorem verdict")
     p_verify.add_argument("--json", metavar="PATH",
                           help="write the machine-readable report here")
@@ -310,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("path", metavar="SCRIPT.geo")
     p_run.add_argument("--param", action="append", default=[],
                        metavar="NAME=VALUE", help="override a script param")
-    p_run.add_argument("--tol", type=float, default=1e-9)
+    p_run.add_argument("--tol", type=_parse_tol, default=1e-9)
     p_run.add_argument("--json", metavar="PATH")
     p_run.add_argument("--svg", metavar="PATH")
     p_run.set_defaults(func=cmd_run)

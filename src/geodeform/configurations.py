@@ -1,10 +1,11 @@
-"""Labeled geometric configurations: the built-in constructions under
-test plus a small catalog of decorated base shapes.
+"""Labeled geometric configurations and a small catalog of decorated base
+shapes.
 
 A Configuration is a label -> object map with enough edge information to
-render a faithful diagram.  Builders validate their preconditions and
-raise GeometryError subclasses on degenerate input; callers that sample
-random inputs treat those as rejections.
+render a faithful diagram.  The built-in figures are the shipped `.geo`
+programs (see script.py); the rejections they raise on degenerate input
+are defined here, and callers that sample random inputs treat them, like
+every GeometryError, as rejections.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-from .centers import CenterKind, IllConditioned, Orientation, right_isosceles_apex, \
-    equilateral_apex, triangle_center
 from .core import (
     DEFAULT_TOL,
     Circle,
@@ -22,17 +21,9 @@ from .core import (
     Line,
     Point,
     ToleranceBudget,
-    angle_bisector,
-    circumcircle,
-    dist,
-    intersect,
-    line_through,
+    diameter,
     midpoint,
-    reflect_line,
-    reflect_point,
-    signed_area,
 )
-from .relations import DegeneratePosition
 
 __all__ = [
     "NonConvexQuadrilateral",
@@ -40,12 +31,6 @@ __all__ = [
     "PointOnVertex",
     "Configuration",
     "ShapeKind",
-    "build_theorem1",
-    "build_bisector_variant",
-    "build_example1",
-    "build_example2",
-    "build_example3",
-    "second_intersection",
     "base_shape",
 ]
 
@@ -96,10 +81,7 @@ class Configuration:
         return {k: v for k, v in self.objects.items() if isinstance(v, Point)}
 
     def diameter(self) -> float:
-        pts = list(self.points().values())
-        if len(pts) < 2:
-            return 0.0
-        return max(dist(p, q) for i, p in enumerate(pts) for q in pts[i + 1:])
+        return diameter(list(self.points().values()))
 
 
 class ShapeKind(enum.Enum):
@@ -113,175 +95,6 @@ class ShapeKind(enum.Enum):
     REGULAR_HEXAGON_2 = "regular_hexagon_2"
     HEXAGONAL_STAR = "hexagonal_star"
     CROWN = "crown"
-
-
-# ---------------------------------------------------------------------------
-# quadrilateral constructions
-
-def _require_convex(a: Point, b: Point, c: Point, d: Point,
-                    tol: ToleranceBudget) -> None:
-    pts = (a, b, c, d)
-    diam = max(dist(p, q) for i, p in enumerate(pts) for q in pts[i + 1:])
-    areas = [signed_area(a, b, c), signed_area(b, c, d),
-             signed_area(c, d, a), signed_area(d, a, b)]
-    floor = tol.abs_floor * diam * diam
-    if any(abs(x) <= floor for x in areas):
-        raise NonConvexQuadrilateral("three consecutive vertices are collinear")
-    if len({x > 0.0 for x in areas}) != 1:
-        raise NonConvexQuadrilateral("vertices in order are not strictly convex")
-
-
-def build_theorem1(a: Point, b: Point, c: Point, d: Point,
-                   tol: ToleranceBudget = DEFAULT_TOL) -> Configuration:
-    """Right-isosceles apexes erected inward on the sides of a convex
-    quadrilateral; the two apex diagonals are the segments under test."""
-    _require_convex(a, b, c, d, tol)
-    g = Point((a.x + b.x + c.x + d.x) / 4.0, (a.y + b.y + c.y + d.y) / 4.0)
-    o_ab = right_isosceles_apex(a, b, Orientation.TOWARD_REFERENCE, g, tol)
-    o_bc = right_isosceles_apex(b, c, Orientation.TOWARD_REFERENCE, g, tol)
-    o_cd = right_isosceles_apex(c, d, Orientation.TOWARD_REFERENCE, g, tol)
-    o_da = right_isosceles_apex(d, a, Orientation.TOWARD_REFERENCE, g, tol)
-    objects: dict[str, GeomObject] = {
-        "A": a, "B": b, "C": c, "D": d,
-        "O_ab": o_ab, "O_bc": o_bc, "O_cd": o_cd, "O_da": o_da,
-    }
-    edges = (("A", "B"), ("B", "C"), ("C", "D"), ("D", "A"),
-             ("A", "O_ab"), ("O_ab", "B"), ("B", "O_bc"), ("O_bc", "C"),
-             ("C", "O_cd"), ("O_cd", "D"), ("D", "O_da"), ("O_da", "A"),
-             ("O_ab", "O_cd"), ("O_bc", "O_da"))
-    return Configuration(objects, "theorem1",
-                         {"vertices": (a, b, c, d)}, edges)
-
-
-def build_bisector_variant(a: Point, b: Point, c: Point, d: Point,
-                           tol: ToleranceBudget = DEFAULT_TOL) -> Configuration:
-    """Meets of interior-angle bisectors at adjacent vertex pairs."""
-    _require_convex(a, b, c, d, tol)
-    bis_a = angle_bisector(a, d, b, tol)
-    bis_b = angle_bisector(b, a, c, tol)
-    bis_c = angle_bisector(c, b, d, tol)
-    bis_d = angle_bisector(d, c, a, tol)
-    o1 = intersect(bis_a, bis_b, tol)[0]
-    o2 = intersect(bis_b, bis_c, tol)[0]
-    o3 = intersect(bis_c, bis_d, tol)[0]
-    o4 = intersect(bis_d, bis_a, tol)[0]
-    objects: dict[str, GeomObject] = {
-        "A": a, "B": b, "C": c, "D": d,
-        "O_1": o1, "O_2": o2, "O_3": o3, "O_4": o4,
-    }
-    edges = (("A", "B"), ("B", "C"), ("C", "D"), ("D", "A"),
-             ("A", "O_1"), ("B", "O_1"), ("B", "O_2"), ("C", "O_2"),
-             ("C", "O_3"), ("D", "O_3"), ("D", "O_4"), ("A", "O_4"))
-    return Configuration(objects, "bisector_variant",
-                         {"vertices": (a, b, c, d)}, edges)
-
-
-# ---------------------------------------------------------------------------
-# triangle constructions
-
-def build_example1(a: Point, b: Point, c: Point,
-                   tol: ToleranceBudget = DEFAULT_TOL) -> Configuration:
-    """Equilateral triangles erected on each side toward the opposite
-    vertex; their centroids form the inner triangle under test, together
-    with the first Fermat point of the base triangle.
-
-    The second Fermat point is included under label F2 whenever its
-    construction is well-conditioned (it degenerates for an equilateral
-    base), so both candidate conventions can be compared.
-    """
-    apex_a = equilateral_apex(b, c, Orientation.TOWARD_REFERENCE, a, tol)
-    apex_b = equilateral_apex(c, a, Orientation.TOWARD_REFERENCE, b, tol)
-    apex_c = equilateral_apex(a, b, Orientation.TOWARD_REFERENCE, c, tol)
-    o_a = triangle_center(CenterKind.X2, apex_a, b, c, tol)
-    o_b = triangle_center(CenterKind.X2, apex_b, c, a, tol)
-    o_c = triangle_center(CenterKind.X2, apex_c, a, b, tol)
-    f1 = triangle_center(CenterKind.X13, a, b, c, tol)
-    objects: dict[str, GeomObject] = {
-        "A": a, "B": b, "C": c,
-        "A'": apex_a, "B'": apex_b, "C'": apex_c,
-        "O_a": o_a, "O_b": o_b, "O_c": o_c,
-        "F1": f1,
-    }
-    try:
-        objects["F2"] = triangle_center(CenterKind.X14, a, b, c, tol)
-    except IllConditioned:
-        pass  # equilateral base: no usable second Fermat point
-    edges = (("A", "B"), ("B", "C"), ("C", "A"),
-             ("B", "A'"), ("C", "A'"), ("C", "B'"), ("A", "B'"),
-             ("A", "C'"), ("B", "C'"),
-             ("O_a", "O_b"), ("O_b", "O_c"), ("O_c", "O_a"))
-    return Configuration(objects, "example1", {"vertices": (a, b, c)}, edges)
-
-
-def build_example2(a: Point, b: Point, c: Point,
-                   tol: ToleranceBudget = DEFAULT_TOL) -> Configuration:
-    """Second Fermat points of the three triangles cut off by the first
-    Fermat point, together with both Fermat points of the base triangle."""
-    f1 = triangle_center(CenterKind.X13, a, b, c, tol)
-    f2 = triangle_center(CenterKind.X14, a, b, c, tol)
-    f_a = triangle_center(CenterKind.X14, f1, b, c, tol)
-    f_b = triangle_center(CenterKind.X14, f1, a, c, tol)
-    f_c = triangle_center(CenterKind.X14, f1, a, b, tol)
-    objects: dict[str, GeomObject] = {
-        "A": a, "B": b, "C": c,
-        "F1": f1, "F2": f2,
-        "F_a": f_a, "F_b": f_b, "F_c": f_c,
-    }
-    edges = (("A", "B"), ("B", "C"), ("C", "A"),
-             ("F_a", "F_b"), ("F_b", "F_c"), ("F_c", "F_a"))
-    return Configuration(objects, "example2", {"vertices": (a, b, c)}, edges)
-
-
-def second_intersection(origin: Point, through: Point, circle: Circle,
-                        tol: ToleranceBudget = DEFAULT_TOL) -> Point:
-    """The meet of line origin-through with the circle that is not the
-    origin itself (origin is assumed to lie on the circle)."""
-    pts = intersect(line_through(origin, through, tol), circle, tol)
-    best = max(pts, key=lambda p: dist(p, origin))
-    if dist(best, origin) <= tol.rel_tol * 2.0 * circle.radius:
-        raise DegeneratePosition("second circle intersection collapses onto "
-                                 "the line origin")
-    return best
-
-
-def build_example3(a: Point, b: Point, c: Point, p: Point,
-                   tol: ToleranceBudget = DEFAULT_TOL) -> Configuration:
-    """Nine-point centers of the three triangles obtained by replacing one
-    vertex with its circumcircle re-intersection through an interior point,
-    plus their line and midpoint reflections in the corresponding sides."""
-    circ = circumcircle(a, b, c, tol)
-    diam = max(dist(a, b), dist(b, c), dist(c, a))
-    for v in (a, b, c):
-        if dist(p, v) <= tol.abs_floor * max(1.0, diam):
-            raise PointOnVertex(f"cevian point {p} coincides with vertex {v}")
-    if dist(p, circ.center) >= circ.radius * (1.0 - tol.abs_floor):
-        raise PointOutsideCircumcircle(
-            f"cevian point {p} is not strictly inside the circumcircle")
-    a2 = second_intersection(a, p, circ, tol)
-    b2 = second_intersection(b, p, circ, tol)
-    c2 = second_intersection(c, p, circ, tol)
-    n = triangle_center(CenterKind.X5, a, b, c, tol)
-    n_a = triangle_center(CenterKind.X5, a2, b, c, tol)
-    n_b = triangle_center(CenterKind.X5, b2, a, c, tol)
-    n_c = triangle_center(CenterKind.X5, c2, a, b, tol)
-    side_a = line_through(b, c, tol)
-    side_b = line_through(a, c, tol)
-    side_c = line_through(a, b, tol)
-    objects: dict[str, GeomObject] = {
-        "A": a, "B": b, "C": c, "P": p,
-        "A'": a2, "B'": b2, "C'": c2,
-        "N": n, "N_a": n_a, "N_b": n_b, "N_c": n_c,
-        "N_a'": reflect_line(n_a, side_a),
-        "N_b'": reflect_line(n_b, side_b),
-        "N_c'": reflect_line(n_c, side_c),
-        "N_a''": reflect_point(n_a, midpoint(b, c)),
-        "N_b''": reflect_point(n_b, midpoint(a, c)),
-        "N_c''": reflect_point(n_c, midpoint(a, b)),
-        "circumcircle": circ,
-    }
-    edges = (("A", "B"), ("B", "C"), ("C", "A"),
-             ("A", "A'"), ("B", "B'"), ("C", "C'"))
-    return Configuration(objects, "example3", {"vertices": (a, b, c, p)}, edges)
 
 
 # ---------------------------------------------------------------------------

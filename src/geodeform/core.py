@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 __all__ = [
     "GeometryError",
@@ -28,17 +29,17 @@ __all__ = [
     "Line",
     "Circle",
     "dist",
+    "diameter",
     "midpoint",
     "perp",
     "signed_area",
     "line_through",
     "circumcircle",
     "rotate",
-    "translate",
     "reflect_point",
     "reflect_line",
-    "scale_about",
     "intersect",
+    "least_squares_meet",
     "angle_bisector",
     "radical_axis",
 ]
@@ -189,6 +190,12 @@ def dist(p: Point, q: Point) -> float:
     return math.hypot(p.x - q.x, p.y - q.y)
 
 
+def diameter(points: Sequence[Point]) -> float:
+    """Largest pairwise distance; 0.0 for fewer than two points."""
+    return max((dist(p, q) for i, p in enumerate(points) for q in points[i + 1:]),
+               default=0.0)
+
+
 def midpoint(p: Point, q: Point) -> Point:
     return Point((p.x + q.x) / 2.0, (p.y + q.y) / 2.0)
 
@@ -200,10 +207,6 @@ def perp(v: Point) -> Point:
 
 def _cross(u: Point, v: Point) -> float:
     return u.x * v.y - u.y * v.x
-
-
-def _dot(u: Point, v: Point) -> float:
-    return u.x * v.x + u.y * v.y
 
 
 def _local_scale(*pts: Point) -> float:
@@ -232,15 +235,18 @@ def circumcircle(p: Point, q: Point, r: Point,
                  tol: ToleranceBudget = DEFAULT_TOL) -> Circle:
     """Circle through three non-collinear points."""
     diam = max(dist(p, q), dist(q, r), dist(r, p))
-    if abs(signed_area(p, q, r)) <= tol.abs_floor * diam * diam:
+    # b = q - p and c = r - p as bare floats: Point temporaries would
+    # dominate the cost of this call, which every circle construction pays
+    bx, by = q.x - p.x, q.y - p.y
+    cx, cy = r.x - p.x, r.y - p.y
+    cross = bx * cy - by * cx
+    if abs(cross / 2.0) <= tol.abs_floor * diam * diam:
         raise CollinearPoints(f"circumcircle of collinear points {p}, {q}, {r}")
-    b = q - p
-    c = r - p
-    d = 2.0 * _cross(b, c)
-    b2 = _dot(b, b)
-    c2 = _dot(c, c)
-    ux = (c.y * b2 - b.y * c2) / d
-    uy = (b.x * c2 - c.x * b2) / d
+    d = 2.0 * cross
+    b2 = bx * bx + by * by
+    c2 = cx * cx + cy * cy
+    ux = (cy * b2 - by * c2) / d
+    uy = (bx * c2 - cx * b2) / d
     center = Point(p.x + ux, p.y + uy)
     return Circle(center, math.hypot(ux, uy))
 
@@ -255,10 +261,6 @@ def rotate(p: Point, center: Point, angle: float) -> Point:
                  center.y + sa * v.x + ca * v.y)
 
 
-def translate(p: Point, dx: float, dy: float) -> Point:
-    return Point(p.x + dx, p.y + dy)
-
-
 def reflect_point(p: Point, through: Point) -> Point:
     """Point reflection (half-turn) of p through the given center."""
     return Point(2.0 * through.x - p.x, 2.0 * through.y - p.y)
@@ -268,13 +270,6 @@ def reflect_line(p: Point, line: Line) -> Point:
     """Mirror image of p across the line."""
     v = line.value(p)
     return Point(p.x - 2.0 * v * line.a, p.y - 2.0 * v * line.b)
-
-
-def scale_about(p: Point, center: Point, factor: float) -> Point:
-    if not math.isfinite(factor):
-        raise NonFiniteInput(f"non-finite scale factor {factor}")
-    v = p - center
-    return Point(center.x + factor * v.x, center.y + factor * v.y)
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +303,24 @@ def _intersect_lines(l1: Line, l2: Line, tol: ToleranceBudget) -> Point:
     x = (l1.b * l2.c - l2.b * l1.c) / den
     y = (l2.a * l1.c - l1.a * l2.c) / den
     return Point(x, y)
+
+
+def least_squares_meet(lines: Sequence[Line], floor: float) -> Point:
+    """The point minimizing the summed squared distances to the lines.
+
+    Solves the 2x2 normal equations (the normals are unit vectors); raises
+    Parallel when their determinant is within `floor` of zero.
+    """
+    saa = sum(l.a * l.a for l in lines)
+    sab = sum(l.a * l.b for l in lines)
+    sbb = sum(l.b * l.b for l in lines)
+    sac = sum(l.a * l.c for l in lines)
+    sbc = sum(l.b * l.c for l in lines)
+    det = saa * sbb - sab * sab
+    if abs(det) <= floor:
+        raise Parallel("lines form a near-parallel pencil")
+    return Point((sab * sbc - sbb * sac) / det,
+                 (sab * sac - saa * sbc) / det)
 
 
 def _intersect_line_circle(line: Line, circle: Circle,
@@ -366,15 +379,16 @@ def angle_bisector(vertex: Point, toward1: Point, toward2: Point,
     d2 = dist(vertex, toward2)
     if min(d1, d2) <= tol.abs_floor * scale:
         raise CoincidentPoints("bisector ray endpoint coincides with the vertex")
-    u1 = (toward1 - vertex) / d1
-    u2 = (toward2 - vertex) / d2
-    s = u1 + u2
-    if s.norm() <= tol.abs_floor:
+    # unit rays u1, u2 and their sum s as bare floats, for speed as in
+    # circumcircle; the normal of the bisector is perp(s) = (-sy, sx)
+    u1x, u1y = (toward1.x - vertex.x) / d1, (toward1.y - vertex.y) / d1
+    u2x, u2y = (toward2.x - vertex.x) / d2, (toward2.y - vertex.y) / d2
+    sx, sy = u1x + u2x, u1y + u2y
+    if math.hypot(sx, sy) <= tol.abs_floor:
         warnings.warn("straight angle: bisector direction set perpendicular "
                       "to the rays", DegenerateAngleWarning, stacklevel=2)
-        s = perp(u1)
-    n = perp(s)
-    return Line(n.x, n.y, -(n.x * vertex.x + n.y * vertex.y))
+        sx, sy = -u1y, u1x
+    return Line(-sy, sx, -(-sy * vertex.x + sx * vertex.y))
 
 
 def radical_axis(c1: Circle, c2: Circle,

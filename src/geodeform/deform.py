@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .configurations import Configuration
-from .core import DEFAULT_TOL, GeometryError, Point, ToleranceBudget, dist
+from .core import DEFAULT_TOL, GeometryError, Point, ToleranceBudget, diameter
 from .relations import RelationVerdict, evaluate_relation
 
 __all__ = [
@@ -91,8 +91,7 @@ class DeformationFamily:
     epsilon_floor: float = 0.0
 
     def base_diameter(self) -> float:
-        pts = self.base_points
-        return max(dist(p, q) for i, p in enumerate(pts) for q in pts[i + 1:])
+        return diameter(self.base_points)
 
     def admits(self, epsilon: float) -> bool:
         if epsilon == 0.0:

@@ -33,8 +33,10 @@ from .core import (
     Point,
     ToleranceBudget,
     circumcircle,
+    diameter,
     dist,
     intersect,
+    least_squares_meet,
     line_through,
     midpoint,
     radical_axis,
@@ -57,7 +59,6 @@ __all__ = [
     "check_perspective",
     "check_perpendicular",
     "check_equal_length",
-    "check_perp_and_equal",
     "check_midpoints_coincide",
     "check_segment_bisects",
     "fit_conic",
@@ -122,11 +123,6 @@ class RelationVerdict:
 # ---------------------------------------------------------------------------
 # normalization
 
-def _diameter(points: Sequence[Point]) -> float:
-    return max((dist(p, q) for i, p in enumerate(points) for q in points[i + 1:]),
-               default=0.0)
-
-
 def _normalized(points: Sequence[Point], tol: ToleranceBudget,
                 scale: float | None = None) -> tuple[list[Point], float, float]:
     """Points divided by a power-of-two snap of the normalization scale.
@@ -138,7 +134,7 @@ def _normalized(points: Sequence[Point], tol: ToleranceBudget,
     the scaled frame, and the normalization denominator in that frame.
     Power of two, because dividing by it is exact.
     """
-    cloud = _diameter(points)
+    cloud = diameter(points)
     basis = cloud if scale is None else scale
     if basis <= tol.abs_floor * max(1.0, *(max(abs(p.x), abs(p.y)) for p in points)):
         return list(points), 0.0, 0.0
@@ -250,14 +246,6 @@ def check_equal_length(points: Sequence[Point],
     return RelationVerdict.from_residual("equal_length", residual, tol)
 
 
-def check_perp_and_equal(p1: Point, p2: Point, q1: Point, q2: Point,
-                         tol: ToleranceBudget = DEFAULT_TOL,
-                         ) -> tuple[RelationVerdict, RelationVerdict]:
-    """Both halves of the segment-pair comparison at once."""
-    return (check_perpendicular(p1, p2, q1, q2, tol),
-            check_equal_length([p1, p2, q1, q2], tol))
-
-
 def check_midpoints_coincide(p1: Point, p2: Point, q1: Point, q2: Point,
                              tol: ToleranceBudget = DEFAULT_TOL,
                              scale: float | None = None) -> RelationVerdict:
@@ -301,15 +289,8 @@ def check_concurrent_lines(lines: Sequence[Line],
                 return RelationVerdict.failed(
                     "concurrent", flags=("non_concurrent_parallel",))
             meets.append(intersect(li, lj, tol)[0])
-    saa = sum(l.a * l.a for l in lines)
-    sab = sum(l.a * l.b for l in lines)
-    sbb = sum(l.b * l.b for l in lines)
-    sac = sum(l.a * l.c for l in lines)
-    sbc = sum(l.b * l.c for l in lines)
-    det = saa * sbb - sab * sab
-    witness = Point((sab * sbc - sbb * sac) / det,
-                    (sab * sac - saa * sbc) / det)
-    cloud = max(1.0, _diameter(meets))
+    witness = least_squares_meet(lines, 0.0)
+    cloud = max(1.0, diameter(meets))
     residual = max(abs(l.value(witness)) for l in lines) / cloud
     return RelationVerdict.from_residual("concurrent", residual, tol, witness)
 
@@ -376,7 +357,7 @@ def check_perspective(tri1: Sequence[Point], tri2: Sequence[Point],
     if dq == 0.0:
         return RelationVerdict("perspective", 0.0, True, None,
                                ("identical_vertices",))
-    snap = _diameter(pts) / dq  # power of two; maps witnesses back exactly
+    snap = diameter(pts) / dq  # power of two; maps witnesses back exactly
     connectors: list[Line] = []
     n_coincident = 0
     for t in range(3):
@@ -463,7 +444,7 @@ def fit_conic(points: Sequence[Point],
     design matrix (computed in a centered, scaled frame for conditioning)."""
     if len(points) != 5:
         raise TooFewPoints(f"a conic is fitted to exactly 5 points, got {len(points)}")
-    diam = _diameter(points)
+    diam = diameter(points)
     q, dq, _ = _normalized(points, tol)
     if dq == 0.0:
         raise DegeneratePosition("conic fit to a coincident cluster")

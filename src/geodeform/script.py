@@ -6,7 +6,11 @@ A script is a sequence of newline-terminated statements:
     param eps = 0.5                    # named scalar, overridable
     point A = (0, 0)                   # literal coordinates
     point B = (1, eps * 2)             # coordinates may use params
+    point C = (0, 1)
     point M = midpoint(A, B)           # construction call
+    require inside(M, A, B, C)         # precondition on defined points
+    segment A B                        # drawn edge
+    circle A B C                       # drawn circumcircle
     assert collinear(A, M, B)          # relation over defined points
 
 Coordinates and the rotation angle are arithmetic expressions over
@@ -19,25 +23,34 @@ duplicate definitions are rejected, and arity mistakes are reported at
 the offending call.  Evaluation is total: a construction that fails
 numerically (say, intersecting parallel bisectors) poisons its label,
 and every assertion touching a poisoned label comes back as a failed
-verdict carrying the original error instead of raising.
+verdict carrying the original error instead of raising.  A failed
+`require` fails every assertion the same way.  `segment` and `circle`
+only add to the drawing; one that names a poisoned label is left out.
+
+The built-in deformation families are shipped programs of this language:
+`family_builder` turns a program into the builder that rebuilds the
+figure from deformed base points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Callable, Sequence, Union
 
 from .centers import CenterKind, Orientation, equilateral_apex, \
     right_isosceles_apex, triangle_center
-from .configurations import Configuration, second_intersection
+from .configurations import Configuration, NonConvexQuadrilateral, \
+    PointOnVertex, PointOutsideCircumcircle
 from .core import (
     DEFAULT_TOL,
+    Circle,
     GeometryError,
     Point,
     ToleranceBudget,
     angle_bisector,
     circumcircle,
+    diameter,
     dist,
     intersect,
     line_through,
@@ -45,8 +58,10 @@ from .core import (
     reflect_line,
     reflect_point,
     rotate,
+    signed_area,
 )
-from .relations import RELATION_ARITIES, RelationVerdict, evaluate_relation
+from .relations import RELATION_ARITIES, DegeneratePosition, RelationVerdict, \
+    evaluate_relation
 
 __all__ = [
     "ScriptError",
@@ -58,8 +73,11 @@ __all__ = [
     "parse",
     "evaluate",
     "format_program",
+    "family_builder",
+    "second_intersection",
     "FUNCTIONS",
     "RELATIONS",
+    "REQUIREMENTS",
 ]
 
 
@@ -96,39 +114,100 @@ class UnknownParam(ScriptError):
 # ---------------------------------------------------------------------------
 # vocabulary
 
-# construction name -> (number of point arguments, takes a trailing angle)
-FUNCTIONS: dict[str, tuple[int, bool]] = {
-    "midpoint": (2, False),
-    "reflect_line": (3, False),
-    "reflect_point": (2, False),
-    "rotate": (2, True),
-    "centroid": (3, False),
-    "circumcenter": (3, False),
-    "incenter": (3, False),
-    "orthocenter": (3, False),
-    "ninepoint": (3, False),
-    "fermat1": (3, False),
-    "fermat2": (3, False),
-    "eq_apex": (3, False),
-    "ri_apex": (3, False),
-    "second_intersection": (5, False),
-    "bisector_meet": (6, False),
+def second_intersection(origin: Point, through: Point, circle: Circle,
+                        tol: ToleranceBudget = DEFAULT_TOL) -> Point:
+    """The meet of line origin-through with the circle that is not the
+    origin itself (origin is assumed to lie on the circle)."""
+    pts = intersect(line_through(origin, through, tol), circle, tol)
+    best = max(pts, key=lambda p: dist(p, origin))
+    if dist(best, origin) <= tol.rel_tol * 2.0 * circle.radius:
+        raise DegeneratePosition("second circle intersection collapses onto "
+                                 "the line origin")
+    return best
+
+
+Construction = Callable[[list[Point], float | None, ToleranceBudget], Point]
+
+
+def _center(kind: CenterKind) -> Construction:
+    return lambda p, angle, tol: triangle_center(kind, p[0], p[1], p[2], tol)
+
+
+def _second_intersection(p: list[Point], angle: float | None,
+                         tol: ToleranceBudget) -> Point:
+    return second_intersection(p[0], p[1], circumcircle(p[2], p[3], p[4], tol),
+                               tol)
+
+
+def _bisector_meet(p: list[Point], angle: float | None,
+                   tol: ToleranceBudget) -> Point:
+    b1 = angle_bisector(p[1], p[0], p[2], tol)
+    b2 = angle_bisector(p[4], p[3], p[5], tol)
+    return intersect(b1, b2, tol)[0]
+
+
+# construction name -> (number of point arguments, takes a trailing angle,
+# implementation over (points, angle in degrees or None, tolerance))
+FUNCTIONS: dict[str, tuple[int, bool, Construction]] = {
+    "midpoint": (2, False, lambda p, angle, tol: midpoint(p[0], p[1])),
+    "reflect_line": (3, False, lambda p, angle, tol: reflect_line(
+        p[0], line_through(p[1], p[2], tol))),
+    "reflect_point": (2, False, lambda p, angle, tol: reflect_point(p[0], p[1])),
+    "rotate": (2, True, lambda p, angle, tol: rotate(p[0], p[1],
+                                                     math.radians(angle))),
+    "centroid": (3, False, _center(CenterKind.X2)),
+    "circumcenter": (3, False, _center(CenterKind.X3)),
+    "incenter": (3, False, _center(CenterKind.X1)),
+    "orthocenter": (3, False, _center(CenterKind.X4)),
+    "ninepoint": (3, False, _center(CenterKind.X5)),
+    "fermat1": (3, False, _center(CenterKind.X13)),
+    "fermat2": (3, False, _center(CenterKind.X14)),
+    "eq_apex": (3, False, lambda p, angle, tol: equilateral_apex(
+        p[0], p[1], Orientation.TOWARD_REFERENCE, p[2], tol)),
+    "ri_apex": (3, False, lambda p, angle, tol: right_isosceles_apex(
+        p[0], p[1], Orientation.TOWARD_REFERENCE, p[2], tol)),
+    "second_intersection": (5, False, _second_intersection),
+    "bisector_meet": (6, False, _bisector_meet),
 }
 
-RELATIONS: tuple[str, ...] = (
-    "collinear", "concyclic", "concurrent", "perpendicular",
-    "equal_length", "on_conic", "coaxial", "perspective",
-)
+RELATIONS: tuple[str, ...] = tuple(RELATION_ARITIES)
 
-_CENTER_FOR = {
-    "centroid": CenterKind.X2,
-    "circumcenter": CenterKind.X3,
-    "incenter": CenterKind.X1,
-    "orthocenter": CenterKind.X4,
-    "ninepoint": CenterKind.X5,
-    "fermat1": CenterKind.X13,
-    "fermat2": CenterKind.X14,
+
+def _require_convex(a: Point, b: Point, c: Point, d: Point,
+                    tol: ToleranceBudget) -> None:
+    diam = diameter((a, b, c, d))
+    areas = [signed_area(a, b, c), signed_area(b, c, d),
+             signed_area(c, d, a), signed_area(d, a, b)]
+    floor = tol.abs_floor * diam * diam
+    if any(abs(x) <= floor for x in areas):
+        raise NonConvexQuadrilateral("three consecutive vertices are collinear")
+    if len({x > 0.0 for x in areas}) != 1:
+        raise NonConvexQuadrilateral("vertices in order are not strictly convex")
+
+
+def _require_inside(p: Point, a: Point, b: Point, c: Point,
+                    tol: ToleranceBudget) -> None:
+    circ = circumcircle(a, b, c, tol)
+    diam = diameter((a, b, c))
+    for v in (a, b, c):
+        if dist(p, v) <= tol.abs_floor * max(1.0, diam):
+            raise PointOnVertex(f"cevian point {p} coincides with vertex {v}")
+    if dist(p, circ.center) >= circ.radius * (1.0 - tol.abs_floor):
+        raise PointOutsideCircumcircle(
+            f"cevian point {p} is not strictly inside the circumcircle")
+
+
+# precondition name -> (number of point arguments, check raising a
+# GeometryError when the points fail it)
+REQUIREMENTS: dict[str, tuple[int, Callable[..., None]]] = {
+    "convex": (4, _require_convex),
+    "inside": (4, _require_inside),
 }
+
+# drawable -> number of point labels
+DRAWABLES: dict[str, int] = {"segment": 2, "circle": 3}
+
+STATEMENTS = ("point", "param", "assert", "require") + tuple(DRAWABLES)
 
 
 def _arity_phrase(kind: str) -> str:
@@ -204,7 +283,21 @@ class AssertStmt:
     span: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
-Statement = Union[Define, ParamDecl, AssertStmt]
+@dataclass(frozen=True)
+class Require:
+    kind: str
+    labels: tuple[str, ...]
+    span: tuple[int, int] = field(default=(0, 0), compare=False)
+
+
+@dataclass(frozen=True)
+class Draw:
+    shape: str
+    labels: tuple[str, ...]
+    span: tuple[int, int] = field(default=(0, 0), compare=False)
+
+
+Statement = Union[Define, ParamDecl, AssertStmt, Require, Draw]
 
 
 @dataclass(frozen=True)
@@ -349,21 +442,26 @@ class _Parser:
         if not statements:
             tok = self.cur
             raise ParseError(tok.line, tok.col, "empty program",
-                             expected=("point", "param", "assert"))
+                             expected=STATEMENTS)
         return Program(tuple(statements))
 
     def statement(self) -> Statement:
         tok = self.cur
-        if tok.kind != "ident" or tok.text not in ("point", "param", "assert"):
+        if tok.kind != "ident" or tok.text not in STATEMENTS:
             raise ParseError(tok.line, tok.col,
                              f"expected a statement, found {tok.text!r}",
-                             expected=("point", "param", "assert"))
+                             expected=STATEMENTS)
         self.advance()
+        span = (tok.line, tok.col)
         if tok.text == "point":
-            return self.point_stmt((tok.line, tok.col))
+            return self.point_stmt(span)
         if tok.text == "param":
-            return self.param_stmt((tok.line, tok.col))
-        return self.assert_stmt((tok.line, tok.col))
+            return self.param_stmt(span)
+        if tok.text == "assert":
+            return self.assert_stmt(span)
+        if tok.text == "require":
+            return self.require_stmt(span)
+        return self.draw_stmt(tok)
 
     def _fresh(self, tok: _Token) -> str:
         if tok.text in self.point_labels or tok.text in self.param_names:
@@ -393,20 +491,24 @@ class _Parser:
         self.param_names.add(name)
         return ParamDecl(name, -value if negate else value, span)
 
+    def label_list(self) -> list[_Token]:
+        """`(A, B, ...)` as unresolved tokens: a wrong argument count is a
+        shape error and should win over unresolved names inside the list."""
+        self.expect("(")
+        arg_toks = [self.expect_ident("a point label")]
+        while self.cur.kind == "punct" and self.cur.text == ",":
+            self.advance()
+            arg_toks.append(self.expect_ident("a point label"))
+        self.expect(")", ",")
+        return arg_toks
+
     def assert_stmt(self, span: tuple[int, int]) -> AssertStmt:
         tok = self.expect_ident("a relation name")
         if tok.text not in RELATIONS:
             raise ParseError(tok.line, tok.col,
                              f"unknown relation {tok.text!r}",
                              expected=RELATIONS)
-        self.expect("(")
-        # collect label tokens first: a wrong argument count is a shape
-        # error and should win over unresolved names inside the list
-        arg_toks = [self.expect_ident("a point label")]
-        while self.cur.kind == "punct" and self.cur.text == ",":
-            self.advance()
-            arg_toks.append(self.expect_ident("a point label"))
-        self.expect(")", ",")
+        arg_toks = self.label_list()
         lo, hi, step = RELATION_ARITIES[tok.text]
         n = len(arg_toks)
         if n < lo or (hi is not None and n > hi) or n % step:
@@ -416,6 +518,31 @@ class _Parser:
                              expected=(_arity_phrase(tok.text),))
         labels = [self.resolve_point(t) for t in arg_toks]
         return AssertStmt(tok.text, tuple(labels), span)
+
+    def require_stmt(self, span: tuple[int, int]) -> Require:
+        tok = self.expect_ident("a requirement name")
+        if tok.text not in REQUIREMENTS:
+            raise ParseError(tok.line, tok.col,
+                             f"unknown requirement {tok.text!r}",
+                             expected=tuple(REQUIREMENTS))
+        arg_toks = self.label_list()
+        self.check_count(tok, len(arg_toks), REQUIREMENTS[tok.text][0])
+        labels = [self.resolve_point(t) for t in arg_toks]
+        return Require(tok.text, tuple(labels), span)
+
+    def draw_stmt(self, keyword: _Token) -> Draw:
+        arg_toks = [self.expect_ident("a point label")]
+        while self.cur.kind == "ident":
+            arg_toks.append(self.advance())
+        self.check_count(keyword, len(arg_toks), DRAWABLES[keyword.text])
+        labels = [self.resolve_point(t) for t in arg_toks]
+        return Draw(keyword.text, tuple(labels), (keyword.line, keyword.col))
+
+    def check_count(self, tok: _Token, got: int, wants: int) -> None:
+        if got != wants:
+            raise ArityError(tok.line, tok.col,
+                             f"{tok.text} takes {wants} point labels, got {got}",
+                             expected=(f"{wants} point labels",))
 
     def point_ref(self) -> str:
         return self.resolve_point(self.expect_ident("a point label"))
@@ -454,7 +581,7 @@ class _Parser:
 
     def construct(self) -> Construct:
         tok = self.advance()
-        n_points, takes_angle = FUNCTIONS[tok.text]
+        n_points, takes_angle, _ = FUNCTIONS[tok.text]
         total = n_points + (1 if takes_angle else 0)
         self.expect("(")
         args: list[str] = []
@@ -566,8 +693,12 @@ def format_program(program: Program) -> str:
             out.append(f"param {stmt.name} = {stmt.default!r}")
         elif isinstance(stmt, Define):
             out.append(f"point {stmt.label} = {_fmt_point_expr(stmt.expr)}")
-        else:
+        elif isinstance(stmt, AssertStmt):
             out.append(f"assert {stmt.kind}({', '.join(stmt.labels)})")
+        elif isinstance(stmt, Require):
+            out.append(f"require {stmt.kind}({', '.join(stmt.labels)})")
+        else:
+            out.append(f"{stmt.shape} {' '.join(stmt.labels)}")
     return "\n".join(out) + "\n"
 
 
@@ -596,34 +727,80 @@ def _eval_scalar(node: Scalar, params: dict[str, float]) -> float:
     return left / right
 
 
-def _eval_construct(expr: Construct, pts: list[Point],
-                    angle: float | None, tol: ToleranceBudget) -> Point:
-    name = expr.func
-    if name == "midpoint":
-        return midpoint(pts[0], pts[1])
-    if name == "reflect_line":
-        return reflect_line(pts[0], line_through(pts[1], pts[2], tol))
-    if name == "reflect_point":
-        return reflect_point(pts[0], pts[1])
-    if name == "rotate":
-        assert angle is not None
-        return rotate(pts[0], pts[1], math.radians(angle))
-    if name in _CENTER_FOR:
-        return triangle_center(_CENTER_FOR[name], pts[0], pts[1], pts[2], tol)
-    if name == "eq_apex":
-        return equilateral_apex(pts[0], pts[1], Orientation.TOWARD_REFERENCE,
-                                pts[2], tol)
-    if name == "ri_apex":
-        return right_isosceles_apex(pts[0], pts[1],
-                                    Orientation.TOWARD_REFERENCE, pts[2], tol)
-    if name == "second_intersection":
-        circle = circumcircle(pts[2], pts[3], pts[4], tol)
-        return second_intersection(pts[0], pts[1], circle, tol)
-    if name == "bisector_meet":
-        b1 = angle_bisector(pts[1], pts[0], pts[2], tol)
-        b2 = angle_bisector(pts[4], pts[3], pts[5], tol)
-        return intersect(b1, b2, tol)[0]
-    raise ValueError(f"unhandled construction {name!r}")
+def _arguments(labels: tuple[str, ...], points: dict[str, Point],
+               poisoned: dict[str, str]) -> list[Point]:
+    try:
+        return list(map(points.__getitem__, labels))
+    except KeyError:
+        # labels are defined before use, so a missing one was poisoned
+        bad = next(label for label in labels if label in poisoned)
+        raise _PoisonedLabel(poisoned[bad]) from None
+
+
+def _construct(statements: Sequence[Statement], params: dict[str, float],
+               tol: ToleranceBudget, given: dict[str, Point],
+               needed: frozenset[str] | None,
+               ) -> tuple[Configuration, dict[str, str], str | None]:
+    """Run the point, require and drawing statements in order; the others
+    are passed over.
+
+    Labels in `given` take those points in place of their coordinates.
+    With `needed` None, a failed construction poisons its label and a
+    failed require is recorded.  Otherwise a failed require, or a failed
+    construction of a label in `needed`, raises its error, and any other
+    failed label drops out.  Returns the configuration, the message of
+    every poisoned label, and the message of the first failed require.
+    """
+    points: dict[str, Point] = {}
+    circles: dict[str, Circle] = {}
+    edges: list[tuple[str, ...]] = []
+    poisoned: dict[str, str] = {}
+    failed: str | None = None
+    for stmt in statements:
+        if isinstance(stmt, Define):
+            label, expr = stmt.label, stmt.expr
+            try:
+                if label in given:
+                    points[label] = given[label]
+                elif isinstance(expr, CoordPair):
+                    points[label] = Point(_eval_scalar(expr.x, params),
+                                          _eval_scalar(expr.y, params))
+                else:
+                    args = _arguments(expr.points, points, poisoned)
+                    angle = (None if expr.angle is None
+                             else _eval_scalar(expr.angle, params))
+                    points[label] = FUNCTIONS[expr.func][2](args, angle, tol)
+            except _PoisonedLabel as exc:
+                poisoned[label] = str(exc)
+            except (GeometryError, ArithmeticError) as exc:
+                if needed is not None and label in needed:
+                    raise
+                poisoned[label] = f"{label}: {exc}"
+        elif isinstance(stmt, Require):
+            try:
+                args = _arguments(stmt.labels, points, poisoned)
+                REQUIREMENTS[stmt.kind][1](*args, tol)
+            except _PoisonedLabel as exc:
+                failed = failed or str(exc)
+            except (GeometryError, ArithmeticError) as exc:
+                if needed is not None:
+                    raise
+                failed = failed or (f"require {stmt.kind}"
+                                    f"({', '.join(stmt.labels)}): {exc}")
+        elif isinstance(stmt, Draw):
+            if poisoned and any(label in poisoned for label in stmt.labels):
+                continue
+            if stmt.shape == "segment":
+                edges.append(stmt.labels)
+                continue
+            try:
+                circles[f"circle({','.join(stmt.labels)})"] = circumcircle(
+                    *(points[label] for label in stmt.labels), tol)
+            except GeometryError:
+                pass  # collinear labels: there is no circle to draw
+    config = Configuration({**points, **circles}, "script", dict(params),
+                           tuple(edges))
+    return config, poisoned, failed
 
 
 def evaluate(program: Program, overrides: dict[str, float] | None = None,
@@ -633,9 +810,10 @@ def evaluate(program: Program, overrides: dict[str, float] | None = None,
 
     Overrides replace declared param defaults.  Failed constructions do
     not raise; they poison their label, and each assertion over a poisoned
-    label yields a failed verdict carrying the underlying error.  Residuals
-    are normalized by the diameter of all defined points, matching how the
-    deformation engine judges claims against whole configurations.
+    label yields a failed verdict carrying the underlying error.  A failed
+    require fails every assertion the same way.  Residuals are normalized
+    by the diameter of all defined points, matching how the deformation
+    engine judges claims against whole configurations.
     """
     params = program.params()
     for name, value in (overrides or {}).items():
@@ -644,40 +822,18 @@ def evaluate(program: Program, overrides: dict[str, float] | None = None,
                                f"(have: {', '.join(sorted(params)) or 'none'})")
         params[name] = float(value)
 
-    points: dict[str, Point] = {}
-    poisoned: dict[str, str] = {}
-    for stmt in program.statements:
-        if not isinstance(stmt, Define):
-            continue
-        try:
-            if isinstance(stmt.expr, CoordPair):
-                points[stmt.label] = Point(_eval_scalar(stmt.expr.x, params),
-                                           _eval_scalar(stmt.expr.y, params))
-            else:
-                args = []
-                for label in stmt.expr.points:
-                    if label in poisoned:
-                        raise _PoisonedLabel(poisoned[label])
-                    args.append(points[label])
-                angle = (None if stmt.expr.angle is None
-                         else _eval_scalar(stmt.expr.angle, params))
-                points[stmt.label] = _eval_construct(stmt.expr, args, angle, tol)
-        except _PoisonedLabel as exc:
-            poisoned[stmt.label] = str(exc)
-        except (GeometryError, ArithmeticError) as exc:
-            poisoned[stmt.label] = f"{stmt.label}: {exc}"
-
-    scale = None
-    if len(points) >= 2:
-        pts = list(points.values())
-        scale = max(dist(p, q) for i, p in enumerate(pts) for q in pts[i + 1:])
+    config, poisoned, failed = _construct(program.statements, params, tol, {},
+                                          None)
+    points = config.points()
+    scale = diameter(list(points.values()))
 
     verdicts: list[RelationVerdict] = []
     for stmt in program.asserts():
-        bad = next((lb for lb in stmt.labels if lb in poisoned), None)
-        if bad is not None:
+        error = failed or next(
+            (poisoned[lb] for lb in stmt.labels if lb in poisoned), None)
+        if error is not None:
             verdicts.append(RelationVerdict.failed(
-                stmt.kind, flags=("evaluation_error",), error=poisoned[bad]))
+                stmt.kind, flags=("evaluation_error",), error=error))
             continue
         try:
             verdicts.append(evaluate_relation(
@@ -686,6 +842,38 @@ def evaluate(program: Program, overrides: dict[str, float] | None = None,
         except (GeometryError, ArithmeticError) as exc:
             verdicts.append(RelationVerdict.failed(
                 stmt.kind, flags=("evaluation_error",), error=str(exc)))
-
-    config = Configuration(dict(points), "script", dict(params), ())
     return config, verdicts
+
+
+def family_builder(program: Program, base_labels: Sequence[str],
+                   ) -> Callable[..., Configuration]:
+    """The builder of a deformation family whose figure is `program`.
+
+    `builder(*points)` runs the program under the default tolerance with
+    the given points in place of the coordinates of `base_labels`.  It
+    raises the error of a failed require, or of a failed construction that
+    an assertion or requirement depends on, so a sampler rejects the draw;
+    any other failed label is left out, as `evaluate` leaves it out.
+    """
+    labels = tuple(base_labels)
+    literal = {s.label for s in program.statements
+               if isinstance(s, Define) and isinstance(s.expr, CoordPair)}
+    if not literal.issuperset(labels):
+        raise ValueError(f"base labels {labels} are not all coordinate "
+                         f"points of the program")
+    params = program.params()
+    needed = {lb for s in program.statements
+              if isinstance(s, (AssertStmt, Require)) for lb in s.labels}
+    for stmt in reversed(program.statements):
+        if (isinstance(stmt, Define) and stmt.label in needed
+                and isinstance(stmt.expr, Construct)):
+            needed.update(stmt.expr.points)
+    frozen = frozenset(needed)
+    steps = tuple(s for s in program.statements
+                  if isinstance(s, (Define, Require, Draw)))
+
+    def builder(*points: Point) -> Configuration:
+        given = dict(zip(labels, points, strict=True))
+        return _construct(steps, params, DEFAULT_TOL, given, frozen)[0]
+
+    return builder

@@ -17,11 +17,14 @@ import pytest
 from geodeform.catalog import CLAIMS, FAMILIES
 from geodeform.centers import CenterKind, fermat_oracle, triangle_center
 from geodeform.cli import main
-from geodeform.configurations import Configuration, build_theorem1
-from geodeform.core import Circle, Point, dist
-from geodeform.deform import RelationClaim, sample, scaling_probe, verify
+from geodeform.configurations import Configuration
+from geodeform.core import Circle, GeometryError, Point, dist
+from geodeform.deform import RelationClaim, SplitMix64, sample, \
+    scaling_probe, verify
 from geodeform.relations import check_concyclic, check_on_conic, fit_conic
 from geodeform.script import ParseError, evaluate, parse
+from oracle_builders import build_bisector_variant, build_example1, \
+    build_example2, build_example3, build_theorem1
 
 EPS = 2.0 ** -52
 
@@ -44,7 +47,8 @@ def test_criterion_01_quadrilateral_claims_hold_on_1000_samples():
 
 
 def test_criterion_02_square_collapses_apexes():
-    cfg = build_theorem1(Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1))
+    cfg = FAMILIES["theorem1"].builder(Point(0, 0), Point(1, 0), Point(1, 1),
+                                       Point(0, 1))
     apexes = [cfg.point(l) for l in ("O_ab", "O_bc", "O_cd", "O_da")]
     spread = max(dist(p, q) for p, q in itertools.combinations(apexes, 2))
     _report(2, spread <= 1e-12, f"apex spread={spread:.2e}")
@@ -226,6 +230,52 @@ MALFORMED = [
 ]
 
 
+ORACLES = {"theorem1": build_theorem1, "bisector": build_bisector_variant,
+           "example1": build_example1, "example2": build_example2,
+           "example3": build_example3}
+# points a family program defines only as arguments of a later construction
+HELPER_LABELS = {"example3": {"M_a", "M_b", "M_c"}}
+
+
+def _built(family_name, builder, points):
+    """Point coordinates and circles as hex strings, plus the edges, of
+    the configuration; or the class of the rejection."""
+    try:
+        config = builder(*points)
+    except GeometryError as exc:
+        return type(exc)
+    helpers = HELPER_LABELS.get(family_name, set())
+    coords = {label: (p.x.hex(), p.y.hex())
+              for label, p in config.points().items() if label not in helpers}
+    circles = [(c.center.x.hex(), c.center.y.hex(), c.radius.hex())
+               for c in config.objects.values() if isinstance(c, Circle)]
+    return coords, circles, config.edges
+
+
+def _first_oracle_mismatch():
+    """Every draw `sample` makes for seeds 0..199 at two epsilons, the
+    rejected ones included: the program builder and the oracle must agree
+    bit for bit, or reject with the same exception class.  Returns the
+    first draw where they do not, or None."""
+    for name, family in FAMILIES.items():
+        for eps in (0.001, 0.5):
+            radius = eps * family.base_diameter()
+            for seed in range(200):
+                rng = SplitMix64(seed)
+                for _ in range(1000):  # the rejection budget of `sample`
+                    points = []
+                    for p in family.base_points:
+                        dx, dy = rng.in_unit_disk()
+                        points.append(Point(p.x + radius * dx,
+                                            p.y + radius * dy))
+                    built = _built(name, family.builder, points)
+                    if built != _built(name, ORACLES[name], points):
+                        return f"{name} eps={eps} seed={seed}"
+                    if not isinstance(built, type):
+                        break
+    return None
+
+
 def test_criterion_11_script_path_agrees_with_library_path(tmp_path, capsys):
     fam = FAMILIES["theorem1"]
     cfg = sample(fam, 0.5, 0)
@@ -269,10 +319,14 @@ def test_criterion_11_script_path_agrees_with_library_path(tmp_path, capsys):
     capsys.readouterr()
     exit_codes_match = codes == (0, 1, 2, 2, 2)
 
-    ok = residuals_match and positions_match and exit_codes_match
+    oracle_mismatch = _first_oracle_mismatch()
+
+    ok = (residuals_match and positions_match and exit_codes_match
+          and oracle_mismatch is None)
     _report(11, ok, f"script residuals match={residuals_match} "
                     f"parse positions match={positions_match} "
-                    f"exit codes={codes}")
+                    f"exit codes={codes} "
+                    f"first oracle mismatch={oracle_mismatch}")
 
 
 def _scrubbed(document):

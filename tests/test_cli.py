@@ -1,8 +1,11 @@
 """Command-line interface: exit codes, output shape, JSON reports."""
 
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 from importlib import metadata
 
 import pytest
@@ -64,6 +67,30 @@ def test_verify_bad_eps_grid_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["verify", "theorem1_perp", "--eps-grid", "banana"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("command", [
+    ["verify", "theorem1_perp", "--samples", "5"],
+    ["run", str(SCRIPTS / "theorem1.geo")],
+])
+def test_bad_tol_is_usage_error(capsys, command, tol):
+    with pytest.raises(SystemExit) as info:
+        main(command + ["--tol", tol])
+    assert info.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+def test_verify_runs_outside_the_checkout(tmp_path):
+    """The built-in families load their programs from the package, not
+    from the working directory."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "geodeform.cli", "verify", "theorem1_perp",
+         "--samples", "10"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("theorem1_perp: theorem ")
 
 
 def test_verify_json_document(capsys, tmp_path):

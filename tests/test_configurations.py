@@ -1,9 +1,12 @@
-"""Builders: degenerate bases, general-position figures, preconditions."""
+"""Family builders: degenerate bases, general-position figures,
+preconditions."""
 
 import math
+from importlib.resources import files
 
 import pytest
 
+from geodeform.catalog import CLAIMS, FAMILIES
 from geodeform.configurations import (
     Configuration,
     NonConvexQuadrilateral,
@@ -11,12 +14,6 @@ from geodeform.configurations import (
     PointOutsideCircumcircle,
     ShapeKind,
     base_shape,
-    build_bisector_variant,
-    build_example1,
-    build_example2,
-    build_example3,
-    build_theorem1,
-    second_intersection,
 )
 from geodeform.core import (
     Circle,
@@ -30,6 +27,13 @@ from geodeform.relations import (
     check_equal_length,
     check_perpendicular,
 )
+from geodeform.script import parse, second_intersection
+
+build_theorem1 = FAMILIES["theorem1"].builder
+build_bisector_variant = FAMILIES["bisector"].builder
+build_example1 = FAMILIES["example1"].builder
+build_example2 = FAMILIES["example2"].builder
+build_example3 = FAMILIES["example3"].builder
 
 S3 = math.sqrt(3.0)
 
@@ -156,10 +160,21 @@ def test_example3_preconditions():
 def test_example3_circumcevian_points_on_circumcircle():
     a, b, c = Point(0, 0), Point(4, 0), Point(1, 3)
     config = build_example3(a, b, c, Point(1.5, 1.0))
-    circ = config.objects["circumcircle"]
+    circ = config.objects["circle(A,B,C)"]
     for label in ("A'", "B'", "C'"):
         p = config.point(label)
         assert abs(dist(p, circ.center) - circ.radius) < 1e-9
+
+
+def test_claim_labels_are_asserted_in_family_program():
+    """A family builder rejects a draw only when a construction that an
+    assertion of its program depends on fails, so every claim may rely
+    only on asserted labels."""
+    for name, built_in in CLAIMS.items():
+        program = files("geodeform") / "scripts" / f"{built_in.family.name}.geo"
+        asserted = {label for stmt in parse(program.read_text()).asserts()
+                    for label in stmt.labels}
+        assert set(built_in.claim.labels) <= asserted, name
 
 
 def test_second_intersection_antipode():

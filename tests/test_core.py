@@ -25,9 +25,7 @@ from geodeform.core import (
     reflect_line,
     reflect_point,
     rotate,
-    scale_about,
     signed_area,
-    translate,
 )
 
 
@@ -217,12 +215,6 @@ def test_rotation_preserves_distances():
         d0 = dist(p, q)
         d1 = dist(rotate(p, c, t), rotate(q, c, t))
         assert abs(d1 - d0) <= 1e-12 * max(1.0, d0)
-
-
-def test_translate_and_scale_about():
-    p = Point(2.0, -1.0)
-    assert translate(p, 1.5, 2.5) == Point(3.5, 1.5)
-    assert scale_about(p, Point(1.0, 1.0), 3.0) == Point(4.0, -5.0)
 
 
 def test_perp_rotates_left():

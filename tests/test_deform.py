@@ -5,7 +5,6 @@ import math
 import pytest
 
 from geodeform.catalog import CLAIMS, FAMILIES
-from geodeform.configurations import build_theorem1
 from geodeform.core import Point, signed_area
 from geodeform.deform import (
     APPROXIMATE_MIN_EXPONENT,
@@ -167,8 +166,8 @@ def test_probe_uses_common_random_numbers():
 
 
 def test_claim_evaluate_defaults_to_configuration_diameter():
-    config = build_theorem1(Point(0, 0), Point(1, 0.02),
-                            Point(1.03, 1.0), Point(-0.01, 0.97))
+    config = FAMILIES["theorem1"].builder(Point(0, 0), Point(1, 0.02),
+                                          Point(1.03, 1.0), Point(-0.01, 0.97))
     claim = CLAIMS["theorem1_equal"].claim
     v_default = claim.evaluate(config)
     v_scaled = claim.evaluate(config, scale=10.0 * config.diameter())

@@ -13,7 +13,6 @@ from geodeform.core import (
     Point,
     dist,
     rotate,
-    translate,
 )
 from geodeform.relations import (
     NOISE_FLOOR,
@@ -30,7 +29,6 @@ from geodeform.relations import (
     check_equal_length,
     check_midpoints_coincide,
     check_on_conic,
-    check_perp_and_equal,
     check_perpendicular,
     check_perspective,
     check_segment_bisects,
@@ -223,7 +221,7 @@ def test_medial_triangle_perspective_at_centroid():
 
 def test_translated_copy_concurrent_at_infinity():
     t1 = (Point(0, 0), Point(1, 0), Point(0, 1))
-    t2 = tuple(translate(p, 5.0, 5.0) for p in t1)
+    t2 = tuple(p + Point(5.0, 5.0) for p in t1)
     v = check_perspective(t1, t2)
     assert v.passed
     assert "concurrent_at_infinity" in v.flags
@@ -299,12 +297,10 @@ def test_conic_membership_band():
 # segments
 
 def test_perp_and_equal_fixed():
-    v_perp, v_eq = check_perp_and_equal(Point(0, 0), Point(0, 2),
-                                        Point(-1, 1), Point(1, 1))
-    assert v_perp.passed and v_eq.passed
-    v_perp, v_eq = check_perp_and_equal(Point(0, 0), Point(0, 2),
-                                        Point(0, 1), Point(2, 1))
-    assert v_perp.passed and v_eq.passed
+    for segments in ((Point(0, 0), Point(0, 2), Point(-1, 1), Point(1, 1)),
+                     (Point(0, 0), Point(0, 2), Point(0, 1), Point(2, 1))):
+        assert check_perpendicular(*segments).passed
+        assert check_equal_length(list(segments)).passed
 
 
 def test_perpendicular_rejects_coincident():
@@ -409,7 +405,7 @@ def test_isometry_invariance_of_residuals():
         for _ in range(25):
             theta = rng.uniform(-math.pi, math.pi)
             dx, dy = rng.uniform(-10, 10), rng.uniform(-10, 10)
-            moved = [translate(rotate(p, Point(0, 0), theta), dx, dy)
+            moved = [rotate(p, Point(0, 0), theta) + Point(dx, dy)
                      for p in pts]
             got = evaluate_relation(kind, moved).residual
             assert abs(got - base) <= max(10 * EPS, 1e-12 * base), \

@@ -5,13 +5,14 @@ import pathlib
 
 import pytest
 
-from geodeform.core import Point, dist, rotate
+from geodeform.core import GeometryError, Point, dist, rotate
 from geodeform.script import (
     ArityError,
     ParseError,
     UnknownParam,
     UseBeforeDefine,
     evaluate,
+    family_builder,
     format_program,
     parse,
 )
@@ -90,7 +91,8 @@ def test_param_used_as_point_is_reported():
 
 def test_empty_program_rejected():
     err = parse_error("  \n# only a comment\n")
-    assert err.expected == ("point", "param", "assert")
+    assert err.expected == ("point", "param", "assert", "require", "segment",
+                            "circle")
 
 
 def test_every_parse_error_carries_expectations():
@@ -198,9 +200,89 @@ def test_format_program_round_trip():
            "point B = (s * 3, -1)\n"
            "point M = midpoint(A, B)\n"
            "point R = rotate(B, A, 45)\n"
+           "require inside(M, A, B, R)\n"
+           "require convex(A, B, R, M)\n"
+           "segment A B\n"
+           "circle A B R\n"
            "assert collinear(A, M, B)\n")
     prog = parse(src)
     assert parse(format_program(prog)) == prog
+
+
+def test_require_and_drawing_errors():
+    head = "point A = (0,0)\npoint B = (1,0)\npoint C = (0,1)\n"
+    err = parse_error(head + "require round(A, B, C, A)")
+    assert "convex" in err.expected and "inside" in err.expected
+    err = parse_error(head + "require convex(A, B, C)")
+    assert isinstance(err, ArityError) and (err.line, err.col) == (4, 9)
+    err = parse_error(head + "segment A B C")
+    assert isinstance(err, ArityError) and (err.line, err.col) == (4, 1)
+    err = parse_error(head + "circle A B Q")
+    assert isinstance(err, UseBeforeDefine)
+
+
+def test_failed_require_fails_every_assert():
+    src = ("point A = (0,0)\npoint B = (1,0)\npoint C = (2,0)\n"
+           "point D = (1,1)\n"
+           "require convex(A, B, C, D)\n"
+           "assert collinear(A, B, C)\n"
+           "assert equal_length(A, B, B, C)\n")
+    config, verdicts = evaluate(parse(src))
+    assert len(verdicts) == 2
+    for v in verdicts:
+        assert not v.passed and "evaluation_error" in v.flags
+        assert v.error.startswith("require convex(A, B, C, D): ")
+    assert set(config.points()) == {"A", "B", "C", "D"}
+
+
+def test_drawables_skip_poisoned_labels():
+    src = ("point A = (0,0)\npoint B = (2,0)\npoint C = (0,2)\n"
+           "point M = midpoint(A, B)\n"
+           "point I = incenter(A, M, B)\n"   # collinear: poisoned
+           "segment A I\n"
+           "segment A B\n"
+           "circle A M I\n"
+           "circle A B C\n"
+           "assert collinear(A, M, B)\n")
+    config, verdicts = evaluate(parse(src))
+    assert verdicts[0].passed
+    assert config.edges == (("A", "B"),)
+    circles = {k: v for k, v in config.objects.items()
+               if not isinstance(v, Point)}
+    assert list(circles) == ["circle(A,B,C)"]
+    assert dist(circles["circle(A,B,C)"].center, Point(1.0, 1.0)) < 1e-12
+
+
+def test_family_builder_rejects_only_on_asserted_labels():
+    program = parse("point A = (0,0)\npoint B = (2,0)\npoint C = (0,2)\n"
+                    "point M = midpoint(A, B)\n"
+                    "point O = circumcenter(A, B, C)\n"
+                    "point I = incenter(A, M, B)\n"
+                    "segment A O\n"
+                    "segment O I\n"
+                    "assert equal_length(O, A, O, B)\n")
+    build = family_builder(program, ["A", "B", "C"])
+    config = build(Point(0, 0), Point(4, 0), Point(0, 4))
+    assert config.point("O") == Point(2.0, 2.0)
+    assert "I" not in config.objects  # not asserted: drops out
+    assert config.edges == (("A", "O"),)
+    with pytest.raises(GeometryError):  # O is asserted
+        build(Point(0, 0), Point(1, 0), Point(2, 0))
+    with pytest.raises(ValueError):
+        family_builder(program, ["A", "M"])
+
+
+@pytest.mark.parametrize("kind, passing, failing", [
+    ("midpoints_coincide", "(2, 0)", "(3, 0)"),
+    ("segment_bisects", "(2, 0)", "(2, 5)"),
+])
+def test_segment_pair_relations_are_assertable(kind, passing, failing):
+    template = ("point A = (0, 0)\npoint B = (2, 1)\npoint C = {}\n"
+                "point D = (0, 1)\nassert " + kind + "(A, B, C, D)\n")
+    _, (held,) = evaluate(parse(template.format(passing)))
+    _, (broke,) = evaluate(parse(template.format(failing)))
+    assert held.kind == kind and held.passed
+    assert not broke.passed
 
 
 def test_second_intersection_in_scripts():
@@ -229,13 +311,13 @@ def test_eps_demo_degenerate_override():
 
 
 def test_builtin_equivalence_of_theorem1_script():
-    from geodeform.configurations import build_theorem1
+    from geodeform.catalog import FAMILIES
 
     src = (SCRIPTS / "theorem1.geo").read_text()
     config, verdicts = evaluate(parse(src))
-    built = build_theorem1(Point(0.0, 0.0),
-                           Point(0.6785683458446256, 4.77503593973593),
-                           Point(5.97972203814452, 4.873205452556299),
-                           Point(4.9135631958931025, 0.0))
+    built = FAMILIES["theorem1"].builder(
+        Point(0.0, 0.0), Point(0.6785683458446256, 4.77503593973593),
+        Point(5.97972203814452, 4.873205452556299),
+        Point(4.9135631958931025, 0.0))
     for label in ("O_ab", "O_bc", "O_cd", "O_da"):
         assert config.point(label) == built.point(label), label
