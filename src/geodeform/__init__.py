@@ -26,8 +26,6 @@ from .configurations import (
     NonConvexQuadrilateral,
     PointOnVertex,
     PointOutsideCircumcircle,
-    ShapeKind,
-    base_shape,
 )
 from .core import (
     DEFAULT_TOL,
@@ -74,7 +72,6 @@ from .relations import (
     TooFewPoints,
     check_coaxial,
     check_collinear,
-    check_concurrent_circles,
     check_concurrent_lines,
     check_concyclic,
     check_equal_length,

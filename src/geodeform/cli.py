@@ -4,14 +4,17 @@ Four subcommands:
 
     geodeform verify <claim ...|all>   run built-in claims over deformations
     geodeform run <script.geo>         evaluate a script's assertions
-    geodeform shapes                   list the decorated base shapes
+    geodeform shapes                   list the shipped base shapes
     geodeform render <shape|script>    write an SVG figure
 
-Human-readable results go to standard output, diagnostics to standard
-error, machine-readable reports only where --json is given.  Exit code 0
-means every selected claim or assertion held, 1 means at least one did
-not, 2 means the invocation itself was unusable (bad flags, unknown
-claim, unreadable or malformed script).
+The base shapes are `.geo` programs shipped in `geodeform/shapes`, so
+`render` draws a shape and a script the same way.  Human-readable results
+go to standard output, diagnostics to standard error, machine-readable
+reports only where --json is given.  Exit code 0 means every selected
+claim or assertion held, 1 means at least one did not, 2 means the
+invocation itself was unusable (bad flags, unknown claim, unreadable or
+malformed script, unwritable output, no valid deformation within the
+rejection budget).
 """
 
 from __future__ import annotations
@@ -21,14 +24,18 @@ import json
 import math
 import sys
 import time
+from importlib.resources import files
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .catalog import CLAIMS, claim_names
-from .configurations import ShapeKind, base_shape
-from .core import DEFAULT_TOL, ToleranceBudget
+from .core import DEFAULT_TOL, GeometryError, ToleranceBudget
 from .deform import sample, scaling_probe, verify
 from .render import render
 from .script import ParseError, UnknownParam, evaluate, parse
+
+if TYPE_CHECKING:
+    from importlib.resources.abc import Traversable
 
 __all__ = ["main"]
 
@@ -137,27 +144,28 @@ def cmd_verify(args: argparse.Namespace) -> int:
             if convention:
                 line += f" [{convention}]"
             print(line)
-    except ValueError as exc:
+
+        if args.json:
+            document = {
+                "tool": _tool_tag(),
+                "command": "verify",
+                "claims_requested": args.claims,
+                "samples": args.samples,
+                "seed": args.seed,
+                "tolerance": {"rel_tol": tol.rel_tol,
+                              "abs_floor": tol.abs_floor},
+                "epsilon": args.eps if grid is None else None,
+                "epsilon_grid": grid,
+                "claims": entries,
+            }
+            _write_json(args.json, document)
+        if args.svg:
+            first = CLAIMS[selected[0]]
+            eps = grid[-1] if grid is not None else args.eps
+            render(sample(first.family, eps, args.seed, tol), args.svg)
+    except (ValueError, GeometryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if args.json:
-        document = {
-            "tool": _tool_tag(),
-            "command": "verify",
-            "claims_requested": args.claims,
-            "samples": args.samples,
-            "seed": args.seed,
-            "tolerance": {"rel_tol": tol.rel_tol, "abs_floor": tol.abs_floor},
-            "epsilon": args.eps if grid is None else None,
-            "epsilon_grid": grid,
-            "claims": entries,
-        }
-        _write_json(args.json, document)
-    if args.svg:
-        first = CLAIMS[selected[0]]
-        eps = grid[-1] if grid is not None else args.eps
-        render(sample(first.family, eps, args.seed, tol), args.svg)
     return 0 if all_theorem else 1
 
 
@@ -174,15 +182,18 @@ def _parse_overrides(pairs: list[str]) -> dict[str, float]:
     return overrides
 
 
-def _evaluate_script(path: str, pairs: list[str], tol: ToleranceBudget,
-                     hint: str | None = None):
-    """Read, parse and evaluate a script with its --param overrides.
+def _evaluate_script(path: str | Traversable, pairs: list[str],
+                     tol: ToleranceBudget, hint: str | None = None):
+    """Read, parse and evaluate a script, a file name or a shipped program,
+    with its --param overrides.
 
     Returns (program, configuration, verdicts, evaluation seconds), or None
     after reporting on stderr why the invocation is unusable (exit 2).
     """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        handle = (open(path, "r", encoding="utf-8") if isinstance(path, str)
+                  else path.open("r", encoding="utf-8"))
+        with handle:
             source = handle.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -230,49 +241,52 @@ def cmd_run(args: argparse.Namespace) -> int:
             "error": verdict.error,
         })
 
-    if args.json:
-        document = {
-            "tool": _tool_tag(),
-            "command": "run",
-            "path": args.path,
-            "params": {k: v for k, v in sorted(config.params.items())},
-            "tolerance": {"rel_tol": tol.rel_tol, "abs_floor": tol.abs_floor},
-            "asserts": entries,
-            "wall_time_s": round(wall, 6),
-        }
-        _write_json(args.json, document)
-    if args.svg:
-        render(config, args.svg)
+    try:
+        if args.json:
+            _write_json(args.json, {
+                "tool": _tool_tag(),
+                "command": "run",
+                "path": args.path,
+                "params": {k: v for k, v in sorted(config.params.items())},
+                "tolerance": {"rel_tol": tol.rel_tol,
+                              "abs_floor": tol.abs_floor},
+                "asserts": entries,
+                "wall_time_s": round(wall, 6),
+            })
+        if args.svg:
+            render(config, args.svg)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0 if all_passed else 1
 
 
 # ---------------------------------------------------------------------------
 # shapes and render
 
+def _shapes() -> dict[str, Traversable]:
+    """The shipped base-shape programs by name, sorted by name."""
+    programs = (files("geodeform") / "shapes").iterdir()
+    return {entry.name.removesuffix(".geo"): entry
+            for entry in sorted(programs, key=lambda e: e.name)
+            if entry.name.endswith(".geo")}
+
+
 def cmd_shapes(_args: argparse.Namespace) -> int:
-    for kind in ShapeKind:
-        print(kind.name.lower())
+    for name in _shapes():
+        print(name)
     return 0
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    name = args.source
-    kind = None
-    for candidate in ShapeKind:
-        if candidate.name.lower() == name.lower():
-            kind = candidate
-            break
-    if kind is not None:
-        config = base_shape(kind)
-    else:
-        loaded = _evaluate_script(
-            name, args.param, DEFAULT_TOL,
-            "(give a shape name from `geodeform shapes` or a .geo file)")
-        if loaded is None:
-            return 2
-        config = loaded[1]
+    source = _shapes().get(args.source.lower(), args.source)
+    loaded = _evaluate_script(
+        source, args.param, DEFAULT_TOL,
+        "(give a shape name from `geodeform shapes` or a .geo file)")
+    if loaded is None:
+        return 2
     try:
-        render(config, args.out)
+        render(loaded[1], args.out)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,7 @@ platform and interpreter version.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from .configurations import Configuration
@@ -178,13 +178,14 @@ def _verdict_for(max_residual: float, tol: ToleranceBudget) -> str:
     return "inconclusive"
 
 
-def verify(family: DeformationFamily, claim: RelationClaim, samples: int,
-           epsilon: float, seed: int,
-           tol: ToleranceBudget = DEFAULT_TOL) -> VerificationReport:
-    """Run the claim over `samples` deformations at one epsilon.
+def _sweep(family: DeformationFamily, claim: RelationClaim,
+           epsilons: Sequence[float], samples: int, seed: int,
+           tol: ToleranceBudget) -> VerificationReport:
+    """Run the claim over `samples` deformations at each epsilon in turn.
 
-    Sample i uses seed + i, so any subset of samples can be reproduced
-    independently of evaluation order.
+    Sample i of every block uses seed + i, so any subset of samples can be
+    reproduced independently of evaluation order.  The verdict compares
+    the largest residual with the tolerance alone.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -192,30 +193,42 @@ def verify(family: DeformationFamily, claim: RelationClaim, samples: int,
     # a pure function of the deformation: defects shrink with epsilon
     # instead of being re-measured against an epsilon-dependent yardstick.
     base_scale = family.base_diameter()
-    residuals = []
+    residuals: list[float] = []
+    medians: list[float] = []
     flags: set[str] = set()
-    for i in range(samples):
-        config = sample(family, epsilon, seed + i, tol)
-        verdict = claim.evaluate(config, tol, scale=base_scale)
-        residuals.append(verdict.residual)
-        flags.update(verdict.flags)
+    for epsilon in epsilons:
+        block = []
+        for i in range(samples):
+            config = sample(family, epsilon, seed + i, tol)
+            verdict = claim.evaluate(config, tol, scale=base_scale)
+            block.append(verdict.residual)
+            flags.update(verdict.flags)
+        residuals.extend(block)
+        medians.append(_median(block))
     max_res = max(residuals)
-    mean_res = math.fsum(residuals) / len(residuals)
     return VerificationReport(
         claim=claim.description or claim.kind,
         kind=claim.kind,
         family=family.name,
-        samples=samples,
+        samples=samples * len(epsilons),
         seed=seed,
-        epsilons=(epsilon,),
+        epsilons=tuple(epsilons),
         max_residual=max_res,
-        mean_residual=mean_res,
+        mean_residual=math.fsum(residuals) / len(residuals),
         verdict=_verdict_for(max_res, tol),
-        median_residuals=(_median(residuals),),
+        median_residuals=tuple(medians),
         rel_tol=tol.rel_tol,
         refute_tol=REFUTE_FACTOR * tol.rel_tol,
         flags=tuple(sorted(flags)),
     )
+
+
+def verify(family: DeformationFamily, claim: RelationClaim, samples: int,
+           epsilon: float, seed: int,
+           tol: ToleranceBudget = DEFAULT_TOL) -> VerificationReport:
+    """Run the claim over `samples` deformations at one epsilon; sample i
+    uses seed + i."""
+    return _sweep(family, claim, (epsilon,), samples, seed, tol)
 
 
 def _median(values: Sequence[float]) -> float:
@@ -274,54 +287,21 @@ def scaling_probe(family: DeformationFamily, claim: RelationClaim,
     for e in eps:
         if not family.admits(e):
             raise ValueError(f"epsilon {e} below family floor {family.epsilon_floor}")
-    base_scale = family.base_diameter()
-    all_residuals: list[float] = []
-    medians: list[float] = []
-    flags: set[str] = set()
-    for e in eps:
-        block = []
-        # Every block reuses seeds seed..seed+samples-1, so sample i sees
-        # the same perturbation direction at every epsilon.  Pairing the
-        # blocks this way removes the block-to-block sampling noise that
-        # would otherwise dominate the fitted slope.
-        for i in range(samples):
-            config = sample(family, e, seed + i, tol)
-            verdict = claim.evaluate(config, tol, scale=base_scale)
-            block.append(verdict.residual)
-            flags.update(verdict.flags)
-        all_residuals.extend(block)
-        medians.append(_median(block))
-    max_res = max(all_residuals)
-    mean_res = math.fsum(all_residuals) / len(all_residuals)
-    if max_res <= tol.rel_tol:
-        verdict = "theorem"
-        exponent: float | None = 0.0
-        note = "residuals at noise floor for every epsilon"
-    else:
-        # The slope estimate carries sampling scatter orders of magnitude
-        # above 1e-6, so rounding only scrubs float noise from the fit.
-        exponent = round(fit_scaling_exponent(eps, medians), 6)
-        if exponent >= APPROXIMATE_MIN_EXPONENT and _holds_at_zero(family, claim, tol):
-            verdict = "approximate"
-            note = (f"residuals grow like epsilon^{exponent:.2f}; "
-                    "relation holds only in the degenerate limit")
-        else:
-            verdict = "refuted"
-            note = f"residuals grow like epsilon^{exponent:.2f}"
-    return VerificationReport(
-        claim=claim.description or claim.kind,
-        kind=claim.kind,
-        family=family.name,
-        samples=samples * len(eps),
-        seed=seed,
-        epsilons=tuple(eps),
-        max_residual=max_res,
-        mean_residual=mean_res,
-        verdict=verdict,
-        scaling_exponent=exponent,
-        exponent_note=note,
-        median_residuals=tuple(medians),
-        rel_tol=tol.rel_tol,
-        refute_tol=REFUTE_FACTOR * tol.rel_tol,
-        flags=tuple(sorted(flags)),
-    )
+    # Every block reuses seeds seed..seed+samples-1, so sample i sees the
+    # same perturbation direction at every epsilon.  Pairing the blocks
+    # this way removes the block-to-block sampling noise that would
+    # otherwise dominate the fitted slope.
+    report = _sweep(family, claim, eps, samples, seed, tol)
+    if report.verdict == "theorem":
+        return replace(report, scaling_exponent=0.0, exponent_note=(
+            "residuals at noise floor for every epsilon"))
+    # The slope estimate carries sampling scatter orders of magnitude
+    # above 1e-6, so rounding only scrubs float noise from the fit.
+    exponent = round(fit_scaling_exponent(eps, report.median_residuals), 6)
+    if exponent >= APPROXIMATE_MIN_EXPONENT and _holds_at_zero(family, claim, tol):
+        return replace(report, verdict="approximate", scaling_exponent=exponent,
+                       exponent_note=(
+                           f"residuals grow like epsilon^{exponent:.2f}; "
+                           "relation holds only in the degenerate limit"))
+    return replace(report, verdict="refuted", scaling_exponent=exponent,
+                   exponent_note=f"residuals grow like epsilon^{exponent:.2f}")

@@ -19,7 +19,7 @@ across equivalent frames.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -54,7 +54,6 @@ __all__ = [
     "check_collinear",
     "check_concyclic",
     "check_concurrent_lines",
-    "check_concurrent_circles",
     "check_coaxial",
     "check_perspective",
     "check_perpendicular",
@@ -140,6 +139,15 @@ def _normalized(points: Sequence[Point], tol: ToleranceBudget,
         return list(points), 0.0, 0.0
     snap = 2.0 ** round(math.log2(basis))
     return [p / snap for p in points], cloud / snap, basis / snap
+
+
+def _frame(points: Sequence[Point],
+           tol: ToleranceBudget) -> tuple[list[Point], float, float]:
+    """`_normalized` at the points' own diameter: the scaled points, their
+    diameter in that frame, and the power of two that maps the frame back
+    to the caller's."""
+    q, dq, _ = _normalized(points, tol)
+    return q, dq, (diameter(points) / dq if dq > 0.0 else 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -295,28 +303,6 @@ def check_concurrent_lines(lines: Sequence[Line],
     return RelationVerdict.from_residual("concurrent", residual, tol, witness)
 
 
-def check_concurrent_circles(circles: Sequence[Circle],
-                             tol: ToleranceBudget = DEFAULT_TOL) -> RelationVerdict:
-    """A common point of all circles, seeded from the first pair's meets;
-    residual is the worst power of the best candidate, over scale squared."""
-    if len(circles) < 2:
-        raise TooFewCircles(f"concurrency needs >= 2 circles, got {len(circles)}")
-    candidates = intersect(circles[0], circles[1], tol)
-    if not candidates:
-        return RelationVerdict.failed(
-            "concurrent_circles", flags=("no_pairwise_intersection",))
-    scale = max(max(dist(a.center, b.center) + a.radius + b.radius
-                    for i, a in enumerate(circles) for b in circles[i + 1:]),
-                2.0 * max(c.radius for c in circles))
-    best = None
-    best_res = math.inf
-    for cand in candidates:
-        res = max(abs(c.power(cand)) for c in circles) / (scale * scale)
-        if res < best_res:
-            best, best_res = cand, res
-    return RelationVerdict.from_residual("concurrent_circles", best_res, tol, best)
-
-
 def check_coaxial(circles: Sequence[Circle],
                   tol: ToleranceBudget = DEFAULT_TOL) -> RelationVerdict:
     """All pairwise radical axes coincide with the first pair's axis.
@@ -352,12 +338,10 @@ def check_perspective(tri1: Sequence[Point], tri2: Sequence[Point],
     """
     if len(tri1) != 3 or len(tri2) != 3:
         raise TooFewPoints("perspectivity needs two triangles of 3 points")
-    pts = list(tri1) + list(tri2)
-    q, dq, _ = _normalized(pts, tol)
+    q, dq, snap = _frame(list(tri1) + list(tri2), tol)
     if dq == 0.0:
         return RelationVerdict("perspective", 0.0, True, None,
                                ("identical_vertices",))
-    snap = diameter(pts) / dq  # power of two; maps witnesses back exactly
     connectors: list[Line] = []
     n_coincident = 0
     for t in range(3):
@@ -514,6 +498,9 @@ def evaluate_relation(kind: str, points: Sequence[Point],
     endpoints; `concurrent` turns each pair into a line, `coaxial` turns
     each consecutive triple into a circumcircle, `perspective` reads two
     triangles, and `on_conic` fits the first five points and tests the rest.
+    Lines and conics are built in the normalized frame of the points, so
+    their residuals do not depend on the size of the figure; witnesses are
+    mapped back to the caller's frame.
     The optional scale overrides the normalization diameter for the kinds
     whose residual is a length ratio, so a claim about a tight cluster
     inside a larger figure is still judged against the whole figure.
@@ -529,18 +516,25 @@ def evaluate_relation(kind: str, points: Sequence[Point],
     if kind == "concyclic":
         return check_concyclic(points, tol, scale)
     if kind == "concurrent":
-        lines = [line_through(points[i], points[i + 1], tol)
-                 for i in range(0, n, 2)]
-        return check_concurrent_lines(lines, tol)
+        q, _, snap = _frame(points, tol)
+        lines = [line_through(q[i], q[i + 1], tol) for i in range(0, n, 2)]
+        verdict = check_concurrent_lines(lines, tol)
+        if isinstance(verdict.witness, Point):
+            verdict = replace(verdict, witness=verdict.witness * snap)
+        return verdict
     if kind == "perpendicular":
         return check_perpendicular(*points, tol)
     if kind == "equal_length":
         return check_equal_length(points, tol, scale)
     if kind == "on_conic":
-        conic = fit_conic(points[:5], tol)
-        worst = max((check_on_conic(conic, p, tol) for p in points[5:]),
+        q, _, snap = _frame(points, tol)
+        conic = fit_conic(q[:5], tol)
+        worst = max((check_on_conic(conic, p, tol) for p in q[5:]),
                     key=lambda v: v.residual)
-        return worst
+        s2 = snap * snap
+        return replace(worst, witness=Conic(
+            conic.a / s2, conic.b / s2, conic.c / s2, conic.d / snap,
+            conic.e / snap, conic.f, scale=conic.scale * snap))
     if kind == "coaxial":
         circles = [circumcircle(points[i], points[i + 1], points[i + 2], tol)
                    for i in range(0, n, 3)]

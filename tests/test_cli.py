@@ -93,6 +93,46 @@ def test_verify_runs_outside_the_checkout(tmp_path):
     assert proc.stdout.startswith("theorem1_perp: theorem ")
 
 
+@pytest.mark.parametrize("command", [
+    ["verify", "example3_prime_concyclic", "--eps", "1e308", "--samples", "1"],
+    ["verify", "example1_equilateral", "--eps", "1e307", "--samples", "1"],
+    ["verify", "example1_fermat_on_circle", "--eps", "1e307", "--samples", "1",
+     "--svg"],
+])
+def test_exhausted_rejection_budget_is_usage_error(capsys, tmp_path, command):
+    """Deformations so large that no draw builds end in one error line."""
+    svg = tmp_path / "claim.svg"
+    if command[-1] == "--svg":
+        command = command + [str(svg)]
+    code, _, err = run_cli(capsys, *command)
+    assert code == 2
+    assert err.startswith("error: family ")
+    assert len(err.splitlines()) == 1
+    assert not svg.exists()
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+@pytest.mark.parametrize("grid", [[], ["--eps-grid", "0.001,0.01,0.1"]])
+def test_nonpositive_samples_is_usage_error(capsys, samples, grid):
+    code, _, err = run_cli(capsys, "verify", "theorem1_perp",
+                           "--samples", samples, *grid)
+    assert code == 2
+    assert err == "error: samples must be >= 1\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "theorem1_perp", "--samples", "1"],
+    ["run", str(SCRIPTS / "theorem1.geo")],
+])
+@pytest.mark.parametrize("option", ["--json", "--svg"])
+def test_unwritable_output_is_usage_error(capsys, tmp_path, command, option):
+    target = tmp_path / "missing" / "out"
+    code, _, err = run_cli(capsys, *command, option, str(target))
+    assert code == 2
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_verify_json_document(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, _, _ = run_cli(capsys, "verify", "theorem1_perp", "theorem1_equal",
@@ -186,6 +226,7 @@ def test_shapes_lists_all_kinds(capsys):
     assert code == 0
     names = out.split()
     assert len(names) == 10
+    assert names == sorted(names)
     assert "regular_hexagon" in names
     assert "crown" in names
 
@@ -198,6 +239,25 @@ def test_render_shape_to_file(capsys, tmp_path):
     svg = out_path.read_text()
     assert svg.count("<line ") == 12
     assert svg.count('class="point"') == 7
+
+
+def test_render_shape_name_ignores_case(capsys, tmp_path):
+    upper, lower = tmp_path / "upper.svg", tmp_path / "lower.svg"
+    assert run_cli(capsys, "render", "REGULAR_HEXAGON", "--out", str(upper))[0] == 0
+    assert run_cli(capsys, "render", "regular_hexagon", "--out", str(lower))[0] == 0
+    assert upper.read_bytes() == lower.read_bytes()
+
+
+def test_render_shape_runs_outside_the_checkout(tmp_path):
+    """The base shapes are read from the package, not from the working
+    directory."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "geodeform.cli", "render", "crown",
+         "--out", "crown.svg"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "crown.svg").read_text().count('class="point"') == 6
 
 
 def test_render_script_to_file(capsys, tmp_path):

@@ -1,5 +1,5 @@
 """Family builders: degenerate bases, general-position figures,
-preconditions."""
+preconditions; the shipped base shapes."""
 
 import math
 from importlib.resources import files
@@ -12,8 +12,6 @@ from geodeform.configurations import (
     NonConvexQuadrilateral,
     PointOnVertex,
     PointOutsideCircumcircle,
-    ShapeKind,
-    base_shape,
 )
 from geodeform.core import (
     Circle,
@@ -27,7 +25,7 @@ from geodeform.relations import (
     check_equal_length,
     check_perpendicular,
 )
-from geodeform.script import parse, second_intersection
+from geodeform.script import evaluate, parse, second_intersection
 
 build_theorem1 = FAMILIES["theorem1"].builder
 build_bisector_variant = FAMILIES["bisector"].builder
@@ -36,6 +34,14 @@ build_example2 = FAMILIES["example2"].builder
 build_example3 = FAMILIES["example3"].builder
 
 S3 = math.sqrt(3.0)
+SHAPES = files("geodeform") / "shapes"
+SHAPE_NAMES = sorted(entry.name.removesuffix(".geo")
+                     for entry in SHAPES.iterdir() if entry.name.endswith(".geo"))
+
+
+def base_shape(name):
+    """The figure of the shipped program `shapes/<name>.geo`."""
+    return evaluate(parse((SHAPES / f"{name}.geo").read_text(encoding="utf-8")))[0]
 
 SQUARE = (Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1))
 # a convex quadrilateral in general position, nothing special about it
@@ -184,7 +190,7 @@ def test_second_intersection_antipode():
 
 
 def test_regular_hexagon_vertices_equidistant_from_center():
-    config = base_shape(ShapeKind.REGULAR_HEXAGON)
+    config = base_shape("regular_hexagon")
     center = config.point("O")
     ring = [l for l in config.objects if l != "O"]
     assert len(ring) == 6
@@ -193,21 +199,22 @@ def test_regular_hexagon_vertices_equidistant_from_center():
 
 
 def test_triangulated_triangle_point_count():
-    config = base_shape(ShapeKind.TRIANGULATED_TRIANGLE)
+    config = base_shape("triangulated_triangle")
     assert len(config.objects) == 10
 
 
 def test_every_shape_kind_builds():
-    for kind in ShapeKind:
-        config = base_shape(kind)
+    assert len(SHAPE_NAMES) == 10
+    for name in SHAPE_NAMES:
+        config = base_shape(name)
         assert config.diameter() > 0.0
         for a, b in config.edges:
-            assert a in config.objects and b in config.objects, (kind, a, b)
+            assert a in config.objects and b in config.objects, (name, a, b)
 
 
 def test_incircle_shape_has_circle_object():
-    config = base_shape(ShapeKind.TRIANGLE_WITH_INCIRCLE)
-    circ = config.objects["incircle"]
+    config = base_shape("triangle_with_incircle")
+    circ = config.objects["circle(M_ab,M_bc,M_ca)"]
     assert isinstance(circ, Circle)
     assert abs(circ.radius - S3 / 6.0) < 1e-15
 
@@ -220,6 +227,6 @@ def test_configuration_diameter_and_lookup():
 
 
 def test_configuration_point_rejects_non_point_objects():
-    config = base_shape(ShapeKind.TRIANGLE_WITH_INCIRCLE)
+    config = base_shape("triangle_with_incircle")
     with pytest.raises((KeyError, TypeError)):
-        config.point("incircle")
+        config.point("circle(M_ab,M_bc,M_ca)")

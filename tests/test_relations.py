@@ -16,6 +16,7 @@ from geodeform.core import (
 )
 from geodeform.relations import (
     NOISE_FLOOR,
+    RELATION_ARITIES,
     DegeneratePosition,
     RelationVerdict,
     TooFewCircles,
@@ -23,7 +24,6 @@ from geodeform.relations import (
     TooFewPoints,
     check_coaxial,
     check_collinear,
-    check_concurrent_circles,
     check_concurrent_lines,
     check_concyclic,
     check_equal_length,
@@ -153,27 +153,6 @@ def test_concurrent_lines_parallel_pair_flagged():
 def test_concurrent_lines_too_few():
     with pytest.raises(TooFewLines):
         check_concurrent_lines([Line(1, 0, 0), Line(0, 1, 0)])
-
-
-def test_concurrent_circles_common_point():
-    circles = [Circle(Point(1, 0), 1.0), Circle(Point(0, 1), 1.0),
-               Circle(Point(1, 1), math.sqrt(2.0))]
-    v = check_concurrent_circles(circles)
-    assert v.passed
-    assert dist(v.witness, Point(0, 0)) < 1e-9
-
-
-def test_concurrent_circles_disjoint():
-    v = check_concurrent_circles([Circle(Point(0, 0), 1.0),
-                                  Circle(Point(5, 0), 1.0)])
-    assert not v.passed
-    assert "no_pairwise_intersection" in v.flags
-
-
-def test_concurrent_circles_inflated_radius_fails():
-    circles = [Circle(Point(1, 0), 1.0), Circle(Point(0, 1), 1.0),
-               Circle(Point(1, 1), math.sqrt(2.0) + 1e-3)]
-    assert not check_concurrent_circles(circles).passed
 
 
 def test_coaxial_pencil_through_two_points():
@@ -418,6 +397,26 @@ def test_power_of_two_scaling_is_exact():
         for s in (2.0 ** -20, 0.25, 1024.0, 2.0 ** 31):
             scaled = [Point(p.x * s, p.y * s) for p in pts]
             assert evaluate_relation(kind, scaled).residual == base, (kind, s)
+
+
+# nine points in general position: no three collinear, no four concyclic
+GENERIC_POINTS = [Point(0.12, 0.31), Point(1.07, -0.22), Point(1.93, 0.58),
+                  Point(0.71, 1.46), Point(-0.38, 0.94), Point(1.41, 1.83),
+                  Point(2.36, -0.47), Point(-0.19, -0.66), Point(0.87, 0.43)]
+
+
+@pytest.mark.parametrize("kind", list(RELATION_ARITIES))
+def test_every_kind_is_exact_under_power_of_two_scaling(kind):
+    """Residual and verdict of every relation kind are bit-equal when the
+    figure is scaled by 2^k, from 2^-30 to 2^30."""
+    pts = GENERIC_POINTS[:RELATION_ARITIES[kind][0]]
+    base = evaluate_relation(kind, pts)
+    assert 0.0 < base.residual < math.inf, kind
+    for k in range(-30, 31):
+        s = 2.0 ** k
+        got = evaluate_relation(kind, [Point(p.x * s, p.y * s) for p in pts])
+        assert (got.residual, got.passed) == (base.residual, base.passed), \
+            (kind, k, got.residual, base.residual)
 
 
 def test_generic_scaling_close_above_floor():

@@ -1,10 +1,20 @@
 """SVG output: structure, framing, and byte determinism."""
 
+from importlib.resources import files
+
 import pytest
 
-from geodeform.configurations import Configuration, ShapeKind, base_shape
+from geodeform.configurations import Configuration
 from geodeform.core import Circle, Line, Point
 from geodeform.render import render, render_svg
+from geodeform.script import evaluate, parse
+
+SHAPES = files("geodeform") / "shapes"
+
+
+def base_shape(name):
+    """The figure of the shipped program `shapes/<name>.geo`."""
+    return evaluate(parse((SHAPES / f"{name}.geo").read_text(encoding="utf-8")))[0]
 
 
 def simple_config(objects, edges=()):
@@ -35,7 +45,7 @@ def test_viewbox_framing():
 def test_hexagon_figure_structure():
     """The decorated hexagon draws its outer ring (6), the inner triangle
     (3) and the center spokes (3), plus one marker per point."""
-    svg = render_svg(base_shape(ShapeKind.REGULAR_HEXAGON))
+    svg = render_svg(base_shape("regular_hexagon"))
     assert svg.count("<line ") == 12
     assert svg.count('class="point"') == 7
     assert svg.count("<text ") == 7
@@ -62,7 +72,7 @@ def test_y_axis_points_up():
 
 
 def test_circle_objects_are_outlined():
-    svg = render_svg(base_shape(ShapeKind.TRIANGLE_WITH_INCIRCLE))
+    svg = render_svg(base_shape("triangle_with_incircle"))
     assert '<circle fill="none"' in svg or 'fill="none" stroke="black"' in svg
 
 
@@ -88,19 +98,22 @@ def test_labels_escaped():
 
 
 def test_byte_determinism():
-    a = render_svg(base_shape(ShapeKind.CROWN))
-    b = render_svg(base_shape(ShapeKind.CROWN))
+    a = render_svg(base_shape("crown"))
+    b = render_svg(base_shape("crown"))
     assert a == b
 
 
 def test_render_writes_the_same_bytes(tmp_path):
-    cfg = base_shape(ShapeKind.HEXAGONAL_STAR)
+    cfg = base_shape("hexagonal_star")
     out = tmp_path / "fig.svg"
     render(cfg, out)
     assert out.read_text(encoding="utf-8") == render_svg(cfg)
 
 
 def test_every_shape_renders():
-    for kind in ShapeKind:
-        svg = render_svg(base_shape(kind))
-        assert svg.count('class="point"') >= 3, kind
+    names = [entry.name.removesuffix(".geo") for entry in SHAPES.iterdir()
+             if entry.name.endswith(".geo")]
+    assert len(names) == 10
+    for name in names:
+        svg = render_svg(base_shape(name))
+        assert svg.count('class="point"') >= 3, name
