@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 from . import __version__
 from .catalog import CLAIMS, claim_names
 from .core import DEFAULT_TOL, GeometryError, ToleranceBudget
-from .deform import sample, scaling_probe, verify
+from .deform import VerificationReport, sample, scaling_probe, verify
 from .render import render
 from .script import ParseError, UnknownParam, evaluate, parse
 
@@ -116,23 +116,37 @@ def cmd_verify(args: argparse.Namespace) -> int:
     grid = args.eps_grid
     entries = []
     all_theorem = True
+    # The claims of one family are judged on shared draws: the first claim
+    # met of a family sweeps it for all its selected claims, each keeping
+    # the report and the time of that sweep.
+    judged: dict[str, tuple[VerificationReport, float]] = {}
     try:
         for name in selected:
             built_in = CLAIMS[name]
-            start = time.perf_counter()
-            if grid is not None:
-                report = scaling_probe(built_in.family, built_in.claim,
-                                       grid, args.samples, args.seed, tol)
-            else:
-                report = verify(built_in.family, built_in.claim,
-                                args.samples, args.eps, args.seed, tol)
-            wall = time.perf_counter() - start
+            if name not in judged:
+                family = built_in.family
+                names = list(dict.fromkeys(
+                    n for n in selected if CLAIMS[n].family == family))
+                claims = [CLAIMS[n].claim for n in names]
+                start = time.perf_counter()
+                if grid is not None:
+                    reports = scaling_probe(family, claims, grid,
+                                            args.samples, args.seed, tol)
+                else:
+                    reports = verify(family, claims, args.samples, args.eps,
+                                     args.seed, tol)
+                elapsed = time.perf_counter() - start
+                judged.update((n, (report, elapsed))
+                              for n, report in zip(names, reports))
+            report, wall = judged[name]
             convention = None
             if built_in.annotate is not None:
+                start = time.perf_counter()
                 probe_eps = grid[-1] if grid is not None else args.eps
                 notes = built_in.annotate(
                     sample(built_in.family, probe_eps, args.seed, tol))
                 convention = notes.get("convention")
+                wall += time.perf_counter() - start
             entries.append(_report_entry(name, built_in, report, wall,
                                          convention))
             all_theorem = all_theorem and report.verdict == "theorem"

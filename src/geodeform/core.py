@@ -177,11 +177,6 @@ class Circle:
         if not math.isfinite(self.radius) or self.radius < 0:
             raise NonFiniteInput(f"bad radius {self.radius}")
 
-    def power(self, p: Point) -> float:
-        """Power of the point: |p - center|**2 - r**2 (zero on the circle)."""
-        dx, dy = p.x - self.center.x, p.y - self.center.y
-        return dx * dx + dy * dy - self.radius * self.radius
-
 
 # ---------------------------------------------------------------------------
 # small helpers
@@ -205,10 +200,6 @@ def perp(v: Point) -> Point:
     return Point(-v.y, v.x)
 
 
-def _cross(u: Point, v: Point) -> float:
-    return u.x * v.y - u.y * v.x
-
-
 def _local_scale(*pts: Point) -> float:
     """Magnitude floor used to scale absolute degeneracy thresholds."""
     return max(1.0, *(max(abs(p.x), abs(p.y)) for p in pts))
@@ -216,7 +207,9 @@ def _local_scale(*pts: Point) -> float:
 
 def signed_area(p: Point, q: Point, r: Point) -> float:
     """Twice-signed-area convention: positive when p, q, r turn counterclockwise."""
-    return _cross(q - p, r - p) / 2.0
+    # the cross product of q - p and r - p in bare floats, as in
+    # circumcircle: Point temporaries would dominate this hot call
+    return ((q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)) / 2.0
 
 
 # ---------------------------------------------------------------------------

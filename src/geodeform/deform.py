@@ -178,14 +178,16 @@ def _verdict_for(max_residual: float, tol: ToleranceBudget) -> str:
     return "inconclusive"
 
 
-def _sweep(family: DeformationFamily, claim: RelationClaim,
+def _sweep(family: DeformationFamily, claims: Sequence[RelationClaim],
            epsilons: Sequence[float], samples: int, seed: int,
-           tol: ToleranceBudget) -> VerificationReport:
-    """Run the claim over `samples` deformations at each epsilon in turn.
+           tol: ToleranceBudget) -> tuple[VerificationReport, ...]:
+    """Run the claims over `samples` deformations at each epsilon in turn.
 
     Sample i of every block uses seed + i, so any subset of samples can be
-    reproduced independently of evaluation order.  The verdict compares
-    the largest residual with the tolerance alone.
+    reproduced independently of evaluation order.  Each deformation is
+    drawn and built once and every claim is judged on it, so the claims of
+    one family see the same figures.  A verdict compares the claim's
+    largest residual with the tolerance alone.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -193,42 +195,47 @@ def _sweep(family: DeformationFamily, claim: RelationClaim,
     # a pure function of the deformation: defects shrink with epsilon
     # instead of being re-measured against an epsilon-dependent yardstick.
     base_scale = family.base_diameter()
-    residuals: list[float] = []
-    medians: list[float] = []
-    flags: set[str] = set()
+    # per claim: the residuals of each epsilon block, and the flags raised
+    blocks: list[list[list[float]]] = [[] for _ in claims]
+    flags: list[set[str]] = [set() for _ in claims]
     for epsilon in epsilons:
-        block = []
+        for per_claim in blocks:
+            per_claim.append([])
         for i in range(samples):
             config = sample(family, epsilon, seed + i, tol)
-            verdict = claim.evaluate(config, tol, scale=base_scale)
-            block.append(verdict.residual)
-            flags.update(verdict.flags)
-        residuals.extend(block)
-        medians.append(_median(block))
-    max_res = max(residuals)
-    return VerificationReport(
-        claim=claim.description or claim.kind,
-        kind=claim.kind,
-        family=family.name,
-        samples=samples * len(epsilons),
-        seed=seed,
-        epsilons=tuple(epsilons),
-        max_residual=max_res,
-        mean_residual=math.fsum(residuals) / len(residuals),
-        verdict=_verdict_for(max_res, tol),
-        median_residuals=tuple(medians),
-        rel_tol=tol.rel_tol,
-        refute_tol=REFUTE_FACTOR * tol.rel_tol,
-        flags=tuple(sorted(flags)),
-    )
+            for claim, per_claim, seen in zip(claims, blocks, flags):
+                verdict = claim.evaluate(config, tol, scale=base_scale)
+                per_claim[-1].append(verdict.residual)
+                seen.update(verdict.flags)
+    reports = []
+    for claim, per_claim, seen in zip(claims, blocks, flags):
+        residuals = [r for block in per_claim for r in block]
+        max_res = max(residuals)
+        reports.append(VerificationReport(
+            claim=claim.description or claim.kind,
+            kind=claim.kind,
+            family=family.name,
+            samples=samples * len(epsilons),
+            seed=seed,
+            epsilons=tuple(epsilons),
+            max_residual=max_res,
+            mean_residual=math.fsum(residuals) / len(residuals),
+            verdict=_verdict_for(max_res, tol),
+            median_residuals=tuple(_median(block) for block in per_claim),
+            rel_tol=tol.rel_tol,
+            refute_tol=REFUTE_FACTOR * tol.rel_tol,
+            flags=tuple(sorted(seen)),
+        ))
+    return tuple(reports)
 
 
-def verify(family: DeformationFamily, claim: RelationClaim, samples: int,
-           epsilon: float, seed: int,
-           tol: ToleranceBudget = DEFAULT_TOL) -> VerificationReport:
-    """Run the claim over `samples` deformations at one epsilon; sample i
-    uses seed + i."""
-    return _sweep(family, claim, (epsilon,), samples, seed, tol)
+def verify(family: DeformationFamily, claims: Sequence[RelationClaim],
+           samples: int, epsilon: float, seed: int,
+           tol: ToleranceBudget = DEFAULT_TOL,
+           ) -> tuple[VerificationReport, ...]:
+    """Run the claims of one family over `samples` deformations at one
+    epsilon, sample i from seed + i; one report per claim, in order."""
+    return _sweep(family, claims, (epsilon,), samples, seed, tol)
 
 
 def _median(values: Sequence[float]) -> float:
@@ -255,23 +262,32 @@ def fit_scaling_exponent(epsilons: Sequence[float],
     return sxy / sxx
 
 
-def _holds_at_zero(family: DeformationFamily, claim: RelationClaim,
-                   tol: ToleranceBudget) -> bool:
+def _holds_at_zero(family: DeformationFamily, claims: Sequence[RelationClaim],
+                   tol: ToleranceBudget) -> tuple[bool, ...]:
+    """Whether each claim holds on the undeformed base figure, built once."""
     if not family.admits(0.0):
-        return False
+        return (False,) * len(claims)
     try:
         config = family.builder(*family.base_points)
-        verdict = claim.evaluate(config, tol, scale=family.base_diameter())
-        return verdict.residual <= tol.rel_tol
     except GeometryError:
-        return False
+        return (False,) * len(claims)
+    scale = family.base_diameter()
+    held = []
+    for claim in claims:
+        try:
+            verdict = claim.evaluate(config, tol, scale=scale)
+            held.append(verdict.residual <= tol.rel_tol)
+        except GeometryError:
+            held.append(False)
+    return tuple(held)
 
 
-def scaling_probe(family: DeformationFamily, claim: RelationClaim,
+def scaling_probe(family: DeformationFamily, claims: Sequence[RelationClaim],
                   epsilons: Sequence[float], samples: int, seed: int,
-                  tol: ToleranceBudget = DEFAULT_TOL) -> VerificationReport:
+                  tol: ToleranceBudget = DEFAULT_TOL,
+                  ) -> tuple[VerificationReport, ...]:
     """Residual growth against epsilon, to separate exact relations from
-    approximate coincidences.
+    approximate coincidences; one report per claim of the family, in order.
 
     Requires at least three distinct epsilons spanning two decades.  Exact
     relations stay at the noise floor for every epsilon; a coincidence that
@@ -291,17 +307,28 @@ def scaling_probe(family: DeformationFamily, claim: RelationClaim,
     # same perturbation direction at every epsilon.  Pairing the blocks
     # this way removes the block-to-block sampling noise that would
     # otherwise dominate the fitted slope.
-    report = _sweep(family, claim, eps, samples, seed, tol)
-    if report.verdict == "theorem":
-        return replace(report, scaling_exponent=0.0, exponent_note=(
-            "residuals at noise floor for every epsilon"))
-    # The slope estimate carries sampling scatter orders of magnitude
-    # above 1e-6, so rounding only scrubs float noise from the fit.
-    exponent = round(fit_scaling_exponent(eps, report.median_residuals), 6)
-    if exponent >= APPROXIMATE_MIN_EXPONENT and _holds_at_zero(family, claim, tol):
-        return replace(report, verdict="approximate", scaling_exponent=exponent,
-                       exponent_note=(
-                           f"residuals grow like epsilon^{exponent:.2f}; "
-                           "relation holds only in the degenerate limit"))
-    return replace(report, verdict="refuted", scaling_exponent=exponent,
-                   exponent_note=f"residuals grow like epsilon^{exponent:.2f}")
+    reports = _sweep(family, claims, eps, samples, seed, tol)
+    held: tuple[bool, ...] | None = None
+    probed = []
+    for i, report in enumerate(reports):
+        if report.verdict == "theorem":
+            probed.append(replace(report, scaling_exponent=0.0, exponent_note=(
+                "residuals at noise floor for every epsilon")))
+            continue
+        # The slope estimate carries sampling scatter orders of magnitude
+        # above 1e-6, so rounding only scrubs float noise from the fit.
+        exponent = round(fit_scaling_exponent(eps, report.median_residuals), 6)
+        if exponent >= APPROXIMATE_MIN_EXPONENT:
+            if held is None:
+                held = _holds_at_zero(family, claims, tol)
+            if held[i]:
+                probed.append(replace(
+                    report, verdict="approximate", scaling_exponent=exponent,
+                    exponent_note=(
+                        f"residuals grow like epsilon^{exponent:.2f}; "
+                        "relation holds only in the degenerate limit")))
+                continue
+        probed.append(replace(
+            report, verdict="refuted", scaling_exponent=exponent,
+            exponent_note=f"residuals grow like epsilon^{exponent:.2f}"))
+    return tuple(probed)

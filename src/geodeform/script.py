@@ -126,35 +126,41 @@ def second_intersection(origin: Point, through: Point, circle: Circle,
     return best
 
 
-Construction = Callable[[list[Point], float | None, ToleranceBudget], Point]
+# part(build, *at): `build` over the point arguments at positions `at` and
+# the tolerance, made once per run for the labels at those positions, so
+# the circles and bisectors that several statements share are built once
+Part = Callable[..., object]
+Construction = Callable[[list[Point], float | None, ToleranceBudget, Part],
+                        Point]
 
 
 def _center(kind: CenterKind) -> Construction:
-    return lambda p, angle, tol: triangle_center(kind, p[0], p[1], p[2], tol)
+    return lambda p, angle, tol, part: triangle_center(kind, p[0], p[1], p[2],
+                                                       tol)
 
 
 def _second_intersection(p: list[Point], angle: float | None,
-                         tol: ToleranceBudget) -> Point:
-    return second_intersection(p[0], p[1], circumcircle(p[2], p[3], p[4], tol),
-                               tol)
+                         tol: ToleranceBudget, part: Part) -> Point:
+    return second_intersection(p[0], p[1], part(circumcircle, 2, 3, 4), tol)
 
 
 def _bisector_meet(p: list[Point], angle: float | None,
-                   tol: ToleranceBudget) -> Point:
-    b1 = angle_bisector(p[1], p[0], p[2], tol)
-    b2 = angle_bisector(p[4], p[3], p[5], tol)
+                   tol: ToleranceBudget, part: Part) -> Point:
+    b1 = part(angle_bisector, 1, 0, 2)
+    b2 = part(angle_bisector, 4, 3, 5)
     return intersect(b1, b2, tol)[0]
 
 
 # construction name -> (number of point arguments, takes a trailing angle,
-# implementation over (points, angle in degrees or None, tolerance))
+# implementation over (points, angle in degrees or None, tolerance, part))
 FUNCTIONS: dict[str, tuple[int, bool, Construction]] = {
-    "midpoint": (2, False, lambda p, angle, tol: midpoint(p[0], p[1])),
-    "reflect_line": (3, False, lambda p, angle, tol: reflect_line(
+    "midpoint": (2, False, lambda p, angle, tol, part: midpoint(p[0], p[1])),
+    "reflect_line": (3, False, lambda p, angle, tol, part: reflect_line(
         p[0], line_through(p[1], p[2], tol))),
-    "reflect_point": (2, False, lambda p, angle, tol: reflect_point(p[0], p[1])),
-    "rotate": (2, True, lambda p, angle, tol: rotate(p[0], p[1],
-                                                     math.radians(angle))),
+    "reflect_point": (2, False, lambda p, angle, tol, part: reflect_point(
+        p[0], p[1])),
+    "rotate": (2, True, lambda p, angle, tol, part: rotate(
+        p[0], p[1], math.radians(angle))),
     "centroid": (3, False, _center(CenterKind.X2)),
     "circumcenter": (3, False, _center(CenterKind.X3)),
     "incenter": (3, False, _center(CenterKind.X1)),
@@ -162,9 +168,9 @@ FUNCTIONS: dict[str, tuple[int, bool, Construction]] = {
     "ninepoint": (3, False, _center(CenterKind.X5)),
     "fermat1": (3, False, _center(CenterKind.X13)),
     "fermat2": (3, False, _center(CenterKind.X14)),
-    "eq_apex": (3, False, lambda p, angle, tol: equilateral_apex(
+    "eq_apex": (3, False, lambda p, angle, tol, part: equilateral_apex(
         p[0], p[1], Orientation.TOWARD_REFERENCE, p[2], tol)),
-    "ri_apex": (3, False, lambda p, angle, tol: right_isosceles_apex(
+    "ri_apex": (3, False, lambda p, angle, tol, part: right_isosceles_apex(
         p[0], p[1], Orientation.TOWARD_REFERENCE, p[2], tol)),
     "second_intersection": (5, False, _second_intersection),
     "bisector_meet": (6, False, _bisector_meet),
@@ -173,9 +179,9 @@ FUNCTIONS: dict[str, tuple[int, bool, Construction]] = {
 RELATIONS: tuple[str, ...] = tuple(RELATION_ARITIES)
 
 
-def _require_convex(a: Point, b: Point, c: Point, d: Point,
-                    tol: ToleranceBudget) -> None:
-    diam = diameter((a, b, c, d))
+def _require_convex(p: list[Point], tol: ToleranceBudget, part: Part) -> None:
+    a, b, c, d = p
+    diam = diameter(p)
     areas = [signed_area(a, b, c), signed_area(b, c, d),
              signed_area(c, d, a), signed_area(d, a, b)]
     floor = tol.abs_floor * diam * diam
@@ -185,20 +191,19 @@ def _require_convex(a: Point, b: Point, c: Point, d: Point,
         raise NonConvexQuadrilateral("vertices in order are not strictly convex")
 
 
-def _require_inside(p: Point, a: Point, b: Point, c: Point,
-                    tol: ToleranceBudget) -> None:
-    circ = circumcircle(a, b, c, tol)
-    diam = diameter((a, b, c))
-    for v in (a, b, c):
-        if dist(p, v) <= tol.abs_floor * max(1.0, diam):
-            raise PointOnVertex(f"cevian point {p} coincides with vertex {v}")
-    if dist(p, circ.center) >= circ.radius * (1.0 - tol.abs_floor):
+def _require_inside(p: list[Point], tol: ToleranceBudget, part: Part) -> None:
+    circ = part(circumcircle, 1, 2, 3)
+    diam = diameter(p[1:])
+    for v in p[1:]:
+        if dist(p[0], v) <= tol.abs_floor * diam:
+            raise PointOnVertex(f"cevian point {p[0]} coincides with vertex {v}")
+    if dist(p[0], circ.center) >= circ.radius * (1.0 - tol.abs_floor):
         raise PointOutsideCircumcircle(
-            f"cevian point {p} is not strictly inside the circumcircle")
+            f"cevian point {p[0]} is not strictly inside the circumcircle")
 
 
-# precondition name -> (number of point arguments, check raising a
-# GeometryError when the points fail it)
+# precondition name -> (number of point arguments, check over (points,
+# tolerance, part) raising a GeometryError when the points fail it)
 REQUIREMENTS: dict[str, tuple[int, Callable[..., None]]] = {
     "convex": (4, _require_convex),
     "inside": (4, _require_inside),
@@ -737,6 +742,19 @@ def _arguments(labels: tuple[str, ...], points: dict[str, Point],
         raise _PoisonedLabel(poisoned[bad]) from None
 
 
+def _parts(built: dict[tuple, object], labels: tuple[str, ...],
+           args: list[Point], tol: ToleranceBudget) -> Part:
+    """The `part` of one statement over `labels`, whose points are `args`;
+    `built` holds the parts of the run by builder and labels."""
+    def part(build: Callable[..., object], *at: int) -> object:
+        key = (build, *[labels[i] for i in at])
+        made = built.get(key)
+        if made is None:
+            made = built[key] = build(*[args[i] for i in at], tol)
+        return made
+    return part
+
+
 def _construct(statements: Sequence[Statement], params: dict[str, float],
                tol: ToleranceBudget, given: dict[str, Point],
                needed: frozenset[str] | None,
@@ -752,6 +770,7 @@ def _construct(statements: Sequence[Statement], params: dict[str, float],
     every poisoned label, and the message of the first failed require.
     """
     points: dict[str, Point] = {}
+    built: dict[tuple, object] = {}
     circles: dict[str, Circle] = {}
     edges: list[tuple[str, ...]] = []
     poisoned: dict[str, str] = {}
@@ -769,7 +788,8 @@ def _construct(statements: Sequence[Statement], params: dict[str, float],
                     args = _arguments(expr.points, points, poisoned)
                     angle = (None if expr.angle is None
                              else _eval_scalar(expr.angle, params))
-                    points[label] = FUNCTIONS[expr.func][2](args, angle, tol)
+                    points[label] = FUNCTIONS[expr.func][2](
+                        args, angle, tol, _parts(built, expr.points, args, tol))
             except _PoisonedLabel as exc:
                 poisoned[label] = str(exc)
             except (GeometryError, ArithmeticError) as exc:
@@ -779,7 +799,8 @@ def _construct(statements: Sequence[Statement], params: dict[str, float],
         elif isinstance(stmt, Require):
             try:
                 args = _arguments(stmt.labels, points, poisoned)
-                REQUIREMENTS[stmt.kind][1](*args, tol)
+                REQUIREMENTS[stmt.kind][1](
+                    args, tol, _parts(built, stmt.labels, args, tol))
             except _PoisonedLabel as exc:
                 failed = failed or str(exc)
             except (GeometryError, ArithmeticError) as exc:
@@ -793,9 +814,10 @@ def _construct(statements: Sequence[Statement], params: dict[str, float],
             if stmt.shape == "segment":
                 edges.append(stmt.labels)
                 continue
+            args = [points[label] for label in stmt.labels]
             try:
-                circles[f"circle({','.join(stmt.labels)})"] = circumcircle(
-                    *(points[label] for label in stmt.labels), tol)
+                circles[f"circle({','.join(stmt.labels)})"] = _parts(
+                    built, stmt.labels, args, tol)(circumcircle, 0, 1, 2)
             except GeometryError:
                 pass  # collinear labels: there is no circle to draw
     config = Configuration({**points, **circles}, "script", dict(params),

@@ -37,8 +37,8 @@ def _report(num, ok, detail):
 def test_criterion_01_quadrilateral_claims_hold_on_1000_samples():
     fam = FAMILIES["theorem1"]
     start = time.perf_counter()
-    perp = verify(fam, CLAIMS["theorem1_perp"].claim, 1000, 0.5, 0)
-    equal = verify(fam, CLAIMS["theorem1_equal"].claim, 1000, 0.5, 0)
+    perp, equal = verify(fam, (CLAIMS["theorem1_perp"].claim,
+                               CLAIMS["theorem1_equal"].claim), 1000, 0.5, 0)
     elapsed = time.perf_counter() - start
     ok = (perp.max_residual <= 1e-9 and equal.max_residual <= 1e-9
           and elapsed <= 2.0)
@@ -56,7 +56,7 @@ def test_criterion_02_square_collapses_apexes():
 
 def test_criterion_03_bisector_meets_stay_concyclic():
     bc = CLAIMS["bisector_concyclic"]
-    rep = verify(bc.family, bc.claim, 1000, 0.5, 0)
+    rep, = verify(bc.family, (bc.claim,), 1000, 0.5, 0)
     _report(3, rep.max_residual <= 1e-9,
             f"max residual={rep.max_residual:.2e}")
 
@@ -106,9 +106,9 @@ def test_criterion_05_chained_apex_circle_over_epsilon_range():
 
 def test_criterion_06_circumcevian_reflections_concyclic():
     fam = FAMILIES["example3"]
-    prime = verify(fam, CLAIMS["example3_prime_concyclic"].claim, 500, 0.5, 0)
-    double = verify(fam, CLAIMS["example3_doubleprime_concyclic"].claim,
-                    500, 0.5, 0)
+    prime, double = verify(fam, (CLAIMS["example3_prime_concyclic"].claim,
+                                 CLAIMS["example3_doubleprime_concyclic"].claim),
+                           500, 0.5, 0)
     ok = prime.max_residual <= 1e-8 and double.max_residual <= 1e-8
     _report(6, ok, f"line-reflection max={prime.max_residual:.2e} "
                    f"midpoint-reflection max={double.max_residual:.2e}")
@@ -142,13 +142,13 @@ def test_criterion_07_isogonic_center_matches_distance_minimizer():
 
 def test_criterion_08_scaling_probe_separates_true_from_false():
     fam = FAMILIES["theorem1"]
-    true_rep = scaling_probe(fam, CLAIMS["theorem1_perp"].claim,
-                             (1e-3, 1e-2, 1e-1, 0.5), samples=50, seed=0)
+    true_rep, = scaling_probe(fam, (CLAIMS["theorem1_perp"].claim,),
+                              (1e-3, 1e-2, 1e-1, 0.5), samples=50, seed=0)
     false_claim = RelationClaim("midpoints_coincide",
                                 ("O_ab", "O_cd", "O_bc", "O_da"),
                                 "apex diagonal midpoints coincide")
-    false_rep = scaling_probe(fam, false_claim, (1e-3, 1e-2, 1e-1),
-                              samples=50, seed=0)
+    false_rep, = scaling_probe(fam, (false_claim,), (1e-3, 1e-2, 1e-1),
+                               samples=50, seed=0)
     ok = (true_rep.verdict == "theorem"
           and true_rep.max_residual <= 1e-9
           and false_rep.scaling_exponent is not None

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output shape, JSON reports."""
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -10,6 +11,7 @@ from importlib import metadata
 
 import pytest
 
+from geodeform.catalog import CLAIMS, claim_names
 from geodeform.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -150,6 +152,72 @@ def test_verify_json_document(capsys, tmp_path):
         assert entry["verdict"] == "theorem"
         assert entry["max_residual"] <= 1e-9
         assert "wall_time_s" in entry
+
+
+def _claims_json(capsys, tmp_path, *argv):
+    """The scrubbed `claims` entries of `verify ... --json`."""
+    out_path = tmp_path / "claims.json"
+    code, _, _ = run_cli(capsys, "verify", *argv, "--json", str(out_path))
+    assert code == 0
+    return [{k: v for k, v in entry.items() if k != "wall_time_s"}
+            for entry in json.loads(out_path.read_text())["claims"]]
+
+
+@pytest.mark.parametrize("epsilons", [("--eps", "0.3"),
+                                      ("--eps-grid", "1e-3,1e-2,1e-1")])
+def test_shared_sweep_equals_one_claim_runs(capsys, tmp_path, epsilons):
+    """Judging the claims of a family on shared draws gives each claim the
+    report it gets when it is verified alone."""
+    common = ("--samples", "12", "--seed", "5", *epsilons)
+    together = _claims_json(capsys, tmp_path, "all", *common)
+    alone = [entry for name in claim_names()
+             for entry in _claims_json(capsys, tmp_path, name, *common)]
+    assert together == alone
+    assert [e["name"] for e in together] == list(claim_names())
+
+
+def _counting_theorem1(monkeypatch):
+    """Point both theorem1 claims at one copy of their family whose builder
+    counts its calls, as a caller wrapping the builder would."""
+    calls = []
+    family = CLAIMS["theorem1_perp"].family
+
+    def builder(*points):
+        calls.append(points)
+        return family.builder(*points)
+
+    counted = dataclasses.replace(family, builder=builder)
+    for name in ("theorem1_perp", "theorem1_equal"):
+        monkeypatch.setitem(CLAIMS, name, dataclasses.replace(
+            CLAIMS[name], family=counted))
+    return calls
+
+
+@pytest.mark.parametrize("claims", [("theorem1_perp", "theorem1_equal"),
+                                    ("theorem1_perp", "theorem1_perp")])
+def test_claims_of_one_family_share_one_sweep(capsys, monkeypatch, claims):
+    calls = _counting_theorem1(monkeypatch)
+    argv = ("--samples", "30", "--seed", "2")
+    run_cli(capsys, "verify", "theorem1_perp", *argv)
+    alone = len(calls)
+    calls.clear()
+    code, out, _ = run_cli(capsys, "verify", *claims, *argv)
+    assert code == 0
+    assert alone >= 30 and len(calls) == alone
+    assert [line.split(":")[0] for line in out.splitlines()] == list(claims)
+
+
+def test_verify_keeps_the_requested_order(capsys, tmp_path):
+    order = ["theorem1_perp", "bisector_concyclic", "theorem1_equal"]
+    out_path = tmp_path / "order.json"
+    code, out, _ = run_cli(capsys, "verify", *order, "--samples", "10",
+                           "--json", str(out_path))
+    assert code == 0
+    assert [line.split(":")[0] for line in out.splitlines()] == order
+    entries = json.loads(out_path.read_text())["claims"]
+    assert [e["name"] for e in entries] == order
+    # the two theorem1 claims were judged by one sweep and carry its time
+    assert entries[0]["wall_time_s"] == entries[2]["wall_time_s"]
 
 
 def test_verify_convention_note_present(capsys):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import struct
 
 import pytest
 
@@ -33,6 +34,12 @@ def close(p: Point, q: Point, tol: float = 1e-12) -> bool:
     return dist(p, q) <= tol
 
 
+def power(circle: Circle, p: Point) -> float:
+    """Power of the point: |p - center|**2 - r**2 (zero on the circle)."""
+    dx, dy = p.x - circle.center.x, p.y - circle.center.y
+    return dx * dx + dy * dy - circle.radius * circle.radius
+
+
 def test_point_rejects_non_finite():
     with pytest.raises(NonFiniteInput):
         Point(float("nan"), 0.0)
@@ -62,6 +69,32 @@ def test_rotate_quarter_turn():
 def test_signed_area_orientation():
     assert signed_area(Point(0, 0), Point(1, 0), Point(0, 1)) == 0.5
     assert signed_area(Point(0, 0), Point(0, 1), Point(1, 0)) == -0.5
+
+
+def test_signed_area_matches_point_arithmetic_bit_for_bit():
+    # the cross product of q - p and r - p over Point temporaries, halved
+    def reference(p: Point, q: Point, r: Point) -> float:
+        u, v = q - p, r - p
+        return (u.x * v.y - u.y * v.x) / 2.0
+
+    rng = random.Random(91)
+    coords = [0.0, -0.0, 1.0, -1.0, 1e-300, -3e-200, 7e150, -2.5e180]
+    for _ in range(3000):
+        pts = []
+        for _ in range(3):
+            xy = []
+            for _ in range(2):
+                pick = rng.random()
+                if pick < 0.25:
+                    xy.append(rng.choice(coords))
+                elif pick < 0.5:
+                    xy.append(rng.uniform(-1, 1) * 10.0 ** rng.randint(-200, 150))
+                else:
+                    xy.append(rng.uniform(-10, 10))
+            pts.append(Point(*xy))
+        # the bits, so that -0.0, inf and the nan of inf - inf compare too
+        assert (struct.pack("<d", signed_area(*pts))
+                == struct.pack("<d", reference(*pts)))
 
 
 def test_circumcircle_collinear_raises():
@@ -149,8 +182,8 @@ def test_intersect_points_lie_on_both_objects():
         if dist(c1.center, c2.center) < 1e-9:
             continue
         for p in intersect(c1, c2):
-            assert abs(c1.power(p)) < 1e-9
-            assert abs(c2.power(p)) < 1e-9
+            assert abs(power(c1, p)) < 1e-9
+            assert abs(power(c2, p)) < 1e-9
 
 
 def test_angle_bisector_diagonal():
@@ -188,7 +221,7 @@ def test_radical_axis_equal_power():
     ax = radical_axis(c1, c2)
     for t in (-2.0, 0.0, 1.5, 4.0):
         p = ax.project(Point(t, t))
-        assert abs(c1.power(p) - c2.power(p)) < 1e-9
+        assert abs(power(c1, p) - power(c2, p)) < 1e-9
 
 
 def test_reflections_are_involutions():

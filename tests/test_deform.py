@@ -83,7 +83,7 @@ def test_sample_rejection_budget():
 
 def test_verify_theorem_claims():
     fam = FAMILIES["theorem1"]
-    rep = verify(fam, CLAIMS["theorem1_perp"].claim, 200, 0.5, 0)
+    rep, = verify(fam, (CLAIMS["theorem1_perp"].claim,), 200, 0.5, 0)
     assert rep.verdict == "theorem"
     assert rep.max_residual <= 1e-9
     assert rep.mean_residual <= rep.max_residual
@@ -94,14 +94,14 @@ def test_verify_refutes_false_collinearity():
     fam = FAMILIES["theorem1"]
     claim = RelationClaim("collinear", ("O_ab", "O_bc", "O_cd"),
                           "apexes collinear (false in general)")
-    rep = verify(fam, claim, 100, 0.5, 0)
+    rep, = verify(fam, (claim,), 100, 0.5, 0)
     assert rep.verdict == "refuted"
     assert rep.max_residual > 100.0 * rep.rel_tol
 
 
 def test_verify_single_sample_degenerate_is_theorem():
     fam = FAMILIES["example1"]
-    rep = verify(fam, CLAIMS["example1_equilateral"].claim, 1, 0.0, 0)
+    rep, = verify(fam, (CLAIMS["example1_equilateral"].claim,), 1, 0.0, 0)
     assert rep.verdict == "theorem"
     assert rep.max_residual == 0.0
 
@@ -109,12 +109,13 @@ def test_verify_single_sample_degenerate_is_theorem():
 def test_verify_is_reproducible():
     fam = FAMILIES["bisector"]
     claim = CLAIMS["bisector_concyclic"].claim
-    assert verify(fam, claim, 50, 0.4, 7) == verify(fam, claim, 50, 0.4, 7)
+    assert (verify(fam, (claim,), 50, 0.4, 7)
+            == verify(fam, (claim,), 50, 0.4, 7))
 
 
 def test_scaling_probe_theorem_stays_on_noise_floor():
-    rep = scaling_probe(FAMILIES["theorem1"], CLAIMS["theorem1_perp"].claim,
-                        (1e-3, 1e-2, 1e-1), 40, 0)
+    rep, = scaling_probe(FAMILIES["theorem1"], (CLAIMS["theorem1_perp"].claim,),
+                         (1e-3, 1e-2, 1e-1), 40, 0)
     assert rep.verdict == "theorem"
     assert rep.max_residual <= 1e-9
     assert len(rep.median_residuals) == 3
@@ -127,7 +128,8 @@ def test_scaling_probe_flags_first_order_coincidence():
     claim = RelationClaim("midpoints_coincide",
                           ("O_ab", "O_cd", "O_bc", "O_da"),
                           "diagonal midpoints coincide (square only)")
-    rep = scaling_probe(FAMILIES["theorem1"], claim, (1e-3, 1e-2, 1e-1), 40, 0)
+    rep, = scaling_probe(FAMILIES["theorem1"], (claim,), (1e-3, 1e-2, 1e-1),
+                         40, 0)
     assert rep.verdict == "approximate"
     assert rep.scaling_exponent is not None
     assert rep.scaling_exponent >= 1.0
@@ -139,7 +141,7 @@ def test_scaling_probe_epsilon_floor_respected():
     assert not fam.admits(1e-9)
     assert fam.admits(1e-3)
     with pytest.raises(ValueError):
-        scaling_probe(fam, CLAIMS["example2_concyclic"].claim,
+        scaling_probe(fam, (CLAIMS["example2_concyclic"].claim,),
                       (1e-9, 1e-3), 10, 0)
 
 
@@ -159,10 +161,32 @@ def test_probe_uses_common_random_numbers():
     claim = RelationClaim("midpoints_coincide",
                           ("O_ab", "O_cd", "O_bc", "O_da"),
                           "diagonal midpoints coincide (square only)")
-    rep = scaling_probe(FAMILIES["theorem1"], claim, (1e-3, 1e-2, 1e-1), 60, 11)
+    rep, = scaling_probe(FAMILIES["theorem1"], (claim,), (1e-3, 1e-2, 1e-1), 60,
+                         11)
     m1, m2, m3 = rep.median_residuals
     assert abs(m2 / m1 - 10.0) < 0.05
     assert abs(m3 / m2 - 10.0) < 0.5
+
+
+def test_shared_sweep_judges_each_claim_as_alone():
+    """Claims swept together on one family's draws get the reports they get
+    one at a time, the scaling fit and the base-figure check included."""
+    fam = FAMILIES["theorem1"]
+    exact = CLAIMS["theorem1_perp"].claim
+    loose = RelationClaim("midpoints_coincide",
+                          ("O_ab", "O_cd", "O_bc", "O_da"),
+                          "diagonal midpoints coincide (square only)")
+    false = RelationClaim("equal_length", ("O_ab", "O_bc", "A", "B"),
+                          "apex gap equals a side (false)")
+    claims = (exact, loose, false)
+    grid = (1e-3, 1e-2, 1e-1)
+    probed = scaling_probe(fam, claims, grid, 30, 4)
+    assert probed == tuple(scaling_probe(fam, (c,), grid, 30, 4)[0]
+                           for c in claims)
+    assert [r.verdict for r in probed] == ["theorem", "approximate",
+                                           "refuted"]
+    verified = verify(fam, claims, 30, 0.5, 4)
+    assert verified == tuple(verify(fam, (c,), 30, 0.5, 4)[0] for c in claims)
 
 
 def test_claim_evaluate_defaults_to_configuration_diameter():
@@ -184,7 +208,7 @@ def test_verdict_bands():
     fam = FAMILIES["theorem1"]
     claim = RelationClaim("collinear", ("O_ab", "O_bc", "O_cd"),
                           "apexes collinear (false in general)")
-    rep = verify(fam, claim, 20, 0.5, 3)
+    rep, = verify(fam, (claim,), 20, 0.5, 3)
     assert rep.refute_tol == rep.rel_tol * REFUTE_FACTOR
     assert rep.verdict in ("theorem", "inconclusive", "refuted")
     assert rep.verdict == "refuted"

@@ -5,6 +5,8 @@ import pathlib
 
 import pytest
 
+from geodeform import script
+from geodeform.catalog import FAMILIES
 from geodeform.core import GeometryError, Point, dist, rotate
 from geodeform.script import (
     ArityError,
@@ -219,6 +221,72 @@ def test_require_and_drawing_errors():
     assert isinstance(err, ArityError) and (err.line, err.col) == (4, 1)
     err = parse_error(head + "circle A B Q")
     assert isinstance(err, UseBeforeDefine)
+
+
+REQUIRE_CASES = {
+    # name: (program over base labels, base points, outcome at scale 1)
+    "inside": ("inside(P, A, B, C)", ((0, 0), (1, 0), (0, 1), (0.3, 0.3)),
+               None),
+    "inside_on_vertex": ("inside(P, A, B, C)",
+                         ((0, 0), (1, 0), (0, 1), (1e-13, 0)),
+                         "PointOnVertex"),
+    "inside_outside": ("inside(P, A, B, C)",
+                       ((0, 0), (1, 0), (0, 1), (2, 2)),
+                       "PointOutsideCircumcircle"),
+    "inside_flat": ("inside(P, A, B, C)",
+                    ((0, 0), (1, 0), (2, 0), (0.5, 0.5)), "CollinearPoints"),
+    "convex": ("convex(A, B, C, P)", ((0, 0), (1, 0), (1, 1), (0, 1)), None),
+    "convex_dart": ("convex(A, B, C, P)",
+                    ((0, 0), (1, 0), (0.3, 0.3), (0, 1)),
+                    "NonConvexQuadrilateral"),
+    "convex_flat": ("convex(A, B, C, P)",
+                    ((0, 0), (1, 0), (2, 0), (0, 1)),
+                    "NonConvexQuadrilateral"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REQUIRE_CASES))
+def test_requires_are_scale_honest(case):
+    """A require passes or fails alike for every power-of-two scale of its
+    points, since such scaling is exact."""
+    requirement, base, expected = REQUIRE_CASES[case]
+    program = parse("point A = (0,0)\npoint B = (0,0)\npoint C = (0,0)\n"
+                    "point P = (0,0)\n"
+                    f"require {requirement}\n")
+    builder = family_builder(program, ("A", "B", "C", "P"))
+
+    def outcome(k):
+        try:
+            builder(*(Point(x * 2.0 ** k, y * 2.0 ** k) for x, y in base))
+        except GeometryError as exc:
+            return type(exc).__name__
+        return None
+
+    assert outcome(0) == expected
+    assert {k: outcome(k) for k in range(-40, 41)} == dict.fromkeys(
+        range(-40, 41), expected)
+
+
+@pytest.mark.parametrize("family, build, per_run", [
+    ("example3", "circumcircle", 1),
+    ("bisector", "angle_bisector", 4),
+])
+def test_shared_circles_and_bisectors_are_built_once(monkeypatch, family,
+                                                     build, per_run):
+    """example3 uses the circumcircle of A, B, C in five statements and
+    bisector uses each interior bisector in two meets; a run builds each
+    once."""
+    calls = []
+    original = getattr(script, build)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(script, build, counted)
+    fam = FAMILIES[family]
+    fam.builder(*fam.base_points)
+    assert len(calls) == per_run
 
 
 def test_failed_require_fails_every_assert():
