@@ -9,15 +9,13 @@ residual grows with the deformation magnitude are only approximate
 coincidences of the degenerate position.
 """
 
-from .catalog import CLAIMS, FAMILIES, BuiltinClaim, UnknownClaim, \
-    claim_names, get_claim
+from .catalog import CLAIMS, FAMILIES, NamedClaim, claim_names, \
+    program_claims
 from .centers import (
     CenterKind,
     IllConditioned,
-    ObtuseFermatWarning,
     Orientation,
     equilateral_apex,
-    fermat_oracle,
     right_isosceles_apex,
     triangle_center,
 )
@@ -85,7 +83,7 @@ from .relations import (
 )
 from .render import render, render_svg
 from .script import ArityError, ParseError, Program, UnknownParam, \
-    UseBeforeDefine, evaluate, family_builder, format_program, parse, \
+    UseBeforeDefine, deformation_family, evaluate, family_builder, parse, \
     second_intersection
 
 __version__ = "0.1.0"

@@ -1,57 +1,37 @@
-"""Built-in deformation families and the claims verified against them.
+"""Built-in deformation families and the claims verified against them,
+loaded from the `.geo` programs shipped in `geodeform/scripts`.
 
-A family is one of the `.geo` programs shipped in `geodeform/scripts`
-plus the degenerate coordinates of its base points; its builder reruns
-the program on deformed base points.  Each claim names points of the
-family's configuration and the relation they are asserted to satisfy for
-every deformed sample, not just in the degenerate base position.  A
-claim's labels must be asserted in its family program: the builder
-rejects a draw only when a construction an assertion depends on fails.
+A family program is the only description of its family: its `deform`
+statement gives the degenerate base figure and the floor of the
+deformation magnitude, and each named assert (`assert ... as NAME
+"description"`) is a claim, verified for every deformed sample and not
+just in the degenerate base position.  `program_claims` loads any program
+this way, which is how `verify PROGRAM.geo` judges a user's figure.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from importlib.resources import files
 from typing import Callable
 
-from .core import Point
 from .deform import DeformationFamily, RelationClaim
 from .relations import check_concyclic
-from .script import family_builder, parse
+from .script import Program, deformation_family, parse
 
-__all__ = ["UnknownClaim", "BuiltinClaim", "FAMILIES", "CLAIMS", "claim_names"]
-
-
-class UnknownClaim(KeyError):
-    """Requested claim name is not in the catalog."""
+__all__ = ["NamedClaim", "FAMILIES", "CLAIMS", "claim_names",
+           "program_claims"]
 
 
-_S3 = math.sqrt(3.0)
+@dataclass(frozen=True)
+class NamedClaim:
+    """A claim by name: its family, its relation, and an optional report
+    note computed from one sampled configuration."""
 
-_SQUARE = (Point(0.0, 0.0), Point(1.0, 0.0), Point(1.0, 1.0), Point(0.0, 1.0))
-_EQUILATERAL = (Point(0.0, 0.0), Point(1.0, 0.0), Point(0.5, _S3 / 2.0))
-_CENTER = Point(0.5, _S3 / 6.0)
-
-
-def _family(name: str, labels: str, base_points: tuple[Point, ...],
-            epsilon_floor: float = 0.0) -> DeformationFamily:
-    """The family of program `scripts/<name>.geo`, deformed about
-    `base_points` given for the space-separated base `labels`."""
-    source = (files("geodeform") / "scripts" / f"{name}.geo").read_text(
-        encoding="utf-8")
-    builder = family_builder(parse(source), labels.split())
-    return DeformationFamily(name, base_points, builder, epsilon_floor)
-
-
-FAMILIES: dict[str, DeformationFamily] = {
-    "theorem1": _family("theorem1", "A B C D", _SQUARE),
-    "bisector": _family("bisector", "A B C D", _SQUARE),
-    "example1": _family("example1", "A B C", _EQUILATERAL),
-    "example2": _family("example2", "A B C", _EQUILATERAL, epsilon_floor=1e-6),
-    "example3": _family("example3", "A B C P", _EQUILATERAL + (_CENTER,)),
-}
+    name: str
+    family: DeformationFamily
+    claim: RelationClaim
+    annotate: Callable | None = None
 
 
 def _example1_convention(config) -> dict[str, object]:
@@ -68,80 +48,43 @@ def _example1_convention(config) -> dict[str, object]:
     return notes
 
 
-@dataclass(frozen=True)
-class BuiltinClaim:
-    name: str
-    family: DeformationFamily
-    claim: RelationClaim
-    annotate: Callable | None = None
+# report notes by claim name: a note is not a relation, so no program
+# states it
+_NOTES = {"example1_fermat_on_circle": _example1_convention}
 
 
-CLAIMS: dict[str, BuiltinClaim] = {
-    claim.name: claim for claim in [
-        BuiltinClaim(
-            "theorem1_perp",
-            FAMILIES["theorem1"],
-            RelationClaim("perpendicular", ("O_ab", "O_cd", "O_bc", "O_da"),
-                          "apex diagonals are perpendicular"),
-        ),
-        BuiltinClaim(
-            "theorem1_equal",
-            FAMILIES["theorem1"],
-            RelationClaim("equal_length", ("O_ab", "O_cd", "O_bc", "O_da"),
-                          "apex diagonals have equal length"),
-        ),
-        BuiltinClaim(
-            "bisector_concyclic",
-            FAMILIES["bisector"],
-            RelationClaim("concyclic", ("O_1", "O_2", "O_3", "O_4"),
-                          "adjacent-bisector meets are concyclic"),
-        ),
-        BuiltinClaim(
-            "example1_equilateral",
-            FAMILIES["example1"],
-            RelationClaim("equal_length",
-                          ("O_a", "O_b", "O_b", "O_c", "O_c", "O_a"),
-                          "erected-triangle centroids form an equilateral "
-                          "triangle"),
-        ),
-        BuiltinClaim(
-            "example1_fermat_on_circle",
-            FAMILIES["example1"],
-            RelationClaim("concyclic", ("O_a", "O_b", "O_c", "F1"),
-                          "first Fermat point lies on the centroid circle"),
-            annotate=_example1_convention,
-        ),
-        BuiltinClaim(
-            "example2_concyclic",
-            FAMILIES["example2"],
-            RelationClaim("concyclic", ("F_a", "F_b", "F_c", "F2"),
-                          "second Fermat point lies on the sub-triangle "
-                          "Fermat circle"),
-        ),
-        BuiltinClaim(
-            "example3_prime_concyclic",
-            FAMILIES["example3"],
-            RelationClaim("concyclic", ("N_a'", "N_b'", "N_c'", "N"),
-                          "line-reflected nine-point centers are concyclic "
-                          "with the base one"),
-        ),
-        BuiltinClaim(
-            "example3_doubleprime_concyclic",
-            FAMILIES["example3"],
-            RelationClaim("concyclic", ("N_a''", "N_b''", "N_c''", "N"),
-                          "midpoint-reflected nine-point centers are "
-                          "concyclic with the base one"),
-        ),
-    ]
+def program_claims(program: Program, name: str) -> dict[str, NamedClaim]:
+    """The named asserts of `program` as claims of its family `name`, in
+    program order.  ValueError when the program has no `deform` statement
+    or no named assert."""
+    family = deformation_family(program, name)
+    claims = {stmt.name: NamedClaim(stmt.name, family,
+                                    RelationClaim(stmt.kind, stmt.labels,
+                                                  stmt.description),
+                                    _NOTES.get(stmt.name))
+              for stmt in program.asserts() if stmt.name is not None}
+    if not claims:
+        raise ValueError(f"program {name!r} has no named assert "
+                         f"(assert ... as NAME \"description\")")
+    return claims
+
+
+def _shipped(name: str) -> dict[str, NamedClaim]:
+    source = (files("geodeform") / "scripts" / f"{name}.geo").read_text(
+        encoding="utf-8")
+    return program_claims(parse(source), name)
+
+
+# the order of `verify all`
+CLAIMS: dict[str, NamedClaim] = {
+    claim_name: claim
+    for family in ("theorem1", "bisector", "example1", "example2", "example3")
+    for claim_name, claim in _shipped(family).items()
 }
+
+FAMILIES: dict[str, DeformationFamily] = {
+    claim.family.name: claim.family for claim in CLAIMS.values()}
 
 
 def claim_names() -> list[str]:
     return list(CLAIMS)
-
-
-def get_claim(name: str) -> BuiltinClaim:
-    try:
-        return CLAIMS[name]
-    except KeyError:
-        raise UnknownClaim(name) from None

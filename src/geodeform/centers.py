@@ -4,15 +4,14 @@ The two Fermat points are built constructively (vertex-to-apex line
 concurrency) rather than from trigonometric barycentrics, so their
 conditioning is explicit: the pairwise meets of the three defining lines
 must agree within the relative tolerance or IllConditioned is raised.
-A Weiszfeld iteration is provided as an independent oracle for the first
-Fermat point.
+The tests hold the first Fermat point against an independent Weiszfeld
+iteration (`tests/fermat_oracle.py`).
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import warnings
 
 from .core import (
     DEFAULT_TOL,
@@ -38,11 +37,9 @@ __all__ = [
     "CenterKind",
     "Orientation",
     "IllConditioned",
-    "ObtuseFermatWarning",
     "triangle_center",
     "equilateral_apex",
     "right_isosceles_apex",
-    "fermat_oracle",
 ]
 
 
@@ -70,10 +67,6 @@ class Orientation(enum.Enum):
 class IllConditioned(GeometryError):
     """The defining lines of a constructed center do not pin it down to
     within the relative tolerance."""
-
-
-class ObtuseFermatWarning(UserWarning):
-    """An angle of 120 degrees or more: the Fermat point is that vertex."""
 
 
 def _sign(x: float) -> float:
@@ -183,42 +176,3 @@ def triangle_center(kind: CenterKind, a: Point, b: Point, c: Point,
         lines = _fermat_lines(a, b, c, Orientation.TOWARD_REFERENCE, tol)
         return _concurrent_point(lines, diam, tol)
     raise ValueError(f"unsupported center kind {kind!r}")
-
-
-def fermat_oracle(a: Point, b: Point, c: Point,
-                  tol: ToleranceBudget = DEFAULT_TOL,
-                  max_iter: int = 100_000) -> Point:
-    """Geometric median of the three vertices by Weiszfeld iteration.
-
-    Independent of the constructive first Fermat point: when every angle is
-    below 120 degrees the two must agree.  With an angle of 120 degrees or
-    more the minimizer is that vertex; it is returned and a warning emitted.
-    """
-    diam = _require_triangle(a, b, c, tol)
-    pts = (a, b, c)
-    for i, v in enumerate(pts):
-        u = pts[(i + 1) % 3] - v
-        w = pts[(i + 2) % 3] - v
-        cosang = (u.x * w.x + u.y * w.y) / (u.norm() * w.norm())
-        if cosang <= -0.5:
-            warnings.warn("angle of 120 degrees or more: Fermat point is the "
-                          "vertex itself", ObtuseFermatWarning, stacklevel=2)
-            return v
-    y = Point((a.x + b.x + c.x) / 3.0, (a.y + b.y + c.y) / 3.0)
-    step_tol = 1e-12 * diam
-    for _ in range(max_iter):
-        wsum = 0.0
-        nx = ny = 0.0
-        for p in pts:
-            d = dist(y, p)
-            if d < 1e-18 * diam:
-                return p  # landed on a vertex; cannot improve from here
-            w = 1.0 / d
-            wsum += w
-            nx += w * p.x
-            ny += w * p.y
-        new = Point(nx / wsum, ny / wsum)
-        if dist(new, y) < step_tol:
-            return new
-        y = new
-    return y

@@ -2,19 +2,22 @@
 
 Four subcommands:
 
-    geodeform verify <claim ...|all>   run built-in claims over deformations
+    geodeform verify <claim|program.geo ...|all>
+                                       judge claims over deformations
     geodeform run <script.geo>         evaluate a script's assertions
     geodeform shapes                   list the shipped base shapes
     geodeform render <shape|script>    write an SVG figure
 
+`verify` judges built-in claims by name, or the named asserts of a `.geo`
+program with a `deform` statement, loaded as the built-in families are.
 The base shapes are `.geo` programs shipped in `geodeform/shapes`, so
 `render` draws a shape and a script the same way.  Human-readable results
 go to standard output, diagnostics to standard error, machine-readable
 reports only where --json is given.  Exit code 0 means every selected
 claim or assertion held, 1 means at least one did not, 2 means the
 invocation itself was unusable (bad flags, unknown claim, unreadable or
-malformed script, unwritable output, no valid deformation within the
-rejection budget).
+malformed script, a verified program without `deform` or named assert,
+unwritable output, no valid deformation within the rejection budget).
 """
 
 from __future__ import annotations
@@ -25,10 +28,11 @@ import math
 import sys
 import time
 from importlib.resources import files
+from pathlib import PurePath
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .catalog import CLAIMS, claim_names
+from .catalog import CLAIMS, NamedClaim, claim_names, program_claims
 from .core import DEFAULT_TOL, GeometryError, ToleranceBudget
 from .deform import VerificationReport, sample, scaling_probe, verify
 from .render import render
@@ -79,14 +83,14 @@ def _parse_eps_grid(text: str) -> list[float]:
 # ---------------------------------------------------------------------------
 # verify
 
-def _report_entry(name: str, built_in, report, wall_time: float,
-                  convention: str | None) -> dict:
+def _report_entry(named: NamedClaim, report: VerificationReport,
+                  wall_time: float, convention: str | None) -> dict:
     entry = {
-        "name": name,
+        "name": named.name,
         "family": report.family,
         "kind": report.kind,
-        "labels": list(built_in.claim.labels),
-        "description": built_in.claim.description,
+        "labels": list(named.claim.labels),
+        "description": named.claim.description,
         "verdict": report.verdict,
         "max_residual": report.max_residual,
         "mean_residual": report.mean_residual,
@@ -105,12 +109,38 @@ def _report_entry(name: str, built_in, report, wall_time: float,
     return entry
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    selected = list(claim_names()) if "all" in args.claims else args.claims
-    unknown = [name for name in selected if name not in CLAIMS]
+def _selected_claims(names: list[str]) -> list[NamedClaim] | None:
+    """The claims `verify` was asked for, in order: built-in claims by
+    name (`all` for every one) and the named asserts of `.geo` programs.
+    None after reporting on stderr why the invocation is unusable."""
+    if "all" in names:
+        return list(CLAIMS.values())
+    unknown = [n for n in names if n not in CLAIMS and not n.endswith(".geo")]
     if unknown:
         print(f"unknown claim(s): {', '.join(unknown)}", file=sys.stderr)
-        print(f"valid claims: all, {', '.join(claim_names())}", file=sys.stderr)
+        print(f"valid claims: all, {', '.join(claim_names())}, or a "
+              f"PROGRAM.geo", file=sys.stderr)
+        return None
+    selected = []
+    for name in names:
+        if name in CLAIMS:
+            selected.append(CLAIMS[name])
+            continue
+        program = _read_program(name)
+        if program is None:
+            return None
+        try:
+            claims = program_claims(program, PurePath(name).stem)
+        except ValueError as exc:
+            print(f"error: {name}: {exc}", file=sys.stderr)
+            return None
+        selected.extend(claims.values())
+    return selected
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    selected = _selected_claims(args.claims)
+    if selected is None:
         return 2
     tol = _tolerance(args)
     grid = args.eps_grid
@@ -119,38 +149,35 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # The claims of one family are judged on shared draws: the first claim
     # met of a family sweeps it for all its selected claims, each keeping
     # the report and the time of that sweep.
-    judged: dict[str, tuple[VerificationReport, float]] = {}
+    judged: dict[NamedClaim, tuple[VerificationReport, float]] = {}
     try:
-        for name in selected:
-            built_in = CLAIMS[name]
-            if name not in judged:
-                family = built_in.family
-                names = list(dict.fromkeys(
-                    n for n in selected if CLAIMS[n].family == family))
-                claims = [CLAIMS[n].claim for n in names]
+        for named in selected:
+            if named not in judged:
+                family = named.family
+                claims = list(dict.fromkeys(
+                    c for c in selected if c.family == family))
                 start = time.perf_counter()
                 if grid is not None:
-                    reports = scaling_probe(family, claims, grid,
-                                            args.samples, args.seed, tol)
+                    reports = scaling_probe(family, [c.claim for c in claims],
+                                            grid, args.samples, args.seed, tol)
                 else:
-                    reports = verify(family, claims, args.samples, args.eps,
-                                     args.seed, tol)
+                    reports = verify(family, [c.claim for c in claims],
+                                     args.samples, args.eps, args.seed, tol)
                 elapsed = time.perf_counter() - start
-                judged.update((n, (report, elapsed))
-                              for n, report in zip(names, reports))
-            report, wall = judged[name]
+                judged.update((c, (report, elapsed))
+                              for c, report in zip(claims, reports))
+            report, wall = judged[named]
             convention = None
-            if built_in.annotate is not None:
+            if named.annotate is not None:
                 start = time.perf_counter()
                 probe_eps = grid[-1] if grid is not None else args.eps
-                notes = built_in.annotate(
-                    sample(built_in.family, probe_eps, args.seed, tol))
+                notes = named.annotate(
+                    sample(named.family, probe_eps, args.seed, tol))
                 convention = notes.get("convention")
                 wall += time.perf_counter() - start
-            entries.append(_report_entry(name, built_in, report, wall,
-                                         convention))
+            entries.append(_report_entry(named, report, wall, convention))
             all_theorem = all_theorem and report.verdict == "theorem"
-            line = (f"{name}: {report.verdict}"
+            line = (f"{named.name}: {report.verdict}"
                     f" max_residual={report.max_residual:.3e}"
                     f" mean_residual={report.mean_residual:.3e}")
             if report.scaling_exponent is not None and grid is not None:
@@ -174,9 +201,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             }
             _write_json(args.json, document)
         if args.svg:
-            first = CLAIMS[selected[0]]
             eps = grid[-1] if grid is not None else args.eps
-            render(sample(first.family, eps, args.seed, tol), args.svg)
+            render(sample(selected[0].family, eps, args.seed, tol), args.svg)
     except (ValueError, GeometryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -196,14 +222,9 @@ def _parse_overrides(pairs: list[str]) -> dict[str, float]:
     return overrides
 
 
-def _evaluate_script(path: str | Traversable, pairs: list[str],
-                     tol: ToleranceBudget, hint: str | None = None):
-    """Read, parse and evaluate a script, a file name or a shipped program,
-    with its --param overrides.
-
-    Returns (program, configuration, verdicts, evaluation seconds), or None
-    after reporting on stderr why the invocation is unusable (exit 2).
-    """
+def _read_program(path: str | Traversable, hint: str | None = None):
+    """Read and parse a script, a file name or a shipped program; or
+    return None after reporting on stderr why that failed (exit 2)."""
     try:
         handle = (open(path, "r", encoding="utf-8") if isinstance(path, str)
                   else path.open("r", encoding="utf-8"))
@@ -215,9 +236,22 @@ def _evaluate_script(path: str | Traversable, pairs: list[str],
             print(hint, file=sys.stderr)
         return None
     try:
-        program = parse(source)
+        return parse(source)
     except ParseError as exc:
         print(f"{path}:{exc.line}:{exc.col}: {exc.message}", file=sys.stderr)
+        return None
+
+
+def _evaluate_script(path: str | Traversable, pairs: list[str],
+                     tol: ToleranceBudget, hint: str | None = None):
+    """Read, parse and evaluate a script, a file name or a shipped program,
+    with its --param overrides.
+
+    Returns (program, configuration, verdicts, evaluation seconds), or None
+    after reporting on stderr why the invocation is unusable (exit 2).
+    """
+    program = _read_program(path, hint)
+    if program is None:
         return None
     try:
         overrides = _parse_overrides(pairs)
@@ -317,9 +351,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser(
-        "verify", help="run built-in claims over sampled deformations")
-    p_verify.add_argument("claims", nargs="+", metavar="CLAIM",
-                          help="claim names, or 'all'")
+        "verify", help="judge claims over sampled deformations")
+    p_verify.add_argument("claims", nargs="+", metavar="CLAIM|PROGRAM.geo",
+                          help="built-in claim names, 'all', or .geo programs "
+                               "whose named asserts to judge")
     p_verify.add_argument("--samples", type=int, default=1000)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--eps", type=float, default=0.5,

@@ -12,11 +12,21 @@ A script is a sequence of newline-terminated statements:
     segment A B                        # drawn edge
     circle A B C                       # drawn circumcircle
     assert collinear(A, M, B)          # relation over defined points
+    deform A B C about (0, 0) (1, 0) (0, 1) floor 1e-6
+    assert collinear(A, M, B) as mid "M lies on AB"   # named claim
 
-Coordinates and the rotation angle are arithmetic expressions over
-numbers and params with the usual precedence; every other construction
-argument is the label of a previously defined point.  Comments run from
-`#` to the end of the line.  Angles are in degrees.
+Coordinates, the rotation angle, the `deform` base coordinates and its
+optional floor are arithmetic expressions over numbers and params with
+the usual precedence; every other construction argument is the label of
+a previously defined point.  Comments run from `#` to the end of the
+line.  Angles are in degrees.  A description is a `"`-quoted string on
+one line, without escapes.
+
+`deform` names coordinate points of the program and the degenerate base
+figure they take when the program is deformed (see `deformation_family`);
+`floor` is the smallest deformation magnitude the family admits.  A named
+assert is a claim of that family.  `run` ignores both, and judges a named
+assert like any other.
 
 Parsing is strict and single pass: labels must be defined before use,
 duplicate definitions are rejected, and arity mistakes are reported at
@@ -28,8 +38,8 @@ verdict carrying the original error instead of raising.  A failed
 only add to the drawing; one that names a poisoned label is left out.
 
 The built-in deformation families are shipped programs of this language:
-`family_builder` turns a program into the builder that rebuilds the
-figure from deformed base points.
+`deformation_family` turns a program with a `deform` statement into the
+family that rebuilds the figure from deformed base points.
 """
 
 from __future__ import annotations
@@ -60,6 +70,7 @@ from .core import (
     rotate,
     signed_area,
 )
+from .deform import DeformationFamily
 from .relations import RELATION_ARITIES, DegeneratePosition, RelationVerdict, \
     evaluate_relation
 
@@ -72,8 +83,8 @@ __all__ = [
     "Program",
     "parse",
     "evaluate",
-    "format_program",
     "family_builder",
+    "deformation_family",
     "second_intersection",
     "FUNCTIONS",
     "RELATIONS",
@@ -212,7 +223,7 @@ REQUIREMENTS: dict[str, tuple[int, Callable[..., None]]] = {
 # drawable -> number of point labels
 DRAWABLES: dict[str, int] = {"segment": 2, "circle": 3}
 
-STATEMENTS = ("point", "param", "assert", "require") + tuple(DRAWABLES)
+STATEMENTS = ("point", "param", "assert", "require", *DRAWABLES, "deform")
 
 
 def _arity_phrase(kind: str) -> str:
@@ -286,6 +297,8 @@ class AssertStmt:
     kind: str
     labels: tuple[str, ...]
     span: tuple[int, int] = field(default=(0, 0), compare=False)
+    name: str | None = None  # a named assert is a claim of the family
+    description: str = ""
 
 
 @dataclass(frozen=True)
@@ -302,7 +315,15 @@ class Draw:
     span: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
-Statement = Union[Define, ParamDecl, AssertStmt, Require, Draw]
+@dataclass(frozen=True)
+class Deform:
+    labels: tuple[str, ...]
+    base: tuple[CoordPair, ...]
+    floor: Scalar | None = None
+    span: tuple[int, int] = field(default=(0, 0), compare=False)
+
+
+Statement = Union[Define, ParamDecl, AssertStmt, Require, Draw, Deform]
 
 
 @dataclass(frozen=True)
@@ -316,13 +337,17 @@ class Program:
     def asserts(self) -> tuple[AssertStmt, ...]:
         return tuple(s for s in self.statements if isinstance(s, AssertStmt))
 
+    def deform(self) -> Deform | None:
+        return next((s for s in self.statements if isinstance(s, Deform)),
+                    None)
+
 
 # ---------------------------------------------------------------------------
 # lexer
 
 @dataclass(frozen=True)
 class _Token:
-    kind: str  # ident | number | punct | newline | eof
+    kind: str  # ident | number | string | punct | newline | eof
     text: str
     line: int
     col: int
@@ -371,6 +396,14 @@ def _lex(source: str) -> list[_Token]:
                 tokens.append(_Token("number", raw[i:j], lineno, col))
                 i = j
                 continue
+            if ch == '"':
+                j = raw.find('"', i + 1)
+                if j < 0:
+                    raise ParseError(lineno, col, "unterminated string",
+                                     expected=('"',))
+                tokens.append(_Token("string", raw[i + 1:j], lineno, col))
+                i = j + 1
+                continue
             if ch in _PUNCT:
                 tokens.append(_Token("punct", ch, lineno, col))
                 i += 1
@@ -399,6 +432,9 @@ class _Parser:
         self.i = 0
         self.point_labels: set[str] = set()
         self.param_names: set[str] = set()
+        self.coordinate_labels: set[str] = set()
+        self.claim_names: set[str] = set()
+        self.deformed = False
 
     @property
     def cur(self) -> _Token:
@@ -466,6 +502,8 @@ class _Parser:
             return self.assert_stmt(span)
         if tok.text == "require":
             return self.require_stmt(span)
+        if tok.text == "deform":
+            return self.deform_stmt(tok)
         return self.draw_stmt(tok)
 
     def _fresh(self, tok: _Token) -> str:
@@ -480,6 +518,8 @@ class _Parser:
         self.expect("=")
         expr = self.point_expr()
         self.point_labels.add(label)
+        if isinstance(expr, CoordPair):
+            self.coordinate_labels.add(label)
         return Define(label, expr, span)
 
     def param_stmt(self, span: tuple[int, int]) -> ParamDecl:
@@ -522,7 +562,21 @@ class _Parser:
                              f"got {n}",
                              expected=(_arity_phrase(tok.text),))
         labels = [self.resolve_point(t) for t in arg_toks]
-        return AssertStmt(tok.text, tuple(labels), span)
+        if not (self.cur.kind == "ident" and self.cur.text == "as"):
+            return AssertStmt(tok.text, tuple(labels), span)
+        self.advance()
+        name = self.expect_ident("a claim name")
+        if name.text in self.claim_names:
+            raise ParseError(name.line, name.col,
+                             f"duplicate claim name {name.text!r}",
+                             expected=("a fresh claim name",))
+        if self.cur.kind != "string":
+            raise ParseError(self.prev.line, self.prev.col,
+                             "expected a quoted description",
+                             expected=("a quoted description",))
+        self.claim_names.add(name.text)
+        return AssertStmt(tok.text, tuple(labels), span, name.text,
+                          self.advance().text)
 
     def require_stmt(self, span: tuple[int, int]) -> Require:
         tok = self.expect_ident("a requirement name")
@@ -542,6 +596,43 @@ class _Parser:
         self.check_count(keyword, len(arg_toks), DRAWABLES[keyword.text])
         labels = [self.resolve_point(t) for t in arg_toks]
         return Draw(keyword.text, tuple(labels), (keyword.line, keyword.col))
+
+    def deform_stmt(self, keyword: _Token) -> Deform:
+        if self.deformed:
+            raise ParseError(keyword.line, keyword.col,
+                             "a program deforms only once",
+                             expected=("one deform statement",))
+        arg_toks = [self.expect_ident("a point label")]
+        while self.cur.kind == "ident" and self.cur.text != "about":
+            arg_toks.append(self.advance())
+        if self.cur.kind != "ident":
+            raise ParseError(self.prev.line, self.prev.col, "expected 'about'",
+                             expected=("about",))
+        self.advance()
+        base = [self.coord_pair()]
+        while self.cur.kind == "punct" and self.cur.text == "(":
+            base.append(self.coord_pair())
+        floor = None
+        if self.cur.kind == "ident" and self.cur.text == "floor":
+            self.advance()
+            floor = self.scalar()
+        if len(base) != len(arg_toks):
+            raise ArityError(keyword.line, keyword.col,
+                             f"deform names {len(arg_toks)} point labels but "
+                             f"gives {len(base)} base points",
+                             expected=(f"{len(arg_toks)} base points",))
+        labels: list[str] = []
+        for tok in arg_toks:
+            label = self.resolve_point(tok)
+            if label in labels or label not in self.coordinate_labels:
+                why = ("is named twice" if label in labels
+                       else "is constructed, not given by coordinates")
+                raise ParseError(tok.line, tok.col, f"deform: {label!r} {why}",
+                                 expected=("a coordinate point",))
+            labels.append(label)
+        self.deformed = True
+        return Deform(tuple(labels), tuple(base), floor,
+                      (keyword.line, keyword.col))
 
     def check_count(self, tok: _Token, got: int, wants: int) -> None:
         if got != wants:
@@ -568,12 +659,7 @@ class _Parser:
     def point_expr(self) -> PointExpr:
         tok = self.cur
         if tok.kind == "punct" and tok.text == "(":
-            self.advance()
-            x = self.scalar()
-            self.expect(",")
-            y = self.scalar()
-            self.expect(")")
-            return CoordPair(x, y)
+            return self.coord_pair()
         if tok.kind == "ident":
             if tok.text in FUNCTIONS:
                 return self.construct()
@@ -583,6 +669,14 @@ class _Parser:
         raise ParseError(tok.line, tok.col,
                          "expected coordinates or a construction call",
                          expected=("(", "a construction name"))
+
+    def coord_pair(self) -> CoordPair:
+        self.expect("(")
+        x = self.scalar()
+        self.expect(",")
+        y = self.scalar()
+        self.expect(")")
+        return CoordPair(x, y)
 
     def construct(self) -> Construct:
         tok = self.advance()
@@ -661,50 +755,6 @@ def parse(source: str) -> Program:
     """Parse script text into a Program, or raise ParseError on the first
     failure (no recovery)."""
     return _Parser(_lex(source)).program()
-
-
-# ---------------------------------------------------------------------------
-# pretty printer
-
-def _fmt_scalar(node: Scalar) -> str:
-    if isinstance(node, NumberLit):
-        return repr(node.value)
-    if isinstance(node, ParamRef):
-        return node.name
-    if isinstance(node, UnaryNeg):
-        inner = _fmt_scalar(node.operand)
-        return f"-{inner}"
-    return f"({_fmt_scalar(node.left)} {node.op} {_fmt_scalar(node.right)})"
-
-
-def _fmt_point_expr(expr: PointExpr) -> str:
-    if isinstance(expr, CoordPair):
-        return f"({_fmt_scalar(expr.x)}, {_fmt_scalar(expr.y)})"
-    args = list(expr.points)
-    if expr.angle is not None:
-        args.append(_fmt_scalar(expr.angle))
-    return f"{expr.func}({', '.join(args)})"
-
-
-def format_program(program: Program) -> str:
-    """Canonical text whose parse is structurally identical to `program`.
-
-    Scalar operations are emitted fully parenthesized, so precedence never
-    reshapes the tree on the way back in.
-    """
-    out = []
-    for stmt in program.statements:
-        if isinstance(stmt, ParamDecl):
-            out.append(f"param {stmt.name} = {stmt.default!r}")
-        elif isinstance(stmt, Define):
-            out.append(f"point {stmt.label} = {_fmt_point_expr(stmt.expr)}")
-        elif isinstance(stmt, AssertStmt):
-            out.append(f"assert {stmt.kind}({', '.join(stmt.labels)})")
-        elif isinstance(stmt, Require):
-            out.append(f"require {stmt.kind}({', '.join(stmt.labels)})")
-        else:
-            out.append(f"{stmt.shape} {' '.join(stmt.labels)}")
-    return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -867,22 +917,19 @@ def evaluate(program: Program, overrides: dict[str, float] | None = None,
     return config, verdicts
 
 
-def family_builder(program: Program, base_labels: Sequence[str],
-                   ) -> Callable[..., Configuration]:
-    """The builder of a deformation family whose figure is `program`.
+def family_builder(program: Program) -> Callable[..., Configuration]:
+    """The builder of the deformation family whose figure is `program`.
 
     `builder(*points)` runs the program under the default tolerance with
-    the given points in place of the coordinates of `base_labels`.  It
-    raises the error of a failed require, or of a failed construction that
-    an assertion or requirement depends on, so a sampler rejects the draw;
-    any other failed label is left out, as `evaluate` leaves it out.
+    the given points in place of the coordinates of the labels its
+    `deform` statement names.  It raises the error of a failed require, or
+    of a failed construction that an assertion or requirement depends on,
+    so a sampler rejects the draw; any other failed label is left out, as
+    `evaluate` leaves it out.  ValueError when the program has no `deform`.
     """
-    labels = tuple(base_labels)
-    literal = {s.label for s in program.statements
-               if isinstance(s, Define) and isinstance(s.expr, CoordPair)}
-    if not literal.issuperset(labels):
-        raise ValueError(f"base labels {labels} are not all coordinate "
-                         f"points of the program")
+    deform = program.deform()
+    if deform is None:
+        raise ValueError("the program has no deform statement")
     params = program.params()
     needed = {lb for s in program.statements
               if isinstance(s, (AssertStmt, Require)) for lb in s.labels}
@@ -895,7 +942,27 @@ def family_builder(program: Program, base_labels: Sequence[str],
                   if isinstance(s, (Define, Require, Draw)))
 
     def builder(*points: Point) -> Configuration:
-        given = dict(zip(labels, points, strict=True))
+        given = dict(zip(deform.labels, points, strict=True))
         return _construct(steps, params, DEFAULT_TOL, given, frozen)[0]
 
     return builder
+
+
+def deformation_family(program: Program, name: str) -> DeformationFamily:
+    """The family `name` of `program`: the base points and floor of its
+    `deform` statement, evaluated at the param defaults, and
+    `family_builder(program)`.  ValueError when the program has no
+    `deform` or a base point or the floor is out of range."""
+    builder = family_builder(program)
+    deform = program.deform()
+    params = program.params()
+    try:
+        base = tuple(Point(_eval_scalar(p.x, params), _eval_scalar(p.y, params))
+                     for p in deform.base)
+        floor = (0.0 if deform.floor is None
+                 else _eval_scalar(deform.floor, params))
+    except (GeometryError, ArithmeticError) as exc:
+        raise ValueError(f"deform: {exc}") from None
+    if not (math.isfinite(floor) and floor >= 0.0):
+        raise ValueError(f"deform: floor must be finite and >= 0, got {floor}")
+    return DeformationFamily(name, base, builder, floor)

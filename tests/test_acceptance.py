@@ -15,7 +15,7 @@ import time
 import pytest
 
 from geodeform.catalog import CLAIMS, FAMILIES
-from geodeform.centers import CenterKind, fermat_oracle, triangle_center
+from geodeform.centers import CenterKind, triangle_center
 from geodeform.cli import main
 from geodeform.configurations import Configuration
 from geodeform.core import Circle, GeometryError, Point, dist
@@ -23,6 +23,7 @@ from geodeform.deform import RelationClaim, SplitMix64, sample, \
     scaling_probe, verify
 from geodeform.relations import check_concyclic, check_on_conic, fit_conic
 from geodeform.script import ParseError, evaluate, parse
+from fermat_oracle import fermat_oracle
 from oracle_builders import build_bisector_variant, build_example1, \
     build_example2, build_example3, build_theorem1
 

@@ -8,10 +8,8 @@ import pytest
 from geodeform.centers import (
     CenterKind,
     IllConditioned,
-    ObtuseFermatWarning,
     Orientation,
     equilateral_apex,
-    fermat_oracle,
     right_isosceles_apex,
     triangle_center,
 )
@@ -23,6 +21,7 @@ from geodeform.core import (
     line_through,
     midpoint,
 )
+from fermat_oracle import ObtuseFermatWarning, fermat_oracle
 
 S3 = math.sqrt(3.0)
 

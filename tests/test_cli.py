@@ -58,6 +58,68 @@ def test_verify_unknown_claim(capsys):
     assert "theorem1_perp" in err  # the valid list is offered
 
 
+def test_verify_program_equals_its_named_claims(capsys):
+    argv = ("--seed", "7", "--samples", "50")
+    by_path = run_cli(capsys, "verify", str(SCRIPTS / "theorem1.geo"), *argv)
+    by_name = run_cli(capsys, "verify", "theorem1_perp", "theorem1_equal",
+                      *argv)
+    assert by_path == by_name
+    assert by_path[0] == 0 and len(by_path[1].splitlines()) == 2
+
+
+USER_FIGURE = """\
+point A = (0, 0)
+point B = (1, 0)
+point C = (0, 1)
+deform A B C about (0, 0) (1, 0) (0, 1)
+point M = midpoint(A, B)
+point G = centroid(A, B, C)
+assert collinear(C, G, M) as median "the centroid lies on a median"
+assert collinear(A, G, B) as on_side "the centroid lies on a side"
+"""
+
+
+def test_verify_deforms_a_user_figure(capsys, tmp_path):
+    path = tmp_path / "medians.geo"
+    path.write_text(USER_FIGURE)
+    report = tmp_path / "medians.json"
+    code, out, err = run_cli(capsys, "verify", str(path), "theorem1_perp",
+                             "--samples", "30", "--json", str(report))
+    assert code == 1 and not err
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        "median", "on_side", "theorem1_perp"]
+    claims = json.loads(report.read_text())["claims"]
+    assert [(c["family"], c["verdict"]) for c in claims] == [
+        ("medians", "theorem"), ("medians", "refuted"),
+        ("theorem1", "theorem")]
+    assert claims[0]["description"] == "the centroid lies on a median"
+
+
+@pytest.mark.parametrize("source, message", [
+    (USER_FIGURE.replace("deform", "# deform"), "no deform statement"),
+    (re.sub(r' as \w+ "[^"]*"', "", USER_FIGURE), "no named assert"),
+])
+def test_verify_program_without_deform_or_claims_is_usage_error(
+        capsys, tmp_path, source, message):
+    path = tmp_path / "figure.geo"
+    path.write_text(source)
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 2 and not out
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and message in err
+
+
+def test_verify_program_parse_error_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "broken.geo"
+    path.write_text(USER_FIGURE.replace('"the centroid lies on a side"',
+                                        '"unterminated'))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 2 and not out
+    assert err.strip() == f"{path}:8:38: unterminated string"
+    code, _, err = run_cli(capsys, "verify", str(tmp_path / "missing.geo"))
+    assert code == 2 and err.startswith("error: ")
+
+
 def test_verify_eps_below_family_floor(capsys):
     code, _, err = run_cli(capsys, "verify", "example2_concyclic",
                            "--samples", "5", "--eps", "1e-9")

@@ -172,15 +172,56 @@ def test_example3_circumcevian_points_on_circumcircle():
         assert abs(dist(p, circ.center) - circ.radius) < 1e-9
 
 
-def test_claim_labels_are_asserted_in_family_program():
-    """A family builder rejects a draw only when a construction that an
-    assertion of its program depends on fails, so every claim may rely
-    only on asserted labels."""
-    for name, built_in in CLAIMS.items():
-        program = files("geodeform") / "scripts" / f"{built_in.family.name}.geo"
-        asserted = {label for stmt in parse(program.read_text()).asserts()
-                    for label in stmt.labels}
-        assert set(built_in.claim.labels) <= asserted, name
+SQUARE_BASE = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
+EQUILATERAL_BASE = ((0.0, 0.0), (1.0, 0.0), (0.5, 0.8660254037844386))
+LOADED_FAMILIES = {
+    "theorem1": (SQUARE_BASE, 0.0),
+    "bisector": (SQUARE_BASE, 0.0),
+    "example1": (EQUILATERAL_BASE, 0.0),
+    "example2": (EQUILATERAL_BASE, 1e-6),
+    "example3": (EQUILATERAL_BASE + ((0.5, 0.28867513459481287),), 0.0),
+}
+LOADED_CLAIMS = [
+    ("theorem1_perp", "theorem1", "perpendicular",
+     ("O_ab", "O_cd", "O_bc", "O_da"), "apex diagonals are perpendicular"),
+    ("theorem1_equal", "theorem1", "equal_length",
+     ("O_ab", "O_cd", "O_bc", "O_da"), "apex diagonals have equal length"),
+    ("bisector_concyclic", "bisector", "concyclic",
+     ("O_1", "O_2", "O_3", "O_4"), "adjacent-bisector meets are concyclic"),
+    ("example1_equilateral", "example1", "equal_length",
+     ("O_a", "O_b", "O_b", "O_c", "O_c", "O_a"),
+     "erected-triangle centroids form an equilateral triangle"),
+    ("example1_fermat_on_circle", "example1", "concyclic",
+     ("O_a", "O_b", "O_c", "F1"),
+     "first Fermat point lies on the centroid circle"),
+    ("example2_concyclic", "example2", "concyclic",
+     ("F_a", "F_b", "F_c", "F2"),
+     "second Fermat point lies on the sub-triangle Fermat circle"),
+    ("example3_prime_concyclic", "example3", "concyclic",
+     ("N_a'", "N_b'", "N_c'", "N"),
+     "line-reflected nine-point centers are concyclic with the base one"),
+    ("example3_doubleprime_concyclic", "example3", "concyclic",
+     ("N_a''", "N_b''", "N_c''", "N"),
+     "midpoint-reflected nine-point centers are concyclic with the base one"),
+]
+
+
+def test_loaded_claims_and_families_are_pinned():
+    """The catalog as loaded from the shipped family programs: claims in
+    `verify all` order, and each family's base points bit for bit."""
+    assert [(name, c.family.name, c.claim.kind, c.claim.labels,
+             c.claim.description) for name, c in CLAIMS.items()] \
+        == LOADED_CLAIMS
+    assert all(c.name == name for name, c in CLAIMS.items())
+    assert [n for n, c in CLAIMS.items() if c.annotate is not None] == [
+        "example1_fermat_on_circle"]
+    assert S3 / 2.0 == 0.8660254037844386 and S3 / 6.0 == 0.28867513459481287
+    bits = lambda points: [(x.hex(), y.hex()) for x, y in points]  # noqa: E731
+    assert list(FAMILIES) == list(LOADED_FAMILIES)
+    for name, (base, floor) in LOADED_FAMILIES.items():
+        family = FAMILIES[name]
+        assert bits((p.x, p.y) for p in family.base_points) == bits(base), name
+        assert family.epsilon_floor == floor, name
 
 
 def test_second_intersection_antipode():

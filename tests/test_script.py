@@ -14,8 +14,8 @@ from geodeform.script import (
     UnknownParam,
     UseBeforeDefine,
     evaluate,
+    deformation_family,
     family_builder,
-    format_program,
     parse,
 )
 
@@ -94,7 +94,7 @@ def test_param_used_as_point_is_reported():
 def test_empty_program_rejected():
     err = parse_error("  \n# only a comment\n")
     assert err.expected == ("point", "param", "assert", "require", "segment",
-                            "circle")
+                            "circle", "deform")
 
 
 def test_every_parse_error_carries_expectations():
@@ -196,21 +196,6 @@ def test_evaluator_scale_is_whole_figure():
     assert verdicts[0].passed
 
 
-def test_format_program_round_trip():
-    src = ("param s = 2.0\n"
-           "point A = (0, 0)\n"
-           "point B = (s * 3, -1)\n"
-           "point M = midpoint(A, B)\n"
-           "point R = rotate(B, A, 45)\n"
-           "require inside(M, A, B, R)\n"
-           "require convex(A, B, R, M)\n"
-           "segment A B\n"
-           "circle A B R\n"
-           "assert collinear(A, M, B)\n")
-    prog = parse(src)
-    assert parse(format_program(prog)) == prog
-
-
 def test_require_and_drawing_errors():
     head = "point A = (0,0)\npoint B = (1,0)\npoint C = (0,1)\n"
     err = parse_error(head + "require round(A, B, C, A)")
@@ -252,8 +237,9 @@ def test_requires_are_scale_honest(case):
     requirement, base, expected = REQUIRE_CASES[case]
     program = parse("point A = (0,0)\npoint B = (0,0)\npoint C = (0,0)\n"
                     "point P = (0,0)\n"
+                    "deform A B C P about (0, 0) (0, 0) (0, 0) (0, 0)\n"
                     f"require {requirement}\n")
-    builder = family_builder(program, ("A", "B", "C", "P"))
+    builder = family_builder(program)
 
     def outcome(k):
         try:
@@ -322,22 +308,23 @@ def test_drawables_skip_poisoned_labels():
 
 
 def test_family_builder_rejects_only_on_asserted_labels():
-    program = parse("point A = (0,0)\npoint B = (2,0)\npoint C = (0,2)\n"
-                    "point M = midpoint(A, B)\n"
-                    "point O = circumcenter(A, B, C)\n"
-                    "point I = incenter(A, M, B)\n"
-                    "segment A O\n"
-                    "segment O I\n"
-                    "assert equal_length(O, A, O, B)\n")
-    build = family_builder(program, ["A", "B", "C"])
+    source = ("point A = (0,0)\npoint B = (2,0)\npoint C = (0,2)\n"
+              "point M = midpoint(A, B)\n"
+              "point O = circumcenter(A, B, C)\n"
+              "point I = incenter(A, M, B)\n"
+              "segment A O\n"
+              "segment O I\n"
+              "assert equal_length(O, A, O, B)\n")
+    build = family_builder(parse(source + "deform A B C about (0, 0) (1, 0) "
+                                          "(0, 1)\n"))
     config = build(Point(0, 0), Point(4, 0), Point(0, 4))
     assert config.point("O") == Point(2.0, 2.0)
     assert "I" not in config.objects  # not asserted: drops out
     assert config.edges == (("A", "O"),)
     with pytest.raises(GeometryError):  # O is asserted
         build(Point(0, 0), Point(1, 0), Point(2, 0))
-    with pytest.raises(ValueError):
-        family_builder(program, ["A", "M"])
+    with pytest.raises(ValueError, match="no deform statement"):
+        family_builder(parse(source))
 
 
 @pytest.mark.parametrize("kind, passing, failing", [
@@ -389,3 +376,61 @@ def test_builtin_equivalence_of_theorem1_script():
         Point(4.9135631958931025, 0.0))
     for label in ("O_ab", "O_bc", "O_cd", "O_da"):
         assert config.point(label) == built.point(label), label
+
+
+HEAD = "point A = (0, 0)\npoint B = (1, 0)\npoint C = (0, 1)\n"
+
+
+@pytest.mark.parametrize("source, error, line, col", [
+    # the count is a shape error, reported at the keyword like `segment`'s
+    ("deform A B C about (0, 0) (1, 0)\n", ArityError, 4, 1),
+    ("deform A B about (0, 0) (1, 0) (0, 1)\n", ArityError, 4, 1),
+    ("point M = midpoint(A, B)\ndeform A M about (0, 0) (1, 0)\n",
+     ParseError, 5, 10),
+    ("deform A B A about (0, 0) (1, 0) (0, 1)\n", ParseError, 4, 12),
+    ("deform A Q about (0, 0) (1, 0)\n", UseBeforeDefine, 4, 10),
+    ("deform A B (0, 0) (1, 0)\n", ParseError, 4, 10),
+    ("deform A B about 0, 0\n", ParseError, 4, 12),
+    ("deform A B about (0, 0) (1, 0)\ndeform C about (0, 1)\n",
+     ParseError, 5, 1),
+    ("deform A B about (0, 0) (1, 0) floor\n", ParseError, 4, 37),
+    ("assert collinear(A, B, C) as same \"one\"\n"
+     "assert collinear(C, B, A) as same \"two\"\n", ParseError, 5, 30),
+    ("assert collinear(A, B, C) as line \"unterminated\n", ParseError, 4, 35),
+    ("assert collinear(A, B, C) as line\n", ParseError, 4, 30),
+    ("assert collinear(A, B, C) as \"no name\"\n", ParseError, 4, 30),
+])
+def test_deform_and_named_assert_errors(source, error, line, col):
+    err = parse_error(HEAD + source)
+    assert type(err) is error
+    assert (err.line, err.col) == (line, col), err
+
+
+def test_deform_and_named_asserts_parse():
+    program = parse(HEAD + "param s = 2\n"
+                    "deform A B C about (0, 0) (s, 0) (0, s / 2) floor s * 1e-3\n"
+                    "assert collinear(A, B, C)\n"
+                    "assert collinear(A, B, C) as flat \"A, B and C # line\"\n")
+    plain, named = program.asserts()
+    assert plain.name is None and plain.description == ""
+    assert (named.name, named.description) == ("flat", "A, B and C # line")
+    assert program.deform().labels == ("A", "B", "C")
+    family = deformation_family(program, "demo")
+    assert family.name == "demo"
+    assert family.base_points == (Point(0, 0), Point(2, 0), Point(0, 1))
+    assert family.epsilon_floor == 2e-3
+    # run judges a named assert like any other and ignores deform
+    config, verdicts = evaluate(program)
+    assert [v.passed for v in verdicts] == [False, False]
+    assert config.point("B") == Point(1, 0)
+
+
+@pytest.mark.parametrize("deform", [
+    "deform A B C about (0, 0) (1, 0) (0, 1) floor -1",
+    "deform A B C about (0, 0) (1, 0) (0, 1) floor 1e999",
+    "deform A B C about (0, 0) (1, 0) (0, 1e999)",
+    "deform A B C about (0, 0) (1, 0) (0, 1 / 0)",
+])
+def test_deformation_family_rejects_bad_base(deform):
+    with pytest.raises(ValueError, match="deform"):
+        deformation_family(parse(HEAD + deform + "\n"), "bad")
