@@ -45,8 +45,9 @@ family that rebuilds the figure from deformed base points.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 from .centers import CenterKind, Orientation, equilateral_apex, \
     right_isosceles_apex, triangle_center
@@ -345,8 +346,7 @@ class Program:
 # ---------------------------------------------------------------------------
 # lexer
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # ident | number | string | punct | newline | eof
     text: str
     line: int
@@ -354,6 +354,8 @@ class _Token:
 
 
 _PUNCT = "(),=+-*/"
+# the rest of an identifier: characters that are str.isalnum(), "_" or "'"
+_IDENT_TAIL = re.compile(r"[\w']*")
 
 
 def _lex(source: str) -> list[_Token]:
@@ -371,9 +373,7 @@ def _lex(source: str) -> list[_Token]:
                 break
             col = i + 1
             if ch.isalpha() or ch == "_":
-                j = i + 1
-                while j < n and (raw[j].isalnum() or raw[j] in "_'"):
-                    j += 1
+                j = _IDENT_TAIL.match(raw, i + 1).end()
                 tokens.append(_Token("ident", raw[i:j], lineno, col))
                 i = j
                 continue
@@ -930,6 +930,7 @@ def family_builder(program: Program) -> Callable[..., Configuration]:
     deform = program.deform()
     if deform is None:
         raise ValueError("the program has no deform statement")
+    labels = deform.labels
     params = program.params()
     needed = {lb for s in program.statements
               if isinstance(s, (AssertStmt, Require)) for lb in s.labels}
@@ -942,7 +943,7 @@ def family_builder(program: Program) -> Callable[..., Configuration]:
                   if isinstance(s, (Define, Require, Draw)))
 
     def builder(*points: Point) -> Configuration:
-        given = dict(zip(deform.labels, points, strict=True))
+        given = dict(zip(labels, points, strict=True))
         return _construct(steps, params, DEFAULT_TOL, given, frozen)[0]
 
     return builder
