@@ -26,7 +26,8 @@ from .configurations import (
     PointOutsideCircumcircle,
 )
 from .core import (
-    DEFAULT_TOL,
+    FLOOR,
+    GUARD,
     Circle,
     CoincidentPoints,
     CollinearPoints,
@@ -37,7 +38,6 @@ from .core import (
     NonFiniteInput,
     Parallel,
     Point,
-    ToleranceBudget,
     angle_bisector,
     circumcircle,
     dist,
@@ -62,6 +62,7 @@ from .deform import (
     verify,
 )
 from .relations import (
+    REL_TOL,
     Conic,
     DegeneratePosition,
     RelationVerdict,

@@ -3,7 +3,7 @@
 The two Fermat points are built constructively (vertex-to-apex line
 concurrency) rather than from trigonometric barycentrics, so their
 conditioning is explicit: the pairwise meets of the three defining lines
-must agree within the relative tolerance or IllConditioned is raised.
+must agree within the fixed guard GUARD or IllConditioned is raised.
 The tests hold the first Fermat point against an independent Weiszfeld
 iteration (`tests/fermat_oracle.py`).
 """
@@ -14,14 +14,14 @@ import enum
 import math
 
 from .core import (
-    DEFAULT_TOL,
+    FLOOR,
+    GUARD,
     CoincidentPoints,
     CollinearPoints,
     GeometryError,
     Line,
     Parallel,
     Point,
-    ToleranceBudget,
     circumcircle,
     diameter,
     dist,
@@ -66,7 +66,7 @@ class Orientation(enum.Enum):
 
 class IllConditioned(GeometryError):
     """The defining lines of a constructed center do not pin it down to
-    within the relative tolerance."""
+    within the guard GUARD."""
 
 
 def _sign(x: float) -> float:
@@ -86,10 +86,10 @@ def _pick_side(base1: Point, base2: Point, candidate_offset: Point,
 
 
 def equilateral_apex(base1: Point, base2: Point, orientation: Orientation,
-                     reference: Point, tol: ToleranceBudget = DEFAULT_TOL) -> Point:
+                     reference: Point) -> Point:
     """Apex completing an equilateral triangle on the segment base1-base2."""
     d = dist(base1, base2)
-    if d <= tol.abs_floor * max(1.0, d):
+    if d <= FLOOR * max(1.0, d):
         raise CoincidentPoints("equilateral apex on a zero-length base")
     m = midpoint(base1, base2)
     offset = perp(base2 - base1) * (math.sqrt(3.0) / 2.0)
@@ -97,62 +97,60 @@ def equilateral_apex(base1: Point, base2: Point, orientation: Orientation,
 
 
 def right_isosceles_apex(end1: Point, end2: Point, orientation: Orientation,
-                         reference: Point, tol: ToleranceBudget = DEFAULT_TOL) -> Point:
+                         reference: Point) -> Point:
     """Apex O with |O-end1| = |O-end2| and a right angle at O."""
     d = dist(end1, end2)
-    if d <= tol.abs_floor * max(1.0, d):
+    if d <= FLOOR * max(1.0, d):
         raise CoincidentPoints("right-isosceles apex on a zero-length base")
     m = midpoint(end1, end2)
     offset = perp(end2 - end1) * 0.5
     return _pick_side(end1, end2, offset, m, orientation, reference)
 
 
-def _require_triangle(a: Point, b: Point, c: Point, tol: ToleranceBudget) -> float:
+def _require_triangle(a: Point, b: Point, c: Point) -> float:
     diam = max(dist(a, b), dist(b, c), dist(c, a))
-    if min(dist(a, b), dist(b, c), dist(c, a)) <= tol.abs_floor * max(1.0, diam):
+    if min(dist(a, b), dist(b, c), dist(c, a)) <= FLOOR * max(1.0, diam):
         raise CoincidentPoints("triangle with coincident vertices")
-    if abs(signed_area(a, b, c)) <= tol.abs_floor * diam * diam:
+    if abs(signed_area(a, b, c)) <= FLOOR * diam * diam:
         raise CollinearPoints(f"degenerate triangle {a}, {b}, {c}")
     return diam
 
 
-def _fermat_lines(a: Point, b: Point, c: Point, orientation: Orientation,
-                  tol: ToleranceBudget) -> list[Line]:
-    apex_a = equilateral_apex(b, c, orientation, a, tol)
-    apex_b = equilateral_apex(c, a, orientation, b, tol)
-    apex_c = equilateral_apex(a, b, orientation, c, tol)
+def _fermat_lines(a: Point, b: Point, c: Point,
+                  orientation: Orientation) -> list[Line]:
+    apex_a = equilateral_apex(b, c, orientation, a)
+    apex_b = equilateral_apex(c, a, orientation, b)
+    apex_c = equilateral_apex(a, b, orientation, c)
     try:
-        return [line_through(a, apex_a, tol),
-                line_through(b, apex_b, tol),
-                line_through(c, apex_c, tol)]
+        return [line_through(a, apex_a),
+                line_through(b, apex_b),
+                line_through(c, apex_c)]
     except CoincidentPoints as exc:
         raise IllConditioned(f"fermat construction degenerates: {exc}") from exc
 
 
-def _concurrent_point(lines: list[Line], diam: float,
-                      tol: ToleranceBudget) -> Point:
+def _concurrent_point(lines: list[Line], diam: float) -> Point:
     """Least-squares meet of three concurrent lines, with a spread check."""
     meets = []
     for i in range(3):
         for j in range(i + 1, 3):
             try:
-                meets.append(intersect(lines[i], lines[j], tol)[0])
+                meets.append(intersect(lines[i], lines[j])[0])
             except GeometryError as exc:
                 raise IllConditioned(f"defining lines nearly parallel: {exc}") from exc
     spread = diameter(meets)
-    if spread > tol.rel_tol * diam:
+    if spread > GUARD * diam:
         raise IllConditioned(
             f"defining lines meet with spread {spread:.3e} over scale {diam:.3e}")
     try:
-        return least_squares_meet(lines, tol.abs_floor)
+        return least_squares_meet(lines, FLOOR)
     except Parallel as exc:
         raise IllConditioned("defining lines form a near-parallel pencil") from exc
 
 
-def triangle_center(kind: CenterKind, a: Point, b: Point, c: Point,
-                    tol: ToleranceBudget = DEFAULT_TOL) -> Point:
+def triangle_center(kind: CenterKind, a: Point, b: Point, c: Point) -> Point:
     """The requested center of triangle abc (any vertex order)."""
-    diam = _require_triangle(a, b, c, tol)
+    diam = _require_triangle(a, b, c)
     if kind is CenterKind.X1:
         la, lb, lc = dist(b, c), dist(c, a), dist(a, b)
         s = la + lb + lc
@@ -161,18 +159,18 @@ def triangle_center(kind: CenterKind, a: Point, b: Point, c: Point,
     if kind is CenterKind.X2:
         return Point((a.x + b.x + c.x) / 3.0, (a.y + b.y + c.y) / 3.0)
     if kind is CenterKind.X3:
-        return circumcircle(a, b, c, tol).center
+        return circumcircle(a, b, c).center
     if kind is CenterKind.X4:
-        o = circumcircle(a, b, c, tol).center
+        o = circumcircle(a, b, c).center
         return Point(a.x + b.x + c.x - 2.0 * o.x, a.y + b.y + c.y - 2.0 * o.y)
     if kind is CenterKind.X5:
-        o = circumcircle(a, b, c, tol).center
+        o = circumcircle(a, b, c).center
         h = Point(a.x + b.x + c.x - 2.0 * o.x, a.y + b.y + c.y - 2.0 * o.y)
         return midpoint(o, h)
     if kind is CenterKind.X13:
-        lines = _fermat_lines(a, b, c, Orientation.AWAY_FROM_REFERENCE, tol)
-        return _concurrent_point(lines, diam, tol)
+        lines = _fermat_lines(a, b, c, Orientation.AWAY_FROM_REFERENCE)
+        return _concurrent_point(lines, diam)
     if kind is CenterKind.X14:
-        lines = _fermat_lines(a, b, c, Orientation.TOWARD_REFERENCE, tol)
-        return _concurrent_point(lines, diam, tol)
+        lines = _fermat_lines(a, b, c, Orientation.TOWARD_REFERENCE)
+        return _concurrent_point(lines, diam)
     raise ValueError(f"unsupported center kind {kind!r}")

@@ -33,8 +33,9 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .catalog import CLAIMS, NamedClaim, claim_names, program_claims
-from .core import DEFAULT_TOL, GeometryError, ToleranceBudget
+from .core import FLOOR, GeometryError
 from .deform import VerificationReport, sample, scaling_probe, verify
+from .relations import REL_TOL
 from .render import render
 from .script import ParseError, UnknownParam, evaluate, parse
 
@@ -46,10 +47,6 @@ __all__ = ["main"]
 
 def _tool_tag() -> str:
     return f"geodeform {__version__}"
-
-
-def _tolerance(args: argparse.Namespace) -> ToleranceBudget:
-    return ToleranceBudget(rel_tol=args.tol)
 
 
 def _write_json(path: str, document: dict) -> None:
@@ -111,10 +108,11 @@ def _report_entry(named: NamedClaim, report: VerificationReport,
 
 def _selected_claims(names: list[str]) -> list[NamedClaim] | None:
     """The claims `verify` was asked for, in order: built-in claims by
-    name (`all` for every one) and the named asserts of `.geo` programs.
-    None after reporting on stderr why the invocation is unusable."""
-    if "all" in names:
-        return list(CLAIMS.values())
+    name (`all` for every one, in its place) and the named asserts of
+    `.geo` programs.  None after reporting on stderr why the invocation is
+    unusable."""
+    names = [n for name in names
+             for n in (CLAIMS if name == "all" else [name])]
     unknown = [n for n in names if n not in CLAIMS and not n.endswith(".geo")]
     if unknown:
         print(f"unknown claim(s): {', '.join(unknown)}", file=sys.stderr)
@@ -142,7 +140,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     selected = _selected_claims(args.claims)
     if selected is None:
         return 2
-    tol = _tolerance(args)
     grid = args.eps_grid
     entries = []
     all_theorem = True
@@ -159,10 +156,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 start = time.perf_counter()
                 if grid is not None:
                     reports = scaling_probe(family, [c.claim for c in claims],
-                                            grid, args.samples, args.seed, tol)
+                                            grid, args.samples, args.seed,
+                                            args.tol)
                 else:
                     reports = verify(family, [c.claim for c in claims],
-                                     args.samples, args.eps, args.seed, tol)
+                                     args.samples, args.eps, args.seed,
+                                     args.tol)
                 elapsed = time.perf_counter() - start
                 judged.update((c, (report, elapsed))
                               for c, report in zip(claims, reports))
@@ -172,7 +171,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 start = time.perf_counter()
                 probe_eps = grid[-1] if grid is not None else args.eps
                 notes = named.annotate(
-                    sample(named.family, probe_eps, args.seed, tol))
+                    sample(named.family, probe_eps, args.seed))
                 convention = notes.get("convention")
                 wall += time.perf_counter() - start
             entries.append(_report_entry(named, report, wall, convention))
@@ -193,8 +192,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 "claims_requested": args.claims,
                 "samples": args.samples,
                 "seed": args.seed,
-                "tolerance": {"rel_tol": tol.rel_tol,
-                              "abs_floor": tol.abs_floor},
+                "tolerance": {"rel_tol": args.tol, "abs_floor": FLOOR},
                 "epsilon": args.eps if grid is None else None,
                 "epsilon_grid": grid,
                 "claims": entries,
@@ -202,7 +200,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             _write_json(args.json, document)
         if args.svg:
             eps = grid[-1] if grid is not None else args.eps
-            render(sample(selected[0].family, eps, args.seed, tol), args.svg)
+            render(sample(selected[0].family, eps, args.seed), args.svg)
     except (ValueError, GeometryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -243,9 +241,9 @@ def _read_program(path: str | Traversable, hint: str | None = None):
 
 
 def _evaluate_script(path: str | Traversable, pairs: list[str],
-                     tol: ToleranceBudget, hint: str | None = None):
+                     rel_tol: float, hint: str | None = None):
     """Read, parse and evaluate a script, a file name or a shipped program,
-    with its --param overrides.
+    with its --param overrides, judging assertions against `rel_tol`.
 
     Returns (program, configuration, verdicts, evaluation seconds), or None
     after reporting on stderr why the invocation is unusable (exit 2).
@@ -256,7 +254,7 @@ def _evaluate_script(path: str | Traversable, pairs: list[str],
     try:
         overrides = _parse_overrides(pairs)
         start = time.perf_counter()
-        config, verdicts = evaluate(program, overrides, tol)
+        config, verdicts = evaluate(program, overrides, rel_tol)
     except (UnknownParam, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
@@ -264,8 +262,7 @@ def _evaluate_script(path: str | Traversable, pairs: list[str],
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    tol = _tolerance(args)
-    loaded = _evaluate_script(args.path, args.param, tol)
+    loaded = _evaluate_script(args.path, args.param, args.tol)
     if loaded is None:
         return 2
     program, config, verdicts, wall = loaded
@@ -296,8 +293,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 "command": "run",
                 "path": args.path,
                 "params": {k: v for k, v in sorted(config.params.items())},
-                "tolerance": {"rel_tol": tol.rel_tol,
-                              "abs_floor": tol.abs_floor},
+                "tolerance": {"rel_tol": args.tol, "abs_floor": FLOOR},
                 "asserts": entries,
                 "wall_time_s": round(wall, 6),
             })
@@ -329,7 +325,7 @@ def cmd_shapes(_args: argparse.Namespace) -> int:
 def cmd_render(args: argparse.Namespace) -> int:
     source = _shapes().get(args.source.lower(), args.source)
     loaded = _evaluate_script(
-        source, args.param, DEFAULT_TOL,
+        source, args.param, REL_TOL,
         "(give a shape name from `geodeform shapes` or a .geo file)")
     if loaded is None:
         return 2
@@ -362,7 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--eps-grid", type=_parse_eps_grid, default=None,
                           metavar="A,B,C",
                           help="epsilon grid; runs the scaling probe instead")
-    p_verify.add_argument("--tol", type=_parse_tol, default=1e-9,
+    p_verify.add_argument("--tol", type=_parse_tol, default=REL_TOL,
                           help="relative tolerance for the theorem verdict")
     p_verify.add_argument("--json", metavar="PATH",
                           help="write the machine-readable report here")
@@ -374,7 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("path", metavar="SCRIPT.geo")
     p_run.add_argument("--param", action="append", default=[],
                        metavar="NAME=VALUE", help="override a script param")
-    p_run.add_argument("--tol", type=_parse_tol, default=1e-9)
+    p_run.add_argument("--tol", type=_parse_tol, default=REL_TOL)
     p_run.add_argument("--json", metavar="PATH")
     p_run.add_argument("--svg", metavar="PATH")
     p_run.set_defaults(func=cmd_run)

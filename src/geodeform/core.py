@@ -3,9 +3,11 @@ constructions everything else is built from.
 
 All operations are pure functions over immutable values.  Degenerate
 inputs raise a :class:`GeometryError` subclass; near-degenerate cases are
-decided with an absolute floor scaled by the size of the inputs, so the
-whole module behaves identically under translation, rotation and uniform
-scaling of its inputs.
+decided with the fixed relative floor FLOOR scaled by the size of the
+inputs, so the whole module behaves identically under translation,
+rotation and uniform scaling of its inputs.  The degeneracy guards are
+properties of double-precision arithmetic, not of what a caller accepts
+as a theorem: no construction takes a tolerance.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ __all__ = [
     "Parallel",
     "ConcentricCircles",
     "DegenerateAngleWarning",
-    "ToleranceBudget",
-    "DEFAULT_TOL",
+    "FLOOR",
+    "GUARD",
     "Point",
     "Line",
     "Circle",
@@ -79,21 +81,13 @@ class DegenerateAngleWarning(UserWarning):
 # ---------------------------------------------------------------------------
 # value types
 
-@dataclass(frozen=True)
-class ToleranceBudget:
-    """Scale-relative tolerance plus an absolute floor for degeneracy tests."""
-
-    rel_tol: float = 1e-9
-    abs_floor: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
-            raise ValueError("rel_tol must be finite and positive")
-        if not (math.isfinite(self.abs_floor) and self.abs_floor > 0):
-            raise ValueError("abs_floor must be finite and positive")
-
-
-DEFAULT_TOL = ToleranceBudget()
+# Degeneracy floor, relative to the size of the inputs: coincident points,
+# collinear triples, parallel lines and tangencies are decided against it.
+FLOOR = 1e-12
+# Guard for constructions whose inputs carry roundoff from earlier steps:
+# the spread of lines meant to be concurrent, a second intersection
+# collapsing onto its origin, a flat anchor triple of a circle fit.
+GUARD = 1e-9
 
 
 @dataclass(frozen=True)
@@ -215,17 +209,16 @@ def signed_area(p: Point, q: Point, r: Point) -> float:
 # ---------------------------------------------------------------------------
 # constructions
 
-def line_through(p: Point, q: Point, tol: ToleranceBudget = DEFAULT_TOL) -> Line:
+def line_through(p: Point, q: Point) -> Line:
     """The unique line through two distinct points."""
-    if dist(p, q) <= tol.abs_floor * _local_scale(p, q):
+    if dist(p, q) <= FLOOR * _local_scale(p, q):
         raise CoincidentPoints(f"line through coincident points {p} and {q}")
     d = q - p
     # normal (dy, -dx); Line.__post_init__ normalizes and fixes the sign
     return Line(d.y, -d.x, -(d.y * p.x - d.x * p.y))
 
 
-def circumcircle(p: Point, q: Point, r: Point,
-                 tol: ToleranceBudget = DEFAULT_TOL) -> Circle:
+def circumcircle(p: Point, q: Point, r: Point) -> Circle:
     """Circle through three non-collinear points."""
     diam = max(dist(p, q), dist(q, r), dist(r, p))
     # b = q - p and c = r - p as bare floats: Point temporaries would
@@ -233,7 +226,7 @@ def circumcircle(p: Point, q: Point, r: Point,
     bx, by = q.x - p.x, q.y - p.y
     cx, cy = r.x - p.x, r.y - p.y
     cross = bx * cy - by * cx
-    if abs(cross / 2.0) <= tol.abs_floor * diam * diam:
+    if abs(cross / 2.0) <= FLOOR * diam * diam:
         raise CollinearPoints(f"circumcircle of collinear points {p}, {q}, {r}")
     d = 2.0 * cross
     b2 = bx * bx + by * by
@@ -268,8 +261,7 @@ def reflect_line(p: Point, line: Line) -> Point:
 # ---------------------------------------------------------------------------
 # intersections
 
-def intersect(a: Line | Circle, b: Line | Circle,
-              tol: ToleranceBudget = DEFAULT_TOL) -> list[Point]:
+def intersect(a: Line | Circle, b: Line | Circle) -> list[Point]:
     """All intersection points of two lines/circles, sorted by (x, y).
 
     A line pair yields one point or raises Parallel.  Tangency (discriminant
@@ -278,20 +270,20 @@ def intersect(a: Line | Circle, b: Line | Circle,
     radii yield the empty list; identical circles raise ConcentricCircles.
     """
     if isinstance(a, Line) and isinstance(b, Line):
-        return [_intersect_lines(a, b, tol)]
+        return [_intersect_lines(a, b)]
     if isinstance(a, Line) and isinstance(b, Circle):
-        return _intersect_line_circle(a, b, tol)
+        return _intersect_line_circle(a, b)
     if isinstance(a, Circle) and isinstance(b, Line):
-        return _intersect_line_circle(b, a, tol)
+        return _intersect_line_circle(b, a)
     if isinstance(a, Circle) and isinstance(b, Circle):
-        return _intersect_circles(a, b, tol)
+        return _intersect_circles(a, b)
     raise TypeError(f"cannot intersect {type(a).__name__} with {type(b).__name__}")
 
 
-def _intersect_lines(l1: Line, l2: Line, tol: ToleranceBudget) -> Point:
+def _intersect_lines(l1: Line, l2: Line) -> Point:
     # both normals are unit vectors, so the cross term is sin of the angle
     den = l1.a * l2.b - l2.a * l1.b
-    if abs(den) <= tol.abs_floor:
+    if abs(den) <= FLOOR:
         raise Parallel(f"parallel lines {l1} and {l2}")
     x = (l1.b * l2.c - l2.b * l1.c) / den
     y = (l2.a * l1.c - l1.a * l2.c) / den
@@ -316,11 +308,10 @@ def least_squares_meet(lines: Sequence[Line], floor: float) -> Point:
                  (sab * sac - saa * sbc) / det)
 
 
-def _intersect_line_circle(line: Line, circle: Circle,
-                           tol: ToleranceBudget) -> list[Point]:
+def _intersect_line_circle(line: Line, circle: Circle) -> list[Point]:
     s = line.value(circle.center)
     disc = circle.radius * circle.radius - s * s
-    floor = tol.abs_floor * max(circle.radius * circle.radius, 1e-300)
+    floor = FLOOR * max(circle.radius * circle.radius, 1e-300)
     if disc < -floor:
         return []
     foot = Point(circle.center.x - s * line.a, circle.center.y - s * line.b)
@@ -333,18 +324,17 @@ def _intersect_line_circle(line: Line, circle: Circle,
     return sorted(pts, key=lambda p: (p.x, p.y))
 
 
-def _intersect_circles(c1: Circle, c2: Circle,
-                       tol: ToleranceBudget) -> list[Point]:
+def _intersect_circles(c1: Circle, c2: Circle) -> list[Point]:
     d = dist(c1.center, c2.center)
     scale = max(c1.radius, c2.radius, 1e-300)
-    if d <= tol.abs_floor * _local_scale(c1.center, c2.center):
-        if abs(c1.radius - c2.radius) <= tol.abs_floor * scale:
+    if d <= FLOOR * _local_scale(c1.center, c2.center):
+        if abs(c1.radius - c2.radius) <= FLOOR * scale:
             raise ConcentricCircles("identical circles meet everywhere")
         return []  # concentric, distinct radii: no intersection
     u = (c2.center - c1.center) / d
     along = (d * d + c1.radius * c1.radius - c2.radius * c2.radius) / (2.0 * d)
     disc = c1.radius * c1.radius - along * along
-    floor = tol.abs_floor * scale * scale
+    floor = FLOOR * scale * scale
     if disc < -floor:
         return []
     foot = c1.center + along * u
@@ -360,8 +350,7 @@ def _intersect_circles(c1: Circle, c2: Circle,
 # ---------------------------------------------------------------------------
 # derived constructions
 
-def angle_bisector(vertex: Point, toward1: Point, toward2: Point,
-                   tol: ToleranceBudget = DEFAULT_TOL) -> Line:
+def angle_bisector(vertex: Point, toward1: Point, toward2: Point) -> Line:
     """Internal bisector of the angle at `vertex` between the two rays.
 
     For a straight angle the direction is ambiguous; the perpendicular to
@@ -370,25 +359,24 @@ def angle_bisector(vertex: Point, toward1: Point, toward2: Point,
     scale = _local_scale(vertex, toward1, toward2)
     d1 = dist(vertex, toward1)
     d2 = dist(vertex, toward2)
-    if min(d1, d2) <= tol.abs_floor * scale:
+    if min(d1, d2) <= FLOOR * scale:
         raise CoincidentPoints("bisector ray endpoint coincides with the vertex")
     # unit rays u1, u2 and their sum s as bare floats, for speed as in
     # circumcircle; the normal of the bisector is perp(s) = (-sy, sx)
     u1x, u1y = (toward1.x - vertex.x) / d1, (toward1.y - vertex.y) / d1
     u2x, u2y = (toward2.x - vertex.x) / d2, (toward2.y - vertex.y) / d2
     sx, sy = u1x + u2x, u1y + u2y
-    if math.hypot(sx, sy) <= tol.abs_floor:
+    if math.hypot(sx, sy) <= FLOOR:
         warnings.warn("straight angle: bisector direction set perpendicular "
                       "to the rays", DegenerateAngleWarning, stacklevel=2)
         sx, sy = -u1y, u1x
     return Line(-sy, sx, -(-sy * vertex.x + sx * vertex.y))
 
 
-def radical_axis(c1: Circle, c2: Circle,
-                 tol: ToleranceBudget = DEFAULT_TOL) -> Line:
+def radical_axis(c1: Circle, c2: Circle) -> Line:
     """Locus of points with equal power w.r.t. both circles."""
     scale = max(_local_scale(c1.center, c2.center), c1.radius, c2.radius)
-    if dist(c1.center, c2.center) <= tol.abs_floor * scale:
+    if dist(c1.center, c2.center) <= FLOOR * scale:
         raise ConcentricCircles("radical axis of concentric circles")
     a = 2.0 * (c2.center.x - c1.center.x)
     b = 2.0 * (c2.center.y - c1.center.y)

@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from .configurations import Configuration
-from .core import DEFAULT_TOL, GeometryError, Point, ToleranceBudget, diameter
-from .relations import RelationVerdict, evaluate_relation
+from .core import GeometryError, Point, diameter
+from .relations import REL_TOL, RelationVerdict, evaluate_relation
 
 __all__ = [
     "SplitMix64",
@@ -38,7 +38,7 @@ __all__ = [
 MASK64 = (1 << 64) - 1
 
 # a claim is refuted outright when residuals exceed this multiple of the
-# pass tolerance; between the two thresholds the verdict is inconclusive
+# pass threshold rel_tol; between the two the verdict is inconclusive
 REFUTE_FACTOR = 100.0
 # minimum fitted residual-growth exponent for the "approximate" verdict
 APPROXIMATE_MIN_EXPONENT = 0.5
@@ -108,7 +108,6 @@ class RelationClaim:
     description: str = ""
 
     def evaluate(self, config: Configuration,
-                 tol: ToleranceBudget = DEFAULT_TOL,
                  scale: float | None = None) -> RelationVerdict:
         # Judge the defect against the whole figure, not just the claimed
         # labels: near a degenerate base the claimed points may cluster,
@@ -116,7 +115,7 @@ class RelationClaim:
         points = [config.point(label) for label in self.labels]
         if scale is None:
             scale = config.diameter()
-        return evaluate_relation(self.kind, points, tol, scale=scale)
+        return evaluate_relation(self.kind, points, scale=scale)
 
 
 @dataclass(frozen=True)
@@ -135,13 +134,12 @@ class VerificationReport:
     scaling_exponent: float | None = None
     exponent_note: str = ""
     median_residuals: tuple[float, ...] = ()
-    rel_tol: float = DEFAULT_TOL.rel_tol
-    refute_tol: float = REFUTE_FACTOR * DEFAULT_TOL.rel_tol
+    rel_tol: float = REL_TOL
+    refute_tol: float = REFUTE_FACTOR * REL_TOL
     flags: tuple[str, ...] = ()
 
 
 def sample(family: DeformationFamily, epsilon: float, seed: int,
-           tol: ToleranceBudget = DEFAULT_TOL,
            max_rejections: int = 1000) -> Configuration:
     """One deformed configuration for (epsilon, seed), deterministic."""
     if epsilon < 0.0 or not math.isfinite(epsilon):
@@ -170,24 +168,24 @@ def sample(family: DeformationFamily, epsilon: float, seed: int,
         f"draws at epsilon={epsilon}, seed={seed} (last: {last_error})")
 
 
-def _verdict_for(max_residual: float, tol: ToleranceBudget) -> str:
-    if max_residual <= tol.rel_tol:
+def _verdict_for(max_residual: float, rel_tol: float) -> str:
+    if max_residual <= rel_tol:
         return "theorem"
-    if max_residual > REFUTE_FACTOR * tol.rel_tol:
+    if max_residual > REFUTE_FACTOR * rel_tol:
         return "refuted"
     return "inconclusive"
 
 
 def _sweep(family: DeformationFamily, claims: Sequence[RelationClaim],
            epsilons: Sequence[float], samples: int, seed: int,
-           tol: ToleranceBudget) -> tuple[VerificationReport, ...]:
+           rel_tol: float) -> tuple[VerificationReport, ...]:
     """Run the claims over `samples` deformations at each epsilon in turn.
 
     Sample i of every block uses seed + i, so any subset of samples can be
     reproduced independently of evaluation order.  Each deformation is
     drawn and built once and every claim is judged on it, so the claims of
     one family see the same figures.  A verdict compares the claim's
-    largest residual with the tolerance alone.
+    largest residual with `rel_tol` alone.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -202,9 +200,9 @@ def _sweep(family: DeformationFamily, claims: Sequence[RelationClaim],
         for per_claim in blocks:
             per_claim.append([])
         for i in range(samples):
-            config = sample(family, epsilon, seed + i, tol)
+            config = sample(family, epsilon, seed + i)
             for claim, per_claim, seen in zip(claims, blocks, flags):
-                verdict = claim.evaluate(config, tol, scale=base_scale)
+                verdict = claim.evaluate(config, scale=base_scale)
                 per_claim[-1].append(verdict.residual)
                 seen.update(verdict.flags)
     reports = []
@@ -220,10 +218,10 @@ def _sweep(family: DeformationFamily, claims: Sequence[RelationClaim],
             epsilons=tuple(epsilons),
             max_residual=max_res,
             mean_residual=math.fsum(residuals) / len(residuals),
-            verdict=_verdict_for(max_res, tol),
+            verdict=_verdict_for(max_res, rel_tol),
             median_residuals=tuple(_median(block) for block in per_claim),
-            rel_tol=tol.rel_tol,
-            refute_tol=REFUTE_FACTOR * tol.rel_tol,
+            rel_tol=rel_tol,
+            refute_tol=REFUTE_FACTOR * rel_tol,
             flags=tuple(sorted(seen)),
         ))
     return tuple(reports)
@@ -231,11 +229,10 @@ def _sweep(family: DeformationFamily, claims: Sequence[RelationClaim],
 
 def verify(family: DeformationFamily, claims: Sequence[RelationClaim],
            samples: int, epsilon: float, seed: int,
-           tol: ToleranceBudget = DEFAULT_TOL,
-           ) -> tuple[VerificationReport, ...]:
+           rel_tol: float = REL_TOL) -> tuple[VerificationReport, ...]:
     """Run the claims of one family over `samples` deformations at one
     epsilon, sample i from seed + i; one report per claim, in order."""
-    return _sweep(family, claims, (epsilon,), samples, seed, tol)
+    return _sweep(family, claims, (epsilon,), samples, seed, rel_tol)
 
 
 def _median(values: Sequence[float]) -> float:
@@ -263,7 +260,7 @@ def fit_scaling_exponent(epsilons: Sequence[float],
 
 
 def _holds_at_zero(family: DeformationFamily, claims: Sequence[RelationClaim],
-                   tol: ToleranceBudget) -> tuple[bool, ...]:
+                   rel_tol: float) -> tuple[bool, ...]:
     """Whether each claim holds on the undeformed base figure, built once."""
     if not family.admits(0.0):
         return (False,) * len(claims)
@@ -275,8 +272,8 @@ def _holds_at_zero(family: DeformationFamily, claims: Sequence[RelationClaim],
     held = []
     for claim in claims:
         try:
-            verdict = claim.evaluate(config, tol, scale=scale)
-            held.append(verdict.residual <= tol.rel_tol)
+            verdict = claim.evaluate(config, scale=scale)
+            held.append(verdict.residual <= rel_tol)
         except GeometryError:
             held.append(False)
     return tuple(held)
@@ -284,8 +281,7 @@ def _holds_at_zero(family: DeformationFamily, claims: Sequence[RelationClaim],
 
 def scaling_probe(family: DeformationFamily, claims: Sequence[RelationClaim],
                   epsilons: Sequence[float], samples: int, seed: int,
-                  tol: ToleranceBudget = DEFAULT_TOL,
-                  ) -> tuple[VerificationReport, ...]:
+                  rel_tol: float = REL_TOL) -> tuple[VerificationReport, ...]:
     """Residual growth against epsilon, to separate exact relations from
     approximate coincidences; one report per claim of the family, in order.
 
@@ -307,7 +303,7 @@ def scaling_probe(family: DeformationFamily, claims: Sequence[RelationClaim],
     # same perturbation direction at every epsilon.  Pairing the blocks
     # this way removes the block-to-block sampling noise that would
     # otherwise dominate the fitted slope.
-    reports = _sweep(family, claims, eps, samples, seed, tol)
+    reports = _sweep(family, claims, eps, samples, seed, rel_tol)
     held: tuple[bool, ...] | None = None
     probed = []
     for i, report in enumerate(reports):
@@ -320,7 +316,7 @@ def scaling_probe(family: DeformationFamily, claims: Sequence[RelationClaim],
         exponent = round(fit_scaling_exponent(eps, report.median_residuals), 6)
         if exponent >= APPROXIMATE_MIN_EXPONENT:
             if held is None:
-                held = _holds_at_zero(family, claims, tol)
+                held = _holds_at_zero(family, claims, rel_tol)
             if held[i]:
                 probed.append(replace(
                     report, verdict="approximate", scaling_exponent=exponent,

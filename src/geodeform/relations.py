@@ -9,6 +9,10 @@ floating point, which makes every residual bit-for-bit invariant under
 scaling the inputs by any power of two and keeps it stable to a few ulps
 under any other similarity.
 
+A verdict's `passed` is `residual <= rel_tol`, the one threshold a
+caller chooses (REL_TOL by default); the degeneracy guards inside the
+detectors are the fixed FLOOR and GUARD of `core`.
+
 Residuals below NOISE_FLOOR are reported as exactly 0.0.  Digits down
 there are recomputation noise, not geometry: re-running the same check on
 a rotated or rescaled copy of the inputs lands on a different point of the
@@ -19,19 +23,19 @@ across equivalent frames.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .core import (
-    DEFAULT_TOL,
+    FLOOR,
+    GUARD,
     Circle,
     CoincidentPoints,
     GeometryError,
     Line,
     Point,
-    ToleranceBudget,
     circumcircle,
     diameter,
     dist,
@@ -44,6 +48,7 @@ from .core import (
 )
 
 __all__ = [
+    "REL_TOL",
     "NOISE_FLOOR",
     "TooFewPoints",
     "TooFewLines",
@@ -66,6 +71,9 @@ __all__ = [
     "RELATION_ARITIES",
 ]
 
+
+# the default verdict threshold: a residual at or below it passes
+REL_TOL = 1e-9
 
 # Anything below this is indistinguishable from double-precision roundoff
 # for the problem sizes this package handles (defects of unit-scale
@@ -93,36 +101,34 @@ class DegeneratePosition(GeometryError):
 class RelationVerdict:
     """Outcome of one relation check.
 
-    `passed` is always `residual <= rel_tol` of the budget the check ran
-    under; `flags` records degenerate sub-cases that were decided by
-    convention; `error` carries the message when evaluation itself failed.
+    `passed` is always `residual <= rel_tol` of the check that made it;
+    `flags` records degenerate sub-cases that were decided by convention;
+    `error` carries the message when evaluation itself failed.
     """
 
     kind: str
     residual: float
     passed: bool
-    witness: object = None
     flags: tuple[str, ...] = ()
     error: str | None = None
 
     @classmethod
-    def from_residual(cls, kind: str, residual: float, tol: ToleranceBudget,
-                      witness: object = None,
-                      flags: tuple[str, ...] = ()) -> "RelationVerdict":
+    def from_residual(cls, kind: str, residual: float,
+                      rel_tol: float) -> "RelationVerdict":
         if residual < NOISE_FLOOR:
             residual = 0.0
-        return cls(kind, residual, residual <= tol.rel_tol, witness, flags)
+        return cls(kind, residual, residual <= rel_tol)
 
     @classmethod
     def failed(cls, kind: str, flags: tuple[str, ...] = (),
                error: str | None = None) -> "RelationVerdict":
-        return cls(kind, math.inf, False, None, flags, error)
+        return cls(kind, math.inf, False, flags, error)
 
 
 # ---------------------------------------------------------------------------
 # normalization
 
-def _normalized(points: Sequence[Point], tol: ToleranceBudget,
+def _normalized(points: Sequence[Point],
                 scale: float | None = None) -> tuple[list[Point], float, float]:
     """Points divided by a power-of-two snap of the normalization scale.
 
@@ -135,33 +141,23 @@ def _normalized(points: Sequence[Point], tol: ToleranceBudget,
     """
     cloud = diameter(points)
     basis = cloud if scale is None else scale
-    if basis <= tol.abs_floor * max(1.0, *(max(abs(p.x), abs(p.y)) for p in points)):
+    if basis <= FLOOR * max(1.0, *(max(abs(p.x), abs(p.y)) for p in points)):
         return list(points), 0.0, 0.0
     snap = 2.0 ** round(math.log2(basis))
     return [p / snap for p in points], cloud / snap, basis / snap
 
 
-def _frame(points: Sequence[Point],
-           tol: ToleranceBudget) -> tuple[list[Point], float, float]:
-    """`_normalized` at the points' own diameter: the scaled points, their
-    diameter in that frame, and the power of two that maps the frame back
-    to the caller's."""
-    q, dq, _ = _normalized(points, tol)
-    return q, dq, (diameter(points) / dq if dq > 0.0 else 1.0)
-
-
 # ---------------------------------------------------------------------------
 # point-set detectors
 
-def check_collinear(points: Sequence[Point],
-                    tol: ToleranceBudget = DEFAULT_TOL,
+def check_collinear(points: Sequence[Point], rel_tol: float = REL_TOL,
                     scale: float | None = None) -> RelationVerdict:
     """Total-least-squares line fit; residual is the worst normal deviation."""
     if len(points) < 3:
         raise TooFewPoints(f"collinear needs >= 3 points, got {len(points)}")
-    q, dq, denom = _normalized(points, tol, scale)
+    q, dq, denom = _normalized(points, scale)
     if dq == 0.0:
-        return RelationVerdict("collinear", 0.0, True, None, ("coincident_cluster",))
+        return RelationVerdict("collinear", 0.0, True, ("coincident_cluster",))
     cx = sum(p.x for p in q) / len(q)
     cy = sum(p.y for p in q) / len(q)
     sxx = sum((p.x - cx) ** 2 for p in q)
@@ -179,10 +175,7 @@ def check_collinear(points: Sequence[Point],
     nn = math.hypot(nx, ny)
     nx, ny = nx / nn, ny / nn
     residual = max(abs(nx * (p.x - cx) + ny * (p.y - cy)) for p in q) / denom
-    ox = sum(p.x for p in points) / len(points)
-    oy = sum(p.y for p in points) / len(points)
-    witness = Line(nx, ny, -(nx * ox + ny * oy))
-    return RelationVerdict.from_residual("collinear", residual, tol, witness)
+    return RelationVerdict.from_residual("collinear", residual, rel_tol)
 
 
 def _anchor_triple(q: Sequence[Point]) -> tuple[int, int, int, float]:
@@ -198,139 +191,141 @@ def _anchor_triple(q: Sequence[Point]) -> tuple[int, int, int, float]:
     return best[0], best[1], best[2], best_area
 
 
-def check_concyclic(points: Sequence[Point],
-                    tol: ToleranceBudget = DEFAULT_TOL,
+def check_concyclic(points: Sequence[Point], rel_tol: float = REL_TOL,
                     scale: float | None = None) -> RelationVerdict:
     """Circle through the widest-spread triple; residual is the worst
     radial deviation of the remaining points."""
     if len(points) < 4:
         raise TooFewPoints(f"concyclic needs >= 4 points, got {len(points)}")
-    q, dq, denom = _normalized(points, tol, scale)
+    q, dq, denom = _normalized(points, scale)
     if dq == 0.0:
-        return RelationVerdict("concyclic", 0.0, True, None, ("coincident_cluster",))
+        return RelationVerdict("concyclic", 0.0, True, ("coincident_cluster",))
     i, j, k, area = _anchor_triple(q)
-    if area <= tol.rel_tol * dq * dq:
+    if area <= GUARD * dq * dq:
         # every triple is flat: fall back to the line fit
-        line_verdict = check_collinear(points, tol, scale)
+        line_verdict = check_collinear(points, rel_tol, scale)
         return RelationVerdict("concyclic", line_verdict.residual,
-                               line_verdict.passed, line_verdict.witness,
+                               line_verdict.passed,
                                line_verdict.flags + ("collinear_witness",))
-    circle = circumcircle(q[i], q[j], q[k], tol)
+    circle = circumcircle(q[i], q[j], q[k])
     rest = [p for t, p in enumerate(q) if t not in (i, j, k)]
     residual = max(abs(dist(p, circle.center) - circle.radius) for p in rest) / denom
-    witness = circumcircle(points[i], points[j], points[k], tol)
-    return RelationVerdict.from_residual("concyclic", residual, tol, witness)
+    return RelationVerdict.from_residual("concyclic", residual, rel_tol)
 
 
 def check_perpendicular(p1: Point, p2: Point, q1: Point, q2: Point,
-                        tol: ToleranceBudget = DEFAULT_TOL) -> RelationVerdict:
+                        rel_tol: float = REL_TOL) -> RelationVerdict:
     """Cosine of the angle between segments p1p2 and q1q2."""
-    q, dq, _ = _normalized([p1, p2, q1, q2], tol)
+    q, dq, _ = _normalized([p1, p2, q1, q2])
     if dq == 0.0:
         raise CoincidentPoints("perpendicularity of zero-length segments")
     u = q[1] - q[0]
     w = q[3] - q[2]
     un, wn = u.norm(), w.norm()
-    if min(un, wn) <= tol.abs_floor * dq:
+    if min(un, wn) <= FLOOR * dq:
         raise CoincidentPoints("perpendicularity of a zero-length segment")
     residual = abs(u.x * w.x + u.y * w.y) / (un * wn)
-    return RelationVerdict.from_residual("perpendicular", residual, tol)
+    return RelationVerdict.from_residual("perpendicular", residual, rel_tol)
 
 
-def check_equal_length(points: Sequence[Point],
-                       tol: ToleranceBudget = DEFAULT_TOL,
+def check_equal_length(points: Sequence[Point], rel_tol: float = REL_TOL,
                        scale: float | None = None) -> RelationVerdict:
     """Points taken as consecutive segment endpoint pairs; residual is the
     largest pairwise length difference over the diameter."""
     if len(points) < 4 or len(points) % 2:
         raise TooFewPoints("equal_length needs an even count of >= 4 points")
-    q, dq, denom = _normalized(points, tol, scale)
+    q, dq, denom = _normalized(points, scale)
     if dq == 0.0:
-        return RelationVerdict("equal_length", 0.0, True, None,
+        return RelationVerdict("equal_length", 0.0, True,
                                ("coincident_cluster",))
     lengths = [dist(q[t], q[t + 1]) for t in range(0, len(q), 2)]
     residual = max(abs(a - b) for i, a in enumerate(lengths)
                    for b in lengths[i + 1:]) / denom
-    return RelationVerdict.from_residual("equal_length", residual, tol)
+    return RelationVerdict.from_residual("equal_length", residual, rel_tol)
 
 
 def check_midpoints_coincide(p1: Point, p2: Point, q1: Point, q2: Point,
-                             tol: ToleranceBudget = DEFAULT_TOL,
+                             rel_tol: float = REL_TOL,
                              scale: float | None = None) -> RelationVerdict:
     """Distance between the two segment midpoints over the diameter."""
-    q, dq, denom = _normalized([p1, p2, q1, q2], tol, scale)
+    q, dq, denom = _normalized([p1, p2, q1, q2], scale)
     if dq == 0.0:
-        return RelationVerdict("midpoints_coincide", 0.0, True, None,
+        return RelationVerdict("midpoints_coincide", 0.0, True,
                                ("coincident_cluster",))
     residual = dist(midpoint(q[0], q[1]), midpoint(q[2], q[3])) / denom
-    return RelationVerdict.from_residual("midpoints_coincide", residual, tol,
-                                         midpoint(p1, p2))
+    return RelationVerdict.from_residual("midpoints_coincide", residual,
+                                         rel_tol)
 
 
 def check_segment_bisects(p1: Point, p2: Point, q1: Point, q2: Point,
-                          tol: ToleranceBudget = DEFAULT_TOL,
+                          rel_tol: float = REL_TOL,
                           scale: float | None = None) -> RelationVerdict:
     """Does the line p1p2 pass through the midpoint of q1q2?"""
-    q, dq, denom = _normalized([p1, p2, q1, q2], tol, scale)
+    q, dq, denom = _normalized([p1, p2, q1, q2], scale)
     if dq == 0.0:
-        return RelationVerdict("segment_bisects", 0.0, True, None,
+        return RelationVerdict("segment_bisects", 0.0, True,
                                ("coincident_cluster",))
-    line = line_through(q[0], q[1], tol)
+    line = line_through(q[0], q[1])
     residual = abs(line.value(midpoint(q[2], q[3]))) / denom
-    return RelationVerdict.from_residual("segment_bisects", residual, tol,
-                                         line_through(p1, p2, tol))
+    return RelationVerdict.from_residual("segment_bisects", residual, rel_tol)
 
 
 # ---------------------------------------------------------------------------
 # line and circle detectors
 
-def check_concurrent_lines(lines: Sequence[Line],
-                           tol: ToleranceBudget = DEFAULT_TOL) -> RelationVerdict:
+def check_concurrent_lines(lines: Sequence[Line], rel_tol: float = REL_TOL,
+                           scale: float = 1.0) -> RelationVerdict:
     """Least-squares common point; residual is the worst distance to any
-    line over the spread of the pairwise meets (floored at 1)."""
+    line over the larger of `scale`, the size of the figure the lines were
+    drawn from, and the spread of their pairwise meets."""
     if len(lines) < 3:
         raise TooFewLines(f"concurrency needs >= 3 lines, got {len(lines)}")
     meets: list[Point] = []
     for i, li in enumerate(lines):
         for lj in lines[i + 1:]:
-            if abs(li.a * lj.b - lj.a * li.b) <= tol.abs_floor:
+            if abs(li.a * lj.b - lj.a * li.b) <= FLOOR:
                 return RelationVerdict.failed(
                     "concurrent", flags=("non_concurrent_parallel",))
-            meets.append(intersect(li, lj, tol)[0])
-    witness = least_squares_meet(lines, 0.0)
-    cloud = max(1.0, diameter(meets))
-    residual = max(abs(l.value(witness)) for l in lines) / cloud
-    return RelationVerdict.from_residual("concurrent", residual, tol, witness)
+            meets.append(intersect(li, lj)[0])
+    meet = least_squares_meet(lines, 0.0)
+    cloud = max(scale, diameter(meets))
+    residual = max(abs(l.value(meet)) for l in lines) / cloud
+    return RelationVerdict.from_residual("concurrent", residual, rel_tol)
 
 
 def check_coaxial(circles: Sequence[Circle],
-                  tol: ToleranceBudget = DEFAULT_TOL) -> RelationVerdict:
+                  rel_tol: float = REL_TOL) -> RelationVerdict:
     """All pairwise radical axes coincide with the first pair's axis.
 
     Residual per pair combines the sine of the angle between the axes with
-    their offset over the configuration scale.
+    their offset, measured at the centroid of the centers, over the
+    configuration scale.
     """
     if len(circles) < 3:
         raise TooFewCircles(f"coaxiality needs >= 3 circles, got {len(circles)}")
-    ref = radical_axis(circles[0], circles[1], tol)
+    ref = radical_axis(circles[0], circles[1])
     scale = max(max(dist(a.center, b.center)
                     for i, a in enumerate(circles) for b in circles[i + 1:]),
                 max(c.radius for c in circles))
+    # a point fixed by the figure, not by the frame: the offset of two
+    # axes that are not parallel depends on where it is measured
+    anchor = Point(sum(c.center.x for c in circles) / len(circles),
+                   sum(c.center.y for c in circles) / len(circles))
     worst = 0.0
     for i in range(len(circles)):
         for j in range(i + 1, len(circles)):
             if (i, j) == (0, 1):
                 continue
-            ax = radical_axis(circles[i], circles[j], tol)
+            ax = radical_axis(circles[i], circles[j])
             sin = abs(ref.a * ax.b - ax.a * ref.b)
             sign = 1.0 if (ref.a * ax.a + ref.b * ax.b) >= 0.0 else -1.0
-            offset = abs(sign * ax.c - ref.c) / scale
+            offset = abs(sign * ax.value(anchor) - ref.value(anchor)) / scale
             worst = max(worst, sin + offset)
-    return RelationVerdict.from_residual("coaxial", worst, tol, ref)
+    return RelationVerdict.from_residual("coaxial", worst, rel_tol)
 
 
 def check_perspective(tri1: Sequence[Point], tri2: Sequence[Point],
-                      tol: ToleranceBudget = DEFAULT_TOL) -> RelationVerdict:
+                      rel_tol: float = REL_TOL) -> RelationVerdict:
     """Are the vertex connectors of two corresponding triangles concurrent?
 
     Coincident vertex pairs contribute no constraint and are flagged; three
@@ -338,46 +333,39 @@ def check_perspective(tri1: Sequence[Point], tri2: Sequence[Point],
     """
     if len(tri1) != 3 or len(tri2) != 3:
         raise TooFewPoints("perspectivity needs two triangles of 3 points")
-    q, dq, snap = _frame(list(tri1) + list(tri2), tol)
+    q, dq, _ = _normalized(list(tri1) + list(tri2))
     if dq == 0.0:
-        return RelationVerdict("perspective", 0.0, True, None,
+        return RelationVerdict("perspective", 0.0, True,
                                ("identical_vertices",))
     connectors: list[Line] = []
     n_coincident = 0
     for t in range(3):
         a, b = q[t], q[3 + t]
-        if dist(a, b) <= tol.abs_floor * dq:
+        if dist(a, b) <= FLOOR * dq:
             n_coincident += 1
             continue
-        connectors.append(line_through(a, b, tol))
+        connectors.append(line_through(a, b))
     if n_coincident == 3:
-        return RelationVerdict("perspective", 0.0, True, None,
+        return RelationVerdict("perspective", 0.0, True,
                                ("identical_vertices",))
     if len(connectors) == 1:
-        return RelationVerdict("perspective", 0.0, True, None,
+        return RelationVerdict("perspective", 0.0, True,
                                ("coincident_vertex_pair",))
     if len(connectors) == 2:
         l1, l2 = connectors
-        if abs(l1.a * l2.b - l2.a * l1.b) <= tol.abs_floor:
-            return RelationVerdict("perspective", 0.0, True, None,
-                                   ("coincident_vertex_pair",
-                                    "concurrent_at_infinity"))
-        w = intersect(l1, l2, tol)[0]
-        return RelationVerdict("perspective", 0.0, True,
-                               Point(w.x * snap, w.y * snap),
-                               ("coincident_vertex_pair",))
-    pairs_parallel = [abs(li.a * lj.b - lj.a * li.b) <= tol.abs_floor
+        flags = ("coincident_vertex_pair",)
+        if abs(l1.a * l2.b - l2.a * l1.b) <= FLOOR:
+            flags += ("concurrent_at_infinity",)
+        return RelationVerdict("perspective", 0.0, True, flags)
+    pairs_parallel = [abs(li.a * lj.b - lj.a * li.b) <= FLOOR
                       for i, li in enumerate(connectors)
                       for lj in connectors[i + 1:]]
     if all(pairs_parallel):
-        return RelationVerdict("perspective", 0.0, True, None,
+        return RelationVerdict("perspective", 0.0, True,
                                ("concurrent_at_infinity",))
-    inner = check_concurrent_lines(connectors, tol)
-    witness = inner.witness
-    if isinstance(witness, Point):
-        witness = Point(witness.x * snap, witness.y * snap)
+    inner = check_concurrent_lines(connectors, rel_tol, dq)
     return RelationVerdict("perspective", inner.residual, inner.passed,
-                           witness, inner.flags)
+                           inner.flags)
 
 
 # ---------------------------------------------------------------------------
@@ -422,14 +410,13 @@ class Conic:
                      self.b * p.x + 2.0 * self.c * p.y + self.e)
 
 
-def fit_conic(points: Sequence[Point],
-              tol: ToleranceBudget = DEFAULT_TOL) -> Conic:
+def fit_conic(points: Sequence[Point]) -> Conic:
     """The conic through exactly five points, via the null space of the
     design matrix (computed in a centered, scaled frame for conditioning)."""
     if len(points) != 5:
         raise TooFewPoints(f"a conic is fitted to exactly 5 points, got {len(points)}")
     diam = diameter(points)
-    q, dq, _ = _normalized(points, tol)
+    q, dq, _ = _normalized(points)
     if dq == 0.0:
         raise DegeneratePosition("conic fit to a coincident cluster")
     cx = sum(p.x for p in q) / 5.0
@@ -440,7 +427,7 @@ def fit_conic(points: Sequence[Point],
         rows.append([x * x, x * y, y * y, x, y, 1.0])
     m = np.array(rows, dtype=float)
     _, s, vt = np.linalg.svd(m)
-    if s[-1] <= tol.abs_floor * max(s[0], 1.0):
+    if s[-1] <= FLOOR * max(s[0], 1.0):
         raise DegeneratePosition("five points admit more than one conic "
                                  "(four are collinear or two coincide)")
     a, b, c, d, e, f = (float(x) for x in vt[-1])
@@ -458,17 +445,17 @@ def fit_conic(points: Sequence[Point],
             k = orig.y / scaled.y
             break
     return Conic(a / (k * k), b / (k * k), c / (k * k),
-                 d2 / k, e2 / k, f2, scale=max(diam, tol.abs_floor))
+                 d2 / k, e2 / k, f2, scale=max(diam, FLOOR))
 
 
 def check_on_conic(conic: Conic, p: Point,
-                   tol: ToleranceBudget = DEFAULT_TOL) -> RelationVerdict:
+                   rel_tol: float = REL_TOL) -> RelationVerdict:
     """First-order geometric distance from p to the conic over its scale."""
     f = conic.evaluate(p)
     g = conic.gradient(p).norm()
-    denom = max(g * conic.scale, tol.abs_floor)
+    denom = max(g * conic.scale, FLOOR)
     residual = abs(f) / denom
-    return RelationVerdict.from_residual("on_conic", residual, tol, conic)
+    return RelationVerdict.from_residual("on_conic", residual, rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +477,7 @@ RELATION_ARITIES: dict[str, tuple[int, int | None, int]] = {
 
 
 def evaluate_relation(kind: str, points: Sequence[Point],
-                      tol: ToleranceBudget = DEFAULT_TOL,
+                      rel_tol: float = REL_TOL,
                       scale: float | None = None) -> RelationVerdict:
     """Evaluate a relation given as a kind plus a flat point list.
 
@@ -498,9 +485,8 @@ def evaluate_relation(kind: str, points: Sequence[Point],
     endpoints; `concurrent` turns each pair into a line, `coaxial` turns
     each consecutive triple into a circumcircle, `perspective` reads two
     triangles, and `on_conic` fits the first five points and tests the rest.
-    Lines and conics are built in the normalized frame of the points, so
-    their residuals do not depend on the size of the figure; witnesses are
-    mapped back to the caller's frame.
+    Lines, circles and conics are built in the normalized frame of the
+    points, so their residuals do not depend on the size of the figure.
     The optional scale overrides the normalization diameter for the kinds
     whose residual is a length ratio, so a claim about a tight cluster
     inside a larger figure is still judged against the whole figure.
@@ -512,37 +498,31 @@ def evaluate_relation(kind: str, points: Sequence[Point],
     if n < lo or (hi is not None and n > hi) or n % step:
         raise TooFewPoints(f"{kind} cannot take {n} points")
     if kind == "collinear":
-        return check_collinear(points, tol, scale)
+        return check_collinear(points, rel_tol, scale)
     if kind == "concyclic":
-        return check_concyclic(points, tol, scale)
+        return check_concyclic(points, rel_tol, scale)
     if kind == "concurrent":
-        q, _, snap = _frame(points, tol)
-        lines = [line_through(q[i], q[i + 1], tol) for i in range(0, n, 2)]
-        verdict = check_concurrent_lines(lines, tol)
-        if isinstance(verdict.witness, Point):
-            verdict = replace(verdict, witness=verdict.witness * snap)
-        return verdict
+        q, dq, _ = _normalized(points)
+        lines = [line_through(q[i], q[i + 1]) for i in range(0, n, 2)]
+        return check_concurrent_lines(lines, rel_tol, dq)
     if kind == "perpendicular":
-        return check_perpendicular(*points, tol)
+        return check_perpendicular(*points, rel_tol)
     if kind == "equal_length":
-        return check_equal_length(points, tol, scale)
+        return check_equal_length(points, rel_tol, scale)
     if kind == "on_conic":
-        q, _, snap = _frame(points, tol)
-        conic = fit_conic(q[:5], tol)
-        worst = max((check_on_conic(conic, p, tol) for p in q[5:]),
-                    key=lambda v: v.residual)
-        s2 = snap * snap
-        return replace(worst, witness=Conic(
-            conic.a / s2, conic.b / s2, conic.c / s2, conic.d / snap,
-            conic.e / snap, conic.f, scale=conic.scale * snap))
+        q, _, _ = _normalized(points)
+        conic = fit_conic(q[:5])
+        return max((check_on_conic(conic, p, rel_tol) for p in q[5:]),
+                   key=lambda v: v.residual)
     if kind == "coaxial":
-        circles = [circumcircle(points[i], points[i + 1], points[i + 2], tol)
+        q, _, _ = _normalized(points)
+        circles = [circumcircle(q[i], q[i + 1], q[i + 2])
                    for i in range(0, n, 3)]
-        return check_coaxial(circles, tol)
+        return check_coaxial(circles, rel_tol)
     if kind == "perspective":
-        return check_perspective(points[:3], points[3:], tol)
+        return check_perspective(points[:3], points[3:], rel_tol)
     if kind == "midpoints_coincide":
-        return check_midpoints_coincide(*points, tol, scale)
+        return check_midpoints_coincide(*points, rel_tol, scale)
     if kind == "segment_bisects":
-        return check_segment_bisects(*points, tol, scale)
+        return check_segment_bisects(*points, rel_tol, scale)
     raise ValueError(f"unknown relation kind {kind!r}")

@@ -54,11 +54,11 @@ from .centers import CenterKind, Orientation, equilateral_apex, \
 from .configurations import Configuration, NonConvexQuadrilateral, \
     PointOnVertex, PointOutsideCircumcircle
 from .core import (
-    DEFAULT_TOL,
+    FLOOR,
+    GUARD,
     Circle,
     GeometryError,
     Point,
-    ToleranceBudget,
     angle_bisector,
     circumcircle,
     diameter,
@@ -72,8 +72,8 @@ from .core import (
     signed_area,
 )
 from .deform import DeformationFamily
-from .relations import RELATION_ARITIES, DegeneratePosition, RelationVerdict, \
-    evaluate_relation
+from .relations import REL_TOL, RELATION_ARITIES, DegeneratePosition, \
+    RelationVerdict, evaluate_relation
 
 __all__ = [
     "ScriptError",
@@ -126,52 +126,49 @@ class UnknownParam(ScriptError):
 # ---------------------------------------------------------------------------
 # vocabulary
 
-def second_intersection(origin: Point, through: Point, circle: Circle,
-                        tol: ToleranceBudget = DEFAULT_TOL) -> Point:
+def second_intersection(origin: Point, through: Point,
+                        circle: Circle) -> Point:
     """The meet of line origin-through with the circle that is not the
     origin itself (origin is assumed to lie on the circle)."""
-    pts = intersect(line_through(origin, through, tol), circle, tol)
+    pts = intersect(line_through(origin, through), circle)
     best = max(pts, key=lambda p: dist(p, origin))
-    if dist(best, origin) <= tol.rel_tol * 2.0 * circle.radius:
+    if dist(best, origin) <= GUARD * 2.0 * circle.radius:
         raise DegeneratePosition("second circle intersection collapses onto "
                                  "the line origin")
     return best
 
 
-# part(build, *at): `build` over the point arguments at positions `at` and
-# the tolerance, made once per run for the labels at those positions, so
-# the circles and bisectors that several statements share are built once
+# part(build, *at): `build` over the point arguments at positions `at`,
+# made once per run for the labels at those positions, so the circles and
+# bisectors that several statements share are built once
 Part = Callable[..., object]
-Construction = Callable[[list[Point], float | None, ToleranceBudget, Part],
-                        Point]
+Construction = Callable[[list[Point], float | None, Part], Point]
 
 
 def _center(kind: CenterKind) -> Construction:
-    return lambda p, angle, tol, part: triangle_center(kind, p[0], p[1], p[2],
-                                                       tol)
+    return lambda p, angle, part: triangle_center(kind, p[0], p[1], p[2])
 
 
 def _second_intersection(p: list[Point], angle: float | None,
-                         tol: ToleranceBudget, part: Part) -> Point:
-    return second_intersection(p[0], p[1], part(circumcircle, 2, 3, 4), tol)
+                         part: Part) -> Point:
+    return second_intersection(p[0], p[1], part(circumcircle, 2, 3, 4))
 
 
-def _bisector_meet(p: list[Point], angle: float | None,
-                   tol: ToleranceBudget, part: Part) -> Point:
+def _bisector_meet(p: list[Point], angle: float | None, part: Part) -> Point:
     b1 = part(angle_bisector, 1, 0, 2)
     b2 = part(angle_bisector, 4, 3, 5)
-    return intersect(b1, b2, tol)[0]
+    return intersect(b1, b2)[0]
 
 
 # construction name -> (number of point arguments, takes a trailing angle,
-# implementation over (points, angle in degrees or None, tolerance, part))
+# implementation over (points, angle in degrees or None, part))
 FUNCTIONS: dict[str, tuple[int, bool, Construction]] = {
-    "midpoint": (2, False, lambda p, angle, tol, part: midpoint(p[0], p[1])),
-    "reflect_line": (3, False, lambda p, angle, tol, part: reflect_line(
-        p[0], line_through(p[1], p[2], tol))),
-    "reflect_point": (2, False, lambda p, angle, tol, part: reflect_point(
+    "midpoint": (2, False, lambda p, angle, part: midpoint(p[0], p[1])),
+    "reflect_line": (3, False, lambda p, angle, part: reflect_line(
+        p[0], line_through(p[1], p[2]))),
+    "reflect_point": (2, False, lambda p, angle, part: reflect_point(
         p[0], p[1])),
-    "rotate": (2, True, lambda p, angle, tol, part: rotate(
+    "rotate": (2, True, lambda p, angle, part: rotate(
         p[0], p[1], math.radians(angle))),
     "centroid": (3, False, _center(CenterKind.X2)),
     "circumcenter": (3, False, _center(CenterKind.X3)),
@@ -180,10 +177,10 @@ FUNCTIONS: dict[str, tuple[int, bool, Construction]] = {
     "ninepoint": (3, False, _center(CenterKind.X5)),
     "fermat1": (3, False, _center(CenterKind.X13)),
     "fermat2": (3, False, _center(CenterKind.X14)),
-    "eq_apex": (3, False, lambda p, angle, tol, part: equilateral_apex(
-        p[0], p[1], Orientation.TOWARD_REFERENCE, p[2], tol)),
-    "ri_apex": (3, False, lambda p, angle, tol, part: right_isosceles_apex(
-        p[0], p[1], Orientation.TOWARD_REFERENCE, p[2], tol)),
+    "eq_apex": (3, False, lambda p, angle, part: equilateral_apex(
+        p[0], p[1], Orientation.TOWARD_REFERENCE, p[2])),
+    "ri_apex": (3, False, lambda p, angle, part: right_isosceles_apex(
+        p[0], p[1], Orientation.TOWARD_REFERENCE, p[2])),
     "second_intersection": (5, False, _second_intersection),
     "bisector_meet": (6, False, _bisector_meet),
 }
@@ -191,31 +188,31 @@ FUNCTIONS: dict[str, tuple[int, bool, Construction]] = {
 RELATIONS: tuple[str, ...] = tuple(RELATION_ARITIES)
 
 
-def _require_convex(p: list[Point], tol: ToleranceBudget, part: Part) -> None:
+def _require_convex(p: list[Point], part: Part) -> None:
     a, b, c, d = p
     diam = diameter(p)
     areas = [signed_area(a, b, c), signed_area(b, c, d),
              signed_area(c, d, a), signed_area(d, a, b)]
-    floor = tol.abs_floor * diam * diam
+    floor = FLOOR * diam * diam
     if any(abs(x) <= floor for x in areas):
         raise NonConvexQuadrilateral("three consecutive vertices are collinear")
     if len({x > 0.0 for x in areas}) != 1:
         raise NonConvexQuadrilateral("vertices in order are not strictly convex")
 
 
-def _require_inside(p: list[Point], tol: ToleranceBudget, part: Part) -> None:
+def _require_inside(p: list[Point], part: Part) -> None:
     circ = part(circumcircle, 1, 2, 3)
     diam = diameter(p[1:])
     for v in p[1:]:
-        if dist(p[0], v) <= tol.abs_floor * diam:
+        if dist(p[0], v) <= FLOOR * diam:
             raise PointOnVertex(f"cevian point {p[0]} coincides with vertex {v}")
-    if dist(p[0], circ.center) >= circ.radius * (1.0 - tol.abs_floor):
+    if dist(p[0], circ.center) >= circ.radius * (1.0 - FLOOR):
         raise PointOutsideCircumcircle(
             f"cevian point {p[0]} is not strictly inside the circumcircle")
 
 
 # precondition name -> (number of point arguments, check over (points,
-# tolerance, part) raising a GeometryError when the points fail it)
+# part) raising a GeometryError when the points fail it)
 REQUIREMENTS: dict[str, tuple[int, Callable[..., None]]] = {
     "convex": (4, _require_convex),
     "inside": (4, _require_inside),
@@ -356,6 +353,9 @@ class _Token(NamedTuple):
 _PUNCT = "(),=+-*/"
 # the rest of an identifier: characters that are str.isalnum(), "_" or "'"
 _IDENT_TAIL = re.compile(r"[\w']*")
+# ASCII digits only: str.isdigit() also accepts superscripts and other
+# scripts' digits, which float() rejects or silently converts
+_NUMBER = re.compile(r"[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?")
 
 
 def _lex(source: str) -> list[_Token]:
@@ -377,22 +377,8 @@ def _lex(source: str) -> list[_Token]:
                 tokens.append(_Token("ident", raw[i:j], lineno, col))
                 i = j
                 continue
-            if ch.isdigit():
-                j = i + 1
-                while j < n and raw[j].isdigit():
-                    j += 1
-                if j < n and raw[j] == ".":
-                    j += 1
-                    while j < n and raw[j].isdigit():
-                        j += 1
-                if j < n and raw[j] in "eE":
-                    k = j + 1
-                    if k < n and raw[k] in "+-":
-                        k += 1
-                    if k < n and raw[k].isdigit():
-                        j = k + 1
-                        while j < n and raw[j].isdigit():
-                            j += 1
+            if "0" <= ch <= "9":
+                j = _NUMBER.match(raw, i).end()
                 tokens.append(_Token("number", raw[i:j], lineno, col))
                 i = j
                 continue
@@ -793,20 +779,20 @@ def _arguments(labels: tuple[str, ...], points: dict[str, Point],
 
 
 def _parts(built: dict[tuple, object], labels: tuple[str, ...],
-           args: list[Point], tol: ToleranceBudget) -> Part:
+           args: list[Point]) -> Part:
     """The `part` of one statement over `labels`, whose points are `args`;
     `built` holds the parts of the run by builder and labels."""
     def part(build: Callable[..., object], *at: int) -> object:
         key = (build, *[labels[i] for i in at])
         made = built.get(key)
         if made is None:
-            made = built[key] = build(*[args[i] for i in at], tol)
+            made = built[key] = build(*[args[i] for i in at])
         return made
     return part
 
 
 def _construct(statements: Sequence[Statement], params: dict[str, float],
-               tol: ToleranceBudget, given: dict[str, Point],
+               given: dict[str, Point],
                needed: frozenset[str] | None,
                ) -> tuple[Configuration, dict[str, str], str | None]:
     """Run the point, require and drawing statements in order; the others
@@ -839,7 +825,7 @@ def _construct(statements: Sequence[Statement], params: dict[str, float],
                     angle = (None if expr.angle is None
                              else _eval_scalar(expr.angle, params))
                     points[label] = FUNCTIONS[expr.func][2](
-                        args, angle, tol, _parts(built, expr.points, args, tol))
+                        args, angle, _parts(built, expr.points, args))
             except _PoisonedLabel as exc:
                 poisoned[label] = str(exc)
             except (GeometryError, ArithmeticError) as exc:
@@ -850,7 +836,7 @@ def _construct(statements: Sequence[Statement], params: dict[str, float],
             try:
                 args = _arguments(stmt.labels, points, poisoned)
                 REQUIREMENTS[stmt.kind][1](
-                    args, tol, _parts(built, stmt.labels, args, tol))
+                    args, _parts(built, stmt.labels, args))
             except _PoisonedLabel as exc:
                 failed = failed or str(exc)
             except (GeometryError, ArithmeticError) as exc:
@@ -867,7 +853,7 @@ def _construct(statements: Sequence[Statement], params: dict[str, float],
             args = [points[label] for label in stmt.labels]
             try:
                 circles[f"circle({','.join(stmt.labels)})"] = _parts(
-                    built, stmt.labels, args, tol)(circumcircle, 0, 1, 2)
+                    built, stmt.labels, args)(circumcircle, 0, 1, 2)
             except GeometryError:
                 pass  # collinear labels: there is no circle to draw
     config = Configuration({**points, **circles}, "script", dict(params),
@@ -876,7 +862,7 @@ def _construct(statements: Sequence[Statement], params: dict[str, float],
 
 
 def evaluate(program: Program, overrides: dict[str, float] | None = None,
-             tol: ToleranceBudget = DEFAULT_TOL,
+             rel_tol: float = REL_TOL,
              ) -> tuple[Configuration, list[RelationVerdict]]:
     """Run the program: build every point, then judge every assertion.
 
@@ -885,7 +871,8 @@ def evaluate(program: Program, overrides: dict[str, float] | None = None,
     label yields a failed verdict carrying the underlying error.  A failed
     require fails every assertion the same way.  Residuals are normalized
     by the diameter of all defined points, matching how the deformation
-    engine judges claims against whole configurations.
+    engine judges claims against whole configurations.  An assertion
+    passes when its residual is at most `rel_tol`.
     """
     params = program.params()
     for name, value in (overrides or {}).items():
@@ -894,7 +881,7 @@ def evaluate(program: Program, overrides: dict[str, float] | None = None,
                                f"(have: {', '.join(sorted(params)) or 'none'})")
         params[name] = float(value)
 
-    config, poisoned, failed = _construct(program.statements, params, tol, {},
+    config, poisoned, failed = _construct(program.statements, params, {},
                                           None)
     points = config.points()
     scale = diameter(list(points.values()))
@@ -909,7 +896,7 @@ def evaluate(program: Program, overrides: dict[str, float] | None = None,
             continue
         try:
             verdicts.append(evaluate_relation(
-                stmt.kind, [points[lb] for lb in stmt.labels], tol,
+                stmt.kind, [points[lb] for lb in stmt.labels], rel_tol,
                 scale=scale))
         except (GeometryError, ArithmeticError) as exc:
             verdicts.append(RelationVerdict.failed(
@@ -920,12 +907,12 @@ def evaluate(program: Program, overrides: dict[str, float] | None = None,
 def family_builder(program: Program) -> Callable[..., Configuration]:
     """The builder of the deformation family whose figure is `program`.
 
-    `builder(*points)` runs the program under the default tolerance with
-    the given points in place of the coordinates of the labels its
-    `deform` statement names.  It raises the error of a failed require, or
-    of a failed construction that an assertion or requirement depends on,
-    so a sampler rejects the draw; any other failed label is left out, as
-    `evaluate` leaves it out.  ValueError when the program has no `deform`.
+    `builder(*points)` runs the program with the given points in place of
+    the coordinates of the labels its `deform` statement names.  It raises
+    the error of a failed require, or of a failed construction that an
+    assertion or requirement depends on, so a sampler rejects the draw; any
+    other failed label is left out, as `evaluate` leaves it out.
+    ValueError when the program has no `deform`.
     """
     deform = program.deform()
     if deform is None:
@@ -944,7 +931,7 @@ def family_builder(program: Program) -> Callable[..., Configuration]:
 
     def builder(*points: Point) -> Configuration:
         given = dict(zip(labels, points, strict=True))
-        return _construct(steps, params, DEFAULT_TOL, given, frozen)[0]
+        return _construct(steps, params, given, frozen)[0]
 
     return builder
 

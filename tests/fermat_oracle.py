@@ -6,7 +6,7 @@ from __future__ import annotations
 import warnings
 
 from geodeform.centers import _require_triangle
-from geodeform.core import DEFAULT_TOL, Point, ToleranceBudget, dist
+from geodeform.core import Point, dist
 
 
 class ObtuseFermatWarning(UserWarning):
@@ -14,7 +14,6 @@ class ObtuseFermatWarning(UserWarning):
 
 
 def fermat_oracle(a: Point, b: Point, c: Point,
-                  tol: ToleranceBudget = DEFAULT_TOL,
                   max_iter: int = 100_000) -> Point:
     """Geometric median of the three vertices by Weiszfeld iteration.
 
@@ -22,7 +21,7 @@ def fermat_oracle(a: Point, b: Point, c: Point,
     below 120 degrees the two must agree.  With an angle of 120 degrees or
     more the minimizer is that vertex; it is returned and a warning emitted.
     """
-    diam = _require_triangle(a, b, c, tol)
+    diam = _require_triangle(a, b, c)
     pts = (a, b, c)
     for i, v in enumerate(pts):
         u = pts[(i + 1) % 3] - v

@@ -12,9 +12,8 @@ from geodeform.centers import CenterKind, IllConditioned, Orientation, \
 from geodeform.configurations import Configuration, GeomObject, \
     NonConvexQuadrilateral, PointOnVertex, PointOutsideCircumcircle
 from geodeform.core import (
-    DEFAULT_TOL,
+    FLOOR,
     Point,
-    ToleranceBudget,
     angle_bisector,
     circumcircle,
     dist,
@@ -30,29 +29,27 @@ from geodeform.script import second_intersection
 # ---------------------------------------------------------------------------
 # quadrilateral constructions
 
-def _require_convex(a: Point, b: Point, c: Point, d: Point,
-                    tol: ToleranceBudget) -> None:
+def _require_convex(a: Point, b: Point, c: Point, d: Point) -> None:
     pts = (a, b, c, d)
     diam = max(dist(p, q) for i, p in enumerate(pts) for q in pts[i + 1:])
     areas = [signed_area(a, b, c), signed_area(b, c, d),
              signed_area(c, d, a), signed_area(d, a, b)]
-    floor = tol.abs_floor * diam * diam
+    floor = FLOOR * diam * diam
     if any(abs(x) <= floor for x in areas):
         raise NonConvexQuadrilateral("three consecutive vertices are collinear")
     if len({x > 0.0 for x in areas}) != 1:
         raise NonConvexQuadrilateral("vertices in order are not strictly convex")
 
 
-def build_theorem1(a: Point, b: Point, c: Point, d: Point,
-                   tol: ToleranceBudget = DEFAULT_TOL) -> Configuration:
+def build_theorem1(a: Point, b: Point, c: Point, d: Point) -> Configuration:
     """Right-isosceles apexes erected inward on the sides of a convex
     quadrilateral; the two apex diagonals are the segments under test."""
-    _require_convex(a, b, c, d, tol)
+    _require_convex(a, b, c, d)
     g = Point((a.x + b.x + c.x + d.x) / 4.0, (a.y + b.y + c.y + d.y) / 4.0)
-    o_ab = right_isosceles_apex(a, b, Orientation.TOWARD_REFERENCE, g, tol)
-    o_bc = right_isosceles_apex(b, c, Orientation.TOWARD_REFERENCE, g, tol)
-    o_cd = right_isosceles_apex(c, d, Orientation.TOWARD_REFERENCE, g, tol)
-    o_da = right_isosceles_apex(d, a, Orientation.TOWARD_REFERENCE, g, tol)
+    o_ab = right_isosceles_apex(a, b, Orientation.TOWARD_REFERENCE, g)
+    o_bc = right_isosceles_apex(b, c, Orientation.TOWARD_REFERENCE, g)
+    o_cd = right_isosceles_apex(c, d, Orientation.TOWARD_REFERENCE, g)
+    o_da = right_isosceles_apex(d, a, Orientation.TOWARD_REFERENCE, g)
     objects: dict[str, GeomObject] = {
         "A": a, "B": b, "C": c, "D": d,
         "O_ab": o_ab, "O_bc": o_bc, "O_cd": o_cd, "O_da": o_da,
@@ -65,18 +62,18 @@ def build_theorem1(a: Point, b: Point, c: Point, d: Point,
                          {"vertices": (a, b, c, d)}, edges)
 
 
-def build_bisector_variant(a: Point, b: Point, c: Point, d: Point,
-                           tol: ToleranceBudget = DEFAULT_TOL) -> Configuration:
+def build_bisector_variant(a: Point, b: Point, c: Point,
+                           d: Point) -> Configuration:
     """Meets of interior-angle bisectors at adjacent vertex pairs."""
-    _require_convex(a, b, c, d, tol)
-    bis_a = angle_bisector(a, d, b, tol)
-    bis_b = angle_bisector(b, a, c, tol)
-    bis_c = angle_bisector(c, b, d, tol)
-    bis_d = angle_bisector(d, c, a, tol)
-    o1 = intersect(bis_a, bis_b, tol)[0]
-    o2 = intersect(bis_b, bis_c, tol)[0]
-    o3 = intersect(bis_c, bis_d, tol)[0]
-    o4 = intersect(bis_d, bis_a, tol)[0]
+    _require_convex(a, b, c, d)
+    bis_a = angle_bisector(a, d, b)
+    bis_b = angle_bisector(b, a, c)
+    bis_c = angle_bisector(c, b, d)
+    bis_d = angle_bisector(d, c, a)
+    o1 = intersect(bis_a, bis_b)[0]
+    o2 = intersect(bis_b, bis_c)[0]
+    o3 = intersect(bis_c, bis_d)[0]
+    o4 = intersect(bis_d, bis_a)[0]
     objects: dict[str, GeomObject] = {
         "A": a, "B": b, "C": c, "D": d,
         "O_1": o1, "O_2": o2, "O_3": o3, "O_4": o4,
@@ -91,8 +88,7 @@ def build_bisector_variant(a: Point, b: Point, c: Point, d: Point,
 # ---------------------------------------------------------------------------
 # triangle constructions
 
-def build_example1(a: Point, b: Point, c: Point,
-                   tol: ToleranceBudget = DEFAULT_TOL) -> Configuration:
+def build_example1(a: Point, b: Point, c: Point) -> Configuration:
     """Equilateral triangles erected on each side toward the opposite
     vertex; their centroids form the inner triangle under test, together
     with the first Fermat point of the base triangle.
@@ -101,13 +97,13 @@ def build_example1(a: Point, b: Point, c: Point,
     construction is well-conditioned (it degenerates for an equilateral
     base), so both candidate conventions can be compared.
     """
-    apex_a = equilateral_apex(b, c, Orientation.TOWARD_REFERENCE, a, tol)
-    apex_b = equilateral_apex(c, a, Orientation.TOWARD_REFERENCE, b, tol)
-    apex_c = equilateral_apex(a, b, Orientation.TOWARD_REFERENCE, c, tol)
-    o_a = triangle_center(CenterKind.X2, apex_a, b, c, tol)
-    o_b = triangle_center(CenterKind.X2, apex_b, c, a, tol)
-    o_c = triangle_center(CenterKind.X2, apex_c, a, b, tol)
-    f1 = triangle_center(CenterKind.X13, a, b, c, tol)
+    apex_a = equilateral_apex(b, c, Orientation.TOWARD_REFERENCE, a)
+    apex_b = equilateral_apex(c, a, Orientation.TOWARD_REFERENCE, b)
+    apex_c = equilateral_apex(a, b, Orientation.TOWARD_REFERENCE, c)
+    o_a = triangle_center(CenterKind.X2, apex_a, b, c)
+    o_b = triangle_center(CenterKind.X2, apex_b, c, a)
+    o_c = triangle_center(CenterKind.X2, apex_c, a, b)
+    f1 = triangle_center(CenterKind.X13, a, b, c)
     objects: dict[str, GeomObject] = {
         "A": a, "B": b, "C": c,
         "A'": apex_a, "B'": apex_b, "C'": apex_c,
@@ -115,7 +111,7 @@ def build_example1(a: Point, b: Point, c: Point,
         "F1": f1,
     }
     try:
-        objects["F2"] = triangle_center(CenterKind.X14, a, b, c, tol)
+        objects["F2"] = triangle_center(CenterKind.X14, a, b, c)
     except IllConditioned:
         pass  # equilateral base: no usable second Fermat point
     edges = (("A", "B"), ("B", "C"), ("C", "A"),
@@ -125,15 +121,14 @@ def build_example1(a: Point, b: Point, c: Point,
     return Configuration(objects, "example1", {"vertices": (a, b, c)}, edges)
 
 
-def build_example2(a: Point, b: Point, c: Point,
-                   tol: ToleranceBudget = DEFAULT_TOL) -> Configuration:
+def build_example2(a: Point, b: Point, c: Point) -> Configuration:
     """Second Fermat points of the three triangles cut off by the first
     Fermat point, together with both Fermat points of the base triangle."""
-    f1 = triangle_center(CenterKind.X13, a, b, c, tol)
-    f2 = triangle_center(CenterKind.X14, a, b, c, tol)
-    f_a = triangle_center(CenterKind.X14, f1, b, c, tol)
-    f_b = triangle_center(CenterKind.X14, f1, a, c, tol)
-    f_c = triangle_center(CenterKind.X14, f1, a, b, tol)
+    f1 = triangle_center(CenterKind.X13, a, b, c)
+    f2 = triangle_center(CenterKind.X14, a, b, c)
+    f_a = triangle_center(CenterKind.X14, f1, b, c)
+    f_b = triangle_center(CenterKind.X14, f1, a, c)
+    f_c = triangle_center(CenterKind.X14, f1, a, b)
     objects: dict[str, GeomObject] = {
         "A": a, "B": b, "C": c,
         "F1": f1, "F2": f2,
@@ -144,29 +139,28 @@ def build_example2(a: Point, b: Point, c: Point,
     return Configuration(objects, "example2", {"vertices": (a, b, c)}, edges)
 
 
-def build_example3(a: Point, b: Point, c: Point, p: Point,
-                   tol: ToleranceBudget = DEFAULT_TOL) -> Configuration:
+def build_example3(a: Point, b: Point, c: Point, p: Point) -> Configuration:
     """Nine-point centers of the three triangles obtained by replacing one
     vertex with its circumcircle re-intersection through an interior point,
     plus their line and midpoint reflections in the corresponding sides."""
-    circ = circumcircle(a, b, c, tol)
+    circ = circumcircle(a, b, c)
     diam = max(dist(a, b), dist(b, c), dist(c, a))
     for v in (a, b, c):
-        if dist(p, v) <= tol.abs_floor * max(1.0, diam):
+        if dist(p, v) <= FLOOR * max(1.0, diam):
             raise PointOnVertex(f"cevian point {p} coincides with vertex {v}")
-    if dist(p, circ.center) >= circ.radius * (1.0 - tol.abs_floor):
+    if dist(p, circ.center) >= circ.radius * (1.0 - FLOOR):
         raise PointOutsideCircumcircle(
             f"cevian point {p} is not strictly inside the circumcircle")
-    a2 = second_intersection(a, p, circ, tol)
-    b2 = second_intersection(b, p, circ, tol)
-    c2 = second_intersection(c, p, circ, tol)
-    n = triangle_center(CenterKind.X5, a, b, c, tol)
-    n_a = triangle_center(CenterKind.X5, a2, b, c, tol)
-    n_b = triangle_center(CenterKind.X5, b2, a, c, tol)
-    n_c = triangle_center(CenterKind.X5, c2, a, b, tol)
-    side_a = line_through(b, c, tol)
-    side_b = line_through(a, c, tol)
-    side_c = line_through(a, b, tol)
+    a2 = second_intersection(a, p, circ)
+    b2 = second_intersection(b, p, circ)
+    c2 = second_intersection(c, p, circ)
+    n = triangle_center(CenterKind.X5, a, b, c)
+    n_a = triangle_center(CenterKind.X5, a2, b, c)
+    n_b = triangle_center(CenterKind.X5, b2, a, c)
+    n_c = triangle_center(CenterKind.X5, c2, a, b)
+    side_a = line_through(b, c)
+    side_b = line_through(a, c)
+    side_c = line_through(a, b)
     objects: dict[str, GeomObject] = {
         "A": a, "B": b, "C": c, "P": p,
         "A'": a2, "B'": b2, "C'": c2,

@@ -58,6 +58,18 @@ def test_verify_unknown_claim(capsys):
     assert "theorem1_perp" in err  # the valid list is offered
 
 
+@pytest.mark.parametrize("extra, message", [
+    ("nosuch", "unknown claim(s): nosuch"),
+    (str(SCRIPTS / "eps_demo.geo"), "no deform statement"),
+])
+def test_verify_all_does_not_hide_other_arguments(capsys, extra, message):
+    """`all` stands for every built-in claim in its place; the other
+    arguments are checked as they would be without it."""
+    code, out, err = run_cli(capsys, "verify", "all", extra, "--samples", "2")
+    assert code == 2 and not out
+    assert message in err
+
+
 def test_verify_program_equals_its_named_claims(capsys):
     argv = ("--seed", "7", "--samples", "50")
     by_path = run_cli(capsys, "verify", str(SCRIPTS / "theorem1.geo"), *argv)
@@ -93,6 +105,16 @@ def test_verify_deforms_a_user_figure(capsys, tmp_path):
         ("medians", "theorem"), ("medians", "refuted"),
         ("theorem1", "theorem")]
     assert claims[0]["description"] == "the centroid lies on a median"
+
+
+def test_verify_all_expands_in_place(capsys, tmp_path):
+    path = tmp_path / "medians.geo"
+    path.write_text(USER_FIGURE)
+    code, out, _ = run_cli(capsys, "verify", str(path), "all",
+                           "--samples", "2")
+    assert code == 1
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        "median", "on_side", *claim_names()]
 
 
 @pytest.mark.parametrize("source, message", [
@@ -143,6 +165,18 @@ def test_bad_tol_is_usage_error(capsys, command, tol):
         main(command + ["--tol", tol])
     assert info.value.code == 2
     assert "--tol" in capsys.readouterr().err
+
+
+def test_tol_moves_the_verdict_threshold_only(capsys):
+    """A threshold below every construction guard still builds each
+    figure, and `run` and `verify` agree on the program."""
+    path = str(SCRIPTS / "example2.geo")
+    code, out, _ = run_cli(capsys, "run", path, "--tol", "1e-16")
+    assert (code, out) == (0, "PASS concyclic(F_a,F_b,F_c,F2) "
+                              "residual=0.00e+00\n")
+    code, out, _ = run_cli(capsys, "verify", path, "--tol", "1e-16",
+                           "--samples", "20")
+    assert code == 0 and out.startswith("example2_concyclic: theorem ")
 
 
 def test_verify_runs_outside_the_checkout(tmp_path):
@@ -303,6 +337,17 @@ def test_run_reports_parse_position(capsys, tmp_path):
     code, _, err = run_cli(capsys, "run", str(bad))
     assert code == 2
     assert f"{bad}:1:12:" in err
+
+
+# a superscript two, which float() rejects, and an Arabic-Indic three,
+# which it reads as 3.0
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])
+def test_run_rejects_non_ascii_digits(capsys, tmp_path, digit):
+    bad = tmp_path / "digit.geo"
+    bad.write_text(f"point A = ({digit}, 0)\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", str(bad))
+    assert code == 2 and not out
+    assert err == f"{bad}:1:12: unexpected character {digit!r}\n"
 
 
 def test_run_missing_file(capsys, tmp_path):

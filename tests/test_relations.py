@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geodeform.core import (
     Circle,
@@ -11,7 +13,6 @@ from geodeform.core import (
     ConcentricCircles,
     Line,
     Point,
-    dist,
     rotate,
 )
 from geodeform.relations import (
@@ -103,15 +104,6 @@ def test_concyclic_radial_bump_measured():
     assert 2e-4 < v.residual < 8e-4, v.residual
 
 
-def test_concyclic_witness_is_consistent():
-    pts = circle_points(0.4, -0.2, 1.7, [0.1, 1.0, 2.5, 4.0, 5.5])
-    v = check_concyclic(pts)
-    assert v.passed
-    circ = v.witness
-    for p in pts:
-        assert abs(dist(p, circ.center) - circ.radius) < 1e-9 * circ.radius
-
-
 def test_concyclic_external_scale_divides():
     # same defect judged against a 10x larger figure gives a residual
     # smaller by about that factor
@@ -134,7 +126,6 @@ def test_medians_concurrent_at_centroid():
              line_through(c, midpoint(a, b))]
     v = check_concurrent_lines(lines)
     assert v.passed
-    assert dist(v.witness, Point(4.0 / 3.0, 2.0)) < 1e-9
 
 
 def test_concurrent_lines_fail():
@@ -161,9 +152,6 @@ def test_coaxial_pencil_through_two_points():
     circles = [Circle(Point(x, 0.0), math.hypot(x, 1.0)) for x in (1, 2, 3)]
     v = check_coaxial(circles)
     assert v.passed
-    axis = v.witness
-    assert abs(axis.value(Point(0.0, 1.0))) < 1e-9
-    assert abs(axis.value(Point(0.0, -1.0))) < 1e-9
 
 
 def test_coaxial_generic_triple_fails():
@@ -194,8 +182,6 @@ def test_medial_triangle_perspective_at_centroid():
           midpoint(t1[0], t1[1]))
     v = check_perspective(t1, t2)
     assert v.passed
-    g = Point(5.0 / 3.0, 1.0)
-    assert dist(v.witness, g) < 1e-9
 
 
 def test_translated_copy_concurrent_at_infinity():
@@ -417,6 +403,41 @@ def test_every_kind_is_exact_under_power_of_two_scaling(kind):
         got = evaluate_relation(kind, [Point(p.x * s, p.y * s) for p in pts])
         assert (got.residual, got.passed) == (base.residual, base.passed), \
             (kind, k, got.residual, base.residual)
+
+
+# every kind on a figure in general position; concurrent and perspective
+# also on a figure where they nearly hold, so that the size of the figure,
+# not the spread of the pairwise meets, is the denominator
+SIMILARITY_FIXTURES = [
+    *((kind, GENERIC_POINTS[:RELATION_ARITIES[kind][0]])
+      for kind in RELATION_ARITIES),
+    ("concurrent", [Point(0, 0), Point(1, 1), Point(1, 0), Point(0, 1),
+                    Point(0.501, 0), Point(0.501, 1)]),
+    ("perspective", [Point(0, 0), Point(4, 0), Point(1, 3),
+                     Point(2.5, 1.5), Point(0.5, 1.5), Point(2, 0.001)]),
+]
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(case=st.sampled_from(SIMILARITY_FIXTURES),
+       angle=st.floats(-math.pi, math.pi),
+       shift=st.tuples(st.floats(-10, 10), st.floats(-10, 10)),
+       scale=st.floats(-3, 3).map(lambda e: 10.0 ** e))
+def test_every_kind_is_similarity_invariant(case, angle, shift, scale):
+    """Rotating the figure, translating it by up to ten units and scaling
+    the result by 1e-3 to 1e3 moves every residual by at most 1e-12.
+
+    The bound is absolute because a residual is a fraction of the figure's
+    size, and so is the roundoff of the moved coordinates (about 1e-15 per
+    unit of translation); 1e-12 leaves a wide margin over it and is far
+    below any defect a transform could fake."""
+    kind, pts = case
+    base = evaluate_relation(kind, pts).residual
+    c, s = math.cos(angle), math.sin(angle)
+    moved = [Point(scale * (c * p.x - s * p.y + shift[0]),
+                   scale * (s * p.x + c * p.y + shift[1])) for p in pts]
+    got = evaluate_relation(kind, moved).residual
+    assert abs(got - base) <= 1e-12, (kind, got, base)
 
 
 def test_generic_scaling_close_above_floor():
