@@ -25,12 +25,16 @@ from .core import (
     circumcircle,
     diameter,
     dist,
+    guard,
     intersect,
     least_squares_meet,
     line_through,
+    maximum,
     midpoint,
+    minimum,
     perp,
     signed_area,
+    where,
 )
 
 __all__ = [
@@ -69,28 +73,24 @@ class IllConditioned(GeometryError):
     within the guard GUARD."""
 
 
-def _sign(x: float) -> float:
-    return -1.0 if x < 0.0 else 1.0
-
-
 def _pick_side(base1: Point, base2: Point, candidate_offset: Point,
                mid: Point, orientation: Orientation, reference: Point) -> Point:
     """Choose mid +/- offset so the result sits on the requested side."""
-    ref_side = _sign(signed_area(base1, base2, reference))
-    if orientation is Orientation.AWAY_FROM_REFERENCE:
-        ref_side = -ref_side
     plus = Point(mid.x + candidate_offset.x, mid.y + candidate_offset.y)
-    if _sign(signed_area(base1, base2, plus)) == ref_side:
-        return plus
-    return Point(mid.x - candidate_offset.x, mid.y - candidate_offset.y)
+    # a side is the sign of the signed area, with 0.0 on the positive side
+    same_side = ((signed_area(base1, base2, plus) < 0.0)
+                 == (signed_area(base1, base2, reference) < 0.0))
+    keep = same_side == (orientation is Orientation.TOWARD_REFERENCE)
+    return Point(where(keep, plus.x, mid.x - candidate_offset.x),
+                 where(keep, plus.y, mid.y - candidate_offset.y))
 
 
 def equilateral_apex(base1: Point, base2: Point, orientation: Orientation,
                      reference: Point) -> Point:
     """Apex completing an equilateral triangle on the segment base1-base2."""
     d = dist(base1, base2)
-    if d <= FLOOR * max(1.0, d):
-        raise CoincidentPoints("equilateral apex on a zero-length base")
+    guard(d <= FLOOR * maximum(1.0, d), CoincidentPoints,
+          "equilateral apex on a zero-length base")
     m = midpoint(base1, base2)
     offset = perp(base2 - base1) * (math.sqrt(3.0) / 2.0)
     return _pick_side(base1, base2, offset, m, orientation, reference)
@@ -100,19 +100,20 @@ def right_isosceles_apex(end1: Point, end2: Point, orientation: Orientation,
                          reference: Point) -> Point:
     """Apex O with |O-end1| = |O-end2| and a right angle at O."""
     d = dist(end1, end2)
-    if d <= FLOOR * max(1.0, d):
-        raise CoincidentPoints("right-isosceles apex on a zero-length base")
+    guard(d <= FLOOR * maximum(1.0, d), CoincidentPoints,
+          "right-isosceles apex on a zero-length base")
     m = midpoint(end1, end2)
     offset = perp(end2 - end1) * 0.5
     return _pick_side(end1, end2, offset, m, orientation, reference)
 
 
 def _require_triangle(a: Point, b: Point, c: Point) -> float:
-    diam = max(dist(a, b), dist(b, c), dist(c, a))
-    if min(dist(a, b), dist(b, c), dist(c, a)) <= FLOOR * max(1.0, diam):
-        raise CoincidentPoints("triangle with coincident vertices")
-    if abs(signed_area(a, b, c)) <= FLOOR * diam * diam:
-        raise CollinearPoints(f"degenerate triangle {a}, {b}, {c}")
+    sides = dist(a, b), dist(b, c), dist(c, a)
+    diam = maximum(*sides)
+    guard(minimum(*sides) <= FLOOR * maximum(1.0, diam), CoincidentPoints,
+          "triangle with coincident vertices")
+    guard(abs(signed_area(a, b, c)) <= FLOOR * diam * diam, CollinearPoints,
+          "degenerate triangle {}, {}, {}", a, b, c)
     return diam
 
 
@@ -139,9 +140,9 @@ def _concurrent_point(lines: list[Line], diam: float) -> Point:
             except GeometryError as exc:
                 raise IllConditioned(f"defining lines nearly parallel: {exc}") from exc
     spread = diameter(meets)
-    if spread > GUARD * diam:
-        raise IllConditioned(
-            f"defining lines meet with spread {spread:.3e} over scale {diam:.3e}")
+    guard(spread > GUARD * diam, IllConditioned,
+          "defining lines meet with spread {:.3e} over scale {:.3e}",
+          spread, diam)
     try:
         return least_squares_meet(lines, FLOOR)
     except Parallel as exc:

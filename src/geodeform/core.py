@@ -8,14 +8,26 @@ inputs, so the whole module behaves identically under translation,
 rotation and uniform scaling of its inputs.  The degeneracy guards are
 properties of double-precision arithmetic, not of what a caller accepts
 as a theorem: no construction takes a tolerance.
+
+Every construction is written once over coordinates that are floats or
+float64 arrays with one row per sample, so a batch of deformed figures
+runs through the same code as one figure.  Math comes from a table
+chosen by the coordinate type (`hypot`, `sqrt`, `square`, `pow2_near`), a
+branch on a value goes through `where`, and every degeneracy test goes
+through `guard`: on floats it raises, on arrays it marks the failing rows
+in the enclosing `failures()` block and the other rows go on.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Sequence
+from functools import reduce
+from typing import Callable, Sequence
+
+import numpy as np
 
 __all__ = [
     "GeometryError",
@@ -27,6 +39,18 @@ __all__ = [
     "DegenerateAngleWarning",
     "FLOOR",
     "GUARD",
+    "Failures",
+    "failures",
+    "only_rows",
+    "fail_rows",
+    "guard",
+    "where",
+    "maximum",
+    "minimum",
+    "hypot",
+    "sqrt",
+    "square",
+    "pow2_near",
     "Point",
     "Line",
     "Circle",
@@ -41,6 +65,7 @@ __all__ = [
     "reflect_point",
     "reflect_line",
     "intersect",
+    "line_circle_meets",
     "least_squares_meet",
     "angle_bisector",
     "radical_axis",
@@ -79,6 +104,174 @@ class DegenerateAngleWarning(UserWarning):
 
 
 # ---------------------------------------------------------------------------
+# number types: floats, or float64 arrays with one row per sample
+
+# the batch type, bound once: the float path tests for it on every call
+_ARRAY = np.ndarray
+
+
+def _rowwise(f: Callable[..., float]) -> Callable[..., np.ndarray]:
+    """`f` applied to each row: the float path's own bits."""
+    def on_rows(*args):
+        cols = np.broadcast_arrays(*args)
+        return np.fromiter(map(f, *(c.ravel().tolist() for c in cols)),
+                           float, cols[0].size).reshape(cols[0].shape)
+    return on_rows
+
+
+def _or_nan(f: Callable[..., float]) -> Callable[..., float]:
+    """`f`, but NaN where it raises: a row where the float path raises
+    then fails where the NaN reaches a point or a residual."""
+    def safe(*args: float) -> float:
+        try:
+            return f(*args)
+        except (ArithmeticError, ValueError):
+            return math.nan
+    return safe
+
+
+class _Floats:
+    hypot = staticmethod(math.hypot)
+    sqrt = staticmethod(math.sqrt)
+
+    @staticmethod
+    def square(x: float) -> float:
+        return x ** 2
+
+    @staticmethod
+    def pow2_near(x: float) -> float:
+        return 2.0 ** round(math.log2(x))
+
+
+class _Rows:
+    # hypot, ** 2 and log2 go through the float path per element: np.hypot
+    # differs from math.hypot on 0.6% of random pairs, and np.square from
+    # ** 2 (the C library's pow) on 0.09% of random values
+    hypot = staticmethod(_rowwise(math.hypot))
+    sqrt = staticmethod(np.sqrt)
+    square = staticmethod(_rowwise(_or_nan(_Floats.square)))
+    pow2_near = staticmethod(_rowwise(_or_nan(_Floats.pow2_near)))
+
+
+def _math(*values: object) -> type:
+    """The math table for these values: rows if any of them is an array."""
+    return _Rows if _ARRAY in map(type, values) else _Floats
+
+
+def hypot(x, y):
+    # the table choice inlined, as in dist
+    if type(x) is _ARRAY or type(y) is _ARRAY:
+        return _Rows.hypot(x, y)
+    return math.hypot(x, y)
+
+
+def sqrt(x):
+    return (_Rows if type(x) is _ARRAY else _Floats).sqrt(x)
+
+
+def square(x):
+    return (_Rows if type(x) is _ARRAY else _Floats).square(x)
+
+
+def pow2_near(x):
+    """The power of two nearest to x on a log scale."""
+    return (_Rows if type(x) is _ARRAY else _Floats).pow2_near(x)
+
+
+def where(cond, a, b):
+    """a where cond holds, else b: per row when cond is an array, for
+    numbers and points alike."""
+    if type(cond) is not _ARRAY:
+        return a if cond else b
+    if isinstance(a, Point):
+        return Point(np.where(cond, a.x, b.x), np.where(cond, a.y, b.y))
+    return np.where(cond, a, b)
+
+
+def maximum(*values):
+    """The builtin max of the values, per row: a later value wins only
+    when it is strictly greater."""
+    if _ARRAY not in map(type, values):
+        return max(values)
+    return reduce(lambda best, v: where(v > best, v, best), values)
+
+
+def minimum(*values):
+    """The builtin min of the values, per row."""
+    if _ARRAY not in map(type, values):
+        return min(values)
+    return reduce(lambda best, v: where(v < best, v, best), values)
+
+
+@dataclass
+class Failures:
+    """The rows whose guards failed inside a `failures()` block: False
+    until a row fails, and always on floats, where guards raise."""
+
+    rows: bool | np.ndarray = False
+
+
+# (the rows that are running, the Failures that collects their guards);
+# `only_rows` narrows the first, `failures` replaces the second
+_SCOPE: ContextVar[tuple[bool | np.ndarray, Failures | None]] = ContextVar(
+    "geodeform_rows", default=(True, None))
+
+
+class failures:
+    """`with failures() as failed:` collects in `failed.rows` the rows
+    whose guards fail inside the block, instead of passing them to the
+    enclosing block: the `try` of the batch path."""
+
+    def __enter__(self) -> Failures:
+        collected = Failures()
+        self._token = _SCOPE.set((_SCOPE.get()[0], collected))
+        return collected
+
+    def __exit__(self, *exc_info) -> None:
+        _SCOPE.reset(self._token)
+
+
+class only_rows:
+    """`with only_rows(mask) as rows:` runs the block on the rows of
+    `mask` that are running: guards inside mark failures in those rows
+    alone.  `rows` is the narrowed mask."""
+
+    def __init__(self, mask: np.ndarray) -> None:
+        self._mask = mask
+
+    def __enter__(self) -> np.ndarray:
+        running, collected = _SCOPE.get()
+        rows = self._mask & running
+        self._token = _SCOPE.set((rows, collected))
+        return rows
+
+    def __exit__(self, *exc_info) -> None:
+        _SCOPE.reset(self._token)
+
+
+def guard(failed, error: type[GeometryError], message: str, *args) -> None:
+    """A degeneracy test.  On floats, raise error(message.format(*args))
+    when `failed` holds.  On rows, mark the running rows where it holds
+    failed in the enclosing `failures()` block (outside any, raise if
+    one of them fails)."""
+    if type(failed) is _ARRAY:
+        running, collected = _SCOPE.get()
+        failed = failed & running
+        if collected is not None:
+            collected.rows = collected.rows | failed
+            return
+        failed = failed.any()
+    if failed:
+        raise error(message.format(*args))
+
+
+def fail_rows(rows: bool | np.ndarray) -> None:
+    """Mark `rows` failed as a failing guard does; False marks none."""
+    if rows is not False:
+        guard(rows, GeometryError, "rows failed outside a failures() block")
+
+
+# ---------------------------------------------------------------------------
 # value types
 
 # Degeneracy floor, relative to the size of the inputs: coincident points,
@@ -96,8 +289,12 @@ class Point:
     y: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise NonFiniteInput(f"non-finite point ({self.x}, {self.y})")
+        x, y = self.x, self.y
+        # x - x is 0.0 for a finite x and NaN otherwise, on floats and rows
+        # alike; no call on a finite float point, which every point is
+        failed = (x - x != 0.0) | (y - y != 0.0)
+        if failed is not False:
+            guard(failed, NonFiniteInput, "non-finite point ({}, {})", x, y)
 
     def __add__(self, other: Point) -> Point:
         return Point(self.x + other.x, self.y + other.y)
@@ -114,7 +311,7 @@ class Point:
         return Point(self.x / k, self.y / k)
 
     def norm(self) -> float:
-        return math.hypot(self.x, self.y)
+        return hypot(self.x, self.y)
 
 
 @dataclass(frozen=True)
@@ -132,18 +329,21 @@ class Line:
 
     def __post_init__(self) -> None:
         a, b, c = self.a, self.b, self.c
-        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
-            raise NonFiniteInput(f"non-finite line ({a}, {b}, {c})")
-        n = math.hypot(a, b)
-        if n == 0.0:
-            raise NonFiniteInput("line normal vector is zero")
+        # the guards of Point's kind, without a call on a valid float line:
+        # every line pays them
+        failed = (a - a != 0.0) | (b - b != 0.0) | (c - c != 0.0)
+        if failed is not False:
+            guard(failed, NonFiniteInput,
+                  "non-finite line ({}, {}, {})", a, b, c)
+        n = hypot(a, b)
+        failed = n == 0.0
+        if failed is not False:
+            guard(failed, NonFiniteInput, "line normal vector is zero")
         a, b, c = a / n, b / n, c / n
-        if a < 0.0 or (a == 0.0 and b < 0.0):
-            a, b, c = -a, -b, -c
-        # avoid -0.0 so equal lines serialize identically
-        a = a + 0.0 if a != 0.0 else 0.0
-        b = b + 0.0 if b != 0.0 else 0.0
-        c = c + 0.0 if c != 0.0 else 0.0
+        # times -1.0 is an exact negation
+        sign = where((a < 0.0) | ((a == 0.0) & (b < 0.0)), -1.0, 1.0)
+        # + 0.0 turns -0.0 into 0.0, so equal lines serialize identically
+        a, b, c = sign * a + 0.0, sign * b + 0.0, sign * c + 0.0
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
@@ -168,21 +368,33 @@ class Circle:
     radius: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.radius) or self.radius < 0:
-            raise NonFiniteInput(f"bad radius {self.radius}")
+        r = self.radius
+        failed = (r - r != 0.0) | (r < 0)
+        if failed is not False:
+            guard(failed, NonFiniteInput, "bad radius {}", r)
 
 
 # ---------------------------------------------------------------------------
 # small helpers
 
 def dist(p: Point, q: Point) -> float:
-    return math.hypot(p.x - q.x, p.y - q.y)
+    # hypot inlined: the hottest call of the float path
+    dx, dy = p.x - q.x, p.y - q.y
+    if type(dx) is _ARRAY or type(dy) is _ARRAY:
+        return _Rows.hypot(dx, dy)
+    return math.hypot(dx, dy)
 
 
 def diameter(points: Sequence[Point]) -> float:
     """Largest pairwise distance; 0.0 for fewer than two points."""
-    return max((dist(p, q) for i, p in enumerate(points) for q in points[i + 1:]),
-               default=0.0)
+    if len(points) < 2:
+        return 0.0
+    # one table for all pairs: every figure's scale pays this
+    table = _math(*[c for p in points for c in (p.x, p.y)])
+    pair_hypot = table.hypot
+    dists = (pair_hypot(p.x - q.x, p.y - q.y)
+             for i, p in enumerate(points) for q in points[i + 1:])
+    return max(dists) if table is _Floats else maximum(*dists)
 
 
 def midpoint(p: Point, q: Point) -> Point:
@@ -196,7 +408,7 @@ def perp(v: Point) -> Point:
 
 def _local_scale(*pts: Point) -> float:
     """Magnitude floor used to scale absolute degeneracy thresholds."""
-    return max(1.0, *(max(abs(p.x), abs(p.y)) for p in pts))
+    return maximum(1.0, *[abs(c) for p in pts for c in (p.x, p.y)])
 
 
 def signed_area(p: Point, q: Point, r: Point) -> float:
@@ -211,8 +423,8 @@ def signed_area(p: Point, q: Point, r: Point) -> float:
 
 def line_through(p: Point, q: Point) -> Line:
     """The unique line through two distinct points."""
-    if dist(p, q) <= FLOOR * _local_scale(p, q):
-        raise CoincidentPoints(f"line through coincident points {p} and {q}")
+    guard(dist(p, q) <= FLOOR * _local_scale(p, q), CoincidentPoints,
+          "line through coincident points {} and {}", p, q)
     d = q - p
     # normal (dy, -dx); Line.__post_init__ normalizes and fixes the sign
     return Line(d.y, -d.x, -(d.y * p.x - d.x * p.y))
@@ -220,25 +432,26 @@ def line_through(p: Point, q: Point) -> Line:
 
 def circumcircle(p: Point, q: Point, r: Point) -> Circle:
     """Circle through three non-collinear points."""
-    diam = max(dist(p, q), dist(q, r), dist(r, p))
+    diam = maximum(dist(p, q), dist(q, r), dist(r, p))
     # b = q - p and c = r - p as bare floats: Point temporaries would
     # dominate the cost of this call, which every circle construction pays
     bx, by = q.x - p.x, q.y - p.y
     cx, cy = r.x - p.x, r.y - p.y
     cross = bx * cy - by * cx
-    if abs(cross / 2.0) <= FLOOR * diam * diam:
-        raise CollinearPoints(f"circumcircle of collinear points {p}, {q}, {r}")
+    guard(abs(cross / 2.0) <= FLOOR * diam * diam, CollinearPoints,
+          "circumcircle of collinear points {}, {}, {}", p, q, r)
     d = 2.0 * cross
     b2 = bx * bx + by * by
     c2 = cx * cx + cy * cy
     ux = (cy * b2 - by * c2) / d
     uy = (bx * c2 - cx * b2) / d
     center = Point(p.x + ux, p.y + uy)
-    return Circle(center, math.hypot(ux, uy))
+    return Circle(center, hypot(ux, uy))
 
 
 def rotate(p: Point, center: Point, angle: float) -> Point:
     """p rotated about center by angle radians (counterclockwise)."""
+    # the angle is a float: a program's param, the same for every row
     if not math.isfinite(angle):
         raise NonFiniteInput(f"non-finite angle {angle}")
     ca, sa = math.cos(angle), math.sin(angle)
@@ -268,6 +481,8 @@ def intersect(a: Line | Circle, b: Line | Circle) -> list[Point]:
     within the floor of zero) yields a single point; a clearly negative
     discriminant yields the empty list.  Concentric circles of different
     radii yield the empty list; identical circles raise ConcentricCircles.
+    Only a line pair takes rows: how many points the other pairs give
+    depends on the values (see `line_circle_meets`).
     """
     if isinstance(a, Line) and isinstance(b, Line):
         return [_intersect_lines(a, b)]
@@ -283,8 +498,7 @@ def intersect(a: Line | Circle, b: Line | Circle) -> list[Point]:
 def _intersect_lines(l1: Line, l2: Line) -> Point:
     # both normals are unit vectors, so the cross term is sin of the angle
     den = l1.a * l2.b - l2.a * l1.b
-    if abs(den) <= FLOOR:
-        raise Parallel(f"parallel lines {l1} and {l2}")
+    guard(abs(den) <= FLOOR, Parallel, "parallel lines {} and {}", l1, l2)
     x = (l1.b * l2.c - l2.b * l1.c) / den
     y = (l2.a * l1.c - l1.a * l2.c) / den
     return Point(x, y)
@@ -302,26 +516,41 @@ def least_squares_meet(lines: Sequence[Line], floor: float) -> Point:
     sac = sum(l.a * l.c for l in lines)
     sbc = sum(l.b * l.c for l in lines)
     det = saa * sbb - sab * sab
-    if abs(det) <= floor:
-        raise Parallel("lines form a near-parallel pencil")
+    guard(abs(det) <= floor, Parallel, "lines form a near-parallel pencil")
     return Point((sab * sbc - sbb * sac) / det,
                  (sab * sac - saa * sbc) / det)
 
 
-def _intersect_line_circle(line: Line, circle: Circle) -> list[Point]:
+def line_circle_meets(line: Line, circle: Circle
+                      ) -> tuple[object, object, Point, Point]:
+    """The meets of a line and a circle as (miss, touch, first, second).
+
+    `miss` holds when the discriminant is clearly negative and `touch`
+    when it is within the floor of zero (or below), where first and
+    second are both the foot of the perpendicular from the center;
+    otherwise they are the two meets in (x, y) order.  Per row on rows.
+    """
     s = line.value(circle.center)
     disc = circle.radius * circle.radius - s * s
-    floor = FLOOR * max(circle.radius * circle.radius, 1e-300)
-    if disc < -floor:
-        return []
+    floor = FLOOR * maximum(circle.radius * circle.radius, 1e-300)
     foot = Point(circle.center.x - s * line.a, circle.center.y - s * line.b)
-    if disc <= floor:
-        return [foot]
-    h = math.sqrt(disc)
+    touch = disc <= floor
+    h = sqrt(where(touch, 0.0, disc))
     d = line.direction()
-    pts = [Point(foot.x - h * d.x, foot.y - h * d.y),
-           Point(foot.x + h * d.x, foot.y + h * d.y)]
-    return sorted(pts, key=lambda p: (p.x, p.y))
+    lo = Point(foot.x - h * d.x, foot.y - h * d.y)
+    hi = Point(foot.x + h * d.x, foot.y + h * d.y)
+    swap = (hi.x < lo.x) | ((hi.x == lo.x) & (hi.y < lo.y))
+    return (disc < -floor, touch, where(touch, foot, where(swap, hi, lo)),
+            where(touch, foot, where(swap, lo, hi)))
+
+
+def _intersect_line_circle(line: Line, circle: Circle) -> list[Point]:
+    miss, touch, first, second = line_circle_meets(line, circle)
+    if miss:
+        return []
+    if touch:
+        return [first]
+    return [first, second]
 
 
 def _intersect_circles(c1: Circle, c2: Circle) -> list[Point]:
@@ -359,27 +588,28 @@ def angle_bisector(vertex: Point, toward1: Point, toward2: Point) -> Line:
     scale = _local_scale(vertex, toward1, toward2)
     d1 = dist(vertex, toward1)
     d2 = dist(vertex, toward2)
-    if min(d1, d2) <= FLOOR * scale:
-        raise CoincidentPoints("bisector ray endpoint coincides with the vertex")
+    guard(minimum(d1, d2) <= FLOOR * scale, CoincidentPoints,
+          "bisector ray endpoint coincides with the vertex")
     # unit rays u1, u2 and their sum s as bare floats, for speed as in
     # circumcircle; the normal of the bisector is perp(s) = (-sy, sx)
     u1x, u1y = (toward1.x - vertex.x) / d1, (toward1.y - vertex.y) / d1
     u2x, u2y = (toward2.x - vertex.x) / d2, (toward2.y - vertex.y) / d2
     sx, sy = u1x + u2x, u1y + u2y
-    if math.hypot(sx, sy) <= FLOOR:
+    straight = hypot(sx, sy) <= FLOOR
+    if straight.any() if isinstance(straight, np.ndarray) else straight:
         warnings.warn("straight angle: bisector direction set perpendicular "
                       "to the rays", DegenerateAngleWarning, stacklevel=2)
-        sx, sy = -u1y, u1x
+    sx, sy = where(straight, -u1y, sx), where(straight, u1x, sy)
     return Line(-sy, sx, -(-sy * vertex.x + sx * vertex.y))
 
 
 def radical_axis(c1: Circle, c2: Circle) -> Line:
     """Locus of points with equal power w.r.t. both circles."""
-    scale = max(_local_scale(c1.center, c2.center), c1.radius, c2.radius)
-    if dist(c1.center, c2.center) <= FLOOR * scale:
-        raise ConcentricCircles("radical axis of concentric circles")
+    scale = maximum(_local_scale(c1.center, c2.center), c1.radius, c2.radius)
+    guard(dist(c1.center, c2.center) <= FLOOR * scale, ConcentricCircles,
+          "radical axis of concentric circles")
     a = 2.0 * (c2.center.x - c1.center.x)
     b = 2.0 * (c2.center.y - c1.center.y)
-    c = ((c1.center.x ** 2 + c1.center.y ** 2 - c1.radius ** 2)
-         - (c2.center.x ** 2 + c2.center.y ** 2 - c2.radius ** 2))
+    c = ((square(c1.center.x) + square(c1.center.y) - square(c1.radius))
+         - (square(c2.center.x) + square(c2.center.y) - square(c2.radius)))
     return Line(a, b, c)

@@ -9,6 +9,14 @@ budget, so a given (epsilon, seed) always yields the same configuration.
 Randomness comes from an in-repo SplitMix64 generator rather than the
 standard library so that reports are reproducible bit for bit on any
 platform and interpreter version.
+
+A sweep draws, builds and judges the samples of one family and epsilon
+as one batch: every coordinate is a float64 array with one row per
+sample, run through the same constructions and detectors as a single
+sample, and row i is bit for bit the sample of seed + i.  Sample i's
+stream is SplitMix64(seed + i) in either form (Steele, Lea & Flood,
+OOPSLA 2014), so the rows draw, reject and redraw exactly as single
+samples do.
 """
 
 from __future__ import annotations
@@ -17,8 +25,10 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .configurations import Configuration
-from .core import GeometryError, Point, diameter
+from .core import Circle, GeometryError, Point, diameter, failures
 from .relations import REL_TOL, RelationVerdict, evaluate_relation
 
 __all__ = [
@@ -33,9 +43,14 @@ __all__ = [
     "fit_scaling_exponent",
     "REFUTE_FACTOR",
     "APPROXIMATE_MIN_EXPONENT",
+    "BATCH_ROWS",
 ]
 
 MASK64 = (1 << 64) - 1
+
+# samples drawn, built and judged at once: a sweep of any size holds at
+# most this many rows of each label
+BATCH_ROWS = 4096
 
 # a claim is refuted outright when residuals exceed this multiple of the
 # pass threshold rel_tol; between the two the verdict is inconclusive
@@ -55,7 +70,8 @@ class SplitMix64:
     xor-shift-multiply rounds.  uniform() maps the top 53 bits onto
     [0, 1).  Chosen for exact portability: the sequence depends only on
     64-bit integer arithmetic, never on platform libm or interpreter
-    version.
+    version.  A uint64 array of seeds steps one stream per element
+    (numpy's uint64 arithmetic wraps as the mask does).
     """
 
     def __init__(self, seed: int) -> None:
@@ -79,6 +95,23 @@ class SplitMix64:
             y = 2.0 * self.uniform() - 1.0
             if x * x + y * y <= 1.0:
                 return x, y
+
+
+def _disk_rows(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`in_unit_disk` on each stream of the uint64 array `states`, which
+    steps in place: a stream redraws until its own pair lands in the disk,
+    so it takes exactly the draws it takes alone."""
+    x, y = np.empty(states.shape), np.empty(states.shape)
+    todo = np.arange(states.size)
+    while todo.size:
+        rng = SplitMix64(states[todo])
+        tx = 2.0 * rng.uniform() - 1.0
+        ty = 2.0 * rng.uniform() - 1.0
+        states[todo] = rng._state
+        inside = tx * tx + ty * ty <= 1.0
+        x[todo[inside]], y[todo[inside]] = tx[inside], ty[inside]
+        todo = todo[~inside]
+    return x, y
 
 
 @dataclass(frozen=True)
@@ -140,14 +173,23 @@ class VerificationReport:
 
 
 def sample(family: DeformationFamily, epsilon: float, seed: int,
+           count: int | None = None,
            max_rejections: int = 1000) -> Configuration:
-    """One deformed configuration for (epsilon, seed), deterministic."""
+    """One deformed configuration for (epsilon, seed), deterministic.
+
+    With `count`, the samples of seeds seed .. seed + count - 1 as one
+    configuration of float64 arrays whose row i is bit for bit
+    `sample(family, epsilon, seed + i)`.  Where a row finds no valid draw
+    within the budget, the single sample of its seed raises the error.
+    """
     if epsilon < 0.0 or not math.isfinite(epsilon):
         raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
     if not family.admits(epsilon):
         raise ValueError(
             f"family {family.name!r} requires epsilon >= {family.epsilon_floor} "
             f"(got {epsilon})")
+    if count is not None:
+        return _sample_rows(family, epsilon, seed, count, max_rejections)
     if epsilon == 0.0:
         return family.builder(*family.base_points)
     radius = epsilon * family.base_diameter()
@@ -166,6 +208,82 @@ def sample(family: DeformationFamily, epsilon: float, seed: int,
     raise RejectionBudgetExhausted(
         f"family {family.name!r}: no valid sample within {max_rejections} "
         f"draws at epsilon={epsilon}, seed={seed} (last: {last_error})")
+
+
+def _columns(obj: Point | Circle) -> tuple:
+    if isinstance(obj, Circle):
+        return obj.center.x, obj.center.y, obj.radius
+    return obj.x, obj.y
+
+
+def _sample_rows(family: DeformationFamily, epsilon: float, seed: int,
+                 count: int, max_rejections: int) -> Configuration:
+    """`sample` of `count` rows.
+
+    Each round draws the rows still without a valid sample from their own
+    streams and builds them at once, so a row the builder rejects redraws
+    where its stream stands.  After a round that accepts no row, the first
+    row left runs as a single sample, which finds that row's sample or
+    raises its error: a family whose every draw fails ends as soon as
+    the per-draw loop does.
+    """
+    if epsilon > 0.0:
+        radius = epsilon * family.base_diameter()
+        states = np.uint64(seed & MASK64) + np.arange(count, dtype=np.uint64)
+    todo = np.arange(count)
+    rounds = 0
+    config = None
+    columns: dict[str, list[np.ndarray]] = {}
+
+    def keep(objects: dict, rows: np.ndarray, kept) -> None:
+        for label, obj in objects.items():
+            for col, part in zip(columns[label], _columns(obj)):
+                col[rows[kept]] = np.broadcast_to(part, rows.shape)[kept]
+
+    while todo.size:
+        kept = None
+        if rounds < (max_rejections if epsilon > 0.0 else 1):
+            rounds += 1
+            if epsilon > 0.0:
+                live = states[todo]
+                pts = []
+                for p in family.base_points:
+                    dx, dy = _disk_rows(live)
+                    pts.append(Point(p.x + radius * dx, p.y + radius * dy))
+                states[todo] = live
+            else:
+                pts = [Point(np.full(count, p.x), np.full(count, p.y))
+                       for p in family.base_points]
+            try:
+                with failures() as rejected:
+                    built = family.builder(*pts)
+            except GeometryError:
+                pass  # a failure of every row, whatever its draw
+            else:
+                kept = ~np.broadcast_to(rejected.rows, todo.shape)
+                if config is None:
+                    if kept.all():
+                        return built
+                    config = built
+                    columns = {label: [np.full(count, np.nan)
+                                       for _ in _columns(obj)]
+                               for label, obj in built.objects.items()}
+                keep(built.objects, todo, kept)
+        if kept is not None and kept.any():
+            todo = todo[~kept]
+            continue
+        single = sample(family, epsilon, seed + int(todo[0]),
+                        max_rejections=max_rejections)
+        if config is None:
+            raise RuntimeError(f"family {family.name!r}: the builder fails "
+                               f"on every row that a single sample builds")
+        keep(single.objects, todo[:1], np.ones(1, bool))
+        todo = todo[1:]
+    with failures():  # a missing label is NaN, not a failure
+        objects = {label: (Point(*cols) if len(cols) == 2 else
+                           Circle(Point(cols[0], cols[1]), cols[2]))
+                   for label, cols in columns.items()}
+    return replace(config, objects=objects)
 
 
 def _verdict_for(max_residual: float, rel_tol: float) -> str:
@@ -199,12 +317,13 @@ def _sweep(family: DeformationFamily, claims: Sequence[RelationClaim],
     for epsilon in epsilons:
         for per_claim in blocks:
             per_claim.append([])
-        for i in range(samples):
-            config = sample(family, epsilon, seed + i)
-            for claim, per_claim, seen in zip(claims, blocks, flags):
-                verdict = claim.evaluate(config, scale=base_scale)
-                per_claim[-1].append(verdict.residual)
-                seen.update(verdict.flags)
+        for start in range(0, samples, BATCH_ROWS):
+            judged = _judge_rows(family, claims, epsilon, seed + start,
+                                 min(BATCH_ROWS, samples - start), base_scale)
+            for (residuals, raised), per_claim, seen in zip(judged, blocks,
+                                                            flags):
+                per_claim[-1].extend(residuals)
+                seen.update(raised)
     reports = []
     for claim, per_claim, seen in zip(claims, blocks, flags):
         residuals = [r for block in per_claim for r in block]
@@ -225,6 +344,54 @@ def _sweep(family: DeformationFamily, claims: Sequence[RelationClaim],
             flags=tuple(sorted(seen)),
         ))
     return tuple(reports)
+
+
+def _judge_rows(family: DeformationFamily, claims: Sequence[RelationClaim],
+                epsilon: float, seed: int, count: int, scale: float,
+                ) -> list[tuple[list[float], tuple[str, ...]]]:
+    """Each claim's residuals on the samples of seeds seed .. seed +
+    count - 1, drawn, built and judged as one batch, with the flags they
+    raised.
+
+    Where a sample finds no valid draw, or a claim cannot be judged on it,
+    the samples run one at a time as the per-draw loop does, so the error
+    raised is the one that loop meets first.
+    """
+    with np.errstate(all="ignore"):
+        try:
+            config = sample(family, epsilon, seed, count)
+        except RejectionBudgetExhausted:
+            _one_at_a_time(family, claims, epsilon, range(seed, seed + count),
+                           scale)
+            raise
+        judged = []
+        suspect = np.zeros(count, bool)
+        for claim in claims:
+            try:
+                with failures() as failed:
+                    verdict = claim.evaluate(config, scale=scale)
+            except (GeometryError, ArithmeticError):
+                _one_at_a_time(family, claims, epsilon,
+                               range(seed, seed + count), scale)
+                raise
+            residual = np.broadcast_to(verdict.residual, (count,))
+            suspect |= failed.rows | ~np.isfinite(residual)
+            judged.append((residual.tolist(), verdict.flags))
+    # a row that failed, or whose residual is not finite, raises here if
+    # the per-draw loop raises on it
+    _one_at_a_time(family, claims, epsilon,
+                   (seed + r for r in np.flatnonzero(suspect).tolist()), scale)
+    return judged
+
+
+def _one_at_a_time(family: DeformationFamily,
+                   claims: Sequence[RelationClaim], epsilon: float,
+                   seeds, scale: float) -> None:
+    """The per-draw loop over `seeds`, for the error it raises first."""
+    for s in seeds:
+        config = sample(family, epsilon, s)
+        for claim in claims:
+            claim.evaluate(config, scale=scale)
 
 
 def verify(family: DeformationFamily, claims: Sequence[RelationClaim],

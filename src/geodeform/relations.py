@@ -13,6 +13,12 @@ A verdict's `passed` is `residual <= rel_tol`, the one threshold a
 caller chooses (REL_TOL by default); the degeneracy guards inside the
 detectors are the fixed FLOOR and GUARD of `core`.
 
+The detectors of the kinds in _ROW_KINDS take points whose coordinates
+are float64 arrays, one row per sample, like the constructions of
+`core`; a branch between verdicts goes through `_branch`, so the flags of
+a batch are those of the rows that raise them.  The other kinds judge a
+batch one row at a time through the float path.
+
 Residuals below NOISE_FLOOR are reported as exactly 0.0.  Digits down
 there are recomputation noise, not geometry: re-running the same check on
 a rotated or rescaled copy of the inputs lands on a different point of the
@@ -24,7 +30,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from itertools import combinations
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -37,14 +44,25 @@ from .core import (
     Line,
     Point,
     circumcircle,
+    _local_scale,
     diameter,
     dist,
+    fail_rows,
+    guard,
+    hypot,
     intersect,
     least_squares_meet,
     line_through,
+    maximum,
     midpoint,
+    minimum,
+    only_rows,
+    pow2_near,
     radical_axis,
     signed_area,
+    sqrt,
+    square,
+    where,
 )
 
 __all__ = [
@@ -103,7 +121,9 @@ class RelationVerdict:
 
     `passed` is always `residual <= rel_tol` of the check that made it;
     `flags` records degenerate sub-cases that were decided by convention;
-    `error` carries the message when evaluation itself failed.
+    `error` carries the message when evaluation itself failed.  On a
+    batch, `residual` and `passed` hold one row per sample and `flags`
+    those raised on any row.
     """
 
     kind: str
@@ -115,8 +135,7 @@ class RelationVerdict:
     @classmethod
     def from_residual(cls, kind: str, residual: float,
                       rel_tol: float) -> "RelationVerdict":
-        if residual < NOISE_FLOOR:
-            residual = 0.0
+        residual = where(residual < NOISE_FLOOR, 0.0, residual)
         return cls(kind, residual, residual <= rel_tol)
 
     @classmethod
@@ -141,10 +160,40 @@ def _normalized(points: Sequence[Point],
     """
     cloud = diameter(points)
     basis = cloud if scale is None else scale
-    if basis <= FLOOR * max(1.0, *(max(abs(p.x), abs(p.y)) for p in points)):
-        return list(points), 0.0, 0.0
-    snap = 2.0 ** round(math.log2(basis))
-    return [p / snap for p in points], cloud / snap, basis / snap
+    # a basis within the floor leaves the points as they are (snap 1.0)
+    tiny = basis <= FLOOR * _local_scale(*points)
+    snap = pow2_near(where(tiny, 1.0, basis))
+    return ([p / snap for p in points], where(tiny, 0.0, cloud / snap),
+            where(tiny, 0.0, basis / snap))
+
+
+def _branch(cond, then: Callable[[], RelationVerdict],
+            otherwise: Callable[[], RelationVerdict]) -> RelationVerdict:
+    """then() where cond holds, otherwise() elsewhere.
+
+    On a float test only the taken side runs.  On rows each side runs with
+    only its own rows running, so its guards fail, and its flags count,
+    in those rows alone; a side with no rows does not run.
+    """
+    if not isinstance(cond, np.ndarray):
+        return then() if cond else otherwise()
+    with only_rows(cond) as rows:
+        taken = then() if rows.any() else None
+    with only_rows(~cond) as rows:
+        if taken is not None and not rows.any():
+            return taken
+        other = otherwise()
+    if taken is None:
+        return other
+    return RelationVerdict(
+        other.kind, where(cond, taken.residual, other.residual),
+        where(cond, taken.passed, other.passed),
+        taken.flags + tuple(f for f in other.flags if f not in taken.flags))
+
+
+def _cluster(kind: str) -> Callable[[], RelationVerdict]:
+    """The verdict on a coincident cluster: there is nothing to measure."""
+    return lambda: RelationVerdict(kind, 0.0, True, ("coincident_cluster",))
 
 
 # ---------------------------------------------------------------------------
@@ -156,39 +205,56 @@ def check_collinear(points: Sequence[Point], rel_tol: float = REL_TOL,
     if len(points) < 3:
         raise TooFewPoints(f"collinear needs >= 3 points, got {len(points)}")
     q, dq, denom = _normalized(points, scale)
-    if dq == 0.0:
-        return RelationVerdict("collinear", 0.0, True, ("coincident_cluster",))
+    return _branch(dq == 0.0, _cluster("collinear"),
+                   lambda: _line_fit(q, denom, rel_tol))
+
+
+def _line_fit(q: Sequence[Point], denom: float,
+              rel_tol: float) -> RelationVerdict:
     cx = sum(p.x for p in q) / len(q)
     cy = sum(p.y for p in q) / len(q)
-    sxx = sum((p.x - cx) ** 2 for p in q)
+    sxx = sum(square(p.x - cx) for p in q)
     sxy = sum((p.x - cx) * (p.y - cy) for p in q)
-    syy = sum((p.y - cy) ** 2 for p in q)
+    syy = sum(square(p.y - cy) for p in q)
     # unit normal of the TLS line: eigenvector of the smaller eigenvalue
     tr = sxx + syy
-    disc = math.sqrt((sxx - syy) ** 2 + 4.0 * sxy * sxy)
+    disc = sqrt(square(sxx - syy) + 4.0 * sxy * sxy)
     lam = (tr - disc) / 2.0
     nx, ny = sxy, lam - sxx
-    if math.hypot(nx, ny) < 1e-30:
-        nx, ny = lam - syy, sxy
-    if math.hypot(nx, ny) < 1e-30:
-        nx, ny = 1.0, 0.0  # isotropic cloud; any direction ties
-    nn = math.hypot(nx, ny)
+    flat = hypot(nx, ny) < 1e-30
+    nx, ny = where(flat, lam - syy, nx), where(flat, sxy, ny)
+    # isotropic cloud; any direction ties
+    flat = hypot(nx, ny) < 1e-30
+    nx, ny = where(flat, 1.0, nx), where(flat, 0.0, ny)
+    nn = hypot(nx, ny)
     nx, ny = nx / nn, ny / nn
-    residual = max(abs(nx * (p.x - cx) + ny * (p.y - cy)) for p in q) / denom
+    residual = maximum(*(abs(nx * (p.x - cx) + ny * (p.y - cy))
+                         for p in q)) / denom
     return RelationVerdict.from_residual("collinear", residual, rel_tol)
 
 
 def _anchor_triple(q: Sequence[Point]) -> tuple[int, int, int, float]:
-    best = (0, 1, 2)
-    best_area = -1.0
-    n = len(q)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                area = abs(signed_area(q[i], q[j], q[k]))
-                if area > best_area:
-                    best, best_area = (i, j, k), area
-    return best[0], best[1], best[2], best_area
+    """The indices of the first widest triple and its area, per row."""
+    triples = list(combinations(range(len(q)), 3))
+    best, best_area = 0, -1.0
+    for n, (i, j, k) in enumerate(triples):
+        area = abs(signed_area(q[i], q[j], q[k]))
+        wider = area > best_area
+        best, best_area = where(wider, n, best), where(wider, area, best_area)
+    if isinstance(best, np.ndarray):
+        i, j, k = np.array(triples)[best].T
+        return i, j, k, best_area
+    return *triples[best], best_area
+
+
+def _pick(points: Sequence[Point], index) -> Point:
+    """points[index], per row when index is an array."""
+    if not isinstance(index, np.ndarray):
+        return points[index]
+    picked = points[0]
+    for t in range(1, len(points)):
+        picked = where(index == t, points[t], picked)
+    return picked
 
 
 def check_concyclic(points: Sequence[Point], rel_tol: float = REL_TOL,
@@ -198,32 +264,43 @@ def check_concyclic(points: Sequence[Point], rel_tol: float = REL_TOL,
     if len(points) < 4:
         raise TooFewPoints(f"concyclic needs >= 4 points, got {len(points)}")
     q, dq, denom = _normalized(points, scale)
-    if dq == 0.0:
-        return RelationVerdict("concyclic", 0.0, True, ("coincident_cluster",))
-    i, j, k, area = _anchor_triple(q)
-    if area <= GUARD * dq * dq:
-        # every triple is flat: fall back to the line fit
-        line_verdict = check_collinear(points, rel_tol, scale)
+
+    def fit() -> RelationVerdict:
+        i, j, k, area = _anchor_triple(q)
+        return _branch(area <= GUARD * dq * dq, flat,
+                       lambda: circle_fit(i, j, k))
+
+    def flat() -> RelationVerdict:
+        # every triple is flat: fall back to the line fit, which flags
+        # nothing of its own here (its cloud is the same, so not a cluster)
+        line_verdict = _line_fit(q, denom, rel_tol)
         return RelationVerdict("concyclic", line_verdict.residual,
-                               line_verdict.passed,
-                               line_verdict.flags + ("collinear_witness",))
-    circle = circumcircle(q[i], q[j], q[k])
-    rest = [p for t, p in enumerate(q) if t not in (i, j, k)]
-    residual = max(abs(dist(p, circle.center) - circle.radius) for p in rest) / denom
-    return RelationVerdict.from_residual("concyclic", residual, rel_tol)
+                               line_verdict.passed, ("collinear_witness",))
+
+    def circle_fit(i, j, k) -> RelationVerdict:
+        circle = circumcircle(_pick(q, i), _pick(q, j), _pick(q, k))
+        # the anchors count 0.0, which the largest deviation of the rest
+        # (never negative) takes over
+        residual = maximum(*(
+            where((t == i) | (t == j) | (t == k), 0.0,
+                  abs(dist(p, circle.center) - circle.radius))
+            for t, p in enumerate(q))) / denom
+        return RelationVerdict.from_residual("concyclic", residual, rel_tol)
+
+    return _branch(dq == 0.0, _cluster("concyclic"), fit)
 
 
 def check_perpendicular(p1: Point, p2: Point, q1: Point, q2: Point,
                         rel_tol: float = REL_TOL) -> RelationVerdict:
     """Cosine of the angle between segments p1p2 and q1q2."""
     q, dq, _ = _normalized([p1, p2, q1, q2])
-    if dq == 0.0:
-        raise CoincidentPoints("perpendicularity of zero-length segments")
+    guard(dq == 0.0, CoincidentPoints,
+          "perpendicularity of zero-length segments")
     u = q[1] - q[0]
     w = q[3] - q[2]
     un, wn = u.norm(), w.norm()
-    if min(un, wn) <= FLOOR * dq:
-        raise CoincidentPoints("perpendicularity of a zero-length segment")
+    guard(minimum(un, wn) <= FLOOR * dq, CoincidentPoints,
+          "perpendicularity of a zero-length segment")
     residual = abs(u.x * w.x + u.y * w.y) / (un * wn)
     return RelationVerdict.from_residual("perpendicular", residual, rel_tol)
 
@@ -235,13 +312,15 @@ def check_equal_length(points: Sequence[Point], rel_tol: float = REL_TOL,
     if len(points) < 4 or len(points) % 2:
         raise TooFewPoints("equal_length needs an even count of >= 4 points")
     q, dq, denom = _normalized(points, scale)
-    if dq == 0.0:
-        return RelationVerdict("equal_length", 0.0, True,
-                               ("coincident_cluster",))
-    lengths = [dist(q[t], q[t + 1]) for t in range(0, len(q), 2)]
-    residual = max(abs(a - b) for i, a in enumerate(lengths)
-                   for b in lengths[i + 1:]) / denom
-    return RelationVerdict.from_residual("equal_length", residual, rel_tol)
+
+    def compare() -> RelationVerdict:
+        lengths = [dist(q[t], q[t + 1]) for t in range(0, len(q), 2)]
+        residual = maximum(*(abs(a - b) for i, a in enumerate(lengths)
+                             for b in lengths[i + 1:])) / denom
+        return RelationVerdict.from_residual("equal_length", residual,
+                                             rel_tol)
+
+    return _branch(dq == 0.0, _cluster("equal_length"), compare)
 
 
 def check_midpoints_coincide(p1: Point, p2: Point, q1: Point, q2: Point,
@@ -249,12 +328,12 @@ def check_midpoints_coincide(p1: Point, p2: Point, q1: Point, q2: Point,
                              scale: float | None = None) -> RelationVerdict:
     """Distance between the two segment midpoints over the diameter."""
     q, dq, denom = _normalized([p1, p2, q1, q2], scale)
-    if dq == 0.0:
-        return RelationVerdict("midpoints_coincide", 0.0, True,
-                               ("coincident_cluster",))
-    residual = dist(midpoint(q[0], q[1]), midpoint(q[2], q[3])) / denom
-    return RelationVerdict.from_residual("midpoints_coincide", residual,
-                                         rel_tol)
+    return _branch(
+        dq == 0.0, _cluster("midpoints_coincide"),
+        lambda: RelationVerdict.from_residual(
+            "midpoints_coincide",
+            dist(midpoint(q[0], q[1]), midpoint(q[2], q[3])) / denom,
+            rel_tol))
 
 
 def check_segment_bisects(p1: Point, p2: Point, q1: Point, q2: Point,
@@ -262,12 +341,12 @@ def check_segment_bisects(p1: Point, p2: Point, q1: Point, q2: Point,
                           scale: float | None = None) -> RelationVerdict:
     """Does the line p1p2 pass through the midpoint of q1q2?"""
     q, dq, denom = _normalized([p1, p2, q1, q2], scale)
-    if dq == 0.0:
-        return RelationVerdict("segment_bisects", 0.0, True,
-                               ("coincident_cluster",))
-    line = line_through(q[0], q[1])
-    residual = abs(line.value(midpoint(q[2], q[3]))) / denom
-    return RelationVerdict.from_residual("segment_bisects", residual, rel_tol)
+    return _branch(
+        dq == 0.0, _cluster("segment_bisects"),
+        lambda: RelationVerdict.from_residual(
+            "segment_bisects",
+            abs(line_through(q[0], q[1]).value(midpoint(q[2], q[3])))
+            / denom, rel_tol))
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +554,36 @@ RELATION_ARITIES: dict[str, tuple[int, int | None, int]] = {
     "segment_bisects": (4, 4, 2),
 }
 
+# the kinds whose detectors take rows; the others judge a batch row by row
+_ROW_KINDS = frozenset({"collinear", "concyclic", "perpendicular",
+                       "equal_length", "midpoints_coincide",
+                       "segment_bisects"})
+
+
+def _row_by_row(kind: str, points: Sequence[Point], rel_tol: float,
+                scale) -> RelationVerdict:
+    """The verdict on a batch of a kind whose detector takes floats: each
+    row through the float path, a row that raises marked failed."""
+    *cols, scales = (c.tolist() for c in np.broadcast_arrays(
+        *(c for p in points for c in (p.x, p.y)),
+        math.nan if scale is None else scale))
+    residual = np.full(len(scales), np.nan)
+    passed = np.zeros(len(scales), bool)
+    failed = np.zeros(len(scales), bool)
+    flags: dict[str, None] = {}
+    for r in range(len(scales)):
+        row = [Point(x[r], y[r]) for x, y in zip(cols[::2], cols[1::2])]
+        try:
+            verdict = evaluate_relation(kind, row, rel_tol,
+                                        None if scale is None else scales[r])
+        except (GeometryError, ArithmeticError):
+            failed[r] = True
+            continue
+        residual[r], passed[r] = verdict.residual, verdict.passed
+        flags.update(dict.fromkeys(verdict.flags))
+    fail_rows(failed)
+    return RelationVerdict(kind, residual, passed, tuple(flags))
+
 
 def evaluate_relation(kind: str, points: Sequence[Point],
                       rel_tol: float = REL_TOL,
@@ -497,6 +606,9 @@ def evaluate_relation(kind: str, points: Sequence[Point],
     n = len(points)
     if n < lo or (hi is not None and n > hi) or n % step:
         raise TooFewPoints(f"{kind} cannot take {n} points")
+    if kind not in _ROW_KINDS and any(isinstance(c, np.ndarray)
+                                     for p in points for c in (p.x, p.y)):
+        return _row_by_row(kind, points, rel_tol, scale)
     if kind == "collinear":
         return check_collinear(points, rel_tol, scale)
     if kind == "concyclic":
@@ -511,6 +623,12 @@ def evaluate_relation(kind: str, points: Sequence[Point],
         return check_equal_length(points, rel_tol, scale)
     if kind == "on_conic":
         q, _, _ = _normalized(points)
+        # centered on the five fitted points: the roundoff of the conic's
+        # value then does not grow with the figure's distance from the
+        # origin
+        cx = sum(p.x for p in q[:5]) / 5.0
+        cy = sum(p.y for p in q[:5]) / 5.0
+        q = [Point(p.x - cx, p.y - cy) for p in q]
         conic = fit_conic(q[:5])
         return max((check_on_conic(conic, p, rel_tol) for p in q[5:]),
                    key=lambda v: v.residual)

@@ -10,7 +10,6 @@ byte-identical files.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 from .configurations import Configuration
 from .core import Circle, Line, Point
@@ -20,6 +19,13 @@ __all__ = ["render_svg", "render"]
 PX_PER_UNIT = 100.0
 POINT_RADIUS_PX = 2.0
 PAD_FRACTION = 0.05
+
+
+def _escape(text: str) -> str:
+    """`&`, `>` and `<` as XML entities, in that order (the order of
+    xml.sax.saxutils.escape, which this module does without: importing it
+    loads urllib, http and email into every run)."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _fmt(value: float) -> str:
@@ -101,7 +107,7 @@ def render_svg(config: Configuration) -> str:
                      'fill="white" stroke="black" stroke-width="1"/>')
         parts.append(f'<text x="{_fmt(x + 4.0)}" y="{_fmt(y - 4.0)}" '
                      f'font-size="10" font-family="serif">'
-                     f'{escape(label)}</text>')
+                     f'{_escape(label)}</text>')
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

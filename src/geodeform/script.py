@@ -45,9 +45,15 @@ family that rebuilds the figure from deformed base points.
 from __future__ import annotations
 
 import math
+import operator
 import re
+import string
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable, NamedTuple, Sequence, Union
+
+import numpy as np
 
 from .centers import CenterKind, Orientation, equilateral_apex, \
     right_isosceles_apex, triangle_center
@@ -57,19 +63,25 @@ from .core import (
     FLOOR,
     GUARD,
     Circle,
+    Failures,
     GeometryError,
     Point,
     angle_bisector,
     circumcircle,
     diameter,
     dist,
+    fail_rows,
+    failures,
+    guard,
     intersect,
+    line_circle_meets,
     line_through,
     midpoint,
     reflect_line,
     reflect_point,
     rotate,
     signed_area,
+    where,
 )
 from .deform import DeformationFamily
 from .relations import REL_TOL, RELATION_ARITIES, DegeneratePosition, \
@@ -129,12 +141,15 @@ class UnknownParam(ScriptError):
 def second_intersection(origin: Point, through: Point,
                         circle: Circle) -> Point:
     """The meet of line origin-through with the circle that is not the
-    origin itself (origin is assumed to lie on the circle)."""
-    pts = intersect(line_through(origin, through), circle)
-    best = max(pts, key=lambda p: dist(p, origin))
-    if dist(best, origin) <= GUARD * 2.0 * circle.radius:
-        raise DegeneratePosition("second circle intersection collapses onto "
-                                 "the line origin")
+    origin itself (origin is assumed to lie on the circle): the meet
+    farther from the origin, the first one on a tie."""
+    miss, _, first, second = line_circle_meets(line_through(origin, through),
+                                               circle)
+    guard(miss, DegeneratePosition, "the line misses the circle")
+    best = where(dist(second, origin) > dist(first, origin), second, first)
+    guard(dist(best, origin) <= GUARD * 2.0 * circle.radius,
+          DegeneratePosition,
+          "second circle intersection collapses onto the line origin")
     return best
 
 
@@ -194,21 +209,22 @@ def _require_convex(p: list[Point], part: Part) -> None:
     areas = [signed_area(a, b, c), signed_area(b, c, d),
              signed_area(c, d, a), signed_area(d, a, b)]
     floor = FLOOR * diam * diam
-    if any(abs(x) <= floor for x in areas):
-        raise NonConvexQuadrilateral("three consecutive vertices are collinear")
-    if len({x > 0.0 for x in areas}) != 1:
-        raise NonConvexQuadrilateral("vertices in order are not strictly convex")
+    guard(reduce(operator.or_, (abs(x) <= floor for x in areas)),
+          NonConvexQuadrilateral, "three consecutive vertices are collinear")
+    turns = [x > 0.0 for x in areas]
+    guard(reduce(operator.or_, (t != turns[0] for t in turns[1:])),
+          NonConvexQuadrilateral, "vertices in order are not strictly convex")
 
 
 def _require_inside(p: list[Point], part: Part) -> None:
     circ = part(circumcircle, 1, 2, 3)
     diam = diameter(p[1:])
     for v in p[1:]:
-        if dist(p[0], v) <= FLOOR * diam:
-            raise PointOnVertex(f"cevian point {p[0]} coincides with vertex {v}")
-    if dist(p[0], circ.center) >= circ.radius * (1.0 - FLOOR):
-        raise PointOutsideCircumcircle(
-            f"cevian point {p[0]} is not strictly inside the circumcircle")
+        guard(dist(p[0], v) <= FLOOR * diam, PointOnVertex,
+              "cevian point {} coincides with vertex {}", p[0], v)
+    guard(dist(p[0], circ.center) >= circ.radius * (1.0 - FLOOR),
+          PointOutsideCircumcircle,
+          "cevian point {} is not strictly inside the circumcircle", p[0])
 
 
 # precondition name -> (number of point arguments, check over (points,
@@ -351,8 +367,10 @@ class _Token(NamedTuple):
 
 
 _PUNCT = "(),=+-*/"
-# the rest of an identifier: characters that are str.isalnum(), "_" or "'"
-_IDENT_TAIL = re.compile(r"[\w']*")
+# identifiers are ASCII, as a Configuration label must be: a letter or
+# "_", then letters, digits, "_" and "'"
+_IDENT_START = frozenset(string.ascii_letters + "_")
+_IDENT_TAIL = re.compile(r"[A-Za-z0-9_']*")
 # ASCII digits only: str.isdigit() also accepts superscripts and other
 # scripts' digits, which float() rejects or silently converts
 _NUMBER = re.compile(r"[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?")
@@ -372,7 +390,7 @@ def _lex(source: str) -> list[_Token]:
             if ch == "#":
                 break
             col = i + 1
-            if ch.isalpha() or ch == "_":
+            if ch in _IDENT_START:
                 j = _IDENT_TAIL.match(raw, i + 1).end()
                 tokens.append(_Token("ident", raw[i:j], lineno, col))
                 i = j
@@ -778,17 +796,47 @@ def _arguments(labels: tuple[str, ...], points: dict[str, Point],
         raise _PoisonedLabel(poisoned[bad]) from None
 
 
-def _parts(built: dict[tuple, object], labels: tuple[str, ...],
-           args: list[Point]) -> Part:
+# the failures() of the float path, where a failed guard raises: it
+# collects no rows
+_RAISING = nullcontext(Failures())
+
+
+def _parts(built: dict[tuple, tuple], labels: tuple[str, ...],
+           args: list[Point], collect: Callable) -> Part:
     """The `part` of one statement over `labels`, whose points are `args`;
-    `built` holds the parts of the run by builder and labels."""
+    `built` holds the parts of the run by builder and labels, each with
+    the rows in which it failed (False on floats, where a failed part
+    raises and is not kept)."""
     def part(build: Callable[..., object], *at: int) -> object:
         key = (build, *[labels[i] for i in at])
         made = built.get(key)
         if made is None:
-            made = built[key] = build(*[args[i] for i in at])
-        return made
+            with collect() as failed:
+                value = build(*[args[i] for i in at])
+            made = built[key] = (value, failed.rows)
+        fail_rows(made[1])
+        return made[0]
     return part
+
+
+def _with_dropped(failed, dropped: dict[str, np.ndarray],
+                  labels: Sequence[str]):
+    """The rows where a statement over `labels` fails: those of its own
+    `failed` rows and those where one of its labels is missing."""
+    return reduce(operator.or_, (dropped[lb] for lb in labels if lb in dropped),
+                  failed)
+
+
+def _blank(obj: Point | Circle, rows) -> Point | Circle:
+    """`obj` with NaN coordinates in `rows`, where its label is missing."""
+    if rows is False:
+        return obj
+    with failures():  # NaN is the point here, not a failure
+        if isinstance(obj, Circle):
+            return Circle(_blank(obj.center, rows),
+                          np.where(rows, np.nan, obj.radius))
+        return Point(np.where(rows, np.nan, obj.x),
+                     np.where(rows, np.nan, obj.y))
 
 
 def _construct(statements: Sequence[Statement], params: dict[str, float],
@@ -804,39 +852,64 @@ def _construct(statements: Sequence[Statement], params: dict[str, float],
     construction of a label in `needed`, raises its error, and any other
     failed label drops out.  Returns the configuration, the message of
     every poisoned label, and the message of the first failed require.
+
+    Given points whose coordinates are float64 arrays run every sample of
+    a batch at once, one row each (with `needed` set): a failed require
+    or needed label fails its rows in the enclosing `failures()` block
+    instead of raising, and any other label is NaN in the rows where it
+    failed instead of dropping out.
     """
+    on_rows = any(isinstance(p.x, np.ndarray) for p in given.values())
+    # on floats a failed guard raises: there are no rows to collect
+    collect = failures if on_rows else lambda: _RAISING
     points: dict[str, Point] = {}
-    built: dict[tuple, object] = {}
+    built: dict[tuple, tuple] = {}
     circles: dict[str, Circle] = {}
     edges: list[tuple[str, ...]] = []
     poisoned: dict[str, str] = {}
+    # on rows: the rows in which each label is missing
+    dropped: dict[str, np.ndarray] = {}
     failed: str | None = None
     for stmt in statements:
         if isinstance(stmt, Define):
             label, expr = stmt.label, stmt.expr
             try:
-                if label in given:
-                    points[label] = given[label]
-                elif isinstance(expr, CoordPair):
-                    points[label] = Point(_eval_scalar(expr.x, params),
-                                          _eval_scalar(expr.y, params))
-                else:
-                    args = _arguments(expr.points, points, poisoned)
-                    angle = (None if expr.angle is None
-                             else _eval_scalar(expr.angle, params))
-                    points[label] = FUNCTIONS[expr.func][2](
-                        args, angle, _parts(built, expr.points, args))
+                with collect() as rows:
+                    if label in given:
+                        points[label] = given[label]
+                    elif isinstance(expr, CoordPair):
+                        points[label] = Point(_eval_scalar(expr.x, params),
+                                              _eval_scalar(expr.y, params))
+                    else:
+                        args = _arguments(expr.points, points, poisoned)
+                        angle = (None if expr.angle is None
+                                 else _eval_scalar(expr.angle, params))
+                        points[label] = FUNCTIONS[expr.func][2](
+                            args, angle,
+                            _parts(built, expr.points, args, collect))
             except _PoisonedLabel as exc:
                 poisoned[label] = str(exc)
+                continue
             except (GeometryError, ArithmeticError) as exc:
                 if needed is not None and label in needed:
                     raise
                 poisoned[label] = f"{label}: {exc}"
+                continue
+            if not on_rows:
+                continue
+            lost = _with_dropped(rows.rows, dropped,
+                                 getattr(expr, "points", ()))
+            if needed is not None and label in needed:
+                fail_rows(lost)
+            elif lost is not False:
+                dropped[label] = lost
+                points[label] = _blank(points[label], lost)
         elif isinstance(stmt, Require):
             try:
-                args = _arguments(stmt.labels, points, poisoned)
-                REQUIREMENTS[stmt.kind][1](
-                    args, _parts(built, stmt.labels, args))
+                with collect() as rows:
+                    args = _arguments(stmt.labels, points, poisoned)
+                    REQUIREMENTS[stmt.kind][1](
+                        args, _parts(built, stmt.labels, args, collect))
             except _PoisonedLabel as exc:
                 failed = failed or str(exc)
             except (GeometryError, ArithmeticError) as exc:
@@ -844,6 +917,9 @@ def _construct(statements: Sequence[Statement], params: dict[str, float],
                     raise
                 failed = failed or (f"require {stmt.kind}"
                                     f"({', '.join(stmt.labels)}): {exc}")
+            else:
+                if on_rows:  # a failed require rejects its rows
+                    fail_rows(_with_dropped(rows.rows, dropped, stmt.labels))
         elif isinstance(stmt, Draw):
             if poisoned and any(label in poisoned for label in stmt.labels):
                 continue
@@ -852,10 +928,15 @@ def _construct(statements: Sequence[Statement], params: dict[str, float],
                 continue
             args = [points[label] for label in stmt.labels]
             try:
-                circles[f"circle({','.join(stmt.labels)})"] = _parts(
-                    built, stmt.labels, args)(circumcircle, 0, 1, 2)
+                with collect() as rows:
+                    circle = _parts(built, stmt.labels, args, collect)(
+                        circumcircle, 0, 1, 2)
             except GeometryError:
-                pass  # collinear labels: there is no circle to draw
+                continue  # collinear labels: there is no circle to draw
+            if on_rows:
+                circle = _blank(circle, _with_dropped(rows.rows, dropped,
+                                                      stmt.labels))
+            circles[f"circle({','.join(stmt.labels)})"] = circle
     config = Configuration({**points, **circles}, "script", dict(params),
                            tuple(edges))
     return config, poisoned, failed

@@ -1,0 +1,259 @@
+"""The batched sweep against the per-draw loop it replaces.
+
+A sweep draws, builds and judges all samples of one family and epsilon
+as float64 rows.  Row i must be bit for bit the single sample of seed +
+i: every built point and every claim's residual, and every report and
+error message that follows from them.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from geodeform import deform
+from geodeform.catalog import CLAIMS, FAMILIES, program_claims
+from geodeform.cli import main
+from geodeform.core import Circle, GeometryError, Point, failures
+from geodeform.deform import RejectionBudgetExhausted, sample, \
+    scaling_probe, verify
+from geodeform.script import parse
+
+SEEDS = 200
+
+USER_PROGRAM = """\
+point A = (0, 0)
+point B = (4, 0.3)
+point C = (1.2, 3.1)
+deform A B C about (0, 0) (1, 0) (0.5, 0.8660254037844386)
+point I = incenter(A, B, C)
+point G = centroid(A, B, C)
+point H = orthocenter(A, B, C)
+point O = circumcenter(A, B, C)
+point R = rotate(B, A, 60)
+point M_a = midpoint(B, C)
+point M_b = midpoint(A, C)
+point M_c = midpoint(A, B)
+# X misses the circle on some draws: then X, Y and the drawn circle
+# through X are left out, and no claim depends on them
+point P = (1.08, 0.29)
+point Q = (1.08, 5)
+point X = second_intersection(P, Q, A, B, C)
+point Y = midpoint(X, A)
+circle X A B
+assert collinear(G, H, O) as euler "the Euler line"
+assert concurrent(A, M_a, B, M_b, C, M_c) as medians "the medians concur"
+assert on_conic(A, B, C, M_a, M_b, M_c) as conic "six points on a conic"
+assert collinear(I, G, O) as igo "the incenter on the Euler line"
+assert concyclic(M_a, M_b, M_c, R) as rot "a rotated vertex on the medial circle"
+"""
+
+# a dart: every small deformation of it is still not convex
+DART_PROGRAM = """\
+point A = (0, 0)
+point B = (2, 0)
+point C = (1, 0.5)
+point D = (1, 2)
+deform A B C D about (0, 0) (2, 0) (1, 0.5) (1, 2)
+require convex(A, B, C, D)
+assert perpendicular(A, C, B, D) as dart_perp "never judged"
+"""
+
+
+def _user_claims(source, name):
+    claims = program_claims(parse(source), name)
+    first = next(iter(claims.values()))
+    return first.family, [c.claim for c in claims.values()]
+
+
+FAMILY_CLAIMS = {
+    name: (FAMILIES[name], [c.claim for c in CLAIMS.values()
+                            if c.family.name == name])
+    for name in FAMILIES}
+FAMILY_CLAIMS["user"] = _user_claims(USER_PROGRAM, "user")
+
+
+def _columns(obj):
+    if isinstance(obj, Circle):
+        return obj.center.x, obj.center.y, obj.radius
+    return obj.x, obj.y
+
+
+def _bits(value):
+    return float(value).hex()
+
+
+def _per_draw_judge(family, claims, epsilon, seed, count, scale):
+    """The loop the batch replaces: one sample at a time."""
+    judged = [([], {}) for _ in claims]
+    for s in range(seed, seed + count):
+        config = sample(family, epsilon, s)
+        for claim, (residuals, flags) in zip(claims, judged):
+            verdict = claim.evaluate(config, scale=scale)
+            residuals.append(verdict.residual)
+            flags.update(dict.fromkeys(verdict.flags))
+    return [(residuals, tuple(flags)) for residuals, flags in judged]
+
+
+@pytest.mark.parametrize("epsilon", [0.001, 0.5])
+@pytest.mark.parametrize("name", list(FAMILY_CLAIMS))
+def test_batch_rows_are_the_single_samples(name, epsilon):
+    """Every built point and every claim's residual of row i equal, bit
+    for bit, those of sample(family, epsilon, i); a label a single
+    sample lacks is NaN in its row."""
+    family, claims = FAMILY_CLAIMS[name]
+    scale = family.base_diameter()
+    with np.errstate(all="ignore"):
+        batch = sample(family, epsilon, 0, SEEDS)
+        residuals = []
+        for claim in claims:
+            with failures() as failed:
+                verdict = claim.evaluate(batch, scale=scale)
+            assert failed.rows is False or not failed.rows.any()
+            residuals.append(np.broadcast_to(verdict.residual, (SEEDS,)))
+    missing = 0
+    for row in range(SEEDS):
+        single = sample(family, epsilon, row)
+        assert set(single.objects) <= set(batch.objects)
+        for label, obj in batch.objects.items():
+            got = [np.broadcast_to(c, (SEEDS,))[row] for c in _columns(obj)]
+            if label not in single.objects:
+                missing += 1
+                assert all(math.isnan(v) for v in got), (label, row)
+                continue
+            want = _columns(single.objects[label])
+            assert list(map(_bits, got)) == list(map(_bits, want)), \
+                (name, label, row)
+        for claim, column in zip(claims, residuals):
+            want = claim.evaluate(single, scale=scale).residual
+            assert _bits(column[row]) == _bits(want), (name, claim, row)
+    if name == "user":  # X, Y and a circle: on every row at 0.001
+        assert 0 < missing <= 3 * SEEDS
+        assert epsilon < 0.5 or missing < 3 * SEEDS
+
+
+@pytest.mark.parametrize("epsilons", [(0.5,), (0.001, 0.5), (0.0,)])
+@pytest.mark.parametrize("samples", [1, 37])
+@pytest.mark.parametrize("name", ["bisector", "example1", "example3", "user"])
+def test_reports_equal_the_per_draw_loop(monkeypatch, name, samples,
+                                         epsilons):
+    family, claims = FAMILY_CLAIMS[name]
+    batched = [deform._sweep(family, claims, epsilons, samples, 11, 1e-9)]
+    monkeypatch.setattr(deform, "_judge_rows", _per_draw_judge)
+    assert batched == [deform._sweep(family, claims, epsilons, samples, 11,
+                                     1e-9)]
+
+
+def test_scaling_probe_equals_the_per_draw_loop(monkeypatch):
+    family, claims = FAMILY_CLAIMS["user"]
+    grid = (0.001, 0.01, 0.1)
+    batched = scaling_probe(family, claims, grid, 40, 3)
+    monkeypatch.setattr(deform, "_judge_rows", _per_draw_judge)
+    assert batched == scaling_probe(family, claims, grid, 40, 3)
+
+
+def test_batches_split_at_the_row_limit(monkeypatch):
+    family, claims = FAMILY_CLAIMS["theorem1"]
+    whole = verify(family, claims, 50, 0.5, 5)
+    monkeypatch.setattr(deform, "BATCH_ROWS", 7)
+    assert verify(family, claims, 50, 0.5, 5) == whole
+
+
+def _scalar_error(family, claims, epsilon, seed):
+    try:
+        config = sample(family, epsilon, seed)
+        for claim in claims:
+            claim.evaluate(config, scale=family.base_diameter())
+    except GeometryError as exc:
+        return exc
+    raise AssertionError("the single sample raised nothing")
+
+
+def test_evaluation_error_is_the_per_draw_one(capsys):
+    """At epsilon 0 the square's apex diagonals have zero length: the
+    batch raises the error of the first failing sample, and the CLI
+    prints it on one line with exit 2."""
+    family, claims = FAMILY_CLAIMS["theorem1"]
+    want = _scalar_error(family, claims, 0.0, 0)
+    with pytest.raises(type(want)) as caught:
+        verify(family, claims, 5, 0.0, 0)
+    assert str(caught.value) == str(want)
+    assert main(["verify", "all", "--eps", "0", "--samples", "5"]) == 2
+    assert capsys.readouterr().err == f"error: {want}\n"
+
+
+def test_exhausted_budget_is_the_per_draw_error(capsys, tmp_path):
+    family, claims = _user_claims(DART_PROGRAM, "dart")
+    want = _scalar_error(family, claims, 0.01, 4)
+    assert isinstance(want, RejectionBudgetExhausted)
+    with pytest.raises(RejectionBudgetExhausted) as caught:
+        verify(family, claims, 3, 0.01, 4)
+    assert str(caught.value) == str(want)
+    with pytest.raises(RejectionBudgetExhausted) as caught:
+        sample(family, 0.01, 4, 3)
+    assert str(caught.value) == str(want)
+    path = tmp_path / "dart.geo"
+    path.write_text(DART_PROGRAM, encoding="utf-8")
+    code = main(["verify", str(path), "--eps", "0.01", "--samples", "3",
+                 "--seed", "4"])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert captured.err == f"error: {want}\n"
+
+
+def test_a_rejecting_builder_is_called_once_per_round():
+    """The builder sees the rows still without a valid sample, fewer each
+    round, and rows it rejects draw again from their own streams."""
+    family = FAMILIES["theorem1"]
+    rounds = []
+
+    def builder(*points):
+        rounds.append(np.size(points[0].x))
+        return family.builder(*points)
+
+    counted = dataclasses.replace(family, builder=builder)
+    batch = sample(counted, 0.5, 0, 100)
+    assert rounds[0] == 100 and len(rounds) > 1
+    assert all(a > b for a, b in zip(rounds, rounds[1:]))
+    single = sample(family, 0.5, 99)
+    assert batch.point("O_ab").x[99] == single.point("O_ab").x
+
+
+# barely convex at best: most draws are rejected, so rounds that accept
+# no row, which hand their first row to the single-sample path, happen
+KITE_PROGRAM = """\
+point A = (0, 0)
+point B = (1, 0)
+point C = (1, 1)
+point D = (0.5, 0.2)
+deform A B C D about (0, 0) (1, 0) (1, 1) (0.5, 0.2)
+require convex(A, B, C, D)
+point M = midpoint(A, C)
+assert collinear(A, M, C) as kite_mid "the midpoint of AC is on AC"
+"""
+
+
+def test_rows_no_round_accepts_finish_as_single_samples():
+    family, claims = _user_claims(KITE_PROGRAM, "kite")
+    calls = []
+
+    def builder(*points):
+        calls.append(type(points[0].x))
+        return family.builder(*points)
+
+    counted = dataclasses.replace(family, builder=builder)
+    batch = sample(counted, 0.3, 0, 40)
+    assert float in calls and np.ndarray in calls
+    for row in range(40):
+        single = sample(family, 0.3, row)
+        for label in single.points():
+            assert (batch.point(label).x[row], batch.point(label).y[row]) \
+                == (single.point(label).x, single.point(label).y), (row, label)
+
+
+def test_single_sample_keeps_float_coordinates():
+    config = sample(FAMILIES["example3"], 0.5, 7)
+    assert all(type(c) is float for p in config.points().values()
+               for c in (p.x, p.y))
+    assert isinstance(config.point("A"), Point)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from importlib import metadata
 
+import numpy as np
 import pytest
 
 from geodeform.catalog import CLAIMS, claim_names
@@ -191,6 +192,24 @@ def test_verify_runs_outside_the_checkout(tmp_path):
     assert proc.stdout.startswith("theorem1_perp: theorem ")
 
 
+def test_start_up_loads_no_network_or_xml_modules():
+    """Importing the CLI and touching the claim catalog, which every
+    invocation does first, loads no urllib.request, http, email or xml
+    module.  (pathlib, in the standard library, loads urllib.parse.)"""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = ("import sys\n"
+            "import geodeform.cli\n"
+            "from geodeform.catalog import claim_names\n"
+            "claim_names()\n"
+            "print(' '.join(sorted(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = [m for m in proc.stdout.split()
+              if m.split(".")[0] in ("urllib", "http", "email", "xml")]
+    assert set(loaded) <= {"urllib", "urllib.parse"}, loaded
+
+
 @pytest.mark.parametrize("command", [
     ["verify", "example3_prime_concyclic", "--eps", "1e308", "--samples", "1"],
     ["verify", "example1_equilateral", "--eps", "1e307", "--samples", "1"],
@@ -294,12 +313,18 @@ def _counting_theorem1(monkeypatch):
 def test_claims_of_one_family_share_one_sweep(capsys, monkeypatch, claims):
     calls = _counting_theorem1(monkeypatch)
     argv = ("--samples", "30", "--seed", "2")
+
+    def rows_built():
+        # a sweep builds its samples as rows, each call a redraw round
+        return sum(np.size(points[0].x) for points in calls)
+
     run_cli(capsys, "verify", "theorem1_perp", *argv)
-    alone = len(calls)
+    alone, alone_rows = len(calls), rows_built()
     calls.clear()
     code, out, _ = run_cli(capsys, "verify", *claims, *argv)
     assert code == 0
-    assert alone >= 30 and len(calls) == alone
+    assert alone_rows >= 30 and len(calls) == alone
+    assert rows_built() == alone_rows
     assert [line.split(":")[0] for line in out.splitlines()] == list(claims)
 
 
@@ -348,6 +373,16 @@ def test_run_rejects_non_ascii_digits(capsys, tmp_path, digit):
     code, out, err = run_cli(capsys, "run", str(bad))
     assert code == 2 and not out
     assert err == f"{bad}:1:12: unexpected character {digit!r}\n"
+
+
+# an Arabic-Indic three inside a label, and a Latin capital E with acute
+@pytest.mark.parametrize("label, col", [("A\u0663", 8), ("\u00c9", 7)])
+def test_run_rejects_non_ascii_identifiers(capsys, tmp_path, label, col):
+    bad = tmp_path / "label.geo"
+    bad.write_text(f"point {label} = (0, 0)\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", str(bad))
+    assert code == 2 and not out
+    assert err == f"{bad}:1:{col}: unexpected character {label[-1]!r}\n"
 
 
 def test_run_missing_file(capsys, tmp_path):

@@ -97,6 +97,15 @@ def test_labels_escaped():
     assert "R&lt;S" in svg
 
 
+@pytest.mark.parametrize("label", ["a<&>b", "&lt;", ">&gt", "x&amp;y"])
+def test_labels_escaped_as_saxutils_does(label):
+    """The local escape writes the bytes xml.sax.saxutils.escape wrote."""
+    from xml.sax.saxutils import escape
+
+    svg = render_svg(simple_config({label: Point(0, 0)}))
+    assert f'font-family="serif">{escape(label)}</text>' in svg
+
+
 def test_byte_determinism():
     a = render_svg(base_shape("crown"))
     b = render_svg(base_shape("crown"))

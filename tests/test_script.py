@@ -348,6 +348,17 @@ def test_second_intersection_in_scripts():
     assert dist(config.point("A'"), Point(-1.0, 0.0)) < 1e-12
 
 
+def test_second_intersection_missing_the_circle_poisons_its_label():
+    src = ("point A = (1, 0)\npoint B = (0, 1)\npoint C = (-1, 0)\n"
+           "point P = (3, 3)\npoint Q = (3, 4)\n"
+           "point X = second_intersection(P, Q, A, B, C)\n"
+           "assert collinear(A, B, X)\n")
+    config, (verdict,) = evaluate(parse(src))
+    assert "X" not in config.objects
+    assert not verdict.passed
+    assert verdict.error == "X: the line misses the circle"
+
+
 @pytest.mark.parametrize("name", ["theorem1", "example1", "example2",
                                   "example3", "bisector", "eps_demo"])
 def test_shipped_scripts_pass(name):
