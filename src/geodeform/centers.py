@@ -136,7 +136,7 @@ def _concurrent_point(lines: list[Line], diam: float) -> Point:
     for i in range(3):
         for j in range(i + 1, 3):
             try:
-                meets.append(intersect(lines[i], lines[j])[0])
+                meets.append(intersect(lines[i], lines[j]))
             except GeometryError as exc:
                 raise IllConditioned(f"defining lines nearly parallel: {exc}") from exc
     spread = diameter(meets)

@@ -241,9 +241,9 @@ def _read_program(path: str | Traversable, hint: str | None = None):
 
 
 def _evaluate_script(path: str | Traversable, pairs: list[str],
-                     rel_tol: float, hint: str | None = None):
+                     hint: str | None = None):
     """Read, parse and evaluate a script, a file name or a shipped program,
-    with its --param overrides, judging assertions against `rel_tol`.
+    with its --param overrides.
 
     Returns (program, configuration, verdicts, evaluation seconds), or None
     after reporting on stderr why the invocation is unusable (exit 2).
@@ -254,7 +254,7 @@ def _evaluate_script(path: str | Traversable, pairs: list[str],
     try:
         overrides = _parse_overrides(pairs)
         start = time.perf_counter()
-        config, verdicts = evaluate(program, overrides, rel_tol)
+        config, verdicts = evaluate(program, overrides)
     except (UnknownParam, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
@@ -262,7 +262,7 @@ def _evaluate_script(path: str | Traversable, pairs: list[str],
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    loaded = _evaluate_script(args.path, args.param, args.tol)
+    loaded = _evaluate_script(args.path, args.param)
     if loaded is None:
         return 2
     program, config, verdicts, wall = loaded
@@ -270,8 +270,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     entries = []
     all_passed = True
     for stmt, verdict in zip(program.asserts(), verdicts):
-        status = "PASS" if verdict.passed else "FAIL"
-        all_passed = all_passed and verdict.passed
+        passed = verdict.residual <= args.tol
+        status = "PASS" if passed else "FAIL"
+        all_passed = all_passed and passed
         labels = ",".join(stmt.labels)
         line = f"{status} {verdict.kind}({labels}) residual={verdict.residual:.2e}"
         if verdict.error:
@@ -280,7 +281,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         entries.append({
             "kind": verdict.kind,
             "labels": list(stmt.labels),
-            "passed": verdict.passed,
+            "passed": passed,
             "residual": verdict.residual,
             "flags": list(verdict.flags),
             "error": verdict.error,
@@ -325,7 +326,7 @@ def cmd_shapes(_args: argparse.Namespace) -> int:
 def cmd_render(args: argparse.Namespace) -> int:
     source = _shapes().get(args.source.lower(), args.source)
     loaded = _evaluate_script(
-        source, args.param, REL_TOL,
+        source, args.param,
         "(give a shape name from `geodeform shapes` or a .geo file)")
     if loaded is None:
         return 2

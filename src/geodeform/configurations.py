@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import Circle, GeometryError, Line, Point, diameter
+from .core import Circle, GeometryError, Point, diameter
 
 __all__ = [
     "NonConvexQuadrilateral",
@@ -34,19 +34,19 @@ class PointOnVertex(GeometryError):
     pass
 
 
-GeomObject = Point | Line | Circle
+GeomObject = Point | Circle
 
 
 @dataclass(frozen=True)
 class Configuration:
-    """Labeled objects plus provenance and drawable edges.
+    """Labeled objects plus the params that placed them and drawable
+    edges.
 
     Edges are pairs of point labels; they carry no geometric information
     beyond what the points already fix and exist for rendering.
     """
 
     objects: dict[str, GeomObject]
-    builder: str
     params: dict[str, object] = field(default_factory=dict)
     edges: tuple[tuple[str, str], ...] = ()
 

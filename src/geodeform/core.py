@@ -356,11 +356,6 @@ class Line:
         """A unit vector along the line."""
         return Point(-self.b, self.a)
 
-    def project(self, p: Point) -> Point:
-        """Foot of the perpendicular from p."""
-        v = self.value(p)
-        return Point(p.x - v * self.a, p.y - v * self.b)
-
 
 @dataclass(frozen=True)
 class Circle:
@@ -474,28 +469,9 @@ def reflect_line(p: Point, line: Line) -> Point:
 # ---------------------------------------------------------------------------
 # intersections
 
-def intersect(a: Line | Circle, b: Line | Circle) -> list[Point]:
-    """All intersection points of two lines/circles, sorted by (x, y).
-
-    A line pair yields one point or raises Parallel.  Tangency (discriminant
-    within the floor of zero) yields a single point; a clearly negative
-    discriminant yields the empty list.  Concentric circles of different
-    radii yield the empty list; identical circles raise ConcentricCircles.
-    Only a line pair takes rows: how many points the other pairs give
-    depends on the values (see `line_circle_meets`).
-    """
-    if isinstance(a, Line) and isinstance(b, Line):
-        return [_intersect_lines(a, b)]
-    if isinstance(a, Line) and isinstance(b, Circle):
-        return _intersect_line_circle(a, b)
-    if isinstance(a, Circle) and isinstance(b, Line):
-        return _intersect_line_circle(b, a)
-    if isinstance(a, Circle) and isinstance(b, Circle):
-        return _intersect_circles(a, b)
-    raise TypeError(f"cannot intersect {type(a).__name__} with {type(b).__name__}")
-
-
-def _intersect_lines(l1: Line, l2: Line) -> Point:
+def intersect(l1: Line, l2: Line) -> Point:
+    """The meet of two lines; raises Parallel when they are parallel
+    within the floor."""
     # both normals are unit vectors, so the cross term is sin of the angle
     den = l1.a * l2.b - l2.a * l1.b
     guard(abs(den) <= FLOOR, Parallel, "parallel lines {} and {}", l1, l2)
@@ -542,38 +518,6 @@ def line_circle_meets(line: Line, circle: Circle
     swap = (hi.x < lo.x) | ((hi.x == lo.x) & (hi.y < lo.y))
     return (disc < -floor, touch, where(touch, foot, where(swap, hi, lo)),
             where(touch, foot, where(swap, lo, hi)))
-
-
-def _intersect_line_circle(line: Line, circle: Circle) -> list[Point]:
-    miss, touch, first, second = line_circle_meets(line, circle)
-    if miss:
-        return []
-    if touch:
-        return [first]
-    return [first, second]
-
-
-def _intersect_circles(c1: Circle, c2: Circle) -> list[Point]:
-    d = dist(c1.center, c2.center)
-    scale = max(c1.radius, c2.radius, 1e-300)
-    if d <= FLOOR * _local_scale(c1.center, c2.center):
-        if abs(c1.radius - c2.radius) <= FLOOR * scale:
-            raise ConcentricCircles("identical circles meet everywhere")
-        return []  # concentric, distinct radii: no intersection
-    u = (c2.center - c1.center) / d
-    along = (d * d + c1.radius * c1.radius - c2.radius * c2.radius) / (2.0 * d)
-    disc = c1.radius * c1.radius - along * along
-    floor = FLOOR * scale * scale
-    if disc < -floor:
-        return []
-    foot = c1.center + along * u
-    if disc <= floor:
-        return [foot]
-    h = math.sqrt(disc)
-    n = perp(u)
-    pts = [Point(foot.x - h * n.x, foot.y - h * n.y),
-           Point(foot.x + h * n.x, foot.y + h * n.y)]
-    return sorted(pts, key=lambda p: (p.x, p.y))
 
 
 # ---------------------------------------------------------------------------

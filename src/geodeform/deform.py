@@ -458,6 +458,9 @@ def scaling_probe(family: DeformationFamily, claims: Sequence[RelationClaim],
     epsilon and is classified `approximate` (it held at epsilon = 0) or
     `refuted`.
     """
+    for e in epsilons:
+        if not math.isfinite(e):
+            raise ValueError(f"epsilon {e} is not a finite number")
     eps = sorted(set(float(e) for e in epsilons))
     if len(eps) < 3:
         raise ValueError("scaling probe needs >= 3 distinct epsilon values")

@@ -9,9 +9,9 @@ floating point, which makes every residual bit-for-bit invariant under
 scaling the inputs by any power of two and keeps it stable to a few ulps
 under any other similarity.
 
-A verdict's `passed` is `residual <= rel_tol`, the one threshold a
-caller chooses (REL_TOL by default); the degeneracy guards inside the
-detectors are the fixed FLOOR and GUARD of `core`.
+A detector returns the residual; the threshold that judges it is the
+caller's (`passed` reads REL_TOL, the default).  The degeneracy guards
+inside the detectors are the fixed FLOOR and GUARD of `core`.
 
 The detectors of the kinds in _ROW_KINDS take points whose coordinates
 are float64 arrays, one row per sample, like the constructions of
@@ -95,7 +95,7 @@ REL_TOL = 1e-9
 
 # Anything below this is indistinguishable from double-precision roundoff
 # for the problem sizes this package handles (defects of unit-scale
-# figures).  Well under every decision threshold: rel_tol defaults to 1e-9.
+# figures).  Well under the default decision threshold REL_TOL.
 NOISE_FLOOR = 1e-14
 
 
@@ -119,29 +119,31 @@ class DegeneratePosition(GeometryError):
 class RelationVerdict:
     """Outcome of one relation check.
 
-    `passed` is always `residual <= rel_tol` of the check that made it;
     `flags` records degenerate sub-cases that were decided by convention;
-    `error` carries the message when evaluation itself failed.  On a
-    batch, `residual` and `passed` hold one row per sample and `flags`
-    those raised on any row.
+    `error` carries the message when evaluation itself failed (the
+    residual is then inf).  On a batch, `residual` holds one row per
+    sample and `flags` those raised on any row.
     """
 
     kind: str
     residual: float
-    passed: bool
     flags: tuple[str, ...] = ()
     error: str | None = None
 
+    @property
+    def passed(self) -> bool:
+        """Whether the residual is within the default threshold REL_TOL;
+        a caller with its own threshold compares `residual` itself."""
+        return self.residual <= REL_TOL
+
     @classmethod
-    def from_residual(cls, kind: str, residual: float,
-                      rel_tol: float) -> "RelationVerdict":
-        residual = where(residual < NOISE_FLOOR, 0.0, residual)
-        return cls(kind, residual, residual <= rel_tol)
+    def from_residual(cls, kind: str, residual: float) -> "RelationVerdict":
+        return cls(kind, where(residual < NOISE_FLOOR, 0.0, residual))
 
     @classmethod
     def failed(cls, kind: str, flags: tuple[str, ...] = (),
                error: str | None = None) -> "RelationVerdict":
-        return cls(kind, math.inf, False, flags, error)
+        return cls(kind, math.inf, flags, error)
 
 
 # ---------------------------------------------------------------------------
@@ -187,30 +189,28 @@ def _branch(cond, then: Callable[[], RelationVerdict],
         return other
     return RelationVerdict(
         other.kind, where(cond, taken.residual, other.residual),
-        where(cond, taken.passed, other.passed),
         taken.flags + tuple(f for f in other.flags if f not in taken.flags))
 
 
 def _cluster(kind: str) -> Callable[[], RelationVerdict]:
     """The verdict on a coincident cluster: there is nothing to measure."""
-    return lambda: RelationVerdict(kind, 0.0, True, ("coincident_cluster",))
+    return lambda: RelationVerdict(kind, 0.0, ("coincident_cluster",))
 
 
 # ---------------------------------------------------------------------------
 # point-set detectors
 
-def check_collinear(points: Sequence[Point], rel_tol: float = REL_TOL,
+def check_collinear(points: Sequence[Point],
                     scale: float | None = None) -> RelationVerdict:
     """Total-least-squares line fit; residual is the worst normal deviation."""
     if len(points) < 3:
         raise TooFewPoints(f"collinear needs >= 3 points, got {len(points)}")
     q, dq, denom = _normalized(points, scale)
     return _branch(dq == 0.0, _cluster("collinear"),
-                   lambda: _line_fit(q, denom, rel_tol))
+                   lambda: _line_fit(q, denom))
 
 
-def _line_fit(q: Sequence[Point], denom: float,
-              rel_tol: float) -> RelationVerdict:
+def _line_fit(q: Sequence[Point], denom: float) -> RelationVerdict:
     cx = sum(p.x for p in q) / len(q)
     cy = sum(p.y for p in q) / len(q)
     sxx = sum(square(p.x - cx) for p in q)
@@ -230,7 +230,7 @@ def _line_fit(q: Sequence[Point], denom: float,
     nx, ny = nx / nn, ny / nn
     residual = maximum(*(abs(nx * (p.x - cx) + ny * (p.y - cy))
                          for p in q)) / denom
-    return RelationVerdict.from_residual("collinear", residual, rel_tol)
+    return RelationVerdict.from_residual("collinear", residual)
 
 
 def _anchor_triple(q: Sequence[Point]) -> tuple[int, int, int, float]:
@@ -257,7 +257,7 @@ def _pick(points: Sequence[Point], index) -> Point:
     return picked
 
 
-def check_concyclic(points: Sequence[Point], rel_tol: float = REL_TOL,
+def check_concyclic(points: Sequence[Point],
                     scale: float | None = None) -> RelationVerdict:
     """Circle through the widest-spread triple; residual is the worst
     radial deviation of the remaining points."""
@@ -273,9 +273,8 @@ def check_concyclic(points: Sequence[Point], rel_tol: float = REL_TOL,
     def flat() -> RelationVerdict:
         # every triple is flat: fall back to the line fit, which flags
         # nothing of its own here (its cloud is the same, so not a cluster)
-        line_verdict = _line_fit(q, denom, rel_tol)
-        return RelationVerdict("concyclic", line_verdict.residual,
-                               line_verdict.passed, ("collinear_witness",))
+        return RelationVerdict("concyclic", _line_fit(q, denom).residual,
+                               ("collinear_witness",))
 
     def circle_fit(i, j, k) -> RelationVerdict:
         circle = circumcircle(_pick(q, i), _pick(q, j), _pick(q, k))
@@ -285,13 +284,13 @@ def check_concyclic(points: Sequence[Point], rel_tol: float = REL_TOL,
             where((t == i) | (t == j) | (t == k), 0.0,
                   abs(dist(p, circle.center) - circle.radius))
             for t, p in enumerate(q))) / denom
-        return RelationVerdict.from_residual("concyclic", residual, rel_tol)
+        return RelationVerdict.from_residual("concyclic", residual)
 
     return _branch(dq == 0.0, _cluster("concyclic"), fit)
 
 
-def check_perpendicular(p1: Point, p2: Point, q1: Point, q2: Point,
-                        rel_tol: float = REL_TOL) -> RelationVerdict:
+def check_perpendicular(p1: Point, p2: Point, q1: Point,
+                        q2: Point) -> RelationVerdict:
     """Cosine of the angle between segments p1p2 and q1q2."""
     q, dq, _ = _normalized([p1, p2, q1, q2])
     guard(dq == 0.0, CoincidentPoints,
@@ -302,10 +301,10 @@ def check_perpendicular(p1: Point, p2: Point, q1: Point, q2: Point,
     guard(minimum(un, wn) <= FLOOR * dq, CoincidentPoints,
           "perpendicularity of a zero-length segment")
     residual = abs(u.x * w.x + u.y * w.y) / (un * wn)
-    return RelationVerdict.from_residual("perpendicular", residual, rel_tol)
+    return RelationVerdict.from_residual("perpendicular", residual)
 
 
-def check_equal_length(points: Sequence[Point], rel_tol: float = REL_TOL,
+def check_equal_length(points: Sequence[Point],
                        scale: float | None = None) -> RelationVerdict:
     """Points taken as consecutive segment endpoint pairs; residual is the
     largest pairwise length difference over the diameter."""
@@ -317,14 +316,12 @@ def check_equal_length(points: Sequence[Point], rel_tol: float = REL_TOL,
         lengths = [dist(q[t], q[t + 1]) for t in range(0, len(q), 2)]
         residual = maximum(*(abs(a - b) for i, a in enumerate(lengths)
                              for b in lengths[i + 1:])) / denom
-        return RelationVerdict.from_residual("equal_length", residual,
-                                             rel_tol)
+        return RelationVerdict.from_residual("equal_length", residual)
 
     return _branch(dq == 0.0, _cluster("equal_length"), compare)
 
 
 def check_midpoints_coincide(p1: Point, p2: Point, q1: Point, q2: Point,
-                             rel_tol: float = REL_TOL,
                              scale: float | None = None) -> RelationVerdict:
     """Distance between the two segment midpoints over the diameter."""
     q, dq, denom = _normalized([p1, p2, q1, q2], scale)
@@ -332,12 +329,10 @@ def check_midpoints_coincide(p1: Point, p2: Point, q1: Point, q2: Point,
         dq == 0.0, _cluster("midpoints_coincide"),
         lambda: RelationVerdict.from_residual(
             "midpoints_coincide",
-            dist(midpoint(q[0], q[1]), midpoint(q[2], q[3])) / denom,
-            rel_tol))
+            dist(midpoint(q[0], q[1]), midpoint(q[2], q[3])) / denom))
 
 
 def check_segment_bisects(p1: Point, p2: Point, q1: Point, q2: Point,
-                          rel_tol: float = REL_TOL,
                           scale: float | None = None) -> RelationVerdict:
     """Does the line p1p2 pass through the midpoint of q1q2?"""
     q, dq, denom = _normalized([p1, p2, q1, q2], scale)
@@ -346,13 +341,13 @@ def check_segment_bisects(p1: Point, p2: Point, q1: Point, q2: Point,
         lambda: RelationVerdict.from_residual(
             "segment_bisects",
             abs(line_through(q[0], q[1]).value(midpoint(q[2], q[3])))
-            / denom, rel_tol))
+            / denom))
 
 
 # ---------------------------------------------------------------------------
 # line and circle detectors
 
-def check_concurrent_lines(lines: Sequence[Line], rel_tol: float = REL_TOL,
+def check_concurrent_lines(lines: Sequence[Line],
                            scale: float = 1.0) -> RelationVerdict:
     """Least-squares common point; residual is the worst distance to any
     line over the larger of `scale`, the size of the figure the lines were
@@ -365,15 +360,14 @@ def check_concurrent_lines(lines: Sequence[Line], rel_tol: float = REL_TOL,
             if abs(li.a * lj.b - lj.a * li.b) <= FLOOR:
                 return RelationVerdict.failed(
                     "concurrent", flags=("non_concurrent_parallel",))
-            meets.append(intersect(li, lj)[0])
+            meets.append(intersect(li, lj))
     meet = least_squares_meet(lines, 0.0)
     cloud = max(scale, diameter(meets))
     residual = max(abs(l.value(meet)) for l in lines) / cloud
-    return RelationVerdict.from_residual("concurrent", residual, rel_tol)
+    return RelationVerdict.from_residual("concurrent", residual)
 
 
-def check_coaxial(circles: Sequence[Circle],
-                  rel_tol: float = REL_TOL) -> RelationVerdict:
+def check_coaxial(circles: Sequence[Circle]) -> RelationVerdict:
     """All pairwise radical axes coincide with the first pair's axis.
 
     Residual per pair combines the sine of the angle between the axes with
@@ -400,11 +394,11 @@ def check_coaxial(circles: Sequence[Circle],
             sign = 1.0 if (ref.a * ax.a + ref.b * ax.b) >= 0.0 else -1.0
             offset = abs(sign * ax.value(anchor) - ref.value(anchor)) / scale
             worst = max(worst, sin + offset)
-    return RelationVerdict.from_residual("coaxial", worst, rel_tol)
+    return RelationVerdict.from_residual("coaxial", worst)
 
 
-def check_perspective(tri1: Sequence[Point], tri2: Sequence[Point],
-                      rel_tol: float = REL_TOL) -> RelationVerdict:
+def check_perspective(tri1: Sequence[Point],
+                      tri2: Sequence[Point]) -> RelationVerdict:
     """Are the vertex connectors of two corresponding triangles concurrent?
 
     Coincident vertex pairs contribute no constraint and are flagged; three
@@ -414,8 +408,7 @@ def check_perspective(tri1: Sequence[Point], tri2: Sequence[Point],
         raise TooFewPoints("perspectivity needs two triangles of 3 points")
     q, dq, _ = _normalized(list(tri1) + list(tri2))
     if dq == 0.0:
-        return RelationVerdict("perspective", 0.0, True,
-                               ("identical_vertices",))
+        return RelationVerdict("perspective", 0.0, ("identical_vertices",))
     connectors: list[Line] = []
     n_coincident = 0
     for t in range(3):
@@ -425,26 +418,22 @@ def check_perspective(tri1: Sequence[Point], tri2: Sequence[Point],
             continue
         connectors.append(line_through(a, b))
     if n_coincident == 3:
-        return RelationVerdict("perspective", 0.0, True,
-                               ("identical_vertices",))
+        return RelationVerdict("perspective", 0.0, ("identical_vertices",))
     if len(connectors) == 1:
-        return RelationVerdict("perspective", 0.0, True,
-                               ("coincident_vertex_pair",))
+        return RelationVerdict("perspective", 0.0, ("coincident_vertex_pair",))
     if len(connectors) == 2:
         l1, l2 = connectors
         flags = ("coincident_vertex_pair",)
         if abs(l1.a * l2.b - l2.a * l1.b) <= FLOOR:
             flags += ("concurrent_at_infinity",)
-        return RelationVerdict("perspective", 0.0, True, flags)
+        return RelationVerdict("perspective", 0.0, flags)
     pairs_parallel = [abs(li.a * lj.b - lj.a * li.b) <= FLOOR
                       for i, li in enumerate(connectors)
                       for lj in connectors[i + 1:]]
     if all(pairs_parallel):
-        return RelationVerdict("perspective", 0.0, True,
-                               ("concurrent_at_infinity",))
-    inner = check_concurrent_lines(connectors, rel_tol, dq)
-    return RelationVerdict("perspective", inner.residual, inner.passed,
-                           inner.flags)
+        return RelationVerdict("perspective", 0.0, ("concurrent_at_infinity",))
+    inner = check_concurrent_lines(connectors, dq)
+    return RelationVerdict("perspective", inner.residual, inner.flags)
 
 
 # ---------------------------------------------------------------------------
@@ -527,14 +516,13 @@ def fit_conic(points: Sequence[Point]) -> Conic:
                  d2 / k, e2 / k, f2, scale=max(diam, FLOOR))
 
 
-def check_on_conic(conic: Conic, p: Point,
-                   rel_tol: float = REL_TOL) -> RelationVerdict:
+def check_on_conic(conic: Conic, p: Point) -> RelationVerdict:
     """First-order geometric distance from p to the conic over its scale."""
     f = conic.evaluate(p)
     g = conic.gradient(p).norm()
     denom = max(g * conic.scale, FLOOR)
     residual = abs(f) / denom
-    return RelationVerdict.from_residual("on_conic", residual, rel_tol)
+    return RelationVerdict.from_residual("on_conic", residual)
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +548,7 @@ _ROW_KINDS = frozenset({"collinear", "concyclic", "perpendicular",
                        "segment_bisects"})
 
 
-def _row_by_row(kind: str, points: Sequence[Point], rel_tol: float,
+def _row_by_row(kind: str, points: Sequence[Point],
                 scale) -> RelationVerdict:
     """The verdict on a batch of a kind whose detector takes floats: each
     row through the float path, a row that raises marked failed."""
@@ -568,25 +556,23 @@ def _row_by_row(kind: str, points: Sequence[Point], rel_tol: float,
         *(c for p in points for c in (p.x, p.y)),
         math.nan if scale is None else scale))
     residual = np.full(len(scales), np.nan)
-    passed = np.zeros(len(scales), bool)
     failed = np.zeros(len(scales), bool)
     flags: dict[str, None] = {}
     for r in range(len(scales)):
         row = [Point(x[r], y[r]) for x, y in zip(cols[::2], cols[1::2])]
         try:
-            verdict = evaluate_relation(kind, row, rel_tol,
-                                        None if scale is None else scales[r])
+            verdict = evaluate_relation(
+                kind, row, None if scale is None else scales[r])
         except (GeometryError, ArithmeticError):
             failed[r] = True
             continue
-        residual[r], passed[r] = verdict.residual, verdict.passed
+        residual[r] = verdict.residual
         flags.update(dict.fromkeys(verdict.flags))
     fail_rows(failed)
-    return RelationVerdict(kind, residual, passed, tuple(flags))
+    return RelationVerdict(kind, residual, tuple(flags))
 
 
 def evaluate_relation(kind: str, points: Sequence[Point],
-                      rel_tol: float = REL_TOL,
                       scale: float | None = None) -> RelationVerdict:
     """Evaluate a relation given as a kind plus a flat point list.
 
@@ -608,19 +594,19 @@ def evaluate_relation(kind: str, points: Sequence[Point],
         raise TooFewPoints(f"{kind} cannot take {n} points")
     if kind not in _ROW_KINDS and any(isinstance(c, np.ndarray)
                                      for p in points for c in (p.x, p.y)):
-        return _row_by_row(kind, points, rel_tol, scale)
+        return _row_by_row(kind, points, scale)
     if kind == "collinear":
-        return check_collinear(points, rel_tol, scale)
+        return check_collinear(points, scale)
     if kind == "concyclic":
-        return check_concyclic(points, rel_tol, scale)
+        return check_concyclic(points, scale)
     if kind == "concurrent":
         q, dq, _ = _normalized(points)
         lines = [line_through(q[i], q[i + 1]) for i in range(0, n, 2)]
-        return check_concurrent_lines(lines, rel_tol, dq)
+        return check_concurrent_lines(lines, dq)
     if kind == "perpendicular":
-        return check_perpendicular(*points, rel_tol)
+        return check_perpendicular(*points)
     if kind == "equal_length":
-        return check_equal_length(points, rel_tol, scale)
+        return check_equal_length(points, scale)
     if kind == "on_conic":
         q, _, _ = _normalized(points)
         # centered on the five fitted points: the roundoff of the conic's
@@ -630,17 +616,22 @@ def evaluate_relation(kind: str, points: Sequence[Point],
         cy = sum(p.y for p in q[:5]) / 5.0
         q = [Point(p.x - cx, p.y - cy) for p in q]
         conic = fit_conic(q[:5])
-        return max((check_on_conic(conic, p, rel_tol) for p in q[5:]),
+        return max((check_on_conic(conic, p) for p in q[5:]),
                    key=lambda v: v.residual)
     if kind == "coaxial":
         q, _, _ = _normalized(points)
+        # centered, as for on_conic: the radical axes' offsets then do not
+        # cancel digits that grow with the distance from the origin
+        cx = sum(p.x for p in q) / n
+        cy = sum(p.y for p in q) / n
+        q = [Point(p.x - cx, p.y - cy) for p in q]
         circles = [circumcircle(q[i], q[i + 1], q[i + 2])
                    for i in range(0, n, 3)]
-        return check_coaxial(circles, rel_tol)
+        return check_coaxial(circles)
     if kind == "perspective":
-        return check_perspective(points[:3], points[3:], rel_tol)
+        return check_perspective(points[:3], points[3:])
     if kind == "midpoints_coincide":
-        return check_midpoints_coincide(*points, rel_tol, scale)
+        return check_midpoints_coincide(*points, scale=scale)
     if kind == "segment_bisects":
-        return check_segment_bisects(*points, rel_tol, scale)
+        return check_segment_bisects(*points, scale=scale)
     raise ValueError(f"unknown relation kind {kind!r}")

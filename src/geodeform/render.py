@@ -9,10 +9,8 @@ byte-identical files.
 
 from __future__ import annotations
 
-import math
-
 from .configurations import Configuration
-from .core import Circle, Line, Point
+from .core import Circle, Point
 
 __all__ = ["render_svg", "render"]
 
@@ -78,25 +76,12 @@ def render_svg(config: Configuration) -> str:
                      f'x2="{_fmt(xb)}" y2="{_fmt(yb)}" '
                      'stroke="black" stroke-width="1"/>')
 
-    diag = math.hypot(width, height)
     for obj in config.objects.values():
         if isinstance(obj, Circle):
             cx, cy = to_px(obj.center)
             parts.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
                          f'r="{_fmt(obj.radius * PX_PER_UNIT)}" '
                          'fill="none" stroke="black" stroke-width="1"/>')
-        elif isinstance(obj, Line):
-            # a segment long enough to cross the whole frame
-            anchor = obj.project(Point((xmin + xmax) / 2.0, (ymin + ymax) / 2.0))
-            d = obj.direction()
-            half = diag / PX_PER_UNIT
-            p1 = Point(anchor.x - half * d.x, anchor.y - half * d.y)
-            p2 = Point(anchor.x + half * d.x, anchor.y + half * d.y)
-            x1, y1 = to_px(p1)
-            x2, y2 = to_px(p2)
-            parts.append(f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" '
-                         f'x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-                         'stroke="black" stroke-width="1"/>')
 
     for label, obj in config.objects.items():
         if not isinstance(obj, Point):

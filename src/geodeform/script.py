@@ -84,7 +84,7 @@ from .core import (
     where,
 )
 from .deform import DeformationFamily
-from .relations import REL_TOL, RELATION_ARITIES, DegeneratePosition, \
+from .relations import RELATION_ARITIES, DegeneratePosition, \
     RelationVerdict, evaluate_relation
 
 __all__ = [
@@ -172,7 +172,7 @@ def _second_intersection(p: list[Point], angle: float | None,
 def _bisector_meet(p: list[Point], angle: float | None, part: Part) -> Point:
     b1 = part(angle_bisector, 1, 0, 2)
     b2 = part(angle_bisector, 4, 3, 5)
-    return intersect(b1, b2)[0]
+    return intersect(b1, b2)
 
 
 # construction name -> (number of point arguments, takes a trailing angle,
@@ -937,13 +937,11 @@ def _construct(statements: Sequence[Statement], params: dict[str, float],
                 circle = _blank(circle, _with_dropped(rows.rows, dropped,
                                                       stmt.labels))
             circles[f"circle({','.join(stmt.labels)})"] = circle
-    config = Configuration({**points, **circles}, "script", dict(params),
-                           tuple(edges))
+    config = Configuration({**points, **circles}, dict(params), tuple(edges))
     return config, poisoned, failed
 
 
 def evaluate(program: Program, overrides: dict[str, float] | None = None,
-             rel_tol: float = REL_TOL,
              ) -> tuple[Configuration, list[RelationVerdict]]:
     """Run the program: build every point, then judge every assertion.
 
@@ -952,8 +950,8 @@ def evaluate(program: Program, overrides: dict[str, float] | None = None,
     label yields a failed verdict carrying the underlying error.  A failed
     require fails every assertion the same way.  Residuals are normalized
     by the diameter of all defined points, matching how the deformation
-    engine judges claims against whole configurations.  An assertion
-    passes when its residual is at most `rel_tol`.
+    engine judges claims against whole configurations.  Whether a
+    residual passes is the caller's threshold to decide.
     """
     params = program.params()
     for name, value in (overrides or {}).items():
@@ -977,8 +975,7 @@ def evaluate(program: Program, overrides: dict[str, float] | None = None,
             continue
         try:
             verdicts.append(evaluate_relation(
-                stmt.kind, [points[lb] for lb in stmt.labels], rel_tol,
-                scale=scale))
+                stmt.kind, [points[lb] for lb in stmt.labels], scale=scale))
         except (GeometryError, ArithmeticError) as exc:
             verdicts.append(RelationVerdict.failed(
                 stmt.kind, flags=("evaluation_error",), error=str(exc)))

@@ -58,8 +58,7 @@ def build_theorem1(a: Point, b: Point, c: Point, d: Point) -> Configuration:
              ("A", "O_ab"), ("O_ab", "B"), ("B", "O_bc"), ("O_bc", "C"),
              ("C", "O_cd"), ("O_cd", "D"), ("D", "O_da"), ("O_da", "A"),
              ("O_ab", "O_cd"), ("O_bc", "O_da"))
-    return Configuration(objects, "theorem1",
-                         {"vertices": (a, b, c, d)}, edges)
+    return Configuration(objects, {"vertices": (a, b, c, d)}, edges)
 
 
 def build_bisector_variant(a: Point, b: Point, c: Point,
@@ -70,10 +69,10 @@ def build_bisector_variant(a: Point, b: Point, c: Point,
     bis_b = angle_bisector(b, a, c)
     bis_c = angle_bisector(c, b, d)
     bis_d = angle_bisector(d, c, a)
-    o1 = intersect(bis_a, bis_b)[0]
-    o2 = intersect(bis_b, bis_c)[0]
-    o3 = intersect(bis_c, bis_d)[0]
-    o4 = intersect(bis_d, bis_a)[0]
+    o1 = intersect(bis_a, bis_b)
+    o2 = intersect(bis_b, bis_c)
+    o3 = intersect(bis_c, bis_d)
+    o4 = intersect(bis_d, bis_a)
     objects: dict[str, GeomObject] = {
         "A": a, "B": b, "C": c, "D": d,
         "O_1": o1, "O_2": o2, "O_3": o3, "O_4": o4,
@@ -81,8 +80,7 @@ def build_bisector_variant(a: Point, b: Point, c: Point,
     edges = (("A", "B"), ("B", "C"), ("C", "D"), ("D", "A"),
              ("A", "O_1"), ("B", "O_1"), ("B", "O_2"), ("C", "O_2"),
              ("C", "O_3"), ("D", "O_3"), ("D", "O_4"), ("A", "O_4"))
-    return Configuration(objects, "bisector_variant",
-                         {"vertices": (a, b, c, d)}, edges)
+    return Configuration(objects, {"vertices": (a, b, c, d)}, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +116,7 @@ def build_example1(a: Point, b: Point, c: Point) -> Configuration:
              ("B", "A'"), ("C", "A'"), ("C", "B'"), ("A", "B'"),
              ("A", "C'"), ("B", "C'"),
              ("O_a", "O_b"), ("O_b", "O_c"), ("O_c", "O_a"))
-    return Configuration(objects, "example1", {"vertices": (a, b, c)}, edges)
+    return Configuration(objects, {"vertices": (a, b, c)}, edges)
 
 
 def build_example2(a: Point, b: Point, c: Point) -> Configuration:
@@ -136,7 +134,7 @@ def build_example2(a: Point, b: Point, c: Point) -> Configuration:
     }
     edges = (("A", "B"), ("B", "C"), ("C", "A"),
              ("F_a", "F_b"), ("F_b", "F_c"), ("F_c", "F_a"))
-    return Configuration(objects, "example2", {"vertices": (a, b, c)}, edges)
+    return Configuration(objects, {"vertices": (a, b, c)}, edges)
 
 
 def build_example3(a: Point, b: Point, c: Point, p: Point) -> Configuration:
@@ -175,4 +173,4 @@ def build_example3(a: Point, b: Point, c: Point, p: Point) -> Configuration:
     }
     edges = (("A", "B"), ("B", "C"), ("C", "A"),
              ("A", "A'"), ("B", "B'"), ("C", "C'"))
-    return Configuration(objects, "example3", {"vertices": (a, b, c, p)}, edges)
+    return Configuration(objects, {"vertices": (a, b, c, p)}, edges)

@@ -189,8 +189,8 @@ def _transformed(cfg, point_map, radius_factor):
                                  obj.radius * radius_factor)
         else:
             raise TypeError(f"unexpected object type {type(obj).__name__}")
-    return Configuration(objects=objs, builder=cfg.builder,
-                         params=dict(cfg.params), edges=cfg.edges)
+    return Configuration(objects=objs, params=dict(cfg.params),
+                         edges=cfg.edges)
 
 
 def test_criterion_10_residuals_survive_similarity_transforms():

@@ -154,6 +154,15 @@ def test_verify_bad_eps_grid_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["verify", "theorem1_perp", "--eps-grid", "banana"])
     assert info.value.code == 2
+    capsys.readouterr()
+    # a non-finite value is named, wherever it stands in the grid
+    for grid, value in [("0.001,0.01,0.1,nan", "nan"),
+                        ("nan,0.001,0.01,0.1", "nan"),
+                        ("0.001,inf,0.01,0.1", "inf")]:
+        code, _, err = run_cli(capsys, "verify", "theorem1_perp",
+                               "--samples", "5", "--eps-grid", grid)
+        assert (code, err) == (2, f"error: epsilon {value} is not a "
+                                  f"finite number\n")
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])

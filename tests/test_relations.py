@@ -441,20 +441,22 @@ def test_every_kind_is_similarity_invariant(case, angle, shift, scale):
 
 
 @settings(max_examples=500, derandomize=True, database=None, deadline=None)
-@given(angle=st.floats(-math.pi, math.pi),
+@given(case=st.sampled_from(SIMILARITY_FIXTURES),
+       angle=st.floats(-math.pi, math.pi),
        shift=st.tuples(st.floats(-1000, 1000), st.floats(-1000, 1000)),
        scale=st.floats(-3, 3).map(lambda e: 10.0 ** e))
-def test_on_conic_is_invariant_under_far_translations(angle, shift, scale):
-    """on_conic fits and judges in a frame centered on the five fitted
-    points, so moving the figure a thousand sizes away from the origin
-    moves its residual by at most 1e-12, as for every kind at ten."""
-    pts = GENERIC_POINTS[:6]
-    base = evaluate_relation("on_conic", pts).residual
+def test_every_kind_is_invariant_under_far_translations(case, angle, shift,
+                                                        scale):
+    """on_conic and coaxial build their conic and circles in a frame
+    centered on the points, so moving any figure a thousand sizes away
+    from the origin moves its residual by at most 1e-12, as at ten."""
+    kind, pts = case
+    base = evaluate_relation(kind, pts).residual
     c, s = math.cos(angle), math.sin(angle)
     moved = [Point(scale * (c * p.x - s * p.y + shift[0]),
                    scale * (s * p.x + c * p.y + shift[1])) for p in pts]
-    got = evaluate_relation("on_conic", moved).residual
-    assert abs(got - base) <= 1e-12, (got, base)
+    got = evaluate_relation(kind, moved).residual
+    assert abs(got - base) <= 1e-12, (kind, got, base)
 
 
 def test_generic_scaling_close_above_floor():

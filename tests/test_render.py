@@ -5,7 +5,7 @@ from importlib.resources import files
 import pytest
 
 from geodeform.configurations import Configuration
-from geodeform.core import Circle, Line, Point
+from geodeform.core import Point
 from geodeform.render import render, render_svg
 from geodeform.script import evaluate, parse
 
@@ -18,7 +18,7 @@ def base_shape(name):
 
 
 def simple_config(objects, edges=()):
-    return Configuration(dict(objects), "test", {}, tuple(edges))
+    return Configuration(dict(objects), {}, tuple(edges))
 
 
 def test_empty_configuration_is_an_error():
@@ -74,15 +74,6 @@ def test_y_axis_points_up():
 def test_circle_objects_are_outlined():
     svg = render_svg(base_shape("triangle_with_incircle"))
     assert '<circle fill="none"' in svg or 'fill="none" stroke="black"' in svg
-
-
-def test_infinite_line_spans_past_the_frame():
-    cfg = simple_config({"A": Point(0, 0), "B": Point(1, 0),
-                         "ax": Line(0.0, 1.0, 0.0)})
-    svg = render_svg(cfg)
-    # one drawn element for the line, two markers for the points
-    assert svg.count("<line ") == 1
-    assert svg.count('class="point"') == 2
 
 
 def test_negative_zero_scrubbed():
