@@ -22,6 +22,7 @@ from .core import (
     Line,
     Parallel,
     Point,
+    _local_scale,
     circumcircle,
     diameter,
     dist,
@@ -89,7 +90,7 @@ def equilateral_apex(base1: Point, base2: Point, orientation: Orientation,
                      reference: Point) -> Point:
     """Apex completing an equilateral triangle on the segment base1-base2."""
     d = dist(base1, base2)
-    guard(d <= FLOOR * maximum(1.0, d), CoincidentPoints,
+    guard(d <= FLOOR * _local_scale(base1, base2), CoincidentPoints,
           "equilateral apex on a zero-length base")
     m = midpoint(base1, base2)
     offset = perp(base2 - base1) * (math.sqrt(3.0) / 2.0)
@@ -100,7 +101,7 @@ def right_isosceles_apex(end1: Point, end2: Point, orientation: Orientation,
                          reference: Point) -> Point:
     """Apex O with |O-end1| = |O-end2| and a right angle at O."""
     d = dist(end1, end2)
-    guard(d <= FLOOR * maximum(1.0, d), CoincidentPoints,
+    guard(d <= FLOOR * _local_scale(end1, end2), CoincidentPoints,
           "right-isosceles apex on a zero-length base")
     m = midpoint(end1, end2)
     offset = perp(end2 - end1) * 0.5
@@ -110,7 +111,7 @@ def right_isosceles_apex(end1: Point, end2: Point, orientation: Orientation,
 def _require_triangle(a: Point, b: Point, c: Point) -> float:
     sides = dist(a, b), dist(b, c), dist(c, a)
     diam = maximum(*sides)
-    guard(minimum(*sides) <= FLOOR * maximum(1.0, diam), CoincidentPoints,
+    guard(minimum(*sides) <= FLOOR * _local_scale(a, b, c), CoincidentPoints,
           "triangle with coincident vertices")
     guard(abs(signed_area(a, b, c)) <= FLOOR * diam * diam, CollinearPoints,
           "degenerate triangle {}, {}, {}", a, b, c)

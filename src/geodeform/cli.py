@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 from importlib.resources import files
@@ -389,8 +390,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a value that starts with "-" and is not a plain
+    # negative integer, such as "-1e-3" or "-inf,0.1", as an option: glue
+    # it to its flag ("--eps=-1e-3") so that it reaches the flag's checks
+    end = argv.index("--") if "--" in argv else len(argv)
+    for i in reversed(range(1, end)):
+        if (argv[i - 1].startswith("--") and "=" not in argv[i - 1]
+                and re.match(r"-(?:[0-9.]|inf|nan)", argv[i], re.I)):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+    args = _build_parser().parse_args(argv)
     return args.func(args)
 
 

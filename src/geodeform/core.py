@@ -12,7 +12,7 @@ as a theorem: no construction takes a tolerance.
 Every construction is written once over coordinates that are floats or
 float64 arrays with one row per sample, so a batch of deformed figures
 runs through the same code as one figure.  Math comes from a table
-chosen by the coordinate type (`hypot`, `sqrt`, `square`, `pow2_near`), a
+chosen by the coordinate type (`hypot`, `sqrt`, `pow2_near`), a
 branch on a value goes through `where`, and every degeneracy test goes
 through `guard`: on floats it raises, on arrays it marks the failing rows
 in the enclosing `failures()` block and the other rows go on.
@@ -42,14 +42,12 @@ __all__ = [
     "Failures",
     "failures",
     "only_rows",
-    "fail_rows",
     "guard",
     "where",
     "maximum",
     "minimum",
     "hypot",
     "sqrt",
-    "square",
     "pow2_near",
     "Point",
     "Line",
@@ -135,21 +133,15 @@ class _Floats:
     sqrt = staticmethod(math.sqrt)
 
     @staticmethod
-    def square(x: float) -> float:
-        return x ** 2
-
-    @staticmethod
     def pow2_near(x: float) -> float:
         return 2.0 ** round(math.log2(x))
 
 
 class _Rows:
-    # hypot, ** 2 and log2 go through the float path per element: np.hypot
-    # differs from math.hypot on 0.6% of random pairs, and np.square from
-    # ** 2 (the C library's pow) on 0.09% of random values
+    # hypot and log2 go through the float path per element: np.hypot
+    # differs from math.hypot on 0.6% of random pairs
     hypot = staticmethod(_rowwise(math.hypot))
     sqrt = staticmethod(np.sqrt)
-    square = staticmethod(_rowwise(_or_nan(_Floats.square)))
     pow2_near = staticmethod(_rowwise(_or_nan(_Floats.pow2_near)))
 
 
@@ -167,10 +159,6 @@ def hypot(x, y):
 
 def sqrt(x):
     return (_Rows if type(x) is _ARRAY else _Floats).sqrt(x)
-
-
-def square(x):
-    return (_Rows if type(x) is _ARRAY else _Floats).square(x)
 
 
 def pow2_near(x):
@@ -263,12 +251,6 @@ def guard(failed, error: type[GeometryError], message: str, *args) -> None:
         failed = failed.any()
     if failed:
         raise error(message.format(*args))
-
-
-def fail_rows(rows: bool | np.ndarray) -> None:
-    """Mark `rows` failed as a failing guard does; False marks none."""
-    if rows is not False:
-        guard(rows, GeometryError, "rows failed outside a failures() block")
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +384,9 @@ def perp(v: Point) -> Point:
 
 
 def _local_scale(*pts: Point) -> float:
-    """Magnitude floor used to scale absolute degeneracy thresholds."""
-    return maximum(1.0, *[abs(c) for p in pts for c in (p.x, p.y)])
+    """The largest coordinate magnitude of the points: the size that
+    relative degeneracy thresholds are scaled by."""
+    return maximum(*[abs(c) for p in pts for c in (p.x, p.y)])
 
 
 def signed_area(p: Point, q: Point, r: Point) -> float:
@@ -554,6 +537,7 @@ def radical_axis(c1: Circle, c2: Circle) -> Line:
           "radical axis of concentric circles")
     a = 2.0 * (c2.center.x - c1.center.x)
     b = 2.0 * (c2.center.y - c1.center.y)
-    c = ((square(c1.center.x) + square(c1.center.y) - square(c1.radius))
-         - (square(c2.center.x) + square(c2.center.y) - square(c2.radius)))
+    o1, o2 = c1.center, c2.center
+    c = ((o1.x * o1.x + o1.y * o1.y - c1.radius * c1.radius)
+         - (o2.x * o2.x + o2.y * o2.y - c2.radius * c2.radius))
     return Line(a, b, c)

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .configurations import Configuration
-from .core import Circle, GeometryError, Point, diameter, failures
+from .core import GeometryError, Point, diameter, failures
 from .relations import REL_TOL, RelationVerdict, evaluate_relation
 
 __all__ = [
@@ -178,9 +178,11 @@ def sample(family: DeformationFamily, epsilon: float, seed: int,
     """One deformed configuration for (epsilon, seed), deterministic.
 
     With `count`, the samples of seeds seed .. seed + count - 1 as one
-    configuration of float64 arrays whose row i is bit for bit
-    `sample(family, epsilon, seed + i)`.  Where a row finds no valid draw
-    within the budget, the single sample of its seed raises the error.
+    configuration of float64 arrays: the points the builder builds on
+    rows (for a family program, those its claims and requires read),
+    whose row i is bit for bit `sample(family, epsilon, seed + i)`.  Where
+    a row finds no valid draw within the budget, the single sample of its
+    seed raises the error.
     """
     if epsilon < 0.0 or not math.isfinite(epsilon):
         raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
@@ -210,12 +212,6 @@ def sample(family: DeformationFamily, epsilon: float, seed: int,
         f"draws at epsilon={epsilon}, seed={seed} (last: {last_error})")
 
 
-def _columns(obj: Point | Circle) -> tuple:
-    if isinstance(obj, Circle):
-        return obj.center.x, obj.center.y, obj.radius
-    return obj.x, obj.y
-
-
 def _sample_rows(family: DeformationFamily, epsilon: float, seed: int,
                  count: int, max_rejections: int) -> Configuration:
     """`sample` of `count` rows.
@@ -233,11 +229,13 @@ def _sample_rows(family: DeformationFamily, epsilon: float, seed: int,
     todo = np.arange(count)
     rounds = 0
     config = None
-    columns: dict[str, list[np.ndarray]] = {}
+    # the x and y of each label of the batch, row by row as it is kept
+    columns: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
-    def keep(objects: dict, rows: np.ndarray, kept) -> None:
-        for label, obj in objects.items():
-            for col, part in zip(columns[label], _columns(obj)):
+    def keep(built: Configuration, rows: np.ndarray, kept) -> None:
+        for label, cols in columns.items():
+            p = built.point(label)
+            for col, part in zip(cols, (p.x, p.y)):
                 col[rows[kept]] = np.broadcast_to(part, rows.shape)[kept]
 
     while todo.size:
@@ -265,10 +263,9 @@ def _sample_rows(family: DeformationFamily, epsilon: float, seed: int,
                     if kept.all():
                         return built
                     config = built
-                    columns = {label: [np.full(count, np.nan)
-                                       for _ in _columns(obj)]
-                               for label, obj in built.objects.items()}
-                keep(built.objects, todo, kept)
+                    columns = {label: (np.empty(count), np.empty(count))
+                               for label in built.objects}
+                keep(built, todo, kept)
         if kept is not None and kept.any():
             todo = todo[~kept]
             continue
@@ -277,13 +274,10 @@ def _sample_rows(family: DeformationFamily, epsilon: float, seed: int,
         if config is None:
             raise RuntimeError(f"family {family.name!r}: the builder fails "
                                f"on every row that a single sample builds")
-        keep(single.objects, todo[:1], np.ones(1, bool))
+        keep(single, todo[:1], np.ones(1, bool))
         todo = todo[1:]
-    with failures():  # a missing label is NaN, not a failure
-        objects = {label: (Point(*cols) if len(cols) == 2 else
-                           Circle(Point(cols[0], cols[1]), cols[2]))
-                   for label, cols in columns.items()}
-    return replace(config, objects=objects)
+    return replace(config, objects={label: Point(*cols)
+                                    for label, cols in columns.items()})
 
 
 def _verdict_for(max_residual: float, rel_tol: float) -> str:

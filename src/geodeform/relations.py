@@ -47,7 +47,6 @@ from .core import (
     _local_scale,
     diameter,
     dist,
-    fail_rows,
     guard,
     hypot,
     intersect,
@@ -61,7 +60,6 @@ from .core import (
     radical_axis,
     signed_area,
     sqrt,
-    square,
     where,
 )
 
@@ -213,12 +211,12 @@ def check_collinear(points: Sequence[Point],
 def _line_fit(q: Sequence[Point], denom: float) -> RelationVerdict:
     cx = sum(p.x for p in q) / len(q)
     cy = sum(p.y for p in q) / len(q)
-    sxx = sum(square(p.x - cx) for p in q)
+    sxx = sum((p.x - cx) * (p.x - cx) for p in q)
     sxy = sum((p.x - cx) * (p.y - cy) for p in q)
-    syy = sum(square(p.y - cy) for p in q)
+    syy = sum((p.y - cy) * (p.y - cy) for p in q)
     # unit normal of the TLS line: eigenvector of the smaller eigenvalue
     tr = sxx + syy
-    disc = sqrt(square(sxx - syy) + 4.0 * sxy * sxy)
+    disc = sqrt((sxx - syy) * (sxx - syy) + 4.0 * sxy * sxy)
     lam = (tr - disc) / 2.0
     nx, ny = sxy, lam - sxx
     flat = hypot(nx, ny) < 1e-30
@@ -568,7 +566,7 @@ def _row_by_row(kind: str, points: Sequence[Point],
             continue
         residual[r] = verdict.residual
         flags.update(dict.fromkeys(verdict.flags))
-    fail_rows(failed)
+    guard(failed, GeometryError, "{} cannot be judged on some rows", kind)
     return RelationVerdict(kind, residual, tuple(flags))
 
 

@@ -48,7 +48,6 @@ import math
 import operator
 import re
 import string
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Callable, NamedTuple, Sequence, Union
@@ -63,15 +62,12 @@ from .core import (
     FLOOR,
     GUARD,
     Circle,
-    Failures,
     GeometryError,
     Point,
     angle_bisector,
     circumcircle,
     diameter,
     dist,
-    fail_rows,
-    failures,
     guard,
     intersect,
     line_circle_meets,
@@ -796,47 +792,18 @@ def _arguments(labels: tuple[str, ...], points: dict[str, Point],
         raise _PoisonedLabel(poisoned[bad]) from None
 
 
-# the failures() of the float path, where a failed guard raises: it
-# collects no rows
-_RAISING = nullcontext(Failures())
-
-
-def _parts(built: dict[tuple, tuple], labels: tuple[str, ...],
-           args: list[Point], collect: Callable) -> Part:
+def _parts(built: dict[tuple, object], labels: tuple[str, ...],
+           args: list[Point]) -> Part:
     """The `part` of one statement over `labels`, whose points are `args`;
-    `built` holds the parts of the run by builder and labels, each with
-    the rows in which it failed (False on floats, where a failed part
-    raises and is not kept)."""
+    `built` holds the parts of the run by builder and labels (on floats a
+    failed part raises and is not kept)."""
     def part(build: Callable[..., object], *at: int) -> object:
         key = (build, *[labels[i] for i in at])
         made = built.get(key)
         if made is None:
-            with collect() as failed:
-                value = build(*[args[i] for i in at])
-            made = built[key] = (value, failed.rows)
-        fail_rows(made[1])
-        return made[0]
+            made = built[key] = build(*[args[i] for i in at])
+        return made
     return part
-
-
-def _with_dropped(failed, dropped: dict[str, np.ndarray],
-                  labels: Sequence[str]):
-    """The rows where a statement over `labels` fails: those of its own
-    `failed` rows and those where one of its labels is missing."""
-    return reduce(operator.or_, (dropped[lb] for lb in labels if lb in dropped),
-                  failed)
-
-
-def _blank(obj: Point | Circle, rows) -> Point | Circle:
-    """`obj` with NaN coordinates in `rows`, where its label is missing."""
-    if rows is False:
-        return obj
-    with failures():  # NaN is the point here, not a failure
-        if isinstance(obj, Circle):
-            return Circle(_blank(obj.center, rows),
-                          np.where(rows, np.nan, obj.radius))
-        return Point(np.where(rows, np.nan, obj.x),
-                     np.where(rows, np.nan, obj.y))
 
 
 def _construct(statements: Sequence[Statement], params: dict[str, float],
@@ -854,62 +821,41 @@ def _construct(statements: Sequence[Statement], params: dict[str, float],
     every poisoned label, and the message of the first failed require.
 
     Given points whose coordinates are float64 arrays run every sample of
-    a batch at once, one row each (with `needed` set): a failed require
-    or needed label fails its rows in the enclosing `failures()` block
-    instead of raising, and any other label is NaN in the rows where it
-    failed instead of dropping out.
+    a batch at once, one row each: a failing guard marks its rows failed
+    in the enclosing `failures()` block instead of raising.
     """
-    on_rows = any(isinstance(p.x, np.ndarray) for p in given.values())
-    # on floats a failed guard raises: there are no rows to collect
-    collect = failures if on_rows else lambda: _RAISING
     points: dict[str, Point] = {}
-    built: dict[tuple, tuple] = {}
+    built: dict[tuple, object] = {}
     circles: dict[str, Circle] = {}
     edges: list[tuple[str, ...]] = []
     poisoned: dict[str, str] = {}
-    # on rows: the rows in which each label is missing
-    dropped: dict[str, np.ndarray] = {}
     failed: str | None = None
     for stmt in statements:
         if isinstance(stmt, Define):
             label, expr = stmt.label, stmt.expr
             try:
-                with collect() as rows:
-                    if label in given:
-                        points[label] = given[label]
-                    elif isinstance(expr, CoordPair):
-                        points[label] = Point(_eval_scalar(expr.x, params),
-                                              _eval_scalar(expr.y, params))
-                    else:
-                        args = _arguments(expr.points, points, poisoned)
-                        angle = (None if expr.angle is None
-                                 else _eval_scalar(expr.angle, params))
-                        points[label] = FUNCTIONS[expr.func][2](
-                            args, angle,
-                            _parts(built, expr.points, args, collect))
+                if label in given:
+                    points[label] = given[label]
+                elif isinstance(expr, CoordPair):
+                    points[label] = Point(_eval_scalar(expr.x, params),
+                                          _eval_scalar(expr.y, params))
+                else:
+                    args = _arguments(expr.points, points, poisoned)
+                    angle = (None if expr.angle is None
+                             else _eval_scalar(expr.angle, params))
+                    points[label] = FUNCTIONS[expr.func][2](
+                        args, angle, _parts(built, expr.points, args))
             except _PoisonedLabel as exc:
                 poisoned[label] = str(exc)
-                continue
             except (GeometryError, ArithmeticError) as exc:
                 if needed is not None and label in needed:
                     raise
                 poisoned[label] = f"{label}: {exc}"
-                continue
-            if not on_rows:
-                continue
-            lost = _with_dropped(rows.rows, dropped,
-                                 getattr(expr, "points", ()))
-            if needed is not None and label in needed:
-                fail_rows(lost)
-            elif lost is not False:
-                dropped[label] = lost
-                points[label] = _blank(points[label], lost)
         elif isinstance(stmt, Require):
             try:
-                with collect() as rows:
-                    args = _arguments(stmt.labels, points, poisoned)
-                    REQUIREMENTS[stmt.kind][1](
-                        args, _parts(built, stmt.labels, args, collect))
+                args = _arguments(stmt.labels, points, poisoned)
+                REQUIREMENTS[stmt.kind][1](
+                    args, _parts(built, stmt.labels, args))
             except _PoisonedLabel as exc:
                 failed = failed or str(exc)
             except (GeometryError, ArithmeticError) as exc:
@@ -917,9 +863,6 @@ def _construct(statements: Sequence[Statement], params: dict[str, float],
                     raise
                 failed = failed or (f"require {stmt.kind}"
                                     f"({', '.join(stmt.labels)}): {exc}")
-            else:
-                if on_rows:  # a failed require rejects its rows
-                    fail_rows(_with_dropped(rows.rows, dropped, stmt.labels))
         elif isinstance(stmt, Draw):
             if poisoned and any(label in poisoned for label in stmt.labels):
                 continue
@@ -928,14 +871,10 @@ def _construct(statements: Sequence[Statement], params: dict[str, float],
                 continue
             args = [points[label] for label in stmt.labels]
             try:
-                with collect() as rows:
-                    circle = _parts(built, stmt.labels, args, collect)(
-                        circumcircle, 0, 1, 2)
+                circle = _parts(built, stmt.labels, args)(
+                    circumcircle, 0, 1, 2)
             except GeometryError:
                 continue  # collinear labels: there is no circle to draw
-            if on_rows:
-                circle = _blank(circle, _with_dropped(rows.rows, dropped,
-                                                      stmt.labels))
             circles[f"circle({','.join(stmt.labels)})"] = circle
     config = Configuration({**points, **circles}, dict(params), tuple(edges))
     return config, poisoned, failed
@@ -989,8 +928,11 @@ def family_builder(program: Program) -> Callable[..., Configuration]:
     the coordinates of the labels its `deform` statement names.  It raises
     the error of a failed require, or of a failed construction that an
     assertion or requirement depends on, so a sampler rejects the draw; any
-    other failed label is left out, as `evaluate` leaves it out.
-    ValueError when the program has no `deform`.
+    other failed label is left out, as `evaluate` leaves it out.  Points
+    whose coordinates are float64 rows build only the requires and the
+    labels that the assertions and requires read, and draw nothing: every
+    failure on a row then rejects it.  ValueError when the program has no
+    `deform`.
     """
     deform = program.deform()
     if deform is None:
@@ -1006,10 +948,14 @@ def family_builder(program: Program) -> Callable[..., Configuration]:
     frozen = frozenset(needed)
     steps = tuple(s for s in program.statements
                   if isinstance(s, (Define, Require, Draw)))
+    row_steps = tuple(s for s in steps if isinstance(s, Require)
+                      or isinstance(s, Define) and s.label in frozen)
 
     def builder(*points: Point) -> Configuration:
         given = dict(zip(labels, points, strict=True))
-        return _construct(steps, params, given, frozen)[0]
+        on_rows = isinstance(points[0].x, np.ndarray)
+        return _construct(row_steps if on_rows else steps, params, given,
+                          frozen)[0]
 
     return builder
 

@@ -7,7 +7,7 @@ error message that follows from them.
 """
 
 import dataclasses
-import math
+from importlib.resources import files
 
 import numpy as np
 import pytest
@@ -15,10 +15,10 @@ import pytest
 from geodeform import deform
 from geodeform.catalog import CLAIMS, FAMILIES, program_claims
 from geodeform.cli import main
-from geodeform.core import Circle, GeometryError, Point, failures
+from geodeform.core import GeometryError, Point, failures
 from geodeform.deform import RejectionBudgetExhausted, sample, \
     scaling_probe, verify
-from geodeform.script import parse
+from geodeform.script import Construct, Define, Require, parse
 
 SEEDS = 200
 
@@ -35,8 +35,8 @@ point R = rotate(B, A, 60)
 point M_a = midpoint(B, C)
 point M_b = midpoint(A, C)
 point M_c = midpoint(A, B)
-# X misses the circle on some draws: then X, Y and the drawn circle
-# through X are left out, and no claim depends on them
+# X misses the circle on some draws: then a single sample leaves X, Y
+# and the drawn circle through X out, and no claim depends on them
 point P = (1.08, 0.29)
 point Q = (1.08, 5)
 point X = second_intersection(P, Q, A, B, C)
@@ -73,11 +73,27 @@ FAMILY_CLAIMS = {
     for name in FAMILIES}
 FAMILY_CLAIMS["user"] = _user_claims(USER_PROGRAM, "user")
 
+PROGRAMS = {name: parse((files("geodeform") / "scripts" / f"{name}.geo")
+                        .read_text(encoding="utf-8"))
+            for name in FAMILIES}
+PROGRAMS["user"] = parse(USER_PROGRAM)
 
-def _columns(obj):
-    if isinstance(obj, Circle):
-        return obj.center.x, obj.center.y, obj.radius
-    return obj.x, obj.y
+
+def _read_closure(program, claims):
+    """The labels the claims and requires of `program` read, and those
+    their constructions read in turn."""
+    reads = {s.label: s.expr.points if isinstance(s.expr, Construct) else ()
+             for s in program.statements if isinstance(s, Define)}
+    todo = [label for c in claims for label in c.labels]
+    todo += [label for s in program.statements if isinstance(s, Require)
+             for label in s.labels]
+    closure = set()
+    while todo:
+        label = todo.pop()
+        if label not in closure:
+            closure.add(label)
+            todo.extend(reads[label])
+    return closure
 
 
 def _bits(value):
@@ -99,9 +115,9 @@ def _per_draw_judge(family, claims, epsilon, seed, count, scale):
 @pytest.mark.parametrize("epsilon", [0.001, 0.5])
 @pytest.mark.parametrize("name", list(FAMILY_CLAIMS))
 def test_batch_rows_are_the_single_samples(name, epsilon):
-    """Every built point and every claim's residual of row i equal, bit
-    for bit, those of sample(family, epsilon, i); a label a single
-    sample lacks is NaN in its row."""
+    """A batch holds exactly the points that its claims and requires
+    read, and row i of each of them and of every claim's residual equals,
+    bit for bit, that of sample(family, epsilon, i)."""
     family, claims = FAMILY_CLAIMS[name]
     scale = family.base_diameter()
     with np.errstate(all="ignore"):
@@ -112,25 +128,18 @@ def test_batch_rows_are_the_single_samples(name, epsilon):
                 verdict = claim.evaluate(batch, scale=scale)
             assert failed.rows is False or not failed.rows.any()
             residuals.append(np.broadcast_to(verdict.residual, (SEEDS,)))
-    missing = 0
+    assert set(batch.objects) == _read_closure(PROGRAMS[name], claims)
+    assert all(type(obj) is Point for obj in batch.objects.values())
     for row in range(SEEDS):
         single = sample(family, epsilon, row)
-        assert set(single.objects) <= set(batch.objects)
-        for label, obj in batch.objects.items():
-            got = [np.broadcast_to(c, (SEEDS,))[row] for c in _columns(obj)]
-            if label not in single.objects:
-                missing += 1
-                assert all(math.isnan(v) for v in got), (label, row)
-                continue
-            want = _columns(single.objects[label])
-            assert list(map(_bits, got)) == list(map(_bits, want)), \
+        for label, p in batch.objects.items():
+            got = [np.broadcast_to(c, (SEEDS,))[row] for c in (p.x, p.y)]
+            want = single.point(label)
+            assert list(map(_bits, got)) == [_bits(want.x), _bits(want.y)], \
                 (name, label, row)
         for claim, column in zip(claims, residuals):
             want = claim.evaluate(single, scale=scale).residual
             assert _bits(column[row]) == _bits(want), (name, claim, row)
-    if name == "user":  # X, Y and a circle: on every row at 0.001
-        assert 0 < missing <= 3 * SEEDS
-        assert epsilon < 0.5 or missing < 3 * SEEDS
 
 
 @pytest.mark.parametrize("epsilons", [(0.5,), (0.001, 0.5), (0.0,)])

@@ -155,17 +155,22 @@ def test_verify_bad_eps_grid_is_usage_error(capsys):
         main(["verify", "theorem1_perp", "--eps-grid", "banana"])
     assert info.value.code == 2
     capsys.readouterr()
-    # a non-finite value is named, wherever it stands in the grid
-    for grid, value in [("0.001,0.01,0.1,nan", "nan"),
-                        ("nan,0.001,0.01,0.1", "nan"),
-                        ("0.001,inf,0.01,0.1", "inf")]:
-        code, _, err = run_cli(capsys, "verify", "theorem1_perp",
-                               "--samples", "5", "--eps-grid", grid)
-        assert (code, err) == (2, f"error: epsilon {value} is not a "
-                                  f"finite number\n")
+    # a non-finite value is named, wherever it stands in the grid; a
+    # value that starts with "-" reads as it does glued on with "="
+    not_finite = "epsilon {} is not a finite number"
+    for flag, value, message in [
+            ("--eps-grid", "0.001,0.01,0.1,nan", not_finite.format("nan")),
+            ("--eps-grid", "nan,0.001,0.01,0.1", not_finite.format("nan")),
+            ("--eps-grid", "0.001,inf,0.01,0.1", not_finite.format("inf")),
+            ("--eps-grid", "-inf,0.001,0.01,0.1", not_finite.format("-inf")),
+            ("--eps", "-1e-3", "epsilon must be finite and >= 0, got -0.001")]:
+        for argv in ([flag, value], [f"{flag}={value}"]):
+            code, _, err = run_cli(capsys, "verify", "theorem1_perp",
+                                   "--samples", "5", *argv)
+            assert (code, err) == (2, f"error: {message}\n"), argv
 
 
-@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "-1e-9", "-inf"])
 @pytest.mark.parametrize("command", [
     ["verify", "theorem1_perp", "--samples", "5"],
     ["run", str(SCRIPTS / "theorem1.geo")],
@@ -174,7 +179,8 @@ def test_bad_tol_is_usage_error(capsys, command, tol):
     with pytest.raises(SystemExit) as info:
         main(command + ["--tol", tol])
     assert info.value.code == 2
-    assert "--tol" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"--tol wants a finite number > 0, got {tol!r}" in err
 
 
 def test_tol_moves_the_verdict_threshold_only(capsys):

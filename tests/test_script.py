@@ -1,5 +1,6 @@
 """Parser positions, evaluator semantics, and the shipped scripts."""
 
+import dataclasses
 import math
 import pathlib
 
@@ -10,7 +11,12 @@ from geodeform.catalog import FAMILIES
 from geodeform.core import GeometryError, Point, dist, rotate
 from geodeform.script import (
     ArityError,
+    BinOp,
+    CoordPair,
+    Define,
+    NumberLit,
     ParseError,
+    Program,
     UnknownParam,
     UseBeforeDefine,
     evaluate,
@@ -359,14 +365,43 @@ def test_second_intersection_missing_the_circle_poisons_its_label():
     assert verdict.error == "X: the line misses the circle"
 
 
-@pytest.mark.parametrize("name", ["theorem1", "example1", "example2",
-                                  "example3", "bisector", "eps_demo"])
+SHIPPED = ["theorem1", "example1", "example2", "example3", "bisector",
+           "eps_demo"]
+
+
+@pytest.mark.parametrize("name", SHIPPED)
 def test_shipped_scripts_pass(name):
     src = (SCRIPTS / f"{name}.geo").read_text()
     config, verdicts = evaluate(parse(src))
     assert verdicts, name
     for v in verdicts:
         assert v.passed, (name, v)
+
+
+def _scaled(program, factor):
+    """`program` with each point given by coordinates scaled by factor."""
+    def scale(stmt):
+        if not (isinstance(stmt, Define) and isinstance(stmt.expr, CoordPair)):
+            return stmt
+        k = NumberLit(factor)
+        return dataclasses.replace(stmt, expr=CoordPair(
+            BinOp("*", stmt.expr.x, k), BinOp("*", stmt.expr.y, k)))
+    return Program(tuple(map(scale, program.statements)))
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_shipped_scripts_are_exact_under_power_of_two_scaling(name):
+    """Every verdict of a shipped script, its residual, flags and error,
+    is the same when the figure is scaled by 2^k, from 2^-60 to 2^60:
+    such scaling is exact, and every floor is relative to the figure."""
+    program = parse((SCRIPTS / f"{name}.geo").read_text())
+
+    def verdicts(k):
+        _, judged = evaluate(_scaled(program, 2.0 ** k))
+        return [(v.residual, v.flags, v.error) for v in judged]
+
+    assert {k: verdicts(k) for k in range(-60, 61)} == dict.fromkeys(
+        range(-60, 61), verdicts(0))
 
 
 def test_eps_demo_degenerate_override():

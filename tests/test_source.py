@@ -1,0 +1,55 @@
+"""Source checks that no installed linter makes: every module of the
+package uses what it imports (the package's `__init__` re-exports, so it
+is left out)."""
+
+import ast
+import pathlib
+
+import pytest
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "geodeform"
+MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _names_read(tree: ast.Module) -> set[str]:
+    """The names the module reads: in code, in annotations written as
+    strings, and in `__all__`."""
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    annotations = [node.annotation for node in ast.walk(tree)
+                   if isinstance(node, (ast.arg, ast.AnnAssign))
+                   and node.annotation is not None]
+    annotations += [node.returns for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.returns is not None]
+    for annotation in annotations:
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names |= _names_read(ast.parse(node.value))
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            names |= {elt.value for elt in node.value.elts}
+    return names
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Each name the module binds by an import, with its line."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_import_is_used(module):
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    read = _names_read(tree)
+    unused = {name: line for name, line in _imported(tree).items()
+              if name not in read}
+    assert not unused, f"{module}: unused imports {unused}"
