@@ -11,11 +11,12 @@ as a theorem: no construction takes a tolerance.
 
 Every construction is written once over coordinates that are floats or
 float64 arrays with one row per sample, so a batch of deformed figures
-runs through the same code as one figure.  Math comes from a table
-chosen by the coordinate type (`hypot`, `sqrt`, `pow2_near`), a
-branch on a value goes through `where`, and every degeneracy test goes
-through `guard`: on floats it raises, on arrays it marks the failing rows
-in the enclosing `failures()` block and the other rows go on.
+runs through the same code as one figure.  Every step of `hypot`, `sqrt`
+and `pow2_near` is exact or correctly rounded on both, so a row has the
+bits of the float; a branch on a value goes through `where`, and every
+degeneracy test goes through `guard`: on floats it raises, on arrays it
+marks the failing rows in the enclosing `failures()` block and the other
+rows go on.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import warnings
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -107,63 +108,64 @@ class DegenerateAngleWarning(UserWarning):
 # the batch type, bound once: the float path tests for it on every call
 _ARRAY = np.ndarray
 
-
-def _rowwise(f: Callable[..., float]) -> Callable[..., np.ndarray]:
-    """`f` applied to each row: the float path's own bits."""
-    def on_rows(*args):
-        cols = np.broadcast_arrays(*args)
-        return np.fromiter(map(f, *(c.ravel().tolist() for c in cols)),
-                           float, cols[0].size).reshape(cols[0].shape)
-    return on_rows
-
-
-def _or_nan(f: Callable[..., float]) -> Callable[..., float]:
-    """`f`, but NaN where it raises: a row where the float path raises
-    then fails where the NaN reaches a point or a residual."""
-    def safe(*args: float) -> float:
-        try:
-            return f(*args)
-        except (ArithmeticError, ValueError):
-            return math.nan
-    return safe
-
-
-class _Floats:
-    hypot = staticmethod(math.hypot)
-    sqrt = staticmethod(math.sqrt)
-
-    @staticmethod
-    def pow2_near(x: float) -> float:
-        return 2.0 ** round(math.log2(x))
-
-
-class _Rows:
-    # hypot and log2 go through the float path per element: np.hypot
-    # differs from math.hypot on 0.6% of random pairs
-    hypot = staticmethod(_rowwise(math.hypot))
-    sqrt = staticmethod(np.sqrt)
-    pow2_near = staticmethod(_rowwise(_or_nan(_Floats.pow2_near)))
-
-
-def _math(*values: object) -> type:
-    """The math table for these values: rows if any of them is an array."""
-    return _Rows if _ARRAY in map(type, values) else _Floats
-
-
-def hypot(x, y):
-    # the table choice inlined, as in dist
-    if type(x) is _ARRAY or type(y) is _ARRAY:
-        return _Rows.hypot(x, y)
-    return math.hypot(x, y)
+# the lengths inside which neither square of sqrt(x*x + y*y) overflows or
+# loses bits to subnormals
+_SHORTEST, _LONGEST = 2.0 ** -450, 2.0 ** 450
+_SQRT_HALF = math.sqrt(0.5)
+# the least float whose nearest power of two, 2^1024, overflows
+_POW2_TOP = math.ldexp(_SQRT_HALF, 1024)
 
 
 def sqrt(x):
-    return (_Rows if type(x) is _ARRAY else _Floats).sqrt(x)
+    return np.sqrt(x) if type(x) is _ARRAY else math.sqrt(x)
+
+
+def _exponents(x) -> tuple:
+    """frexp and ldexp for x: numpy's on rows, math's on floats.  Both
+    are exact, or correctly rounded where ldexp leaves the normal range."""
+    if type(x) is _ARRAY:
+        return np.frexp, np.ldexp
+    return math.frexp, math.ldexp
+
+
+def hypot(x, y):
+    """The length sqrt(x*x + y*y).
+
+    +, * and sqrt are correctly rounded on floats and on rows alike, so
+    both paths give the same bits without a per-row loop.  Outside
+    2^-450..2^450 the length is taken of (x, y) scaled by a power of two:
+    the same bits wherever the plain form neither over- nor underflows,
+    and inf, not an error, where the length overflows.
+    """
+    s = x * x + y * y
+    if type(s) is not _ARRAY:
+        h = math.sqrt(s)
+        return h if _SHORTEST <= h <= _LONGEST else _rescaled_hypot(x, y)
+    h = np.sqrt(s)
+    inside = (h >= _SHORTEST) & (h <= _LONGEST)
+    return h if inside.all() else np.where(inside, h, _rescaled_hypot(x, y))
+
+
+def _rescaled_hypot(x, y):
+    big = maximum(abs(x), abs(y))
+    frexp, ldexp = _exponents(big)
+    _, e = frexp(big)
+    x, y = ldexp(x, -e), ldexp(y, -e)
+    # 2^e as two factors that never overflow, so the one rounding is the
+    # product's: inf where ldexp(h, e) would raise on floats
+    half = e // 2
+    return sqrt(x * x + y * y) * ldexp(1.0, half) * ldexp(1.0, e - half)
 
 
 def pow2_near(x):
-    """The power of two nearest to x on a log scale."""
-    return (_Rows if type(x) is _ARRAY else _Floats).pow2_near(x)
+    """The power of two nearest to x on a log scale: for x = m * 2^e with
+    1/2 <= m < 1, 2^e when m >= sqrt(1/2) and 2^(e-1) below.  NaN where x
+    is not positive or that power overflows."""
+    frexp, ldexp = _exponents(x)
+    m, e = frexp(x)
+    # ldexp keeps a NaN as it is, on floats for any exponent
+    return ldexp(where((x > 0.0) & (x < _POW2_TOP), 1.0, math.nan),
+                 e - (m < _SQRT_HALF))
 
 
 def where(cond, a, b):
@@ -355,23 +357,15 @@ class Circle:
 # small helpers
 
 def dist(p: Point, q: Point) -> float:
-    # hypot inlined: the hottest call of the float path
-    dx, dy = p.x - q.x, p.y - q.y
-    if type(dx) is _ARRAY or type(dy) is _ARRAY:
-        return _Rows.hypot(dx, dy)
-    return math.hypot(dx, dy)
+    return hypot(p.x - q.x, p.y - q.y)
 
 
 def diameter(points: Sequence[Point]) -> float:
     """Largest pairwise distance; 0.0 for fewer than two points."""
     if len(points) < 2:
         return 0.0
-    # one table for all pairs: every figure's scale pays this
-    table = _math(*[c for p in points for c in (p.x, p.y)])
-    pair_hypot = table.hypot
-    dists = (pair_hypot(p.x - q.x, p.y - q.y)
-             for i, p in enumerate(points) for q in points[i + 1:])
-    return max(dists) if table is _Floats else maximum(*dists)
+    return maximum(*(dist(p, q)
+                     for i, p in enumerate(points) for q in points[i + 1:]))
 
 
 def midpoint(p: Point, q: Point) -> Point:

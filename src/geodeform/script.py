@@ -926,13 +926,14 @@ def family_builder(program: Program) -> Callable[..., Configuration]:
 
     `builder(*points)` runs the program with the given points in place of
     the coordinates of the labels its `deform` statement names.  It raises
-    the error of a failed require, or of a failed construction that an
-    assertion or requirement depends on, so a sampler rejects the draw; any
-    other failed label is left out, as `evaluate` leaves it out.  Points
-    whose coordinates are float64 rows build only the requires and the
-    labels that the assertions and requires read, and draw nothing: every
-    failure on a row then rejects it.  ValueError when the program has no
-    `deform`.
+    the error of a failed require, or of a failed construction that a
+    named assertion or a requirement depends on, so a sampler rejects the
+    draw; any other failed label is left out, as `evaluate` leaves it out.
+    Points whose coordinates are float64 rows build only the requires and
+    the labels that the named assertions and requires read, and draw
+    nothing: every failure on a row then rejects it.  An unnamed assert,
+    which `verify` never judges, rejects no draw.  ValueError when the
+    program has no `deform`.
     """
     deform = program.deform()
     if deform is None:
@@ -940,7 +941,9 @@ def family_builder(program: Program) -> Callable[..., Configuration]:
     labels = deform.labels
     params = program.params()
     needed = {lb for s in program.statements
-              if isinstance(s, (AssertStmt, Require)) for lb in s.labels}
+              if isinstance(s, Require)
+              or isinstance(s, AssertStmt) and s.name is not None
+              for lb in s.labels}
     for stmt in reversed(program.statements):
         if (isinstance(stmt, Define) and stmt.label in needed
                 and isinstance(stmt.expr, Construct)):

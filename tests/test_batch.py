@@ -6,7 +6,9 @@ i: every built point and every claim's residual, and every report and
 error message that follows from them.
 """
 
+import cProfile
 import dataclasses
+import pstats
 from importlib.resources import files
 
 import numpy as np
@@ -266,3 +268,59 @@ def test_single_sample_keeps_float_coordinates():
     assert all(type(c) is float for p in config.points().values()
                for c in (p.x, p.y))
     assert isinstance(config.point("A"), Point)
+
+
+# X misses the circle on some draws, and only the unnamed assert reads it
+UNJUDGED_PROGRAM = """\
+point A = (0, 0)
+point B = (4, 0.3)
+point C = (1.2, 3.1)
+deform A B C about (0, 0) (1, 0) (0.5, 0.8660254037844386)
+point G = centroid(A, B, C)
+point P = (1.08, 0.29)
+point Q = (1.08, 5)
+point X = second_intersection(P, Q, A, B, C)
+assert concyclic(A, B, C, G) as abcg "the centroid on the circumcircle"
+assert collinear(A, X, B)
+"""
+
+
+def test_unnamed_asserts_reject_no_draw(capsys, tmp_path):
+    """verify judges the named asserts alone, so an unnamed one, whose
+    point fails on some draws, leaves the report as it is without it."""
+    reports = []
+    for source in (UNJUDGED_PROGRAM,
+                   UNJUDGED_PROGRAM.replace("assert collinear(A, X, B)\n", "")):
+        path = tmp_path / "unjudged.geo"
+        path.write_text(source, encoding="utf-8")
+        code = main(["verify", str(path), "--seed", "7", "--samples", "200"])
+        reports.append((code, capsys.readouterr()))
+    assert reports[0] == reports[1]
+    assert reports[0][1].out.startswith("abcg: refuted")
+
+
+def _python_calls(capsys, *args):
+    """The function calls, Python and builtin, that cProfile counts in
+    one in-process `verify all --seed 7`."""
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        main(["verify", "all", "--seed", "7", *args])
+    finally:
+        profile.disable()
+    capsys.readouterr()
+    return pstats.Stats(profile).total_calls
+
+
+@pytest.mark.parametrize("grid, bound", [
+    (["--eps-grid", "0.001,0.01,0.1"], 1.1),
+    # more samples meet more rejection rounds at the default epsilon
+    ([], 1.6),
+])
+def test_rows_cost_no_python_call_per_sample(capsys, grid, bound):
+    """Ten times the samples take about the same number of calls: no
+    construction or detector loops over the rows in Python."""
+    _python_calls(capsys, "--samples", "20", *grid)  # load what runs once
+    few = _python_calls(capsys, "--samples", "200", *grid)
+    many = _python_calls(capsys, "--samples", "2000", *grid)
+    assert many / few <= bound, (few, many)

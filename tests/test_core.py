@@ -4,7 +4,10 @@ import math
 import random
 import struct
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geodeform.core import (
     Circle,
@@ -18,11 +21,13 @@ from geodeform.core import (
     angle_bisector,
     circumcircle,
     dist,
+    hypot,
     intersect,
     line_circle_meets,
     line_through,
     midpoint,
     perp,
+    pow2_near,
     radical_axis,
     reflect_line,
     reflect_point,
@@ -247,3 +252,97 @@ def test_rotation_preserves_distances():
 def test_perp_rotates_left():
     assert perp(Point(1.0, 0.0)) == Point(0.0, 1.0)
     assert perp(Point(0.0, 1.0)) == Point(-1.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the length rule: the same bits on floats and on rows
+
+def _row_bits(f, *args):
+    """f on 1-row arrays, as the float bits of its one row."""
+    with np.errstate(all="ignore"):
+        got = f(*(np.array([a]) for a in args))
+    assert type(got) is np.ndarray and got.shape == (1,)
+    return float(got[0]).hex()
+
+
+# every exponent, sign and special value: st.floats() alone is biased
+# towards small exponents
+FLOATS = st.one_of(
+    st.floats(),
+    st.builds(lambda m, e: m * 2.0 ** e, st.floats(-2.0, 2.0),
+              st.integers(-1074, 1023)),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                     -5e-324, 2.0 ** -1022 - 5e-324, 1.7976931348623157e308,
+                     -1.7976931348623157e308]))
+FINITE = FLOATS.filter(math.isfinite)
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(x=FLOATS, y=FLOATS)
+def test_hypot_rows_have_the_float_bits(x, y):
+    h = hypot(x, y)
+    assert type(h) is float
+    assert _row_bits(hypot, x, y) == h.hex()
+    if math.isfinite(h):
+        # sqrt(x*x + y*y) rounds three times; math.hypot is the reference
+        assert abs(h - math.hypot(x, y)) <= 2 * math.ulp(math.hypot(x, y))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(p=st.tuples(FINITE, FINITE), q=st.tuples(FINITE, FINITE))
+def test_dist_rows_have_the_float_bits(p, q):
+    with np.errstate(all="ignore"):
+        rows = dist(Point(np.array([p[0]]), np.array([p[1]])),
+                    Point(np.array([q[0]]), np.array([q[1]])))
+    assert float(rows[0]).hex() == dist(Point(*p), Point(*q)).hex()
+
+
+def _check_pow2_near(x):
+    near = pow2_near(x)
+    assert type(near) is float
+    assert _row_bits(pow2_near, x) == near.hex(), x
+    if math.isfinite(near):
+        # a power of two within a factor sqrt(2) of x
+        assert math.frexp(near)[0] == 0.5
+        assert math.sqrt(0.5) <= x / near < math.sqrt(2.0), (x, near)
+    else:
+        assert math.isnan(near)
+        assert not 0.0 < x < 1.2e308, x
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(x=FLOATS)
+def test_pow2_near_rows_have_the_float_bits(x):
+    _check_pow2_near(x)
+
+
+def test_pow2_near_rounds_at_sqrt_half_of_every_exponent():
+    """Three floats either side of sqrt(1/2) * 2^e, for every e that keeps
+    them normal, on floats and on rows alike."""
+    for e in range(-1021, 1025):
+        x = math.ldexp(math.sqrt(0.5), e)
+        below = above = x
+        for _ in range(3):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+            _check_pow2_near(below)
+            _check_pow2_near(above)
+        _check_pow2_near(x)
+
+
+def test_hypot_rows_are_the_floats_across_every_exponent_pair():
+    """One batch of every pair of exponents (stride 13) against the float
+    path, so rows in and outside the plain range share a batch."""
+    values = [m * 2.0 ** e for e in range(-1074, 1024, 13)
+              for m in (1.0, -1.4142135623730951)]
+    xs, ys = zip(*((x, y) for x in values for y in values))
+    with np.errstate(all="ignore"):
+        rows = hypot(np.array(xs), np.array(ys))
+    assert [float(h).hex() for h in rows] == \
+        [hypot(x, y).hex() for x, y in zip(xs, ys)]
+
+
+def test_hypot_overflows_to_inf_only_past_the_largest_float():
+    assert hypot(1e308, 1e308) == math.hypot(1e308, 1e308) < math.inf
+    assert float.fromhex(_row_bits(hypot, 1e308, 1e308)) < math.inf
+    assert hypot(1.5e308, 1.5e308) == math.inf
+    assert float.fromhex(_row_bits(hypot, 1.5e308, 1.5e308)) == math.inf

@@ -394,11 +394,12 @@ GENERIC_POINTS = [Point(0.12, 0.31), Point(1.07, -0.22), Point(1.93, 0.58),
 @pytest.mark.parametrize("kind", list(RELATION_ARITIES))
 def test_every_kind_is_exact_under_power_of_two_scaling(kind):
     """Residual and verdict of every relation kind are bit-equal when the
-    figure is scaled by 2^k, from 2^-60 to 2^60."""
+    figure is scaled by 2^k, from 2^-1000 to 2^1000: squares of lengths
+    over- or underflow from about 2^+-520."""
     pts = GENERIC_POINTS[:RELATION_ARITIES[kind][0]]
     base = evaluate_relation(kind, pts)
     assert 0.0 < base.residual < math.inf, kind
-    for k in range(-60, 61):
+    for k in range(-1000, 1001):
         s = 2.0 ** k
         got = evaluate_relation(kind, [Point(p.x * s, p.y * s) for p in pts])
         assert (got.residual, got.passed) == (base.residual, base.passed), \

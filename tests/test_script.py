@@ -9,6 +9,7 @@ import pytest
 from geodeform import script
 from geodeform.catalog import FAMILIES
 from geodeform.core import GeometryError, Point, dist, rotate
+from geodeform.relations import RELATION_ARITIES
 from geodeform.script import (
     ArityError,
     BinOp,
@@ -320,7 +321,7 @@ def test_family_builder_rejects_only_on_asserted_labels():
               "point I = incenter(A, M, B)\n"
               "segment A O\n"
               "segment O I\n"
-              "assert equal_length(O, A, O, B)\n")
+              "assert equal_length(O, A, O, B) as eq \"OA = OB\"\n")
     build = family_builder(parse(source + "deform A B C about (0, 0) (1, 0) "
                                           "(0, 1)\n"))
     config = build(Point(0, 0), Point(4, 0), Point(0, 4))
@@ -329,6 +330,10 @@ def test_family_builder_rejects_only_on_asserted_labels():
     assert config.edges == (("A", "O"),)
     with pytest.raises(GeometryError):  # O is asserted
         build(Point(0, 0), Point(1, 0), Point(2, 0))
+    # an unnamed assert is never judged, so its labels reject no draw
+    unnamed = family_builder(parse(source.replace(' as eq "OA = OB"', "")
+                                   + "deform A B C about (0, 0) (1, 0) (0, 1)\n"))
+    assert "O" not in unnamed(Point(0, 0), Point(1, 0), Point(2, 0)).objects
     with pytest.raises(ValueError, match="no deform statement"):
         family_builder(parse(source))
 
@@ -392,16 +397,39 @@ def _scaled(program, factor):
 @pytest.mark.parametrize("name", SHIPPED)
 def test_shipped_scripts_are_exact_under_power_of_two_scaling(name):
     """Every verdict of a shipped script, its residual, flags and error,
-    is the same when the figure is scaled by 2^k, from 2^-60 to 2^60:
-    such scaling is exact, and every floor is relative to the figure."""
+    is the same when the figure is scaled by 2^k, for every k from -60 to
+    60 and every tenth k out to +-300: such scaling is exact, and every
+    floor is relative to the figure."""
     program = parse((SCRIPTS / f"{name}.geo").read_text())
 
     def verdicts(k):
         _, judged = evaluate(_scaled(program, 2.0 ** k))
         return [(v.residual, v.flags, v.error) for v in judged]
 
-    assert {k: verdicts(k) for k in range(-60, 61)} == dict.fromkeys(
-        range(-60, 61), verdicts(0))
+    ks = sorted({*range(-60, 61), *range(-300, 301, 10)})
+    assert {k: verdicts(k) for k in ks} == dict.fromkeys(ks, verdicts(0))
+
+
+# a right triangle, then points in general position: no three collinear,
+# no four concyclic
+FAR_POINTS = [(0, 0), (1, 0), (0, 1), (0.71, 1.46), (-0.38, 0.94),
+              (1.41, 1.83), (2.36, -0.47), (-0.19, -0.66), (0.87, 0.43)]
+
+
+@pytest.mark.parametrize("size", [1e-300, 1e-170, 1e170, 1e300])
+def test_far_sizes_give_the_verdicts_of_size_one(size):
+    """Every relation kind passes or fails, with the same flags, on a
+    figure of size 1e+-170 or 1e+-300 as at size 1: the squares of its
+    lengths over- or underflow, the lengths do not."""
+    def verdicts(s):
+        source = "".join(f"point P{i} = ({x * s!r}, {y * s!r})\n"
+                         for i, (x, y) in enumerate(FAR_POINTS))
+        for kind, (arity, _, _) in RELATION_ARITIES.items():
+            source += f"assert {kind}({', '.join(f'P{i}' for i in range(arity))})\n"
+        _, judged = evaluate(parse(source))
+        return [(v.kind, v.passed, v.flags, v.error) for v in judged]
+
+    assert verdicts(size) == verdicts(1.0)
 
 
 def test_eps_demo_degenerate_override():
