@@ -217,7 +217,11 @@ def _parse_overrides(pairs: list[str]) -> dict[str, float]:
         name, sep, value = pair.partition("=")
         if not sep or not name:
             raise ValueError(f"--param wants name=value, got {pair!r}")
-        overrides[name] = float(value)
+        number = float(value)
+        if not math.isfinite(number):
+            raise ValueError(f"--param {name} wants a finite number, "
+                             f"got {value!r}")
+        overrides[name] = number
     return overrides
 
 

@@ -17,18 +17,23 @@ bits of the float; a branch on a value goes through `where`, and every
 degeneracy test goes through `guard`: on floats it raises, on arrays it
 marks the failing rows in the enclosing `failures()` block and the other
 rows go on.
+
+This module never imports numpy (see `array_module`), so the float path
+of `run`, `render` and `shapes` starts without it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import reduce
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "GeometryError",
@@ -40,6 +45,7 @@ __all__ = [
     "DegenerateAngleWarning",
     "FLOOR",
     "GUARD",
+    "array_module",
     "Failures",
     "failures",
     "only_rows",
@@ -105,8 +111,30 @@ class DegenerateAngleWarning(UserWarning):
 # ---------------------------------------------------------------------------
 # number types: floats, or float64 arrays with one row per sample
 
-# the batch type, bound once: the float path tests for it on every call
-_ARRAY = np.ndarray
+# numpy and its array type, bound when `array_module` first meets an
+# array: a dispatch below tests for a float, then for _ARRAY, and asks
+# `array_module` only about a value that is neither
+_numpy = _ARRAY = None
+
+
+def array_module(x):
+    """numpy when x is a float64 array of rows, else None.
+
+    It finds numpy among the loaded modules and never imports it: an
+    array exists only once numpy is loaded, by the batched sweep or by
+    whoever made the array.  The float path never asks.
+    """
+    global _numpy, _ARRAY
+    np = sys.modules.get("numpy")
+    if np is None or not isinstance(x, np.ndarray):
+        return None
+    _numpy, _ARRAY = np, np.ndarray
+    return np
+
+
+# the types of plain numbers: `maximum` and `minimum` of these need no
+# array test
+_NUMBERS = frozenset((float, int, bool))
 
 # the lengths inside which neither square of sqrt(x*x + y*y) overflows or
 # loses bits to subnormals
@@ -117,15 +145,17 @@ _POW2_TOP = math.ldexp(_SQRT_HALF, 1024)
 
 
 def sqrt(x):
-    return np.sqrt(x) if type(x) is _ARRAY else math.sqrt(x)
+    if type(x) is float or type(x) is not _ARRAY and not array_module(x):
+        return math.sqrt(x)
+    return _numpy.sqrt(x)
 
 
 def _exponents(x) -> tuple:
     """frexp and ldexp for x: numpy's on rows, math's on floats.  Both
     are exact, or correctly rounded where ldexp leaves the normal range."""
-    if type(x) is _ARRAY:
-        return np.frexp, np.ldexp
-    return math.frexp, math.ldexp
+    if type(x) is float or type(x) is not _ARRAY and not array_module(x):
+        return math.frexp, math.ldexp
+    return _numpy.frexp, _numpy.ldexp
 
 
 def hypot(x, y):
@@ -138,12 +168,14 @@ def hypot(x, y):
     and inf, not an error, where the length overflows.
     """
     s = x * x + y * y
-    if type(s) is not _ARRAY:
+    if type(s) is float or type(s) is not _ARRAY and not array_module(s):
         h = math.sqrt(s)
         return h if _SHORTEST <= h <= _LONGEST else _rescaled_hypot(x, y)
-    h = np.sqrt(s)
+    h = _numpy.sqrt(s)
     inside = (h >= _SHORTEST) & (h <= _LONGEST)
-    return h if inside.all() else np.where(inside, h, _rescaled_hypot(x, y))
+    if inside.all():
+        return h
+    return _numpy.where(inside, h, _rescaled_hypot(x, y))
 
 
 def _rescaled_hypot(x, y):
@@ -171,24 +203,26 @@ def pow2_near(x):
 def where(cond, a, b):
     """a where cond holds, else b: per row when cond is an array, for
     numbers and points alike."""
-    if type(cond) is not _ARRAY:
+    if (type(cond) is bool
+            or type(cond) is not _ARRAY and not array_module(cond)):
         return a if cond else b
     if isinstance(a, Point):
-        return Point(np.where(cond, a.x, b.x), np.where(cond, a.y, b.y))
-    return np.where(cond, a, b)
+        return Point(_numpy.where(cond, a.x, b.x),
+                     _numpy.where(cond, a.y, b.y))
+    return _numpy.where(cond, a, b)
 
 
 def maximum(*values):
     """The builtin max of the values, per row: a later value wins only
     when it is strictly greater."""
-    if _ARRAY not in map(type, values):
+    if _NUMBERS.issuperset(map(type, values)):
         return max(values)
     return reduce(lambda best, v: where(v > best, v, best), values)
 
 
 def minimum(*values):
     """The builtin min of the values, per row."""
-    if _ARRAY not in map(type, values):
+    if _NUMBERS.issuperset(map(type, values)):
         return min(values)
     return reduce(lambda best, v: where(v < best, v, best), values)
 
@@ -244,7 +278,8 @@ def guard(failed, error: type[GeometryError], message: str, *args) -> None:
     when `failed` holds.  On rows, mark the running rows where it holds
     failed in the enclosing `failures()` block (outside any, raise if
     one of them fails)."""
-    if type(failed) is _ARRAY:
+    if type(failed) is not bool and (type(failed) is _ARRAY
+                                     or array_module(failed)):
         running, collected = _SCOPE.get()
         failed = failed & running
         if collected is not None:
@@ -517,7 +552,7 @@ def angle_bisector(vertex: Point, toward1: Point, toward2: Point) -> Line:
     u2x, u2y = (toward2.x - vertex.x) / d2, (toward2.y - vertex.y) / d2
     sx, sy = u1x + u2x, u1y + u2y
     straight = hypot(sx, sy) <= FLOOR
-    if straight.any() if isinstance(straight, np.ndarray) else straight:
+    if straight if type(straight) is bool else straight.any():
         warnings.warn("straight angle: bisector direction set perpendicular "
                       "to the rays", DegenerateAngleWarning, stacklevel=2)
     sx, sy = where(straight, -u1y, sx), where(straight, u1x, sy)

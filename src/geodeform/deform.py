@@ -23,13 +23,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .configurations import Configuration
 from .core import GeometryError, Point, diameter, failures
 from .relations import REL_TOL, RelationVerdict, evaluate_relation
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SplitMix64",
@@ -101,6 +102,8 @@ def _disk_rows(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`in_unit_disk` on each stream of the uint64 array `states`, which
     steps in place: a stream redraws until its own pair lands in the disk,
     so it takes exactly the draws it takes alone."""
+    import numpy as np
+
     x, y = np.empty(states.shape), np.empty(states.shape)
     todo = np.arange(states.size)
     while todo.size:
@@ -223,6 +226,8 @@ def _sample_rows(family: DeformationFamily, epsilon: float, seed: int,
     raises its error: a family whose every draw fails ends as soon as
     the per-draw loop does.
     """
+    import numpy as np
+
     if epsilon > 0.0:
         radius = epsilon * family.base_diameter()
         states = np.uint64(seed & MASK64) + np.arange(count, dtype=np.uint64)
@@ -351,6 +356,8 @@ def _judge_rows(family: DeformationFamily, claims: Sequence[RelationClaim],
     the samples run one at a time as the per-draw loop does, so the error
     raised is the one that loop meets first.
     """
+    import numpy as np
+
     with np.errstate(all="ignore"):
         try:
             config = sample(family, epsilon, seed, count)

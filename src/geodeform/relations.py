@@ -33,8 +33,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .core import (
     FLOOR,
     GUARD,
@@ -43,6 +41,7 @@ from .core import (
     GeometryError,
     Line,
     Point,
+    array_module,
     circumcircle,
     _local_scale,
     diameter,
@@ -175,7 +174,7 @@ def _branch(cond, then: Callable[[], RelationVerdict],
     only its own rows running, so its guards fail, and its flags count,
     in those rows alone; a side with no rows does not run.
     """
-    if not isinstance(cond, np.ndarray):
+    if type(cond) is bool or array_module(cond) is None:
         return then() if cond else otherwise()
     with only_rows(cond) as rows:
         taken = then() if rows.any() else None
@@ -239,15 +238,15 @@ def _anchor_triple(q: Sequence[Point]) -> tuple[int, int, int, float]:
         area = abs(signed_area(q[i], q[j], q[k]))
         wider = area > best_area
         best, best_area = where(wider, n, best), where(wider, area, best_area)
-    if isinstance(best, np.ndarray):
-        i, j, k = np.array(triples)[best].T
-        return i, j, k, best_area
-    return *triples[best], best_area
+    if type(best) is int or (np := array_module(best)) is None:
+        return *triples[best], best_area
+    i, j, k = np.array(triples)[best].T
+    return i, j, k, best_area
 
 
 def _pick(points: Sequence[Point], index) -> Point:
     """points[index], per row when index is an array."""
-    if not isinstance(index, np.ndarray):
+    if type(index) is int or array_module(index) is None:
         return points[index]
     picked = points[0]
     for t in range(1, len(points)):
@@ -479,6 +478,10 @@ class Conic:
 def fit_conic(points: Sequence[Point]) -> Conic:
     """The conic through exactly five points, via the null space of the
     design matrix (computed in a centered, scaled frame for conditioning)."""
+    # numpy's SVD, the one use of numpy on floats: a program with no
+    # on_conic assert runs without loading it
+    import numpy as np
+
     if len(points) != 5:
         raise TooFewPoints(f"a conic is fitted to exactly 5 points, got {len(points)}")
     diam = diameter(points)
@@ -550,6 +553,8 @@ def _row_by_row(kind: str, points: Sequence[Point],
                 scale) -> RelationVerdict:
     """The verdict on a batch of a kind whose detector takes floats: each
     row through the float path, a row that raises marked failed."""
+    import numpy as np
+
     *cols, scales = (c.tolist() for c in np.broadcast_arrays(
         *(c for p in points for c in (p.x, p.y)),
         math.nan if scale is None else scale))
@@ -590,8 +595,9 @@ def evaluate_relation(kind: str, points: Sequence[Point],
     n = len(points)
     if n < lo or (hi is not None and n > hi) or n % step:
         raise TooFewPoints(f"{kind} cannot take {n} points")
-    if kind not in _ROW_KINDS and any(isinstance(c, np.ndarray)
-                                     for p in points for c in (p.x, p.y)):
+    if kind not in _ROW_KINDS and any(
+            type(c) is not float and array_module(c) is not None
+            for p in points for c in (p.x, p.y)):
         return _row_by_row(kind, points, scale)
     if kind == "collinear":
         return check_collinear(points, scale)

@@ -52,8 +52,6 @@ from dataclasses import dataclass, field
 from functools import reduce
 from typing import Callable, NamedTuple, Sequence, Union
 
-import numpy as np
-
 from .centers import CenterKind, Orientation, equilateral_apex, \
     right_isosceles_apex, triangle_center
 from .configurations import Configuration, NonConvexQuadrilateral, \
@@ -65,6 +63,7 @@ from .core import (
     GeometryError,
     Point,
     angle_bisector,
+    array_module,
     circumcircle,
     diameter,
     dist,
@@ -903,11 +902,16 @@ def evaluate(program: Program, overrides: dict[str, float] | None = None,
                                           None)
     points = config.points()
     scale = diameter(list(points.values()))
+    # a figure wider than the largest float has no size to judge a defect
+    # against: every assert fails, saying so
+    oversize = None if math.isfinite(scale) else (
+        "the figure is too large to measure: its diameter exceeds the "
+        "largest float (1.8e+308)")
 
     verdicts: list[RelationVerdict] = []
     for stmt in program.asserts():
         error = failed or next(
-            (poisoned[lb] for lb in stmt.labels if lb in poisoned), None)
+            (poisoned[lb] for lb in stmt.labels if lb in poisoned), oversize)
         if error is not None:
             verdicts.append(RelationVerdict.failed(
                 stmt.kind, flags=("evaluation_error",), error=error))
@@ -956,7 +960,7 @@ def family_builder(program: Program) -> Callable[..., Configuration]:
 
     def builder(*points: Point) -> Configuration:
         given = dict(zip(labels, points, strict=True))
-        on_rows = isinstance(points[0].x, np.ndarray)
+        on_rows = array_module(points[0].x) is not None
         return _construct(row_steps if on_rows else steps, params, given,
                           frozen)[0]
 

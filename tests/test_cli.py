@@ -207,22 +207,46 @@ def test_verify_runs_outside_the_checkout(tmp_path):
     assert proc.stdout.startswith("theorem1_perp: theorem ")
 
 
-def test_start_up_loads_no_network_or_xml_modules():
-    """Importing the CLI and touching the claim catalog, which every
-    invocation does first, loads no urllib.request, http, email or xml
-    module.  (pathlib, in the standard library, loads urllib.parse.)"""
+def _modules_after(*argv):
+    """The modules a fresh interpreter has loaded after importing the CLI,
+    touching the claim catalog as every invocation does, and running
+    `geodeform ARGV` (without arguments, nothing more), which exits 0."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     code = ("import sys\n"
             "import geodeform.cli\n"
             "from geodeform.catalog import claim_names\n"
             "claim_names()\n"
-            "print(' '.join(sorted(sys.modules)))\n")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+            "code = geodeform.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+            "print(' '.join(sorted(sys.modules)), file=sys.stderr)\n"
+            "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=ROOT,
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
-    loaded = [m for m in proc.stdout.split()
+    return proc.stderr.splitlines()[-1].split()
+
+
+def test_start_up_loads_no_network_or_xml_modules():
+    """Importing the CLI and touching the claim catalog, which every
+    invocation does first, loads no urllib.request, http, email or xml
+    module.  (pathlib, in the standard library, loads urllib.parse.)"""
+    loaded = [m for m in _modules_after()
               if m.split(".")[0] in ("urllib", "http", "email", "xml")]
     assert set(loaded) <= {"urllib", "urllib.parse"}, loaded
+
+
+@pytest.mark.parametrize("argv, loads_numpy", [
+    ((), False),
+    (("run", "scripts/example3.geo", "--json", "{tmp}/run.json", "--svg",
+      "{tmp}/run.svg"), False),
+    (("render", "crown", "--out", "{tmp}/crown.svg"), False),
+    (("shapes",), False),
+    (("verify", "theorem1_perp", "--samples", "3"), True),
+])
+def test_only_verify_loads_numpy(tmp_path, argv, loads_numpy):
+    """A command that builds no row of a batch starts without numpy."""
+    modules = _modules_after(*(a.format(tmp=tmp_path) for a in argv))
+    assert ("numpy" in modules) == loads_numpy
 
 
 @pytest.mark.parametrize("command", [
@@ -433,6 +457,22 @@ def test_run_rejects_malformed_param(capsys):
     code, _, err = run_cli(capsys, "run", str(SCRIPTS / "eps_demo.geo"),
                            "--param", "eps")
     assert code == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("command", [
+    ["run", str(SCRIPTS / "eps_demo.geo")],
+    ["render", str(SCRIPTS / "eps_demo.geo"), "--out"],
+])
+def test_non_finite_param_is_usage_error(capsys, tmp_path, command, value):
+    """As with --eps and --tol: one error line and exit 2, not a failed
+    assert over non-finite points."""
+    if command[-1] == "--out":
+        command = command + [str(tmp_path / "figure.svg")]
+    code, out, err = run_cli(capsys, *command, "--param", f"eps={value}")
+    assert (code, out) == (2, "")
+    assert not (tmp_path / "figure.svg").exists()
+    assert err == f"error: --param eps wants a finite number, got {value!r}\n"
 
 
 def test_run_json_document(capsys, tmp_path):

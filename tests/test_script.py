@@ -296,6 +296,21 @@ def test_failed_require_fails_every_assert():
     assert set(config.points()) == {"A", "B", "C", "D"}
 
 
+def test_a_figure_too_large_to_measure_fails_every_assert_saying_so():
+    """Finite points whose diameter overflows a float: each assert fails
+    with an error that names the figure's size, not a non-finite point."""
+    src = ("point A = (-1.5e308, 0)\npoint B = (1.5e308, 0)\n"
+           "point C = (0, 1e308)\n"
+           "assert collinear(A, B, C)\n"
+           "assert equal_length(A, C, B, C)\n")
+    _, verdicts = evaluate(parse(src))
+    assert [v.kind for v in verdicts] == ["collinear", "equal_length"]
+    for v in verdicts:
+        assert v.residual == math.inf and v.flags == ("evaluation_error",)
+        assert v.error == ("the figure is too large to measure: its "
+                           "diameter exceeds the largest float (1.8e+308)")
+
+
 def test_drawables_skip_poisoned_labels():
     src = ("point A = (0,0)\npoint B = (2,0)\npoint C = (0,2)\n"
            "point M = midpoint(A, B)\n"

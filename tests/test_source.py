@@ -1,6 +1,6 @@
 """Source checks that no installed linter makes: every module of the
 package uses what it imports (the package's `__init__` re-exports, so it
-is left out)."""
+is left out), and no module imports numpy when it loads."""
 
 import ast
 import pathlib
@@ -53,3 +53,28 @@ def test_every_import_is_used(module):
     unused = {name: line for name, line in _imported(tree).items()
               if name not in read}
     assert not unused, f"{module}: unused imports {unused}"
+
+
+def _imported_on_load(node: ast.AST) -> set[str]:
+    """The top-level packages that the code under `node` imports when the
+    module loads: not inside a function, nor under `if TYPE_CHECKING:`."""
+    found = set()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in child.names)
+        elif isinstance(child, ast.ImportFrom) and child.level == 0:
+            found.add(child.module.split(".")[0])
+        elif not (isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  or isinstance(child, ast.If)
+                  and ast.unparse(child.test) == "TYPE_CHECKING"):
+            found |= _imported_on_load(child)
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_module_imports_numpy_when_it_loads(module):
+    """numpy is imported where rows are built or a conic is fitted, never
+    when a module loads: it would cost every `run`, `render` and `shapes`
+    start about a tenth of a second."""
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    assert "numpy" not in _imported_on_load(tree), module
