@@ -61,27 +61,8 @@ from .deform import (
     scaling_probe,
     verify,
 )
-from .relations import (
-    REL_TOL,
-    Conic,
-    DegeneratePosition,
-    RelationVerdict,
-    TooFewCircles,
-    TooFewLines,
-    TooFewPoints,
-    check_coaxial,
-    check_collinear,
-    check_concurrent_lines,
-    check_concyclic,
-    check_equal_length,
-    check_midpoints_coincide,
-    check_on_conic,
-    check_perpendicular,
-    check_perspective,
-    check_segment_bisects,
-    evaluate_relation,
-    fit_conic,
-)
+from .relations import REL_TOL, DegeneratePosition, RelationVerdict, \
+    TooFewPoints, evaluate_relation
 from .render import render, render_svg
 from .script import ArityError, ParseError, Program, UnknownParam, \
     UseBeforeDefine, deformation_family, evaluate, family_builder, parse, \

@@ -16,7 +16,7 @@ from importlib.resources import files
 from typing import Callable
 
 from .deform import DeformationFamily, RelationClaim
-from .relations import check_concyclic
+from .relations import evaluate_relation
 from .script import Program, deformation_family, parse
 
 __all__ = ["NamedClaim", "FAMILIES", "CLAIMS", "claim_names",
@@ -41,7 +41,8 @@ def _example1_convention(config) -> dict[str, object]:
     notes: dict[str, object] = {}
     for label in ("F1", "F2"):
         if label in config.objects:
-            verdict = check_concyclic(base + [config.point(label)])
+            verdict = evaluate_relation("concyclic",
+                                        base + [config.point(label)])
             if verdict.passed:
                 notes["convention"] = f"{label} lies on the centroid circle"
                 break

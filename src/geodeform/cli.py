@@ -51,9 +51,16 @@ def _tool_tag() -> str:
 
 
 def _write_json(path: str, document: dict) -> None:
+    """Write the report; ValueError, before the file is opened, when a
+    number in it is not finite (JSON has no Infinity or NaN)."""
+    text = json.dumps(document, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(document, handle, indent=2)
-        handle.write("\n")
+        handle.write(text + "\n")
+
+
+def _finite(value: float | None) -> float | None:
+    """The value, or None (JSON null) where it is not finite."""
+    return value if value is None or math.isfinite(value) else None
 
 
 def _parse_tol(text: str) -> float:
@@ -90,15 +97,15 @@ def _report_entry(named: NamedClaim, report: VerificationReport,
         "labels": list(named.claim.labels),
         "description": named.claim.description,
         "verdict": report.verdict,
-        "max_residual": report.max_residual,
-        "mean_residual": report.mean_residual,
-        "median_residuals": list(report.median_residuals),
+        "max_residual": _finite(report.max_residual),
+        "mean_residual": _finite(report.mean_residual),
+        "median_residuals": [_finite(m) for m in report.median_residuals],
         "epsilons": list(report.epsilons),
         "samples": report.samples,
         "seed": report.seed,
         "rel_tol": report.rel_tol,
         "refute_tol": report.refute_tol,
-        "scaling_exponent": report.scaling_exponent,
+        "scaling_exponent": _finite(report.scaling_exponent),
         "exponent_note": report.exponent_note,
         "flags": list(report.flags),
         "convention": convention,
@@ -287,7 +294,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             "kind": verdict.kind,
             "labels": list(stmt.labels),
             "passed": passed,
-            "residual": verdict.residual,
+            "residual": _finite(verdict.residual),
             "flags": list(verdict.flags),
             "error": verdict.error,
         })

@@ -13,11 +13,13 @@ A detector returns the residual; the threshold that judges it is the
 caller's (`passed` reads REL_TOL, the default).  The degeneracy guards
 inside the detectors are the fixed FLOOR and GUARD of `core`.
 
-The detectors of the kinds in _ROW_KINDS take points whose coordinates
-are float64 arrays, one row per sample, like the constructions of
-`core`; a branch between verdicts goes through `_branch`, so the flags of
-a batch are those of the rows that raise them.  The other kinds judge a
-batch one row at a time through the float path.
+Each relation kind is one row of RELATIONS: its point counts and its
+detector, reached through `evaluate_relation`.  The detectors of the kinds
+marked there as taking rows take points whose coordinates are float64
+arrays, one row per sample, like the constructions of `core`; a branch
+between verdicts goes through `_branch`, so the flags of a batch are those
+of the rows that raise them.  The other kinds judge a batch one row at a
+time through the float path.
 
 Residuals below NOISE_FLOOR are reported as exactly 0.0.  Digits down
 there are recomputation noise, not geometry: re-running the same check on
@@ -29,14 +31,13 @@ across equivalent frames.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Sequence
 
 from .core import (
     FLOOR,
     GUARD,
-    Circle,
     CoincidentPoints,
     GeometryError,
     Line,
@@ -66,24 +67,11 @@ __all__ = [
     "REL_TOL",
     "NOISE_FLOOR",
     "TooFewPoints",
-    "TooFewLines",
-    "TooFewCircles",
     "DegeneratePosition",
     "RelationVerdict",
-    "Conic",
-    "check_collinear",
-    "check_concyclic",
-    "check_concurrent_lines",
-    "check_coaxial",
-    "check_perspective",
-    "check_perpendicular",
-    "check_equal_length",
-    "check_midpoints_coincide",
-    "check_segment_bisects",
-    "fit_conic",
-    "check_on_conic",
+    "RELATIONS",
+    "arity_fits",
     "evaluate_relation",
-    "RELATION_ARITIES",
 ]
 
 
@@ -97,14 +85,6 @@ NOISE_FLOOR = 1e-14
 
 
 class TooFewPoints(GeometryError):
-    pass
-
-
-class TooFewLines(GeometryError):
-    pass
-
-
-class TooFewCircles(GeometryError):
     pass
 
 
@@ -197,11 +177,8 @@ def _cluster(kind: str) -> Callable[[], RelationVerdict]:
 # ---------------------------------------------------------------------------
 # point-set detectors
 
-def check_collinear(points: Sequence[Point],
-                    scale: float | None = None) -> RelationVerdict:
+def _collinear(points: Sequence[Point], scale) -> RelationVerdict:
     """Total-least-squares line fit; residual is the worst normal deviation."""
-    if len(points) < 3:
-        raise TooFewPoints(f"collinear needs >= 3 points, got {len(points)}")
     q, dq, denom = _normalized(points, scale)
     return _branch(dq == 0.0, _cluster("collinear"),
                    lambda: _line_fit(q, denom))
@@ -254,12 +231,9 @@ def _pick(points: Sequence[Point], index) -> Point:
     return picked
 
 
-def check_concyclic(points: Sequence[Point],
-                    scale: float | None = None) -> RelationVerdict:
+def _concyclic(points: Sequence[Point], scale) -> RelationVerdict:
     """Circle through the widest-spread triple; residual is the worst
     radial deviation of the remaining points."""
-    if len(points) < 4:
-        raise TooFewPoints(f"concyclic needs >= 4 points, got {len(points)}")
     q, dq, denom = _normalized(points, scale)
 
     def fit() -> RelationVerdict:
@@ -286,10 +260,10 @@ def check_concyclic(points: Sequence[Point],
     return _branch(dq == 0.0, _cluster("concyclic"), fit)
 
 
-def check_perpendicular(p1: Point, p2: Point, q1: Point,
-                        q2: Point) -> RelationVerdict:
-    """Cosine of the angle between segments p1p2 and q1q2."""
-    q, dq, _ = _normalized([p1, p2, q1, q2])
+def _perpendicular(points: Sequence[Point], scale) -> RelationVerdict:
+    """Cosine of the angle between the segments p1p2 and q1q2 of the
+    points (p1, p2, q1, q2); the scale does not enter an angle."""
+    q, dq, _ = _normalized(points)
     guard(dq == 0.0, CoincidentPoints,
           "perpendicularity of zero-length segments")
     u = q[1] - q[0]
@@ -301,12 +275,9 @@ def check_perpendicular(p1: Point, p2: Point, q1: Point,
     return RelationVerdict.from_residual("perpendicular", residual)
 
 
-def check_equal_length(points: Sequence[Point],
-                       scale: float | None = None) -> RelationVerdict:
+def _equal_length(points: Sequence[Point], scale) -> RelationVerdict:
     """Points taken as consecutive segment endpoint pairs; residual is the
     largest pairwise length difference over the diameter."""
-    if len(points) < 4 or len(points) % 2:
-        raise TooFewPoints("equal_length needs an even count of >= 4 points")
     q, dq, denom = _normalized(points, scale)
 
     def compare() -> RelationVerdict:
@@ -318,10 +289,10 @@ def check_equal_length(points: Sequence[Point],
     return _branch(dq == 0.0, _cluster("equal_length"), compare)
 
 
-def check_midpoints_coincide(p1: Point, p2: Point, q1: Point, q2: Point,
-                             scale: float | None = None) -> RelationVerdict:
-    """Distance between the two segment midpoints over the diameter."""
-    q, dq, denom = _normalized([p1, p2, q1, q2], scale)
+def _midpoints_coincide(points: Sequence[Point], scale) -> RelationVerdict:
+    """Distance between the midpoints of the segments p1p2 and q1q2 of the
+    points (p1, p2, q1, q2), over the diameter."""
+    q, dq, denom = _normalized(points, scale)
     return _branch(
         dq == 0.0, _cluster("midpoints_coincide"),
         lambda: RelationVerdict.from_residual(
@@ -329,10 +300,10 @@ def check_midpoints_coincide(p1: Point, p2: Point, q1: Point, q2: Point,
             dist(midpoint(q[0], q[1]), midpoint(q[2], q[3])) / denom))
 
 
-def check_segment_bisects(p1: Point, p2: Point, q1: Point, q2: Point,
-                          scale: float | None = None) -> RelationVerdict:
-    """Does the line p1p2 pass through the midpoint of q1q2?"""
-    q, dq, denom = _normalized([p1, p2, q1, q2], scale)
+def _segment_bisects(points: Sequence[Point], scale) -> RelationVerdict:
+    """Does the line p1p2 pass through the midpoint of q1q2, for the
+    points (p1, p2, q1, q2)?"""
+    q, dq, denom = _normalized(points, scale)
     return _branch(
         dq == 0.0, _cluster("segment_bisects"),
         lambda: RelationVerdict.from_residual(
@@ -343,40 +314,56 @@ def check_segment_bisects(p1: Point, p2: Point, q1: Point, q2: Point,
 
 # ---------------------------------------------------------------------------
 # line and circle detectors
+#
+# Lines, circles and conics are built in the normalized frame of the
+# points, so their residuals do not depend on the size of the figure; the
+# scale does not enter them.
 
-def check_concurrent_lines(lines: Sequence[Line],
-                           scale: float = 1.0) -> RelationVerdict:
+def _concurrent(points: Sequence[Point], scale) -> RelationVerdict:
+    """The points in pairs, each pair a line: are the lines concurrent?"""
+    q, dq, _ = _normalized(points)
+    lines = [line_through(q[i], q[i + 1]) for i in range(0, len(q), 2)]
+    return _lines_concurrent("concurrent", lines, dq)
+
+
+def _lines_concurrent(kind: str, lines: Sequence[Line],
+                      size: float) -> RelationVerdict:
     """Least-squares common point; residual is the worst distance to any
-    line over the larger of `scale`, the size of the figure the lines were
+    line over the larger of `size`, the size of the figure the lines were
     drawn from, and the spread of their pairwise meets."""
-    if len(lines) < 3:
-        raise TooFewLines(f"concurrency needs >= 3 lines, got {len(lines)}")
     meets: list[Point] = []
     for i, li in enumerate(lines):
         for lj in lines[i + 1:]:
             if abs(li.a * lj.b - lj.a * li.b) <= FLOOR:
                 return RelationVerdict.failed(
-                    "concurrent", flags=("non_concurrent_parallel",))
+                    kind, flags=("non_concurrent_parallel",))
             meets.append(intersect(li, lj))
     meet = least_squares_meet(lines, 0.0)
-    cloud = max(scale, diameter(meets))
+    cloud = max(size, diameter(meets))
     residual = max(abs(l.value(meet)) for l in lines) / cloud
-    return RelationVerdict.from_residual("concurrent", residual)
+    return RelationVerdict.from_residual(kind, residual)
 
 
-def check_coaxial(circles: Sequence[Circle]) -> RelationVerdict:
-    """All pairwise radical axes coincide with the first pair's axis.
+def _coaxial(points: Sequence[Point], scale) -> RelationVerdict:
+    """The points in triples, each triple a circle through it: do all
+    pairwise radical axes coincide with the first pair's axis?
 
     Residual per pair combines the sine of the angle between the axes with
     their offset, measured at the centroid of the centers, over the
     configuration scale.
     """
-    if len(circles) < 3:
-        raise TooFewCircles(f"coaxiality needs >= 3 circles, got {len(circles)}")
+    q, _, _ = _normalized(points)
+    # centered, as for on_conic: the radical axes' offsets then do not
+    # cancel digits that grow with the distance from the origin
+    cx = sum(p.x for p in q) / len(q)
+    cy = sum(p.y for p in q) / len(q)
+    q = [Point(p.x - cx, p.y - cy) for p in q]
+    circles = [circumcircle(q[i], q[i + 1], q[i + 2])
+               for i in range(0, len(q), 3)]
     ref = radical_axis(circles[0], circles[1])
-    scale = max(max(dist(a.center, b.center)
-                    for i, a in enumerate(circles) for b in circles[i + 1:]),
-                max(c.radius for c in circles))
+    size = max(max(dist(a.center, b.center)
+                   for i, a in enumerate(circles) for b in circles[i + 1:]),
+               max(c.radius for c in circles))
     # a point fixed by the figure, not by the frame: the offset of two
     # axes that are not parallel depends on where it is measured
     anchor = Point(sum(c.center.x for c in circles) / len(circles),
@@ -389,21 +376,19 @@ def check_coaxial(circles: Sequence[Circle]) -> RelationVerdict:
             ax = radical_axis(circles[i], circles[j])
             sin = abs(ref.a * ax.b - ax.a * ref.b)
             sign = 1.0 if (ref.a * ax.a + ref.b * ax.b) >= 0.0 else -1.0
-            offset = abs(sign * ax.value(anchor) - ref.value(anchor)) / scale
+            offset = abs(sign * ax.value(anchor) - ref.value(anchor)) / size
             worst = max(worst, sin + offset)
     return RelationVerdict.from_residual("coaxial", worst)
 
 
-def check_perspective(tri1: Sequence[Point],
-                      tri2: Sequence[Point]) -> RelationVerdict:
-    """Are the vertex connectors of two corresponding triangles concurrent?
+def _perspective(points: Sequence[Point], scale) -> RelationVerdict:
+    """Are the vertex connectors of two corresponding triangles, the first
+    three points and the last three, concurrent?
 
     Coincident vertex pairs contribute no constraint and are flagged; three
     mutually parallel connectors count as concurrent at infinity.
     """
-    if len(tri1) != 3 or len(tri2) != 3:
-        raise TooFewPoints("perspectivity needs two triangles of 3 points")
-    q, dq, _ = _normalized(list(tri1) + list(tri2))
+    q, dq, _ = _normalized(points)
     if dq == 0.0:
         return RelationVerdict("perspective", 0.0, ("identical_vertices",))
     connectors: list[Line] = []
@@ -429,73 +414,39 @@ def check_perspective(tri1: Sequence[Point],
                       for lj in connectors[i + 1:]]
     if all(pairs_parallel):
         return RelationVerdict("perspective", 0.0, ("concurrent_at_infinity",))
-    inner = check_concurrent_lines(connectors, dq)
-    return RelationVerdict("perspective", inner.residual, inner.flags)
+    return _lines_concurrent("perspective", connectors, dq)
 
 
-# ---------------------------------------------------------------------------
-# conics
+def _on_conic(points: Sequence[Point], scale) -> RelationVerdict:
+    """The conic a x^2 + b xy + c y^2 + d x + e y + f = 0 through the first
+    five points; residual is the largest first-order geometric distance
+    |f| / |grad f| of the others from it, over the five's diameter.
 
-@dataclass(frozen=True)
-class Conic:
-    """Implicit conic a x^2 + b xy + c y^2 + d x + e y + f = 0.
-
-    The coefficient vector is normalized to unit Euclidean norm with the
-    first nonzero coefficient positive.  `scale` remembers the diameter of
-    the points the conic was fitted to, for residual normalization.
+    The conic is fitted in the normalized frame centered on the five
+    points, so the roundoff of its value does not grow with the figure's
+    distance from the origin, as the null space of the design matrix,
+    computed in a frame centered and scaled again for conditioning.
     """
-
-    a: float
-    b: float
-    c: float
-    d: float
-    e: float
-    f: float
-    scale: float = field(default=1.0, compare=False)
-
-    def __post_init__(self) -> None:
-        v = (self.a, self.b, self.c, self.d, self.e, self.f)
-        n = math.sqrt(sum(x * x for x in v))
-        if not math.isfinite(n) or n == 0.0:
-            raise DegeneratePosition("conic coefficients are all zero")
-        v = tuple(x / n for x in v)
-        lead = next((x for x in v if x != 0.0), 1.0)
-        if lead < 0.0:
-            v = tuple(-x for x in v)
-        v = tuple(0.0 if x == 0.0 else x for x in v)
-        for name, x in zip("abcdef", v):
-            object.__setattr__(self, name, x)
-
-    def evaluate(self, p: Point) -> float:
-        return (self.a * p.x * p.x + self.b * p.x * p.y + self.c * p.y * p.y
-                + self.d * p.x + self.e * p.y + self.f)
-
-    def gradient(self, p: Point) -> Point:
-        return Point(2.0 * self.a * p.x + self.b * p.y + self.d,
-                     self.b * p.x + 2.0 * self.c * p.y + self.e)
-
-
-def fit_conic(points: Sequence[Point]) -> Conic:
-    """The conic through exactly five points, via the null space of the
-    design matrix (computed in a centered, scaled frame for conditioning)."""
     # numpy's SVD, the one use of numpy on floats: a program with no
     # on_conic assert runs without loading it
     import numpy as np
 
-    if len(points) != 5:
-        raise TooFewPoints(f"a conic is fitted to exactly 5 points, got {len(points)}")
-    diam = diameter(points)
-    q, dq, _ = _normalized(points)
-    if dq == 0.0:
+    q, _, _ = _normalized(points)
+    cx = sum(p.x for p in q[:5]) / 5.0
+    cy = sum(p.y for p in q[:5]) / 5.0
+    q = [Point(p.x - cx, p.y - cy) for p in q]
+    five = q[:5]
+    diam = diameter(five)
+    r, dr, _ = _normalized(five)
+    if dr == 0.0:
         raise DegeneratePosition("conic fit to a coincident cluster")
-    cx = sum(p.x for p in q) / 5.0
-    cy = sum(p.y for p in q) / 5.0
+    cx = sum(p.x for p in r) / 5.0
+    cy = sum(p.y for p in r) / 5.0
     rows = []
-    for p in q:
+    for p in r:
         x, y = p.x - cx, p.y - cy
         rows.append([x * x, x * y, y * y, x, y, 1.0])
-    m = np.array(rows, dtype=float)
-    _, s, vt = np.linalg.svd(m)
+    _, s, vt = np.linalg.svd(np.array(rows, dtype=float))
     if s[-1] <= FLOOR * max(s[0], 1.0):
         raise DegeneratePosition("five points admit more than one conic "
                                  "(four are collinear or two coincide)")
@@ -504,53 +455,62 @@ def fit_conic(points: Sequence[Point]) -> Conic:
     d2 = d - 2.0 * a * cx - b * cy
     e2 = e - b * cx - 2.0 * c * cy
     f2 = f + a * cx * cx + b * cx * cy + c * cy * cy - d * cx - e * cy
-    # undo the scaling p -> p / k (k = p/q for any nonzero coordinate)
+    # undo the scaling p -> p / k (k = p/r for any nonzero coordinate)
     k = 1.0
-    for orig, scaled in zip(points, q):
+    for orig, scaled in zip(five, r):
         if scaled.x != 0.0:
             k = orig.x / scaled.x
             break
         if scaled.y != 0.0:
             k = orig.y / scaled.y
             break
-    return Conic(a / (k * k), b / (k * k), c / (k * k),
-                 d2 / k, e2 / k, f2, scale=max(diam, FLOOR))
+    v = (a / (k * k), b / (k * k), c / (k * k), d2 / k, e2 / k, f2)
+    n = math.sqrt(sum(x * x for x in v))
+    if not math.isfinite(n) or n == 0.0:
+        raise DegeneratePosition("conic coefficients are all zero")
+    a, b, c, d, e, f = (x / n for x in v)
+    size = max(diam, FLOOR)
 
+    def distance(p: Point) -> float:
+        value = (a * p.x * p.x + b * p.x * p.y + c * p.y * p.y
+                 + d * p.x + e * p.y + f)
+        grad = Point(2.0 * a * p.x + b * p.y + d,
+                     b * p.x + 2.0 * c * p.y + e).norm()
+        return abs(value) / max(grad * size, FLOOR)
 
-def check_on_conic(conic: Conic, p: Point) -> RelationVerdict:
-    """First-order geometric distance from p to the conic over its scale."""
-    f = conic.evaluate(p)
-    g = conic.gradient(p).norm()
-    denom = max(g * conic.scale, FLOOR)
-    residual = abs(f) / denom
-    return RelationVerdict.from_residual("on_conic", residual)
+    return RelationVerdict.from_residual(
+        "on_conic", max(distance(p) for p in q[5:]))
 
 
 # ---------------------------------------------------------------------------
-# label-list dispatch shared by the claim catalog and the script language
+# the relation table, shared by the claim catalog and the script language
 
-RELATION_ARITIES: dict[str, tuple[int, int | None, int]] = {
-    # kind: (min points, max points or None, group size points must divide)
-    "collinear": (3, None, 1),
-    "concyclic": (4, None, 1),
-    "concurrent": (6, None, 2),
-    "perpendicular": (4, 4, 2),
-    "equal_length": (4, None, 2),
-    "on_conic": (6, None, 1),
-    "coaxial": (9, None, 3),
-    "perspective": (6, 6, 3),
-    "midpoints_coincide": (4, 4, 2),
-    "segment_bisects": (4, 4, 2),
+# kind: (min points, max points or None, group size the count must divide,
+# whether the detector takes rows, detector over (points, scale)).  A
+# detector that takes floats only judges a batch row by row.
+RELATIONS: dict[str, tuple[int, int | None, int, bool,
+                           Callable[..., RelationVerdict]]] = {
+    "collinear": (3, None, 1, True, _collinear),
+    "concyclic": (4, None, 1, True, _concyclic),
+    "concurrent": (6, None, 2, False, _concurrent),
+    "perpendicular": (4, 4, 2, True, _perpendicular),
+    "equal_length": (4, None, 2, True, _equal_length),
+    "on_conic": (6, None, 1, False, _on_conic),
+    "coaxial": (9, None, 3, False, _coaxial),
+    "perspective": (6, 6, 3, False, _perspective),
+    "midpoints_coincide": (4, 4, 2, True, _midpoints_coincide),
+    "segment_bisects": (4, 4, 2, True, _segment_bisects),
 }
 
-# the kinds whose detectors take rows; the others judge a batch row by row
-_ROW_KINDS = frozenset({"collinear", "concyclic", "perpendicular",
-                       "equal_length", "midpoints_coincide",
-                       "segment_bisects"})
+
+def arity_fits(kind: str, n: int) -> bool:
+    """Whether the relation `kind` takes `n` points."""
+    lo, hi, step, _, _ = RELATIONS[kind]
+    return lo <= n and (hi is None or n <= hi) and n % step == 0
 
 
-def _row_by_row(kind: str, points: Sequence[Point],
-                scale) -> RelationVerdict:
+def _row_by_row(kind: str, detect: Callable[..., RelationVerdict],
+                points: Sequence[Point], scale) -> RelationVerdict:
     """The verdict on a batch of a kind whose detector takes floats: each
     row through the float path, a row that raises marked failed."""
     import numpy as np
@@ -564,8 +524,7 @@ def _row_by_row(kind: str, points: Sequence[Point],
     for r in range(len(scales)):
         row = [Point(x[r], y[r]) for x, y in zip(cols[::2], cols[1::2])]
         try:
-            verdict = evaluate_relation(
-                kind, row, None if scale is None else scales[r])
+            verdict = detect(row, None if scale is None else scales[r])
         except (GeometryError, ArithmeticError):
             failed[r] = True
             continue
@@ -577,65 +536,22 @@ def _row_by_row(kind: str, points: Sequence[Point],
 
 def evaluate_relation(kind: str, points: Sequence[Point],
                       scale: float | None = None) -> RelationVerdict:
-    """Evaluate a relation given as a kind plus a flat point list.
+    """Evaluate a relation given as a kind of RELATIONS plus a flat point
+    list.
 
-    Pair-structured kinds read the points two at a time as segment
-    endpoints; `concurrent` turns each pair into a line, `coaxial` turns
-    each consecutive triple into a circumcircle, `perspective` reads two
-    triangles, and `on_conic` fits the first five points and tests the rest.
-    Lines, circles and conics are built in the normalized frame of the
-    points, so their residuals do not depend on the size of the figure.
     The optional scale overrides the normalization diameter for the kinds
     whose residual is a length ratio, so a claim about a tight cluster
     inside a larger figure is still judged against the whole figure.
+    ValueError for an unknown kind, TooFewPoints for a point count the
+    kind does not take.
     """
-    if kind not in RELATION_ARITIES:
+    if kind not in RELATIONS:
         raise ValueError(f"unknown relation kind {kind!r}")
-    lo, hi, step = RELATION_ARITIES[kind]
-    n = len(points)
-    if n < lo or (hi is not None and n > hi) or n % step:
-        raise TooFewPoints(f"{kind} cannot take {n} points")
-    if kind not in _ROW_KINDS and any(
+    if not arity_fits(kind, len(points)):
+        raise TooFewPoints(f"{kind} cannot take {len(points)} points")
+    *_, takes_rows, detect = RELATIONS[kind]
+    if not takes_rows and any(
             type(c) is not float and array_module(c) is not None
             for p in points for c in (p.x, p.y)):
-        return _row_by_row(kind, points, scale)
-    if kind == "collinear":
-        return check_collinear(points, scale)
-    if kind == "concyclic":
-        return check_concyclic(points, scale)
-    if kind == "concurrent":
-        q, dq, _ = _normalized(points)
-        lines = [line_through(q[i], q[i + 1]) for i in range(0, n, 2)]
-        return check_concurrent_lines(lines, dq)
-    if kind == "perpendicular":
-        return check_perpendicular(*points)
-    if kind == "equal_length":
-        return check_equal_length(points, scale)
-    if kind == "on_conic":
-        q, _, _ = _normalized(points)
-        # centered on the five fitted points: the roundoff of the conic's
-        # value then does not grow with the figure's distance from the
-        # origin
-        cx = sum(p.x for p in q[:5]) / 5.0
-        cy = sum(p.y for p in q[:5]) / 5.0
-        q = [Point(p.x - cx, p.y - cy) for p in q]
-        conic = fit_conic(q[:5])
-        return max((check_on_conic(conic, p) for p in q[5:]),
-                   key=lambda v: v.residual)
-    if kind == "coaxial":
-        q, _, _ = _normalized(points)
-        # centered, as for on_conic: the radical axes' offsets then do not
-        # cancel digits that grow with the distance from the origin
-        cx = sum(p.x for p in q) / n
-        cy = sum(p.y for p in q) / n
-        q = [Point(p.x - cx, p.y - cy) for p in q]
-        circles = [circumcircle(q[i], q[i + 1], q[i + 2])
-                   for i in range(0, n, 3)]
-        return check_coaxial(circles)
-    if kind == "perspective":
-        return check_perspective(points[:3], points[3:])
-    if kind == "midpoints_coincide":
-        return check_midpoints_coincide(*points, scale=scale)
-    if kind == "segment_bisects":
-        return check_segment_bisects(*points, scale=scale)
-    raise ValueError(f"unknown relation kind {kind!r}")
+        return _row_by_row(kind, detect, points, scale)
+    return detect(points, scale)

@@ -9,6 +9,8 @@ byte-identical files.
 
 from __future__ import annotations
 
+import math
+
 from .configurations import Configuration
 from .core import Circle, Point
 
@@ -47,7 +49,8 @@ def _bounds(config: Configuration) -> tuple[float, float, float, float]:
 
 
 def render_svg(config: Configuration) -> str:
-    """The complete SVG document for one configuration."""
+    """The complete SVG document for one configuration.  ValueError when
+    the figure's pixel frame overflows."""
     xmin, ymin, xmax, ymax = _bounds(config)
     span = max(xmax - xmin, ymax - ymin)
     if span == 0.0:
@@ -58,6 +61,9 @@ def render_svg(config: Configuration) -> str:
     py0 = -(ymax + pad) * PX_PER_UNIT
     width = (xmax - xmin + 2.0 * pad) * PX_PER_UNIT
     height = (ymax - ymin + 2.0 * pad) * PX_PER_UNIT
+    if not all(map(math.isfinite, (px0, py0, px0 + width, py0 + height))):
+        raise ValueError("the figure is too large to draw: its pixel "
+                         "frame is not finite")
 
     def to_px(p: Point) -> tuple[float, float]:
         return p.x * PX_PER_UNIT, -p.y * PX_PER_UNIT

@@ -79,8 +79,8 @@ from .core import (
     where,
 )
 from .deform import DeformationFamily
-from .relations import RELATION_ARITIES, DegeneratePosition, \
-    RelationVerdict, evaluate_relation
+from .relations import RELATIONS, DegeneratePosition, RelationVerdict, \
+    arity_fits, evaluate_relation
 
 __all__ = [
     "ScriptError",
@@ -95,7 +95,6 @@ __all__ = [
     "deformation_family",
     "second_intersection",
     "FUNCTIONS",
-    "RELATIONS",
     "REQUIREMENTS",
 ]
 
@@ -195,8 +194,6 @@ FUNCTIONS: dict[str, tuple[int, bool, Construction]] = {
     "bisector_meet": (6, False, _bisector_meet),
 }
 
-RELATIONS: tuple[str, ...] = tuple(RELATION_ARITIES)
-
 
 def _require_convex(p: list[Point], part: Part) -> None:
     a, b, c, d = p
@@ -236,7 +233,7 @@ STATEMENTS = ("point", "param", "assert", "require", *DRAWABLES, "deform")
 
 
 def _arity_phrase(kind: str) -> str:
-    lo, hi, step = RELATION_ARITIES[kind]
+    lo, hi, step, _, _ = RELATIONS[kind]
     if hi == lo:
         return f"exactly {lo} point labels"
     grouped = "" if step == 1 else f" in groups of {step}"
@@ -551,11 +548,10 @@ class _Parser:
         if tok.text not in RELATIONS:
             raise ParseError(tok.line, tok.col,
                              f"unknown relation {tok.text!r}",
-                             expected=RELATIONS)
+                             expected=tuple(RELATIONS))
         arg_toks = self.label_list()
-        lo, hi, step = RELATION_ARITIES[tok.text]
         n = len(arg_toks)
-        if n < lo or (hi is not None and n > hi) or n % step:
+        if not arity_fits(tok.text, n):
             raise ArityError(tok.line, tok.col,
                              f"{tok.text} takes {_arity_phrase(tok.text)}, "
                              f"got {n}",
@@ -584,7 +580,7 @@ class _Parser:
                              f"unknown requirement {tok.text!r}",
                              expected=tuple(REQUIREMENTS))
         arg_toks = self.label_list()
-        self.check_count(tok, len(arg_toks), REQUIREMENTS[tok.text][0])
+        self.expect_count(tok, len(arg_toks), REQUIREMENTS[tok.text][0])
         labels = [self.resolve_point(t) for t in arg_toks]
         return Require(tok.text, tuple(labels), span)
 
@@ -592,7 +588,7 @@ class _Parser:
         arg_toks = [self.expect_ident("a point label")]
         while self.cur.kind == "ident":
             arg_toks.append(self.advance())
-        self.check_count(keyword, len(arg_toks), DRAWABLES[keyword.text])
+        self.expect_count(keyword, len(arg_toks), DRAWABLES[keyword.text])
         labels = [self.resolve_point(t) for t in arg_toks]
         return Draw(keyword.text, tuple(labels), (keyword.line, keyword.col))
 
@@ -633,7 +629,7 @@ class _Parser:
         return Deform(tuple(labels), tuple(base), floor,
                       (keyword.line, keyword.col))
 
-    def check_count(self, tok: _Token, got: int, wants: int) -> None:
+    def expect_count(self, tok: _Token, got: int, wants: int) -> None:
         if got != wants:
             raise ArityError(tok.line, tok.col,
                              f"{tok.text} takes {wants} point labels, got {got}",

@@ -21,7 +21,7 @@ from geodeform.configurations import Configuration
 from geodeform.core import Circle, GeometryError, Point, dist
 from geodeform.deform import RelationClaim, SplitMix64, sample, \
     scaling_probe, verify
-from geodeform.relations import check_concyclic, check_on_conic, fit_conic
+from geodeform.relations import evaluate_relation
 from geodeform.script import ParseError, evaluate, parse
 from fermat_oracle import fermat_oracle
 from oracle_builders import build_bisector_variant, build_example1, \
@@ -77,7 +77,8 @@ def test_criterion_04_erected_centroids_equilateral_with_one_fermat(tmp_path):
                        bc_f.claim.evaluate(cfg, scale=base).residual)
         ring = [cfg.point(l) for l in ("O_a", "O_b", "O_c")]
         closest_f2 = min(closest_f2,
-                         check_concyclic(ring + [cfg.point("F2")]).residual)
+                         evaluate_relation("concyclic",
+                                           ring + [cfg.point("F2")]).residual)
         conventions.add(bc_f.annotate(cfg).get("convention"))
     # The report must pin which of the two isogonic points satisfies the
     # claim, and it must be the same one on every sample.
@@ -166,13 +167,12 @@ def test_criterion_09_conic_membership_detects_small_displacement():
         return Point(2.0 * math.cos(t), math.sin(t))
 
     five = [on_ellipse(t) for t in (0.3, 1.1, 2.0, 2.9, 4.0)]
-    conic = fit_conic(five)
     p6 = on_ellipse(5.1)
-    member = check_on_conic(conic, p6)
+    member = evaluate_relation("on_conic", five + [p6])
     gx, gy = p6.x / 2.0, 2.0 * p6.y
     norm = math.hypot(gx, gy)
     moved = Point(p6.x + 1e-3 * gx / norm, p6.y + 1e-3 * gy / norm)
-    displaced = check_on_conic(conic, moved)
+    displaced = evaluate_relation("on_conic", five + [moved])
     ok = (member.passed and not displaced.passed
           and 1e-4 <= displaced.residual <= 1e-2)
     _report(9, ok, f"member residual={member.residual:.2e} displaced "

@@ -475,6 +475,69 @@ def test_non_finite_param_is_usage_error(capsys, tmp_path, command, value):
     assert err == f"error: --param eps wants a finite number, got {value!r}\n"
 
 
+# a figure whose diameter overflows, and one whose pixel coordinates do
+OVERFLOWING = ("point A = (-1.5e{e}, 0)\npoint B = (1.5e{e}, 0)\n"
+               "point C = (0, 1e{e})\nsegment A B\n"
+               "deform A B C about (-1.5e{e}, 0) (1.5e{e}, 0) (0, 1e{e})\n"
+               "assert collinear(A, B, C)\n"
+               "assert collinear(A, B, B, A) as flat \"AB is a line\"\n")
+
+
+@pytest.mark.parametrize("command, e", [
+    (["render", "{geo}", "--out", "{svg}"], 308),
+    (["render", "{geo}", "--out", "{svg}"], 307),
+    (["run", "{geo}", "--svg", "{svg}"], 308),
+    (["run", "{geo}", "--svg", "{svg}"], 307),
+    # at 1e308 the deformed points overflow before a sample is drawn
+    (["verify", "{geo}", "--samples", "2", "--svg", "{svg}"], 307),
+])
+def test_a_figure_too_large_to_draw_is_usage_error(capsys, tmp_path, command,
+                                                   e):
+    """One error line, exit 2 and no SVG, not a document of `inf`s."""
+    geo, svg = tmp_path / "big.geo", tmp_path / "big.svg"
+    geo.write_text(OVERFLOWING.format(e=e), encoding="utf-8")
+    code, _, err = run_cli(capsys, *(a.format(geo=geo, svg=svg)
+                                     for a in command))
+    assert code == 2
+    assert err == "error: the figure is too large to draw: its pixel " \
+                  "frame is not finite\n"
+    assert not svg.exists()
+
+
+def _strict_json(path):
+    """The document, parsed as RFC 8259 JSON: no Infinity or NaN."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(path.read_text(encoding="utf-8"),
+                      parse_constant=refuse)
+
+
+def test_run_writes_a_non_finite_residual_as_null(capsys, tmp_path):
+    geo, out = tmp_path / "big.geo", tmp_path / "big.json"
+    geo.write_text(OVERFLOWING.format(e=308), encoding="utf-8")
+    code, _, _ = run_cli(capsys, "run", str(geo), "--json", str(out))
+    assert code == 1
+    residuals = [entry["residual"] for entry in _strict_json(out)["asserts"]]
+    assert residuals == [None, None]
+
+
+def test_verify_writes_non_finite_residuals_as_null(capsys, tmp_path):
+    """Opposite sides of the unit square never meet: every residual is
+    inf."""
+    geo, out = tmp_path / "par.geo", tmp_path / "par.json"
+    geo.write_text("point A = (0, 0)\npoint B = (1, 0)\npoint C = (1, 1)\n"
+                   "point D = (0, 1)\n"
+                   "deform A B C D about (0, 0) (1, 0) (1, 1) (0, 1)\n"
+                   "assert concurrent(A, B, C, D, A, C) as par \"meet\"\n",
+                   encoding="utf-8")
+    code, _, _ = run_cli(capsys, "verify", str(geo), "--eps", "0",
+                         "--samples", "2", "--json", str(out))
+    assert code == 1
+    claim, = _strict_json(out)["claims"]
+    assert (claim["max_residual"], claim["mean_residual"],
+            claim["median_residuals"]) == (None, None, [None])
+
+
 def test_run_json_document(capsys, tmp_path):
     out_path = tmp_path / "run.json"
     code, _, _ = run_cli(capsys, "run", str(SCRIPTS / "bisector.geo"),

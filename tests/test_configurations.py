@@ -20,11 +20,7 @@ from geodeform.core import (
     circumcircle,
     dist,
 )
-from geodeform.relations import (
-    check_concyclic,
-    check_equal_length,
-    check_perpendicular,
-)
+from geodeform.relations import evaluate_relation
 from geodeform.script import evaluate, parse, second_intersection
 
 build_theorem1 = FAMILIES["theorem1"].builder
@@ -67,14 +63,15 @@ def test_theorem1_general_quadrilateral():
     assert set(config.objects) == labels
     o_ab, o_bc = config.point("O_ab"), config.point("O_bc")
     o_cd, o_da = config.point("O_cd"), config.point("O_da")
-    assert check_perpendicular(o_ab, o_cd, o_bc, o_da).passed
-    assert check_equal_length([o_ab, o_cd, o_bc, o_da]).passed
+    assert evaluate_relation("perpendicular", [o_ab, o_cd, o_bc, o_da]).passed
+    assert evaluate_relation("equal_length", [o_ab, o_cd, o_bc, o_da]).passed
 
 
 def test_theorem1_vertex_order_reversal_also_works():
     config = build_theorem1(*reversed(QUAD))
-    assert check_perpendicular(config.point("O_ab"), config.point("O_cd"),
-                               config.point("O_bc"), config.point("O_da")).passed
+    assert evaluate_relation(
+        "perpendicular", [config.point(l)
+                          for l in ("O_ab", "O_cd", "O_bc", "O_da")]).passed
 
 
 def test_theorem1_rejects_non_convex():
@@ -94,13 +91,13 @@ def test_bisector_variant_rectangle():
     # non-degenerate quadruple for a proper rectangle
     assert min(dist(p, q) for i, p in enumerate(meets)
                for q in meets[i + 1:]) > 1e-3
-    assert check_concyclic(meets).passed
+    assert evaluate_relation("concyclic", meets).passed
 
 
 def test_bisector_variant_figure_quadrilateral():
     config = build_bisector_variant(*QUAD)
     meets = [config.point(f"O_{i}") for i in (1, 2, 3, 4)]
-    assert check_concyclic(meets).passed
+    assert evaluate_relation("concyclic", meets).passed
 
 
 def test_example1_equilateral_centers_coincide():
@@ -135,7 +132,7 @@ def test_example1_apexes_point_inward():
 def test_example2_concyclic():
     config = build_example2(Point(0, 0), Point(5, 0), Point(1, 4))
     pts = [config.point(l) for l in ("F_a", "F_b", "F_c", "F2")]
-    assert check_concyclic(pts).passed
+    assert evaluate_relation("concyclic", pts).passed
 
 
 def test_example3_equilateral_center_collapses():
@@ -151,8 +148,8 @@ def test_example3_scalene_both_quadruples_concyclic():
     config = build_example3(a, b, c, p)
     primed = [config.point(l) for l in ("N_a'", "N_b'", "N_c'", "N")]
     doubled = [config.point(l) for l in ("N_a''", "N_b''", "N_c''", "N")]
-    assert check_concyclic(primed).passed
-    assert check_concyclic(doubled).passed
+    assert evaluate_relation("concyclic", primed).passed
+    assert evaluate_relation("concyclic", doubled).passed
 
 
 def test_example3_preconditions():

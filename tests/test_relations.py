@@ -1,4 +1,7 @@
-"""Detector behavior: fixed verdicts, measured failure bands, invariances."""
+"""Detector behavior: fixed verdicts, measured failure bands, invariances.
+
+Every detector is reached through `evaluate_relation`, the one entry
+point: a line is given as two points on it, a circle as three."""
 
 import math
 import random
@@ -8,33 +11,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geodeform.core import (
-    Circle,
     CoincidentPoints,
     ConcentricCircles,
-    Line,
     Point,
+    midpoint,
     rotate,
 )
 from geodeform.relations import (
     NOISE_FLOOR,
-    RELATION_ARITIES,
+    RELATIONS,
     DegeneratePosition,
     RelationVerdict,
-    TooFewCircles,
-    TooFewLines,
     TooFewPoints,
-    check_coaxial,
-    check_collinear,
-    check_concurrent_lines,
-    check_concyclic,
-    check_equal_length,
-    check_midpoints_coincide,
-    check_on_conic,
-    check_perpendicular,
-    check_perspective,
-    check_segment_bisects,
+    arity_fits,
     evaluate_relation,
-    fit_conic,
 )
 
 EPS = 2.0 ** -52
@@ -45,15 +35,34 @@ def circle_points(cx, cy, r, angles):
 
 
 # ---------------------------------------------------------------------------
+# arity
+
+@pytest.mark.parametrize("kind", list(RELATIONS))
+def test_arity_is_checked_once_against_the_table(kind):
+    """A count the table refuses raises TooFewPoints before any detector
+    runs; a count it takes reaches the detector."""
+    lo, hi, step, _, _ = RELATIONS[kind]
+    for n in range(0, 16):
+        takes = lo <= n and (hi is None or n <= hi) and n % step == 0
+        assert arity_fits(kind, n) == takes, (kind, n)
+        points = [Point(float(t), t * t / 7.0) for t in range(n)]
+        if takes:
+            assert evaluate_relation(kind, points).kind == kind
+        else:
+            with pytest.raises(TooFewPoints, match=f"{kind} cannot take"):
+                evaluate_relation(kind, points)
+
+
+# ---------------------------------------------------------------------------
 # collinear
 
 def test_collinear_exact_pass():
-    v = check_collinear([Point(0, 0), Point(1, 1), Point(2, 2)])
+    v = evaluate_relation("collinear", [Point(0, 0), Point(1, 1), Point(2, 2)])
     assert v.passed and v.residual == 0.0
 
 
 def test_collinear_fail():
-    v = check_collinear([Point(0, 0), Point(1, 0), Point(0, 1)])
+    v = evaluate_relation("collinear", [Point(0, 0), Point(1, 0), Point(0, 1)])
     assert not v.passed
     assert v.residual > 1e-9
 
@@ -65,16 +74,16 @@ def test_collinear_tiny_perturbation_passes():
         x = rng.uniform(-2, 2)
         pts.append(Point(x + rng.uniform(-1e-13, 1e-13),
                          3.0 * x - 1.0 + rng.uniform(-1e-13, 1e-13)))
-    assert check_collinear(pts).passed
+    assert evaluate_relation("collinear", pts).passed
 
 
 def test_collinear_too_few():
     with pytest.raises(TooFewPoints):
-        check_collinear([Point(0, 0), Point(1, 1)])
+        evaluate_relation("collinear", [Point(0, 0), Point(1, 1)])
 
 
 def test_collinear_coincident_cluster():
-    v = check_collinear([Point(1, 1)] * 3)
+    v = evaluate_relation("collinear", [Point(1, 1)] * 3)
     assert v.passed and "coincident_cluster" in v.flags
 
 
@@ -83,13 +92,14 @@ def test_collinear_coincident_cluster():
 
 def test_concyclic_cardinal_points():
     pts = circle_points(0, 0, 1, [0, math.pi / 2, math.pi, 3 * math.pi / 2])
-    v = check_concyclic(pts)
+    v = evaluate_relation("concyclic", pts)
     assert v.passed
     assert v.residual <= 1e-15
 
 
 def test_concyclic_collinear_falls_back():
-    v = check_concyclic([Point(0, 0), Point(1, 0), Point(2, 0), Point(3, 0)])
+    v = evaluate_relation("concyclic", [Point(0, 0), Point(1, 0),
+                                        Point(2, 0), Point(3, 0)])
     assert "collinear_witness" in v.flags
     assert v.passed  # collinear quadruple counts as a degenerate circle
 
@@ -99,7 +109,7 @@ def test_concyclic_radial_bump_measured():
     close to 1e-3 / diameter = 5e-4."""
     pts = circle_points(0, 0, 1, [0.3, 1.7, 3.1, 4.6])
     bumped = pts[:3] + [Point(pts[3].x * 1.001, pts[3].y * 1.001)]
-    v = check_concyclic(bumped)
+    v = evaluate_relation("concyclic", bumped)
     assert not v.passed
     assert 2e-4 < v.residual < 8e-4, v.residual
 
@@ -109,8 +119,8 @@ def test_concyclic_external_scale_divides():
     # smaller by about that factor
     pts = circle_points(0, 0, 1, [0.3, 1.7, 3.1, 4.6])
     bumped = pts[:3] + [Point(pts[3].x * 1.01, pts[3].y * 1.01)]
-    own = check_concyclic(bumped).residual
-    scaled = check_concyclic(bumped, scale=20.0).residual
+    own = evaluate_relation("concyclic", bumped).residual
+    scaled = evaluate_relation("concyclic", bumped, scale=20.0).residual
     assert 5.0 < own / scaled < 15.0
 
 
@@ -119,84 +129,110 @@ def test_concyclic_external_scale_divides():
 
 def test_medians_concurrent_at_centroid():
     a, b, c = Point(0, 0), Point(4, 0), Point(0, 6)
-    from geodeform.core import line_through, midpoint
-
-    lines = [line_through(a, midpoint(b, c)),
-             line_through(b, midpoint(c, a)),
-             line_through(c, midpoint(a, b))]
-    v = check_concurrent_lines(lines)
+    v = evaluate_relation("concurrent", [a, midpoint(b, c), b, midpoint(c, a),
+                                         c, midpoint(a, b)])
     assert v.passed
 
 
 def test_concurrent_lines_fail():
-    lines = [Line(1, 0, 0), Line(0, 1, 0), Line(1, 1, -1)]
-    v = check_concurrent_lines(lines)
+    # the lines x = 0, y = 0 and x + y = 1
+    v = evaluate_relation("concurrent", [Point(0, 0), Point(0, 1),
+                                         Point(0, 0), Point(1, 0),
+                                         Point(1, 0), Point(0, 1)])
     assert not v.passed
 
 
 def test_concurrent_lines_parallel_pair_flagged():
-    lines = [Line(1, 0, 0), Line(1, 0, -1), Line(0, 1, 0)]
-    v = check_concurrent_lines(lines)
+    # the lines x = 0, x = 1 and y = 0
+    v = evaluate_relation("concurrent", [Point(0, 0), Point(0, 1),
+                                         Point(1, 0), Point(1, 1),
+                                         Point(0, 0), Point(1, 0)])
     assert not v.passed
+    assert v.residual == math.inf
     assert "non_concurrent_parallel" in v.flags
 
 
 def test_concurrent_lines_too_few():
-    with pytest.raises(TooFewLines):
-        check_concurrent_lines([Line(1, 0, 0), Line(0, 1, 0)])
+    with pytest.raises(TooFewPoints):
+        evaluate_relation("concurrent", [Point(0, 0), Point(0, 1),
+                                         Point(0, 0), Point(1, 0)])
+
+
+def test_concurrent_lines_through_coincident_points_raise():
+    with pytest.raises(CoincidentPoints):
+        evaluate_relation("concurrent", [Point(0, 0), Point(0, 0),
+                                         Point(0, 0), Point(1, 0),
+                                         Point(1, 0), Point(0, 1)])
 
 
 def test_coaxial_pencil_through_two_points():
     """Circles centered on the x axis through (0, 1) and (0, -1) share the
     radical axis x = 0."""
-    circles = [Circle(Point(x, 0.0), math.hypot(x, 1.0)) for x in (1, 2, 3)]
-    v = check_coaxial(circles)
-    assert v.passed
+    pts = []
+    for x in (1.0, 2.0, 3.0):
+        pts += [Point(0, 1), Point(0, -1), Point(x + math.hypot(x, 1.0), 0)]
+    assert evaluate_relation("coaxial", pts).passed
 
 
 def test_coaxial_generic_triple_fails():
-    circles = [Circle(Point(0, 0), 1.0), Circle(Point(1, 0), 1.0),
-               Circle(Point(0, 1), 1.0)]
-    assert not check_coaxial(circles).passed
+    pts = []
+    for cx, cy in ((0, 0), (1, 0), (0, 1)):
+        pts += circle_points(cx, cy, 1.0, [0.4, 2.0, 3.7])
+    assert not evaluate_relation("coaxial", pts).passed
 
 
 def test_coaxial_too_few():
-    with pytest.raises(TooFewCircles):
-        check_coaxial([Circle(Point(0, 0), 1.0), Circle(Point(1, 0), 1.0)])
+    pts = []
+    for cx in (0, 1):
+        pts += circle_points(cx, 0, 1.0, [0.4, 2.0, 3.7])
+    with pytest.raises(TooFewPoints):
+        evaluate_relation("coaxial", pts)
 
 
 def test_coaxial_concentric_raises():
+    pts = []
+    for cx, r in ((0, 1.0), (0, 2.0), (1, 1.0)):
+        pts += circle_points(cx, 0, r, [0.4, 2.0, 3.7])
     with pytest.raises(ConcentricCircles):
-        check_coaxial([Circle(Point(0, 0), 1.0), Circle(Point(0, 0), 2.0),
-                       Circle(Point(1, 0), 1.0)])
+        evaluate_relation("coaxial", pts)
 
 
 # ---------------------------------------------------------------------------
 # perspective triangles
 
 def test_medial_triangle_perspective_at_centroid():
-    from geodeform.core import midpoint
-
-    t1 = (Point(0, 0), Point(4, 0), Point(1, 3))
-    t2 = (midpoint(t1[1], t1[2]), midpoint(t1[2], t1[0]),
-          midpoint(t1[0], t1[1]))
-    v = check_perspective(t1, t2)
+    t1 = [Point(0, 0), Point(4, 0), Point(1, 3)]
+    t2 = [midpoint(t1[1], t1[2]), midpoint(t1[2], t1[0]),
+          midpoint(t1[0], t1[1])]
+    v = evaluate_relation("perspective", t1 + t2)
     assert v.passed
 
 
 def test_translated_copy_concurrent_at_infinity():
-    t1 = (Point(0, 0), Point(1, 0), Point(0, 1))
-    t2 = tuple(p + Point(5.0, 5.0) for p in t1)
-    v = check_perspective(t1, t2)
+    t1 = [Point(0, 0), Point(1, 0), Point(0, 1)]
+    t2 = [p + Point(5.0, 5.0) for p in t1]
+    v = evaluate_relation("perspective", t1 + t2)
     assert v.passed
     assert "concurrent_at_infinity" in v.flags
 
 
 def test_triangle_perspective_with_itself():
-    t = (Point(0, 0), Point(2, 0), Point(0.5, 1.5))
-    v = check_perspective(t, t)
+    t = [Point(0, 0), Point(2, 0), Point(0.5, 1.5)]
+    v = evaluate_relation("perspective", t + t)
     assert v.passed
     assert "identical_vertices" in v.flags
+
+
+def test_perspective_with_shared_vertices():
+    t1 = [Point(0, 0), Point(2, 0), Point(0.5, 1.5)]
+    # two vertex pairs coincide: one connector is left, no constraint
+    v = evaluate_relation("perspective", t1 + [t1[0], t1[1], Point(3, 3)])
+    assert v.passed and v.flags == ("coincident_vertex_pair",)
+    # one pair coincides and the other two connectors are parallel
+    v = evaluate_relation("perspective",
+                          t1 + [t1[0], Point(3, 1), Point(1.5, 2.5)])
+    assert v.passed
+    assert v.flags == ("coincident_vertex_pair", "concurrent_at_infinity")
 
 
 def test_random_triangle_pairs_never_perspective():
@@ -204,11 +240,9 @@ def test_random_triangle_pairs_never_perspective():
     fails = 0
     trials = 1000
     for _ in range(trials):
-        t1 = tuple(Point(rng.uniform(-3, 3), rng.uniform(-3, 3))
-                   for _ in range(3))
-        t2 = tuple(Point(rng.uniform(-3, 3), rng.uniform(-3, 3))
-                   for _ in range(3))
-        if not check_perspective(t1, t2).passed:
+        pts = [Point(rng.uniform(-3, 3), rng.uniform(-3, 3))
+               for _ in range(6)]
+        if not evaluate_relation("perspective", pts).passed:
             fails += 1
     assert fails == trials
 
@@ -218,29 +252,40 @@ def test_random_triangle_pairs_never_perspective():
 
 def test_fit_conic_unit_circle():
     pts = circle_points(0, 0, 1, [0.2, 1.1, 2.3, 3.9, 5.2])
-    conic = fit_conic(pts)
-    # coefficients proportional to (1, 0, 1, 0, 0, -1)
-    k = conic.a
-    assert abs(conic.c - k) < 1e-9
-    assert abs(conic.f + k) < 1e-9
-    for coeff in (conic.b, conic.d, conic.e):
-        assert abs(coeff) < 1e-9
-    assert check_on_conic(conic, Point(0.0, 1.0)).passed
+    for p in circle_points(0, 0, 1, [0.0, math.pi / 2, 4.4]):
+        assert evaluate_relation("on_conic", pts + [p]).passed
+    v = evaluate_relation("on_conic", pts + [Point(0.0, 1.01)])
+    assert not v.passed
 
 
 def test_fit_conic_hyperbola():
     pts = [Point(t, 1.0 / t) for t in (0.5, 1.0, 2.0, -1.0, -2.0)]
-    conic = fit_conic(pts)
-    k = conic.b
-    assert abs(conic.f + k) < 1e-9
-    for coeff in (conic.a, conic.c, conic.d, conic.e):
-        assert abs(coeff) < 1e-9
+    v = evaluate_relation("on_conic", pts + [Point(4.0, 0.25),
+                                             Point(-0.25, -4.0)])
+    assert v.passed
+    assert not evaluate_relation("on_conic", pts + [Point(4.0, 0.3)]).passed
 
 
 def test_fit_conic_degenerate_position():
     pts = [Point(0, 0), Point(1, 0), Point(2, 0), Point(3, 0), Point(0, 1)]
-    with pytest.raises(DegeneratePosition):
-        fit_conic(pts)
+    with pytest.raises(DegeneratePosition, match="more than one conic"):
+        evaluate_relation("on_conic", pts + [Point(1, 1)])
+
+
+def test_on_conic_coincident_cluster():
+    pts = [Point(1, 1)] * 5 + [Point(2, 1)]
+    with pytest.raises(DegeneratePosition, match="coincident cluster"):
+        evaluate_relation("on_conic", pts)
+
+
+def test_on_conic_takes_the_worst_point():
+    angles = [0.3, 1.2, 2.2, 3.6, 4.9]
+    pts = [Point(2.0 * math.cos(t), math.sin(t)) for t in angles]
+    on = Point(2.0 * math.cos(5.8), math.sin(5.8))
+    off = Point(2.0 + 1e-3, 0.0)
+    alone = evaluate_relation("on_conic", pts + [off]).residual
+    assert evaluate_relation("on_conic", pts + [on, off]).residual == alone
+    assert evaluate_relation("on_conic", pts + [off, on]).residual == alone
 
 
 def test_conic_membership_band():
@@ -249,11 +294,10 @@ def test_conic_membership_band():
     the figure size."""
     angles = [0.3, 1.2, 2.2, 3.6, 4.9]
     pts = [Point(2.0 * math.cos(t), math.sin(t)) for t in angles]
-    conic = fit_conic(pts)
     on = Point(2.0 * math.cos(5.8), math.sin(5.8))
-    assert check_on_conic(conic, on).passed
+    assert evaluate_relation("on_conic", pts + [on]).passed
     off = Point(2.0 + 1e-3, 0.0)
-    v = check_on_conic(conic, off)
+    v = evaluate_relation("on_conic", pts + [off])
     assert not v.passed
     assert 1e-4 < v.residual < 1e-2
 
@@ -262,40 +306,48 @@ def test_conic_membership_band():
 # segments
 
 def test_perp_and_equal_fixed():
-    for segments in ((Point(0, 0), Point(0, 2), Point(-1, 1), Point(1, 1)),
-                     (Point(0, 0), Point(0, 2), Point(0, 1), Point(2, 1))):
-        assert check_perpendicular(*segments).passed
-        assert check_equal_length(list(segments)).passed
+    for segments in ([Point(0, 0), Point(0, 2), Point(-1, 1), Point(1, 1)],
+                     [Point(0, 0), Point(0, 2), Point(0, 1), Point(2, 1)]):
+        assert evaluate_relation("perpendicular", segments).passed
+        assert evaluate_relation("equal_length", segments).passed
 
 
 def test_perpendicular_rejects_coincident():
     with pytest.raises(CoincidentPoints):
-        check_perpendicular(Point(0, 0), Point(0, 0), Point(0, 1), Point(2, 1))
+        evaluate_relation("perpendicular", [Point(0, 0), Point(0, 0),
+                                            Point(0, 1), Point(2, 1)])
+
+
+def test_perpendicular_ignores_scale():
+    pts = [Point(0, 0), Point(1, 2), Point(5, 5), Point(3, 6)]
+    assert (evaluate_relation("perpendicular", pts, scale=100.0)
+            == evaluate_relation("perpendicular", pts))
 
 
 def test_equal_length_fail():
-    v = check_equal_length([Point(0, 0), Point(1, 0), Point(0, 0), Point(3, 0)])
+    v = evaluate_relation("equal_length", [Point(0, 0), Point(1, 0),
+                                           Point(0, 0), Point(3, 0)])
     assert not v.passed
     # defect 2 over diameter 3, in the snapped frame
     assert v.residual > 0.1
 
 
 def test_midpoints_coincide():
-    v = check_midpoints_coincide(Point(0, 0), Point(2, 2),
-                                 Point(0, 2), Point(2, 0))
+    v = evaluate_relation("midpoints_coincide", [Point(0, 0), Point(2, 2),
+                                                 Point(0, 2), Point(2, 0)])
     assert v.passed and v.residual == 0.0
-    v = check_midpoints_coincide(Point(0, 0), Point(2, 2),
-                                 Point(0, 2), Point(3, 0))
+    v = evaluate_relation("midpoints_coincide", [Point(0, 0), Point(2, 2),
+                                                 Point(0, 2), Point(3, 0)])
     assert not v.passed
 
 
 def test_segment_bisects():
     # segment (0,0)-(2,2) passes through the midpoint (1,1) of the other
-    v = check_segment_bisects(Point(0, 0), Point(2, 2),
-                              Point(0, 2), Point(2, 0))
+    v = evaluate_relation("segment_bisects", [Point(0, 0), Point(2, 2),
+                                              Point(0, 2), Point(2, 0)])
     assert v.passed
-    v = check_segment_bisects(Point(0, 0), Point(2, 2),
-                              Point(0.5, 2), Point(2, 0))
+    v = evaluate_relation("segment_bisects", [Point(0, 0), Point(2, 2),
+                                              Point(0.5, 2), Point(2, 0)])
     assert not v.passed
 
 
@@ -304,7 +356,7 @@ def test_segment_bisects():
 
 def test_sub_floor_residuals_report_zero():
     pts = circle_points(0, 0, 1, [0.1, 1.3, 2.9, 4.4])
-    v = check_concyclic(pts)
+    v = evaluate_relation("concyclic", pts)
     assert v.residual == 0.0
 
 
@@ -391,12 +443,12 @@ GENERIC_POINTS = [Point(0.12, 0.31), Point(1.07, -0.22), Point(1.93, 0.58),
                   Point(2.36, -0.47), Point(-0.19, -0.66), Point(0.87, 0.43)]
 
 
-@pytest.mark.parametrize("kind", list(RELATION_ARITIES))
+@pytest.mark.parametrize("kind", list(RELATIONS))
 def test_every_kind_is_exact_under_power_of_two_scaling(kind):
     """Residual and verdict of every relation kind are bit-equal when the
     figure is scaled by 2^k, from 2^-1000 to 2^1000: squares of lengths
     over- or underflow from about 2^+-520."""
-    pts = GENERIC_POINTS[:RELATION_ARITIES[kind][0]]
+    pts = GENERIC_POINTS[:RELATIONS[kind][0]]
     base = evaluate_relation(kind, pts)
     assert 0.0 < base.residual < math.inf, kind
     for k in range(-1000, 1001):
@@ -410,8 +462,8 @@ def test_every_kind_is_exact_under_power_of_two_scaling(kind):
 # also on a figure where they nearly hold, so that the size of the figure,
 # not the spread of the pairwise meets, is the denominator
 SIMILARITY_FIXTURES = [
-    *((kind, GENERIC_POINTS[:RELATION_ARITIES[kind][0]])
-      for kind in RELATION_ARITIES),
+    *((kind, GENERIC_POINTS[:RELATIONS[kind][0]])
+      for kind in RELATIONS),
     ("concurrent", [Point(0, 0), Point(1, 1), Point(1, 0), Point(0, 1),
                     Point(0.501, 0), Point(0.501, 1)]),
     ("perspective", [Point(0, 0), Point(4, 0), Point(1, 3),
@@ -482,6 +534,6 @@ def test_concyclic_first_order_sensitivity():
     for delta in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2):
         pts = circle_points(0, 0, 1, angles)
         moved = pts[:3] + [Point(pts[3].x * (1 - delta), pts[3].y * (1 - delta))]
-        got = check_concyclic(moved).residual
+        got = evaluate_relation("concyclic", moved).residual
         expect = delta / 2.0
         assert abs(got - expect) <= 0.1 * expect, (delta, got, expect)

@@ -117,3 +117,21 @@ def test_every_shape_renders():
     for name in names:
         svg = render_svg(base_shape(name))
         assert svg.count('class="point"') >= 3, name
+
+
+@pytest.mark.parametrize("size", [1e308, 1e307])
+def test_a_frame_that_overflows_is_an_error(size):
+    """At 1e308 the figure's span overflows; at 1e307 the span is finite
+    but its coordinates overflow at 100 px per unit.  Neither is drawn
+    with `inf` in its attributes."""
+    figure = simple_config({"A": Point(-1.5 * size, 0.0),
+                            "B": Point(1.5 * size, 0.0),
+                            "C": Point(0.0, size)}, [("A", "B")])
+    with pytest.raises(ValueError, match="too large to draw"):
+        render_svg(figure)
+
+
+def test_a_large_frame_that_fits_is_drawn():
+    svg = render_svg(simple_config({"A": Point(-1e300, 0.0),
+                                    "B": Point(1e300, 0.0)}))
+    assert "inf" not in svg and "nan" not in svg

@@ -9,7 +9,7 @@ import pytest
 from geodeform import script
 from geodeform.catalog import FAMILIES
 from geodeform.core import GeometryError, Point, dist, rotate
-from geodeform.relations import RELATION_ARITIES
+from geodeform.relations import RELATIONS
 from geodeform.script import (
     ArityError,
     BinOp,
@@ -439,7 +439,7 @@ def test_far_sizes_give_the_verdicts_of_size_one(size):
     def verdicts(s):
         source = "".join(f"point P{i} = ({x * s!r}, {y * s!r})\n"
                          for i, (x, y) in enumerate(FAR_POINTS))
-        for kind, (arity, _, _) in RELATION_ARITIES.items():
+        for kind, (arity, *_) in RELATIONS.items():
             source += f"assert {kind}({', '.join(f'P{i}' for i in range(arity))})\n"
         _, judged = evaluate(parse(source))
         return [(v.kind, v.passed, v.flags, v.error) for v in judged]

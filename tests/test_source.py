@@ -1,6 +1,7 @@
 """Source checks that no installed linter makes: every module of the
 package uses what it imports (the package's `__init__` re-exports, so it
-is left out), and no module imports numpy when it loads."""
+is left out), exports only names it binds, and imports no numpy when it
+loads."""
 
 import ast
 import pathlib
@@ -78,3 +79,47 @@ def test_no_module_imports_numpy_when_it_loads(module):
     start about a tenth of a second."""
     tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
     assert "numpy" not in _imported_on_load(tree), module
+
+
+def _exported(tree: ast.Module) -> list[str]:
+    """The names in the module's `__all__`, or none."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def _bound_at_top(body: list[ast.stmt]) -> set[str]:
+    """The names that statements bind at the top level of a module: by
+    def, class, import or assignment, also under an `if` or a `try`."""
+    bound = set()
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0]
+                         for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            bound.update(name.id for target in targets
+                         for name in ast.walk(target)
+                         if isinstance(name, ast.Name))
+        elif isinstance(node, (ast.If, ast.Try)):
+            for block in (node.body, node.orelse,
+                          getattr(node, "finalbody", []),
+                          *(h.body for h in getattr(node, "handlers", []))):
+                bound |= _bound_at_top(block)
+    return bound
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_every_export_is_bound(module):
+    """A name left in `__all__` after its definition is deleted breaks
+    `from geodeform.<module> import *` and nothing else: check it here."""
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    stale = [name for name in _exported(tree)
+             if name not in _bound_at_top(tree.body)]
+    assert not stale, f"{module}: __all__ names unbound {stale}"
