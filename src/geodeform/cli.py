@@ -50,12 +50,15 @@ def _tool_tag() -> str:
     return f"geodeform {__version__}"
 
 
-def _write_json(path: str, document: dict) -> None:
-    """Write the report; ValueError, before the file is opened, when a
-    number in it is not finite (JSON has no Infinity or NaN)."""
-    text = json.dumps(document, indent=2, allow_nan=False)
+def _json_text(document: dict) -> str:
+    """The report as text; ValueError when a number in it is not finite
+    (JSON has no Infinity or NaN)."""
+    return json.dumps(document, indent=2, allow_nan=False) + "\n"
+
+
+def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text + "\n")
+        handle.write(text)
 
 
 def _finite(value: float | None) -> float | None:
@@ -193,22 +196,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 line += f" [{convention}]"
             print(line)
 
-        if args.json:
-            document = {
-                "tool": _tool_tag(),
-                "command": "verify",
-                "claims_requested": args.claims,
-                "samples": args.samples,
-                "seed": args.seed,
-                "tolerance": {"rel_tol": args.tol, "abs_floor": FLOOR},
-                "epsilon": args.eps if grid is None else None,
-                "epsilon_grid": grid,
-                "claims": entries,
-            }
-            _write_json(args.json, document)
+        report = _json_text({
+            "tool": _tool_tag(),
+            "command": "verify",
+            "claims_requested": args.claims,
+            "samples": args.samples,
+            "seed": args.seed,
+            "tolerance": {"rel_tol": args.tol, "abs_floor": FLOOR},
+            "epsilon": args.eps if grid is None else None,
+            "epsilon_grid": grid,
+            "claims": entries,
+        }) if args.json else None
+        # the figure is drawn, and written, before the report is: a figure
+        # that cannot be drawn leaves neither file behind
         if args.svg:
             eps = grid[-1] if grid is not None else args.eps
             render(sample(selected[0].family, eps, args.seed), args.svg)
+        if report is not None:
+            _write_text(args.json, report)
     except (ValueError, GeometryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -300,18 +305,21 @@ def cmd_run(args: argparse.Namespace) -> int:
         })
 
     try:
-        if args.json:
-            _write_json(args.json, {
-                "tool": _tool_tag(),
-                "command": "run",
-                "path": args.path,
-                "params": {k: v for k, v in sorted(config.params.items())},
-                "tolerance": {"rel_tol": args.tol, "abs_floor": FLOOR},
-                "asserts": entries,
-                "wall_time_s": round(wall, 6),
-            })
+        report = _json_text({
+            "tool": _tool_tag(),
+            "command": "run",
+            "path": args.path,
+            "params": {k: v for k, v in sorted(config.params.items())},
+            "tolerance": {"rel_tol": args.tol, "abs_floor": FLOOR},
+            "asserts": entries,
+            "wall_time_s": round(wall, 6),
+        }) if args.json else None
+        # as in verify: the figure first, so one too large to draw leaves
+        # no report behind
         if args.svg:
             render(config, args.svg)
+        if report is not None:
+            _write_text(args.json, report)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

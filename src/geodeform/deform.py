@@ -14,9 +14,12 @@ A sweep draws, builds and judges the samples of one family and epsilon
 as one batch: every coordinate is a float64 array with one row per
 sample, run through the same constructions and detectors as a single
 sample, and row i is bit for bit the sample of seed + i.  Sample i's
-stream is SplitMix64(seed + i) in either form (Steele, Lea & Flood,
-OOPSLA 2014), so the rows draw, reject and redraw exactly as single
-samples do.
+stream is SplitMix64(seed + i) (Steele, Lea & Flood, OOPSLA 2014), whose
+k-th output is a function of seed + i and k alone, so a batch computes
+all the draws it needs at once.  Rows the builder rejects come back in
+rounds, each giving every open row several successive attempts in one
+builder call; a row keeps its first accepted attempt, as the per-draw
+loop does.
 """
 
 from __future__ import annotations
@@ -48,6 +51,8 @@ __all__ = [
 ]
 
 MASK64 = (1 << 64) - 1
+# the SplitMix64 state step
+GAMMA = 0x9E3779B97F4A7C15
 
 # samples drawn, built and judged at once: a sweep of any size holds at
 # most this many rows of each label
@@ -64,26 +69,33 @@ class RejectionBudgetExhausted(GeometryError):
     """No valid sample found within the re-draw budget."""
 
 
+def _mix(z):
+    """The SplitMix64 output of state `z`: two xor-shift-multiply rounds
+    and a final xor-shift.  The same code runs on a Python int and on a
+    uint64 array, whose arithmetic wraps as the mask does."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
 class SplitMix64:
     """SplitMix64 pseudo-random generator (public-domain constants).
 
-    state step: s += 0x9E3779B97F4A7C15; output mixes s with two
-    xor-shift-multiply rounds.  uniform() maps the top 53 bits onto
-    [0, 1).  Chosen for exact portability: the sequence depends only on
-    64-bit integer arithmetic, never on platform libm or interpreter
-    version.  A uint64 array of seeds steps one stream per element
-    (numpy's uint64 arithmetic wraps as the mask does).
+    The state steps by GAMMA and each output is `_mix` of the new state,
+    so the k-th output of a stream at state s is _mix(s + k * GAMMA): the
+    generator is counter based, and any of its draws can be computed
+    without those before it (Salmon et al., SC 2011).  uniform() maps the
+    top 53 bits onto [0, 1).  Chosen for exact portability: the sequence
+    depends only on 64-bit integer arithmetic, never on platform libm or
+    interpreter version.
     """
 
     def __init__(self, seed: int) -> None:
         self._state = seed & MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-        return (z ^ (z >> 31)) & MASK64
+        self._state = (self._state + GAMMA) & MASK64
+        return _mix(self._state)
 
     def uniform(self) -> float:
         return (self.next_u64() >> 11) * (2.0 ** -53)
@@ -98,23 +110,50 @@ class SplitMix64:
                 return x, y
 
 
-def _disk_rows(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`in_unit_disk` on each stream of the uint64 array `states`, which
-    steps in place: a stream redraws until its own pair lands in the disk,
-    so it takes exactly the draws it takes alone."""
+def _disk_draws(states: np.ndarray, need: int,
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The next `need` results of `in_unit_disk` on each stream of the
+    uint64 array `states`, all at once: their x and y as (streams, need)
+    arrays, and the state of each stream just after its last pair taken.
+
+    Pair j of a stream at state s is the outputs of s + (2j + 1) * GAMMA
+    and s + (2j + 2) * GAMMA, and the stream takes its first `need` pairs
+    inside the disk, as `in_unit_disk` called `need` times does.  A pass
+    mixes enough pairs for nearly every stream; the few left short start
+    over in the next pass, which mixes twice as many.
+    """
     import numpy as np
 
-    x, y = np.empty(states.shape), np.empty(states.shape)
+    x, y = np.empty((states.size, need)), np.empty((states.size, need))
+    after = np.empty_like(states)
+    # a pair lands inside with probability pi / 4: mix the pairs a stream
+    # needs on average, and two standard deviations more
+    width = int(1.28 * need + 2.0 * math.sqrt(need)) + 1
     todo = np.arange(states.size)
+
+    def coordinate(first: int) -> np.ndarray:
+        """2 * uniform() - 1 of outputs first, first + 2, ... of the
+        streams of todo, `width` of each: the x (first = 1) or the y
+        (first = 2) of their next pairs."""
+        counters = np.arange(first, 2 * width + 1, 2, dtype=np.uint64)
+        bits = _mix(states[todo, None] + counters * np.uint64(GAMMA))
+        return 2.0 * ((bits >> 11) * 2.0 ** -53) - 1.0
+
     while todo.size:
-        rng = SplitMix64(states[todo])
-        tx = 2.0 * rng.uniform() - 1.0
-        ty = 2.0 * rng.uniform() - 1.0
-        states[todo] = rng._state
-        inside = tx * tx + ty * ty <= 1.0
-        x[todo[inside]], y[todo[inside]] = tx[inside], ty[inside]
-        todo = todo[~inside]
-    return x, y
+        px, py = coordinate(1), coordinate(2)
+        inside = px * px + py * py <= 1.0
+        rank = inside.cumsum(axis=1)  # the inside pairs up to each pair
+        done = rank[:, -1] >= need
+        taken = inside & (rank <= need) & done[:, None]
+        rows = todo[done]
+        x[rows] = px[taken].reshape(-1, need)
+        y[rows] = py[taken].reshape(-1, need)
+        # the pairs a stream used: those up to its last one taken
+        used = (rank[done] < need).sum(axis=1) + 1
+        after[rows] = states[rows] + used.astype(np.uint64) * np.uint64(
+            2 * GAMMA & MASK64)
+        todo, width = todo[~done], 2 * width
+    return x, y, after
 
 
 @dataclass(frozen=True)
@@ -193,11 +232,16 @@ def sample(family: DeformationFamily, epsilon: float, seed: int,
         raise ValueError(
             f"family {family.name!r} requires epsilon >= {family.epsilon_floor} "
             f"(got {epsilon})")
+    radius = epsilon * family.base_diameter() if epsilon > 0.0 else 0.0
+    if not math.isfinite(radius):
+        raise ValueError(
+            f"family {family.name!r}: the figure is too large to deform: "
+            f"epsilon={epsilon} times its diameter is not finite")
     if count is not None:
-        return _sample_rows(family, epsilon, seed, count, max_rejections)
+        return _sample_rows(family, epsilon, radius, seed, count,
+                            max_rejections)
     if epsilon == 0.0:
         return family.builder(*family.base_points)
-    radius = epsilon * family.base_diameter()
     rng = SplitMix64(seed)
     last_error: GeometryError | None = None
     for _ in range(max_rejections):
@@ -215,74 +259,95 @@ def sample(family: DeformationFamily, epsilon: float, seed: int,
         f"draws at epsilon={epsilon}, seed={seed} (last: {last_error})")
 
 
-def _sample_rows(family: DeformationFamily, epsilon: float, seed: int,
-                 count: int, max_rejections: int) -> Configuration:
+def _sample_rows(family: DeformationFamily, epsilon: float, radius: float,
+                 seed: int, count: int, max_rejections: int) -> Configuration:
     """`sample` of `count` rows.
 
-    Each round draws the rows still without a valid sample from their own
-    streams and builds them at once, so a row the builder rejects redraws
-    where its stream stands.  After a round that accepts no row, the first
-    row left runs as a single sample, which finds that row's sample or
-    raises its error: a family whose every draw fails ends as soon as
-    the per-draw loop does.
+    The first round makes one attempt per row and builds them at once, so
+    a batch the builder accepts whole is that one build.  Each later round
+    gives every row still without a valid sample its next `tries`
+    attempts, twice as many as the round before, as long as one build
+    holds no more than the first round's `count` rows and no row goes
+    over the budget.  It draws them from the rows' streams at once and
+    builds them in one call; a row keeps its first accepted attempt, and a
+    row with none goes on from where its stream stands.  After a round
+    that accepts no row, the first row left runs as a single sample, which
+    finds that row's sample or raises its error: a family whose every draw
+    fails ends as soon as the per-draw loop does.
     """
     import numpy as np
 
+    base = family.base_points
     if epsilon > 0.0:
-        radius = epsilon * family.base_diameter()
         states = np.uint64(seed & MASK64) + np.arange(count, dtype=np.uint64)
-    todo = np.arange(count)
-    rounds = 0
-    config = None
+    todo = np.arange(count)  # the rows without a sample, in order
+    made = tries = 0  # the attempts each row of todo has made, and last made
+    budget = max_rejections if epsilon > 0.0 else 1
+    config = None  # the batch: the first round's, with its rows in columns
     # the x and y of each label of the batch, row by row as it is kept
     columns: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
-    def keep(built: Configuration, rows: np.ndarray, kept) -> None:
+    def keep(built: Configuration, size: int, rows, picked) -> None:
+        """Rows `rows` of the batch are rows `picked` of `built`, a
+        configuration of `size` rows."""
         for label, cols in columns.items():
             p = built.point(label)
             for col, part in zip(cols, (p.x, p.y)):
-                col[rows[kept]] = np.broadcast_to(part, rows.shape)[kept]
+                col[rows] = np.broadcast_to(part, (size,))[picked]
 
     while todo.size:
-        kept = None
-        if rounds < (max_rejections if epsilon > 0.0 else 1):
-            rounds += 1
+        hit = None
+        if made < budget:
+            # one attempt per row, then twice as many each round, as fit
+            # in the first round's rows and in the budget
+            tries = (min(2 * tries, count // todo.size, budget - made)
+                     if made else 1)
+            made += tries
+            size = todo.size * tries
             if epsilon > 0.0:
-                live = states[todo]
-                pts = []
-                for p in family.base_points:
-                    dx, dy = _disk_rows(live)
-                    pts.append(Point(p.x + radius * dx, p.y + radius * dy))
-                states[todo] = live
+                # attempt j of a row is its pairs j * P .. j * P + P - 1;
+                # row r's attempt j is row r * tries + j of the build
+                step = len(base)
+                dx, dy, states[todo] = _disk_draws(states[todo], tries * step)
+                pts = [Point(p.x + radius * dx[:, i::step].ravel(),
+                             p.y + radius * dy[:, i::step].ravel())
+                       for i, p in enumerate(base)]
             else:
                 pts = [Point(np.full(count, p.x), np.full(count, p.y))
-                       for p in family.base_points]
+                       for p in base]
             try:
                 with failures() as rejected:
                     built = family.builder(*pts)
             except GeometryError:
                 pass  # a failure of every row, whatever its draw
             else:
-                kept = ~np.broadcast_to(rejected.rows, todo.shape)
+                ok = ~np.broadcast_to(rejected.rows, (size,)).reshape(
+                    todo.size, tries)
                 if config is None:
-                    if kept.all():
+                    # the first round: after one that raises, the single
+                    # sample below raises or the RuntimeError does
+                    if ok.all():
                         return built
-                    config = built
-                    columns = {label: (np.empty(count), np.empty(count))
+                    columns = {label: (np.zeros(count), np.zeros(count))
                                for label in built.objects}
-                keep(built, todo, kept)
-        if kept is not None and kept.any():
-            todo = todo[~kept]
+                    config = replace(built, objects={
+                        label: Point(*cols) for label, cols in columns.items()})
+                hit = ok.any(axis=1)
+                rows = hit.nonzero()[0]
+                keep(built, size, todo[rows],
+                     rows * tries + ok[rows].argmax(axis=1))
+                built = None  # free this round's rows before the next
+        if hit is not None and hit.any():
+            todo = todo[~hit]
             continue
         single = sample(family, epsilon, seed + int(todo[0]),
                         max_rejections=max_rejections)
         if config is None:
             raise RuntimeError(f"family {family.name!r}: the builder fails "
                                f"on every row that a single sample builds")
-        keep(single, todo[:1], np.ones(1, bool))
+        keep(single, 1, todo[:1], 0)
         todo = todo[1:]
-    return replace(config, objects={label: Point(*cols)
-                                    for label, cols in columns.items()})
+    return config
 
 
 def _verdict_for(max_residual: float, rel_tol: float) -> str:

@@ -17,7 +17,7 @@ import pytest
 from geodeform import deform
 from geodeform.catalog import CLAIMS, FAMILIES, program_claims
 from geodeform.cli import main
-from geodeform.core import GeometryError, Point, failures
+from geodeform.core import GeometryError, Point, failures, guard
 from geodeform.deform import RejectionBudgetExhausted, sample, \
     scaling_probe, verify
 from geodeform.script import Construct, Define, Require, parse
@@ -213,9 +213,26 @@ def test_exhausted_budget_is_the_per_draw_error(capsys, tmp_path):
     assert captured.err == f"error: {want}\n"
 
 
+def _attempts(family, epsilon, seed):
+    """The builds the single sample of `seed` makes, the accepted one
+    included."""
+    builds = []
+
+    def builder(*points):
+        builds.append(None)
+        return family.builder(*points)
+
+    sample(dataclasses.replace(family, builder=builder), epsilon, seed)
+    return len(builds)
+
+
 def test_a_rejecting_builder_is_called_once_per_round():
-    """The builder sees the rows still without a valid sample, fewer each
-    round, and rows it rejects draw again from their own streams."""
+    """The first round builds one attempt per row.  Each later round
+    builds the rows still without a valid sample at once, the same number
+    of successive attempts of each, and more than one; a row keeps its
+    first accepted attempt.  So the rows open after a round are those
+    whose single sample needs more attempts than the rounds so far made,
+    and rows the builder rejects draw again from their own streams."""
     family = FAMILIES["theorem1"]
     rounds = []
 
@@ -225,14 +242,21 @@ def test_a_rejecting_builder_is_called_once_per_round():
 
     counted = dataclasses.replace(family, builder=builder)
     batch = sample(counted, 0.5, 0, 100)
+    needs = [_attempts(family, 0.5, seed) for seed in range(100)]
     assert rounds[0] == 100 and len(rounds) > 1
-    assert all(a > b for a, b in zip(rounds, rounds[1:]))
+    made = 1
+    for size in rounds[1:]:
+        still = sum(need > made for need in needs)
+        tries, rest = divmod(size, still)
+        assert rest == 0 and tries > 1, (rounds, made)
+        made += tries
+    assert max(needs) <= made
     single = sample(family, 0.5, 99)
     assert batch.point("O_ab").x[99] == single.point("O_ab").x
 
 
-# barely convex at best: most draws are rejected, so rounds that accept
-# no row, which hand their first row to the single-sample path, happen
+# barely convex at best: most draws are rejected, and more than half the
+# rows are still open after each of the first rounds
 KITE_PROGRAM = """\
 point A = (0, 0)
 point B = (1, 0)
@@ -245,22 +269,93 @@ assert collinear(A, M, C) as kite_mid "the midpoint of AC is on AC"
 """
 
 
+def _family(name):
+    if name == "kite":
+        return _user_claims(KITE_PROGRAM, "kite")[0]
+    return FAMILIES[name]
+
+
+def _assert_rows_are_single_samples(batch, family, epsilon, seed, count):
+    for row in range(count):
+        single = sample(family, epsilon, seed + row)
+        for label in single.points():
+            assert (batch.point(label).x[row], batch.point(label).y[row]) \
+                == (single.point(label).x, single.point(label).y), (row, label)
+
+
 def test_rows_no_round_accepts_finish_as_single_samples():
-    family, claims = _user_claims(KITE_PROGRAM, "kite")
+    """A round that accepts no row hands its first row to the single
+    sample path.  A builder that rejects every row on arrays forces that
+    after every round, so each row ends as its single sample."""
+    family = _family("kite")
     calls = []
 
     def builder(*points):
         calls.append(type(points[0].x))
-        return family.builder(*points)
+        built = family.builder(*points)
+        if type(points[0].x) is np.ndarray:
+            guard(np.ones(np.size(points[0].x), bool), GeometryError,
+                  "every row")
+        return built
 
     counted = dataclasses.replace(family, builder=builder)
     batch = sample(counted, 0.3, 0, 40)
     assert float in calls and np.ndarray in calls
-    for row in range(40):
-        single = sample(family, 0.3, row)
-        for label in single.points():
-            assert (batch.point(label).x[row], batch.point(label).y[row]) \
-                == (single.point(label).x, single.point(label).y), (row, label)
+    _assert_rows_are_single_samples(batch, family, 0.3, 0, 40)
+
+
+@pytest.mark.parametrize("epsilon", [0.2, 0.3, 1.0])
+@pytest.mark.parametrize("seed", [0, 977, 2**64 - 25])
+def test_kite_rows_are_the_single_samples(seed, epsilon):
+    """The kite rejects most draws, over many rounds; the last seed's
+    rows wrap past 2^64."""
+    family = _family("kite")
+    _assert_rows_are_single_samples(sample(family, epsilon, seed, 40),
+                                    family, epsilon, seed, 40)
+
+
+@pytest.mark.parametrize("count", [1, 7, 300])
+@pytest.mark.parametrize("name, epsilon", [
+    ("theorem1", 0.5), ("example3", 0.5), ("kite", 0.2), ("kite", 1.0)])
+def test_no_build_holds_more_rows_than_the_first_round(name, epsilon, count):
+    """Later rounds build several attempts per open row, never more rows
+    in all than the first round, whose rows bound the batch's memory."""
+    family = _family(name)
+    sizes = []
+
+    def builder(*points):
+        sizes.append(np.size(points[0].x))
+        return family.builder(*points)
+
+    sample(dataclasses.replace(family, builder=builder), epsilon, 3, count)
+    assert sizes[0] == count and max(sizes) == count, sizes
+
+
+@pytest.mark.parametrize("name, epsilon, budget", [
+    ("kite", 0.2, 3), ("theorem1", 0.5, 2)])
+def test_rows_keep_the_rejection_budget(name, epsilon, budget):
+    """No row makes more attempts than `max_rejections`, and the batch
+    raises the error of the first row whose single sample finds none."""
+    family = _family(name)
+    errors = []
+    for seed in range(100):
+        try:
+            sample(family, epsilon, seed, max_rejections=budget)
+        except RejectionBudgetExhausted as exc:
+            errors.append(str(exc))
+    assert errors
+    rows = []
+
+    def builder(*points):
+        if type(points[0].x) is np.ndarray:
+            rows.append(np.size(points[0].x))
+        return family.builder(*points)
+
+    counted = dataclasses.replace(family, builder=builder)
+    with pytest.raises(RejectionBudgetExhausted) as caught:
+        sample(counted, epsilon, 0, 100, max_rejections=budget)
+    assert str(caught.value) == errors[0]
+    assert sum(rows) <= 100 * budget
 
 
 def test_single_sample_keeps_float_coordinates():
@@ -314,8 +409,8 @@ def _python_calls(capsys, *args):
 
 @pytest.mark.parametrize("grid, bound", [
     (["--eps-grid", "0.001,0.01,0.1"], 1.1),
-    # more samples meet more rejection rounds at the default epsilon
-    ([], 1.6),
+    # the rejection rounds do not grow with the samples either
+    ([], 1.2),
 ])
 def test_rows_cost_no_python_call_per_sample(capsys, grid, bound):
     """Ten times the samples take about the same number of calls: no

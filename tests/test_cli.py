@@ -488,20 +488,32 @@ OVERFLOWING = ("point A = (-1.5e{e}, 0)\npoint B = (1.5e{e}, 0)\n"
     (["render", "{geo}", "--out", "{svg}"], 307),
     (["run", "{geo}", "--svg", "{svg}"], 308),
     (["run", "{geo}", "--svg", "{svg}"], 307),
-    # at 1e308 the deformed points overflow before a sample is drawn
     (["verify", "{geo}", "--samples", "2", "--svg", "{svg}"], 307),
+    # at 1e308 epsilon times the diameter overflows: nothing is drawn
+    (["verify", "{geo}", "--samples", "2", "--svg", "{svg}"], 308),
+    (["verify", "{geo}", "--samples", "2", "--json", "{json}"], 308),
+    # the figure fails after the report is made, and no report is written
+    (["run", "{geo}", "--json", "{json}", "--svg", "{svg}"], 308),
+    (["verify", "{geo}", "--samples", "2", "--json", "{json}", "--svg",
+      "{svg}"], 307),
 ])
 def test_a_figure_too_large_to_draw_is_usage_error(capsys, tmp_path, command,
                                                    e):
-    """One error line, exit 2 and no SVG, not a document of `inf`s."""
+    """One error line, exit 2 and no file written: not a document of
+    `inf`s, nor a report left behind by a command that failed."""
     geo, svg = tmp_path / "big.geo", tmp_path / "big.svg"
+    report = tmp_path / "big.json"
     geo.write_text(OVERFLOWING.format(e=e), encoding="utf-8")
-    code, _, err = run_cli(capsys, *(a.format(geo=geo, svg=svg)
+    code, _, err = run_cli(capsys, *(a.format(geo=geo, svg=svg, json=report)
                                      for a in command))
     assert code == 2
-    assert err == "error: the figure is too large to draw: its pixel " \
-                  "frame is not finite\n"
-    assert not svg.exists()
+    if command[0] == "verify" and e == 308:
+        assert err == "error: family 'big': the figure is too large to " \
+                      "deform: epsilon=0.5 times its diameter is not finite\n"
+    else:
+        assert err == "error: the figure is too large to draw: its pixel " \
+                      "frame is not finite\n"
+    assert not svg.exists() and not report.exists()
 
 
 def _strict_json(path):

@@ -2,12 +2,16 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from geodeform import deform
 from geodeform.catalog import CLAIMS, FAMILIES
 from geodeform.core import Point, signed_area
 from geodeform.deform import (
     APPROXIMATE_MIN_EXPONENT,
+    GAMMA,
+    MASK64,
     REFUTE_FACTOR,
     DeformationFamily,
     RejectionBudgetExhausted,
@@ -18,6 +22,7 @@ from geodeform.deform import (
     scaling_probe,
     verify,
 )
+from geodeform.deform import _disk_draws, _mix
 
 
 def test_splitmix64_reference_sequence():
@@ -42,6 +47,47 @@ def test_splitmix64_disk_draws_inside():
     for _ in range(500):
         x, y = gen.in_unit_disk()
         assert x * x + y * y <= 1.0
+
+
+# seeds whose streams wrap past 2^64 at once, next to plain ones
+SEEDS_NEAR_WRAP = [0, 987654321, 2**64 - 1, 2**64 - 2, 2**64 - GAMMA, -1]
+
+
+@pytest.mark.parametrize("seed", SEEDS_NEAR_WRAP)
+def test_splitmix64_counter_form_is_the_stepped_stream(seed):
+    """Output k of the stream of `seed` is _mix(seed + k * GAMMA), on a
+    Python int and on a uint64 array alike."""
+    gen = SplitMix64(seed)
+    stepped = [gen.next_u64() for _ in range(64)]
+    assert [_mix((seed + k * GAMMA) & MASK64) for k in range(1, 65)] \
+        == stepped
+    states = np.full(3, seed & MASK64, dtype=np.uint64)
+    counters = np.arange(1, 65, dtype=np.uint64) * np.uint64(GAMMA)
+    assert _mix(states[:, None] + counters).tolist() == [stepped] * 3
+
+
+@pytest.mark.parametrize("need", [1, 2, 12])
+def test_disk_draws_are_in_unit_disk_in_turn(monkeypatch, need):
+    """Row i holds the next `need` in_unit_disk draws of stream i, and its
+    state is the stream's after them.  Among 3000 streams some are still
+    short of pairs inside the disk after the first pass."""
+    passes = []
+
+    def counted_mix(z):
+        if type(z) is np.ndarray:
+            passes.append(len(z))
+        return _mix(z)
+
+    monkeypatch.setattr(deform, "_mix", counted_mix)
+    seeds = [*range(3000), *(s & MASK64 for s in SEEDS_NEAR_WRAP)]
+    x, y, after = _disk_draws(np.array(seeds, dtype=np.uint64), need)
+    assert x.shape == y.shape == (len(seeds), need)
+    assert passes[0] == len(seeds) and passes[-1] < len(seeds)
+    for row, seed in enumerate(seeds):
+        gen = SplitMix64(seed)
+        want = [gen.in_unit_disk() for _ in range(need)]
+        assert list(zip(x[row].tolist(), y[row].tolist())) == want, seed
+        assert int(after[row]) == gen._state, seed
 
 
 def test_sample_epsilon_zero_is_the_base():
