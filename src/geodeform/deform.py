@@ -10,16 +10,17 @@ Randomness comes from an in-repo SplitMix64 generator rather than the
 standard library so that reports are reproducible bit for bit on any
 platform and interpreter version.
 
-A sweep draws, builds and judges the samples of one family and epsilon
-as one batch: every coordinate is a float64 array with one row per
-sample, run through the same constructions and detectors as a single
-sample, and row i is bit for bit the sample of seed + i.  Sample i's
-stream is SplitMix64(seed + i) (Steele, Lea & Flood, OOPSLA 2014), whose
-k-th output is a function of seed + i and k alone, so a batch computes
-all the draws it needs at once.  Rows the builder rejects come back in
-rounds, each giving every open row several successive attempts in one
-builder call; a row keeps its first accepted attempt, as the per-draw
-loop does.
+A sweep draws, builds and judges the samples of one family over its
+whole epsilon grid as one batch: every coordinate is a float64 array
+with one row per sample, run through the same constructions and
+detectors as a single sample, and row k * samples + i is bit for bit the
+sample of (epsilon k, seed + i), each row perturbed by its own radius.
+Sample i's stream is SplitMix64(seed + i) (Steele, Lea & Flood, OOPSLA
+2014), whose k-th output is a function of seed + i and k alone, so a
+batch computes all the draws it needs at once.  Rows the builder rejects
+come back in rounds, each giving every open row several successive
+attempts in one builder call; a row keeps its first accepted attempt, as
+the per-draw loop does.
 """
 
 from __future__ import annotations
@@ -214,18 +215,41 @@ class VerificationReport:
     flags: tuple[str, ...] = ()
 
 
-def sample(family: DeformationFamily, epsilon: float, seed: int,
-           count: int | None = None,
-           max_rejections: int = 1000) -> Configuration:
+def sample(family: DeformationFamily, epsilon: float | Sequence[float],
+           seed: int, count: int | None = None, max_rejections: int = 1000,
+           rows: range | None = None) -> Configuration:
     """One deformed configuration for (epsilon, seed), deterministic.
 
     With `count`, the samples of seeds seed .. seed + count - 1 as one
     configuration of float64 arrays: the points the builder builds on
     rows (for a family program, those its claims and requires read),
-    whose row i is bit for bit `sample(family, epsilon, seed + i)`.  Where
-    a row finds no valid draw within the budget, the single sample of its
-    seed raises the error.
+    whose row i is bit for bit `sample(family, epsilon, seed + i)`.
+    `epsilon` may then be a grid of epsilons, one block of `count` rows
+    each: row k * count + i is `sample(family, epsilon[k], seed + i)`.
+    `rows`, a range of the grid's rows, builds those alone.  Where a row
+    finds no valid draw within the budget, the single sample of its
+    (epsilon, seed) raises the error.
     """
+    if count is not None:
+        grid = ((epsilon,) if isinstance(epsilon, (int, float))
+                else tuple(epsilon))
+        if rows is None:
+            rows = range(len(grid) * count)
+        blocks = range(rows.start // count, (rows.stop - 1) // count + 1)
+        radii = [_radius(family, grid[k]) for k in blocks]
+        return _sample_rows(family, grid, radii, seed, count, rows,
+                            max_rejections)
+    radius = _radius(family, epsilon)
+    if epsilon == 0.0:
+        return family.builder(*family.base_points)
+    return _first_built(family, _draws(family.base_points, radius,
+                                       SplitMix64(seed), max_rejections),
+                        epsilon, seed, max_rejections)
+
+
+def _radius(family: DeformationFamily, epsilon: float) -> float:
+    """The perturbation radius at `epsilon`; ValueError where there is
+    none."""
     if epsilon < 0.0 or not math.isfinite(epsilon):
         raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
     if not family.admits(epsilon):
@@ -237,115 +261,156 @@ def sample(family: DeformationFamily, epsilon: float, seed: int,
         raise ValueError(
             f"family {family.name!r}: the figure is too large to deform: "
             f"epsilon={epsilon} times its diameter is not finite")
-    if count is not None:
-        return _sample_rows(family, epsilon, radius, seed, count,
-                            max_rejections)
-    if epsilon == 0.0:
-        return family.builder(*family.base_points)
-    rng = SplitMix64(seed)
-    last_error: GeometryError | None = None
-    for _ in range(max_rejections):
+    return radius
+
+
+def _draws(base: Sequence[Point], radius: float, rng: SplitMix64,
+           attempts: int):
+    """The next `attempts` perturbations of `base` that `rng` draws."""
+    for _ in range(attempts):
         pts = []
-        for p in family.base_points:
+        for p in base:
             dx, dy = rng.in_unit_disk()
             pts.append(Point(p.x + radius * dx, p.y + radius * dy))
+        yield pts
+
+
+def _first_built(family: DeformationFamily, attempts, epsilon: float,
+                 seed: int, max_rejections: int) -> Configuration:
+    """The first of `attempts`, the point tuples of sample (epsilon,
+    seed), that the builder accepts: the per-draw loop."""
+    last_error: GeometryError | None = None
+    for pts in attempts:
         try:
             return family.builder(*pts)
         except GeometryError as exc:
             last_error = exc
-            continue
     raise RejectionBudgetExhausted(
         f"family {family.name!r}: no valid sample within {max_rejections} "
         f"draws at epsilon={epsilon}, seed={seed} (last: {last_error})")
 
 
-def _sample_rows(family: DeformationFamily, epsilon: float, radius: float,
-                 seed: int, count: int, max_rejections: int) -> Configuration:
-    """`sample` of `count` rows.
+def _sample_rows(family: DeformationFamily, grid: tuple[float, ...],
+                 radii: list[float], seed: int, count: int, rows: range,
+                 max_rejections: int) -> Configuration:
+    """`sample` of rows `rows` of the grid; `radii` are the perturbation
+    radii of the blocks they span.
 
     The first round makes one attempt per row and builds them at once, so
     a batch the builder accepts whole is that one build.  Each later round
     gives every row still without a valid sample its next `tries`
     attempts, twice as many as the round before, as long as one build
-    holds no more than the first round's `count` rows and no row goes
-    over the budget.  It draws them from the rows' streams at once and
-    builds them in one call; a row keeps its first accepted attempt, and a
-    row with none goes on from where its stream stands.  After a round
-    that accepts no row, the first row left runs as a single sample, which
-    finds that row's sample or raises its error: a family whose every draw
-    fails ends as soon as the per-draw loop does.
+    holds no more than the first round's rows and no row goes over the
+    budget.  It draws them from the rows' streams at once and builds them
+    in one call; a row keeps its first accepted attempt, and a row with
+    none goes on from where its stream stands.  A row of epsilon 0 draws
+    nothing and makes one attempt.  After a round that accepts no row, the
+    first row left goes on as a single sample from where its stream
+    stands, with the attempts it has left, which finds that row's sample
+    or raises its error: a family whose every draw fails ends as soon as
+    the per-draw loop does.
     """
     import numpy as np
 
     base = family.base_points
-    if epsilon > 0.0:
-        states = np.uint64(seed & MASK64) + np.arange(count, dtype=np.uint64)
-    todo = np.arange(count)  # the rows without a sample, in order
-    made = tries = 0  # the attempts each row of todo has made, and last made
-    budget = max_rejections if epsilon > 0.0 else 1
+    step = len(base)
+    size = len(rows)
+    block, offset = np.divmod(np.arange(rows.start, rows.stop), count)
+    first = rows.start // count
+    radius = np.array(radii)[block - first]
+    drawn = np.array(grid[first:first + len(radii)])[block - first] > 0.0
+    states = np.uint64(seed & MASK64) + offset.astype(np.uint64)
+    todo = np.arange(size)  # the rows without a sample, in order
+    # the attempts each drawn row of todo has made, and the last round's
+    made = tries = 0
+    budget = np.where(drawn, max_rejections, 1)
+    live = pts = None  # the last round's rows and the points it built
     config = None  # the batch: the first round's, with its rows in columns
     # the x and y of each label of the batch, row by row as it is kept
     columns: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
-    def keep(built: Configuration, size: int, rows, picked) -> None:
-        """Rows `rows` of the batch are rows `picked` of `built`, a
-        configuration of `size` rows."""
+    def keep(built: Configuration, n: int, picked_rows, picked) -> None:
+        """Rows `picked_rows` of the batch are rows `picked` of `built`, a
+        configuration of `n` rows."""
         for label, cols in columns.items():
             p = built.point(label)
             for col, part in zip(cols, (p.x, p.y)):
-                col[rows] = np.broadcast_to(part, (size,))[picked]
+                col[picked_rows] = np.broadcast_to(part, (n,))[picked]
+
+    def perturbed(live: np.ndarray, tries: int) -> list[Point]:
+        """The next `tries` attempts of each row of `live`: row r's
+        attempt j is row r * tries + j."""
+        if not drawn[live].any():
+            return [Point(np.full(live.size, p.x), np.full(live.size, p.y))
+                    for p in base]
+        # attempt j of a row is its pairs j * P .. j * P + P - 1
+        dx, dy, states[live] = _disk_draws(states[live], tries * step)
+        r = radius[live, None]
+        xy = [(p.x + r * dx[:, i::step], p.y + r * dy[:, i::step])
+              for i, p in enumerate(base)]
+        flat = ~drawn[live]
+        if flat.any():  # the epsilon 0 rows of a grid keep the base points
+            for (x, y), p in zip(xy, base):
+                x[flat], y[flat] = p.x, p.y
+        return [Point(x.ravel(), y.ravel()) for x, y in xy]
+
+    def single(r: int) -> Configuration:
+        """Row r's sample, on its own, from where its stream stands."""
+        epsilon, s = grid[block[r]], seed + int(offset[r])
+        if not (drawn[r] and made):
+            return sample(family, epsilon, s, max_rejections=max_rejections)
+        left = max_rejections - made
+        if left:
+            attempts = _draws(base, float(radius[r]),
+                              SplitMix64(int(states[r])), left)
+        else:  # none left: its last attempt again, for the error
+            at = int(np.searchsorted(live, r)) * tries + tries - 1
+            attempts = [[Point(float(p.x[at]), float(p.y[at])) for p in pts]]
+        return _first_built(family, attempts, epsilon, s, max_rejections)
 
     while todo.size:
         hit = None
-        if made < budget:
+        trying = budget[todo] > made  # the rows of todo with attempts left
+        if trying.any():
+            live = todo[trying]
             # one attempt per row, then twice as many each round, as fit
             # in the first round's rows and in the budget
-            tries = (min(2 * tries, count // todo.size, budget - made)
+            tries = (min(2 * tries, size // live.size, max_rejections - made)
                      if made else 1)
             made += tries
-            size = todo.size * tries
-            if epsilon > 0.0:
-                # attempt j of a row is its pairs j * P .. j * P + P - 1;
-                # row r's attempt j is row r * tries + j of the build
-                step = len(base)
-                dx, dy, states[todo] = _disk_draws(states[todo], tries * step)
-                pts = [Point(p.x + radius * dx[:, i::step].ravel(),
-                             p.y + radius * dy[:, i::step].ravel())
-                       for i, p in enumerate(base)]
-            else:
-                pts = [Point(np.full(count, p.x), np.full(count, p.y))
-                       for p in base]
+            n = live.size * tries
+            pts = perturbed(live, tries)
             try:
                 with failures() as rejected:
                     built = family.builder(*pts)
             except GeometryError:
                 pass  # a failure of every row, whatever its draw
             else:
-                ok = ~np.broadcast_to(rejected.rows, (size,)).reshape(
-                    todo.size, tries)
+                ok = ~np.broadcast_to(rejected.rows, (n,)).reshape(
+                    live.size, tries)
                 if config is None:
                     # the first round: after one that raises, the single
                     # sample below raises or the RuntimeError does
                     if ok.all():
                         return built
-                    columns = {label: (np.zeros(count), np.zeros(count))
+                    columns = {label: (np.zeros(size), np.zeros(size))
                                for label in built.objects}
                     config = replace(built, objects={
                         label: Point(*cols) for label, cols in columns.items()})
-                hit = ok.any(axis=1)
-                rows = hit.nonzero()[0]
-                keep(built, size, todo[rows],
-                     rows * tries + ok[rows].argmax(axis=1))
+                picked = ok.any(axis=1).nonzero()[0]
+                keep(built, n, live[picked],
+                     picked * tries + ok[picked].argmax(axis=1))
                 built = None  # free this round's rows before the next
+                hit = np.zeros(todo.size, bool)
+                hit[trying.nonzero()[0][picked]] = True
         if hit is not None and hit.any():
             todo = todo[~hit]
             continue
-        single = sample(family, epsilon, seed + int(todo[0]),
-                        max_rejections=max_rejections)
+        found = single(int(todo[0]))
         if config is None:
             raise RuntimeError(f"family {family.name!r}: the builder fails "
                                f"on every row that a single sample builds")
-        keep(single, 1, todo[:1], 0)
+        keep(found, 1, todo[:1], 0)
         todo = todo[1:]
     return config
 
@@ -361,13 +426,16 @@ def _verdict_for(max_residual: float, rel_tol: float) -> str:
 def _sweep(family: DeformationFamily, claims: Sequence[RelationClaim],
            epsilons: Sequence[float], samples: int, seed: int,
            rel_tol: float) -> tuple[VerificationReport, ...]:
-    """Run the claims over `samples` deformations at each epsilon in turn.
+    """Run the claims over `samples` deformations at each epsilon.
 
-    Sample i of every block uses seed + i, so any subset of samples can be
-    reproduced independently of evaluation order.  Each deformation is
-    drawn and built once and every claim is judged on it, so the claims of
-    one family see the same figures.  A verdict compares the claim's
-    largest residual with `rel_tol` alone.
+    Sample i of every epsilon block uses seed + i, so any subset of
+    samples can be reproduced independently of evaluation order.  The
+    blocks run as one grid of rows, block after block, drawn, built and
+    judged in batches of at most BATCH_ROWS rows that may span blocks;
+    each claim's residuals are split back into blocks for the medians.
+    Each deformation is drawn and built once and every claim is judged on
+    it, so the claims of one family see the same figures.  A verdict
+    compares the claim's largest residual with `rel_tol` alone.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -375,34 +443,34 @@ def _sweep(family: DeformationFamily, claims: Sequence[RelationClaim],
     # a pure function of the deformation: defects shrink with epsilon
     # instead of being re-measured against an epsilon-dependent yardstick.
     base_scale = family.base_diameter()
-    # per claim: the residuals of each epsilon block, and the flags raised
-    blocks: list[list[list[float]]] = [[] for _ in claims]
+    total = len(epsilons) * samples
+    # per claim: its residuals over the grid, row by row, and the flags
+    # they raised
+    grids: list[list[float]] = [[] for _ in claims]
     flags: list[set[str]] = [set() for _ in claims]
-    for epsilon in epsilons:
-        for per_claim in blocks:
-            per_claim.append([])
-        for start in range(0, samples, BATCH_ROWS):
-            judged = _judge_rows(family, claims, epsilon, seed + start,
-                                 min(BATCH_ROWS, samples - start), base_scale)
-            for (residuals, raised), per_claim, seen in zip(judged, blocks,
-                                                            flags):
-                per_claim[-1].extend(residuals)
-                seen.update(raised)
+    for start in range(0, total, BATCH_ROWS):
+        judged = _judge_rows(family, claims, epsilons, samples, seed,
+                             range(start, min(start + BATCH_ROWS, total)),
+                             base_scale)
+        for (residuals, raised), grid, seen in zip(judged, grids, flags):
+            grid.extend(residuals)
+            seen.update(raised)
     reports = []
-    for claim, per_claim, seen in zip(claims, blocks, flags):
-        residuals = [r for block in per_claim for r in block]
+    for claim, residuals, seen in zip(claims, grids, flags):
         max_res = max(residuals)
         reports.append(VerificationReport(
             claim=claim.description or claim.kind,
             kind=claim.kind,
             family=family.name,
-            samples=samples * len(epsilons),
+            samples=total,
             seed=seed,
             epsilons=tuple(epsilons),
             max_residual=max_res,
             mean_residual=math.fsum(residuals) / len(residuals),
             verdict=_verdict_for(max_res, rel_tol),
-            median_residuals=tuple(_median(block) for block in per_claim),
+            median_residuals=tuple(
+                _median(residuals[start:start + samples])
+                for start in range(0, total, samples)),
             rel_tol=rel_tol,
             refute_tol=REFUTE_FACTOR * rel_tol,
             flags=tuple(sorted(seen)),
@@ -411,53 +479,50 @@ def _sweep(family: DeformationFamily, claims: Sequence[RelationClaim],
 
 
 def _judge_rows(family: DeformationFamily, claims: Sequence[RelationClaim],
-                epsilon: float, seed: int, count: int, scale: float,
+                epsilons: Sequence[float], samples: int, seed: int,
+                rows: range, scale: float,
                 ) -> list[tuple[list[float], tuple[str, ...]]]:
-    """Each claim's residuals on the samples of seeds seed .. seed +
-    count - 1, drawn, built and judged as one batch, with the flags they
-    raised.
+    """Each claim's residuals on rows `rows` of the grid, row k * samples
+    + i the sample of (epsilons[k], seed + i), drawn, built and judged as
+    one batch, with the flags they raised.
 
-    Where a sample finds no valid draw, or a claim cannot be judged on it,
-    the samples run one at a time as the per-draw loop does, so the error
-    raised is the one that loop meets first.
+    Where a sample has no valid draw or epsilon, or a claim cannot be
+    judged on it, the samples run one at a time as the per-draw loop does,
+    epsilon by epsilon, so the error raised is the one that loop meets
+    first.
     """
     import numpy as np
 
+    def one_at_a_time(picked) -> None:
+        """The per-draw loop over rows `picked`, for the error it raises
+        first."""
+        for g in picked:
+            config = sample(family, epsilons[g // samples], seed + g % samples)
+            for claim in claims:
+                claim.evaluate(config, scale=scale)
+
     with np.errstate(all="ignore"):
         try:
-            config = sample(family, epsilon, seed, count)
-        except RejectionBudgetExhausted:
-            _one_at_a_time(family, claims, epsilon, range(seed, seed + count),
-                           scale)
+            config = sample(family, epsilons, seed, samples, rows=rows)
+        except (RejectionBudgetExhausted, ValueError):
+            one_at_a_time(rows)
             raise
         judged = []
-        suspect = np.zeros(count, bool)
+        suspect = np.zeros(len(rows), bool)
         for claim in claims:
             try:
                 with failures() as failed:
                     verdict = claim.evaluate(config, scale=scale)
             except (GeometryError, ArithmeticError):
-                _one_at_a_time(family, claims, epsilon,
-                               range(seed, seed + count), scale)
+                one_at_a_time(rows)
                 raise
-            residual = np.broadcast_to(verdict.residual, (count,))
+            residual = np.broadcast_to(verdict.residual, (len(rows),))
             suspect |= failed.rows | ~np.isfinite(residual)
             judged.append((residual.tolist(), verdict.flags))
     # a row that failed, or whose residual is not finite, raises here if
     # the per-draw loop raises on it
-    _one_at_a_time(family, claims, epsilon,
-                   (seed + r for r in np.flatnonzero(suspect).tolist()), scale)
+    one_at_a_time(rows[r] for r in np.flatnonzero(suspect).tolist())
     return judged
-
-
-def _one_at_a_time(family: DeformationFamily,
-                   claims: Sequence[RelationClaim], epsilon: float,
-                   seeds, scale: float) -> None:
-    """The per-draw loop over `seeds`, for the error it raises first."""
-    for s in seeds:
-        config = sample(family, epsilon, s)
-        for claim in claims:
-            claim.evaluate(config, scale=scale)
 
 
 def verify(family: DeformationFamily, claims: Sequence[RelationClaim],

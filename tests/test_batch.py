@@ -1,14 +1,16 @@
 """The batched sweep against the per-draw loop it replaces.
 
-A sweep draws, builds and judges all samples of one family and epsilon
-as float64 rows.  Row i must be bit for bit the single sample of seed +
-i: every built point and every claim's residual, and every report and
-error message that follows from them.
+A sweep draws, builds and judges all samples of one family's epsilon
+grid as float64 rows.  Row k * samples + i must be bit for bit the
+single sample of (epsilon k, seed + i): every built point and every
+claim's residual, and every report and error message that follows from
+them.
 """
 
 import cProfile
 import dataclasses
 import pstats
+import re
 from importlib.resources import files
 
 import numpy as np
@@ -17,7 +19,7 @@ import pytest
 from geodeform import deform
 from geodeform.catalog import CLAIMS, FAMILIES, program_claims
 from geodeform.cli import main
-from geodeform.core import GeometryError, Point, failures, guard
+from geodeform.core import GeometryError, Point, failures
 from geodeform.deform import RejectionBudgetExhausted, sample, \
     scaling_probe, verify
 from geodeform.script import Construct, Define, Require, parse
@@ -102,11 +104,12 @@ def _bits(value):
     return float(value).hex()
 
 
-def _per_draw_judge(family, claims, epsilon, seed, count, scale):
-    """The loop the batch replaces: one sample at a time."""
+def _per_draw_judge(family, claims, epsilons, samples, seed, rows, scale):
+    """The loop the batch replaces: one sample at a time, epsilon by
+    epsilon."""
     judged = [([], {}) for _ in claims]
-    for s in range(seed, seed + count):
-        config = sample(family, epsilon, s)
+    for g in rows:
+        config = sample(family, epsilons[g // samples], seed + g % samples)
         for claim, (residuals, flags) in zip(claims, judged):
             verdict = claim.evaluate(config, scale=scale)
             residuals.append(verdict.residual)
@@ -275,33 +278,41 @@ def _family(name):
     return FAMILIES[name]
 
 
-def _assert_rows_are_single_samples(batch, family, epsilon, seed, count):
-    for row in range(count):
-        single = sample(family, epsilon, seed + row)
-        for label in single.points():
-            assert (batch.point(label).x[row], batch.point(label).y[row]) \
-                == (single.point(label).x, single.point(label).y), (row, label)
+def _assert_rows_are_single_samples(batch, family, grid, seed, count,
+                                    rows=None):
+    """Row g of the grid in `batch`, which holds rows `rows` (all by
+    default), holds bit for bit every point of sample(family,
+    grid[g // count], seed + g % count)."""
+    rows = rows if rows is not None else range(len(grid) * count)
+    for r, g in enumerate(rows):
+        single = sample(family, grid[g // count], seed + g % count)
+        for label, p in batch.objects.items():
+            got = [np.broadcast_to(c, (len(rows),))[r] for c in (p.x, p.y)]
+            want = single.point(label)
+            assert list(map(_bits, got)) == [_bits(want.x), _bits(want.y)], \
+                (label, g)
 
 
 def test_rows_no_round_accepts_finish_as_single_samples():
     """A round that accepts no row hands its first row to the single
-    sample path.  A builder that rejects every row on arrays forces that
-    after every round, so each row ends as its single sample."""
+    sample path, which goes on from where the row's stream stands: the
+    kite at epsilon 0.1 rejects so many draws that rounds accept nothing,
+    each row still ends as its single sample, and no attempt is built
+    twice."""
     family = _family("kite")
-    calls = []
+    built = {float: [], np.ndarray: []}
 
     def builder(*points):
-        calls.append(type(points[0].x))
-        built = family.builder(*points)
-        if type(points[0].x) is np.ndarray:
-            guard(np.ones(np.size(points[0].x), bool), GeometryError,
-                  "every row")
-        return built
+        xs = [np.atleast_1d(p.x) for p in points]
+        built[type(points[0].x)] += zip(*(x.tolist() for x in xs))
+        return family.builder(*points)
 
     counted = dataclasses.replace(family, builder=builder)
-    batch = sample(counted, 0.3, 0, 40)
-    assert float in calls and np.ndarray in calls
-    _assert_rows_are_single_samples(batch, family, 0.3, 0, 40)
+    batch = sample(counted, 0.1, 0, 31)
+    assert built[float] and built[np.ndarray]
+    assert not set(built[float]) & set(built[np.ndarray])
+    assert len(set(built[float])) == len(built[float])
+    _assert_rows_are_single_samples(batch, family, (0.1,), 0, 31)
 
 
 @pytest.mark.parametrize("epsilon", [0.2, 0.3, 1.0])
@@ -311,7 +322,140 @@ def test_kite_rows_are_the_single_samples(seed, epsilon):
     rows wrap past 2^64."""
     family = _family("kite")
     _assert_rows_are_single_samples(sample(family, epsilon, seed, 40),
-                                    family, epsilon, seed, 40)
+                                    family, (epsilon,), seed, 40)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 5])
+@pytest.mark.parametrize("name", [*FAMILY_CLAIMS, "kite"])
+def test_grid_rows_are_the_single_samples(name, seed):
+    """A grid is one batch whose row k * count + i is the sample of
+    (grid[k], seed + i), for every shipped family and two user programs;
+    the second seed's rows wrap past 2^64.  The kite's top epsilon rejects
+    most draws, over many rounds that mix the rows' radii."""
+    family = (_family("kite") if name == "kite"
+              else FAMILY_CLAIMS[name][0])
+    grid = (0.2, 0.3, 1.0) if name == "kite" else (0.001, 0.01, 0.1)
+    for rows in (None, range(13, 47)):  # all, and from inside a block
+        with np.errstate(all="ignore"):
+            batch = sample(family, grid, seed, 20, rows=rows)
+        _assert_rows_are_single_samples(batch, family, grid, seed, 20, rows)
+
+
+# a base point at (-0, -0): a perturbation by radius 0 would make it +0
+SIGNED_ZERO_PROGRAM = """\
+point A = (0, 0)
+point B = (1, 0)
+point C = (0, 1)
+deform A B C about (-0.0, -0.0) (1, 0) (0, 1)
+point M = midpoint(A, B)
+assert collinear(A, M, B) as mid "the midpoint of AB is on AB"
+"""
+
+
+@pytest.mark.parametrize("name", ["theorem1", "signed_zero"])
+def test_grid_epsilon_zero_rows_keep_the_base_points(name):
+    """Rows of epsilon 0 in a grid draw nothing and make one attempt, as
+    the single sample at epsilon 0 does, down to the sign of a zero."""
+    family = (_user_claims(SIGNED_ZERO_PROGRAM, name)[0]
+              if name == "signed_zero" else FAMILIES[name])
+    _assert_rows_are_single_samples(sample(family, (0.0, 0.5), 7, 30),
+                                    family, (0.0, 0.5), 7, 30)
+
+
+def test_an_exhausted_row_names_its_last_attempt():
+    """A row out of attempts raises the error of its last attempt, as its
+    single sample does; here each error names the draw that made it.
+    The last round gives each open row two attempts."""
+    family = FAMILIES["theorem1"]
+
+    def builder(*points):
+        try:
+            return family.builder(*points)
+        except GeometryError as exc:
+            raise GeometryError(f"{exc} at x={points[0].x!r}") from None
+
+    named = dataclasses.replace(family, builder=builder)
+    with pytest.raises(RejectionBudgetExhausted) as caught:
+        sample(named, 0.5, 0, 100, max_rejections=3)
+    for seed in range(100):
+        try:
+            sample(named, 0.5, seed, max_rejections=3)
+        except RejectionBudgetExhausted as exc:
+            assert str(caught.value) == str(exc)
+            break
+
+
+def test_grid_batches_split_across_blocks(monkeypatch):
+    """Batches of 7 rows straddle the 20-row epsilon blocks, and every
+    family's scaling reports stay the same."""
+    grid = (0.001, 0.01, 0.1)
+    whole = {name: scaling_probe(family, claims, grid, 20, 5)
+             for name, (family, claims) in FAMILY_CLAIMS.items()}
+    monkeypatch.setattr(deform, "BATCH_ROWS", 7)
+    assert whole == {name: scaling_probe(family, claims, grid, 20, 5)
+                     for name, (family, claims) in FAMILY_CLAIMS.items()}
+
+
+def _block_by_block(judge):
+    """`_judge_rows` that judges each epsilon block of its rows apart."""
+    def judge_blocks(family, claims, epsilons, samples, seed, rows, scale):
+        judged = [([], set()) for _ in claims]
+        bounds = [rows.start, *range((rows.start // samples + 1) * samples,
+                                     rows.stop, samples), rows.stop]
+        for start, stop in zip(bounds, bounds[1:]):
+            part = judge(family, claims, epsilons, samples, seed,
+                         range(start, stop), scale)
+            for (residuals, flags), (more, raised) in zip(judged, part):
+                residuals += more
+                flags.update(raised)
+        return [(residuals, tuple(flags)) for residuals, flags in judged]
+    return judge_blocks
+
+
+def _verify_json(capsys, tmp_path, *argv):
+    """Exit code, stdout and the `--json` report of `verify`, its
+    wall_time_s values scrubbed."""
+    path = tmp_path / "report.json"
+    code = main(["verify", *argv, "--json", str(path)])
+    text = re.sub(r'"wall_time_s": [^,}]*', '"wall_time_s": 0',
+                  path.read_text(encoding="utf-8"))
+    return code, capsys.readouterr().out, text
+
+
+def test_grid_report_equals_block_by_block(monkeypatch, capsys, tmp_path):
+    """A grid of 9000 rows runs as batches that span epsilon blocks; its
+    report is byte for byte the one judged block by block."""
+    argv = ("all", "--eps-grid", "0.001,0.01,0.1", "--samples", "3000")
+    spanning = _verify_json(capsys, tmp_path, *argv)
+    monkeypatch.setattr(deform, "_judge_rows",
+                        _block_by_block(deform._judge_rows))
+    assert spanning == _verify_json(capsys, tmp_path, *argv)
+    assert spanning[0] == 0
+
+
+@pytest.mark.parametrize("program, claim, grid", [
+    # the first block cannot be judged, the last is not finite to deform
+    (None, "theorem1_perp", "1e-300,1e-200,1.5e308"),
+    (None, "theorem1_perp", "1e-300,1e-200,1e308"),
+    (None, "theorem1_perp", "1e-3,1e-2,1.5e308"),
+    # the first block exhausts the rejection budget
+    (DART_PROGRAM, None, "1e-3,1e-2,1e308"),
+])
+def test_grid_errors_keep_the_per_draw_order(monkeypatch, capsys, tmp_path,
+                                             program, claim, grid):
+    """The error a grid raises is the one the per-draw loop meets first,
+    epsilon by epsilon and then seed by seed: one `error:` line, exit 2."""
+    if program is not None:
+        claim = str(tmp_path / "prog.geo")
+        (tmp_path / "prog.geo").write_text(program, encoding="utf-8")
+    argv = ["verify", claim, "--eps-grid", grid, "--samples", "4",
+            "--seed", "3"]
+    code = main(argv)
+    got = capsys.readouterr()
+    monkeypatch.setattr(deform, "_judge_rows", _per_draw_judge)
+    assert (code, got) == (main(argv), capsys.readouterr())
+    assert code == 2 and not got.out
+    assert got.err.startswith("error: ") and got.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("count", [1, 7, 300])
@@ -412,9 +556,13 @@ def _python_calls(capsys, *args):
     # the rejection rounds do not grow with the samples either
     ([], 1.2),
 ])
-def test_rows_cost_no_python_call_per_sample(capsys, grid, bound):
+def test_rows_cost_no_python_call_per_sample(monkeypatch, capsys, grid,
+                                             bound):
     """Ten times the samples take about the same number of calls: no
-    construction or detector loops over the rows in Python."""
+    construction or detector loops over the rows in Python.  A grid is one
+    batch at both sizes here: each batch of BATCH_ROWS rows costs its own
+    calls, whatever its rows."""
+    monkeypatch.setattr(deform, "BATCH_ROWS", 3 * 2000)
     _python_calls(capsys, "--samples", "20", *grid)  # load what runs once
     few = _python_calls(capsys, "--samples", "200", *grid)
     many = _python_calls(capsys, "--samples", "2000", *grid)
