@@ -235,10 +235,7 @@ def sample(family: DeformationFamily, epsilon: float | Sequence[float],
                 else tuple(epsilon))
         if rows is None:
             rows = range(len(grid) * count)
-        blocks = range(rows.start // count, (rows.stop - 1) // count + 1)
-        radii = [_radius(family, grid[k]) for k in blocks]
-        return _sample_rows(family, grid, radii, seed, count, rows,
-                            max_rejections)
+        return _sample_rows(family, grid, seed, count, rows, max_rejections)
     radius = _radius(family, epsilon)
     if epsilon == 0.0:
         return family.builder(*family.base_points)
@@ -291,10 +288,9 @@ def _first_built(family: DeformationFamily, attempts, epsilon: float,
 
 
 def _sample_rows(family: DeformationFamily, grid: tuple[float, ...],
-                 radii: list[float], seed: int, count: int, rows: range,
+                 seed: int, count: int, rows: range,
                  max_rejections: int) -> Configuration:
-    """`sample` of rows `rows` of the grid; `radii` are the perturbation
-    radii of the blocks they span.
+    """`sample` of rows `rows` of the grid.
 
     The first round makes one attempt per row and builds them at once, so
     a batch the builder accepts whole is that one build.  Each later round
@@ -317,8 +313,9 @@ def _sample_rows(family: DeformationFamily, grid: tuple[float, ...],
     size = len(rows)
     block, offset = np.divmod(np.arange(rows.start, rows.stop), count)
     first = rows.start // count
-    radius = np.array(radii)[block - first]
-    drawn = np.array(grid[first:first + len(radii)])[block - first] > 0.0
+    spanned = grid[first:(rows.stop - 1) // count + 1]  # their epsilons
+    radius = np.array([_radius(family, e) for e in spanned])[block - first]
+    drawn = np.array(spanned)[block - first] > 0.0
     states = np.uint64(seed & MASK64) + offset.astype(np.uint64)
     todo = np.arange(size)  # the rows without a sample, in order
     # the attempts each drawn row of todo has made, and the last round's
@@ -487,9 +484,9 @@ def _judge_rows(family: DeformationFamily, claims: Sequence[RelationClaim],
     one batch, with the flags they raised.
 
     Where a sample has no valid draw or epsilon, or a claim cannot be
-    judged on it, the samples run one at a time as the per-draw loop does,
-    epsilon by epsilon, so the error raised is the one that loop meets
-    first.
+    judged on it, the rows run again as the per-draw loop does, epsilon
+    by epsilon and then one at a time, so the error raised is the one
+    that loop meets first.
     """
     import numpy as np
 
@@ -505,6 +502,13 @@ def _judge_rows(family: DeformationFamily, claims: Sequence[RelationClaim],
         try:
             config = sample(family, epsilons, seed, samples, rows=rows)
         except (RejectionBudgetExhausted, ValueError):
+            # rows of several epsilons: judge the first epsilon's as its
+            # own batch, which raises its error if it has one, then the rest
+            cut = (rows.start // samples + 1) * samples
+            if cut < rows.stop:
+                for part in (range(rows.start, cut), range(cut, rows.stop)):
+                    _judge_rows(family, claims, epsilons, samples, seed, part,
+                                scale)
             one_at_a_time(rows)
             raise
         judged = []
