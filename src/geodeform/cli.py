@@ -23,6 +23,7 @@ unwritable output, no valid deformation within the rejection budget).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -250,6 +251,9 @@ def _read_program(path: str | Traversable, hint: str | None = None):
         if hint:
             print(hint, file=sys.stderr)
         return None
+    except UnicodeDecodeError:
+        print(f"error: {path}: the file is not UTF-8 text", file=sys.stderr)
+        return None
     try:
         return parse(source)
     except ParseError as exc:
@@ -361,7 +365,10 @@ def cmd_render(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing keeps no state in
+    it, so every `main` of a process shares it."""
     parser = argparse.ArgumentParser(
         prog="geodeform",
         description="Verify geometric coincidences under random deformation.")

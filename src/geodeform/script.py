@@ -48,7 +48,6 @@ import math
 import operator
 import re
 import string
-from dataclasses import dataclass, field
 from functools import reduce
 from typing import Callable, NamedTuple, Sequence, Union
 
@@ -243,39 +242,36 @@ def _arity_phrase(kind: str) -> str:
 # ---------------------------------------------------------------------------
 # syntax tree
 
-@dataclass(frozen=True)
-class NumberLit:
+# NamedTuples, as the lexer's tokens are: they carry no source position,
+# so two programs that differ only in layout are equal
+
+class NumberLit(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class ParamRef:
+class ParamRef(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class UnaryNeg:
-    operand: "Scalar"
+class UnaryNeg(NamedTuple):
+    operand: Scalar
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str
-    left: "Scalar"
-    right: "Scalar"
+    left: Scalar
+    right: Scalar
 
 
 Scalar = Union[NumberLit, ParamRef, UnaryNeg, BinOp]
 
 
-@dataclass(frozen=True)
-class CoordPair:
+class CoordPair(NamedTuple):
     x: Scalar
     y: Scalar
 
 
-@dataclass(frozen=True)
-class Construct:
+class Construct(NamedTuple):
     func: str
     points: tuple[str, ...]
     angle: Scalar | None = None
@@ -284,56 +280,43 @@ class Construct:
 PointExpr = Union[CoordPair, Construct]
 
 
-@dataclass(frozen=True)
-class Define:
+class Define(NamedTuple):
     label: str
     expr: PointExpr
-    span: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
-@dataclass(frozen=True)
-class ParamDecl:
+class ParamDecl(NamedTuple):
     name: str
     default: float
-    span: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
-@dataclass(frozen=True)
-class AssertStmt:
+class AssertStmt(NamedTuple):
     kind: str
     labels: tuple[str, ...]
-    span: tuple[int, int] = field(default=(0, 0), compare=False)
     name: str | None = None  # a named assert is a claim of the family
     description: str = ""
 
 
-@dataclass(frozen=True)
-class Require:
+class Require(NamedTuple):
     kind: str
     labels: tuple[str, ...]
-    span: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
-@dataclass(frozen=True)
-class Draw:
+class Draw(NamedTuple):
     shape: str
     labels: tuple[str, ...]
-    span: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
-@dataclass(frozen=True)
-class Deform:
+class Deform(NamedTuple):
     labels: tuple[str, ...]
     base: tuple[CoordPair, ...]
     floor: Scalar | None = None
-    span: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
 Statement = Union[Define, ParamDecl, AssertStmt, Require, Draw, Deform]
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(NamedTuple):
     statements: tuple[Statement, ...]
 
     def params(self) -> dict[str, float]:
@@ -489,15 +472,14 @@ class _Parser:
                              f"expected a statement, found {tok.text!r}",
                              expected=STATEMENTS)
         self.advance()
-        span = (tok.line, tok.col)
         if tok.text == "point":
-            return self.point_stmt(span)
+            return self.point_stmt()
         if tok.text == "param":
-            return self.param_stmt(span)
+            return self.param_stmt()
         if tok.text == "assert":
-            return self.assert_stmt(span)
+            return self.assert_stmt()
         if tok.text == "require":
-            return self.require_stmt(span)
+            return self.require_stmt()
         if tok.text == "deform":
             return self.deform_stmt(tok)
         return self.draw_stmt(tok)
@@ -509,16 +491,16 @@ class _Parser:
                              expected=("a fresh name",))
         return tok.text
 
-    def point_stmt(self, span: tuple[int, int]) -> Define:
+    def point_stmt(self) -> Define:
         label = self._fresh(self.expect_ident("a point label"))
         self.expect("=")
         expr = self.point_expr()
         self.point_labels.add(label)
         if isinstance(expr, CoordPair):
             self.coordinate_labels.add(label)
-        return Define(label, expr, span)
+        return Define(label, expr)
 
-    def param_stmt(self, span: tuple[int, int]) -> ParamDecl:
+    def param_stmt(self) -> ParamDecl:
         name = self._fresh(self.expect_ident("a param name"))
         self.expect("=")
         negate = False
@@ -530,7 +512,7 @@ class _Parser:
                              "expected a number", expected=("a number",))
         value = float(self.advance().text)
         self.param_names.add(name)
-        return ParamDecl(name, -value if negate else value, span)
+        return ParamDecl(name, -value if negate else value)
 
     def label_list(self) -> list[_Token]:
         """`(A, B, ...)` as unresolved tokens: a wrong argument count is a
@@ -543,7 +525,7 @@ class _Parser:
         self.expect(")", ",")
         return arg_toks
 
-    def assert_stmt(self, span: tuple[int, int]) -> AssertStmt:
+    def assert_stmt(self) -> AssertStmt:
         tok = self.expect_ident("a relation name")
         if tok.text not in RELATIONS:
             raise ParseError(tok.line, tok.col,
@@ -558,7 +540,7 @@ class _Parser:
                              expected=(_arity_phrase(tok.text),))
         labels = [self.resolve_point(t) for t in arg_toks]
         if not (self.cur.kind == "ident" and self.cur.text == "as"):
-            return AssertStmt(tok.text, tuple(labels), span)
+            return AssertStmt(tok.text, tuple(labels))
         self.advance()
         name = self.expect_ident("a claim name")
         if name.text in self.claim_names:
@@ -570,10 +552,10 @@ class _Parser:
                              "expected a quoted description",
                              expected=("a quoted description",))
         self.claim_names.add(name.text)
-        return AssertStmt(tok.text, tuple(labels), span, name.text,
+        return AssertStmt(tok.text, tuple(labels), name.text,
                           self.advance().text)
 
-    def require_stmt(self, span: tuple[int, int]) -> Require:
+    def require_stmt(self) -> Require:
         tok = self.expect_ident("a requirement name")
         if tok.text not in REQUIREMENTS:
             raise ParseError(tok.line, tok.col,
@@ -582,7 +564,7 @@ class _Parser:
         arg_toks = self.label_list()
         self.expect_count(tok, len(arg_toks), REQUIREMENTS[tok.text][0])
         labels = [self.resolve_point(t) for t in arg_toks]
-        return Require(tok.text, tuple(labels), span)
+        return Require(tok.text, tuple(labels))
 
     def draw_stmt(self, keyword: _Token) -> Draw:
         arg_toks = [self.expect_ident("a point label")]
@@ -590,7 +572,7 @@ class _Parser:
             arg_toks.append(self.advance())
         self.expect_count(keyword, len(arg_toks), DRAWABLES[keyword.text])
         labels = [self.resolve_point(t) for t in arg_toks]
-        return Draw(keyword.text, tuple(labels), (keyword.line, keyword.col))
+        return Draw(keyword.text, tuple(labels))
 
     def deform_stmt(self, keyword: _Token) -> Deform:
         if self.deformed:
@@ -626,8 +608,7 @@ class _Parser:
                                  expected=("a coordinate point",))
             labels.append(label)
         self.deformed = True
-        return Deform(tuple(labels), tuple(base), floor,
-                      (keyword.line, keyword.col))
+        return Deform(tuple(labels), tuple(base), floor)
 
     def expect_count(self, tok: _Token, got: int, wants: int) -> None:
         if got != wants:

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output shape, JSON reports."""
 
+import argparse
 import dataclasses
 import json
 import os
@@ -12,8 +13,10 @@ from importlib import metadata
 import numpy as np
 import pytest
 
+from geodeform import cli
 from geodeform.catalog import CLAIMS, claim_names
 from geodeform.cli import main
+from geodeform.script import parse
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -422,6 +425,59 @@ def test_run_rejects_non_ascii_identifiers(capsys, tmp_path, label, col):
     code, out, err = run_cli(capsys, "run", str(bad))
     assert code == 2 and not out
     assert err == f"{bad}:1:{col}: unexpected character {label[-1]!r}\n"
+
+
+@pytest.mark.parametrize("command", [["run"], ["verify"], ["render"]])
+def test_a_program_that_is_not_utf8_is_usage_error(capsys, tmp_path,
+                                                     command):
+    bad = tmp_path / "latin1.geo"
+    bad.write_bytes(b"point A = (0, 0)\n# caf\xe9\n")
+    svg = tmp_path / "out.svg"
+    extra = ["--out", str(svg)] if command == ["render"] else []
+    code, out, err = run_cli(capsys, *command, str(bad), *extra)
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad}: the file is not UTF-8 text\n"
+    assert not svg.exists()
+
+
+def test_one_parser_serves_every_call_of_a_process(capsys, monkeypatch,
+                                                   tmp_path):
+    """The parser is built once per process, and no call leaves anything
+    in it for the next: not an appended --param, not an invocation that
+    argparse rejects, not another subcommand."""
+    built = []
+    construct = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        construct(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._build_parser.cache_clear()
+    path = SCRIPTS / "bisector.geo"
+    report = tmp_path / "run.json"
+
+    def run(*argv):
+        code, out, err = run_cli(capsys, "run", str(path), *argv,
+                                 "--json", str(report))
+        assert (code, err) == (0, ""), argv
+        document = json.loads(report.read_text())
+        del document["wall_time_s"]
+        return out, document
+
+    first = run()
+    assert first[1]["params"] == parse(path.read_text()).params()
+    assert run("--param", "ax=0.05")[1]["params"]["ax"] == 0.05
+    assert run() == first
+    with pytest.raises(SystemExit) as info:
+        main(["run", str(path), "--tol", "0"])
+    assert info.value.code == 2
+    capsys.readouterr()
+    assert run() == first
+    assert run_cli(capsys, "verify", "theorem1_perp", "--samples", "5")[0] == 0
+    assert run() == first
+    # the top-level parser and one per subcommand, each built once
+    assert len(built) == len(set(built)) == 5 and "geodeform" in built
 
 
 def test_run_missing_file(capsys, tmp_path):

@@ -1,6 +1,5 @@
 """Parser positions, evaluator semantics, and the shipped scripts."""
 
-import dataclasses
 import math
 import pathlib
 
@@ -38,6 +37,50 @@ def parse_error(src):
 def test_three_statement_program():
     prog = parse("point A = (0,0)\npoint B = (1,0)\npoint M = midpoint(A,B)")
     assert len(prog.statements) == 3
+
+
+LAID_OUT = """\
+param s = 2
+point A = (0, -s * 1.5)
+point B = (s, 0)
+point C = (0, 1)
+point D = (1, 1)
+deform A B C D about (0, 0) (1, 0) (0, 1) (1, 1) floor 1e-6
+point M = midpoint(A, B)
+point R = rotate(A, B, 30)
+require convex(A, B, D, C)
+segment A B
+circle A B C
+assert collinear(A, M, B)
+assert concyclic(A, B, C, D) as square "four corners"
+"""
+
+RELAID = """\
+# the same program, laid out otherwise
+
+param s=2
+point A = ( 0,-s*1.5 )   # a comment
+\tpoint B=(s ,0)
+point C = (0 , 1)
+
+point D = (1,1)
+deform A   B C D about (0,0)(1,0) (0,1)(1,1)   floor 1e-6
+point M = midpoint( A,B )
+point R = rotate(A , B , 30)
+require convex(A,B,D,C)
+segment  A  B
+circle A B C   # drawn
+assert collinear(A,M,B)
+
+assert concyclic(A, B, C, D)as square "four corners"
+"""
+
+
+def test_programs_that_differ_only_in_layout_parse_equal():
+    """The syntax tree holds no source position: blank lines, comments
+    and spacing leave the parsed program unchanged."""
+    assert parse(RELAID) == parse(LAID_OUT)
+    assert parse(RELAID) != parse(LAID_OUT.replace("30", "31"))
 
 
 def test_missing_comma_position():
@@ -404,7 +447,7 @@ def _scaled(program, factor):
         if not (isinstance(stmt, Define) and isinstance(stmt.expr, CoordPair)):
             return stmt
         k = NumberLit(factor)
-        return dataclasses.replace(stmt, expr=CoordPair(
+        return stmt._replace(expr=CoordPair(
             BinOp("*", stmt.expr.x, k), BinOp("*", stmt.expr.y, k)))
     return Program(tuple(map(scale, program.statements)))
 
