@@ -230,7 +230,10 @@ def _parse_overrides(pairs: list[str]) -> dict[str, float]:
         name, sep, value = pair.partition("=")
         if not sep or not name:
             raise ValueError(f"--param wants name=value, got {pair!r}")
-        number = float(value)
+        try:
+            number = float(value)
+        except ValueError:
+            number = math.nan  # reported as not finite, below
         if not math.isfinite(number):
             raise ValueError(f"--param {name} wants a finite number, "
                              f"got {value!r}")

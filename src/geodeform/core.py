@@ -399,6 +399,21 @@ def diameter(points: Sequence[Point]) -> float:
     """Largest pairwise distance; 0.0 for fewer than two points."""
     if len(points) < 2:
         return 0.0
+    if all(type(p.x) is float and type(p.y) is float for p in points):
+        # sqrt is correctly rounded and monotone, so inside hypot's plain
+        # range this is the largest `dist`; a pair that `dist` rescales
+        # below 2^-450 is shorter than anything above 2^-449
+        xy = [(p.x, p.y) for p in points]
+        longest = 0.0
+        for i, (x, y) in enumerate(xy, 1):
+            for u, v in xy[i:]:
+                dx, dy = x - u, y - v
+                s = dx * dx + dy * dy
+                if s > longest:
+                    longest = s
+        h = math.sqrt(longest)
+        if 2.0 * _SHORTEST <= h <= _LONGEST:
+            return h
     return maximum(*(dist(p, q)
                      for i, p in enumerate(points) for q in points[i + 1:]))
 

@@ -49,6 +49,7 @@ import operator
 import re
 import string
 from functools import reduce
+from itertools import chain, repeat
 from typing import Callable, NamedTuple, Sequence, Union
 
 from .centers import CenterKind, Orientation, equilateral_apex, \
@@ -334,12 +335,10 @@ class Program(NamedTuple):
 # ---------------------------------------------------------------------------
 # lexer
 
-class _Token(NamedTuple):
-    kind: str  # ident | number | string | punct | newline | eof
-    text: str
-    line: int
-    col: int
-
+# a token is a plain tuple (kind, text, line, col): kind is "ident",
+# "number", "string", "newline", "eof", or a punctuation character itself,
+# so one comparison tests for a given punctuation
+_Token = tuple[str, str, int, int]
 
 _PUNCT = "(),=+-*/"
 # identifiers are ASCII, as a Configuration label must be: a letter or
@@ -353,6 +352,8 @@ _NUMBER = re.compile(r"[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?")
 
 def _lex(source: str) -> list[_Token]:
     tokens: list[_Token] = []
+    append = tokens.append
+    ident_tail, number = _IDENT_TAIL.match, _NUMBER.match
     lines = source.split("\n")
     for lineno, raw in enumerate(lines, start=1):
         i = 0
@@ -362,35 +363,34 @@ def _lex(source: str) -> list[_Token]:
             if ch in " \t\r":
                 i += 1
                 continue
-            if ch == "#":
-                break
             col = i + 1
             if ch in _IDENT_START:
-                j = _IDENT_TAIL.match(raw, i + 1).end()
-                tokens.append(_Token("ident", raw[i:j], lineno, col))
+                j = ident_tail(raw, col).end()
+                append(("ident", raw[i:j], lineno, col))
                 i = j
-                continue
-            if "0" <= ch <= "9":
-                j = _NUMBER.match(raw, i).end()
-                tokens.append(_Token("number", raw[i:j], lineno, col))
+            elif ch in _PUNCT:
+                append((ch, ch, lineno, col))
+                i = col
+            elif "0" <= ch <= "9":
+                j = number(raw, i).end()
+                append(("number", raw[i:j], lineno, col))
                 i = j
-                continue
-            if ch == '"':
-                j = raw.find('"', i + 1)
+            elif ch == "#":
+                break
+            elif ch == '"':
+                j = raw.find('"', col)
                 if j < 0:
                     raise ParseError(lineno, col, "unterminated string",
                                      expected=('"',))
-                tokens.append(_Token("string", raw[i + 1:j], lineno, col))
+                append(("string", raw[col:j], lineno, col))
                 i = j + 1
-                continue
-            if ch in _PUNCT:
-                tokens.append(_Token("punct", ch, lineno, col))
-                i += 1
-                continue
-            raise ParseError(lineno, col, f"unexpected character {ch!r}",
-                             expected=("a statement",))
-        tokens.append(_Token("newline", "", lineno, len(raw) + 1))
-    tokens.append(_Token("eof", "", len(lines), len(lines[-1]) + 1))
+            else:
+                raise ParseError(lineno, col, f"unexpected character {ch!r}",
+                                 expected=("a statement",))
+        # a line without tokens ends no statement
+        if tokens and tokens[-1][0] != "newline":
+            append(("newline", "", lineno, n + 1))
+    append(("eof", "", len(lines), len(lines[-1]) + 1))
     return tokens
 
 
@@ -400,15 +400,19 @@ def _lex(source: str) -> list[_Token]:
 class _Parser:
     """Recursive descent over the token list.
 
-    Error positions follow one convention throughout: a missing separator
-    or terminator is reported at the last consumed token (the place the
-    missing piece should follow), while an unexpected or unknown name is
-    reported at the offending token itself.
+    `cur` is the current token; `advance` moves it on.  A ParseError at a
+    token `tok` is raised as `ParseError(*tok[2:], ...)`, its line and
+    column.  Error positions follow one convention throughout: a missing
+    separator or terminator is reported at the last consumed token (the
+    place the missing piece should follow), while an unexpected or unknown
+    name is reported at the offending token itself.
     """
 
     def __init__(self, tokens: list[_Token]) -> None:
         self.tokens = tokens
-        self.i = 0
+        # past the end, eof repeats
+        self._next = chain(tokens, repeat(tokens[-1])).__next__
+        self.cur = self._next()
         self.point_labels: set[str] = set()
         self.param_names: set[str] = set()
         self.coordinate_labels: set[str] = set()
@@ -416,82 +420,75 @@ class _Parser:
         self.deformed = False
 
     @property
-    def cur(self) -> _Token:
-        return self.tokens[self.i]
-
-    @property
     def prev(self) -> _Token:
-        return self.tokens[max(self.i - 1, 0)]
+        """The last consumed token, searched for: only errors read it."""
+        return self.tokens[max(self.tokens.index(self.cur) - 1, 0)]
 
     def advance(self) -> _Token:
-        tok = self.tokens[self.i]
-        if tok.kind != "eof":
-            self.i += 1
+        tok = self.cur
+        self.cur = self._next()
         return tok
 
-    def expect(self, text: str, *alternatives: str) -> _Token:
-        if self.cur.kind == "punct" and self.cur.text == text:
-            return self.advance()
+    def expect(self, text: str, *alternatives: str) -> None:
+        if self.cur[0] == text:
+            self.cur = self._next()  # advance, inlined in this hot call
+            return
         options = (text,) + alternatives
         shown = " or ".join(f"'{t}'" for t in options)
-        raise ParseError(self.prev.line, self.prev.col,
-                         f"expected {shown}", expected=options)
+        raise ParseError(*self.prev[2:], f"expected {shown}",
+                         expected=options)
 
     def expect_ident(self, what: str) -> _Token:
-        if self.cur.kind == "ident":
-            return self.advance()
         tok = self.cur
-        raise ParseError(tok.line, tok.col,
-                         f"expected {what}, found {tok.text or tok.kind!r}",
+        if tok[0] == "ident":
+            self.cur = self._next()  # advance, inlined in this hot call
+            return tok
+        raise ParseError(*tok[2:],
+                         f"expected {what}, found {tok[1] or tok[0]!r}",
                          expected=(what,))
+
+    def number(self) -> float:
+        tok = self.advance()
+        value = float(tok[1])
+        if value == math.inf:
+            raise ParseError(*tok[2:], f"number {tok[1]} is out of range",
+                             expected=("a finite number",))
+        return value
 
     # ---- statements ----
 
     def program(self) -> Program:
         statements: list[Statement] = []
-        while True:
-            while self.cur.kind == "newline":
-                self.advance()
-            if self.cur.kind == "eof":
-                break
+        # the lexer ends each line that holds tokens with one newline, and
+        # gives no other newline
+        while self.cur[0] != "eof":
             statements.append(self.statement())
-            if self.cur.kind not in ("newline", "eof"):
-                raise ParseError(self.prev.line, self.prev.col,
-                                 "expected end of statement",
+            if self.cur[0] != "newline":
+                raise ParseError(*self.prev[2:], "expected end of statement",
                                  expected=("newline",))
+            self.advance()
         if not statements:
-            tok = self.cur
-            raise ParseError(tok.line, tok.col, "empty program",
+            raise ParseError(*self.cur[2:], "empty program",
                              expected=STATEMENTS)
         return Program(tuple(statements))
 
     def statement(self) -> Statement:
-        tok = self.cur
-        if tok.kind != "ident" or tok.text not in STATEMENTS:
-            raise ParseError(tok.line, tok.col,
-                             f"expected a statement, found {tok.text!r}",
+        tok = self.advance()
+        parse = self._STATEMENT.get(tok[1]) if tok[0] == "ident" else None
+        if parse is None:
+            raise ParseError(*tok[2:],
+                             f"expected a statement, found {tok[1]!r}",
                              expected=STATEMENTS)
-        self.advance()
-        if tok.text == "point":
-            return self.point_stmt()
-        if tok.text == "param":
-            return self.param_stmt()
-        if tok.text == "assert":
-            return self.assert_stmt()
-        if tok.text == "require":
-            return self.require_stmt()
-        if tok.text == "deform":
-            return self.deform_stmt(tok)
-        return self.draw_stmt(tok)
+        return parse(self, tok)
 
     def _fresh(self, tok: _Token) -> str:
-        if tok.text in self.point_labels or tok.text in self.param_names:
-            raise ParseError(tok.line, tok.col,
-                             f"duplicate definition of {tok.text!r}",
+        text = tok[1]
+        if text in self.point_labels or text in self.param_names:
+            raise ParseError(*tok[2:], f"duplicate definition of {text!r}",
                              expected=("a fresh name",))
-        return tok.text
+        return text
 
-    def point_stmt(self) -> Define:
+    def point_stmt(self, keyword: _Token) -> Define:
         label = self._fresh(self.expect_ident("a point label"))
         self.expect("=")
         expr = self.point_expr()
@@ -500,17 +497,16 @@ class _Parser:
             self.coordinate_labels.add(label)
         return Define(label, expr)
 
-    def param_stmt(self) -> ParamDecl:
+    def param_stmt(self, keyword: _Token) -> ParamDecl:
         name = self._fresh(self.expect_ident("a param name"))
         self.expect("=")
-        negate = False
-        if self.cur.kind == "punct" and self.cur.text == "-":
-            negate = True
+        negate = self.cur[0] == "-"
+        if negate:
             self.advance()
-        if self.cur.kind != "number":
-            raise ParseError(self.prev.line, self.prev.col,
-                             "expected a number", expected=("a number",))
-        value = float(self.advance().text)
+        if self.cur[0] != "number":
+            raise ParseError(*self.prev[2:], "expected a number",
+                             expected=("a number",))
+        value = self.number()
         self.param_names.add(name)
         return ParamDecl(name, -value if negate else value)
 
@@ -519,82 +515,75 @@ class _Parser:
         shape error and should win over unresolved names inside the list."""
         self.expect("(")
         arg_toks = [self.expect_ident("a point label")]
-        while self.cur.kind == "punct" and self.cur.text == ",":
+        while self.cur[0] == ",":
             self.advance()
             arg_toks.append(self.expect_ident("a point label"))
         self.expect(")", ",")
         return arg_toks
 
-    def assert_stmt(self) -> AssertStmt:
+    def assert_stmt(self, keyword: _Token) -> AssertStmt:
         tok = self.expect_ident("a relation name")
-        if tok.text not in RELATIONS:
-            raise ParseError(tok.line, tok.col,
-                             f"unknown relation {tok.text!r}",
+        kind = tok[1]
+        if kind not in RELATIONS:
+            raise ParseError(*tok[2:], f"unknown relation {kind!r}",
                              expected=tuple(RELATIONS))
         arg_toks = self.label_list()
         n = len(arg_toks)
-        if not arity_fits(tok.text, n):
-            raise ArityError(tok.line, tok.col,
-                             f"{tok.text} takes {_arity_phrase(tok.text)}, "
-                             f"got {n}",
-                             expected=(_arity_phrase(tok.text),))
-        labels = [self.resolve_point(t) for t in arg_toks]
-        if not (self.cur.kind == "ident" and self.cur.text == "as"):
-            return AssertStmt(tok.text, tuple(labels))
+        if not arity_fits(kind, n):
+            raise ArityError(*tok[2:],
+                             f"{kind} takes {_arity_phrase(kind)}, got {n}",
+                             expected=(_arity_phrase(kind),))
+        labels = tuple(map(self.resolve_point, arg_toks))
+        if not (self.cur[0] == "ident" and self.cur[1] == "as"):
+            return AssertStmt(kind, labels)
         self.advance()
         name = self.expect_ident("a claim name")
-        if name.text in self.claim_names:
-            raise ParseError(name.line, name.col,
-                             f"duplicate claim name {name.text!r}",
+        if name[1] in self.claim_names:
+            raise ParseError(*name[2:], f"duplicate claim name {name[1]!r}",
                              expected=("a fresh claim name",))
-        if self.cur.kind != "string":
-            raise ParseError(self.prev.line, self.prev.col,
-                             "expected a quoted description",
+        if self.cur[0] != "string":
+            raise ParseError(*self.prev[2:], "expected a quoted description",
                              expected=("a quoted description",))
-        self.claim_names.add(name.text)
-        return AssertStmt(tok.text, tuple(labels), name.text,
-                          self.advance().text)
+        self.claim_names.add(name[1])
+        return AssertStmt(kind, labels, name[1], self.advance()[1])
 
-    def require_stmt(self) -> Require:
+    def require_stmt(self, keyword: _Token) -> Require:
         tok = self.expect_ident("a requirement name")
-        if tok.text not in REQUIREMENTS:
-            raise ParseError(tok.line, tok.col,
-                             f"unknown requirement {tok.text!r}",
+        kind = tok[1]
+        if kind not in REQUIREMENTS:
+            raise ParseError(*tok[2:], f"unknown requirement {kind!r}",
                              expected=tuple(REQUIREMENTS))
         arg_toks = self.label_list()
-        self.expect_count(tok, len(arg_toks), REQUIREMENTS[tok.text][0])
-        labels = [self.resolve_point(t) for t in arg_toks]
-        return Require(tok.text, tuple(labels))
+        self.expect_count(tok, len(arg_toks), REQUIREMENTS[kind][0])
+        return Require(kind, tuple(map(self.resolve_point, arg_toks)))
 
     def draw_stmt(self, keyword: _Token) -> Draw:
         arg_toks = [self.expect_ident("a point label")]
-        while self.cur.kind == "ident":
+        while self.cur[0] == "ident":
             arg_toks.append(self.advance())
-        self.expect_count(keyword, len(arg_toks), DRAWABLES[keyword.text])
-        labels = [self.resolve_point(t) for t in arg_toks]
-        return Draw(keyword.text, tuple(labels))
+        self.expect_count(keyword, len(arg_toks), DRAWABLES[keyword[1]])
+        return Draw(keyword[1], tuple(map(self.resolve_point, arg_toks)))
 
     def deform_stmt(self, keyword: _Token) -> Deform:
         if self.deformed:
-            raise ParseError(keyword.line, keyword.col,
-                             "a program deforms only once",
+            raise ParseError(*keyword[2:], "a program deforms only once",
                              expected=("one deform statement",))
         arg_toks = [self.expect_ident("a point label")]
-        while self.cur.kind == "ident" and self.cur.text != "about":
+        while self.cur[0] == "ident" and self.cur[1] != "about":
             arg_toks.append(self.advance())
-        if self.cur.kind != "ident":
-            raise ParseError(self.prev.line, self.prev.col, "expected 'about'",
+        if self.cur[0] != "ident":
+            raise ParseError(*self.prev[2:], "expected 'about'",
                              expected=("about",))
         self.advance()
         base = [self.coord_pair()]
-        while self.cur.kind == "punct" and self.cur.text == "(":
+        while self.cur[0] == "(":
             base.append(self.coord_pair())
         floor = None
-        if self.cur.kind == "ident" and self.cur.text == "floor":
+        if self.cur[0] == "ident" and self.cur[1] == "floor":
             self.advance()
             floor = self.scalar()
         if len(base) != len(arg_toks):
-            raise ArityError(keyword.line, keyword.col,
+            raise ArityError(*keyword[2:],
                              f"deform names {len(arg_toks)} point labels but "
                              f"gives {len(base)} base points",
                              expected=(f"{len(arg_toks)} base points",))
@@ -604,7 +593,7 @@ class _Parser:
             if label in labels or label not in self.coordinate_labels:
                 why = ("is named twice" if label in labels
                        else "is constructed, not given by coordinates")
-                raise ParseError(tok.line, tok.col, f"deform: {label!r} {why}",
+                raise ParseError(*tok[2:], f"deform: {label!r} {why}",
                                  expected=("a coordinate point",))
             labels.append(label)
         self.deformed = True
@@ -612,37 +601,37 @@ class _Parser:
 
     def expect_count(self, tok: _Token, got: int, wants: int) -> None:
         if got != wants:
-            raise ArityError(tok.line, tok.col,
-                             f"{tok.text} takes {wants} point labels, got {got}",
+            raise ArityError(*tok[2:],
+                             f"{tok[1]} takes {wants} point labels, got {got}",
                              expected=(f"{wants} point labels",))
 
-    def point_ref(self) -> str:
-        return self.resolve_point(self.expect_ident("a point label"))
-
     def resolve_point(self, tok: _Token) -> str:
-        if tok.text in self.point_labels:
-            return tok.text
-        if tok.text in self.param_names:
-            raise ParseError(tok.line, tok.col,
-                             f"{tok.text!r} is a param, not a point",
+        text = tok[1]
+        if text in self.point_labels:
+            return text
+        if text in self.param_names:
+            raise ParseError(*tok[2:], f"{text!r} is a param, not a point",
                              expected=("a point label",))
-        raise UseBeforeDefine(tok.line, tok.col,
-                              f"point {tok.text!r} is not defined yet",
+        raise UseBeforeDefine(*tok[2:], f"point {text!r} is not defined yet",
                               expected=("a previously defined point",))
+
+    # statement keyword -> the parser of the rest of its statement
+    _STATEMENT = {"point": point_stmt, "param": param_stmt,
+                  "assert": assert_stmt, "require": require_stmt,
+                  "deform": deform_stmt, **dict.fromkeys(DRAWABLES, draw_stmt)}
 
     # ---- expressions ----
 
     def point_expr(self) -> PointExpr:
         tok = self.cur
-        if tok.kind == "punct" and tok.text == "(":
+        if tok[0] == "(":
             return self.coord_pair()
-        if tok.kind == "ident":
-            if tok.text in FUNCTIONS:
+        if tok[0] == "ident":
+            if tok[1] in FUNCTIONS:
                 return self.construct()
-            raise ParseError(tok.line, tok.col,
-                             f"unknown construction {tok.text!r}",
+            raise ParseError(*tok[2:], f"unknown construction {tok[1]!r}",
                              expected=tuple(sorted(FUNCTIONS)))
-        raise ParseError(tok.line, tok.col,
+        raise ParseError(*tok[2:],
                          "expected coordinates or a construction call",
                          expected=("(", "a construction name"))
 
@@ -656,74 +645,73 @@ class _Parser:
 
     def construct(self) -> Construct:
         tok = self.advance()
-        n_points, takes_angle, _ = FUNCTIONS[tok.text]
+        func = tok[1]
+        n_points, takes_angle, _ = FUNCTIONS[func]
         total = n_points + (1 if takes_angle else 0)
         self.expect("(")
-        args: list[str] = []
+        args = [self.resolve_point(self.expect_ident("a point label"))]
+        while len(args) < n_points and self.cur[0] == ",":
+            self.advance()
+            args.append(self.resolve_point(self.expect_ident("a point label")))
+        got = len(args)
         angle: Scalar | None = None
-        got = 0
-        while True:
-            if got < n_points:
-                args.append(self.point_ref())
-            elif takes_angle and got == n_points:
+        while self.cur[0] == ",":  # the angle, then surplus arguments
+            self.advance()
+            if takes_angle and got == n_points:
                 angle = self.scalar()
-            elif self.cur.kind == "ident":
+            elif self.cur[0] == "ident":
                 self.advance()  # surplus argument; count it for the report
             else:
                 self.scalar()
             got += 1
-            if self.cur.kind == "punct" and self.cur.text == ",":
-                self.advance()
-                continue
-            break
         self.expect(")")
         if got != total:
             wants = (f"{n_points} point labels and an angle" if takes_angle
                      else f"{n_points} point labels")
-            raise ArityError(tok.line, tok.col,
-                             f"{tok.text} takes {wants}, got {got}",
+            raise ArityError(*tok[2:], f"{func} takes {wants}, got {got}",
                              expected=(wants,))
-        return Construct(tok.text, tuple(args), angle)
+        return Construct(func, tuple(args), angle)
 
     def scalar(self) -> Scalar:
         node = self.term()
-        while self.cur.kind == "punct" and self.cur.text in "+-":
-            op = self.advance().text
+        while self.cur[0] in ("+", "-"):
+            op = self.advance()[0]
             node = BinOp(op, node, self.term())
         return node
 
     def term(self) -> Scalar:
         node = self.factor()
-        while self.cur.kind == "punct" and self.cur.text in "*/":
-            op = self.advance().text
+        while self.cur[0] in ("*", "/"):
+            op = self.advance()[0]
             node = BinOp(op, node, self.factor())
         return node
 
     def factor(self) -> Scalar:
         tok = self.cur
-        if tok.kind == "number":
+        kind = tok[0]
+        if kind == "number":
+            return NumberLit(self.number())
+        if kind == "ident":
             self.advance()
-            return NumberLit(float(tok.text))
-        if tok.kind == "ident":
-            self.advance()
-            if tok.text in self.param_names:
-                return ParamRef(tok.text)
-            if tok.text in self.point_labels:
-                raise ParseError(tok.line, tok.col,
-                                 f"{tok.text!r} is a point, not a number",
+            text = tok[1]
+            if text in self.param_names:
+                return ParamRef(text)
+            if text in self.point_labels:
+                raise ParseError(*tok[2:],
+                                 f"{text!r} is a point, not a number",
                                  expected=("a param name", "a number"))
-            raise UseBeforeDefine(tok.line, tok.col,
-                                  f"param {tok.text!r} is not declared yet",
+            raise UseBeforeDefine(*tok[2:],
+                                  f"param {text!r} is not declared yet",
                                   expected=("a declared param",))
-        if tok.kind == "punct" and tok.text == "(":
+        if kind == "(":
             self.advance()
             node = self.scalar()
             self.expect(")")
             return node
-        if tok.kind == "punct" and tok.text == "-":
+        if kind == "-":
             self.advance()
             return UnaryNeg(self.factor())
-        raise ParseError(tok.line, tok.col, "expected a numeric expression",
+        raise ParseError(*tok[2:], "expected a numeric expression",
                          expected=("a number", "a param name", "(", "-"))
 
 

@@ -515,20 +515,40 @@ def test_run_rejects_malformed_param(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400",
+                                   "abc", "", "1,5", "0x1"])
 @pytest.mark.parametrize("command", [
     ["run", str(SCRIPTS / "eps_demo.geo")],
     ["render", str(SCRIPTS / "eps_demo.geo"), "--out"],
 ])
 def test_non_finite_param_is_usage_error(capsys, tmp_path, command, value):
     """As with --eps and --tol: one error line and exit 2, not a failed
-    assert over non-finite points."""
+    assert over non-finite points; a value that is no number at all
+    names the param the same way."""
     if command[-1] == "--out":
         command = command + [str(tmp_path / "figure.svg")]
     code, out, err = run_cli(capsys, *command, "--param", f"eps={value}")
     assert (code, out) == (2, "")
     assert not (tmp_path / "figure.svg").exists()
     assert err == f"error: --param eps wants a finite number, got {value!r}\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["run"],
+    ["run", "--json", "report.json", "--svg", "figure.svg"],
+    ["render", "--out", "figure.svg"],
+])
+def test_overflowing_number_literal_is_a_parse_error(capsys, tmp_path,
+                                                     monkeypatch, command):
+    """Every command stops at the literal with exit 2, writing nothing."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "F.geo").write_text(
+        "param x = 1e999\npoint A = (0, 0)\npoint B = (x, 0)\n"
+        "segment A B\nassert collinear(A, B, B)\n")
+    code, out, err = run_cli(capsys, command[0], "F.geo", *command[1:])
+    assert (code, out) == (2, "")
+    assert err == "F.geo:1:11: number 1e999 is out of range\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "F.geo"]
 
 
 # a figure whose diameter overflows, and one whose pixel coordinates do

@@ -20,6 +20,7 @@ from geodeform.core import (
     Point,
     angle_bisector,
     circumcircle,
+    diameter,
     dist,
     hypot,
     intersect,
@@ -346,3 +347,79 @@ def test_hypot_overflows_to_inf_only_past_the_largest_float():
     assert float.fromhex(_row_bits(hypot, 1e308, 1e308)) < math.inf
     assert hypot(1.5e308, 1.5e308) == math.inf
     assert float.fromhex(_row_bits(hypot, 1.5e308, 1.5e308)) == math.inf
+
+
+# ---------------------------------------------------------------------------
+# diameter: one sqrt of the largest squared length, with the bits of the
+# largest pairwise dist
+
+def _pairwise_diameter(points):
+    """The largest dist over all pairs, 0.0 for fewer than two points."""
+    return max((dist(p, q) for i, p in enumerate(points)
+                for q in points[i + 1:]), default=0.0)
+
+
+@st.composite
+def _figures(draw):
+    """0 to 8 points: a figure scaled by 2^k, |k| <= 600, or one of
+    arbitrary finite coordinates, some points repeated."""
+    n = draw(st.integers(0, 8))
+    if draw(st.booleans()):
+        scale = 2.0 ** draw(st.integers(-600, 600))
+        coords = st.floats(-2.0, 2.0).map(lambda m: m * scale)
+    else:
+        coords = FINITE
+    points = [Point(draw(coords), draw(coords)) for _ in range(n)]
+    if points:
+        points += draw(st.lists(st.sampled_from(points), max_size=3))
+    return draw(st.permutations(points))
+
+
+@settings(max_examples=800, derandomize=True, database=None, deadline=None)
+@given(points=_figures())
+def test_diameter_has_the_bits_of_the_largest_dist(points):
+    assert diameter(points).hex() == _pairwise_diameter(points).hex()
+
+
+@pytest.mark.parametrize("points", [
+    [],
+    [Point(1.0, 2.0)],
+    [Point(1.0, 2.0), Point(1.0, 2.0)],
+    [Point(0.0, 0.0), Point(0.0, 0.0), Point(0.0, 0.0)],
+    [Point(3.0, 0.0), Point(0.0, 4.0)],
+    # squared lengths that overflow, and lengths that do too
+    [Point(1e200, 0.0), Point(-1e200, 1e200), Point(0.0, 0.0)],
+    [Point(-1.5e308, 0.0), Point(1.5e308, 0.0), Point(0.0, 1e308)],
+    # squared lengths that underflow
+    [Point(1e-200, 0.0), Point(0.0, 3e-200), Point(5e-324, 5e-324)],
+    # lengths either side of the ends of hypot's plain range
+    [Point(0.0, 0.0), Point(2.0 ** -450, 0.0), Point(0.0, 2.0 ** -449)],
+    [Point(0.0, 0.0), Point(math.nextafter(2.0 ** -449, 0.0), 0.0),
+     Point(2.0 ** -451, 2.0 ** -451)],
+    [Point(0.0, 0.0), Point(2.0 ** 450, 0.0)],
+    [Point(0.0, 0.0), Point(math.nextafter(2.0 ** 450, math.inf), 0.0)],
+    # coordinates that are not floats take the pairwise loop
+    [Point(0, 0), Point(3, 4), Point(1.5, 1)],
+    [Point(np.float64(0.1), 0.0), Point(0.0, np.float64(0.3))],
+])
+def test_diameter_edge_cases(points):
+    with np.errstate(all="ignore"):
+        assert diameter(points).hex() == _pairwise_diameter(points).hex()
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(figures=st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(st.tuples(FINITE, FINITE), min_size=n,
+                                max_size=n), min_size=1, max_size=4)))
+def test_diameter_rows_have_the_float_bits(figures):
+    """Float64 rows take the pairwise loop, row by row the float bits."""
+    rows = [Point(np.array([f[i][0] for f in figures]),
+                  np.array([f[i][1] for f in figures]))
+            for i in range(len(figures[0]))]
+    with np.errstate(all="ignore"):
+        got = diameter(rows)
+    if len(rows) < 2:
+        assert got == 0.0
+        return
+    assert [float(h).hex() for h in got] == \
+        [diameter([Point(*xy) for xy in f]).hex() for f in figures]

@@ -4,6 +4,8 @@ import math
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geodeform import script
 from geodeform.catalog import FAMILIES
@@ -25,7 +27,10 @@ from geodeform.script import (
     parse,
 )
 
-SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+PROGRAMS = sorted([*SCRIPTS.glob("*.geo"),
+                   *(ROOT / "src" / "geodeform" / "shapes").glob("*.geo")])
 
 
 def parse_error(src):
@@ -160,6 +165,44 @@ def test_every_parse_error_carries_expectations():
         err = parse_error(src)
         assert err.expected, src
         assert str(err).startswith(f"{err.line}:{err.col}:")
+
+
+# characters that start or end a token, or that the lexer rejects:
+# quotes, comments, apostrophes, blanks, separators, non-ASCII digits
+_MUTATIONS = st.one_of(
+    st.sampled_from(list('"#\'\r\t \n(),=+-*/._0123456789eEaZ')
+                    + ["\u0663", "\u00b2", "\uff11", "\u00e9", "999"]),
+    st.characters(), st.text(max_size=3))
+
+
+@st.composite
+def _mutants(draw, source):
+    """`source` with 1 to 4 spans deleted, replaced or inserted into."""
+    for _ in range(draw(st.integers(1, 4))):
+        start = draw(st.integers(0, len(source)))
+        end = start + draw(st.integers(0, 3))
+        cut = draw(st.booleans())
+        source = (source[:start] + draw(_MUTATIONS)
+                  + source[end if cut else start:])
+    return source
+
+
+@pytest.mark.parametrize("path", PROGRAMS, ids=lambda p: p.name)
+def test_mutated_programs_fail_only_by_parse_error(path):
+    """A mutant of a shipped program parses, or raises a ParseError whose
+    position lies inside the source."""
+    @settings(max_examples=40, derandomize=True, database=None,
+              deadline=None)
+    @given(source=_mutants(path.read_text()))
+    def check(source):
+        try:
+            assert isinstance(parse(source), Program)
+        except ParseError as err:
+            lines = source.split("\n")
+            assert 1 <= err.line <= len(lines), (source, err)
+            assert 1 <= err.col <= len(lines[err.line - 1]) + 1, (source, err)
+            assert str(err).startswith(f"{err.line}:{err.col}:")
+    check()
 
 
 def test_comments_and_blank_lines_ignored():
@@ -559,10 +602,36 @@ def test_deform_and_named_asserts_parse():
 
 @pytest.mark.parametrize("deform", [
     "deform A B C about (0, 0) (1, 0) (0, 1) floor -1",
-    "deform A B C about (0, 0) (1, 0) (0, 1) floor 1e999",
-    "deform A B C about (0, 0) (1, 0) (0, 1e999)",
+    # a literal that overflows is a ParseError (see
+    # test_overflowing_number_literal_is_a_parse_error): these overflow
+    # when deformation_family evaluates them
+    "deform A B C about (0, 0) (1, 0) (0, 1) floor 1e300 * 1e300",
+    "deform A B C about (0, 0) (1, 0) (0, 1e99 * 1e300)",
     "deform A B C about (0, 0) (1, 0) (0, 1 / 0)",
 ])
 def test_deformation_family_rejects_bad_base(deform):
     with pytest.raises(ValueError, match="deform"):
         deformation_family(parse(HEAD + deform + "\n"), "bad")
+
+
+@pytest.mark.parametrize("source, line, col", [
+    ("param x = 1e999\n", 1, 11),
+    ("param x = -1e999\n", 1, 12),
+    ("point A = (0, 1.7976931348623159e308)\n", 1, 15),
+    ("param t = 1\npoint A = (0, t * 2e308)\n", 2, 19),
+    (HEAD + "point R = rotate(A, B, 1e400)\n", 4, 24),
+    (HEAD + "deform A B C about (0, 0) (1, 0) (0, 1e999)\n", 4, 38),
+    (HEAD + "deform A B C about (0, 0) (1, 0) (0, 1) floor 1e999\n", 4, 47),
+])
+def test_overflowing_number_literal_is_a_parse_error(source, line, col):
+    """At the literal, before anything after it is read."""
+    err = parse_error(source + "point A = (0, 0)\n")
+    text = source.split("\n")[line - 1][col - 1:].split(")")[0].split()[0]
+    assert type(err) is ParseError
+    assert (err.line, err.col, err.message, err.expected) == \
+        (line, col, f"number {text} is out of range", ("a finite number",))
+
+
+def test_largest_float_literal_parses():
+    (decl,) = parse("param x = 1.7976931348623157e308\n").statements
+    assert decl.default == 1.7976931348623157e308
