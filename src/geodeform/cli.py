@@ -31,7 +31,7 @@ import sys
 import time
 from importlib.resources import files
 from pathlib import PurePath
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from . import __version__
 from .catalog import CLAIMS, NamedClaim, claim_names, program_claims
@@ -67,9 +67,20 @@ def _finite(value: float | None) -> float | None:
     return value if value is None or math.isfinite(value) else None
 
 
+def _ascii(kind: type) -> Callable[[str], float]:
+    """`kind` on ASCII text alone, the reader of every numeric flag: float()
+    and int() also read `_` and any Unicode digit, and a `.geo` does not."""
+    def read(text: str) -> float:
+        if "_" in text or not text.isascii():
+            raise ValueError(f"not an ASCII number: {text!r}")
+        return kind(text)
+    read.__name__ = kind.__name__  # argparse says "invalid int value: ..."
+    return read
+
+
 def _parse_tol(text: str) -> float:
     try:
-        value = float(text)
+        value = _ascii(float)(text)
     except ValueError:
         value = math.nan
     if not (math.isfinite(value) and value > 0.0):
@@ -80,7 +91,7 @@ def _parse_tol(text: str) -> float:
 
 def _parse_eps_grid(text: str) -> list[float]:
     try:
-        values = [float(part) for part in text.split(",") if part.strip()]
+        values = [_ascii(float)(p) for p in text.split(",") if p.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"--eps-grid wants comma-separated numbers, got {text!r}")
@@ -231,7 +242,7 @@ def _parse_overrides(pairs: list[str]) -> dict[str, float]:
         if not sep or not name:
             raise ValueError(f"--param wants name=value, got {pair!r}")
         try:
-            number = float(value)
+            number = _ascii(float)(value)
         except ValueError:
             number = math.nan  # reported as not finite, below
         if not math.isfinite(number):
@@ -382,9 +393,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("claims", nargs="+", metavar="CLAIM|PROGRAM.geo",
                           help="built-in claim names, 'all', or .geo programs "
                                "whose named asserts to judge")
-    p_verify.add_argument("--samples", type=int, default=1000)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--eps", type=float, default=0.5,
+    p_verify.add_argument("--samples", type=_ascii(int), default=1000)
+    p_verify.add_argument("--seed", type=_ascii(int), default=0)
+    p_verify.add_argument("--eps", type=_ascii(float), default=0.5,
                           help="deformation magnitude relative to base size")
     p_verify.add_argument("--eps-grid", type=_parse_eps_grid, default=None,
                           metavar="A,B,C",

@@ -28,8 +28,7 @@ import math
 import sys
 import warnings
 from contextvars import ContextVar
-from dataclasses import dataclass
-from functools import reduce
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
@@ -172,7 +171,10 @@ def hypot(x, y):
         h = math.sqrt(s)
         return h if _SHORTEST <= h <= _LONGEST else _rescaled_hypot(x, y)
     h = _numpy.sqrt(s)
-    inside = (h >= _SHORTEST) & (h <= _LONGEST)
+    if _SHORTEST <= h.min() and h.max() <= _LONGEST:
+        return h
+    # an exact (0, 0) row is in range: both forms give it +0.0
+    inside = (h >= _SHORTEST) & (h <= _LONGEST) | (x == 0.0) & (y == 0.0)
     if inside.all():
         return h
     return _numpy.where(inside, h, _rescaled_hypot(x, y))
@@ -217,22 +219,39 @@ def maximum(*values):
     when it is strictly greater."""
     if _NUMBERS.issuperset(map(type, values)):
         return max(values)
-    return reduce(lambda best, v: where(v > best, v, best), values)
+    best = values[0]
+    for v in values[1:]:
+        best = where(v > best, v, best)
+    return best
 
 
 def minimum(*values):
     """The builtin min of the values, per row."""
     if _NUMBERS.issuperset(map(type, values)):
         return min(values)
-    return reduce(lambda best, v: where(v < best, v, best), values)
+    best = values[0]
+    for v in values[1:]:
+        best = where(v < best, v, best)
+    return best
 
 
 @dataclass
 class Failures:
     """The rows whose guards failed inside a `failures()` block: False
-    until a row fails, and always on floats, where guards raise."""
+    until a guard runs on rows, and always on floats, where guards raise.
+    A guard adds its mask, which no one writes to after, to `masks`, and
+    `rows` ORs them in one call: when read, and at every 64th mask."""
 
-    rows: bool | np.ndarray = False
+    masks: list[np.ndarray] = field(default_factory=list)
+
+    @property
+    def rows(self) -> bool | np.ndarray:
+        masks = self.masks
+        if len(masks) > 1:
+            if len({m.shape for m in masks}) > 1:
+                masks = _numpy.broadcast_arrays(*masks)
+            self.masks = [_numpy.logical_or.reduce(masks)]
+        return self.masks[0] if self.masks else False
 
 
 # (the rows that are running, the Failures that collects their guards);
@@ -281,9 +300,11 @@ def guard(failed, error: type[GeometryError], message: str, *args) -> None:
     if type(failed) is not bool and (type(failed) is _ARRAY
                                      or array_module(failed)):
         running, collected = _SCOPE.get()
-        failed = failed & running
+        failed = failed if running is True else failed & running
         if collected is not None:
-            collected.rows = collected.rows | failed
+            collected.masks.append(failed)
+            if len(collected.masks) == 64:
+                collected.masks = [collected.rows]
             return
         failed = failed.any()
     if failed:
@@ -311,7 +332,7 @@ class Point:
         x, y = self.x, self.y
         # x - x is 0.0 for a finite x and NaN otherwise, on floats and rows
         # alike; no call on a finite float point, which every point is
-        failed = (x - x != 0.0) | (y - y != 0.0)
+        failed = x - x != y - y
         if failed is not False:
             guard(failed, NonFiniteInput, "non-finite point ({}, {})", x, y)
 
@@ -350,7 +371,7 @@ class Line:
         a, b, c = self.a, self.b, self.c
         # the guards of Point's kind, without a call on a valid float line:
         # every line pays them
-        failed = (a - a != 0.0) | (b - b != 0.0) | (c - c != 0.0)
+        failed = (a - a) + (b - b) != c - c
         if failed is not False:
             guard(failed, NonFiniteInput,
                   "non-finite line ({}, {}, {})", a, b, c)
@@ -399,21 +420,19 @@ def diameter(points: Sequence[Point]) -> float:
     """Largest pairwise distance; 0.0 for fewer than two points."""
     if len(points) < 2:
         return 0.0
-    if all(type(p.x) is float and type(p.y) is float for p in points):
-        # sqrt is correctly rounded and monotone, so inside hypot's plain
-        # range this is the largest `dist`; a pair that `dist` rescales
-        # below 2^-450 is shorter than anything above 2^-449
-        xy = [(p.x, p.y) for p in points]
-        longest = 0.0
-        for i, (x, y) in enumerate(xy, 1):
-            for u, v in xy[i:]:
-                dx, dy = x - u, y - v
-                s = dx * dx + dy * dy
-                if s > longest:
-                    longest = s
-        h = math.sqrt(longest)
-        if 2.0 * _SHORTEST <= h <= _LONGEST:
-            return h
+    # sqrt is correctly rounded and monotone, so in 2^-449..2^450 this is
+    # the largest `dist`, per row too: a pair that `dist` rescales is shorter
+    xy = [(p.x, p.y) for p in points]
+    squares = []
+    for i, (x, y) in enumerate(xy, 1):
+        for u, v in xy[i:]:
+            dx, dy = x - u, y - v
+            squares.append(dx * dx + dy * dy)
+    # every square is a number until a point on rows meets `array_module`
+    h = sqrt(max(squares) if _ARRAY is None else maximum(*squares))
+    if (2.0 * _SHORTEST <= h <= _LONGEST if type(h) is float
+            else 2.0 * _SHORTEST <= h.min() and h.max() <= _LONGEST):
+        return h
     return maximum(*(dist(p, q)
                      for i, p in enumerate(points) for q in points[i + 1:]))
 

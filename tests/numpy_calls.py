@@ -1,0 +1,113 @@
+"""Count the numpy calls of one build and one judge of a shipped family.
+
+`family_calls(name)` draws a fixed 1000-row batch of the family (the
+first round `sample` draws at epsilon 0.5, seeds 0..999), builds it once
+and judges each of its claims once on the result, all inside
+`failures()` blocks as a sweep runs them.  The coordinates are a
+`Counting` subclass of `ndarray` whose `__array_ufunc__` and
+`__array_function__` count every ufunc call, ufunc method (`reduce`, ...)
+and numpy function that reaches them, so the count is exact and the same
+on any host.  A ufunc applied to a Python list of arrays reaches no
+override: the `logical_or.reduce` that folds a `Failures`'s masks is not
+counted (2 to 5 folds per family).  Each call runs on plain arrays, so
+the counted build and judge have the bits of plain ones: `plain_calls`
+returns the same results for a caller to compare.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+import numpy as np
+
+from geodeform.catalog import CLAIMS, FAMILIES
+from geodeform.core import Point, failures
+from geodeform.deform import _disk_draws
+
+ROWS = 1000
+EPSILON = 0.5
+
+
+def _counting(counts: Counter) -> type:
+    """An ndarray subclass that adds each numpy call it meets to
+    `counts`, by name, and runs it on plain arrays."""
+
+    def plain(x):
+        if isinstance(x, np.ndarray):
+            return x.view(np.ndarray)
+        if isinstance(x, (list, tuple)):
+            return type(x)(plain(v) for v in x)
+        return x
+
+    def wrap(x):
+        if type(x) is np.ndarray:
+            return x.view(Counting)
+        if isinstance(x, tuple):
+            return tuple(wrap(v) for v in x)
+        return x
+
+    class Counting(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            counts[ufunc.__name__ if method == "__call__"
+                   else f"{ufunc.__name__}.{method}"] += 1
+            out = kwargs.get("out")
+            if out is not None:
+                kwargs["out"] = plain(out)
+            result = getattr(ufunc, method)(*plain(inputs), **kwargs)
+            if out is not None:
+                return out[0] if len(out) == 1 else out
+            return wrap(result)
+
+        def __array_function__(self, func, types, args, kwargs):
+            counts[func.__name__] += 1
+            return wrap(func(*plain(args), **plain(kwargs)))
+
+    return Counting
+
+
+def _draw(name: str) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The x and y rows of each base point of the family's fixed draw."""
+    family = FAMILIES[name]
+    base = family.base_points
+    radius = EPSILON * family.base_diameter()
+    states = np.arange(ROWS, dtype=np.uint64)
+    dx, dy, _ = _disk_draws(states, len(base))
+    return [(p.x + radius * dx[:, i], p.y + radius * dy[:, i])
+            for i, p in enumerate(base)]
+
+
+def _build_and_judge(name: str, draw, array: type) -> list:
+    """The family's build of `draw` with coordinates of type `array`, then
+    its claims judged on it: every row of every point built, the rows
+    each block marked failed, and each claim's residuals, as plain
+    arrays."""
+    family = FAMILIES[name]
+    claims = [c.claim for c in CLAIMS.values() if c.family is family]
+    points = [Point(x.view(array), y.view(array)) for x, y in draw]
+    results = []
+    with np.errstate(all="ignore"):
+        with failures() as failed:
+            config = family.builder(*points)
+        results.append(failed.rows)
+        for p in config.points().values():
+            results += [p.x, p.y]
+        for claim in claims:
+            with failures() as failed:
+                verdict = claim.evaluate(config,
+                                         scale=family.base_diameter())
+            results += [failed.rows, verdict.residual]
+    return [np.broadcast_to(np.asarray(r).view(np.ndarray), (ROWS,))
+            for r in results]
+
+
+def family_calls(name: str) -> tuple[Counter, list]:
+    """The numpy calls of one build and one judge of family `name` on its
+    fixed draw, by name, and what they computed."""
+    counts: Counter = Counter()
+    results = _build_and_judge(name, _draw(name), _counting(counts))
+    return counts, results
+
+
+def plain_calls(name: str) -> list:
+    """What `family_calls` computes, on plain arrays."""
+    return _build_and_judge(name, _draw(name), np.ndarray)

@@ -516,7 +516,9 @@ def test_run_rejects_malformed_param(capsys):
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400",
-                                   "abc", "", "1,5", "0x1"])
+                                   "abc", "", "1,5", "0x1",
+                                   # float() reads these as 1.0 and 0.3
+                                   "0_1", "\u0660.\u0663"])
 @pytest.mark.parametrize("command", [
     ["run", str(SCRIPTS / "eps_demo.geo")],
     ["render", str(SCRIPTS / "eps_demo.geo"), "--out"],
@@ -531,6 +533,65 @@ def test_non_finite_param_is_usage_error(capsys, tmp_path, command, value):
     assert (code, out) == (2, "")
     assert not (tmp_path / "figure.svg").exists()
     assert err == f"error: --param eps wants a finite number, got {value!r}\n"
+
+
+@pytest.mark.parametrize("command, message", [
+    (["verify", "theorem1_perp", "--samples", "1_0"],
+     "argument --samples: invalid int value: '1_0'"),
+    (["verify", "theorem1_perp", "--samples", "\uff11\uff10"],
+     "argument --samples: invalid int value: '\uff11\uff10'"),
+    (["verify", "theorem1_perp", "--seed", "\u0667"],
+     "argument --seed: invalid int value: '\u0667'"),
+    (["verify", "theorem1_perp", "--seed", "1_000"],
+     "argument --seed: invalid int value: '1_000'"),
+    (["verify", "theorem1_perp", "--eps", "0_5"],
+     "argument --eps: invalid float value: '0_5'"),
+    (["verify", "theorem1_perp", "--eps", "\u0660.\u0665"],
+     "argument --eps: invalid float value: '\u0660.\u0665'"),
+    (["verify", "theorem1_perp", "--eps-grid", "0_001,0.01,0.1"],
+     "argument --eps-grid: --eps-grid wants comma-separated numbers, got "
+     "'0_001,0.01,0.1'"),
+    (["verify", "theorem1_perp", "--eps-grid", "0.001,0.01,\u0660.1"],
+     "argument --eps-grid: --eps-grid wants comma-separated numbers, got "
+     "'0.001,0.01,\u0660.1'"),
+    (["verify", "theorem1_perp", "--tol", "1_0"],
+     "argument --tol: --tol wants a finite number > 0, got '1_0'"),
+    (["run", str(SCRIPTS / "eps_demo.geo"), "--tol", "\u0661e-9"],
+     "argument --tol: --tol wants a finite number > 0, got '\u0661e-9'"),
+])
+def test_numeric_flag_takes_ascii_digits_only(capsys, tmp_path, monkeypatch,
+                                              command, message):
+    """float() and int() read `_` between digits and any Unicode digit; a
+    flag, like a `.geo` literal, does not: exit 2 naming the flag, and
+    nothing written."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(command + ["--json", "out.json", "--svg", "out.svg"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.splitlines()[-1].endswith(f": error: {message}")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("spelled, plain", [
+    (["--eps", ".5", "--samples", "+12", "--seed", " 3"],
+     ["--eps", "0.5", "--samples", "12", "--seed", "3"]),
+    (["--eps-grid", ".001,1e-2,+0.1", "--tol", "1E-9", "--samples", "12"],
+     ["--eps-grid", "0.001,0.01,0.1", "--tol", "0.000000001",
+      "--samples", "12"]),
+])
+def test_numeric_flag_ascii_spellings_still_read(capsys, spelled, plain):
+    runs = [run_cli(capsys, "verify", "theorem1_perp", *argv)
+            for argv in (spelled, plain)]
+    assert runs[0] == runs[1] and runs[0][0] == 0
+
+
+def test_param_ascii_spellings_still_read(capsys):
+    path = str(SCRIPTS / "eps_demo.geo")
+    assert run_cli(capsys, "run", path, "--param", "eps=.25") == \
+        run_cli(capsys, "run", path, "--param", "eps=+2.5e-1")
+    assert run_cli(capsys, "run", path, "--param", "eps=-0.25")[0] == 0
 
 
 @pytest.mark.parametrize("command", [

@@ -14,6 +14,7 @@ from geodeform.core import (
     CoincidentPoints,
     CollinearPoints,
     ConcentricCircles,
+    GeometryError,
     Line,
     NonFiniteInput,
     Parallel,
@@ -22,11 +23,14 @@ from geodeform.core import (
     circumcircle,
     diameter,
     dist,
+    failures,
+    guard,
     hypot,
     intersect,
     line_circle_meets,
     line_through,
     midpoint,
+    only_rows,
     perp,
     pow2_near,
     radical_axis,
@@ -331,15 +335,44 @@ def test_pow2_near_rounds_at_sqrt_half_of_every_exponent():
 
 
 def test_hypot_rows_are_the_floats_across_every_exponent_pair():
-    """One batch of every pair of exponents (stride 13) against the float
-    path, so rows in and outside the plain range share a batch."""
+    """One batch of every pair of exponents (stride 13) and of exact
+    zeros against the float path, so rows in and outside the plain range
+    share a batch with (0, 0), (0, 5e-324) and (0, 1e-200)-sized rows."""
     values = [m * 2.0 ** e for e in range(-1074, 1024, 13)
-              for m in (1.0, -1.4142135623730951)]
+              for m in (1.0, -1.4142135623730951)] + [0.0, -0.0]
     xs, ys = zip(*((x, y) for x in values for y in values))
     with np.errstate(all="ignore"):
         rows = hypot(np.array(xs), np.array(ys))
     assert [float(h).hex() for h in rows] == \
         [hypot(x, y).hex() for x, y in zip(xs, ys)]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(rows=st.lists(st.tuples(FLOATS, FLOATS, FLOATS), min_size=1,
+                     max_size=8))
+def test_rows_mark_exactly_the_floats_that_raise(rows):
+    """Inside `failures()`, a batch of points or lines marks row r failed
+    exactly where the float constructor raises on row r's values: where
+    one is not finite, or a line's normal is (0, 0).  Every other row has
+    the float's bits."""
+    for make, fields in ((Point, "xy"), (Line, "abc")):
+        columns = [np.array([row[i] for row in rows])
+                   for i in range(len(fields))]
+        with np.errstate(all="ignore"), failures() as failed:
+            batch = make(*columns)
+        marked = np.broadcast_to(failed.rows, (len(rows),)).tolist()
+        for r, row in enumerate(rows):
+            values = row[:len(fields)]
+            bad = (not all(map(math.isfinite, values))
+                   or make is Line and values[0] == values[1] == 0.0)
+            try:
+                single = make(*values)
+            except NonFiniteInput:
+                assert bad and marked[r], (make, row)
+                continue
+            assert not bad and not marked[r], (make, row)
+            assert [float(getattr(batch, f)[r]).hex() for f in fields] == \
+                [getattr(single, f).hex() for f in fields]
 
 
 def test_hypot_overflows_to_inf_only_past_the_largest_float():
@@ -423,3 +456,59 @@ def test_diameter_rows_have_the_float_bits(figures):
         return
     assert [float(h).hex() for h in got] == \
         [diameter([Point(*xy) for xy in f]).hex() for f in figures]
+
+
+# ---------------------------------------------------------------------------
+# failures(): the rows that guards marked, folded when read
+
+
+def test_failures_fold_what_guard_marked():
+    """The OR of every mask the block's guards marked, each narrowed to
+    the running rows: read twice, read again after more guards (past the
+    early fold), in a narrowed and a nested block, with masks that
+    broadcast."""
+    rng = np.random.default_rng(18)
+    # sparse masks over many rows: the ORs are neither empty nor full
+    masks = iter([rng.random(200) < 0.005 for _ in range(300)])
+    narrow = rng.random(200) < 0.5
+
+    def mark(expected, running=True):
+        m = next(masks)
+        guard(m, GeometryError, "marked")
+        expected |= m & running
+
+    outer, inner = np.zeros(200, bool), np.zeros(200, bool)
+    with failures() as failed:
+        assert failed.rows is False
+        for _ in range(3):
+            mark(outer)
+        assert failed.rows.tolist() == outer.tolist()
+        assert failed.rows.tolist() == outer.tolist()
+        with only_rows(narrow) as rows:
+            assert rows.tolist() == narrow.tolist()
+            for _ in range(40):
+                mark(outer, narrow)
+            with only_rows(~narrow):  # nothing runs in both
+                guard(np.ones(200, bool), GeometryError, "none")
+        with only_rows(~narrow):
+            for _ in range(40):
+                mark(outer, ~narrow)
+        with failures() as nested:
+            with only_rows(narrow):
+                mark(inner, narrow)
+                guard(np.array([False]), GeometryError, "broadcast")
+            for _ in range(70):
+                mark(inner)
+            assert nested.rows.tolist() == inner.tolist()
+            assert 0 < inner.sum() < 200
+        assert failed.rows.tolist() == outer.tolist()
+        for _ in range(100):
+            mark(outer)
+        guard(np.array([False]), GeometryError, "broadcast")
+        assert failed.rows.tolist() == outer.tolist()
+        assert failed.rows.tolist() == outer.tolist()
+        assert 0 < outer.sum() < 200
+    with failures() as failed:
+        mark(np.zeros(200, bool))
+        guard(np.array([True]), GeometryError, "every row")
+        assert failed.rows.tolist() == [True] * 200

@@ -1,0 +1,21 @@
+"""The numpy calls of one build and one judge of each shipped family on a
+fixed 1000-row draw (see numpy_calls.py): an exact count, the same on
+any host, that a change to the row path may lower but not raise."""
+
+import pytest
+
+from numpy_calls import family_calls, plain_calls
+
+# the counts at which the row path stands (BENCH_18.json compares them
+# with the parent's)
+RECORDED = {"theorem1": 666, "bisector": 877, "example1": 1629,
+            "example2": 3442, "example3": 2187}
+
+
+@pytest.mark.parametrize("name", list(RECORDED))
+def test_counted_build_and_judge_walk_the_plain_path(name):
+    counts, counted = family_calls(name)
+    plain = plain_calls(name)
+    assert [r.tobytes() for r in counted] == [r.tobytes() for r in plain]
+    assert counted[0].sum() < len(counted[0]) / 2  # most rows build
+    assert sum(counts.values()) <= RECORDED[name]
