@@ -420,19 +420,38 @@ def diameter(points: Sequence[Point]) -> float:
     """Largest pairwise distance; 0.0 for fewer than two points."""
     if len(points) < 2:
         return 0.0
-    # sqrt is correctly rounded and monotone, so in 2^-449..2^450 this is
-    # the largest `dist`, per row too: a pair that `dist` rescales is shorter
     xy = [(p.x, p.y) for p in points]
     squares = []
     for i, (x, y) in enumerate(xy, 1):
         for u, v in xy[i:]:
             dx, dy = x - u, y - v
             squares.append(dx * dx + dy * dy)
-    # every square is a number until a point on rows meets `array_module`
+    return _longest(points, squares)
+
+
+def _longest(points: Sequence[Point], squares: list):
+    """`diameter` of `points` from the squared distances of its pairs, in
+    its order."""
+    # sqrt is correctly rounded and monotone, so in 2^-449..2^450 this is
+    # the largest `dist`, per row too: a pair that `dist` rescales is shorter
+    # (every square is a number until a point on rows meets `array_module`)
     h = sqrt(max(squares) if _ARRAY is None else maximum(*squares))
-    if (2.0 * _SHORTEST <= h <= _LONGEST if type(h) is float
-            else 2.0 * _SHORTEST <= h.min() and h.max() <= _LONGEST):
+    if type(h) is float:
+        if 2.0 * _SHORTEST <= h <= _LONGEST:
+            return h
+    elif 2.0 * _SHORTEST <= h.min() and h.max() <= _LONGEST:
         return h
+    elif h.max() <= _LONGEST:
+        # a row of coincident points, every difference exactly 0, is 0 as
+        # `dist` makes it: a row of points too close is not.  No row's h is
+        # NaN here, as it is where equal coordinates are infinite, so equal
+        # coordinates differ by exactly 0
+        x, y = points[0].x, points[0].y
+        apart = False
+        for p in points[1:]:
+            apart = apart | (p.x != x) | (p.y != y)
+        if ((h >= 2.0 * _SHORTEST) | (h == 0.0) & ~apart).all():
+            return h
     return maximum(*(dist(p, q)
                      for i, p in enumerate(points) for q in points[i + 1:]))
 
@@ -473,17 +492,20 @@ def line_through(p: Point, q: Point) -> Line:
 
 def circumcircle(p: Point, q: Point, r: Point) -> Circle:
     """Circle through three non-collinear points."""
-    diam = maximum(dist(p, q), dist(q, r), dist(r, p))
-    # b = q - p and c = r - p as bare floats: Point temporaries would
-    # dominate the cost of this call, which every circle construction pays
+    # b = q - p, c = r - p and a = r - q as bare floats: Point temporaries
+    # would dominate the cost of this call, which every circle
+    # construction pays
     bx, by = q.x - p.x, q.y - p.y
     cx, cy = r.x - p.x, r.y - p.y
+    ax, ay = r.x - q.x, r.y - q.y
+    b2 = bx * bx + by * by
+    c2 = cx * cx + cy * cy
+    # the longest side, from the squares the center needs as well
+    diam = _longest((p, q, r), [b2, c2, ax * ax + ay * ay])
     cross = bx * cy - by * cx
     guard(abs(cross / 2.0) <= FLOOR * diam * diam, CollinearPoints,
           "circumcircle of collinear points {}, {}, {}", p, q, r)
     d = 2.0 * cross
-    b2 = bx * bx + by * by
-    c2 = cx * cx + cy * cy
     ux = (cy * b2 - by * c2) / d
     uy = (bx * c2 - cx * b2) / d
     center = Point(p.x + ux, p.y + uy)

@@ -17,10 +17,13 @@ detectors as a single sample, and row k * samples + i is bit for bit the
 sample of (epsilon k, seed + i), each row perturbed by its own radius.
 Sample i's stream is SplitMix64(seed + i) (Steele, Lea & Flood, OOPSLA
 2014), whose k-th output is a function of seed + i and k alone, so a
-batch computes all the draws it needs at once.  Rows the builder rejects
-come back in rounds, each giving every open row several successive
-attempts in one builder call; a row keeps its first accepted attempt, as
-the per-draw loop does.
+batch computes all the draws it needs at once.  A family's screen, the
+requires that read the deformed base points alone, checks each draw
+before it is built, so a batch builds only draws that pass it: usually
+every row's first such draw in one builder call.  Rows the builder
+rejects come back in rounds, each giving every open row several
+successive attempts in one call; a row keeps its first accepted attempt,
+as the per-draw loop does.
 """
 
 from __future__ import annotations
@@ -67,15 +70,24 @@ APPROXIMATE_MIN_EXPONENT = 0.5
 
 
 class RejectionBudgetExhausted(GeometryError):
-    """No valid sample found within the re-draw budget."""
+    """No valid sample found within the re-draw budget.  From a batch,
+    `row` is the grid row of the sample."""
+
+    row: int | None = None
 
 
 def _mix(z):
     """The SplitMix64 output of state `z`: two xor-shift-multiply rounds
-    and a final xor-shift.  The same code runs on a Python int and on a
-    uint64 array, whose arithmetic wraps as the mask does."""
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    and a final xor-shift.  The same code runs on a Python int, which
+    the mask keeps to 64 bits, and on a uint64 array, whose arithmetic
+    wraps as the mask does."""
+    wide = type(z) is int
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    if wide:
+        z &= MASK64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    if wide:
+        z &= MASK64
     return z ^ (z >> 31)
 
 
@@ -111,11 +123,13 @@ class SplitMix64:
                 return x, y
 
 
-def _disk_draws(states: np.ndarray, need: int,
+def _disk_draws(states: np.ndarray, need: int, pairs: bool = False,
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The next `need` results of `in_unit_disk` on each stream of the
     uint64 array `states`, all at once: their x and y as (streams, need)
-    arrays, and the state of each stream just after its last pair taken.
+    arrays, and the state of each stream just after its last pair taken;
+    with `pairs`, instead the number of pairs each stream used up to and
+    including each of its results, a (streams, need) array.
 
     Pair j of a stream at state s is the outputs of s + (2j + 1) * GAMMA
     and s + (2j + 2) * GAMMA, and the stream takes its first `need` pairs
@@ -126,22 +140,19 @@ def _disk_draws(states: np.ndarray, need: int,
     import numpy as np
 
     x, y = np.empty((states.size, need)), np.empty((states.size, need))
-    after = np.empty_like(states)
+    ends = np.empty((states.size, need), np.uint64)
     # a pair lands inside with probability pi / 4: mix the pairs a stream
     # needs on average, and two standard deviations more
     width = int(1.28 * need + 2.0 * math.sqrt(need)) + 1
     todo = np.arange(states.size)
-
-    def coordinate(first: int) -> np.ndarray:
-        """2 * uniform() - 1 of outputs first, first + 2, ... of the
-        streams of todo, `width` of each: the x (first = 1) or the y
-        (first = 2) of their next pairs."""
-        counters = np.arange(first, 2 * width + 1, 2, dtype=np.uint64)
-        bits = _mix(states[todo, None] + counters * np.uint64(GAMMA))
-        return 2.0 * ((bits >> 11) * 2.0 ** -53) - 1.0
-
     while todo.size:
-        px, py = coordinate(1), coordinate(2)
+        # outputs 1 .. 2 * width of each stream: the x of pair j is output
+        # 2j + 1 and its y output 2j + 2; 2 * uniform() - 1 of an output
+        # with top 53 bits k is exactly k * 2^-52 - 1
+        counters = np.arange(1, 2 * width + 1, dtype=np.uint64) * np.uint64(
+            GAMMA)
+        u = (_mix(states[todo, None] + counters) >> 11) * 2.0 ** -52 - 1.0
+        px, py = u[:, 0::2], u[:, 1::2]
         inside = px * px + py * py <= 1.0
         rank = inside.cumsum(axis=1)  # the inside pairs up to each pair
         done = rank[:, -1] >= need
@@ -149,22 +160,31 @@ def _disk_draws(states: np.ndarray, need: int,
         rows = todo[done]
         x[rows] = px[taken].reshape(-1, need)
         y[rows] = py[taken].reshape(-1, need)
-        # the pairs a stream used: those up to its last one taken
-        used = (rank[done] < need).sum(axis=1) + 1
-        after[rows] = states[rows] + used.astype(np.uint64) * np.uint64(
-            2 * GAMMA & MASK64)
+        # the pairs a stream used up to each pair taken
+        ends[rows] = taken.nonzero()[1].reshape(-1, need) + 1
         todo, width = todo[~done], 2 * width
-    return x, y, after
+    if pairs:
+        return x, y, ends
+    return x, y, states + ends[:, -1] * np.uint64(2 * GAMMA & MASK64)
 
 
 @dataclass(frozen=True)
 class DeformationFamily:
-    """A degenerate base configuration plus the builder that decorates it."""
+    """A degenerate base configuration plus the builder that decorates it.
+
+    `screen`, when there is one, checks the deformed base points alone: it
+    takes the same arguments as the builder and raises, or on rows marks
+    in the enclosing `failures()` block, where they fail the conditions
+    that it checks.  A builder on rows may leave those conditions to it,
+    so a batch screens each draw before building it; on floats the
+    builder checks them itself.
+    """
 
     name: str
     base_points: tuple[Point, ...]
     builder: Callable[..., Configuration]
     epsilon_floor: float = 0.0
+    screen: Callable[..., None] | None = None
 
     def base_diameter(self) -> float:
         return diameter(self.base_points)
@@ -292,19 +312,22 @@ def _sample_rows(family: DeformationFamily, grid: tuple[float, ...],
                  max_rejections: int) -> Configuration:
     """`sample` of rows `rows` of the grid.
 
-    The first round makes one attempt per row and builds them at once, so
-    a batch the builder accepts whole is that one build.  Each later round
-    gives every row still without a valid sample its next `tries`
-    attempts, twice as many as the round before, as long as one build
-    holds no more than the first round's rows and no row goes over the
-    budget.  It draws them from the rows' streams at once and builds them
-    in one call; a row keeps its first accepted attempt, and a row with
-    none goes on from where its stream stands.  A row of epsilon 0 draws
-    nothing and makes one attempt.  After a round that accepts no row, the
-    first row left goes on as a single sample from where its stream
-    stands, with the attempts it has left, which finds that row's sample
-    or raises its error: a family whose every draw fails ends as soon as
-    the per-draw loop does.
+    A row keeps its first attempt that passes the family's screen and
+    then its builder, as the per-draw loop does, and an attempt that fails
+    the screen is never built.  Each round builds, in one builder call,
+    the next `tries` attempts of every row still without a sample that
+    pass the screen: one in the first round, then twice as many each
+    round, at most BATCH_ROWS attempts in all, the rows a sweep's batch may
+    hold.  Screen-only sub-rounds find them: each draws the next attempts
+    of the rows still short of them from the rows' streams at once and
+    screens them in one call, twice as many per row as the sub-round
+    before, at most BATCH_ROWS attempts in all and none past a row's
+    budget.  A row the build rejects goes on from its stream's state
+    after its last attempt.  A row of epsilon 0 draws nothing and makes
+    one attempt.  When the first round's build holds every row and
+    accepts each, it is the batch.  Where a row finds no valid draw within
+    the budget, the batch raises the error of the first such row's single
+    sample, whose last attempt is built again on floats for its text.
     """
     import numpy as np
 
@@ -316,32 +339,36 @@ def _sample_rows(family: DeformationFamily, grid: tuple[float, ...],
     spanned = grid[first:(rows.stop - 1) // count + 1]  # their epsilons
     radius = np.array([_radius(family, e) for e in spanned])[block - first]
     drawn = np.array(spanned)[block - first] > 0.0
-    states = np.uint64(seed & MASK64) + offset.astype(np.uint64)
-    todo = np.arange(size)  # the rows without a sample, in order
-    # the attempts each drawn row of todo has made, and the last round's
-    made = tries = 0
+    start = np.uint64(seed & MASK64) + offset.astype(np.uint64)
+    # the pairs each row's stream has used, and the attempts it has made
+    used = np.zeros(size, np.uint64)
+    made = np.zeros(size, np.int64)
     budget = np.where(drawn, max_rejections, 1)
-    live = pts = None  # the last round's rows and the points it built
-    config = None  # the batch: the first round's, with its rows in columns
+    config = None  # the batch: the first build's, with its rows in columns
     # the x and y of each label of the batch, row by row as it is kept
     columns: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
-    def keep(built: Configuration, n: int, picked_rows, picked) -> None:
-        """Rows `picked_rows` of the batch are rows `picked` of `built`, a
-        configuration of `n` rows."""
-        for label, cols in columns.items():
-            p = built.point(label)
-            for col, part in zip(cols, (p.x, p.y)):
-                col[picked_rows] = np.broadcast_to(part, (n,))[picked]
-
-    def perturbed(live: np.ndarray, tries: int) -> list[Point]:
-        """The next `tries` attempts of each row of `live`: row r's
-        attempt j is row r * tries + j."""
+    def attempts(live: np.ndarray, tries: int
+                 ) -> tuple[list[Point], np.ndarray | None]:
+        """The next `tries` attempts of each row of `live`, attempt j of
+        live[k] at row k * tries + j, and the pairs each row's stream took
+        for them up to and including each, a (rows, tries) array (None
+        where no row draws)."""
         if not drawn[live].any():
-            return [Point(np.full(live.size, p.x), np.full(live.size, p.y))
-                    for p in base]
+            return [Point(np.full(live.size * tries, p.x),
+                          np.full(live.size * tries, p.y))
+                    for p in base], None
+        if live.size > count and not made[live[0]]:
+            # the first draws of a grid's rows: each stream once, for every
+            # epsilon block
+            dx, dy, ends = (a[offset[live]] for a in _disk_draws(
+                np.uint64(seed & MASK64) + np.arange(count, dtype=np.uint64),
+                tries * step, pairs=True))
+        else:
+            dx, dy, ends = _disk_draws(
+                start[live] + used[live] * np.uint64(2 * GAMMA & MASK64),
+                tries * step, pairs=True)
         # attempt j of a row is its pairs j * P .. j * P + P - 1
-        dx, dy, states[live] = _disk_draws(states[live], tries * step)
         r = radius[live, None]
         xy = [(p.x + r * dx[:, i::step], p.y + r * dy[:, i::step])
               for i, p in enumerate(base)]
@@ -349,66 +376,138 @@ def _sample_rows(family: DeformationFamily, grid: tuple[float, ...],
         if flat.any():  # the epsilon 0 rows of a grid keep the base points
             for (x, y), p in zip(xy, base):
                 x[flat], y[flat] = p.x, p.y
-        return [Point(x.ravel(), y.ravel()) for x, y in xy]
+        return [Point(x.ravel(), y.ravel()) for x, y in xy], \
+            ends[:, step - 1::step]
 
-    def single(r: int) -> Configuration:
-        """Row r's sample, on its own, from where its stream stands."""
-        epsilon, s = grid[block[r]], seed + int(offset[r])
-        if not (drawn[r] and made):
-            return sample(family, epsilon, s, max_rejections=max_rejections)
-        left = max_rejections - made
-        if left:
-            attempts = _draws(base, float(radius[r]),
-                              SplitMix64(int(states[r])), left)
-        else:  # none left: its last attempt again, for the error
-            at = int(np.searchsorted(live, r)) * tries + tries - 1
-            attempts = [[Point(float(p.x[at]), float(p.y[at])) for p in pts]]
-        return _first_built(family, attempts, epsilon, s, max_rejections)
+    def batch_fails() -> None:
+        """The screen or builder failed a whole call on rows, whatever its
+        draws: the single sample of the first row left raises its error,
+        as the per-draw loop meets it first."""
+        r = int(todo[0])
+        sample(family, grid[block[r]], seed + int(offset[r]),
+               max_rejections=max_rejections)
+        raise RuntimeError(f"family {family.name!r}: the builder fails on "
+                           f"rows where a single sample builds")
 
+    def screened(live: np.ndarray, tries: int
+                 ) -> list[tuple[np.ndarray, list[Point]]]:
+        """The next `tries` attempts of each row of `live` that pass the
+        screen, fewer where its budget ends first, found sub-round by
+        sub-round: each sub-round's rows they belong to, attempt after
+        attempt, and their points."""
+        found = []
+        live = live[made[live] < budget[live]]
+        need = np.full(live.size, tries)  # the passing attempts still due
+        t = tries
+        while live.size:
+            n = live.size
+            pts, ends = attempts(live, t)
+            left = budget[live] - made[live]
+            passed = True
+            if family.screen is not None:
+                try:
+                    with failures() as failed:
+                        family.screen(*pts)
+                except GeometryError:
+                    batch_fails()
+                passed = ~np.broadcast_to(failed.rows, (n * t,))
+            if (t == tries and not found and t <= left.min()
+                    and (passed is True or passed.all())):
+                # every row takes all of its attempts: no gathers
+                made[live] += t
+                if ends is not None:
+                    used[live] += ends[:, -1]
+                found.append((live.repeat(t), pts))
+                break
+            ok = np.broadcast_to(passed, (n * t,)).reshape(n, t)
+            if t > left.min():
+                ok = ok & (np.arange(t) < left[:, None])
+            rank = ok.cumsum(axis=1)  # the passing attempts up to each
+            done = rank[:, -1] >= need
+            # a row makes its attempts up to its last passing one due, or
+            # all those it has
+            spent = np.where(done, (rank < need[:, None]).sum(axis=1) + 1,
+                             np.minimum(t, left))
+            made[live] += spent
+            if ends is not None:
+                used[live] += ends[np.arange(n), spent - 1]
+            hits = (ok & (rank <= need[:, None])).ravel().nonzero()[0]
+            if hits.size:
+                found.append((live[hits // t],
+                              [Point(p.x[hits], p.y[hits]) for p in pts]))
+            more = ~done & (spent < left)
+            live, need = live[more], (need - rank[:, -1])[more]
+            t = max(1, min(2 * t, BATCH_ROWS // max(live.size, 1)))
+        return found
+
+    def keep(built: Configuration, picked_rows, picked) -> None:
+        """Rows `picked_rows` of the batch are rows `picked` of `built`."""
+        for label, cols in columns.items():
+            p = built.point(label)
+            for col, part in zip(cols, (p.x, p.y)):
+                col[picked_rows] = (part[picked] if isinstance(part, np.ndarray)
+                                    else part)
+
+    todo = np.arange(size)  # the rows without a sample, in order
+    tries = 1
+    out = size  # the first row out of attempts, if any
     while todo.size:
-        hit = None
-        trying = budget[todo] > made  # the rows of todo with attempts left
-        if trying.any():
-            live = todo[trying]
-            # one attempt per row, then twice as many each round, as fit
-            # in the first round's rows and in the budget
-            tries = (min(2 * tries, size // live.size, max_rejections - made)
-                     if made else 1)
-            made += tries
-            n = live.size * tries
-            pts = perturbed(live, tries)
+        found = screened(todo, tries)
+        if found:
+            owner, pts = found[0]
+            if len(found) > 1:  # the attempts row by row, each row's in turn
+                owner = np.concatenate([o for o, _ in found])
+                order = owner.argsort(kind="stable")
+                owner = owner[order]
+                pts = [Point(np.concatenate([p[i].x for _, p in found])[order],
+                             np.concatenate([p[i].y for _, p in found])[order])
+                       for i in range(step)]
             try:
                 with failures() as rejected:
                     built = family.builder(*pts)
             except GeometryError:
-                pass  # a failure of every row, whatever its draw
-            else:
-                ok = ~np.broadcast_to(rejected.rows, (n,)).reshape(
-                    live.size, tries)
-                if config is None:
-                    # the first round: after one that raises, the single
-                    # sample below raises or the RuntimeError does
-                    if ok.all():
-                        return built
-                    columns = {label: (np.zeros(size), np.zeros(size))
-                               for label in built.objects}
-                    config = replace(built, objects={
-                        label: Point(*cols) for label, cols in columns.items()})
-                picked = ok.any(axis=1).nonzero()[0]
-                keep(built, n, live[picked],
-                     picked * tries + ok[picked].argmax(axis=1))
-                built = None  # free this round's rows before the next
-                hit = np.zeros(todo.size, bool)
-                hit[trying.nonzero()[0][picked]] = True
-        if hit is not None and hit.any():
-            todo = todo[~hit]
-            continue
-        found = single(int(todo[0]))
-        if config is None:
-            raise RuntimeError(f"family {family.name!r}: the builder fails "
-                               f"on every row that a single sample builds")
-        keep(found, 1, todo[:1], 0)
-        todo = todo[1:]
+                batch_fails()
+            ok = ~np.broadcast_to(rejected.rows, (owner.size,))
+            if config is None:
+                # the first round tries each row once: a build of every row
+                # that accepts them all is the batch
+                if owner.size == size and ok.all():
+                    return built
+                columns = {label: (np.zeros(size), np.zeros(size))
+                           for label in built.objects}
+                config = replace(built, objects={
+                    label: Point(*cols) for label, cols in columns.items()})
+            hits = ok.nonzero()[0]
+            picked_rows, at = np.unique(owner[hits], return_index=True)
+            keep(built, picked_rows, hits[at])
+            built = None  # free this round's rows before the next
+            waiting = np.ones(size, bool)
+            waiting[picked_rows] = False
+            todo = todo[waiting[todo]]
+        spent = made[todo] >= budget[todo]
+        if spent.any():
+            out = min(out, int(todo[spent][0]))
+            todo = todo[~spent & (todo < out)]
+        tries = max(1, min(2 * tries, BATCH_ROWS // max(todo.size, 1)))
+    if out < size:
+        r = out
+        epsilon, s = grid[block[r]], seed + int(offset[r])
+        try:
+            if drawn[r] and max_rejections > 0:
+                # its last attempt, whose error the single sample names
+                dx, dy, _ = _disk_draws(start[r:r + 1], max_rejections * step)
+                rad = float(radius[r])
+                _first_built(family, [[
+                    Point(p.x + rad * float(dx[0, i - step]),
+                          p.y + rad * float(dy[0, i - step]))
+                    for i, p in enumerate(base)]], epsilon, s, max_rejections)
+            else:  # no draw, or no attempt: the single sample is as cheap
+                sample(family, epsilon, s, max_rejections=max_rejections)
+        except RejectionBudgetExhausted as exc:
+            exc.row = rows.start + r
+            raise
+        raise RuntimeError(f"family {family.name!r}: the builder rejects on "
+                           f"rows a draw that a single sample builds")
     return config
 
 
@@ -486,7 +585,8 @@ def _judge_rows(family: DeformationFamily, claims: Sequence[RelationClaim],
     Where a sample has no valid draw or epsilon, or a claim cannot be
     judged on it, the rows run again as the per-draw loop does, epsilon
     by epsilon and then one at a time, so the error raised is the one
-    that loop meets first.
+    that loop meets first.  A sample without a valid draw is the batch's
+    first: the rows before it run again as a batch alone.
     """
     import numpy as np
 
@@ -501,7 +601,15 @@ def _judge_rows(family: DeformationFamily, claims: Sequence[RelationClaim],
     with np.errstate(all="ignore"):
         try:
             config = sample(family, epsilons, seed, samples, rows=rows)
-        except (RejectionBudgetExhausted, ValueError):
+        except (RejectionBudgetExhausted, ValueError) as exc:
+            row = getattr(exc, "row", None)
+            if row is not None:
+                # the rows before it build: their error, if they have one,
+                # comes first
+                if row > rows.start:
+                    _judge_rows(family, claims, epsilons, samples, seed,
+                                range(rows.start, row), scale)
+                raise
             # rows of several epsilons: judge the first epsilon's as its
             # own batch, which raises its error if it has one, then the rest
             cut = (rows.start // samples + 1) * samples

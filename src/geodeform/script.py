@@ -890,6 +890,12 @@ def evaluate(program: Program, overrides: dict[str, float] | None = None,
     return config, verdicts
 
 
+def _screened(stmt: Statement, deformed: tuple[str, ...]) -> bool:
+    """Whether `stmt` is a require that reads deformed points alone: its
+    family screens a draw on it before building."""
+    return isinstance(stmt, Require) and set(stmt.labels) <= set(deformed)
+
+
 def family_builder(program: Program) -> Callable[..., Configuration]:
     """The builder of the deformation family whose figure is `program`.
 
@@ -900,9 +906,11 @@ def family_builder(program: Program) -> Callable[..., Configuration]:
     draw; any other failed label is left out, as `evaluate` leaves it out.
     Points whose coordinates are float64 rows build only the requires and
     the labels that the named assertions and requires read, and draw
-    nothing: every failure on a row then rejects it.  An unnamed assert,
-    which `verify` never judges, rejects no draw.  ValueError when the
-    program has no `deform`.
+    nothing: every failure on a row then rejects it.  On rows it leaves
+    the requires that read deformed points alone to the family's screen
+    (`deformation_family`), which a batch runs on each draw first.  An
+    unnamed assert, which `verify` never judges, rejects no draw.
+    ValueError when the program has no `deform`.
     """
     deform = program.deform()
     if deform is None:
@@ -921,6 +929,7 @@ def family_builder(program: Program) -> Callable[..., Configuration]:
     steps = tuple(s for s in program.statements
                   if isinstance(s, (Define, Require, Draw)))
     row_steps = tuple(s for s in steps if isinstance(s, Require)
+                      and not _screened(s, labels)
                       or isinstance(s, Define) and s.label in frozen)
 
     def builder(*points: Point) -> Configuration:
@@ -932,11 +941,31 @@ def family_builder(program: Program) -> Callable[..., Configuration]:
     return builder
 
 
+def _family_screen(program: Program) -> Callable[..., None] | None:
+    """The screen of the deformation family of `program`: its requires
+    that read deformed points alone, run on the points given for the
+    labels its `deform` statement names; None when it has none."""
+    labels = program.deform().labels
+    steps = tuple(s for s in program.statements
+                  if isinstance(s, Define) and s.label in labels
+                  or _screened(s, labels))
+    if not any(isinstance(s, Require) for s in steps):
+        return None
+    params = program.params()
+
+    def screen(*points: Point) -> None:
+        _construct(steps, params, dict(zip(labels, points, strict=True)),
+                   frozenset())
+
+    return screen
+
+
 def deformation_family(program: Program, name: str) -> DeformationFamily:
     """The family `name` of `program`: the base points and floor of its
-    `deform` statement, evaluated at the param defaults, and
-    `family_builder(program)`.  ValueError when the program has no
-    `deform` or a base point or the floor is out of range."""
+    `deform` statement, evaluated at the param defaults,
+    `family_builder(program)`, and the screen of the requires that read
+    deformed points alone.  ValueError when the program has no `deform`
+    or a base point or the floor is out of range."""
     builder = family_builder(program)
     deform = program.deform()
     params = program.params()
@@ -949,4 +978,5 @@ def deformation_family(program: Program, name: str) -> DeformationFamily:
         raise ValueError(f"deform: {exc}") from None
     if not (math.isfinite(floor) and floor >= 0.0):
         raise ValueError(f"deform: floor must be finite and >= 0, got {floor}")
-    return DeformationFamily(name, base, builder, floor)
+    return DeformationFamily(name, base, builder, floor,
+                             _family_screen(program))

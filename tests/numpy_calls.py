@@ -87,6 +87,8 @@ def _build_and_judge(name: str, draw, array: type) -> list:
     results = []
     with np.errstate(all="ignore"):
         with failures() as failed:
+            if family.screen is not None:
+                family.screen(*points)
             config = family.builder(*points)
         results.append(failed.rows)
         for p in config.points().values():

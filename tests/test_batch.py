@@ -229,13 +229,10 @@ def _attempts(family, epsilon, seed):
     return len(builds)
 
 
-def test_a_rejecting_builder_is_called_once_per_round():
-    """The first round builds one attempt per row.  Each later round
-    builds the rows still without a valid sample at once, the same number
-    of successive attempts of each, and more than one; a row keeps its
-    first accepted attempt.  So the rows open after a round are those
-    whose single sample needs more attempts than the rounds so far made,
-    and rows the builder rejects draw again from their own streams."""
+def test_a_screened_batch_builds_once():
+    """theorem1 rejects a draw only on its screen, the convex require: the
+    batch screens draws until each row has one that passes, and builds
+    them all in one call, which accepts each row's first."""
     family = FAMILIES["theorem1"]
     rounds = []
 
@@ -246,16 +243,41 @@ def test_a_rejecting_builder_is_called_once_per_round():
     counted = dataclasses.replace(family, builder=builder)
     batch = sample(counted, 0.5, 0, 100)
     needs = [_attempts(family, 0.5, seed) for seed in range(100)]
+    assert rounds == [100] and max(needs) > 1
+    _assert_rows_are_single_samples(batch, family, (0.5,), 0, 100)
+
+
+def test_a_rejecting_builder_is_called_once_per_round():
+    """A require over a constructed point is not screened, so its
+    rejections come from the build.  The first round builds one attempt
+    per row; each later round builds the rows still without a valid
+    sample at once, the same number of successive attempts of each, at
+    most twice as many as the round before and no more than BATCH_ROWS
+    attempts in all.  So the rows open after a round are those whose
+    single sample needs more attempts than the rounds so far made."""
+    family = _family("kite_built")
+    assert family.screen is None
+    rounds = []
+
+    def builder(*points):
+        rounds.append(np.size(points[0].x))
+        return family.builder(*points)
+
+    counted = dataclasses.replace(family, builder=builder)
+    batch = sample(counted, 0.2, 0, 100)
+    needs = [_attempts(family, 0.2, seed) for seed in range(100)]
     assert rounds[0] == 100 and len(rounds) > 1
-    made = 1
+    made, steps = 1, [1]
     for size in rounds[1:]:
         still = sum(need > made for need in needs)
         tries, rest = divmod(size, still)
-        assert rest == 0 and tries > 1, (rounds, made)
+        assert rest == 0 and 1 <= tries <= 2 * steps[-1], rounds
+        assert size <= deform.BATCH_ROWS
         made += tries
+        steps.append(tries)
+    assert max(steps) > 1
     assert max(needs) <= made
-    single = sample(family, 0.5, 99)
-    assert batch.point("O_ab").x[99] == single.point("O_ab").x
+    _assert_rows_are_single_samples(batch, family, (0.2,), 0, 100)
 
 
 # barely convex at best: most draws are rejected, and more than half the
@@ -271,10 +293,19 @@ point M = midpoint(A, C)
 assert collinear(A, M, C) as kite_mid "the midpoint of AC is on AC"
 """
 
+# the kite's require over E, which is D rebuilt (2D - D is D exactly): it
+# reads a constructed point, so the builder checks it and there is no
+# screen
+KITE_BUILT_PROGRAM = KITE_PROGRAM.replace(
+    "require convex(A, B, C, D)",
+    "point E = reflect_point(D, D)\nrequire convex(A, B, C, E)")
+
 
 def _family(name):
     if name == "kite":
         return _user_claims(KITE_PROGRAM, "kite")[0]
+    if name == "kite_built":
+        return _user_claims(KITE_BUILT_PROGRAM, "kite_built")[0]
     return FAMILIES[name]
 
 
@@ -294,11 +325,10 @@ def _assert_rows_are_single_samples(batch, family, grid, seed, count,
 
 
 def test_rows_no_round_accepts_finish_as_single_samples():
-    """A round that accepts no row hands its first row to the single
-    sample path, which goes on from where the row's stream stands: the
-    kite at epsilon 0.1 rejects so many draws that rounds accept nothing,
-    each row still ends as its single sample, and no attempt is built
-    twice."""
+    """The kite at epsilon 0.1 rejects so many draws that a row may need
+    hundreds of attempts: the screen finds each row's first convex one,
+    the rows end as their single samples, no attempt is built twice, and
+    nothing is built on floats."""
     family = _family("kite")
     built = {float: [], np.ndarray: []}
 
@@ -309,10 +339,77 @@ def test_rows_no_round_accepts_finish_as_single_samples():
 
     counted = dataclasses.replace(family, builder=builder)
     batch = sample(counted, 0.1, 0, 31)
-    assert built[float] and built[np.ndarray]
-    assert not set(built[float]) & set(built[np.ndarray])
-    assert len(set(built[float])) == len(built[float])
+    assert not built[float] and built[np.ndarray]
+    assert len(set(built[np.ndarray])) == len(built[np.ndarray])
     _assert_rows_are_single_samples(batch, family, (0.1,), 0, 31)
+
+
+def test_kite_verify_builds_nothing_on_floats():
+    """Through `verify`, the kite at epsilon 0.1 holds, in one row build
+    and no float build.  At 40 samples row 31 runs out of attempts: the
+    error is its single sample's, worded by one float build of its last
+    attempt."""
+    family, claims = _user_claims(KITE_PROGRAM, "kite")
+    built = {float: 0, np.ndarray: 0}
+
+    def builder(*points):
+        built[type(points[0].x)] += 1
+        return family.builder(*points)
+
+    counted = dataclasses.replace(family, builder=builder)
+    with np.errstate(all="ignore"):
+        assert verify(counted, claims, 30, 0.1, 0)[0].verdict == "theorem"
+    assert built == {float: 0, np.ndarray: 1}
+    want = _scalar_error(family, claims, 0.1, 31)
+    built.update({float: 0, np.ndarray: 0})
+    with pytest.raises(RejectionBudgetExhausted) as caught:
+        with np.errstate(all="ignore"):
+            verify(counted, claims, 40, 0.1, 0)
+    assert str(caught.value) == str(want)
+    assert built[float] == 1
+
+
+def test_an_unscreened_builder_on_rows_leaves_the_screen_out():
+    """The kite's builder on rows builds a non-convex draw: its convex
+    require is the screen's, which marks the row; on floats the builder
+    checks it and raises."""
+    family = _family("kite")
+    dart = [Point(0.0, 0.0), Point(1.0, 0.0), Point(1.0, 1.0),
+            Point(0.8, 0.2)]
+    rows = [Point(np.array([p.x, p.x]), np.array([p.y, p.y])) for p in dart]
+    with failures() as failed:
+        family.builder(*rows)
+    assert failed.rows is False or not failed.rows.any()
+    with failures() as failed:
+        family.screen(*rows)
+    assert failed.rows.all()
+    with pytest.raises(GeometryError, match="convex"):
+        family.builder(*dart)
+
+
+def test_a_builder_failing_a_whole_batch_raises_the_single_samples_error():
+    """A builder that raises on a whole row batch, whatever its draws,
+    raises the first row's single-sample error; where the single sample
+    builds, the batch raises a RuntimeError instead of a sample."""
+    family = FAMILIES["example1"]
+
+    def on_floats_too(*points):
+        raise GeometryError("no figure here")
+
+    def on_rows_only(*points):
+        if type(points[0].x) is np.ndarray:
+            raise GeometryError("no figure on rows")
+        return family.builder(*points)
+
+    failing = dataclasses.replace(family, builder=on_floats_too)
+    errors = []
+    for count in (None, 5):
+        with pytest.raises(RejectionBudgetExhausted) as caught:
+            sample(failing, 0.5, 3, count, max_rejections=4)
+        errors.append(str(caught.value))
+    assert errors[0] == errors[1] and "seed=3" in errors[0]
+    with pytest.raises(RuntimeError, match="single sample builds"):
+        sample(dataclasses.replace(family, builder=on_rows_only), 0.5, 3, 5)
 
 
 @pytest.mark.parametrize("epsilon", [0.2, 0.3, 1.0])
@@ -460,19 +557,40 @@ def test_grid_errors_keep_the_per_draw_order(monkeypatch, capsys, tmp_path,
 
 @pytest.mark.parametrize("count", [1, 7, 300])
 @pytest.mark.parametrize("name, epsilon", [
-    ("theorem1", 0.5), ("example3", 0.5), ("kite", 0.2), ("kite", 1.0)])
-def test_no_build_holds_more_rows_than_the_first_round(name, epsilon, count):
-    """Later rounds build several attempts per open row, never more rows
-    in all than the first round, whose rows bound the batch's memory."""
+    ("theorem1", 0.5), ("example3", 0.5), ("kite", 0.2), ("kite", 1.0),
+    ("kite_built", 0.2)])
+def test_no_build_holds_more_rows_than_the_first_round(monkeypatch, name,
+                                                       epsilon, count):
+    """No build holds an attempt that fails the screen.  No build and no
+    screen-only sub-round holds more attempts than BATCH_ROWS, the most
+    rows a sweep's batch holds, which bounds the batch's memory; here
+    BATCH_ROWS is 64, or the batch's rows where there are more."""
+    limit = max(64, count)
+    monkeypatch.setattr(deform, "BATCH_ROWS", limit)
     family = _family(name)
-    sizes = []
+    builds, screens, unscreened = [], [], []
 
     def builder(*points):
-        sizes.append(np.size(points[0].x))
+        builds.append(np.size(points[0].x))
+        if family.screen is not None:
+            with failures() as failed:
+                family.screen(*points)
+            unscreened.append(np.any(failed.rows))
         return family.builder(*points)
 
-    sample(dataclasses.replace(family, builder=builder), epsilon, 3, count)
-    assert sizes[0] == count and max(sizes) == count, sizes
+    def screen(*points):
+        screens.append(np.size(points[0].x))
+        return family.screen(*points)
+
+    counted = dataclasses.replace(
+        family, builder=builder,
+        screen=screen if family.screen is not None else None)
+    with np.errstate(all="ignore"):
+        batch = sample(counted, epsilon, 3, count)
+    assert builds[0] <= count and max(builds) <= limit, builds
+    assert not any(unscreened)
+    assert max(screens, default=0) <= limit and screens[:1] in ([], [count])
+    _assert_rows_are_single_samples(batch, family, (epsilon,), 3, count)
 
 
 @pytest.mark.parametrize("name, epsilon, budget", [

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geodeform import core
 from geodeform.core import (
     Circle,
     CoincidentPoints,
@@ -456,6 +457,39 @@ def test_diameter_rows_have_the_float_bits(figures):
         return
     assert [float(h).hex() for h in got] == \
         [diameter([Point(*xy) for xy in f]).hex() for f in figures]
+
+
+@pytest.mark.parametrize("points, loops", [
+    # a row of coincident points among rows of distinct ones
+    ([(np.array([0.0, 1.0, 2.0]), np.zeros(3)), (np.zeros(3), np.zeros(3)),
+      (np.array([0.0, 3.0, -1.0]), np.array([0.0, 1.0, 5.0]))], False),
+    # float points next to rows
+    ([(0.0, 0.0), (0.0, 0.0), (np.array([0.0, 1.0]), np.zeros(2))], False),
+    # a row of distinct points whose squares underflow to 0
+    ([(np.array([0.0, 1e-300]), np.zeros(2)), (np.zeros(2), np.zeros(2))],
+     True),
+])
+def test_diameter_rows_of_coincident_points_are_in_range(monkeypatch, points,
+                                                        loops):
+    """A row whose points coincide exactly is 0, as `dist` makes it, and
+    leaves the batch on the one-square path; a row of distinct points too
+    close for it sends the batch through the pairwise loop."""
+    calls = []
+
+    def counted(p, q):
+        calls.append(None)
+        return dist(p, q)
+
+    monkeypatch.setattr(core, "dist", counted)
+    rows = [Point(x, y) for x, y in points]
+    got = diameter(rows)
+    assert bool(calls) == loops
+    monkeypatch.undo()
+    n = len(got)
+    assert [float(h).hex() for h in got] == [
+        diameter([Point(float(np.broadcast_to(x, (n,))[i]),
+                        float(np.broadcast_to(y, (n,))[i]))
+                  for x, y in points]).hex() for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
