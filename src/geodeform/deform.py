@@ -123,13 +123,12 @@ class SplitMix64:
                 return x, y
 
 
-def _disk_draws(states: np.ndarray, need: int, pairs: bool = False,
+def _disk_draws(states: np.ndarray, need: int,
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The next `need` results of `in_unit_disk` on each stream of the
     uint64 array `states`, all at once: their x and y as (streams, need)
-    arrays, and the state of each stream just after its last pair taken;
-    with `pairs`, instead the number of pairs each stream used up to and
-    including each of its results, a (streams, need) array.
+    arrays, and the number of pairs each stream used up to and including
+    each of its results, a (streams, need) array.
 
     Pair j of a stream at state s is the outputs of s + (2j + 1) * GAMMA
     and s + (2j + 2) * GAMMA, and the stream takes its first `need` pairs
@@ -163,9 +162,7 @@ def _disk_draws(states: np.ndarray, need: int, pairs: bool = False,
         # the pairs a stream used up to each pair taken
         ends[rows] = taken.nonzero()[1].reshape(-1, need) + 1
         todo, width = todo[~done], 2 * width
-    if pairs:
-        return x, y, ends
-    return x, y, states + ends[:, -1] * np.uint64(2 * GAMMA & MASK64)
+    return x, y, ends
 
 
 @dataclass(frozen=True)
@@ -363,11 +360,11 @@ def _sample_rows(family: DeformationFamily, grid: tuple[float, ...],
             # epsilon block
             dx, dy, ends = (a[offset[live]] for a in _disk_draws(
                 np.uint64(seed & MASK64) + np.arange(count, dtype=np.uint64),
-                tries * step, pairs=True))
+                tries * step))
         else:
             dx, dy, ends = _disk_draws(
                 start[live] + used[live] * np.uint64(2 * GAMMA & MASK64),
-                tries * step, pairs=True)
+                tries * step)
         # attempt j of a row is its pairs j * P .. j * P + P - 1
         r = radius[live, None]
         xy = [(p.x + r * dx[:, i::step], p.y + r * dy[:, i::step])

@@ -906,12 +906,18 @@ def family_builder(program: Program) -> Callable[..., Configuration]:
     draw; any other failed label is left out, as `evaluate` leaves it out.
     Points whose coordinates are float64 rows build only the requires and
     the labels that the named assertions and requires read, and draw
-    nothing: every failure on a row then rejects it.  On rows it leaves
-    the requires that read deformed points alone to the family's screen
-    (`deformation_family`), which a batch runs on each draw first.  An
-    unnamed assert, which `verify` never judges, rejects no draw.
-    ValueError when the program has no `deform`.
+    nothing: every failure on a row then rejects it.  An unnamed assert,
+    which `verify` never judges, rejects no draw.  ValueError when the
+    program has no `deform`.
     """
+    return _family_builder(program, screened=False)
+
+
+def _family_builder(program: Program,
+                    screened: bool) -> Callable[..., Configuration]:
+    """`family_builder(program)`; with `screened`, its builder on rows
+    leaves the requires that read deformed points alone to the family's
+    screen (`_family_screen`), which a batch runs on each draw first."""
     deform = program.deform()
     if deform is None:
         raise ValueError("the program has no deform statement")
@@ -929,7 +935,7 @@ def family_builder(program: Program) -> Callable[..., Configuration]:
     steps = tuple(s for s in program.statements
                   if isinstance(s, (Define, Require, Draw)))
     row_steps = tuple(s for s in steps if isinstance(s, Require)
-                      and not _screened(s, labels)
+                      and not (screened and _screened(s, labels))
                       or isinstance(s, Define) and s.label in frozen)
 
     def builder(*points: Point) -> Configuration:
@@ -962,11 +968,12 @@ def _family_screen(program: Program) -> Callable[..., None] | None:
 
 def deformation_family(program: Program, name: str) -> DeformationFamily:
     """The family `name` of `program`: the base points and floor of its
-    `deform` statement, evaluated at the param defaults,
-    `family_builder(program)`, and the screen of the requires that read
-    deformed points alone.  ValueError when the program has no `deform`
+    `deform` statement, evaluated at the param defaults, the screen of
+    the requires that read deformed points alone, and
+    `family_builder(program)` but for those requires, which on rows it
+    leaves to the screen.  ValueError when the program has no `deform`
     or a base point or the floor is out of range."""
-    builder = family_builder(program)
+    builder = _family_builder(program, screened=True)
     deform = program.deform()
     params = program.params()
     try:

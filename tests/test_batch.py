@@ -22,7 +22,8 @@ from geodeform.cli import main
 from geodeform.core import GeometryError, Point, failures
 from geodeform.deform import RejectionBudgetExhausted, sample, \
     scaling_probe, verify
-from geodeform.script import Construct, Define, Require, parse
+from geodeform.script import Construct, Define, Require, family_builder, \
+    parse
 
 SEEDS = 200
 
@@ -369,10 +370,11 @@ def test_kite_verify_builds_nothing_on_floats():
     assert built[float] == 1
 
 
-def test_an_unscreened_builder_on_rows_leaves_the_screen_out():
-    """The kite's builder on rows builds a non-convex draw: its convex
-    require is the screen's, which marks the row; on floats the builder
-    checks it and raises."""
+def test_a_family_builder_on_rows_leaves_the_screen_out():
+    """The kite family's builder on rows builds a non-convex draw: its
+    convex require is the screen's, which marks the row; on floats the
+    builder checks it and raises.  `family_builder`, which has no screen
+    beside it, checks every require on rows too."""
     family = _family("kite")
     dart = [Point(0.0, 0.0), Point(1.0, 0.0), Point(1.0, 1.0),
             Point(0.8, 0.2)]
@@ -385,6 +387,9 @@ def test_an_unscreened_builder_on_rows_leaves_the_screen_out():
     assert failed.rows.all()
     with pytest.raises(GeometryError, match="convex"):
         family.builder(*dart)
+    with failures() as failed:
+        family_builder(parse(KITE_PROGRAM))(*rows)
+    assert failed.rows.all()
 
 
 def test_a_builder_failing_a_whole_batch_raises_the_single_samples_error():
@@ -555,18 +560,12 @@ def test_grid_errors_keep_the_per_draw_order(monkeypatch, capsys, tmp_path,
     assert got.err.startswith("error: ") and got.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("count", [1, 7, 300])
-@pytest.mark.parametrize("name, epsilon", [
-    ("theorem1", 0.5), ("example3", 0.5), ("kite", 0.2), ("kite", 1.0),
-    ("kite_built", 0.2)])
-def test_no_build_holds_more_rows_than_the_first_round(monkeypatch, name,
-                                                       epsilon, count):
-    """No build holds an attempt that fails the screen.  No build and no
-    screen-only sub-round holds more attempts than BATCH_ROWS, the most
-    rows a sweep's batch holds, which bounds the batch's memory; here
-    BATCH_ROWS is 64, or the batch's rows where there are more."""
-    limit = max(64, count)
-    monkeypatch.setattr(deform, "BATCH_ROWS", limit)
+def _counted_builds(monkeypatch, name, epsilon, count):
+    """The rows of each build and each screen call of the batch of `count`
+    samples of family `name` at `epsilon` from seed 3, with BATCH_ROWS 64
+    or `count` where that is more, and whether each build held an
+    attempt that fails the screen."""
+    monkeypatch.setattr(deform, "BATCH_ROWS", max(64, count))
     family = _family(name)
     builds, screens, unscreened = [], [], []
 
@@ -587,10 +586,38 @@ def test_no_build_holds_more_rows_than_the_first_round(monkeypatch, name,
         screen=screen if family.screen is not None else None)
     with np.errstate(all="ignore"):
         batch = sample(counted, epsilon, 3, count)
-    assert builds[0] <= count and max(builds) <= limit, builds
-    assert not any(unscreened)
-    assert max(screens, default=0) <= limit and screens[:1] in ([], [count])
     _assert_rows_are_single_samples(batch, family, (epsilon,), 3, count)
+    return builds, screens, unscreened
+
+
+@pytest.mark.parametrize("count", [1, 7, 300])
+@pytest.mark.parametrize("name, epsilon", [
+    ("theorem1", 0.5), ("example3", 0.5), ("kite", 0.2), ("kite", 1.0)])
+def test_no_build_holds_more_rows_than_the_first_round(monkeypatch, name,
+                                                       epsilon, count):
+    """These families reject draws on their screens alone: the batch
+    builds once, one screened attempt of each row, and holds no attempt
+    that fails the screen.  No screen-only sub-round holds more attempts
+    than BATCH_ROWS, the most rows a sweep's batch holds."""
+    builds, screens, unscreened = _counted_builds(monkeypatch, name,
+                                                  epsilon, count)
+    assert builds == [count] and unscreened == [False]
+    assert screens[0] == count and max(screens) <= max(64, count)
+
+
+@pytest.mark.parametrize("count", [1, 7, 300])
+def test_a_rejecting_build_holds_at_most_batch_rows_attempts(monkeypatch,
+                                                             count):
+    """Rejections from constructions come back in build rounds: after the
+    first, whose build holds the batch's rows, a round may hold more
+    attempts than the batch has rows (a 1-row batch would otherwise
+    build one attempt at a time), but never more than BATCH_ROWS."""
+    builds, screens, _ = _counted_builds(monkeypatch, "kite_built", 0.2,
+                                         count)
+    assert builds[0] == count and len(builds) > 1
+    assert max(builds) <= max(64, count) and not screens
+    if count == 1:
+        assert max(builds) > count
 
 
 @pytest.mark.parametrize("name, epsilon, budget", [

@@ -68,9 +68,10 @@ def test_splitmix64_counter_form_is_the_stepped_stream(seed):
 
 @pytest.mark.parametrize("need", [1, 2, 12])
 def test_disk_draws_are_in_unit_disk_in_turn(monkeypatch, need):
-    """Row i holds the next `need` in_unit_disk draws of stream i, and its
-    state is the stream's after them.  Among 3000 streams some are still
-    short of pairs inside the disk after the first pass."""
+    """Row i holds the next `need` in_unit_disk draws of stream i, and the
+    pairs it used for them step the stream to its state after them.
+    Among 3000 streams some are still short of pairs inside the disk
+    after the first pass."""
     passes = []
 
     def counted_mix(z):
@@ -80,8 +81,10 @@ def test_disk_draws_are_in_unit_disk_in_turn(monkeypatch, need):
 
     monkeypatch.setattr(deform, "_mix", counted_mix)
     seeds = [*range(3000), *(s & MASK64 for s in SEEDS_NEAR_WRAP)]
-    x, y, after = _disk_draws(np.array(seeds, dtype=np.uint64), need)
-    assert x.shape == y.shape == (len(seeds), need)
+    states = np.array(seeds, dtype=np.uint64)
+    x, y, ends = _disk_draws(states, need)
+    assert x.shape == y.shape == ends.shape == (len(seeds), need)
+    after = states + ends[:, -1] * np.uint64(2 * GAMMA & MASK64)
     assert passes[0] == len(seeds) and passes[-1] < len(seeds)
     for row, seed in enumerate(seeds):
         gen = SplitMix64(seed)
