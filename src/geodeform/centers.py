@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import enum
 import math
+from typing import Callable
 
 from .core import (
     FLOOR,
     GUARD,
+    Circle,
     CoincidentPoints,
     CollinearPoints,
     GeometryError,
@@ -150,8 +152,13 @@ def _concurrent_point(lines: list[Line], diam: float) -> Point:
         raise IllConditioned("defining lines form a near-parallel pencil") from exc
 
 
-def triangle_center(kind: CenterKind, a: Point, b: Point, c: Point) -> Point:
-    """The requested center of triangle abc (any vertex order)."""
+def triangle_center(kind: CenterKind, a: Point, b: Point, c: Point,
+                    circle: Callable[[], Circle] | None = None) -> Point:
+    """The requested center of triangle abc (any vertex order).
+
+    `circle`, when given, returns the circumcircle of abc, which X3, X4
+    and X5 call for once the triangle is checked: a caller that keeps the
+    circles of a figure passes its own copy."""
     diam = _require_triangle(a, b, c)
     if kind is CenterKind.X1:
         la, lb, lc = dist(b, c), dist(c, a), dist(a, b)
@@ -160,15 +167,12 @@ def triangle_center(kind: CenterKind, a: Point, b: Point, c: Point) -> Point:
                      (la * a.y + lb * b.y + lc * c.y) / s)
     if kind is CenterKind.X2:
         return Point((a.x + b.x + c.x) / 3.0, (a.y + b.y + c.y) / 3.0)
-    if kind is CenterKind.X3:
-        return circumcircle(a, b, c).center
-    if kind is CenterKind.X4:
-        o = circumcircle(a, b, c).center
-        return Point(a.x + b.x + c.x - 2.0 * o.x, a.y + b.y + c.y - 2.0 * o.y)
-    if kind is CenterKind.X5:
-        o = circumcircle(a, b, c).center
+    if kind in (CenterKind.X3, CenterKind.X4, CenterKind.X5):
+        o = (circumcircle(a, b, c) if circle is None else circle()).center
+        if kind is CenterKind.X3:
+            return o
         h = Point(a.x + b.x + c.x - 2.0 * o.x, a.y + b.y + c.y - 2.0 * o.y)
-        return midpoint(o, h)
+        return h if kind is CenterKind.X4 else midpoint(o, h)
     if kind is CenterKind.X13:
         lines = _fermat_lines(a, b, c, Orientation.AWAY_FROM_REFERENCE)
         return _concurrent_point(lines, diam)

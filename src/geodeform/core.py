@@ -216,23 +216,34 @@ def where(cond, a, b):
 
 def maximum(*values):
     """The builtin max of the values, per row: a later value wins only
-    when it is strictly greater."""
+    when it is strictly greater, so a NaN first value stays NaN and a NaN
+    later value is passed over.
+
+    On rows the later values fold with fmax, which passes over a NaN,
+    then one maximum against the first value keeps its NaN: k numpy calls
+    for k values.  That is the builtin's result wherever +0.0 and -0.0 do
+    not tie, so values on rows must not be -0.0: every caller passes
+    lengths, squares, absolute values, radii or a positive literal."""
     if _NUMBERS.issuperset(map(type, values)):
         return max(values)
+    np = _numpy or sys.modules["numpy"]
     best = values[0]
     for v in values[1:]:
-        best = where(v > best, v, best)
-    return best
+        best = np.fmax(best, v)
+    return np.maximum(best, values[0])
 
 
 def minimum(*values):
-    """The builtin min of the values, per row."""
+    """The builtin min of the values, per row, on the domain of
+    `maximum`: NaN where the first value is NaN, later NaNs passed over,
+    folded as `maximum` folds."""
     if _NUMBERS.issuperset(map(type, values)):
         return min(values)
+    np = _numpy or sys.modules["numpy"]
     best = values[0]
     for v in values[1:]:
-        best = where(v < best, v, best)
-    return best
+        best = np.fmin(best, v)
+    return np.minimum(best, values[0])
 
 
 @dataclass

@@ -140,9 +140,11 @@ def _disk_draws(states: np.ndarray, need: int,
 
     x, y = np.empty((states.size, need)), np.empty((states.size, need))
     ends = np.empty((states.size, need), np.uint64)
-    # a pair lands inside with probability pi / 4: mix the pairs a stream
-    # needs on average, and two standard deviations more
-    width = int(1.28 * need + 2.0 * math.sqrt(need)) + 1
+    # a pair lands inside with probability pi / 4, so a stream needs
+    # 1.27 * need pairs on average, with a standard deviation of
+    # 0.59 * sqrt(need): mix about 1.7 deviations more, which leaves 1-4%
+    # of the streams to the second pass
+    width = int(1.28 * need + math.sqrt(need)) + 1
     todo = np.arange(states.size)
     while todo.size:
         # outputs 1 .. 2 * width of each stream: the x of pair j is output

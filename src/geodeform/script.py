@@ -155,7 +155,8 @@ Construction = Callable[[list[Point], float | None, Part], Point]
 
 
 def _center(kind: CenterKind) -> Construction:
-    return lambda p, angle, part: triangle_center(kind, p[0], p[1], p[2])
+    return lambda p, angle, part: triangle_center(
+        kind, p[0], p[1], p[2], lambda: part(circumcircle, 0, 1, 2))
 
 
 def _second_intersection(p: list[Point], angle: float | None,

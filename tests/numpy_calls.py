@@ -11,12 +11,16 @@ on any host.  A ufunc applied to a Python list of arrays reaches no
 override: the `logical_or.reduce` that folds a `Failures`'s masks is not
 counted (2 to 5 folds per family).  Each call runs on plain arrays, so
 the counted build and judge have the bits of plain ones: `plain_calls`
-returns the same results for a caller to compare.
+returns the same results for a caller to compare.  `caller_calls(name)`
+counts the same calls by the innermost `geodeform` function that made
+each, to show who spends them.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
+from typing import Callable
 
 import numpy as np
 
@@ -28,9 +32,27 @@ ROWS = 1000
 EPSILON = 0.5
 
 
-def _counting(counts: Counter) -> type:
+def _by_name(name: str) -> str:
+    return name
+
+
+def _by_caller(name: str) -> str:
+    """The innermost `geodeform` function on the stack, as module.name."""
+    frame = sys._getframe(1)
+    while frame is not None:
+        module = frame.f_globals.get("__name__", "")
+        if module.startswith("geodeform."):
+            code = frame.f_code
+            return (f"{module.removeprefix('geodeform.')}."
+                    f"{getattr(code, 'co_qualname', code.co_name)}")
+        frame = frame.f_back
+    return "(outside geodeform)"
+
+
+def _counting(counts: Counter, key: Callable[[str], str] = _by_name) -> type:
     """An ndarray subclass that adds each numpy call it meets to
-    `counts`, by name, and runs it on plain arrays."""
+    `counts`, under `key` of the call's name, and runs it on plain
+    arrays."""
 
     def plain(x):
         if isinstance(x, np.ndarray):
@@ -48,8 +70,8 @@ def _counting(counts: Counter) -> type:
 
     class Counting(np.ndarray):
         def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-            counts[ufunc.__name__ if method == "__call__"
-                   else f"{ufunc.__name__}.{method}"] += 1
+            counts[key(ufunc.__name__ if method == "__call__"
+                       else f"{ufunc.__name__}.{method}")] += 1
             out = kwargs.get("out")
             if out is not None:
                 kwargs["out"] = plain(out)
@@ -59,7 +81,7 @@ def _counting(counts: Counter) -> type:
             return wrap(result)
 
         def __array_function__(self, func, types, args, kwargs):
-            counts[func.__name__] += 1
+            counts[key(func.__name__)] += 1
             return wrap(func(*plain(args), **plain(kwargs)))
 
     return Counting
@@ -108,6 +130,14 @@ def family_calls(name: str) -> tuple[Counter, list]:
     counts: Counter = Counter()
     results = _build_and_judge(name, _draw(name), _counting(counts))
     return counts, results
+
+
+def caller_calls(name: str) -> Counter:
+    """The numpy calls of `family_calls(name)`, by the innermost
+    `geodeform` function that made each, as module.function."""
+    counts: Counter = Counter()
+    _build_and_judge(name, _draw(name), _counting(counts, _by_caller))
+    return counts
 
 
 def plain_calls(name: str) -> list:

@@ -383,6 +383,34 @@ def test_hypot_overflows_to_inf_only_past_the_largest_float():
     assert float.fromhex(_row_bits(hypot, 1.5e308, 1.5e308)) == math.inf
 
 
+@st.composite
+def _fold_values(draw):
+    """1 to 8 values of the domain of `maximum` on rows, nonnegative
+    floats with 0.0, subnormals, +inf and NaN: Python floats and arrays of
+    one row count, 1 to 8, at least one an array."""
+    nonnegative = FLOATS.map(abs)
+    rows = draw(st.integers(1, 8))
+    kinds = draw(st.lists(st.booleans(), min_size=1, max_size=8))
+    kinds[draw(st.integers(0, len(kinds) - 1))] = True
+    return [np.array(draw(st.lists(nonnegative, min_size=rows,
+                                   max_size=rows)))
+            if is_array else draw(nonnegative) for is_array in kinds]
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(values=_fold_values())
+def test_maximum_and_minimum_rows_are_the_float_fold(values):
+    """Row r of `maximum` and `minimum` is the builtin max and min of the
+    values at row r: NaN where a NaN comes first, later NaNs passed
+    over."""
+    rows = max(len(v) for v in values if type(v) is np.ndarray)
+    for fold, builtin in ((core.maximum, max), (core.minimum, min)):
+        got = np.broadcast_to(fold(*values), (rows,))
+        want = [builtin(v if type(v) is float else float(v[r])
+                        for v in values) for r in range(rows)]
+        assert [float(g).hex() for g in got] == [w.hex() for w in want]
+
+
 # ---------------------------------------------------------------------------
 # diameter: one sqrt of the largest squared length, with the bits of the
 # largest pairwise dist

@@ -66,7 +66,7 @@ def test_splitmix64_counter_form_is_the_stepped_stream(seed):
     assert _mix(states[:, None] + counters).tolist() == [stepped] * 3
 
 
-@pytest.mark.parametrize("need", [1, 2, 12])
+@pytest.mark.parametrize("need", [1, 2, 3, 4, 12])
 def test_disk_draws_are_in_unit_disk_in_turn(monkeypatch, need):
     """Row i holds the next `need` in_unit_disk draws of stream i, and the
     pairs it used for them step the stream to its state after them.

@@ -3,13 +3,15 @@
 import math
 import pathlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geodeform import script
+from geodeform import centers, script
 from geodeform.catalog import FAMILIES
-from geodeform.core import GeometryError, Point, dist, rotate
+from geodeform.core import GeometryError, Point, circumcircle, dist, \
+    failures, rotate
 from geodeform.relations import RELATIONS
 from geodeform.script import (
     ArityError,
@@ -347,14 +349,14 @@ def test_requires_are_scale_honest(case):
 
 
 @pytest.mark.parametrize("family, build, per_run", [
-    ("example3", "circumcircle", 1),
+    ("example3", "circumcircle", 4),
     ("bisector", "angle_bisector", 4),
 ])
 def test_shared_circles_and_bisectors_are_built_once(monkeypatch, family,
                                                      build, per_run):
-    """example3 uses the circumcircle of A, B, C in five statements and
-    bisector uses each interior bisector in two meets; a run builds each
-    once."""
+    """example3 uses the circumcircle of A, B, C in six statements and that
+    of each other nine-point center's triangle in one; bisector uses each
+    interior bisector in two meets.  A run builds each once."""
     calls = []
     original = getattr(script, build)
 
@@ -365,7 +367,30 @@ def test_shared_circles_and_bisectors_are_built_once(monkeypatch, family,
     monkeypatch.setattr(script, build, counted)
     fam = FAMILIES[family]
     fam.builder(*fam.base_points)
-    assert len(calls) == per_run
+    assert len(calls) == len(set(calls)) == per_run
+
+
+def test_an_example3_row_build_makes_one_circumcircle_per_triangle(
+        monkeypatch):
+    """On rows the nine-point centers read their circumcircles where the
+    second intersections do: one build of the circle of A, B, C and one
+    of each of A'BC, B'AC and C'AB."""
+    calls = []
+
+    def counted(*args):
+        calls.append(tuple(map(id, args)))
+        return circumcircle(*args)
+
+    monkeypatch.setattr(script, "circumcircle", counted)
+    monkeypatch.setattr(centers, "circumcircle", counted)
+    fam = FAMILIES["example3"]
+    rng = np.random.default_rng(0)
+    points = [Point(p.x + 0.01 * rng.standard_normal(50),
+                    p.y + 0.01 * rng.standard_normal(50))
+              for p in fam.base_points]
+    with failures():
+        fam.builder(*points)
+    assert len(calls) == len(set(calls)) == 4
 
 
 def test_failed_require_fails_every_assert():
