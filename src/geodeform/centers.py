@@ -17,7 +17,6 @@ from typing import Callable
 from .core import (
     FLOOR,
     GUARD,
-    Circle,
     CoincidentPoints,
     CollinearPoints,
     GeometryError,
@@ -76,27 +75,76 @@ class IllConditioned(GeometryError):
     within the guard GUARD."""
 
 
-def _pick_side(base1: Point, base2: Point, candidate_offset: Point,
-               mid: Point, orientation: Orientation, reference: Point) -> Point:
-    """Choose mid +/- offset so the result sits on the requested side."""
-    plus = Point(mid.x + candidate_offset.x, mid.y + candidate_offset.y)
-    # a side is the sign of the signed area, with 0.0 on the positive side
-    same_side = ((signed_area(base1, base2, plus) < 0.0)
-                 == (signed_area(base1, base2, reference) < 0.0))
-    keep = same_side == (orientation is Orientation.TOWARD_REFERENCE)
-    return Point(where(keep, plus.x, mid.x - candidate_offset.x),
-                 where(keep, plus.y, mid.y - candidate_offset.y))
+# part(build, *at): `build` over the points at positions `at` of a
+# construction's arguments.  A caller that keeps the parts of a figure
+# passes its own `part` (see script.py), which builds each part once per
+# run and argument labels, so constructions that share a triangle or an
+# ordered side share its check or its apex candidates
+Part = Callable[..., object]
+
+
+def _unshared(*points: Point) -> Part:
+    """The `part` over `points` that keeps nothing: each call builds."""
+    return lambda build, *at: build(*[points[i] for i in at])
+
+
+def _below(base1: Point, base2: Point, point: Point):
+    """Whether `point` lies on the negative side of base1 -> base2: a
+    side is the sign of the signed area, with 0.0 on the positive side."""
+    return signed_area(base1, base2, point) < 0.0
+
+
+def _candidates(base1: Point, base2: Point, k: float) -> tuple:
+    """The two apex candidates mid +/- k * perp(base2 - base1) on the
+    segment base1-base2: the plus one as a point, the minus one as bare
+    coordinates, which are checked only where they are picked, and
+    whether plus lies on the negative side of base1 -> base2."""
+    m = midpoint(base1, base2)
+    offset = perp(base2 - base1) * k
+    plus = Point(m.x + offset.x, m.y + offset.y)
+    return plus, m.x - offset.x, m.y - offset.y, _below(base1, base2, plus)
+
+
+def _equilateral_side(base1: Point, base2: Point) -> tuple:
+    """The `_candidates` of the equilateral apexes on base1 -> base2, the
+    part that every apex on that ordered side shares: a reversed side
+    rounds the signed area of plus differently."""
+    return _candidates(base1, base2, math.sqrt(3.0) / 2.0)
+
+
+def _pick_side(side: tuple, orientation: Orientation,
+               reference_below) -> Point:
+    """The candidate of `side` (`_candidates` on a base) on the requested
+    side of the base, given whether the reference is `_below` it."""
+    plus, minus_x, minus_y, plus_below = side
+    keep = (plus_below == reference_below
+            if orientation is Orientation.TOWARD_REFERENCE
+            else plus_below != reference_below)
+    return Point(where(keep, plus.x, minus_x), where(keep, plus.y, minus_y))
+
+
+def _apex(part: Part, i: int, j: int, reference: int,
+          orientation: Orientation) -> Point:
+    """The equilateral apex on the ordered side i -> j of the points of
+    `part`, toward or away from point `reference`, from the candidates
+    and the reference's side that `part` keeps; the caller has checked
+    that the base has a length."""
+    return _pick_side(part(_equilateral_side, i, j), orientation,
+                      part(_below, i, j, reference))
 
 
 def equilateral_apex(base1: Point, base2: Point, orientation: Orientation,
-                     reference: Point) -> Point:
-    """Apex completing an equilateral triangle on the segment base1-base2."""
+                     reference: Point, part: Part | None = None) -> Point:
+    """Apex completing an equilateral triangle on the segment base1-base2.
+
+    `part`, when given, is a `part` over (base1, base2, reference): a
+    caller that keeps the parts of a figure passes its own, so the apexes
+    on one ordered side share its candidates."""
     d = dist(base1, base2)
     guard(d <= FLOOR * _local_scale(base1, base2), CoincidentPoints,
           "equilateral apex on a zero-length base")
-    m = midpoint(base1, base2)
-    offset = perp(base2 - base1) * (math.sqrt(3.0) / 2.0)
-    return _pick_side(base1, base2, offset, m, orientation, reference)
+    return _apex(part or _unshared(base1, base2, reference), 0, 1, 2,
+                 orientation)
 
 
 def right_isosceles_apex(end1: Point, end2: Point, orientation: Orientation,
@@ -105,9 +153,8 @@ def right_isosceles_apex(end1: Point, end2: Point, orientation: Orientation,
     d = dist(end1, end2)
     guard(d <= FLOOR * _local_scale(end1, end2), CoincidentPoints,
           "right-isosceles apex on a zero-length base")
-    m = midpoint(end1, end2)
-    offset = perp(end2 - end1) * 0.5
-    return _pick_side(end1, end2, offset, m, orientation, reference)
+    return _pick_side(_candidates(end1, end2, 0.5), orientation,
+                      _below(end1, end2, reference))
 
 
 def _require_triangle(a: Point, b: Point, c: Point) -> float:
@@ -120,15 +167,20 @@ def _require_triangle(a: Point, b: Point, c: Point) -> float:
     return diam
 
 
-def _fermat_lines(a: Point, b: Point, c: Point,
-                  orientation: Orientation) -> list[Line]:
-    apex_a = equilateral_apex(b, c, orientation, a)
-    apex_b = equilateral_apex(c, a, orientation, b)
-    apex_c = equilateral_apex(a, b, orientation, c)
+def _fermat_lines(points: tuple[Point, Point, Point],
+                  orientation: Orientation, part: Part) -> list[Line]:
+    """The lines from each vertex of the checked triangle `points` to the
+    equilateral apex on the opposite side, with apexes from `part`.
+
+    The apexes need no zero-length-base guard of their own: the side
+    under one has the bits of a side of `_require_triangle`, whose floor
+    is scaled by all three vertices, so its guard has marked every row
+    theirs would, and raised first on floats."""
+    apexes = [_apex(part, 1, 2, 0, orientation),
+              _apex(part, 2, 0, 1, orientation),
+              _apex(part, 0, 1, 2, orientation)]
     try:
-        return [line_through(a, apex_a),
-                line_through(b, apex_b),
-                line_through(c, apex_c)]
+        return [line_through(v, apex) for v, apex in zip(points, apexes)]
     except CoincidentPoints as exc:
         raise IllConditioned(f"fermat construction degenerates: {exc}") from exc
 
@@ -153,13 +205,15 @@ def _concurrent_point(lines: list[Line], diam: float) -> Point:
 
 
 def triangle_center(kind: CenterKind, a: Point, b: Point, c: Point,
-                    circle: Callable[[], Circle] | None = None) -> Point:
+                    part: Part | None = None) -> Point:
     """The requested center of triangle abc (any vertex order).
 
-    `circle`, when given, returns the circumcircle of abc, which X3, X4
-    and X5 call for once the triangle is checked: a caller that keeps the
-    circles of a figure passes its own copy."""
-    diam = _require_triangle(a, b, c)
+    `part`, when given, is a `part` over (a, b, c): a caller that keeps
+    the parts of a figure passes its own, so the triangle's check and
+    circumcircle and the apex candidates of each ordered side are built
+    once per figure."""
+    part = part or _unshared(a, b, c)
+    diam = part(_require_triangle, 0, 1, 2)
     if kind is CenterKind.X1:
         la, lb, lc = dist(b, c), dist(c, a), dist(a, b)
         s = la + lb + lc
@@ -168,15 +222,15 @@ def triangle_center(kind: CenterKind, a: Point, b: Point, c: Point,
     if kind is CenterKind.X2:
         return Point((a.x + b.x + c.x) / 3.0, (a.y + b.y + c.y) / 3.0)
     if kind in (CenterKind.X3, CenterKind.X4, CenterKind.X5):
-        o = (circumcircle(a, b, c) if circle is None else circle()).center
+        o = part(circumcircle, 0, 1, 2).center
         if kind is CenterKind.X3:
             return o
         h = Point(a.x + b.x + c.x - 2.0 * o.x, a.y + b.y + c.y - 2.0 * o.y)
         return h if kind is CenterKind.X4 else midpoint(o, h)
-    if kind is CenterKind.X13:
-        lines = _fermat_lines(a, b, c, Orientation.AWAY_FROM_REFERENCE)
-        return _concurrent_point(lines, diam)
-    if kind is CenterKind.X14:
-        lines = _fermat_lines(a, b, c, Orientation.TOWARD_REFERENCE)
-        return _concurrent_point(lines, diam)
+    if kind in (CenterKind.X13, CenterKind.X14):
+        orientation = (Orientation.AWAY_FROM_REFERENCE
+                       if kind is CenterKind.X13
+                       else Orientation.TOWARD_REFERENCE)
+        return _concurrent_point(
+            _fermat_lines((a, b, c), orientation, part), diam)
     raise ValueError(f"unsupported center kind {kind!r}")

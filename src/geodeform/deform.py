@@ -155,14 +155,18 @@ def _disk_draws(states: np.ndarray, need: int,
         u = (_mix(states[todo, None] + counters) >> 11) * 2.0 ** -52 - 1.0
         px, py = u[:, 0::2], u[:, 1::2]
         inside = px * px + py * py <= 1.0
-        rank = inside.cumsum(axis=1)  # the inside pairs up to each pair
+        # the inside pairs up to each pair
+        rank = inside.cumsum(axis=1, dtype=np.int32)
         done = rank[:, -1] >= need
-        taken = inside & (rank <= need) & done[:, None]
+        # the pairs taken, in stream order, as flat indices f = i * width + j
+        # of (streams, width): pair f is outputs 2f and 2f + 1 of u
+        flat = np.flatnonzero(inside & (rank <= need) & done[:, None])
+        outputs, at = u.ravel(), 2 * flat
         rows = todo[done]
-        x[rows] = px[taken].reshape(-1, need)
-        y[rows] = py[taken].reshape(-1, need)
+        x[rows] = outputs[at].reshape(-1, need)
+        y[rows] = outputs[at + 1].reshape(-1, need)
         # the pairs a stream used up to each pair taken
-        ends[rows] = taken.nonzero()[1].reshape(-1, need) + 1
+        ends[rows] = (flat % width + 1).reshape(-1, need)
         todo, width = todo[~done], 2 * width
     return x, y, ends
 

@@ -52,7 +52,7 @@ from functools import reduce
 from itertools import chain, repeat
 from typing import Callable, NamedTuple, Sequence, Union
 
-from .centers import CenterKind, Orientation, equilateral_apex, \
+from .centers import CenterKind, Orientation, Part, equilateral_apex, \
     right_isosceles_apex, triangle_center
 from .configurations import Configuration, NonConvexQuadrilateral, \
     PointOnVertex, PointOutsideCircumcircle
@@ -147,16 +147,16 @@ def second_intersection(origin: Point, through: Point,
     return best
 
 
-# part(build, *at): `build` over the point arguments at positions `at`,
-# made once per run for the labels at those positions, so the circles and
-# bisectors that several statements share are built once
-Part = Callable[..., object]
+# a construction's `part(build, *at)` is `build` over its point arguments
+# at positions `at`, made once per run for the labels at those positions,
+# so the circles, bisectors, triangle checks and apex sides that several
+# statements share are built once
 Construction = Callable[[list[Point], float | None, Part], Point]
 
 
 def _center(kind: CenterKind) -> Construction:
     return lambda p, angle, part: triangle_center(
-        kind, p[0], p[1], p[2], lambda: part(circumcircle, 0, 1, 2))
+        kind, p[0], p[1], p[2], part)
 
 
 def _second_intersection(p: list[Point], angle: float | None,
@@ -188,7 +188,7 @@ FUNCTIONS: dict[str, tuple[int, bool, Construction]] = {
     "fermat1": (3, False, _center(CenterKind.X13)),
     "fermat2": (3, False, _center(CenterKind.X14)),
     "eq_apex": (3, False, lambda p, angle, part: equilateral_apex(
-        p[0], p[1], Orientation.TOWARD_REFERENCE, p[2])),
+        p[0], p[1], Orientation.TOWARD_REFERENCE, p[2], part)),
     "ri_apex": (3, False, lambda p, angle, part: right_isosceles_apex(
         p[0], p[1], Orientation.TOWARD_REFERENCE, p[2])),
     "second_intersection": (5, False, _second_intersection),

@@ -13,7 +13,8 @@ counted (2 to 5 folds per family).  Each call runs on plain arrays, so
 the counted build and judge have the bits of plain ones: `plain_calls`
 returns the same results for a caller to compare.  `caller_calls(name)`
 counts the same calls by the innermost `geodeform` function that made
-each, to show who spends them.
+each, to show who spends them, and `layer_calls(name)` by the layer that
+made each: the family's screen, its build, or the judging of its claims.
 """
 
 from __future__ import annotations
@@ -47,6 +48,25 @@ def _by_caller(name: str) -> str:
                     f"{getattr(code, 'co_qualname', code.co_name)}")
         frame = frame.f_back
     return "(outside geodeform)"
+
+
+# the functions inside which `layer_calls` counts a call as a family's
+# screen or as the judging of a claim, by (module, qualified name); every
+# other call builds
+_LAYERS = {("geodeform.script", "_family_screen.<locals>.screen"): "screen",
+           ("geodeform.deform", "RelationClaim.evaluate"): "judge"}
+
+
+def _by_layer(name: str) -> str:
+    """The layer of the call: "screen", "build" or "judge"."""
+    frame = sys._getframe(1)
+    while frame is not None:
+        layer = _LAYERS.get((frame.f_globals.get("__name__"),
+                             frame.f_code.co_qualname))
+        if layer is not None:
+            return layer
+        frame = frame.f_back
+    return "build"
 
 
 def _counting(counts: Counter, key: Callable[[str], str] = _by_name) -> type:
@@ -138,6 +158,14 @@ def caller_calls(name: str) -> Counter:
     counts: Counter = Counter()
     _build_and_judge(name, _draw(name), _counting(counts, _by_caller))
     return counts
+
+
+def layer_calls(name: str) -> tuple[int, int, int]:
+    """The numpy calls of `family_calls(name)` by layer: (screen, build,
+    judge), the judge summed over the family's claims."""
+    counts: Counter = Counter()
+    _build_and_judge(name, _draw(name), _counting(counts, _by_layer))
+    return counts["screen"], counts["build"], counts["judge"]
 
 
 def plain_calls(name: str) -> list:

@@ -3,23 +3,38 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from geodeform import script
 from geodeform.centers import (
     CenterKind,
     IllConditioned,
     Orientation,
+    _concurrent_point,
+    _require_triangle,
     equilateral_apex,
     right_isosceles_apex,
     triangle_center,
 )
 from geodeform.core import (
+    FLOOR,
+    CoincidentPoints,
     CollinearPoints,
+    GeometryError,
     Point,
+    _local_scale,
     circumcircle,
     dist,
+    failures,
+    guard,
     line_through,
     midpoint,
+    perp,
+    signed_area,
+    where,
 )
 from fermat_oracle import ObtuseFermatWarning, fermat_oracle
 
@@ -224,8 +239,135 @@ def test_x13_on_circumcircle_of_outer_apex():
 
 
 def test_apex_requires_distinct_base():
-    from geodeform.core import CoincidentPoints
-
     with pytest.raises(CoincidentPoints):
         equilateral_apex(Point(1, 1), Point(1, 1),
                          Orientation.TOWARD_REFERENCE, Point(0, 0))
+
+
+# ---------------------------------------------------------------------------
+# the Fermat points from a run's shared parts against the unshared
+# construction, written out here as it stood before the parts were shared:
+# every apex guards its own base and builds its own candidates
+
+def _unshared_apex(base1, base2, orientation, reference):
+    d = dist(base1, base2)
+    guard(d <= FLOOR * _local_scale(base1, base2), CoincidentPoints,
+          "equilateral apex on a zero-length base")
+    m = midpoint(base1, base2)
+    offset = perp(base2 - base1) * (math.sqrt(3.0) / 2.0)
+    plus = Point(m.x + offset.x, m.y + offset.y)
+    same_side = ((signed_area(base1, base2, plus) < 0.0)
+                 == (signed_area(base1, base2, reference) < 0.0))
+    keep = same_side == (orientation is Orientation.TOWARD_REFERENCE)
+    return Point(where(keep, plus.x, m.x - offset.x),
+                 where(keep, plus.y, m.y - offset.y))
+
+
+def _unshared_fermat(kind, a, b, c):
+    diam = _require_triangle(a, b, c)
+    orientation = (Orientation.AWAY_FROM_REFERENCE if kind is CenterKind.X13
+                   else Orientation.TOWARD_REFERENCE)
+    apex_a = _unshared_apex(b, c, orientation, a)
+    apex_b = _unshared_apex(c, a, orientation, b)
+    apex_c = _unshared_apex(a, b, orientation, c)
+    try:
+        lines = [line_through(a, apex_a), line_through(b, apex_b),
+                 line_through(c, apex_c)]
+    except CoincidentPoints as exc:
+        raise IllConditioned(f"fermat construction degenerates: {exc}") from exc
+    return _concurrent_point(lines, diam)
+
+
+# (name, unshared construction, construction over a run's parts `built`)
+# in the order of example1: A' = eq_apex(B, C, A), then F1 and F2 of
+# A, B, C, which share the side B C with A' and their check with each other
+_FERMAT_STEPS = [
+    ("eq_apex", lambda a, b, c: _unshared_apex(
+        b, c, Orientation.TOWARD_REFERENCE, a),
+     lambda a, b, c, built: equilateral_apex(
+         b, c, Orientation.TOWARD_REFERENCE, a,
+         script._parts(built, ("B", "C", "A"), [b, c, a]))),
+    *((kind.name, lambda a, b, c, kind=kind: _unshared_fermat(kind, a, b, c),
+       lambda a, b, c, built, kind=kind: triangle_center(
+           kind, a, b, c, script._parts(built, ("A", "B", "C"), [a, b, c])))
+      for kind in (CenterKind.X13, CenterKind.X14)),
+]
+
+
+@st.composite
+def _near_degenerate_triangle(draw):
+    """Vertices a, b, c in a frame translated by up to 2^40 and scaled by
+    2^k, |k| <= 300, with c placed near a degeneracy of the triangle:
+    within a few FLOOR * scale of a, off the line a b by an area of a few
+    FLOOR * |ab|^2, near the equilateral apex on a b (where X14 is
+    undefined), or anywhere."""
+    unit = st.floats(-1.0, 1.0)
+    s = 2.0 ** draw(st.integers(-300, 300))
+    far = s * 2.0 ** draw(st.integers(-4, 40))
+    tx, ty = draw(unit) * far, draw(unit) * far
+    a = Point(tx + s * draw(unit), ty + s * draw(unit))
+    b = Point(tx + s * draw(unit), ty + s * draw(unit))
+    f, g = draw(st.floats(-4.0, 4.0)), draw(st.floats(-4.0, 4.0))
+    near = draw(st.sampled_from(["vertex", "line", "equilateral", "none"]))
+    if near == "vertex":
+        scale = _local_scale(a, b)
+        c = Point(a.x + f * FLOOR * scale, a.y + g * FLOOR * scale)
+    elif near == "line":
+        t, d = draw(st.floats(-1.0, 2.0)), b - a
+        c = Point(a.x + t * d.x - f * FLOOR * d.y,
+                  a.y + t * d.y + f * FLOOR * d.x)
+    elif near == "equilateral":
+        apex = midpoint(a, b) + perp(b - a) * (math.sqrt(3.0) / 2.0)
+        size = dist(a, b) * 10.0 ** -draw(st.integers(3, 16))
+        c = Point(apex.x + f * size, apex.y + g * size)
+    else:
+        c = Point(tx + s * draw(unit), ty + s * draw(unit))
+    return a, b, c
+
+
+def _float_outcome(build):
+    try:
+        p = build()
+    except (GeometryError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return p.x.hex(), p.y.hex()
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(triangles=st.lists(_near_degenerate_triangle(), min_size=1,
+                          max_size=6))
+def test_fermat_points_from_shared_parts_are_the_unshared_ones(triangles):
+    """eq_apex, X13 and X14 built in turn over one run's parts give, on
+    floats, the bits or the error text of the unshared construction; on
+    rows, each alone marks the rows the unshared one marks, the three in
+    one block mark the rows on which a float build raises, and every row
+    has the unshared bits."""
+    floats_raise = []
+    for a, b, c in triangles:
+        built, raised = {}, False
+        for name, unshared, shared in _FERMAT_STEPS:
+            want = _float_outcome(lambda: unshared(a, b, c))
+            assert _float_outcome(lambda: shared(a, b, c, built)) == want, name
+            raised |= isinstance(want[0], type)
+        floats_raise.append(raised)
+
+    a, b, c = (Point(np.array([t[i].x for t in triangles]),
+                     np.array([t[i].y for t in triangles])) for i in range(3))
+
+    def on_rows(build):
+        """The rows `build` marks and the bits of what it builds."""
+        with np.errstate(all="ignore"), failures() as failed:
+            p = build()
+        marked = np.broadcast_to(failed.rows, p.x.shape)
+        return [marked.tobytes(), p.x.tobytes(), p.y.tobytes()]
+
+    for name, unshared, shared in _FERMAT_STEPS:
+        assert on_rows(lambda: shared(a, b, c, {})) \
+            == on_rows(lambda: unshared(a, b, c)), name
+    built = {}
+    with np.errstate(all="ignore"), failures() as failed:
+        points = [shared(a, b, c, built) for _, _, shared in _FERMAT_STEPS]
+    assert np.broadcast_to(failed.rows, a.x.shape).tolist() == floats_raise
+    for p, (name, unshared, _) in zip(points, _FERMAT_STEPS):
+        assert [p.x.tobytes(), p.y.tobytes()] \
+            == on_rows(lambda: unshared(a, b, c))[1:], name

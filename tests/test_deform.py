@@ -93,6 +93,33 @@ def test_disk_draws_are_in_unit_disk_in_turn(monkeypatch, need):
         assert int(after[row]) == gen._state, seed
 
 
+@pytest.mark.parametrize("spacing", [1, 7919, 2**32 + 15, 2**63 + 12345])
+@pytest.mark.parametrize("need", [5, 17, 64])
+def test_disk_draws_match_in_unit_disk_over_seed_spacings(monkeypatch,
+                                                         spacing, need):
+    """On 400 streams whose seeds step by `spacing`, row i holds the next
+    `need` in_unit_disk draws of stream i, and each column of `ends`
+    steps the stream to its state after that draw; some streams reach
+    the second pass."""
+    passes = []
+
+    def counted_mix(z):
+        if type(z) is np.ndarray:
+            passes.append(len(z))
+        return _mix(z)
+
+    monkeypatch.setattr(deform, "_mix", counted_mix)
+    seeds = [i * spacing & MASK64 for i in range(400)]
+    x, y, ends = _disk_draws(np.array(seeds, dtype=np.uint64), need)
+    assert len(passes) > 1 and passes[-1] < len(seeds)
+    for row, seed in enumerate(seeds):
+        gen = SplitMix64(seed)
+        for k in range(need):
+            assert (x[row, k], y[row, k]) == gen.in_unit_disk(), (seed, k)
+            assert (seed + int(ends[row, k]) * 2 * GAMMA) & MASK64 \
+                == gen._state, (seed, k)
+
+
 def test_sample_epsilon_zero_is_the_base():
     fam = FAMILIES["theorem1"]
     config = sample(fam, 0.0, 123)

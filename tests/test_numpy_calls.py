@@ -4,12 +4,15 @@ any host, that a change to the row path may lower but not raise."""
 
 import pytest
 
-from numpy_calls import caller_calls, family_calls, plain_calls
+from numpy_calls import caller_calls, family_calls, layer_calls, plain_calls
 
-# the counts at which the row path stands, a family's screen counted with
-# its build (BENCH_20.json compares them with the parent's)
-RECORDED = {"theorem1": 635, "bisector": 828, "example1": 1499,
-            "example2": 3148, "example3": 2007}
+# the counts at which the row path stands, by layer: (screen, build,
+# judge), the judge summed over the family's claims (BENCH_21.json
+# compares them with the parent's); a change that lowers one tightens it
+LAYERS = {"theorem1": (93, 296, 242), "bisector": (93, 424, 311),
+          "example1": (0, 787, 514), "example2": (0, 2210, 311),
+          "example3": (114, 1271, 622)}
+RECORDED = {name: sum(calls) for name, calls in LAYERS.items()}
 
 
 @pytest.mark.parametrize("name", list(RECORDED))
@@ -19,6 +22,16 @@ def test_counted_build_and_judge_walk_the_plain_path(name):
     assert [r.tobytes() for r in counted] == [r.tobytes() for r in plain]
     assert counted[0].sum() < len(counted[0]) / 2  # most rows build
     assert sum(counts.values()) <= RECORDED[name]
+
+
+@pytest.mark.parametrize("name", list(LAYERS))
+def test_layer_counts_split_the_same_calls(name):
+    """`layer_calls` counts every call of `family_calls` once, in the
+    layer that made it, and no layer rises above its record."""
+    counts, _ = family_calls(name)
+    layers = layer_calls(name)
+    assert sum(layers) == sum(counts.values())
+    assert all(n <= most for n, most in zip(layers, LAYERS[name])), layers
 
 
 def test_caller_counts_split_the_same_calls():

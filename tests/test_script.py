@@ -364,9 +364,48 @@ def test_shared_circles_and_bisectors_are_built_once(monkeypatch, family,
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(script, build, counted)
+    for module in (script, centers):
+        if hasattr(module, build):  # centers builds the centers' circles
+            monkeypatch.setattr(module, build, counted)
     fam = FAMILIES[family]
     fam.builder(*fam.base_points)
+    assert len(calls) == len(set(calls)) == per_run
+
+
+@pytest.mark.parametrize("on_rows", [False, True], ids=["floats", "rows"])
+@pytest.mark.parametrize("family, build, per_run", [
+    ("example2", "_equilateral_side", 8),
+    ("example2", "_require_triangle", 4),
+    ("example1", "_equilateral_side", 3),
+    ("example1", "_require_triangle", 4),
+])
+def test_fermat_points_share_their_sides_and_triangle_checks(
+        monkeypatch, family, build, per_run, on_rows):
+    """example2's five Fermat points erect 15 apexes on 8 ordered sides
+    and check 4 triangles: fermat1 and fermat2 of A, B, C share one check
+    and three sides, and F_a, F_b and F_c share the sides B C, A B, C F1
+    and F1 A with them or each other.  example1's A', B' and C' are
+    built on the sides of F1's apexes, and 3 centroids and F1 check 4
+    triangles.  A run builds each side's candidates and each triangle's
+    check once, on floats and on rows."""
+    calls = []
+    original = getattr(centers, build)
+
+    def counted(*args):
+        calls.append(tuple(map(id, args)))
+        return original(*args)
+
+    monkeypatch.setattr(centers, build, counted)
+    fam = FAMILIES[family]
+    rng = np.random.default_rng(1)
+    points = [Point(p.x + 0.01 * rng.standard_normal(50),
+                    p.y + 0.01 * rng.standard_normal(50))
+              for p in fam.base_points]
+    if not on_rows:
+        points = [Point(float(p.x[0]), float(p.y[0])) for p in points]
+    with failures() as failed:
+        fam.builder(*points)
+    assert not np.any(failed.rows)
     assert len(calls) == len(set(calls)) == per_run
 
 
