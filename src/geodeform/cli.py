@@ -13,7 +13,8 @@ program with a `deform` statement, loaded as the built-in families are.
 The base shapes are `.geo` programs shipped in `geodeform/shapes`, so
 `render` draws a shape and a script the same way.  Human-readable results
 go to standard output, diagnostics to standard error, machine-readable
-reports only where --json is given.  Exit code 0 means every selected
+reports only where --json is given; a warning prints as `warning: ...`,
+without the source line that raised it.  Exit code 0 means every selected
 claim or assertion held, 1 means at least one did not, 2 means the
 invocation itself was unusable (bad flags, unknown claim, unreadable or
 malformed script, a verified program without `deform` or named assert,
@@ -29,6 +30,7 @@ import math
 import re
 import sys
 import time
+import warnings
 from importlib.resources import files
 from pathlib import PurePath
 from typing import TYPE_CHECKING, Callable
@@ -440,7 +442,13 @@ def main(argv: list[str] | None = None) -> int:
                 and re.match(r"-(?:[0-9.]|inf|nan)", argv[i], re.I)):
             argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    # a warning prints as an error does, the same line wherever the package
+    # is; the filters stay, so `-W error` still raises, and entering the
+    # block lets every call show its warnings again
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(
+            f"warning: {message}", file=sys.stderr)
+        return args.func(args)
 
 
 if __name__ == "__main__":

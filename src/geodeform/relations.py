@@ -14,12 +14,12 @@ caller's (`passed` reads REL_TOL, the default).  The degeneracy guards
 inside the detectors are the fixed FLOOR and GUARD of `core`.
 
 Each relation kind is one row of RELATIONS: its point counts and its
-detector, reached through `evaluate_relation`.  The detectors of the kinds
-marked there as taking rows take points whose coordinates are float64
-arrays, one row per sample, like the constructions of `core`; a branch
-between verdicts goes through `_branch`, so the flags of a batch are those
-of the rows that raise them.  The other kinds judge a batch one row at a
-time through the float path.
+detector, reached through `evaluate_relation`.  Every detector takes
+points whose coordinates are floats or float64 arrays, one row per
+sample, like the constructions of `core`; a branch between verdicts goes
+through `_branch`, so the flags of a batch are those of the rows that
+raise them.  `on_conic` decomposes the design matrices of all rows in one
+call of numpy's SVD.
 
 Residuals below NOISE_FLOOR are reported as exactly 0.0.  Digits down
 there are recomputation noise, not geometry: re-running the same check on
@@ -326,22 +326,31 @@ def _concurrent(points: Sequence[Point], scale) -> RelationVerdict:
     return _lines_concurrent("concurrent", lines, dq)
 
 
+def _parallel(l1: Line | None, l2: Line | None):
+    """Whether two lines are parallel within the floor; a missing line
+    (None) is parallel to none."""
+    return (l1 is not None and l2 is not None
+            and abs(l1.a * l2.b - l2.a * l1.b) <= FLOOR)
+
+
 def _lines_concurrent(kind: str, lines: Sequence[Line],
                       size: float) -> RelationVerdict:
     """Least-squares common point; residual is the worst distance to any
     line over the larger of `size`, the size of the figure the lines were
-    drawn from, and the spread of their pairwise meets."""
-    meets: list[Point] = []
-    for i, li in enumerate(lines):
-        for lj in lines[i + 1:]:
-            if abs(li.a * lj.b - lj.a * li.b) <= FLOOR:
-                return RelationVerdict.failed(
-                    kind, flags=("non_concurrent_parallel",))
-            meets.append(intersect(li, lj))
-    meet = least_squares_meet(lines, 0.0)
-    cloud = max(size, diameter(meets))
-    residual = max(abs(l.value(meet)) for l in lines) / cloud
-    return RelationVerdict.from_residual(kind, residual)
+    drawn from, and the spread of their pairwise meets.  A parallel pair
+    fails the verdict."""
+    pairs = [(li, lj) for i, li in enumerate(lines) for lj in lines[i + 1:]]
+
+    def meet() -> RelationVerdict:
+        meets = [intersect(li, lj) for li, lj in pairs]
+        common = least_squares_meet(lines, 0.0)
+        cloud = maximum(size, diameter(meets))
+        residual = maximum(*(abs(l.value(common)) for l in lines)) / cloud
+        return RelationVerdict.from_residual(kind, residual)
+
+    return _branch(sum(_parallel(li, lj) for li, lj in pairs) > 0,
+                   lambda: RelationVerdict.failed(
+                       kind, flags=("non_concurrent_parallel",)), meet)
 
 
 def _coaxial(points: Sequence[Point], scale) -> RelationVerdict:
@@ -361,9 +370,10 @@ def _coaxial(points: Sequence[Point], scale) -> RelationVerdict:
     circles = [circumcircle(q[i], q[i + 1], q[i + 2])
                for i in range(0, len(q), 3)]
     ref = radical_axis(circles[0], circles[1])
-    size = max(max(dist(a.center, b.center)
-                   for i, a in enumerate(circles) for b in circles[i + 1:]),
-               max(c.radius for c in circles))
+    size = maximum(maximum(*(dist(a.center, b.center)
+                             for i, a in enumerate(circles)
+                             for b in circles[i + 1:])),
+                   maximum(*(c.radius for c in circles)))
     # a point fixed by the figure, not by the frame: the offset of two
     # axes that are not parallel depends on where it is measured
     anchor = Point(sum(c.center.x for c in circles) / len(circles),
@@ -375,9 +385,9 @@ def _coaxial(points: Sequence[Point], scale) -> RelationVerdict:
                 continue
             ax = radical_axis(circles[i], circles[j])
             sin = abs(ref.a * ax.b - ax.a * ref.b)
-            sign = 1.0 if (ref.a * ax.a + ref.b * ax.b) >= 0.0 else -1.0
+            sign = where((ref.a * ax.a + ref.b * ax.b) >= 0.0, 1.0, -1.0)
             offset = abs(sign * ax.value(anchor) - ref.value(anchor)) / size
-            worst = max(worst, sin + offset)
+            worst = maximum(worst, sin + offset)
     return RelationVerdict.from_residual("coaxial", worst)
 
 
@@ -389,32 +399,35 @@ def _perspective(points: Sequence[Point], scale) -> RelationVerdict:
     mutually parallel connectors count as concurrent at infinity.
     """
     q, dq, _ = _normalized(points)
-    if dq == 0.0:
-        return RelationVerdict("perspective", 0.0, ("identical_vertices",))
-    connectors: list[Line] = []
-    n_coincident = 0
-    for t in range(3):
-        a, b = q[t], q[3 + t]
-        if dist(a, b) <= FLOOR * dq:
-            n_coincident += 1
-            continue
-        connectors.append(line_through(a, b))
-    if n_coincident == 3:
-        return RelationVerdict("perspective", 0.0, ("identical_vertices",))
-    if len(connectors) == 1:
-        return RelationVerdict("perspective", 0.0, ("coincident_vertex_pair",))
-    if len(connectors) == 2:
-        l1, l2 = connectors
-        flags = ("coincident_vertex_pair",)
-        if abs(l1.a * l2.b - l2.a * l1.b) <= FLOOR:
-            flags += ("concurrent_at_infinity",)
-        return RelationVerdict("perspective", 0.0, flags)
-    pairs_parallel = [abs(li.a * lj.b - lj.a * li.b) <= FLOOR
-                      for i, li in enumerate(connectors)
-                      for lj in connectors[i + 1:]]
-    if all(pairs_parallel):
-        return RelationVerdict("perspective", 0.0, ("concurrent_at_infinity",))
-    return _lines_concurrent("perspective", connectors, dq)
+    apart = [(dq != 0.0) & (dist(q[t], q[3 + t]) > FLOOR * dq)
+             for t in range(3)]
+
+    def connector(t: int) -> Line | None:
+        # where the vertices of pair t are apart; None on floats elsewhere
+        if array_module(apart[t]) is None:
+            return line_through(q[t], q[3 + t]) if apart[t] else None
+        with only_rows(apart[t]):
+            return line_through(q[t], q[3 + t])
+
+    lines = [connector(t) for t in range(3)]
+    # the pairs of connectors that are there and parallel
+    parallel = [apart[i] & apart[j] & _parallel(lines[i], lines[j])
+                for i, j in ((0, 1), (0, 2), (1, 2))]
+
+    def verdict(*flags: str) -> Callable[[], RelationVerdict]:
+        return lambda: RelationVerdict("perspective", 0.0, flags)
+
+    count = sum(apart)
+    return _branch(count == 0, verdict("identical_vertices"), lambda: _branch(
+        count == 1, verdict("coincident_vertex_pair"), lambda: _branch(
+            count == 2, lambda: _branch(
+                parallel[0] | parallel[1] | parallel[2],
+                verdict("coincident_vertex_pair", "concurrent_at_infinity"),
+                verdict("coincident_vertex_pair")),
+            lambda: _branch(
+                parallel[0] & parallel[1] & parallel[2],
+                verdict("concurrent_at_infinity"),
+                lambda: _lines_concurrent("perspective", lines, dq)))))
 
 
 def _on_conic(points: Sequence[Point], scale) -> RelationVerdict:
@@ -438,100 +451,77 @@ def _on_conic(points: Sequence[Point], scale) -> RelationVerdict:
     five = q[:5]
     diam = diameter(five)
     r, dr, _ = _normalized(five)
-    if dr == 0.0:
-        raise DegeneratePosition("conic fit to a coincident cluster")
+    guard(dr == 0.0, DegeneratePosition, "conic fit to a coincident cluster")
     cx = sum(p.x for p in r) / 5.0
     cy = sum(p.y for p in r) / 5.0
-    rows = []
+    entries = []
     for p in r:
         x, y = p.x - cx, p.y - cy
-        rows.append([x * x, x * y, y * y, x, y, 1.0])
-    _, s, vt = np.linalg.svd(np.array(rows, dtype=float))
-    if s[-1] <= FLOOR * max(s[0], 1.0):
-        raise DegeneratePosition("five points admit more than one conic "
-                                 "(four are collinear or two coincide)")
-    a, b, c, d, e, f = (float(x) for x in vt[-1])
+        entries += [x * x, x * y, y * y, x, y, 1.0]
+    # one 5 x 6 design matrix per row, decomposed in one call; a failed
+    # row may hold NaN or inf, which the SVD refuses, and is zeroed
+    design = np.broadcast_arrays(*entries)
+    _, s, vt = np.linalg.svd(np.nan_to_num(np.stack(design, axis=-1).reshape(
+        -1, 5, 6), posinf=0.0, neginf=0.0))
+    low, high, null = s[:, -1], s[:, 0], vt[:, -1].T
+    if design[0].ndim == 0:  # one figure: the floats of its one matrix
+        low, high, null = low.item(), high.item(), null[:, 0].tolist()
+    guard(low <= FLOOR * maximum(high, 1.0), DegeneratePosition,
+          "five points admit more than one conic "
+          "(four are collinear or two coincide)")
+    a, b, c, d, e, f = null
     # undo the centering x -> x - cx, y -> y - cy
     d2 = d - 2.0 * a * cx - b * cy
     e2 = e - b * cx - 2.0 * c * cy
     f2 = f + a * cx * cx + b * cx * cy + c * cy * cy - d * cx - e * cy
-    # undo the scaling p -> p / k (k = p/r for any nonzero coordinate)
+    # undo the scaling p -> p / k, k = p / r for the first nonzero
+    # coordinate of r: the chain runs backwards, so the first one wins
     k = 1.0
-    for orig, scaled in zip(five, r):
-        if scaled.x != 0.0:
-            k = orig.x / scaled.x
-            break
-        if scaled.y != 0.0:
-            k = orig.y / scaled.y
-            break
+    for orig, scaled in reversed(list(zip(five, r))):
+        for o, z in ((orig.y, scaled.y), (orig.x, scaled.x)):
+            k = where(z != 0.0, o / where(z != 0.0, z, 1.0), k)
     v = (a / (k * k), b / (k * k), c / (k * k), d2 / k, e2 / k, f2)
-    n = math.sqrt(sum(x * x for x in v))
-    if not math.isfinite(n) or n == 0.0:
-        raise DegeneratePosition("conic coefficients are all zero")
+    n = sqrt(sum(x * x for x in v))
+    guard((n - n != 0.0) | (n == 0.0), DegeneratePosition,
+          "conic coefficients are all zero")
     a, b, c, d, e, f = (x / n for x in v)
-    size = max(diam, FLOOR)
+    size = maximum(diam, FLOOR)
 
     def distance(p: Point) -> float:
         value = (a * p.x * p.x + b * p.x * p.y + c * p.y * p.y
                  + d * p.x + e * p.y + f)
         grad = Point(2.0 * a * p.x + b * p.y + d,
                      b * p.x + 2.0 * c * p.y + e).norm()
-        return abs(value) / max(grad * size, FLOOR)
+        return abs(value) / maximum(grad * size, FLOOR)
 
     return RelationVerdict.from_residual(
-        "on_conic", max(distance(p) for p in q[5:]))
+        "on_conic", maximum(*(distance(p) for p in q[5:])))
 
 
 # ---------------------------------------------------------------------------
 # the relation table, shared by the claim catalog and the script language
 
 # kind: (min points, max points or None, group size the count must divide,
-# whether the detector takes rows, detector over (points, scale)).  A
-# detector that takes floats only judges a batch row by row.
-RELATIONS: dict[str, tuple[int, int | None, int, bool,
+# detector over (points, scale))
+RELATIONS: dict[str, tuple[int, int | None, int,
                            Callable[..., RelationVerdict]]] = {
-    "collinear": (3, None, 1, True, _collinear),
-    "concyclic": (4, None, 1, True, _concyclic),
-    "concurrent": (6, None, 2, False, _concurrent),
-    "perpendicular": (4, 4, 2, True, _perpendicular),
-    "equal_length": (4, None, 2, True, _equal_length),
-    "on_conic": (6, None, 1, False, _on_conic),
-    "coaxial": (9, None, 3, False, _coaxial),
-    "perspective": (6, 6, 3, False, _perspective),
-    "midpoints_coincide": (4, 4, 2, True, _midpoints_coincide),
-    "segment_bisects": (4, 4, 2, True, _segment_bisects),
+    "collinear": (3, None, 1, _collinear),
+    "concyclic": (4, None, 1, _concyclic),
+    "concurrent": (6, None, 2, _concurrent),
+    "perpendicular": (4, 4, 2, _perpendicular),
+    "equal_length": (4, None, 2, _equal_length),
+    "on_conic": (6, None, 1, _on_conic),
+    "coaxial": (9, None, 3, _coaxial),
+    "perspective": (6, 6, 3, _perspective),
+    "midpoints_coincide": (4, 4, 2, _midpoints_coincide),
+    "segment_bisects": (4, 4, 2, _segment_bisects),
 }
 
 
 def arity_fits(kind: str, n: int) -> bool:
     """Whether the relation `kind` takes `n` points."""
-    lo, hi, step, _, _ = RELATIONS[kind]
+    lo, hi, step, _ = RELATIONS[kind]
     return lo <= n and (hi is None or n <= hi) and n % step == 0
-
-
-def _row_by_row(kind: str, detect: Callable[..., RelationVerdict],
-                points: Sequence[Point], scale) -> RelationVerdict:
-    """The verdict on a batch of a kind whose detector takes floats: each
-    row through the float path, a row that raises marked failed."""
-    import numpy as np
-
-    *cols, scales = (c.tolist() for c in np.broadcast_arrays(
-        *(c for p in points for c in (p.x, p.y)),
-        math.nan if scale is None else scale))
-    residual = np.full(len(scales), np.nan)
-    failed = np.zeros(len(scales), bool)
-    flags: dict[str, None] = {}
-    for r in range(len(scales)):
-        row = [Point(x[r], y[r]) for x, y in zip(cols[::2], cols[1::2])]
-        try:
-            verdict = detect(row, None if scale is None else scales[r])
-        except (GeometryError, ArithmeticError):
-            failed[r] = True
-            continue
-        residual[r] = verdict.residual
-        flags.update(dict.fromkeys(verdict.flags))
-    guard(failed, GeometryError, "{} cannot be judged on some rows", kind)
-    return RelationVerdict(kind, residual, tuple(flags))
 
 
 def evaluate_relation(kind: str, points: Sequence[Point],
@@ -549,9 +539,4 @@ def evaluate_relation(kind: str, points: Sequence[Point],
         raise ValueError(f"unknown relation kind {kind!r}")
     if not arity_fits(kind, len(points)):
         raise TooFewPoints(f"{kind} cannot take {len(points)} points")
-    *_, takes_rows, detect = RELATIONS[kind]
-    if not takes_rows and any(
-            type(c) is not float and array_module(c) is not None
-            for p in points for c in (p.x, p.y)):
-        return _row_by_row(kind, detect, points, scale)
-    return detect(points, scale)
+    return RELATIONS[kind][-1](points, scale)

@@ -15,6 +15,8 @@ returns the same results for a caller to compare.  `caller_calls(name)`
 counts the same calls by the innermost `geodeform` function that made
 each, to show who spends them, and `layer_calls(name)` by the layer that
 made each: the family's screen, its build, or the judging of its claims.
+`kind_calls(kind)` counts the numpy calls of one judge of a relation kind
+on a fixed seeded 1000-row figure.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import numpy as np
 from geodeform.catalog import CLAIMS, FAMILIES
 from geodeform.core import Point, failures
 from geodeform.deform import _disk_draws
+from geodeform.relations import RELATIONS, evaluate_relation
 
 ROWS = 1000
 EPSILON = 0.5
@@ -171,3 +174,30 @@ def layer_calls(name: str) -> tuple[int, int, int]:
 def plain_calls(name: str) -> list:
     """What `family_calls` computes, on plain arrays."""
     return _build_and_judge(name, _draw(name), np.ndarray)
+
+
+def _judge_kind(kind: str, array: type) -> list:
+    """One judge of `kind` on its fixed figure, the fewest points the kind
+    takes drawn uniformly from the square [-1, 1]^2 with seed 0, with
+    coordinates of type `array`: the rows marked failed and the residuals,
+    as plain arrays."""
+    n = RELATIONS[kind][0]
+    xy = np.random.default_rng(0).uniform(-1.0, 1.0, (n, 2, ROWS))
+    points = [Point(x.view(array), y.view(array)) for x, y in xy]
+    with np.errstate(all="ignore"), failures() as failed:
+        verdict = evaluate_relation(kind, points)
+    return [np.broadcast_to(np.asarray(r).view(np.ndarray), (ROWS,))
+            for r in (failed.rows, verdict.residual)]
+
+
+def kind_calls(kind: str) -> tuple[Counter, list]:
+    """The numpy calls of one judge of relation `kind` on its fixed
+    figure, by name, and what it computed."""
+    counts: Counter = Counter()
+    results = _judge_kind(kind, _counting(counts))
+    return counts, results
+
+
+def plain_kind(kind: str) -> list:
+    """What `kind_calls` computes, on plain arrays."""
+    return _judge_kind(kind, np.ndarray)

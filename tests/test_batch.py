@@ -22,6 +22,7 @@ from geodeform.cli import main
 from geodeform.core import GeometryError, Point, failures
 from geodeform.deform import RejectionBudgetExhausted, sample, \
     scaling_probe, verify
+from geodeform.relations import RELATIONS
 from geodeform.script import Construct, Define, Require, family_builder, \
     parse
 
@@ -54,6 +55,40 @@ assert collinear(I, G, O) as igo "the incenter on the Euler line"
 assert concyclic(M_a, M_b, M_c, R) as rot "a rotated vertex on the medial circle"
 """
 
+# every relation kind on one deformed triangle, the kinds that decide by
+# convention among them: its Euler line collapses at the equilateral base
+# and the last perspective's triangles share a vertex
+ALL_KINDS_PROGRAM = """\
+point A = (0, 0)
+point B = (4, 0.3)
+point C = (1.2, 3.1)
+deform A B C about (0, 0) (1, 0) (0.5, 0.8660254037844386)
+point G = centroid(A, B, C)
+point H = orthocenter(A, B, C)
+point O = circumcenter(A, B, C)
+point M_a = midpoint(B, C)
+point M_b = midpoint(A, C)
+point M_c = midpoint(A, B)
+point P_a = midpoint(A, H)
+point P_b = midpoint(B, H)
+point P_c = midpoint(C, H)
+point D = reflect_point(B, M_b)
+point E = reflect_line(C, A, B)
+assert collinear(G, H, O) as euler "the Euler line"
+assert concyclic(M_a, M_b, M_c, P_a) as ninepoint "the nine-point circle"
+assert concurrent(A, M_a, B, M_b, C, M_c) as medians "the medians concur"
+assert perpendicular(A, B, C, H) as altitude "C H is an altitude"
+assert equal_length(O, A, O, B, O, C) as radii "the circumradii agree"
+assert on_conic(M_a, M_b, M_c, P_a, P_b, P_c) as conic "six nine-point circle points on a conic"
+assert on_conic(A, B, C, M_a, M_b, M_c) as vertices_conic "vertices and midpoints on a conic"
+assert coaxial(A, B, C, A, B, D, A, B, E) as pencil "three circles through A and B"
+assert perspective(A, B, C, M_a, M_b, M_c) as medial "a triangle and its medial triangle"
+assert perspective(A, B, C, P_a, P_b, P_c) as euler_triangle "a triangle and its Euler triangle"
+assert perspective(A, B, C, A, P_b, P_c) as shared_vertex "triangles sharing a vertex"
+assert midpoints_coincide(A, C, B, D) as diagonals "the diagonals of a parallelogram bisect each other"
+assert segment_bisects(A, M_a, B, C) as median "a median bisects its side"
+"""
+
 # a dart: every small deformation of it is still not convex
 DART_PROGRAM = """\
 point A = (0, 0)
@@ -77,11 +112,13 @@ FAMILY_CLAIMS = {
                             if c.family.name == name])
     for name in FAMILIES}
 FAMILY_CLAIMS["user"] = _user_claims(USER_PROGRAM, "user")
+FAMILY_CLAIMS["all_kinds"] = _user_claims(ALL_KINDS_PROGRAM, "all_kinds")
 
 PROGRAMS = {name: parse((files("geodeform") / "scripts" / f"{name}.geo")
                         .read_text(encoding="utf-8"))
             for name in FAMILIES}
 PROGRAMS["user"] = parse(USER_PROGRAM)
+PROGRAMS["all_kinds"] = parse(ALL_KINDS_PROGRAM)
 
 
 def _read_closure(program, claims):
@@ -150,7 +187,8 @@ def test_batch_rows_are_the_single_samples(name, epsilon):
 
 @pytest.mark.parametrize("epsilons", [(0.5,), (0.001, 0.5), (0.0,)])
 @pytest.mark.parametrize("samples", [1, 37])
-@pytest.mark.parametrize("name", ["bisector", "example1", "example3", "user"])
+@pytest.mark.parametrize("name", ["bisector", "example1", "example3", "user",
+                                  "all_kinds"])
 def test_reports_equal_the_per_draw_loop(monkeypatch, name, samples,
                                          epsilons):
     family, claims = FAMILY_CLAIMS[name]
@@ -683,13 +721,13 @@ def test_unnamed_asserts_reject_no_draw(capsys, tmp_path):
     assert reports[0][1].out.startswith("abcg: refuted")
 
 
-def _python_calls(capsys, *args):
+def _python_calls(capsys, target, *args):
     """The function calls, Python and builtin, that cProfile counts in
-    one in-process `verify all --seed 7`."""
+    one in-process `verify target --seed 7`."""
     profile = cProfile.Profile()
     profile.enable()
     try:
-        main(["verify", "all", "--seed", "7", *args])
+        main(["verify", target, "--seed", "7", *args])
     finally:
         profile.disable()
     capsys.readouterr()
@@ -708,7 +746,21 @@ def test_rows_cost_no_python_call_per_sample(monkeypatch, capsys, grid,
     batch at both sizes here: each batch of BATCH_ROWS rows costs its own
     calls, whatever its rows."""
     monkeypatch.setattr(deform, "BATCH_ROWS", 3 * 2000)
-    _python_calls(capsys, "--samples", "20", *grid)  # load what runs once
-    few = _python_calls(capsys, "--samples", "200", *grid)
-    many = _python_calls(capsys, "--samples", "2000", *grid)
+    _python_calls(capsys, "all", "--samples", "20", *grid)  # load once
+    few = _python_calls(capsys, "all", "--samples", "200", *grid)
+    many = _python_calls(capsys, "all", "--samples", "2000", *grid)
     assert many / few <= bound, (few, many)
+
+
+def test_no_relation_kind_judges_row_by_row(monkeypatch, capsys, tmp_path):
+    """A program that asserts every relation kind takes about as many
+    calls at ten times the samples: no detector loops over the rows in
+    Python."""
+    path = tmp_path / "all_kinds.geo"
+    path.write_text(ALL_KINDS_PROGRAM, encoding="utf-8")
+    assert {c.kind for c in FAMILY_CLAIMS["all_kinds"][1]} == set(RELATIONS)
+    monkeypatch.setattr(deform, "BATCH_ROWS", 2000)
+    _python_calls(capsys, str(path), "--samples", "20")  # load once
+    few = _python_calls(capsys, str(path), "--samples", "200")
+    many = _python_calls(capsys, str(path), "--samples", "2000")
+    assert many / few <= 1.2, (few, many)

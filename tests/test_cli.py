@@ -687,6 +687,18 @@ def test_verify_writes_non_finite_residuals_as_null(capsys, tmp_path):
             claim["median_residuals"]) == (None, None, [None])
 
 
+def test_warning_prints_as_one_plain_line_on_every_call(capsys):
+    """A straight angle warns on stderr as errors are reported, with no
+    source path or line, and a second call in the same process warns
+    again."""
+    argv = ["run", str(SCRIPTS / "bisector.geo"), "--param", "cy=1e-300"]
+    for _ in range(2):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err == ("warning: straight angle: bisector direction set "
+                       "perpendicular to the rays\n")
+
+
 def test_run_json_document(capsys, tmp_path):
     out_path = tmp_path / "run.json"
     code, _, _ = run_cli(capsys, "run", str(SCRIPTS / "bisector.geo"),

@@ -1,10 +1,12 @@
 """The numpy calls of one build and one judge of each shipped family on a
-fixed 1000-row draw (see numpy_calls.py): an exact count, the same on
-any host, that a change to the row path may lower but not raise."""
+fixed 1000-row draw, and of one judge of each relation kind on a fixed
+1000-row figure (see numpy_calls.py): an exact count, the same on any
+host, that a change to the row path may lower but not raise."""
 
 import pytest
 
-from numpy_calls import caller_calls, family_calls, layer_calls, plain_calls
+from numpy_calls import caller_calls, family_calls, kind_calls, \
+    layer_calls, plain_calls, plain_kind
 
 # the counts at which the row path stands, by layer: (screen, build,
 # judge), the judge summed over the family's claims (BENCH_21.json
@@ -13,6 +15,13 @@ LAYERS = {"theorem1": (93, 296, 242), "bisector": (93, 424, 311),
           "example1": (0, 787, 514), "example2": (0, 2210, 311),
           "example3": (114, 1271, 622)}
 RECORDED = {name: sum(calls) for name, calls in LAYERS.items()}
+
+# the counts of one judge of each relation kind (BENCH_22.json); a change
+# that lowers one tightens it
+KINDS = {"collinear": 186, "concyclic": 327, "concurrent": 520,
+         "perpendicular": 141, "equal_length": 133, "on_conic": 606,
+         "coaxial": 857, "perspective": 616, "midpoints_coincide": 138,
+         "segment_bisects": 186}
 
 
 @pytest.mark.parametrize("name", list(RECORDED))
@@ -42,3 +51,12 @@ def test_caller_counts_split_the_same_calls():
     assert sum(callers.values()) == sum(counts.values())
     assert callers["core.maximum"] > 0
     assert "(outside geodeform)" not in callers
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_counted_judge_of_each_kind_walks_the_plain_path(kind):
+    counts, counted = kind_calls(kind)
+    assert [r.tobytes() for r in counted] == \
+        [r.tobytes() for r in plain_kind(kind)]
+    assert not counted[0].any()  # every row of the figure is judged
+    assert sum(counts.values()) <= KINDS[kind]

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 from geodeform.core import (
     CoincidentPoints,
     ConcentricCircles,
+    GeometryError,
     Point,
+    failures,
     midpoint,
     rotate,
 )
@@ -41,7 +43,7 @@ def circle_points(cx, cy, r, angles):
 def test_arity_is_checked_once_against_the_table(kind):
     """A count the table refuses raises TooFewPoints before any detector
     runs; a count it takes reaches the detector."""
-    lo, hi, step, _, _ = RELATIONS[kind]
+    lo, hi, step, _ = RELATIONS[kind]
     for n in range(0, 16):
         takes = lo <= n and (hi is None or n <= hi) and n % step == 0
         assert arity_fits(kind, n) == takes, (kind, n)
@@ -537,3 +539,98 @@ def test_concyclic_first_order_sensitivity():
         got = evaluate_relation("concyclic", moved).residual
         expect = delta / 2.0
         assert abs(got - expect) <= 0.1 * expect, (delta, got, expect)
+
+
+# ---------------------------------------------------------------------------
+# rows against floats
+
+def _figure(kind, n, rng):
+    """n points for `kind`, as (x, y) pairs: in general position, on the
+    kind's locus, or degenerate in one of the ways the detectors decide by
+    convention or refuse, 1e-13 wide or wider than the largest float."""
+    step = RELATIONS[kind][2]
+    pts = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
+    shape = rng.choice(["generic", "locus", "coincident", "parallel",
+                        "collinear", "cocircular", "cluster", "tiny",
+                        "huge"])
+    if shape == "locus" and kind in ("concurrent", "perspective"):
+        # lines through one point: each pair, or each vertex pair, on one
+        ox, oy = pts[0]
+        pairs = ([(t, 3 + t) for t in range(3)] if kind == "perspective"
+                 else [(i, i + 1) for i in range(0, n, 2)])
+        for i, j in pairs:
+            s = rng.uniform(0.2, 2.0)
+            pts[j] = (ox + s * (pts[i][0] - ox), oy + s * (pts[i][1] - oy))
+    elif shape == "locus" and kind == "coaxial":
+        # circles through two common points
+        for i in range(0, n, 3):
+            pts[i], pts[i + 1] = pts[0], pts[1]
+    elif shape == "coincident":
+        pairs = ([(t, 3 + t) for t in range(3)] if kind == "perspective"
+                 else [(i, i + 1) for i in range(0, n - 1, max(step, 2))])
+        for i, j in rng.sample(pairs, rng.randint(1, min(3, len(pairs)))):
+            pts[j] = pts[i]
+    elif shape == "parallel":
+        # segments, or vertex connectors, along one direction
+        dx, dy = rng.uniform(-1, 1), rng.uniform(-1, 1)
+        pairs = ([(t, 3 + t) for t in range(3)] if kind == "perspective"
+                 else [(i, i + 1) for i in range(0, n - 1, 2)])
+        for i, j in rng.sample(pairs, rng.randint(min(2, len(pairs)),
+                                                  len(pairs))):
+            s = rng.choice([1.0, rng.uniform(-2, 2)])
+            pts[j] = (pts[i][0] + s * dx, pts[i][1] + s * dy)
+    elif shape == "collinear":
+        (ax, ay), (dx, dy) = pts[0], pts[1]
+        pts = [(ax + t * dx, ay + t * dy)
+               for t in (rng.uniform(-2, 2) for _ in range(n))]
+    elif shape == "cocircular":
+        (cx, cy), r = pts[0], rng.uniform(0.1, 2)
+        pts = [(cx + r * math.cos(t), cy + r * math.sin(t))
+               for t in (rng.uniform(0, 2 * math.pi) for _ in range(n))]
+    elif shape == "cluster":
+        pts = [pts[0]] * n
+    elif shape == "tiny":
+        pts = [(0.5 + 1e-13 * x, -0.25 + 1e-13 * y) for x, y in pts]
+    elif shape == "huge":
+        # a diameter past the largest float
+        pts = [(1e308 * x, 1e308 * y) for x, y in pts]
+    return pts
+
+
+def _float_outcome(kind, points, scale):
+    try:
+        verdict = evaluate_relation(kind, points, scale)
+    except (GeometryError, ArithmeticError):
+        return None
+    return verdict.residual.hex(), verdict.flags
+
+
+@pytest.mark.parametrize("scaled", [False, True])
+@pytest.mark.parametrize("kind", list(RELATIONS))
+def test_rows_judge_as_their_floats(kind, scaled):
+    """Row r of one batch of seeded figures, general and degenerate, has
+    the residual bits of `evaluate_relation` on row r's floats, is marked
+    failed where the floats raise, and the batch raises the flags of its
+    rows that do not fail."""
+    np = pytest.importorskip("numpy")
+    lo, hi, step, _ = RELATIONS[kind]
+    rng = random.Random(f"{kind} {scaled}")
+    for n in sorted({lo, hi or lo + step}):
+        figures = [_figure(kind, n, rng) for _ in range(300)]
+        scales = [rng.choice([0.5, 10.0, 1e-13]) if scaled else None
+                  for _ in figures]
+        expect = [_float_outcome(kind, [Point(x, y) for x, y in fig], s)
+                  for fig, s in zip(figures, scales)]
+        xy = np.array(figures)
+        rows = [Point(xy[:, t, 0], xy[:, t, 1]) for t in range(n)]
+        with np.errstate(all="ignore"), failures() as failed:
+            verdict = evaluate_relation(
+                kind, rows, np.array(scales) if scaled else None)
+        residual = np.broadcast_to(verdict.residual, len(figures))
+        marked = np.broadcast_to(failed.rows, len(figures))
+        assert [e is None for e in expect] == marked.tolist(), n
+        for r, e in enumerate(expect):
+            if e is not None:
+                assert float(residual[r]).hex() == e[0], (n, r, figures[r])
+        assert set(verdict.flags) == {f for e in expect if e is not None
+                                      for f in e[1]}, n
