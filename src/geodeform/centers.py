@@ -79,7 +79,10 @@ class IllConditioned(GeometryError):
 # construction's arguments.  A caller that keeps the parts of a figure
 # passes its own `part` (see script.py), which builds each part once per
 # run and argument labels, so constructions that share a triangle or an
-# ordered side share its check or its apex candidates
+# ordered side share its check or its apex candidates, and those that
+# share two points share their `dist`, in either order: dist(p, q) has the
+# bits of dist(q, p).  A build in READS_PARTS reads parts of its own
+# points: it takes as `part` a part over them.
 Part = Callable[..., object]
 
 
@@ -140,11 +143,10 @@ def equilateral_apex(base1: Point, base2: Point, orientation: Orientation,
     `part`, when given, is a `part` over (base1, base2, reference): a
     caller that keeps the parts of a figure passes its own, so the apexes
     on one ordered side share its candidates."""
-    d = dist(base1, base2)
-    guard(d <= FLOOR * _local_scale(base1, base2), CoincidentPoints,
-          "equilateral apex on a zero-length base")
-    return _apex(part or _unshared(base1, base2, reference), 0, 1, 2,
-                 orientation)
+    part = part or _unshared(base1, base2, reference)
+    guard(part(dist, 0, 1) <= FLOOR * _local_scale(base1, base2),
+          CoincidentPoints, "equilateral apex on a zero-length base")
+    return _apex(part, 0, 1, 2, orientation)
 
 
 def right_isosceles_apex(end1: Point, end2: Point, orientation: Orientation,
@@ -157,14 +159,21 @@ def right_isosceles_apex(end1: Point, end2: Point, orientation: Orientation,
                       _below(end1, end2, reference))
 
 
-def _require_triangle(a: Point, b: Point, c: Point) -> float:
-    sides = dist(a, b), dist(b, c), dist(c, a)
+def _require_triangle(a: Point, b: Point, c: Point,
+                      part: Part | None = None) -> float:
+    """The diameter of triangle abc, after checking that it has one; its
+    sides come from `part`, a part over (a, b, c), when given."""
+    part = part or _unshared(a, b, c)
+    sides = part(dist, 0, 1), part(dist, 1, 2), part(dist, 2, 0)
     diam = maximum(*sides)
     guard(minimum(*sides) <= FLOOR * _local_scale(a, b, c), CoincidentPoints,
           "triangle with coincident vertices")
     guard(abs(signed_area(a, b, c)) <= FLOOR * diam * diam, CollinearPoints,
           "degenerate triangle {}, {}, {}", a, b, c)
     return diam
+
+
+READS_PARTS = frozenset({_require_triangle})
 
 
 def _fermat_lines(points: tuple[Point, Point, Point],
@@ -215,7 +224,7 @@ def triangle_center(kind: CenterKind, a: Point, b: Point, c: Point,
     part = part or _unshared(a, b, c)
     diam = part(_require_triangle, 0, 1, 2)
     if kind is CenterKind.X1:
-        la, lb, lc = dist(b, c), dist(c, a), dist(a, b)
+        la, lb, lc = part(dist, 1, 2), part(dist, 2, 0), part(dist, 0, 1)
         s = la + lb + lc
         return Point((la * a.x + lb * b.x + lc * c.x) / s,
                      (la * a.y + lb * b.y + lc * c.y) / s)

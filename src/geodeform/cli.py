@@ -38,7 +38,8 @@ from typing import TYPE_CHECKING, Callable
 from . import __version__
 from .catalog import CLAIMS, NamedClaim, claim_names, program_claims
 from .core import FLOOR, GeometryError
-from .deform import VerificationReport, sample, scaling_probe, verify
+from .deform import VerificationReport, sample, scaling_probe, \
+    sharing, verify
 from .relations import REL_TOL
 from .render import render
 from .script import ParseError, UnknownParam, evaluate, parse
@@ -170,45 +171,48 @@ def cmd_verify(args: argparse.Namespace) -> int:
     all_theorem = True
     # The claims of one family are judged on shared draws: the first claim
     # met of a family sweeps it for all its selected claims, each keeping
-    # the report and the time of that sweep.
+    # the report and the time of that sweep.  Families that deform the
+    # same figure share its draws and first screened round (`sharing`)
+    # until the sweeps end.
     judged: dict[NamedClaim, tuple[VerificationReport, float]] = {}
     try:
-        for named in selected:
-            if named not in judged:
-                family = named.family
-                claims = list(dict.fromkeys(
-                    c for c in selected if c.family == family))
-                start = time.perf_counter()
-                if grid is not None:
-                    reports = scaling_probe(family, [c.claim for c in claims],
-                                            grid, args.samples, args.seed,
-                                            args.tol)
-                else:
-                    reports = verify(family, [c.claim for c in claims],
-                                     args.samples, args.eps, args.seed,
-                                     args.tol)
-                elapsed = time.perf_counter() - start
-                judged.update((c, (report, elapsed))
-                              for c, report in zip(claims, reports))
-            report, wall = judged[named]
-            convention = None
-            if named.annotate is not None:
-                start = time.perf_counter()
-                probe_eps = grid[-1] if grid is not None else args.eps
-                notes = named.annotate(
-                    sample(named.family, probe_eps, args.seed))
-                convention = notes.get("convention")
-                wall += time.perf_counter() - start
-            entries.append(_report_entry(named, report, wall, convention))
-            all_theorem = all_theorem and report.verdict == "theorem"
-            line = (f"{named.name}: {report.verdict}"
-                    f" max_residual={report.max_residual:.3e}"
-                    f" mean_residual={report.mean_residual:.3e}")
-            if report.scaling_exponent is not None and grid is not None:
-                line += f" exponent={report.scaling_exponent}"
-            if convention:
-                line += f" [{convention}]"
-            print(line)
+        with sharing():
+            for named in selected:
+                if named not in judged:
+                    family = named.family
+                    claims = list(dict.fromkeys(
+                        c for c in selected if c.family == family))
+                    start = time.perf_counter()
+                    relations = [c.claim for c in claims]
+                    if grid is not None:
+                        reports = scaling_probe(family, relations, grid,
+                                                args.samples, args.seed,
+                                                args.tol)
+                    else:
+                        reports = verify(family, relations, args.samples,
+                                         args.eps, args.seed, args.tol)
+                    elapsed = time.perf_counter() - start
+                    judged.update((c, (report, elapsed))
+                                  for c, report in zip(claims, reports))
+                report, wall = judged[named]
+                convention = None
+                if named.annotate is not None:
+                    start = time.perf_counter()
+                    probe_eps = grid[-1] if grid is not None else args.eps
+                    notes = named.annotate(
+                        sample(named.family, probe_eps, args.seed))
+                    convention = notes.get("convention")
+                    wall += time.perf_counter() - start
+                entries.append(_report_entry(named, report, wall, convention))
+                all_theorem = all_theorem and report.verdict == "theorem"
+                line = (f"{named.name}: {report.verdict}"
+                        f" max_residual={report.max_residual:.3e}"
+                        f" mean_residual={report.mean_residual:.3e}")
+                if report.scaling_exponent is not None and grid is not None:
+                    line += f" exponent={report.scaling_exponent}"
+                if convention:
+                    line += f" [{convention}]"
+                print(line)
 
         report = _json_text({
             "tool": _tool_tag(),

@@ -551,12 +551,22 @@ def reflect_line(p: Point, line: Line) -> Point:
 def intersect(l1: Line, l2: Line) -> Point:
     """The meet of two lines; raises Parallel when they are parallel
     within the floor."""
-    # both normals are unit vectors, so the cross term is sin of the angle
-    den = l1.a * l2.b - l2.a * l1.b
+    den = _cross(l1, l2)
     guard(abs(den) <= FLOOR, Parallel, "parallel lines {} and {}", l1, l2)
-    x = (l1.b * l2.c - l2.b * l1.c) / den
-    y = (l2.a * l1.c - l1.a * l2.c) / den
-    return Point(x, y)
+    return _meet(l1, l2, den)
+
+
+def _cross(l1: Line, l2: Line) -> float:
+    """The cross term of two lines' normals: both are unit vectors, so it
+    is the sine of the angle between the lines."""
+    return l1.a * l2.b - l2.a * l1.b
+
+
+def _meet(l1: Line, l2: Line, den: float) -> Point:
+    """The meet of two lines whose `_cross` is `den`, which the caller has
+    found apart from zero."""
+    return Point((l1.b * l2.c - l2.b * l1.c) / den,
+                 (l2.a * l1.c - l1.a * l2.c) / den)
 
 
 def least_squares_meet(lines: Sequence[Line], floor: float) -> Point:

@@ -24,11 +24,16 @@ every row's first such draw in one builder call.  Rows the builder
 rejects come back in rounds, each giving every open row several
 successive attempts in one call; a row keeps its first accepted attempt,
 as the per-draw loop does.
+
+Inside `sharing()`, which `geodeform verify` opens for one invocation,
+each set of streams is drawn once, and each deformation's first
+screened round once, for the first batch of each sweep.
 """
 
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -169,6 +174,43 @@ def _disk_draws(states: np.ndarray, need: int,
         ends[rows] = (flat % width + 1).reshape(-1, need)
         todo, width = todo[~done], 2 * width
     return x, y, ends
+
+
+def _frozen(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
+class sharing:
+    """`with sharing():` lets the sweeps inside share what equal
+    deformations compute, for the first batch of each sweep: `draws`, the
+    results of `_disk_draws` by stream states, and `rounds`, the first
+    screened rounds of `_sample_rows` by the values they depend on, every
+    array read-only.  They go when the block ends."""
+
+    def __enter__(self) -> None:
+        self.draws: dict[bytes, tuple[np.ndarray, ...]] = {}
+        self.rounds: dict[tuple, tuple] = {}
+        self._token = _SHARED.set(self)
+
+    def __exit__(self, *exc_info) -> None:
+        _SHARED.reset(self._token)
+
+    def disk_draws(self, states: np.ndarray, need: int,
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`_disk_draws(states, need)`, drawn once per set of streams: a
+        stream's first `need` results are the first of any more it gives,
+        so a smaller request reads the first columns of a larger draw."""
+        key = states.tobytes()
+        held = self.draws.get(key)
+        if held is None or held[0].shape[1] < need:
+            held = self.draws[key] = _disk_draws(states, need)
+            _frozen(*held)
+        return held[0][:, :need], held[1][:, :need], held[2][:, :need]
+
+
+_SHARED: ContextVar[sharing | None] = ContextVar("geodeform_shared",
+                                                 default=None)
 
 
 @dataclass(frozen=True)
@@ -331,9 +373,14 @@ def _sample_rows(family: DeformationFamily, grid: tuple[float, ...],
     accepts each, it is the batch.  Where a row finds no valid draw within
     the budget, the batch raises the error of the first such row's single
     sample, whose last attempt is built again on floats for its text.
+    Inside `sharing()`, the first batch of a sweep (rows from 0) draws
+    through the shared draws and reads its first round, every row's first
+    screened attempt, from an equal deformation that screened it before.
     """
     import numpy as np
 
+    shared = _SHARED.get() if rows.start == 0 else None
+    draw = _disk_draws if shared is None else shared.disk_draws
     base = family.base_points
     step = len(base)
     size = len(rows)
@@ -364,11 +411,11 @@ def _sample_rows(family: DeformationFamily, grid: tuple[float, ...],
         if live.size > count and not made[live[0]]:
             # the first draws of a grid's rows: each stream once, for every
             # epsilon block
-            dx, dy, ends = (a[offset[live]] for a in _disk_draws(
+            dx, dy, ends = (a[offset[live]] for a in draw(
                 np.uint64(seed & MASK64) + np.arange(count, dtype=np.uint64),
                 tries * step))
         else:
-            dx, dy, ends = _disk_draws(
+            dx, dy, ends = draw(
                 start[live] + used[live] * np.uint64(2 * GAMMA & MASK64),
                 tries * step)
         # attempt j of a row is its pairs j * P .. j * P + P - 1
@@ -443,6 +490,26 @@ def _sample_rows(family: DeformationFamily, grid: tuple[float, ...],
             t = max(1, min(2 * t, BATCH_ROWS // max(live.size, 1)))
         return found
 
+    def first_round(live: np.ndarray, tries: int
+                    ) -> list[tuple[np.ndarray, list[Point]]]:
+        """`screened(live, tries)` of the first round; inside `sharing()`,
+        read from an equal deformation's first round where there is one,
+        with the attempts and pairs each row made for it."""
+        if shared is None:
+            return screened(live, tries)
+        key = (np.array([(p.x, p.y) for p in base], float).tobytes(),
+               family.screen, radius.tobytes(), drawn.tobytes(), seed, count,
+               rows, max_rejections)
+        held = shared.rounds.get(key)
+        if held is None:
+            found = screened(live, tries)
+            held = shared.rounds[key] = (found, made.copy(), used.copy())
+            _frozen(held[1], held[2])
+            for owner, pts in found:
+                _frozen(owner, *(c for p in pts for c in (p.x, p.y)))
+        made[:], used[:] = held[1], held[2]
+        return held[0]
+
     def keep(built: Configuration, picked_rows, picked) -> None:
         """Rows `picked_rows` of the batch are rows `picked` of `built`."""
         for label, cols in columns.items():
@@ -454,8 +521,9 @@ def _sample_rows(family: DeformationFamily, grid: tuple[float, ...],
     todo = np.arange(size)  # the rows without a sample, in order
     tries = 1
     out = size  # the first row out of attempts, if any
+    find = first_round  # the one round a family may share
     while todo.size:
-        found = screened(todo, tries)
+        found, find = find(todo, tries), screened
         if found:
             owner, pts = found[0]
             if len(found) > 1:  # the attempts row by row, each row's in turn

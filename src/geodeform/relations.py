@@ -44,12 +44,13 @@ from .core import (
     Point,
     array_module,
     circumcircle,
+    _cross,
     _local_scale,
+    _meet,
     diameter,
     dist,
     guard,
     hypot,
-    intersect,
     least_squares_meet,
     line_through,
     maximum,
@@ -323,32 +324,39 @@ def _concurrent(points: Sequence[Point], scale) -> RelationVerdict:
     """The points in pairs, each pair a line: are the lines concurrent?"""
     q, dq, _ = _normalized(points)
     lines = [line_through(q[i], q[i + 1]) for i in range(0, len(q), 2)]
-    return _lines_concurrent("concurrent", lines, dq)
+    return _lines_concurrent("concurrent", lines, dq, _crosses(lines))
 
 
-def _parallel(l1: Line | None, l2: Line | None):
-    """Whether two lines are parallel within the floor; a missing line
-    (None) is parallel to none."""
-    return (l1 is not None and l2 is not None
-            and abs(l1.a * l2.b - l2.a * l1.b) <= FLOOR)
+def _crosses(lines: Sequence[Line | None]) -> list:
+    """The `_cross` of each pair of lines, pair (i, j) for i < j in order;
+    None where a line is missing."""
+    return [None if li is None or lj is None else _cross(li, lj)
+            for i, li in enumerate(lines) for lj in lines[i + 1:]]
 
 
-def _lines_concurrent(kind: str, lines: Sequence[Line],
-                      size: float) -> RelationVerdict:
+def _parallel(cross):
+    """Whether two lines whose `_cross` is `cross` are parallel within the
+    floor; a missing line (cross None) is parallel to none."""
+    return cross is not None and abs(cross) <= FLOOR
+
+
+def _lines_concurrent(kind: str, lines: Sequence[Line], size: float,
+                      crosses: list) -> RelationVerdict:
     """Least-squares common point; residual is the worst distance to any
     line over the larger of `size`, the size of the figure the lines were
-    drawn from, and the spread of their pairwise meets.  A parallel pair
-    fails the verdict."""
+    drawn from, and the spread of their pairwise meets.  A parallel pair,
+    by `crosses`, the `_crosses` of the lines, fails the verdict."""
     pairs = [(li, lj) for i, li in enumerate(lines) for lj in lines[i + 1:]]
 
     def meet() -> RelationVerdict:
-        meets = [intersect(li, lj) for li, lj in pairs]
+        # no pair is parallel on the rows this runs on
+        meets = [_meet(li, lj, den) for (li, lj), den in zip(pairs, crosses)]
         common = least_squares_meet(lines, 0.0)
         cloud = maximum(size, diameter(meets))
         residual = maximum(*(abs(l.value(common)) for l in lines)) / cloud
         return RelationVerdict.from_residual(kind, residual)
 
-    return _branch(sum(_parallel(li, lj) for li, lj in pairs) > 0,
+    return _branch(sum(map(_parallel, crosses)) > 0,
                    lambda: RelationVerdict.failed(
                        kind, flags=("non_concurrent_parallel",)), meet)
 
@@ -410,9 +418,10 @@ def _perspective(points: Sequence[Point], scale) -> RelationVerdict:
             return line_through(q[t], q[3 + t])
 
     lines = [connector(t) for t in range(3)]
+    crosses = _crosses(lines)
     # the pairs of connectors that are there and parallel
-    parallel = [apart[i] & apart[j] & _parallel(lines[i], lines[j])
-                for i, j in ((0, 1), (0, 2), (1, 2))]
+    parallel = [apart[i] & apart[j] & _parallel(cross)
+                for (i, j), cross in zip(((0, 1), (0, 2), (1, 2)), crosses)]
 
     def verdict(*flags: str) -> Callable[[], RelationVerdict]:
         return lambda: RelationVerdict("perspective", 0.0, flags)
@@ -427,7 +436,8 @@ def _perspective(points: Sequence[Point], scale) -> RelationVerdict:
             lambda: _branch(
                 parallel[0] & parallel[1] & parallel[2],
                 verdict("concurrent_at_infinity"),
-                lambda: _lines_concurrent("perspective", lines, dq)))))
+                lambda: _lines_concurrent("perspective", lines, dq,
+                                          crosses)))))
 
 
 def _on_conic(points: Sequence[Point], scale) -> RelationVerdict:

@@ -48,12 +48,13 @@ import math
 import operator
 import re
 import string
+from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, repeat
 from typing import Callable, NamedTuple, Sequence, Union
 
-from .centers import CenterKind, Orientation, Part, equilateral_apex, \
-    right_isosceles_apex, triangle_center
+from .centers import READS_PARTS, CenterKind, Orientation, Part, \
+    equilateral_apex, right_isosceles_apex, triangle_center
 from .configurations import Configuration, NonConvexQuadrilateral, \
     PointOnVertex, PointOutsideCircumcircle
 from .core import (
@@ -761,12 +762,17 @@ def _parts(built: dict[tuple, object], labels: tuple[str, ...],
            args: list[Point]) -> Part:
     """The `part` of one statement over `labels`, whose points are `args`;
     `built` holds the parts of the run by builder and labels (on floats a
-    failed part raises and is not kept)."""
+    failed part raises and is not kept), a `dist` by its labels in order."""
     def part(build: Callable[..., object], *at: int) -> object:
+        if build is dist and labels[at[1]] < labels[at[0]]:
+            at = at[::-1]
         key = (build, *[labels[i] for i in at])
         made = built.get(key)
         if made is None:
-            made = built[key] = build(*[args[i] for i in at])
+            points = [args[i] for i in at]
+            made = built[key] = (
+                build(*points, part=_parts(built, key[1:], points))
+                if build in READS_PARTS else build(*points))
         return made
     return part
 
@@ -948,23 +954,28 @@ def _family_builder(program: Program,
     return builder
 
 
-def _family_screen(program: Program) -> Callable[..., None] | None:
-    """The screen of the deformation family of `program`: its requires
-    that read deformed points alone, run on the points given for the
-    labels its `deform` statement names; None when it has none."""
+@dataclass(frozen=True)
+class _Screen:
+    """A family's requires that read deformed points alone, each as its
+    kind and its labels' positions in the `deform` statement, run on the
+    points given for them.  Equal screens pass the same draws."""
+
+    requires: tuple[tuple[str, tuple[int, ...]], ...]
+
+    def __call__(self, *points: Point) -> None:
+        built: dict[tuple, object] = {}
+        for kind, at in self.requires:
+            args = [points[i] for i in at]
+            REQUIREMENTS[kind][1](args, _parts(built, at, args))
+
+
+def _family_screen(program: Program) -> _Screen | None:
+    """The screen of the deformation family of `program`; None when it
+    has none."""
     labels = program.deform().labels
-    steps = tuple(s for s in program.statements
-                  if isinstance(s, Define) and s.label in labels
-                  or _screened(s, labels))
-    if not any(isinstance(s, Require) for s in steps):
-        return None
-    params = program.params()
-
-    def screen(*points: Point) -> None:
-        _construct(steps, params, dict(zip(labels, points, strict=True)),
-                   frozenset())
-
-    return screen
+    requires = tuple((s.kind, tuple(map(labels.index, s.labels)))
+                     for s in program.statements if _screened(s, labels))
+    return _Screen(requires) if requires else None
 
 
 def deformation_family(program: Program, name: str) -> DeformationFamily:

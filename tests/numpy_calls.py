@@ -16,17 +16,23 @@ counts the same calls by the innermost `geodeform` function that made
 each, to show who spends them, and `layer_calls(name)` by the layer that
 made each: the family's screen, its build, or the judging of its claims.
 `kind_calls(kind)` counts the numpy calls of one judge of a relation kind
-on a fixed seeded 1000-row figure.
+on a fixed seeded 1000-row figure.  `verify_counts(argv)` counts the raw
+stream draws (`_disk_draws` computations) and the screen calls of one
+in-process `geodeform` invocation: like the numpy calls, an exact count
+that is the same on any host.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import sys
 from collections import Counter
 from typing import Callable
 
 import numpy as np
 
+from geodeform import cli, deform, script
 from geodeform.catalog import CLAIMS, FAMILIES
 from geodeform.core import Point, failures
 from geodeform.deform import _disk_draws
@@ -56,7 +62,7 @@ def _by_caller(name: str) -> str:
 # the functions inside which `layer_calls` counts a call as a family's
 # screen or as the judging of a claim, by (module, qualified name); every
 # other call builds
-_LAYERS = {("geodeform.script", "_family_screen.<locals>.screen"): "screen",
+_LAYERS = {("geodeform.script", "_Screen.__call__"): "screen",
            ("geodeform.deform", "RelationClaim.evaluate"): "judge"}
 
 
@@ -201,3 +207,35 @@ def kind_calls(kind: str) -> tuple[Counter, list]:
 def plain_kind(kind: str) -> list:
     """What `kind_calls` computes, on plain arrays."""
     return _judge_kind(kind, np.ndarray)
+
+
+@contextlib.contextmanager
+def counted_draws_and_screens():
+    """`with counted_draws_and_screens() as counts:` counts in
+    counts["draws"] the raw stream draws, and in counts["screens"] the
+    calls of a family program's screen, made inside the block."""
+    counts: Counter = Counter()
+    draws, screen = deform._disk_draws, script._Screen.__call__
+
+    def counted_draws(*args):
+        counts["draws"] += 1
+        return draws(*args)
+
+    def counted_screen(self, *points):
+        counts["screens"] += 1
+        return screen(self, *points)
+
+    deform._disk_draws, script._Screen.__call__ = counted_draws, counted_screen
+    try:
+        yield counts
+    finally:
+        deform._disk_draws, script._Screen.__call__ = draws, screen
+
+
+def verify_counts(argv: list[str]) -> tuple[int, int]:
+    """The raw stream draws and the screen calls of one in-process
+    `geodeform` invocation `argv`, whose output is discarded."""
+    with counted_draws_and_screens() as counts, \
+            contextlib.redirect_stdout(io.StringIO()):
+        cli.main(argv)
+    return counts["draws"], counts["screens"]

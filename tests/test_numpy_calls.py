@@ -12,15 +12,15 @@ from numpy_calls import caller_calls, family_calls, kind_calls, \
 # judge), the judge summed over the family's claims (BENCH_21.json
 # compares them with the parent's); a change that lowers one tightens it
 LAYERS = {"theorem1": (93, 296, 242), "bisector": (93, 424, 311),
-          "example1": (0, 787, 514), "example2": (0, 2210, 311),
-          "example3": (114, 1271, 622)}
+          "example1": (0, 739, 514), "example2": (0, 2162, 311),
+          "example3": (114, 1247, 622)}
 RECORDED = {name: sum(calls) for name, calls in LAYERS.items()}
 
 # the counts of one judge of each relation kind (BENCH_22.json); a change
 # that lowers one tightens it
-KINDS = {"collinear": 186, "concyclic": 327, "concurrent": 520,
+KINDS = {"collinear": 186, "concyclic": 327, "concurrent": 502,
          "perpendicular": 141, "equal_length": 133, "on_conic": 606,
-         "coaxial": 857, "perspective": 616, "midpoints_coincide": 138,
+         "coaxial": 857, "perspective": 589, "midpoints_coincide": 138,
          "segment_bisects": 186}
 
 
