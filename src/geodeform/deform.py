@@ -700,10 +700,12 @@ def _judge_rows(family: DeformationFamily, claims: Sequence[RelationClaim],
                 one_at_a_time(rows)
                 raise
             residual = np.broadcast_to(verdict.residual, (len(rows),))
-            suspect |= failed.rows | ~np.isfinite(residual)
+            # an infinite residual is a verdict (lines that never meet),
+            # not an error: only NaN is
+            suspect |= failed.rows | np.isnan(residual)
             judged.append((residual.tolist(), verdict.flags))
-    # a row that failed, or whose residual is not finite, raises here if
-    # the per-draw loop raises on it
+    # a row that failed, or whose residual is NaN, raises here if the
+    # per-draw loop raises on it
     one_at_a_time(rows[r] for r in np.flatnonzero(suspect).tolist())
     return judged
 

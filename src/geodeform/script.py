@@ -49,7 +49,7 @@ import operator
 import re
 import string
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import chain, repeat
 from typing import Callable, NamedTuple, Sequence, Union
 
@@ -717,9 +717,14 @@ class _Parser:
                          expected=("a number", "a param name", "(", "-"))
 
 
+# keyed by the text, so an edited file parses afresh; a ParseError is not
+# kept, and raises again on every call.  A Program is NamedTuples of
+# tuples, strings, numbers and None, so every caller can share one.
+@lru_cache(maxsize=32)
 def parse(source: str) -> Program:
     """Parse script text into a Program, or raise ParseError on the first
-    failure (no recovery)."""
+    failure (no recovery).  The last 32 distinct texts keep their
+    Program."""
     return _Parser(_lex(source)).program()
 
 

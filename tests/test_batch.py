@@ -752,6 +752,15 @@ def test_rows_cost_no_python_call_per_sample(monkeypatch, capsys, grid,
     assert many / few <= bound, (few, many)
 
 
+def _calls_at_200_and_2000_samples(monkeypatch, capsys, path):
+    """The calls of `verify path` at 200 and at 2000 samples, one batch
+    each."""
+    monkeypatch.setattr(deform, "BATCH_ROWS", 2000)
+    _python_calls(capsys, str(path), "--samples", "20")  # load once
+    return (_python_calls(capsys, str(path), "--samples", "200"),
+            _python_calls(capsys, str(path), "--samples", "2000"))
+
+
 def test_no_relation_kind_judges_row_by_row(monkeypatch, capsys, tmp_path):
     """A program that asserts every relation kind takes about as many
     calls at ten times the samples: no detector loops over the rows in
@@ -759,8 +768,18 @@ def test_no_relation_kind_judges_row_by_row(monkeypatch, capsys, tmp_path):
     path = tmp_path / "all_kinds.geo"
     path.write_text(ALL_KINDS_PROGRAM, encoding="utf-8")
     assert {c.kind for c in FAMILY_CLAIMS["all_kinds"][1]} == set(RELATIONS)
-    monkeypatch.setattr(deform, "BATCH_ROWS", 2000)
-    _python_calls(capsys, str(path), "--samples", "20")  # load once
-    few = _python_calls(capsys, str(path), "--samples", "200")
-    many = _python_calls(capsys, str(path), "--samples", "2000")
+    few, many = _calls_at_200_and_2000_samples(monkeypatch, capsys, path)
+    assert many / few <= 1.2, (few, many)
+
+
+def test_lines_that_never_meet_are_not_judged_row_by_row(monkeypatch, capsys,
+                                                        tmp_path):
+    """An infinite residual is a verdict, not a row to judge again on its
+    own: AB and DC of the all-kinds triangle's parallelogram never meet,
+    and ten times the samples take about the same number of calls."""
+    path = tmp_path / "parallel.geo"
+    path.write_text(ALL_KINDS_PROGRAM.split("assert ")[0]
+                    + 'assert concurrent(A, B, D, C, M_c, M_b) as parallel '
+                    '"AB and DC meet"\n', encoding="utf-8")
+    few, many = _calls_at_200_and_2000_samples(monkeypatch, capsys, path)
     assert many / few <= 1.2, (few, many)

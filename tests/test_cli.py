@@ -13,7 +13,7 @@ from importlib import metadata
 import numpy as np
 import pytest
 
-from geodeform import cli
+from geodeform import cli, script
 from geodeform.catalog import CLAIMS, claim_names
 from geodeform.cli import main
 from geodeform.script import parse
@@ -500,6 +500,33 @@ def test_run_param_override(capsys):
                            "--param", "eps=0")
     assert code == 0
     assert "PASS" in out
+
+
+def test_runs_of_one_file_in_one_process_lex_it_once(monkeypatch, capsys,
+                                                    tmp_path):
+    """`run` reads its file every time but parses each text once: a second
+    run of the file with other params lexes nothing, and a rewritten file
+    parses afresh."""
+    lexed = []
+    lex = script._lex
+    monkeypatch.setattr(script, "_lex",
+                        lambda source: lexed.append(source) or lex(source))
+    path = tmp_path / "sweep.geo"
+    # the path in a comment makes a text that no other test parsed
+    text = (f"# {path}\nparam s = 1\npoint A = (0, 0)\npoint B = (s, 0)\n"
+            "point C = (0, 1)\nassert collinear(A, C, B)\n")
+    path.write_text(text)
+    first = run_cli(capsys, "run", str(path), "--param", "s=2")
+    second = run_cli(capsys, "run", str(path), "--param", "s=3")
+    assert len(lexed) == 1
+    assert first[0] == second[0] == 1
+    assert first[1] != second[1]
+    path.write_text(text.replace("collinear(A, C, B)",
+                                 "perpendicular(A, B, A, C)"))
+    third = run_cli(capsys, "run", str(path), "--param", "s=3")
+    assert len(lexed) == 2
+    assert third == (0, "PASS perpendicular(A,B,A,C) residual=0.00e+00\n",
+                     "")
 
 
 def test_run_rejects_unknown_param(capsys):

@@ -28,6 +28,7 @@ from geodeform.script import (
     family_builder,
     parse,
 )
+from test_batch import ALL_KINDS_PROGRAM
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -189,21 +190,39 @@ def _mutants(draw, source):
     return source
 
 
+def _unshared(source):
+    """The Program of `source` parsed afresh, past the memo of `parse`, or
+    the ParseError that parsing raises."""
+    try:
+        return script._Parser(script._lex(source)).program()
+    except ParseError as err:
+        return err
+
+
+def _error_fields(err):
+    return type(err), err.line, err.col, err.message, err.expected
+
+
 @pytest.mark.parametrize("path", PROGRAMS, ids=lambda p: p.name)
 def test_mutated_programs_fail_only_by_parse_error(path):
     """A mutant of a shipped program parses, or raises a ParseError whose
-    position lies inside the source."""
+    position lies inside the source; either way, as parsing it afresh
+    does."""
     @settings(max_examples=40, derandomize=True, database=None,
               deadline=None)
     @given(source=_mutants(path.read_text()))
     def check(source):
         try:
-            assert isinstance(parse(source), Program)
+            program = parse(source)
         except ParseError as err:
             lines = source.split("\n")
             assert 1 <= err.line <= len(lines), (source, err)
             assert 1 <= err.col <= len(lines[err.line - 1]) + 1, (source, err)
             assert str(err).startswith(f"{err.line}:{err.col}:")
+            assert _error_fields(_unshared(source)) == _error_fields(err)
+        else:
+            assert isinstance(program, Program)
+            assert program == _unshared(source)
     check()
 
 
@@ -699,3 +718,54 @@ def test_overflowing_number_literal_is_a_parse_error(source, line, col):
 def test_largest_float_literal_parses():
     (decl,) = parse("param x = 1.7976931348623157e308\n").statements
     assert decl.default == 1.7976931348623157e308
+
+
+# ---------------------------------------------------------------------------
+# parse keeps the Program of each recent text, and hands it to every caller
+
+SOURCES = {path.name: path.read_text(encoding="utf-8") for path in PROGRAMS}
+SOURCES["all_kinds"] = ALL_KINDS_PROGRAM
+
+
+def _nodes(value):
+    """`value` and every value inside it, depth first."""
+    yield value
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _nodes(item)
+
+
+@pytest.mark.parametrize("name", sorted(SOURCES))
+def test_a_shared_program_cannot_change(name):
+    """Every node of a parsed program is None, a str, float or int, or a
+    tuple (NamedTuples included) with no attribute of its own: no caller
+    can change the Program that parse hands to the next one."""
+    program = parse(SOURCES[name])
+    assert program is parse(SOURCES[name])
+    assert program == _unshared(SOURCES[name])
+    for node in _nodes(program):
+        if isinstance(node, tuple):
+            assert not hasattr(node, "__dict__"), node
+        else:
+            assert node is None or type(node) in (str, float, int), node
+
+
+@pytest.mark.parametrize("source", [
+    "point A = (0 0)\n",
+    "point A = (0, 0)\npoint A = (1, 0)\n",
+    "point A = (1e999, 0)\n",
+    'assert collinear(A, B, C) as x "open\n',
+    "\n# nothing\n",
+])
+def test_a_parse_error_raises_again_on_every_call(source):
+    first, second = parse_error(source), parse_error(source)
+    assert first is not second
+    assert _error_fields(first) == _error_fields(second)
+
+
+def test_parse_keeps_at_most_its_bound_of_programs():
+    bound = parse.cache_info().maxsize
+    for i in range(bound + 5):
+        parse(f"point A = ({i}, 0.5)\n")
+    assert parse.cache_info().currsize == bound
+
