@@ -768,4 +768,3 @@ def test_parse_keeps_at_most_its_bound_of_programs():
     for i in range(bound + 5):
         parse(f"point A = ({i}, 0.5)\n")
     assert parse.cache_info().currsize == bound
-
