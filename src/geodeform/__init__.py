@@ -31,7 +31,6 @@ from .core import (
     Circle,
     CoincidentPoints,
     CollinearPoints,
-    ConcentricCircles,
     DegenerateAngleWarning,
     GeometryError,
     Line,
@@ -44,7 +43,6 @@ from .core import (
     intersect,
     line_through,
     midpoint,
-    radical_axis,
     reflect_line,
     reflect_point,
     rotate,

@@ -40,7 +40,6 @@ __all__ = [
     "CoincidentPoints",
     "CollinearPoints",
     "Parallel",
-    "ConcentricCircles",
     "DegenerateAngleWarning",
     "FLOOR",
     "GUARD",
@@ -72,7 +71,6 @@ __all__ = [
     "line_circle_meets",
     "least_squares_meet",
     "angle_bisector",
-    "radical_axis",
 ]
 
 
@@ -97,10 +95,6 @@ class CollinearPoints(GeometryError):
 
 class Parallel(GeometryError):
     """Two lines that must meet are parallel within the floor."""
-
-
-class ConcentricCircles(GeometryError):
-    """Two circles share a center, so no radical axis / unique meet exists."""
 
 
 class DegenerateAngleWarning(UserWarning):
@@ -635,15 +629,3 @@ def angle_bisector(vertex: Point, toward1: Point, toward2: Point) -> Line:
     sx, sy = where(straight, -u1y, sx), where(straight, u1x, sy)
     return Line(-sy, sx, -(-sy * vertex.x + sx * vertex.y))
 
-
-def radical_axis(c1: Circle, c2: Circle) -> Line:
-    """Locus of points with equal power w.r.t. both circles."""
-    scale = maximum(_local_scale(c1.center, c2.center), c1.radius, c2.radius)
-    guard(dist(c1.center, c2.center) <= FLOOR * scale, ConcentricCircles,
-          "radical axis of concentric circles")
-    a = 2.0 * (c2.center.x - c1.center.x)
-    b = 2.0 * (c2.center.y - c1.center.y)
-    o1, o2 = c1.center, c2.center
-    c = ((o1.x * o1.x + o1.y * o1.y - c1.radius * c1.radius)
-         - (o2.x * o2.x + o2.y * o2.y - c2.radius * c2.radius))
-    return Line(a, b, c)

@@ -40,7 +40,6 @@ from .core import (
     GUARD,
     CoincidentPoints,
     GeometryError,
-    Line,
     Point,
     array_module,
     circumcircle,
@@ -58,7 +57,6 @@ from .core import (
     minimum,
     only_rows,
     pow2_near,
-    radical_axis,
     signed_area,
     sqrt,
     where,
@@ -301,143 +299,36 @@ def _midpoints_coincide(points: Sequence[Point], scale) -> RelationVerdict:
             dist(midpoint(q[0], q[1]), midpoint(q[2], q[3])) / denom))
 
 
-def _segment_bisects(points: Sequence[Point], scale) -> RelationVerdict:
-    """Does the line p1p2 pass through the midpoint of q1q2, for the
-    points (p1, p2, q1, q2)?"""
-    q, dq, denom = _normalized(points, scale)
-    return _branch(
-        dq == 0.0, _cluster("segment_bisects"),
-        lambda: RelationVerdict.from_residual(
-            "segment_bisects",
-            abs(line_through(q[0], q[1]).value(midpoint(q[2], q[3])))
-            / denom))
-
-
 # ---------------------------------------------------------------------------
-# line and circle detectors
+# line and conic detectors
 #
-# Lines, circles and conics are built in the normalized frame of the
-# points, so their residuals do not depend on the size of the figure; the
-# scale does not enter them.
+# Lines and conics are built in the normalized frame of the points, so
+# their residuals do not depend on the size of the figure; the scale does
+# not enter them.
 
 def _concurrent(points: Sequence[Point], scale) -> RelationVerdict:
-    """The points in pairs, each pair a line: are the lines concurrent?"""
+    """The points in pairs, each pair a line: are the lines concurrent?
+
+    Least-squares common point; residual is the worst distance to any line
+    over the larger of the figure's size and the spread of the lines'
+    pairwise meets.  A pair of lines parallel within the floor fails the
+    verdict."""
     q, dq, _ = _normalized(points)
     lines = [line_through(q[i], q[i + 1]) for i in range(0, len(q), 2)]
-    return _lines_concurrent("concurrent", lines, dq, _crosses(lines))
-
-
-def _crosses(lines: Sequence[Line | None]) -> list:
-    """The `_cross` of each pair of lines, pair (i, j) for i < j in order;
-    None where a line is missing."""
-    return [None if li is None or lj is None else _cross(li, lj)
-            for i, li in enumerate(lines) for lj in lines[i + 1:]]
-
-
-def _parallel(cross):
-    """Whether two lines whose `_cross` is `cross` are parallel within the
-    floor; a missing line (cross None) is parallel to none."""
-    return cross is not None and abs(cross) <= FLOOR
-
-
-def _lines_concurrent(kind: str, lines: Sequence[Line], size: float,
-                      crosses: list) -> RelationVerdict:
-    """Least-squares common point; residual is the worst distance to any
-    line over the larger of `size`, the size of the figure the lines were
-    drawn from, and the spread of their pairwise meets.  A parallel pair,
-    by `crosses`, the `_crosses` of the lines, fails the verdict."""
     pairs = [(li, lj) for i, li in enumerate(lines) for lj in lines[i + 1:]]
+    crosses = [_cross(li, lj) for li, lj in pairs]
 
     def meet() -> RelationVerdict:
         # no pair is parallel on the rows this runs on
         meets = [_meet(li, lj, den) for (li, lj), den in zip(pairs, crosses)]
         common = least_squares_meet(lines, 0.0)
-        cloud = maximum(size, diameter(meets))
+        cloud = maximum(dq, diameter(meets))
         residual = maximum(*(abs(l.value(common)) for l in lines)) / cloud
-        return RelationVerdict.from_residual(kind, residual)
+        return RelationVerdict.from_residual("concurrent", residual)
 
-    return _branch(sum(map(_parallel, crosses)) > 0,
+    return _branch(sum(abs(cross) <= FLOOR for cross in crosses) > 0,
                    lambda: RelationVerdict.failed(
-                       kind, flags=("non_concurrent_parallel",)), meet)
-
-
-def _coaxial(points: Sequence[Point], scale) -> RelationVerdict:
-    """The points in triples, each triple a circle through it: do all
-    pairwise radical axes coincide with the first pair's axis?
-
-    Residual per pair combines the sine of the angle between the axes with
-    their offset, measured at the centroid of the centers, over the
-    configuration scale.
-    """
-    q, _, _ = _normalized(points)
-    # centered, as for on_conic: the radical axes' offsets then do not
-    # cancel digits that grow with the distance from the origin
-    cx = sum(p.x for p in q) / len(q)
-    cy = sum(p.y for p in q) / len(q)
-    q = [Point(p.x - cx, p.y - cy) for p in q]
-    circles = [circumcircle(q[i], q[i + 1], q[i + 2])
-               for i in range(0, len(q), 3)]
-    ref = radical_axis(circles[0], circles[1])
-    size = maximum(maximum(*(dist(a.center, b.center)
-                             for i, a in enumerate(circles)
-                             for b in circles[i + 1:])),
-                   maximum(*(c.radius for c in circles)))
-    # a point fixed by the figure, not by the frame: the offset of two
-    # axes that are not parallel depends on where it is measured
-    anchor = Point(sum(c.center.x for c in circles) / len(circles),
-                   sum(c.center.y for c in circles) / len(circles))
-    worst = 0.0
-    for i in range(len(circles)):
-        for j in range(i + 1, len(circles)):
-            if (i, j) == (0, 1):
-                continue
-            ax = radical_axis(circles[i], circles[j])
-            sin = abs(ref.a * ax.b - ax.a * ref.b)
-            sign = where((ref.a * ax.a + ref.b * ax.b) >= 0.0, 1.0, -1.0)
-            offset = abs(sign * ax.value(anchor) - ref.value(anchor)) / size
-            worst = maximum(worst, sin + offset)
-    return RelationVerdict.from_residual("coaxial", worst)
-
-
-def _perspective(points: Sequence[Point], scale) -> RelationVerdict:
-    """Are the vertex connectors of two corresponding triangles, the first
-    three points and the last three, concurrent?
-
-    Coincident vertex pairs contribute no constraint and are flagged; three
-    mutually parallel connectors count as concurrent at infinity.
-    """
-    q, dq, _ = _normalized(points)
-    apart = [(dq != 0.0) & (dist(q[t], q[3 + t]) > FLOOR * dq)
-             for t in range(3)]
-
-    def connector(t: int) -> Line | None:
-        # where the vertices of pair t are apart; None on floats elsewhere
-        if array_module(apart[t]) is None:
-            return line_through(q[t], q[3 + t]) if apart[t] else None
-        with only_rows(apart[t]):
-            return line_through(q[t], q[3 + t])
-
-    lines = [connector(t) for t in range(3)]
-    crosses = _crosses(lines)
-    # the pairs of connectors that are there and parallel
-    parallel = [apart[i] & apart[j] & _parallel(cross)
-                for (i, j), cross in zip(((0, 1), (0, 2), (1, 2)), crosses)]
-
-    def verdict(*flags: str) -> Callable[[], RelationVerdict]:
-        return lambda: RelationVerdict("perspective", 0.0, flags)
-
-    count = sum(apart)
-    return _branch(count == 0, verdict("identical_vertices"), lambda: _branch(
-        count == 1, verdict("coincident_vertex_pair"), lambda: _branch(
-            count == 2, lambda: _branch(
-                parallel[0] | parallel[1] | parallel[2],
-                verdict("coincident_vertex_pair", "concurrent_at_infinity"),
-                verdict("coincident_vertex_pair")),
-            lambda: _branch(
-                parallel[0] & parallel[1] & parallel[2],
-                verdict("concurrent_at_infinity"),
-                lambda: _lines_concurrent("perspective", lines, dq,
-                                          crosses)))))
+                       "concurrent", flags=("non_concurrent_parallel",)), meet)
 
 
 def _on_conic(points: Sequence[Point], scale) -> RelationVerdict:
@@ -521,10 +412,7 @@ RELATIONS: dict[str, tuple[int, int | None, int,
     "perpendicular": (4, 4, 2, _perpendicular),
     "equal_length": (4, None, 2, _equal_length),
     "on_conic": (6, None, 1, _on_conic),
-    "coaxial": (9, None, 3, _coaxial),
-    "perspective": (6, 6, 3, _perspective),
     "midpoints_coincide": (4, 4, 2, _midpoints_coincide),
-    "segment_bisects": (4, 4, 2, _segment_bisects),
 }
 
 

@@ -57,7 +57,6 @@ assert concyclic(M_a, M_b, M_c, R) as rot "a rotated vertex on the medial circle
 
 # every relation kind on one deformed triangle, the kinds that decide by
 # convention among them: its Euler line collapses at the equilateral base
-# and the last perspective's triangles share a vertex
 ALL_KINDS_PROGRAM = """\
 point A = (0, 0)
 point B = (4, 0.3)
@@ -73,7 +72,6 @@ point P_a = midpoint(A, H)
 point P_b = midpoint(B, H)
 point P_c = midpoint(C, H)
 point D = reflect_point(B, M_b)
-point E = reflect_line(C, A, B)
 assert collinear(G, H, O) as euler "the Euler line"
 assert concyclic(M_a, M_b, M_c, P_a) as ninepoint "the nine-point circle"
 assert concurrent(A, M_a, B, M_b, C, M_c) as medians "the medians concur"
@@ -81,12 +79,7 @@ assert perpendicular(A, B, C, H) as altitude "C H is an altitude"
 assert equal_length(O, A, O, B, O, C) as radii "the circumradii agree"
 assert on_conic(M_a, M_b, M_c, P_a, P_b, P_c) as conic "six nine-point circle points on a conic"
 assert on_conic(A, B, C, M_a, M_b, M_c) as vertices_conic "vertices and midpoints on a conic"
-assert coaxial(A, B, C, A, B, D, A, B, E) as pencil "three circles through A and B"
-assert perspective(A, B, C, M_a, M_b, M_c) as medial "a triangle and its medial triangle"
-assert perspective(A, B, C, P_a, P_b, P_c) as euler_triangle "a triangle and its Euler triangle"
-assert perspective(A, B, C, A, P_b, P_c) as shared_vertex "triangles sharing a vertex"
 assert midpoints_coincide(A, C, B, D) as diagonals "the diagonals of a parallelogram bisect each other"
-assert segment_bisects(A, M_a, B, C) as median "a median bisects its side"
 """
 
 # a dart: every small deformation of it is still not convex

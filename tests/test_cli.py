@@ -406,6 +406,19 @@ def test_run_reports_parse_position(capsys, tmp_path):
     assert f"{bad}:1:12:" in err
 
 
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_a_deleted_relation_kind_is_a_parse_error(capsys, tmp_path, command):
+    """A program that asserts a deleted kind stops at the kind's name with
+    exit 2 and one error line, as for any unknown kind."""
+    path = tmp_path / "medial.geo"
+    path.write_text("point A = (0, 0)\npoint B = (4, 0)\npoint C = (1, 3)\n"
+                    "deform A B C about (0, 0) (4, 0) (1, 3)\n"
+                    "assert perspective(A, B, C, B, C, A) as p \"ABC\"\n")
+    code, out, err = run_cli(capsys, command, str(path))
+    assert (code, out) == (2, "")
+    assert err == f"{path}:5:8: unknown relation 'perspective'\n"
+
+
 # a superscript two, which float() rejects, and an Arabic-Indic three,
 # which it reads as 3.0
 @pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])

@@ -14,7 +14,6 @@ from geodeform.core import (
     Circle,
     CoincidentPoints,
     CollinearPoints,
-    ConcentricCircles,
     GeometryError,
     Line,
     NonFiniteInput,
@@ -34,7 +33,6 @@ from geodeform.core import (
     only_rows,
     perp,
     pow2_near,
-    radical_axis,
     reflect_line,
     reflect_point,
     rotate,
@@ -44,12 +42,6 @@ from geodeform.core import (
 
 def close(p: Point, q: Point, tol: float = 1e-12) -> bool:
     return dist(p, q) <= tol
-
-
-def power(circle: Circle, p: Point) -> float:
-    """Power of the point: |p - center|**2 - r**2 (zero on the circle)."""
-    dx, dy = p.x - circle.center.x, p.y - circle.center.y
-    return dx * dx + dy * dy - circle.radius * circle.radius
 
 
 def foot(line: Line, p: Point) -> Point:
@@ -213,20 +205,6 @@ def test_angle_bisector_equidistant_from_rays():
         da = abs(line_through(v, a).value(probe))
         db = abs(line_through(v, b).value(probe))
         assert abs(da - db) < 1e-9
-
-
-def test_concentric_radical_axis_raises():
-    with pytest.raises(ConcentricCircles):
-        radical_axis(Circle(Point(0, 0), 1.0), Circle(Point(0, 0), 2.0))
-
-
-def test_radical_axis_equal_power():
-    c1 = Circle(Point(0.0, 0.0), 1.0)
-    c2 = Circle(Point(3.0, 1.0), 2.0)
-    ax = radical_axis(c1, c2)
-    for t in (-2.0, 0.0, 1.5, 4.0):
-        p = foot(ax, Point(t, t))
-        assert abs(power(c1, p) - power(c2, p)) < 1e-9
 
 
 def test_reflections_are_involutions():

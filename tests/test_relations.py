@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from geodeform.core import (
     CoincidentPoints,
-    ConcentricCircles,
     GeometryError,
     Point,
     failures,
@@ -167,88 +166,6 @@ def test_concurrent_lines_through_coincident_points_raise():
                                          Point(1, 0), Point(0, 1)])
 
 
-def test_coaxial_pencil_through_two_points():
-    """Circles centered on the x axis through (0, 1) and (0, -1) share the
-    radical axis x = 0."""
-    pts = []
-    for x in (1.0, 2.0, 3.0):
-        pts += [Point(0, 1), Point(0, -1), Point(x + math.hypot(x, 1.0), 0)]
-    assert evaluate_relation("coaxial", pts).passed
-
-
-def test_coaxial_generic_triple_fails():
-    pts = []
-    for cx, cy in ((0, 0), (1, 0), (0, 1)):
-        pts += circle_points(cx, cy, 1.0, [0.4, 2.0, 3.7])
-    assert not evaluate_relation("coaxial", pts).passed
-
-
-def test_coaxial_too_few():
-    pts = []
-    for cx in (0, 1):
-        pts += circle_points(cx, 0, 1.0, [0.4, 2.0, 3.7])
-    with pytest.raises(TooFewPoints):
-        evaluate_relation("coaxial", pts)
-
-
-def test_coaxial_concentric_raises():
-    pts = []
-    for cx, r in ((0, 1.0), (0, 2.0), (1, 1.0)):
-        pts += circle_points(cx, 0, r, [0.4, 2.0, 3.7])
-    with pytest.raises(ConcentricCircles):
-        evaluate_relation("coaxial", pts)
-
-
-# ---------------------------------------------------------------------------
-# perspective triangles
-
-def test_medial_triangle_perspective_at_centroid():
-    t1 = [Point(0, 0), Point(4, 0), Point(1, 3)]
-    t2 = [midpoint(t1[1], t1[2]), midpoint(t1[2], t1[0]),
-          midpoint(t1[0], t1[1])]
-    v = evaluate_relation("perspective", t1 + t2)
-    assert v.passed
-
-
-def test_translated_copy_concurrent_at_infinity():
-    t1 = [Point(0, 0), Point(1, 0), Point(0, 1)]
-    t2 = [p + Point(5.0, 5.0) for p in t1]
-    v = evaluate_relation("perspective", t1 + t2)
-    assert v.passed
-    assert "concurrent_at_infinity" in v.flags
-
-
-def test_triangle_perspective_with_itself():
-    t = [Point(0, 0), Point(2, 0), Point(0.5, 1.5)]
-    v = evaluate_relation("perspective", t + t)
-    assert v.passed
-    assert "identical_vertices" in v.flags
-
-
-def test_perspective_with_shared_vertices():
-    t1 = [Point(0, 0), Point(2, 0), Point(0.5, 1.5)]
-    # two vertex pairs coincide: one connector is left, no constraint
-    v = evaluate_relation("perspective", t1 + [t1[0], t1[1], Point(3, 3)])
-    assert v.passed and v.flags == ("coincident_vertex_pair",)
-    # one pair coincides and the other two connectors are parallel
-    v = evaluate_relation("perspective",
-                          t1 + [t1[0], Point(3, 1), Point(1.5, 2.5)])
-    assert v.passed
-    assert v.flags == ("coincident_vertex_pair", "concurrent_at_infinity")
-
-
-def test_random_triangle_pairs_never_perspective():
-    rng = random.Random(1000)
-    fails = 0
-    trials = 1000
-    for _ in range(trials):
-        pts = [Point(rng.uniform(-3, 3), rng.uniform(-3, 3))
-               for _ in range(6)]
-        if not evaluate_relation("perspective", pts).passed:
-            fails += 1
-    assert fails == trials
-
-
 # ---------------------------------------------------------------------------
 # conics
 
@@ -343,16 +260,6 @@ def test_midpoints_coincide():
     assert not v.passed
 
 
-def test_segment_bisects():
-    # segment (0,0)-(2,2) passes through the midpoint (1,1) of the other
-    v = evaluate_relation("segment_bisects", [Point(0, 0), Point(2, 2),
-                                              Point(0, 2), Point(2, 0)])
-    assert v.passed
-    v = evaluate_relation("segment_bisects", [Point(0, 0), Point(2, 2),
-                                              Point(0.5, 2), Point(2, 0)])
-    assert not v.passed
-
-
 # ---------------------------------------------------------------------------
 # verdict plumbing
 
@@ -390,14 +297,6 @@ def test_evaluate_relation_on_conic_six_points():
     pts = [Point(2.0 * math.cos(t), math.sin(t)) for t in angles]
     pts.append(Point(2.0 * math.cos(5.8), math.sin(5.8)))
     assert evaluate_relation("on_conic", pts).passed
-
-
-def test_evaluate_relation_coaxial_nine_points():
-    pts = []
-    for x in (1.0, 2.0, 3.0):
-        r = math.hypot(x, 1.0)
-        pts.extend(circle_points(x, 0.0, r, [0.4, 2.0, 3.7]))
-    assert evaluate_relation("coaxial", pts).passed
 
 
 # ---------------------------------------------------------------------------
@@ -460,16 +359,14 @@ def test_every_kind_is_exact_under_power_of_two_scaling(kind):
             (kind, k, got.residual, base.residual)
 
 
-# every kind on a figure in general position; concurrent and perspective
-# also on a figure where they nearly hold, so that the size of the figure,
-# not the spread of the pairwise meets, is the denominator
+# every kind on a figure in general position; concurrent also on a figure
+# where it nearly holds, so that the size of the figure, not the spread of
+# the pairwise meets, is the denominator
 SIMILARITY_FIXTURES = [
     *((kind, GENERIC_POINTS[:RELATIONS[kind][0]])
       for kind in RELATIONS),
     ("concurrent", [Point(0, 0), Point(1, 1), Point(1, 0), Point(0, 1),
                     Point(0.501, 0), Point(0.501, 1)]),
-    ("perspective", [Point(0, 0), Point(4, 0), Point(1, 3),
-                     Point(2.5, 1.5), Point(0.5, 1.5), Point(2, 0.001)]),
 ]
 
 
@@ -502,9 +399,9 @@ def test_every_kind_is_similarity_invariant(case, angle, shift, scale):
        scale=st.floats(-3, 3).map(lambda e: 10.0 ** e))
 def test_every_kind_is_invariant_under_far_translations(case, angle, shift,
                                                         scale):
-    """on_conic and coaxial build their conic and circles in a frame
-    centered on the points, so moving any figure a thousand sizes away
-    from the origin moves its residual by at most 1e-12, as at ten."""
+    """on_conic builds its conic in a frame centered on the points, so
+    moving any figure a thousand sizes away from the origin moves its
+    residual by at most 1e-12, as at ten."""
     kind, pts = case
     base = evaluate_relation(kind, pts).residual
     c, s = math.cos(angle), math.sin(angle)
@@ -553,28 +450,21 @@ def _figure(kind, n, rng):
     shape = rng.choice(["generic", "locus", "coincident", "parallel",
                         "collinear", "cocircular", "cluster", "tiny",
                         "huge"])
-    if shape == "locus" and kind in ("concurrent", "perspective"):
-        # lines through one point: each pair, or each vertex pair, on one
+    if shape == "locus" and kind == "concurrent":
+        # lines through one point: each pair on one
         ox, oy = pts[0]
-        pairs = ([(t, 3 + t) for t in range(3)] if kind == "perspective"
-                 else [(i, i + 1) for i in range(0, n, 2)])
-        for i, j in pairs:
+        for i in range(0, n, 2):
             s = rng.uniform(0.2, 2.0)
-            pts[j] = (ox + s * (pts[i][0] - ox), oy + s * (pts[i][1] - oy))
-    elif shape == "locus" and kind == "coaxial":
-        # circles through two common points
-        for i in range(0, n, 3):
-            pts[i], pts[i + 1] = pts[0], pts[1]
+            pts[i + 1] = (ox + s * (pts[i][0] - ox),
+                          oy + s * (pts[i][1] - oy))
     elif shape == "coincident":
-        pairs = ([(t, 3 + t) for t in range(3)] if kind == "perspective"
-                 else [(i, i + 1) for i in range(0, n - 1, max(step, 2))])
+        pairs = [(i, i + 1) for i in range(0, n - 1, max(step, 2))]
         for i, j in rng.sample(pairs, rng.randint(1, min(3, len(pairs)))):
             pts[j] = pts[i]
     elif shape == "parallel":
-        # segments, or vertex connectors, along one direction
+        # segments along one direction
         dx, dy = rng.uniform(-1, 1), rng.uniform(-1, 1)
-        pairs = ([(t, 3 + t) for t in range(3)] if kind == "perspective"
-                 else [(i, i + 1) for i in range(0, n - 1, 2)])
+        pairs = [(i, i + 1) for i in range(0, n - 1, 2)]
         for i, j in rng.sample(pairs, rng.randint(min(2, len(pairs)),
                                                   len(pairs))):
             s = rng.choice([1.0, rng.uniform(-2, 2)])

@@ -132,10 +132,16 @@ def test_duplicate_label_rejected():
     assert "duplicate" in err.message
 
 
-def test_unknown_relation_lists_valid_ones():
-    err = parse_error("assert wavy(A,B,C)")
-    assert "collinear" in err.expected
-    assert "perspective" in err.expected
+@pytest.mark.parametrize("kind", ["wavy", "perspective", "coaxial",
+                                  "segment_bisects"])
+def test_unknown_relation_lists_valid_ones(kind):
+    """A kind that is not in RELATIONS, made up or deleted, is a parse
+    error at its name that lists the kinds there are."""
+    err = parse_error(f"assert {kind}(A,B,C)")
+    assert type(err) is ParseError
+    assert (err.line, err.col, err.message) == \
+        (1, 8, f"unknown relation {kind!r}")
+    assert err.expected == tuple(RELATIONS)
 
 
 def test_unknown_construction_lists_functions():
@@ -524,7 +530,6 @@ def test_family_builder_rejects_only_on_asserted_labels():
 
 @pytest.mark.parametrize("kind, passing, failing", [
     ("midpoints_coincide", "(2, 0)", "(3, 0)"),
-    ("segment_bisects", "(2, 0)", "(2, 5)"),
 ])
 def test_segment_pair_relations_are_assertable(kind, passing, failing):
     template = ("point A = (0, 0)\npoint B = (2, 1)\npoint C = {}\n"

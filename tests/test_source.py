@@ -1,14 +1,18 @@
 """Source checks that no installed linter makes: every module of the
 package uses what it imports (the package's `__init__` re-exports, so it
 is left out), exports only names it binds, and imports no numpy when it
-loads."""
+loads; and the README documents the relation kinds there are."""
 
 import ast
 import pathlib
+import re
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "geodeform"
+from geodeform.relations import RELATIONS
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "geodeform"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -123,3 +127,14 @@ def test_every_export_is_bound(module):
     stale = [name for name in _exported(tree)
              if name not in _bound_at_top(tree.body)]
     assert not stale, f"{module}: __all__ names unbound {stale}"
+
+
+def test_readme_lists_every_relation_kind_in_order():
+    """The README's table of assertable relations has one row per kind of
+    `RELATIONS`, in its order: a kind added or deleted takes its row with
+    it."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = text.split("\nAssertable relations", 1)[1].split("\n\n")[1]
+    kinds = [re.match(r"\| `(\w+)` \|", row).group(1)
+             for row in table.splitlines()[2:]]
+    assert kinds == list(RELATIONS)
