@@ -63,7 +63,6 @@ from .relations import REL_TOL, DegeneratePosition, RelationVerdict, \
     TooFewPoints, evaluate_relation
 from .render import render, render_svg
 from .script import ArityError, ParseError, Program, UnknownParam, \
-    UseBeforeDefine, deformation_family, evaluate, family_builder, parse, \
-    second_intersection
+    UseBeforeDefine, deformation_family, evaluate, parse, second_intersection
 
 __version__ = "0.1.0"

@@ -76,7 +76,8 @@ APPROXIMATE_MIN_EXPONENT = 0.5
 
 class RejectionBudgetExhausted(GeometryError):
     """No valid sample found within the re-draw budget.  From a batch,
-    `row` is the grid row of the sample."""
+    `row` is the grid row of the sample; a batch's ValueError for an
+    epsilon without a radius names the row its block starts at."""
 
     row: int | None = None
 
@@ -369,10 +370,12 @@ def _sample_rows(family: DeformationFamily, grid: tuple[float, ...],
     before, at most BATCH_ROWS attempts in all and none past a row's
     budget.  A row the build rejects goes on from its stream's state
     after its last attempt.  A row of epsilon 0 draws nothing and makes
-    one attempt.  When the first round's build holds every row and
-    accepts each, it is the batch.  Where a row finds no valid draw within
-    the budget, the batch raises the error of the first such row's single
-    sample, whose last attempt is built again on floats for its text.
+    one attempt.  A screen or build call that raises rejects every attempt
+    it holds.  When a build holds one attempt of every row and accepts
+    each, it is the batch.  Where a row finds no valid draw within the
+    budget, the batch raises the error of the first such row's single
+    sample, whose last attempt is built again on floats for its text; an
+    epsilon without a radius raises its ValueError before any draw.
     Inside `sharing()`, the first batch of a sweep (rows from 0) draws
     through the shared draws and reads its first round, every row's first
     screened attempt, from an equal deformation that screened it before.
@@ -387,7 +390,14 @@ def _sample_rows(family: DeformationFamily, grid: tuple[float, ...],
     block, offset = np.divmod(np.arange(rows.start, rows.stop), count)
     first = rows.start // count
     spanned = grid[first:(rows.stop - 1) // count + 1]  # their epsilons
-    radius = np.array([_radius(family, e) for e in spanned])[block - first]
+    radii = []
+    for k, e in enumerate(spanned, first):
+        try:
+            radii.append(_radius(family, e))
+        except ValueError as exc:  # the batch ends at the block's first row
+            exc.row = max(rows.start, k * count)
+            raise
+    radius = np.array(radii)[block - first]
     drawn = np.array(spanned)[block - first] > 0.0
     start = np.uint64(seed & MASK64) + offset.astype(np.uint64)
     # the pairs each row's stream has used, and the attempts it has made
@@ -429,16 +439,6 @@ def _sample_rows(family: DeformationFamily, grid: tuple[float, ...],
         return [Point(x.ravel(), y.ravel()) for x, y in xy], \
             ends[:, step - 1::step]
 
-    def batch_fails() -> None:
-        """The screen or builder failed a whole call on rows, whatever its
-        draws: the single sample of the first row left raises its error,
-        as the per-draw loop meets it first."""
-        r = int(todo[0])
-        sample(family, grid[block[r]], seed + int(offset[r]),
-               max_rejections=max_rejections)
-        raise RuntimeError(f"family {family.name!r}: the builder fails on "
-                           f"rows where a single sample builds")
-
     def screened(live: np.ndarray, tries: int
                  ) -> list[tuple[np.ndarray, list[Point]]]:
         """The next `tries` attempts of each row of `live` that pass the
@@ -453,14 +453,8 @@ def _sample_rows(family: DeformationFamily, grid: tuple[float, ...],
             n = live.size
             pts, ends = attempts(live, t)
             left = budget[live] - made[live]
-            passed = True
-            if family.screen is not None:
-                try:
-                    with failures() as failed:
-                        family.screen(*pts)
-                except GeometryError:
-                    batch_fails()
-                passed = ~np.broadcast_to(failed.rows, (n * t,))
+            passed = True if family.screen is None else ~np.broadcast_to(
+                _rejected(family.screen, pts)[1], (n * t,))
             if (t == tries and not found and t <= left.min()
                     and (passed is True or passed.all())):
                 # every row takes all of its attempts: no gathers
@@ -510,14 +504,6 @@ def _sample_rows(family: DeformationFamily, grid: tuple[float, ...],
         made[:], used[:] = held[1], held[2]
         return held[0]
 
-    def keep(built: Configuration, picked_rows, picked) -> None:
-        """Rows `picked_rows` of the batch are rows `picked` of `built`."""
-        for label, cols in columns.items():
-            p = built.point(label)
-            for col, part in zip(cols, (p.x, p.y)):
-                col[picked_rows] = (part[picked] if isinstance(part, np.ndarray)
-                                    else part)
-
     todo = np.arange(size)  # the rows without a sample, in order
     tries = 1
     out = size  # the first row out of attempts, if any
@@ -533,28 +519,29 @@ def _sample_rows(family: DeformationFamily, grid: tuple[float, ...],
                 pts = [Point(np.concatenate([p[i].x for _, p in found])[order],
                              np.concatenate([p[i].y for _, p in found])[order])
                        for i in range(step)]
-            try:
-                with failures() as rejected:
-                    built = family.builder(*pts)
-            except GeometryError:
-                batch_fails()
-            ok = ~np.broadcast_to(rejected.rows, (owner.size,))
-            if config is None:
-                # the first round tries each row once: a build of every row
-                # that accepts them all is the batch
-                if owner.size == size and ok.all():
-                    return built
-                columns = {label: (np.zeros(size), np.zeros(size))
-                           for label in built.objects}
-                config = replace(built, objects={
-                    label: Point(*cols) for label, cols in columns.items()})
-            hits = ok.nonzero()[0]
-            picked_rows, at = np.unique(owner[hits], return_index=True)
-            keep(built, picked_rows, hits[at])
+            built, rejected = _rejected(family.builder, pts)
+            hits = np.flatnonzero(~np.broadcast_to(rejected, (owner.size,)))
+            if tries == 1 and owner.size == hits.size == size:
+                # a build that holds one attempt of every row and accepts
+                # each is the batch
+                return built
+            if hits.size:
+                if config is None:
+                    columns = {label: (np.zeros(size), np.zeros(size))
+                               for label in built.objects}
+                    config = replace(built, objects={
+                        label: Point(*cols) for label, cols in columns.items()})
+                picked_rows, at = np.unique(owner[hits], return_index=True)
+                picked = hits[at]  # rows picked_rows of the batch, in built
+                for label, cols in columns.items():
+                    p = built.point(label)
+                    for col, part in zip(cols, (p.x, p.y)):
+                        col[picked_rows] = (part[picked] if isinstance(
+                            part, np.ndarray) else part)
+                waiting = np.ones(size, bool)
+                waiting[picked_rows] = False
+                todo = todo[waiting[todo]]
             built = None  # free this round's rows before the next
-            waiting = np.ones(size, bool)
-            waiting[picked_rows] = False
-            todo = todo[waiting[todo]]
         spent = made[todo] >= budget[todo]
         if spent.any():
             out = min(out, int(todo[spent][0]))
@@ -577,9 +564,19 @@ def _sample_rows(family: DeformationFamily, grid: tuple[float, ...],
         except RejectionBudgetExhausted as exc:
             exc.row = rows.start + r
             raise
-        raise RuntimeError(f"family {family.name!r}: the builder rejects on "
+        raise RuntimeError(f"family {family.name!r}: the batch rejects on "
                            f"rows a draw that a single sample builds")
     return config
+
+
+def _rejected(call: Callable, points: list[Point],
+              ) -> tuple[Configuration | None, bool | np.ndarray]:
+    """`call(*points)` on rows and the rows it rejects: all where it raises."""
+    try:
+        with failures() as failed:
+            return call(*points), failed.rows
+    except GeometryError:
+        return None, True
 
 
 def _verdict_for(max_residual: float, rel_tol: float) -> str:
@@ -606,6 +603,8 @@ def _sweep(family: DeformationFamily, claims: Sequence[RelationClaim],
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if len(epsilons) * samples >= 2**63:  # the grid's rows index as int64
+        raise ValueError("samples times epsilons must be < 2^63")
     # Normalizing every sample by the same base diameter keeps the residual
     # a pure function of the deformation: defects shrink with epsilon
     # instead of being re-measured against an epsilon-dependent yardstick.
@@ -653,11 +652,10 @@ def _judge_rows(family: DeformationFamily, claims: Sequence[RelationClaim],
     + i the sample of (epsilons[k], seed + i), drawn, built and judged as
     one batch, with the flags they raised.
 
-    Where a sample has no valid draw or epsilon, or a claim cannot be
-    judged on it, the rows run again as the per-draw loop does, epsilon
-    by epsilon and then one at a time, so the error raised is the one
-    that loop meets first.  A sample without a valid draw is the batch's
-    first: the rows before it run again as a batch alone.
+    The error raised is the one the per-draw loop meets first: where the
+    batch names the row of a sample without a valid draw or epsilon, the
+    rows before it run again as a batch; where an error names no row, or
+    a claim cannot be judged, the rows run again one at a time.
     """
     import numpy as np
 
@@ -674,21 +672,11 @@ def _judge_rows(family: DeformationFamily, claims: Sequence[RelationClaim],
             config = sample(family, epsilons, seed, samples, rows=rows)
         except (RejectionBudgetExhausted, ValueError) as exc:
             row = getattr(exc, "row", None)
-            if row is not None:
-                # the rows before it build: their error, if they have one,
-                # comes first
-                if row > rows.start:
-                    _judge_rows(family, claims, epsilons, samples, seed,
-                                range(rows.start, row), scale)
-                raise
-            # rows of several epsilons: judge the first epsilon's as its
-            # own batch, which raises its error if it has one, then the rest
-            cut = (rows.start // samples + 1) * samples
-            if cut < rows.stop:
-                for part in (range(rows.start, cut), range(cut, rows.stop)):
-                    _judge_rows(family, claims, epsilons, samples, seed, part,
-                                scale)
-            one_at_a_time(rows)
+            if row is None:
+                one_at_a_time(rows)
+            elif row > rows.start:  # their error, if any, comes first
+                _judge_rows(family, claims, epsilons, samples, seed,
+                            range(rows.start, row), scale)
             raise
         judged = []
         suspect = np.zeros(len(rows), bool)

@@ -39,7 +39,8 @@ only add to the drawing; one that names a poisoned label is left out.
 
 The built-in deformation families are shipped programs of this language:
 `deformation_family` turns a program with a `deform` statement into the
-family that rebuilds the figure from deformed base points.
+family that rebuilds the figure from deformed base points, and screens
+each draw on the requires that read deformed points alone.
 """
 
 from __future__ import annotations
@@ -92,7 +93,6 @@ __all__ = [
     "Program",
     "parse",
     "evaluate",
-    "family_builder",
     "deformation_family",
     "second_intersection",
     "FUNCTIONS",
@@ -908,7 +908,7 @@ def _screened(stmt: Statement, deformed: tuple[str, ...]) -> bool:
     return isinstance(stmt, Require) and set(stmt.labels) <= set(deformed)
 
 
-def family_builder(program: Program) -> Callable[..., Configuration]:
+def _family_builder(program: Program) -> Callable[..., Configuration]:
     """The builder of the deformation family whose figure is `program`.
 
     `builder(*points)` runs the program with the given points in place of
@@ -916,20 +916,13 @@ def family_builder(program: Program) -> Callable[..., Configuration]:
     the error of a failed require, or of a failed construction that a
     named assertion or a requirement depends on, so a sampler rejects the
     draw; any other failed label is left out, as `evaluate` leaves it out.
-    Points whose coordinates are float64 rows build only the requires and
-    the labels that the named assertions and requires read, and draw
-    nothing: every failure on a row then rejects it.  An unnamed assert,
-    which `verify` never judges, rejects no draw.  ValueError when the
-    program has no `deform`.
+    Points whose coordinates are float64 rows build only the labels that
+    the named assertions and requires read, and draw nothing: every
+    failure on a row then rejects it.  Rows leave the requires that read
+    deformed points alone to the family's screen (`_family_screen`);
+    floats check every require.  An unnamed assert, which `verify` never
+    judges, rejects no draw.  ValueError when the program has no `deform`.
     """
-    return _family_builder(program, screened=False)
-
-
-def _family_builder(program: Program,
-                    screened: bool) -> Callable[..., Configuration]:
-    """`family_builder(program)`; with `screened`, its builder on rows
-    leaves the requires that read deformed points alone to the family's
-    screen (`_family_screen`), which a batch runs on each draw first."""
     deform = program.deform()
     if deform is None:
         raise ValueError("the program has no deform statement")
@@ -947,7 +940,7 @@ def _family_builder(program: Program,
     steps = tuple(s for s in program.statements
                   if isinstance(s, (Define, Require, Draw)))
     row_steps = tuple(s for s in steps if isinstance(s, Require)
-                      and not (screened and _screened(s, labels))
+                      and not _screened(s, labels)
                       or isinstance(s, Define) and s.label in frozen)
 
     def builder(*points: Point) -> Configuration:
@@ -986,11 +979,10 @@ def _family_screen(program: Program) -> _Screen | None:
 def deformation_family(program: Program, name: str) -> DeformationFamily:
     """The family `name` of `program`: the base points and floor of its
     `deform` statement, evaluated at the param defaults, the screen of
-    the requires that read deformed points alone, and
-    `family_builder(program)` but for those requires, which on rows it
-    leaves to the screen.  ValueError when the program has no `deform`
-    or a base point or the floor is out of range."""
-    builder = _family_builder(program, screened=True)
+    the requires that read deformed points alone, and its builder
+    `_family_builder(program)`.  ValueError when the program has no
+    `deform` or a base point or the floor is out of range."""
+    builder = _family_builder(program)
     deform = program.deform()
     params = program.params()
     try:

@@ -23,8 +23,7 @@ from geodeform.core import GeometryError, Point, failures
 from geodeform.deform import RejectionBudgetExhausted, sample, \
     scaling_probe, verify
 from geodeform.relations import RELATIONS
-from geodeform.script import Construct, Define, Require, family_builder, \
-    parse
+from geodeform.script import Construct, Define, Require, parse
 
 SEEDS = 200
 
@@ -404,8 +403,7 @@ def test_kite_verify_builds_nothing_on_floats():
 def test_a_family_builder_on_rows_leaves_the_screen_out():
     """The kite family's builder on rows builds a non-convex draw: its
     convex require is the screen's, which marks the row; on floats the
-    builder checks it and raises.  `family_builder`, which has no screen
-    beside it, checks every require on rows too."""
+    builder checks it and raises."""
     family = _family("kite")
     dart = [Point(0.0, 0.0), Point(1.0, 0.0), Point(1.0, 1.0),
             Point(0.8, 0.2)]
@@ -418,15 +416,13 @@ def test_a_family_builder_on_rows_leaves_the_screen_out():
     assert failed.rows.all()
     with pytest.raises(GeometryError, match="convex"):
         family.builder(*dart)
-    with failures() as failed:
-        family_builder(parse(KITE_PROGRAM))(*rows)
-    assert failed.rows.all()
 
 
 def test_a_builder_failing_a_whole_batch_raises_the_single_samples_error():
     """A builder that raises on a whole row batch, whatever its draws,
     raises the first row's single-sample error; where the single sample
-    builds, the batch raises a RuntimeError instead of a sample."""
+    builds, a builder or a screen that raises on rows makes the batch
+    raise a RuntimeError instead of a sample."""
     family = FAMILIES["example1"]
 
     def on_floats_too(*points):
@@ -444,8 +440,9 @@ def test_a_builder_failing_a_whole_batch_raises_the_single_samples_error():
             sample(failing, 0.5, 3, count, max_rejections=4)
         errors.append(str(caught.value))
     assert errors[0] == errors[1] and "seed=3" in errors[0]
-    with pytest.raises(RuntimeError, match="single sample builds"):
-        sample(dataclasses.replace(family, builder=on_rows_only), 0.5, 3, 5)
+    for broken in ({"builder": on_rows_only}, {"screen": on_rows_only}):
+        with pytest.raises(RuntimeError, match="single sample builds"):
+            sample(dataclasses.replace(family, **broken), 0.5, 3, 5)
 
 
 @pytest.mark.parametrize("epsilon", [0.2, 0.3, 1.0])

@@ -279,6 +279,17 @@ def test_nonpositive_samples_is_usage_error(capsys, samples, grid):
     assert err == "error: samples must be >= 1\n"
 
 
+@pytest.mark.parametrize("samples, grid", [
+    (2**63, []), (2**62, ["--eps-grid", "0.001,0.01,0.1"])])
+def test_a_grid_past_int64_rows_is_usage_error(capsys, samples, grid):
+    """A grid of 2^63 rows or more has no int64 row index: one error line
+    and exit 2, before any sample is drawn."""
+    code, out, err = run_cli(capsys, "verify", "theorem1_perp",
+                             "--samples", str(samples), *grid)
+    assert (code, out) == (2, "")
+    assert err == "error: samples times epsilons must be < 2^63\n"
+
+
 @pytest.mark.parametrize("command", [
     ["verify", "theorem1_perp", "--samples", "1"],
     ["run", str(SCRIPTS / "theorem1.geo")],

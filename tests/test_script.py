@@ -25,7 +25,6 @@ from geodeform.script import (
     UseBeforeDefine,
     evaluate,
     deformation_family,
-    family_builder,
     parse,
 )
 from test_batch import ALL_KINDS_PROGRAM
@@ -359,7 +358,7 @@ def test_requires_are_scale_honest(case):
                     "point P = (0,0)\n"
                     "deform A B C P about (0, 0) (0, 0) (0, 0) (0, 0)\n"
                     f"require {requirement}\n")
-    builder = family_builder(program)
+    builder = deformation_family(program, "scale").builder
 
     def outcome(k):
         try:
@@ -512,8 +511,8 @@ def test_family_builder_rejects_only_on_asserted_labels():
               "segment A O\n"
               "segment O I\n"
               "assert equal_length(O, A, O, B) as eq \"OA = OB\"\n")
-    build = family_builder(parse(source + "deform A B C about (0, 0) (1, 0) "
-                                          "(0, 1)\n"))
+    build = deformation_family(parse(source + "deform A B C about (0, 0) "
+                                              "(1, 0) (0, 1)\n"), "f").builder
     config = build(Point(0, 0), Point(4, 0), Point(0, 4))
     assert config.point("O") == Point(2.0, 2.0)
     assert "I" not in config.objects  # not asserted: drops out
@@ -521,11 +520,12 @@ def test_family_builder_rejects_only_on_asserted_labels():
     with pytest.raises(GeometryError):  # O is asserted
         build(Point(0, 0), Point(1, 0), Point(2, 0))
     # an unnamed assert is never judged, so its labels reject no draw
-    unnamed = family_builder(parse(source.replace(' as eq "OA = OB"', "")
-                                   + "deform A B C about (0, 0) (1, 0) (0, 1)\n"))
+    unnamed = deformation_family(
+        parse(source.replace(' as eq "OA = OB"', "")
+              + "deform A B C about (0, 0) (1, 0) (0, 1)\n"), "f").builder
     assert "O" not in unnamed(Point(0, 0), Point(1, 0), Point(2, 0)).objects
     with pytest.raises(ValueError, match="no deform statement"):
-        family_builder(parse(source))
+        deformation_family(parse(source), "f")
 
 
 @pytest.mark.parametrize("kind, passing, failing", [

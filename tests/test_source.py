@@ -1,7 +1,8 @@
 """Source checks that no installed linter makes: every module of the
 package uses what it imports (the package's `__init__` re-exports, so it
-is left out), exports only names it binds, and imports no numpy when it
-loads; and the README documents the relation kinds there are."""
+is left out), exports only names it binds, exports no function or class
+that no code of the package reads, and imports no numpy when it loads;
+and the README documents the relation kinds there are."""
 
 import ast
 import pathlib
@@ -127,6 +128,35 @@ def test_every_export_is_bound(module):
     stale = [name for name in _exported(tree)
              if name not in _bound_at_top(tree.body)]
     assert not stale, f"{module}: __all__ names unbound {stale}"
+
+
+def _read_in_package() -> set[str]:
+    """The names that code in the package reads, as a name or as an
+    attribute; the `__init__` re-exports are left out."""
+    read = set()
+    for module in MODULES:
+        tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                read.add(node.attr)
+    return read
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_exported_function_is_read(module):
+    """A function or class in `__all__` that no code of the package reads
+    is public only for its own tests: each one is read somewhere in the
+    package.  Data tables are left out."""
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    defined = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    read = _read_in_package()
+    unread = [name for name in _exported(tree)
+              if name in defined and name not in read]
+    assert not unread, f"{module}: __all__ names no code reads {unread}"
 
 
 def test_readme_lists_every_relation_kind_in_order():
