@@ -418,16 +418,9 @@ def _sample_rows(family: DeformationFamily, grid: tuple[float, ...],
             return [Point(np.full(live.size * tries, p.x),
                           np.full(live.size * tries, p.y))
                     for p in base], None
-        if live.size > count and not made[live[0]]:
-            # the first draws of a grid's rows: each stream once, for every
-            # epsilon block
-            dx, dy, ends = (a[offset[live]] for a in draw(
-                np.uint64(seed & MASK64) + np.arange(count, dtype=np.uint64),
-                tries * step))
-        else:
-            dx, dy, ends = draw(
-                start[live] + used[live] * np.uint64(2 * GAMMA & MASK64),
-                tries * step)
+        dx, dy, ends = draw(
+            start[live] + used[live] * np.uint64(2 * GAMMA & MASK64),
+            tries * step)
         # attempt j of a row is its pairs j * P .. j * P + P - 1
         r = radius[live, None]
         xy = [(p.x + r * dx[:, i::step], p.y + r * dy[:, i::step])
@@ -654,39 +647,27 @@ def _judge_rows(family: DeformationFamily, claims: Sequence[RelationClaim],
 
     The error raised is the one the per-draw loop meets first: where the
     batch names the row of a sample without a valid draw or epsilon, the
-    rows before it run again as a batch; where an error names no row, or
-    a claim cannot be judged, the rows run again one at a time.
+    rows before it run again as a batch; a row that the batch marks
+    failed, or whose residual is NaN, runs again alone on floats.  Any
+    other error of the batch is raised as it comes.
     """
     import numpy as np
-
-    def one_at_a_time(picked) -> None:
-        """The per-draw loop over rows `picked`, for the error it raises
-        first."""
-        for g in picked:
-            config = sample(family, epsilons[g // samples], seed + g % samples)
-            for claim in claims:
-                claim.evaluate(config, scale=scale)
 
     with np.errstate(all="ignore"):
         try:
             config = sample(family, epsilons, seed, samples, rows=rows)
         except (RejectionBudgetExhausted, ValueError) as exc:
             row = getattr(exc, "row", None)
-            if row is None:
-                one_at_a_time(rows)
-            elif row > rows.start:  # their error, if any, comes first
+            if row is not None and row > rows.start:
+                # their error, if any, comes first
                 _judge_rows(family, claims, epsilons, samples, seed,
                             range(rows.start, row), scale)
             raise
         judged = []
         suspect = np.zeros(len(rows), bool)
         for claim in claims:
-            try:
-                with failures() as failed:
-                    verdict = claim.evaluate(config, scale=scale)
-            except (GeometryError, ArithmeticError):
-                one_at_a_time(rows)
-                raise
+            with failures() as failed:
+                verdict = claim.evaluate(config, scale=scale)
             residual = np.broadcast_to(verdict.residual, (len(rows),))
             # an infinite residual is a verdict (lines that never meet),
             # not an error: only NaN is
@@ -694,7 +675,10 @@ def _judge_rows(family: DeformationFamily, claims: Sequence[RelationClaim],
             judged.append((residual.tolist(), verdict.flags))
     # a row that failed, or whose residual is NaN, raises here if the
     # per-draw loop raises on it
-    one_at_a_time(rows[r] for r in np.flatnonzero(suspect).tolist())
+    for g in (rows.start + np.flatnonzero(suspect)).tolist():
+        config = sample(family, epsilons[g // samples], seed + g % samples)
+        for claim in claims:
+            claim.evaluate(config, scale=scale)
     return judged
 
 

@@ -63,6 +63,7 @@ from .core import (
     GUARD,
     Circle,
     GeometryError,
+    NonFiniteInput,
     Point,
     angle_bisector,
     array_module,
@@ -750,7 +751,10 @@ def _eval_scalar(node: Scalar, params: dict[str, float]) -> float:
         return left - right
     if node.op == "*":
         return left * right
-    return left / right
+    try:
+        return left / right
+    except ZeroDivisionError as exc:  # no value: fail as a non-finite one
+        raise NonFiniteInput(str(exc)) from None
 
 
 def _arguments(labels: tuple[str, ...], points: dict[str, Point],

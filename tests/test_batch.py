@@ -20,9 +20,9 @@ from geodeform import deform
 from geodeform.catalog import CLAIMS, FAMILIES, program_claims
 from geodeform.cli import main
 from geodeform.core import GeometryError, Point, failures
-from geodeform.deform import RejectionBudgetExhausted, sample, \
-    scaling_probe, verify
-from geodeform.relations import RELATIONS
+from geodeform.deform import RejectionBudgetExhausted, RelationClaim, \
+    sample, scaling_probe, verify
+from geodeform.relations import RELATIONS, TooFewPoints
 from geodeform.script import Construct, Define, Require, parse
 
 SEEDS = 200
@@ -398,6 +398,35 @@ def test_kite_verify_builds_nothing_on_floats():
             verify(counted, claims, 40, 0.1, 0)
     assert str(caught.value) == str(want)
     assert built[float] == 1
+
+
+def test_an_error_of_the_whole_batch_is_raised_at_once():
+    """A claim that cannot be judged on the batch, or a builder that
+    raises other than a GeometryError on rows, raises its error through
+    `verify` after the one row build, with no sample built on floats."""
+    family = FAMILIES["theorem1"]
+    built = {float: 0, np.ndarray: 0}
+
+    def builder(*points):
+        built[type(points[0].x)] += 1
+        return family.builder(*points)
+
+    def on_rows_only(*points):
+        if type(points[0].x) is np.ndarray:
+            built[np.ndarray] += 1
+            raise ValueError("no figure on rows")
+        return builder(*points)
+
+    two_points = RelationClaim("collinear", ("O_ab", "O_bc"))
+    with pytest.raises(TooFewPoints, match="^collinear cannot take 2 points$"):
+        verify(dataclasses.replace(family, builder=builder), (two_points,),
+               20, 0.5, 0)
+    assert built == {float: 0, np.ndarray: 1}
+    built.update({float: 0, np.ndarray: 0})
+    with pytest.raises(ValueError, match="^no figure on rows$"):
+        verify(dataclasses.replace(family, builder=on_rows_only),
+               (CLAIMS["theorem1_perp"].claim,), 20, 0.5, 0)
+    assert built == {float: 0, np.ndarray: 1}
 
 
 def test_a_family_builder_on_rows_leaves_the_screen_out():

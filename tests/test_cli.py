@@ -151,6 +151,10 @@ def test_verify_eps_below_family_floor(capsys):
                            "--samples", "5", "--eps", "1e-9")
     assert code == 2
     assert err.strip()
+    code, out, err = run_cli(capsys, "verify", "example2_concyclic",
+                             "--samples", "3", "--eps-grid", "1e-8,1e-7,1e-5")
+    assert (code, out, err) == (
+        2, "", "error: epsilon 1e-08 below family floor 1e-06\n")
 
 
 def test_verify_bad_eps_grid_is_usage_error(capsys):
@@ -158,6 +162,11 @@ def test_verify_bad_eps_grid_is_usage_error(capsys):
         main(["verify", "theorem1_perp", "--eps-grid", "banana"])
     assert info.value.code == 2
     capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "theorem1_perp", "--eps-grid", ","])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        ": error: argument --eps-grid: --eps-grid is empty")
     # a non-finite value is named, wherever it stands in the grid; a
     # value that starts with "-" reads as it does glued on with "="
     not_finite = "epsilon {} is not a finite number"
@@ -166,7 +175,9 @@ def test_verify_bad_eps_grid_is_usage_error(capsys):
             ("--eps-grid", "nan,0.001,0.01,0.1", not_finite.format("nan")),
             ("--eps-grid", "0.001,inf,0.01,0.1", not_finite.format("inf")),
             ("--eps-grid", "-inf,0.001,0.01,0.1", not_finite.format("-inf")),
-            ("--eps", "-1e-3", "epsilon must be finite and >= 0, got -0.001")]:
+            ("--eps", "-1e-3", "epsilon must be finite and >= 0, got -0.001"),
+            ("--eps-grid", "0.001,0.1",
+             "scaling probe needs >= 3 distinct epsilon values")]:
         for argv in ([flag, value], [f"{flag}={value}"]):
             code, _, err = run_cli(capsys, "verify", "theorem1_perp",
                                    "--samples", "5", *argv)
@@ -268,6 +279,43 @@ def test_exhausted_rejection_budget_is_usage_error(capsys, tmp_path, command):
     assert err.startswith("error: family ")
     assert len(err.splitlines()) == 1
     assert not svg.exists()
+
+
+DIVIDES_BY_ZERO = """\
+param k = 0
+point A = (0, 0)
+point B = (1, 0)
+point C = (0, 1)
+point E = (1 / k, 0)
+deform A B C about (0, 0) (1, 0) (0, 1)
+assert collinear(A, B, E) as zd "division by zero"
+"""
+
+
+@pytest.mark.parametrize("command, code, stream, text", [
+    (["verify"], 2, "err",
+     "error: family 'zd': no valid sample within 1000 draws at epsilon=0.5, "
+     "seed=0 (last: float division by zero)\n"),
+    (["verify", "--eps", "0"], 2, "err", "error: float division by zero\n"),
+    (["verify", "--eps-grid", "0.001,0.01,0.1", "--samples", "20"], 2, "err",
+     "error: family 'zd': no valid sample within 1000 draws at "
+     "epsilon=0.001, seed=0 (last: float division by zero)\n"),
+    (["run"], 1, "out",
+     "FAIL collinear(A,B,E) residual=inf [E: float division by zero]\n"),
+], ids=["verify", "verify-eps-0", "verify-eps-grid", "run"])
+def test_a_division_by_zero_is_a_construction_error(capsys, tmp_path,
+                                                    command, code, stream,
+                                                    text):
+    """A point whose coordinate divides by zero fails as a degenerate
+    construction does: every draw rejects it, and `run` fails the assert
+    over it; no traceback."""
+    geo = tmp_path / "zd.geo"
+    geo.write_text(DIVIDES_BY_ZERO, encoding="utf-8")
+    got, out, err = run_cli(capsys, command[0], str(geo), *command[1:])
+    assert got == code
+    assert {"out": out, "err": err} == {"out": "", "err": "",
+                                        stream: text}
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])
@@ -517,6 +565,21 @@ def test_run_failing_assert_exits_one(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "run", str(script))
     assert code == 1
     assert out.startswith("FAIL collinear(A,B,C)")
+    # an angle that overflows poisons its point; a require over a
+    # poisoned label fails every assert with that label's message
+    head = "point A = (0, 0)\npoint B = (1, 0)\n"
+    degenerate = ("O: degenerate triangle Point(x=0.0, y=0.0), "
+                  "Point(x=1.0, y=0.0), Point(x=2.0, y=0.0)")
+    for source, want in [
+            ("point M = rotate(A, B, 1e308 * 10)\nassert collinear(A, B, M)\n",
+             "FAIL collinear(A,B,M) residual=inf [M: non-finite angle inf]\n"),
+            ("point C = (2, 0)\npoint D = (0, 1)\n"
+             "point O = circumcenter(A, B, C)\nrequire inside(O, A, B, D)\n"
+             "assert collinear(A, B, C)\nassert collinear(A, B, D)\n",
+             f"FAIL collinear(A,B,C) residual=inf [{degenerate}]\n"
+             f"FAIL collinear(A,B,D) residual=inf [{degenerate}]\n")]:
+        script.write_text(head + source)
+        assert run_cli(capsys, "run", str(script)) == (1, want, "")
 
 
 def test_run_param_override(capsys):
@@ -806,6 +869,13 @@ def test_render_script_to_file(capsys, tmp_path):
                          "--out", str(out_path))
     assert code == 0
     assert out_path.read_text().startswith("<?xml")
+    # collinear labels have no circle to draw: only their point markers
+    geo = tmp_path / "flat.geo"
+    geo.write_text("point A = (0, 0)\npoint B = (1, 0)\npoint C = (2, 0)\n"
+                   "circle A B C\n")
+    assert run_cli(capsys, "render", str(geo), "--out", str(out_path))[0] == 0
+    svg = out_path.read_text()
+    assert svg.count("<circle ") == svg.count('<circle class="point"') == 3
 
 
 def test_render_unknown_target(capsys, tmp_path):

@@ -288,3 +288,7 @@ def test_verdict_bands():
     assert rep.refute_tol == rep.rel_tol * REFUTE_FACTOR
     assert rep.verdict in ("theorem", "inconclusive", "refuted")
     assert rep.verdict == "refuted"
+    # a residual within REFUTE_FACTOR of the pass threshold is neither
+    rep, = verify(fam, (claim,), 20, 0.5, 3,
+                  rel_tol=rep.max_residual / 10)
+    assert rep.verdict == "inconclusive"

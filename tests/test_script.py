@@ -117,12 +117,20 @@ def test_function_arity_errors():
     assert err.line == 3 and err.col == 11
     src = "point A = (0,0)\npoint B = (1,1)\npoint M = midpoint(A, B, B)"
     assert isinstance(parse_error(src), ArityError)
+    err = parse_error(src.replace("B, B)", "B, 3)"))
+    assert isinstance(err, ArityError)
+    assert (err.line, err.col, err.message) == \
+        (3, 11, "midpoint takes 2 point labels, got 3")
 
 
 def test_use_before_define():
     err = parse_error("point M = midpoint(A, B)")
     assert isinstance(err, UseBeforeDefine)
     assert (err.line, err.col) == (1, 20)
+    err = parse_error("point A = (k, 0)")
+    assert isinstance(err, UseBeforeDefine)
+    assert (err.line, err.col, err.message) == \
+        (1, 12, "param 'k' is not declared yet")
 
 
 def test_duplicate_label_rejected():
@@ -152,6 +160,9 @@ def test_unknown_construction_lists_functions():
 def test_param_used_as_point_is_reported():
     err = parse_error("param t = 1\npoint M = midpoint(t, t)")
     assert "param" in err.message
+    err = parse_error("point A = (0, 0)\npoint B = (A, 0)")
+    assert (err.line, err.col, err.message) == \
+        (2, 12, "'A' is a point, not a number")
 
 
 def test_empty_program_rejected():
