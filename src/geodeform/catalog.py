@@ -7,20 +7,33 @@ deformation magnitude, and each named assert (`assert ... as NAME
 "description"`) is a claim, verified for every deformed sample and not
 just in the degenerate base position.  `program_claims` loads any program
 this way, which is how `verify PROGRAM.geo` judges a user's figure.
+
+`CLAIMS` and `FAMILIES` are built on first access: a family's builder
+belongs to the row sampler in `deform`, which only `verify` loads.
+`claim_names` reads the names from the parsed programs and builds nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib.resources import files
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from .deform import DeformationFamily, RelationClaim
 from .relations import evaluate_relation
-from .script import Program, deformation_family, parse
+from .script import AssertStmt, Program, deformation_family, parse
+
+if TYPE_CHECKING:
+    from .deform import DeformationFamily, RelationClaim
 
 __all__ = ["NamedClaim", "FAMILIES", "CLAIMS", "claim_names",
            "program_claims"]
+
+# the shipped families, in the order of `verify all`
+_SHIPPED = ("theorem1", "bisector", "example1", "example2", "example3")
+
+# bound by `__getattr__` on first access
+CLAIMS: dict[str, NamedClaim]
+FAMILIES: dict[str, DeformationFamily]
 
 
 @dataclass(frozen=True)
@@ -54,38 +67,47 @@ def _example1_convention(config) -> dict[str, object]:
 _NOTES = {"example1_fermat_on_circle": _example1_convention}
 
 
+def _claim_asserts(program: Program) -> list[AssertStmt]:
+    """The claims of `program`: its named asserts, in program order."""
+    return [stmt for stmt in program.asserts() if stmt.name is not None]
+
+
 def program_claims(program: Program, name: str) -> dict[str, NamedClaim]:
     """The named asserts of `program` as claims of its family `name`, in
     program order.  ValueError when the program has no `deform` statement
     or no named assert."""
+    from .deform import RelationClaim
+
     family = deformation_family(program, name)
     claims = {stmt.name: NamedClaim(stmt.name, family,
                                     RelationClaim(stmt.kind, stmt.labels,
                                                   stmt.description),
                                     _NOTES.get(stmt.name))
-              for stmt in program.asserts() if stmt.name is not None}
+              for stmt in _claim_asserts(program)}
     if not claims:
         raise ValueError(f"program {name!r} has no named assert "
                          f"(assert ... as NAME \"description\")")
     return claims
 
 
-def _shipped(name: str) -> dict[str, NamedClaim]:
+def _shipped(name: str) -> Program:
     source = (files("geodeform") / "scripts" / f"{name}.geo").read_text(
         encoding="utf-8")
-    return program_claims(parse(source), name)
-
-
-# the order of `verify all`
-CLAIMS: dict[str, NamedClaim] = {
-    claim_name: claim
-    for family in ("theorem1", "bisector", "example1", "example2", "example3")
-    for claim_name, claim in _shipped(family).items()
-}
-
-FAMILIES: dict[str, DeformationFamily] = {
-    claim.family.name: claim.family for claim in CLAIMS.values()}
+    return parse(source)
 
 
 def claim_names() -> list[str]:
-    return list(CLAIMS)
+    """The built-in claims' names, in the order of `verify all`."""
+    return [stmt.name for family in _SHIPPED
+            for stmt in _claim_asserts(_shipped(family))]
+
+
+def __getattr__(name: str):
+    if name not in ("CLAIMS", "FAMILIES"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    claims = {claim_name: claim for family in _SHIPPED
+              for claim_name, claim in program_claims(_shipped(family),
+                                                      family).items()}
+    families = {claim.family.name: claim.family for claim in claims.values()}
+    globals().update(CLAIMS=claims, FAMILIES=families)
+    return globals()[name]

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import re
 import sys
@@ -36,10 +35,7 @@ from pathlib import PurePath
 from typing import TYPE_CHECKING, Callable
 
 from . import __version__
-from .catalog import CLAIMS, NamedClaim, claim_names, program_claims
 from .core import FLOOR, GeometryError
-from .deform import VerificationReport, sample, scaling_probe, \
-    sharing, verify
 from .relations import REL_TOL
 from .render import render
 from .script import ParseError, UnknownParam, evaluate, parse
@@ -47,7 +43,29 @@ from .script import ParseError, UnknownParam, evaluate, parse
 if TYPE_CHECKING:
     from importlib.resources.abc import Traversable
 
+    from .catalog import NamedClaim
+    from .deform import VerificationReport
+
 __all__ = ["main"]
+
+# What `verify` calls of the row sampler, bound on first use (by
+# `_load_verifier`, or by `__getattr__` for a caller that looks one up
+# here): `run`, `render` and `shapes` never load `deform`.
+_VERIFIER = ("sample", "scaling_probe", "sharing", "verify")
+
+
+def _load_verifier() -> None:
+    from . import deform
+
+    for name in _VERIFIER:  # a name already bound here, even replaced, stays
+        globals().setdefault(name, getattr(deform, name))
+
+
+def __getattr__(name: str):
+    if name not in _VERIFIER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_verifier()
+    return globals()[name]
 
 
 def _tool_tag() -> str:
@@ -57,6 +75,8 @@ def _tool_tag() -> str:
 def _json_text(document: dict) -> str:
     """The report as text; ValueError when a number in it is not finite
     (JSON has no Infinity or NaN)."""
+    import json
+
     return json.dumps(document, indent=2, allow_nan=False) + "\n"
 
 
@@ -137,6 +157,8 @@ def _selected_claims(names: list[str]) -> list[NamedClaim] | None:
     name (`all` for every one, in its place) and the named asserts of
     `.geo` programs.  None after reporting on stderr why the invocation is
     unusable."""
+    from .catalog import CLAIMS, claim_names, program_claims
+
     names = [n for name in names
              for n in (CLAIMS if name == "all" else [name])]
     unknown = [n for n in names if n not in CLAIMS and not n.endswith(".geo")]
@@ -163,6 +185,7 @@ def _selected_claims(names: list[str]) -> list[NamedClaim] | None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    _load_verifier()
     selected = _selected_claims(args.claims)
     if selected is None:
         return 2

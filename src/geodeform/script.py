@@ -48,11 +48,10 @@ from __future__ import annotations
 import math
 import operator
 import re
-import string
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import chain, repeat
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence, Union
 
 from .centers import READS_PARTS, CenterKind, Orientation, Part, \
     equilateral_apex, right_isosceles_apex, triangle_center
@@ -81,9 +80,11 @@ from .core import (
     signed_area,
     where,
 )
-from .deform import DeformationFamily
 from .relations import RELATIONS, DegeneratePosition, RelationVerdict, \
     arity_fits, evaluate_relation
+
+if TYPE_CHECKING:
+    from .deform import DeformationFamily
 
 __all__ = [
     "ScriptError",
@@ -346,7 +347,8 @@ _Token = tuple[str, str, int, int]
 _PUNCT = "(),=+-*/"
 # identifiers are ASCII, as a Configuration label must be: a letter or
 # "_", then letters, digits, "_" and "'"
-_IDENT_START = frozenset(string.ascii_letters + "_")
+_IDENT_START = frozenset(
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _IDENT_TAIL = re.compile(r"[A-Za-z0-9_']*")
 # ASCII digits only: str.isdigit() also accepts superscripts and other
 # scripts' digits, which float() rejects or silently converts
@@ -986,6 +988,8 @@ def deformation_family(program: Program, name: str) -> DeformationFamily:
     the requires that read deformed points alone, and its builder
     `_family_builder(program)`.  ValueError when the program has no
     `deform` or a base point or the floor is out of range."""
+    from .deform import DeformationFamily
+
     builder = _family_builder(program)
     deform = program.deform()
     params = program.params()

@@ -223,8 +223,9 @@ def test_verify_runs_outside_the_checkout(tmp_path):
 
 def _modules_after(*argv):
     """The modules a fresh interpreter has loaded after importing the CLI,
-    touching the claim catalog as every invocation does, and running
-    `geodeform ARGV` (without arguments, nothing more), which exits 0."""
+    reading the built-in claim names (which builds no family, and which
+    the benchmark's start-up also does), and running `geodeform ARGV`
+    (without arguments, nothing more), which exits 0."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     code = ("import sys\n"
             "import geodeform.cli\n"
@@ -261,6 +262,36 @@ def test_only_verify_loads_numpy(tmp_path, argv, loads_numpy):
     """A command that builds no row of a batch starts without numpy."""
     modules = _modules_after(*(a.format(tmp=tmp_path) for a in argv))
     assert ("numpy" in modules) == loads_numpy
+
+
+@pytest.mark.parametrize("argv, loads_verifier", [
+    (("run", "scripts/theorem1.geo", "--json", "{tmp}/run.json", "--svg",
+      "{tmp}/run.svg"), False),
+    (("render", "crown", "--out", "{tmp}/crown.svg"), False),
+    (("shapes",), False),
+    (("verify", "theorem1_perp", "--samples", "3"), True),
+])
+def test_only_verify_loads_the_row_sampler(tmp_path, argv, loads_verifier):
+    """`run`, `render` and `shapes` start without `geodeform.deform` (nor
+    numpy, which it loads to draw); `verify` loads both."""
+    modules = set(_modules_after(*(a.format(tmp=tmp_path) for a in argv)))
+    loaded = {"geodeform.deform", "numpy"} & modules
+    assert loaded == ({"geodeform.deform", "numpy"} if loads_verifier
+                      else set())
+
+
+def test_script_module_loads_no_verifier():
+    """The `.geo` language alone loads neither the row sampler nor the
+    claim catalog."""
+    code = ("import sys, geodeform.script\n"
+            "print(' '.join(sorted(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    modules = set(proc.stdout.split())
+    assert "geodeform.script" in modules
+    assert not {"geodeform.deform", "geodeform.catalog"} & modules
 
 
 @pytest.mark.parametrize("command", [
