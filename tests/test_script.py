@@ -574,6 +574,18 @@ SHIPPED = ["theorem1", "example1", "example2", "example3", "bisector",
            "eps_demo"]
 
 
+def test_both_copies_of_the_shipped_scripts_are_equal():
+    """`scripts/` (what `run scripts/...` and the benchmark read) and the
+    package's copy (what the claim catalog reads) hold the same files
+    with the same bytes."""
+    def copy(directory):
+        return {p.name: p.read_bytes() for p in directory.glob("*.geo")}
+
+    shipped = copy(ROOT / "src" / "geodeform" / "scripts")
+    assert sorted(shipped) == sorted(f"{name}.geo" for name in SHIPPED)
+    assert copy(SCRIPTS) == shipped
+
+
 @pytest.mark.parametrize("name", SHIPPED)
 def test_shipped_scripts_pass(name):
     src = (SCRIPTS / f"{name}.geo").read_text()

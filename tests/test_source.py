@@ -130,17 +130,39 @@ def test_every_export_is_bound(module):
     assert not stale, f"{module}: __all__ names unbound {stale}"
 
 
+def _modules_bound(tree: ast.Module) -> set[str]:
+    """The names the module binds to a module of the package, by `from .
+    import deform` or `import geodeform.deform as deform`, anywhere."""
+    stems = {module.removesuffix(".py") for module in MODULES}
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in (None,
+                                                                "geodeform"):
+            bound.update(alias.asname or alias.name for alias in node.names
+                         if alias.name in stems)
+        elif isinstance(node, ast.Import):
+            bound.update(alias.asname for alias in node.names
+                         if alias.asname and alias.name.startswith(
+                             "geodeform.")
+                         and alias.name.split(".")[1] in stems)
+    return bound
+
+
 def _read_in_package() -> set[str]:
-    """The names that code in the package reads, as a name or as an
-    attribute; the `__init__` re-exports are left out."""
+    """The names that code in the package reads: as a name, or as an
+    attribute of a name bound to a module of the package (`deform.sample`,
+    not `self.claim_names`); the `__init__` re-exports are left out."""
     read = set()
     for module in MODULES:
         tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+        modules = _modules_bound(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif (isinstance(node, ast.Attribute)
-                  and isinstance(node.ctx, ast.Load)):
+                  and isinstance(node.ctx, ast.Load)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in modules):
                 read.add(node.attr)
     return read
 
