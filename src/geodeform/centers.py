@@ -6,13 +6,16 @@ conditioning is explicit: the pairwise meets of the three defining lines
 must agree within the fixed guard GUARD or IllConditioned is raised.
 The tests hold the first Fermat point against an independent Weiszfeld
 iteration (`tests/fermat_oracle.py`).
+
+Every construction builds the parts it reads by `core.shared`, so in a
+`parts()` block those over one triangle share its check and circle, and
+those on one ordered side its apex candidates.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from typing import Callable
 
 from .core import (
     FLOOR,
@@ -35,6 +38,7 @@ from .core import (
     midpoint,
     minimum,
     perp,
+    shared,
     signed_area,
     where,
 )
@@ -75,22 +79,6 @@ class IllConditioned(GeometryError):
     within the guard GUARD."""
 
 
-# part(build, *at): `build` over the points at positions `at` of a
-# construction's arguments.  A caller that keeps the parts of a figure
-# passes its own `part` (see script.py), which builds each part once per
-# run and argument labels, so constructions that share a triangle or an
-# ordered side share its check or its apex candidates, and those that
-# share two points share their `dist`, in either order: dist(p, q) has the
-# bits of dist(q, p).  A build in READS_PARTS reads parts of its own
-# points: it takes as `part` a part over them.
-Part = Callable[..., object]
-
-
-def _unshared(*points: Point) -> Part:
-    """The `part` over `points` that keeps nothing: each call builds."""
-    return lambda build, *at: build(*[points[i] for i in at])
-
-
 def _below(base1: Point, base2: Point, point: Point):
     """Whether `point` lies on the negative side of base1 -> base2: a
     side is the sign of the signed area, with 0.0 on the positive side."""
@@ -126,27 +114,22 @@ def _pick_side(side: tuple, orientation: Orientation,
     return Point(where(keep, plus.x, minus_x), where(keep, plus.y, minus_y))
 
 
-def _apex(part: Part, i: int, j: int, reference: int,
-          orientation: Orientation) -> Point:
-    """The equilateral apex on the ordered side i -> j of the points of
-    `part`, toward or away from point `reference`, from the candidates
-    and the reference's side that `part` keeps; the caller has checked
-    that the base has a length."""
-    return _pick_side(part(_equilateral_side, i, j), orientation,
-                      part(_below, i, j, reference))
+def _apex(base1: Point, base2: Point, orientation: Orientation,
+          reference: Point) -> Point:
+    """The equilateral apex on the ordered side base1 -> base2, toward or
+    away from `reference`, from the shared candidates of that side and
+    the reference's side of it; the caller has checked that the base has
+    a length."""
+    return _pick_side(shared(_equilateral_side, base1, base2), orientation,
+                      shared(_below, base1, base2, reference))
 
 
 def equilateral_apex(base1: Point, base2: Point, orientation: Orientation,
-                     reference: Point, part: Part | None = None) -> Point:
-    """Apex completing an equilateral triangle on the segment base1-base2.
-
-    `part`, when given, is a `part` over (base1, base2, reference): a
-    caller that keeps the parts of a figure passes its own, so the apexes
-    on one ordered side share its candidates."""
-    part = part or _unshared(base1, base2, reference)
-    guard(part(dist, 0, 1) <= FLOOR * _local_scale(base1, base2),
+                     reference: Point) -> Point:
+    """Apex completing an equilateral triangle on the segment base1-base2."""
+    guard(shared(dist, base1, base2) <= FLOOR * _local_scale(base1, base2),
           CoincidentPoints, "equilateral apex on a zero-length base")
-    return _apex(part, 0, 1, 2, orientation)
+    return _apex(base1, base2, orientation, reference)
 
 
 def right_isosceles_apex(end1: Point, end2: Point, orientation: Orientation,
@@ -159,12 +142,9 @@ def right_isosceles_apex(end1: Point, end2: Point, orientation: Orientation,
                       _below(end1, end2, reference))
 
 
-def _require_triangle(a: Point, b: Point, c: Point,
-                      part: Part | None = None) -> float:
-    """The diameter of triangle abc, after checking that it has one; its
-    sides come from `part`, a part over (a, b, c), when given."""
-    part = part or _unshared(a, b, c)
-    sides = part(dist, 0, 1), part(dist, 1, 2), part(dist, 2, 0)
+def _require_triangle(a: Point, b: Point, c: Point) -> float:
+    """The diameter of triangle abc, after checking that it has one."""
+    sides = shared(dist, a, b), shared(dist, b, c), shared(dist, c, a)
     diam = maximum(*sides)
     guard(minimum(*sides) <= FLOOR * _local_scale(a, b, c), CoincidentPoints,
           "triangle with coincident vertices")
@@ -173,21 +153,18 @@ def _require_triangle(a: Point, b: Point, c: Point,
     return diam
 
 
-READS_PARTS = frozenset({_require_triangle})
-
-
 def _fermat_lines(points: tuple[Point, Point, Point],
-                  orientation: Orientation, part: Part) -> list[Line]:
+                  orientation: Orientation) -> list[Line]:
     """The lines from each vertex of the checked triangle `points` to the
-    equilateral apex on the opposite side, with apexes from `part`.
+    equilateral apex on the opposite side.
 
     The apexes need no zero-length-base guard of their own: the side
     under one has the bits of a side of `_require_triangle`, whose floor
     is scaled by all three vertices, so its guard has marked every row
     theirs would, and raised first on floats."""
-    apexes = [_apex(part, 1, 2, 0, orientation),
-              _apex(part, 2, 0, 1, orientation),
-              _apex(part, 0, 1, 2, orientation)]
+    a, b, c = points
+    apexes = [_apex(b, c, orientation, a), _apex(c, a, orientation, b),
+              _apex(a, b, orientation, c)]
     try:
         return [line_through(v, apex) for v, apex in zip(points, apexes)]
     except CoincidentPoints as exc:
@@ -213,25 +190,18 @@ def _concurrent_point(lines: list[Line], diam: float) -> Point:
         raise IllConditioned("defining lines form a near-parallel pencil") from exc
 
 
-def triangle_center(kind: CenterKind, a: Point, b: Point, c: Point,
-                    part: Part | None = None) -> Point:
-    """The requested center of triangle abc (any vertex order).
-
-    `part`, when given, is a `part` over (a, b, c): a caller that keeps
-    the parts of a figure passes its own, so the triangle's check and
-    circumcircle and the apex candidates of each ordered side are built
-    once per figure."""
-    part = part or _unshared(a, b, c)
-    diam = part(_require_triangle, 0, 1, 2)
+def triangle_center(kind: CenterKind, a: Point, b: Point, c: Point) -> Point:
+    """The requested center of triangle abc (any vertex order)."""
+    diam = shared(_require_triangle, a, b, c)
     if kind is CenterKind.X1:
-        la, lb, lc = part(dist, 1, 2), part(dist, 2, 0), part(dist, 0, 1)
+        la, lb, lc = shared(dist, b, c), shared(dist, c, a), shared(dist, a, b)
         s = la + lb + lc
         return Point((la * a.x + lb * b.x + lc * c.x) / s,
                      (la * a.y + lb * b.y + lc * c.y) / s)
     if kind is CenterKind.X2:
         return Point((a.x + b.x + c.x) / 3.0, (a.y + b.y + c.y) / 3.0)
     if kind in (CenterKind.X3, CenterKind.X4, CenterKind.X5):
-        o = part(circumcircle, 0, 1, 2).center
+        o = shared(circumcircle, a, b, c).center
         if kind is CenterKind.X3:
             return o
         h = Point(a.x + b.x + c.x - 2.0 * o.x, a.y + b.y + c.y - 2.0 * o.y)
@@ -241,5 +211,5 @@ def triangle_center(kind: CenterKind, a: Point, b: Point, c: Point,
                        if kind is CenterKind.X13
                        else Orientation.TOWARD_REFERENCE)
         return _concurrent_point(
-            _fermat_lines((a, b, c), orientation, part), diam)
+            _fermat_lines((a, b, c), orientation), diam)
     raise ValueError(f"unsupported center kind {kind!r}")

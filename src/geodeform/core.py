@@ -48,6 +48,8 @@ __all__ = [
     "failures",
     "only_rows",
     "guard",
+    "parts",
+    "shared",
     "where",
     "maximum",
     "minimum",
@@ -314,6 +316,45 @@ def guard(failed, error: type[GeometryError], message: str, *args) -> None:
         failed = failed.any()
     if failed:
         raise error(message.format(*args))
+
+
+# the parts of the open `parts()` block: (part, its points) by build and
+# the ids of its points; None outside any block
+_PARTS: ContextVar[dict[tuple, tuple] | None] = ContextVar(
+    "geodeform_parts", default=None)
+
+
+class parts:
+    """`with parts():` lets the constructions inside share the parts of
+    one figure: the circles, triangle checks and apex sides that several
+    of them build on the same points are built once.  Each `parts()`
+    starts empty, and entering one again goes on with its parts."""
+
+    def __init__(self) -> None:
+        self._built: dict[tuple, tuple] = {}
+
+    def __enter__(self) -> None:
+        self._token = _PARTS.set(self._built)
+
+    def __exit__(self, *exc_info) -> None:
+        _PARTS.reset(self._token)
+
+
+def shared(build, *points):
+    """`build(*points)`, built once per build and point objects inside a
+    `parts()` block and kept with its points, so no id of theirs is reused
+    while the block is open; a `dist` once for both orders, which give the
+    same bits.  On floats a failed part raises and is not kept."""
+    built = _PARTS.get()
+    if built is None:
+        return build(*points)
+    key = (build, *map(id, points))
+    if build is dist and key[2] < key[1]:
+        key = (dist, key[2], key[1])
+    held = built.get(key)
+    if held is None:
+        held = built[key] = (build(*points), points)
+    return held[0]
 
 
 # ---------------------------------------------------------------------------

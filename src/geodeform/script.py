@@ -36,6 +36,9 @@ and every assertion touching a poisoned label comes back as a failed
 verdict carrying the original error instead of raising.  A failed
 `require` fails every assertion the same way.  `segment` and `circle`
 only add to the drawing; one that names a poisoned label is left out.
+The statements of one figure run in one `parts()` block (see `core`):
+the circles, bisectors, triangle checks and apex sides that several of
+them build on the same points are built once.
 
 The built-in deformation families are shipped programs of this language:
 `deformation_family` turns a program with a `deform` statement into the
@@ -53,8 +56,8 @@ from functools import lru_cache, reduce
 from itertools import chain, repeat
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence, Union
 
-from .centers import READS_PARTS, CenterKind, Orientation, Part, \
-    equilateral_apex, right_isosceles_apex, triangle_center
+from .centers import CenterKind, Orientation, equilateral_apex, \
+    right_isosceles_apex, triangle_center
 from .configurations import Configuration, NonConvexQuadrilateral, \
     PointOnVertex, PointOutsideCircumcircle
 from .core import (
@@ -74,9 +77,11 @@ from .core import (
     line_circle_meets,
     line_through,
     midpoint,
+    parts,
     reflect_line,
     reflect_point,
     rotate,
+    shared,
     signed_area,
     where,
 )
@@ -150,38 +155,23 @@ def second_intersection(origin: Point, through: Point,
     return best
 
 
-# a construction's `part(build, *at)` is `build` over its point arguments
-# at positions `at`, made once per run for the labels at those positions,
-# so the circles, bisectors, triangle checks and apex sides that several
-# statements share are built once
-Construction = Callable[[list[Point], float | None, Part], Point]
+# a construction builds the circles and bisectors it reads by `shared`,
+# so the statements of one figure that read the same ones build them once
+Construction = Callable[[list[Point], float | None], Point]
 
 
 def _center(kind: CenterKind) -> Construction:
-    return lambda p, angle, part: triangle_center(
-        kind, p[0], p[1], p[2], part)
-
-
-def _second_intersection(p: list[Point], angle: float | None,
-                         part: Part) -> Point:
-    return second_intersection(p[0], p[1], part(circumcircle, 2, 3, 4))
-
-
-def _bisector_meet(p: list[Point], angle: float | None, part: Part) -> Point:
-    b1 = part(angle_bisector, 1, 0, 2)
-    b2 = part(angle_bisector, 4, 3, 5)
-    return intersect(b1, b2)
+    return lambda p, angle: triangle_center(kind, p[0], p[1], p[2])
 
 
 # construction name -> (number of point arguments, takes a trailing angle,
-# implementation over (points, angle in degrees or None, part))
+# implementation over (points, angle in degrees or None))
 FUNCTIONS: dict[str, tuple[int, bool, Construction]] = {
-    "midpoint": (2, False, lambda p, angle, part: midpoint(p[0], p[1])),
-    "reflect_line": (3, False, lambda p, angle, part: reflect_line(
+    "midpoint": (2, False, lambda p, angle: midpoint(p[0], p[1])),
+    "reflect_line": (3, False, lambda p, angle: reflect_line(
         p[0], line_through(p[1], p[2]))),
-    "reflect_point": (2, False, lambda p, angle, part: reflect_point(
-        p[0], p[1])),
-    "rotate": (2, True, lambda p, angle, part: rotate(
+    "reflect_point": (2, False, lambda p, angle: reflect_point(p[0], p[1])),
+    "rotate": (2, True, lambda p, angle: rotate(
         p[0], p[1], math.radians(angle))),
     "centroid": (3, False, _center(CenterKind.X2)),
     "circumcenter": (3, False, _center(CenterKind.X3)),
@@ -190,16 +180,19 @@ FUNCTIONS: dict[str, tuple[int, bool, Construction]] = {
     "ninepoint": (3, False, _center(CenterKind.X5)),
     "fermat1": (3, False, _center(CenterKind.X13)),
     "fermat2": (3, False, _center(CenterKind.X14)),
-    "eq_apex": (3, False, lambda p, angle, part: equilateral_apex(
-        p[0], p[1], Orientation.TOWARD_REFERENCE, p[2], part)),
-    "ri_apex": (3, False, lambda p, angle, part: right_isosceles_apex(
+    "eq_apex": (3, False, lambda p, angle: equilateral_apex(
         p[0], p[1], Orientation.TOWARD_REFERENCE, p[2])),
-    "second_intersection": (5, False, _second_intersection),
-    "bisector_meet": (6, False, _bisector_meet),
+    "ri_apex": (3, False, lambda p, angle: right_isosceles_apex(
+        p[0], p[1], Orientation.TOWARD_REFERENCE, p[2])),
+    "second_intersection": (5, False, lambda p, angle: second_intersection(
+        p[0], p[1], shared(circumcircle, p[2], p[3], p[4]))),
+    "bisector_meet": (6, False, lambda p, angle: intersect(
+        shared(angle_bisector, p[1], p[0], p[2]),
+        shared(angle_bisector, p[4], p[3], p[5]))),
 }
 
 
-def _require_convex(p: list[Point], part: Part) -> None:
+def _require_convex(p: list[Point]) -> None:
     a, b, c, d = p
     diam = diameter(p)
     areas = [signed_area(a, b, c), signed_area(b, c, d),
@@ -212,8 +205,8 @@ def _require_convex(p: list[Point], part: Part) -> None:
           NonConvexQuadrilateral, "vertices in order are not strictly convex")
 
 
-def _require_inside(p: list[Point], part: Part) -> None:
-    circ = part(circumcircle, 1, 2, 3)
+def _require_inside(p: list[Point]) -> None:
+    circ = shared(circumcircle, p[1], p[2], p[3])
     diam = diameter(p[1:])
     for v in p[1:]:
         guard(dist(p[0], v) <= FLOOR * diam, PointOnVertex,
@@ -223,8 +216,8 @@ def _require_inside(p: list[Point], part: Part) -> None:
           "cevian point {} is not strictly inside the circumcircle", p[0])
 
 
-# precondition name -> (number of point arguments, check over (points,
-# part) raising a GeometryError when the points fail it)
+# precondition name -> (number of point arguments, check over the points
+# raising a GeometryError when they fail it)
 REQUIREMENTS: dict[str, tuple[int, Callable[..., None]]] = {
     "convex": (4, _require_convex),
     "inside": (4, _require_inside),
@@ -769,25 +762,6 @@ def _arguments(labels: tuple[str, ...], points: dict[str, Point],
         raise _PoisonedLabel(poisoned[bad]) from None
 
 
-def _parts(built: dict[tuple, object], labels: tuple[str, ...],
-           args: list[Point]) -> Part:
-    """The `part` of one statement over `labels`, whose points are `args`;
-    `built` holds the parts of the run by builder and labels (on floats a
-    failed part raises and is not kept), a `dist` by its labels in order."""
-    def part(build: Callable[..., object], *at: int) -> object:
-        if build is dist and labels[at[1]] < labels[at[0]]:
-            at = at[::-1]
-        key = (build, *[labels[i] for i in at])
-        made = built.get(key)
-        if made is None:
-            points = [args[i] for i in at]
-            made = built[key] = (
-                build(*points, part=_parts(built, key[1:], points))
-                if build in READS_PARTS else build(*points))
-        return made
-    return part
-
-
 def _construct(statements: Sequence[Statement], params: dict[str, float],
                given: dict[str, Point],
                needed: frozenset[str] | None,
@@ -804,60 +778,59 @@ def _construct(statements: Sequence[Statement], params: dict[str, float],
 
     Given points whose coordinates are float64 arrays run every sample of
     a batch at once, one row each: a failing guard marks its rows failed
-    in the enclosing `failures()` block instead of raising.
+    in the enclosing `failures()` block instead of raising.  The
+    statements run in one `parts()` block, so they share the parts they
+    build on the same points.
     """
     points: dict[str, Point] = {}
-    built: dict[tuple, object] = {}
     circles: dict[str, Circle] = {}
     edges: list[tuple[str, ...]] = []
     poisoned: dict[str, str] = {}
     failed: str | None = None
-    for stmt in statements:
-        if isinstance(stmt, Define):
-            label, expr = stmt.label, stmt.expr
-            try:
-                if label in given:
-                    points[label] = given[label]
-                elif isinstance(expr, CoordPair):
-                    points[label] = Point(_eval_scalar(expr.x, params),
-                                          _eval_scalar(expr.y, params))
-                else:
-                    args = _arguments(expr.points, points, poisoned)
-                    angle = (None if expr.angle is None
-                             else _eval_scalar(expr.angle, params))
-                    points[label] = FUNCTIONS[expr.func][2](
-                        args, angle, _parts(built, expr.points, args))
-            except _PoisonedLabel as exc:
-                poisoned[label] = str(exc)
-            except (GeometryError, ArithmeticError) as exc:
-                if needed is not None and label in needed:
-                    raise
-                poisoned[label] = f"{label}: {exc}"
-        elif isinstance(stmt, Require):
-            try:
-                args = _arguments(stmt.labels, points, poisoned)
-                REQUIREMENTS[stmt.kind][1](
-                    args, _parts(built, stmt.labels, args))
-            except _PoisonedLabel as exc:
-                failed = failed or str(exc)
-            except (GeometryError, ArithmeticError) as exc:
-                if needed is not None:
-                    raise
-                failed = failed or (f"require {stmt.kind}"
-                                    f"({', '.join(stmt.labels)}): {exc}")
-        elif isinstance(stmt, Draw):
-            if poisoned and any(label in poisoned for label in stmt.labels):
-                continue
-            if stmt.shape == "segment":
-                edges.append(stmt.labels)
-                continue
-            args = [points[label] for label in stmt.labels]
-            try:
-                circle = _parts(built, stmt.labels, args)(
-                    circumcircle, 0, 1, 2)
-            except GeometryError:
-                continue  # collinear labels: there is no circle to draw
-            circles[f"circle({','.join(stmt.labels)})"] = circle
+    with parts():
+        for stmt in statements:
+            if isinstance(stmt, Define):
+                label, expr = stmt.label, stmt.expr
+                try:
+                    if label in given:
+                        points[label] = given[label]
+                    elif isinstance(expr, CoordPair):
+                        points[label] = Point(_eval_scalar(expr.x, params),
+                                              _eval_scalar(expr.y, params))
+                    else:
+                        args = _arguments(expr.points, points, poisoned)
+                        angle = (None if expr.angle is None
+                                 else _eval_scalar(expr.angle, params))
+                        points[label] = FUNCTIONS[expr.func][2](args, angle)
+                except _PoisonedLabel as exc:
+                    poisoned[label] = str(exc)
+                except (GeometryError, ArithmeticError) as exc:
+                    if needed is not None and label in needed:
+                        raise
+                    poisoned[label] = f"{label}: {exc}"
+            elif isinstance(stmt, Require):
+                try:
+                    args = _arguments(stmt.labels, points, poisoned)
+                    REQUIREMENTS[stmt.kind][1](args)
+                except _PoisonedLabel as exc:
+                    failed = failed or str(exc)
+                except (GeometryError, ArithmeticError) as exc:
+                    if needed is not None:
+                        raise
+                    failed = failed or (f"require {stmt.kind}"
+                                        f"({', '.join(stmt.labels)}): {exc}")
+            elif isinstance(stmt, Draw):
+                if poisoned and any(lb in poisoned for lb in stmt.labels):
+                    continue
+                if stmt.shape == "segment":
+                    edges.append(stmt.labels)
+                    continue
+                try:
+                    circle = shared(circumcircle,
+                                    *[points[label] for label in stmt.labels])
+                except GeometryError:
+                    continue  # collinear labels: there is no circle to draw
+                circles[f"circle({','.join(stmt.labels)})"] = circle
     config = Configuration({**points, **circles}, dict(params), tuple(edges))
     return config, poisoned, failed
 
@@ -967,10 +940,9 @@ class _Screen:
     requires: tuple[tuple[str, tuple[int, ...]], ...]
 
     def __call__(self, *points: Point) -> None:
-        built: dict[tuple, object] = {}
-        for kind, at in self.requires:
-            args = [points[i] for i in at]
-            REQUIREMENTS[kind][1](args, _parts(built, at, args))
+        with parts():
+            for kind, at in self.requires:
+                REQUIREMENTS[kind][1]([points[i] for i in at])
 
 
 def _family_screen(program: Program) -> _Screen | None:

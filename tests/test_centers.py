@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geodeform import script
 from geodeform.centers import (
     CenterKind,
     IllConditioned,
@@ -32,6 +31,7 @@ from geodeform.core import (
     guard,
     line_through,
     midpoint,
+    parts,
     perp,
     signed_area,
     where,
@@ -278,18 +278,24 @@ def _unshared_fermat(kind, a, b, c):
     return _concurrent_point(lines, diam)
 
 
-# (name, unshared construction, construction over a run's parts `built`)
-# in the order of example1: A' = eq_apex(B, C, A), then F1 and F2 of
-# A, B, C, which share the side B C with A' and their check with each other
+def _within(block, build, *args):
+    """`build(*args)` inside the `parts()` block `block`."""
+    with block:
+        return build(*args)
+
+
+# (name, unshared construction, construction in the `parts()` block
+# `built`) in the order of example1: A' = eq_apex(B, C, A), then F1 and F2
+# of A, B, C, which share the side B C with A' and their check with each
+# other
 _FERMAT_STEPS = [
     ("eq_apex", lambda a, b, c: _unshared_apex(
         b, c, Orientation.TOWARD_REFERENCE, a),
-     lambda a, b, c, built: equilateral_apex(
-         b, c, Orientation.TOWARD_REFERENCE, a,
-         script._parts(built, ("B", "C", "A"), [b, c, a]))),
+     lambda a, b, c, built: _within(
+         built, equilateral_apex, b, c, Orientation.TOWARD_REFERENCE, a)),
     *((kind.name, lambda a, b, c, kind=kind: _unshared_fermat(kind, a, b, c),
-       lambda a, b, c, built, kind=kind: triangle_center(
-           kind, a, b, c, script._parts(built, ("A", "B", "C"), [a, b, c])))
+       lambda a, b, c, built, kind=kind: _within(
+           built, triangle_center, kind, a, b, c))
       for kind in (CenterKind.X13, CenterKind.X14)),
 ]
 
@@ -344,7 +350,7 @@ def test_fermat_points_from_shared_parts_are_the_unshared_ones(triangles):
     has the unshared bits."""
     floats_raise = []
     for a, b, c in triangles:
-        built, raised = {}, False
+        built, raised = parts(), False
         for name, unshared, shared in _FERMAT_STEPS:
             want = _float_outcome(lambda: unshared(a, b, c))
             assert _float_outcome(lambda: shared(a, b, c, built)) == want, name
@@ -362,9 +368,9 @@ def test_fermat_points_from_shared_parts_are_the_unshared_ones(triangles):
         return [marked.tobytes(), p.x.tobytes(), p.y.tobytes()]
 
     for name, unshared, shared in _FERMAT_STEPS:
-        assert on_rows(lambda: shared(a, b, c, {})) \
+        assert on_rows(lambda: shared(a, b, c, parts())) \
             == on_rows(lambda: unshared(a, b, c)), name
-    built = {}
+    built = parts()
     with np.errstate(all="ignore"), failures() as failed:
         points = [shared(a, b, c, built) for _, _, shared in _FERMAT_STEPS]
     assert np.broadcast_to(failed.rows, a.x.shape).tolist() == floats_raise

@@ -31,11 +31,13 @@ from geodeform.core import (
     line_through,
     midpoint,
     only_rows,
+    parts,
     perp,
     pow2_near,
     reflect_line,
     reflect_point,
     rotate,
+    shared,
     signed_area,
 )
 
@@ -552,3 +554,45 @@ def test_failures_fold_what_guard_marked():
         mark(np.zeros(200, bool))
         guard(np.array([True]), GeometryError, "every row")
         assert failed.rows.tolist() == [True] * 200
+
+
+# ---------------------------------------------------------------------------
+# parts(): what a figure's constructions share
+
+
+def test_shared_builds_once_per_build_and_point_objects_in_a_block(
+        monkeypatch):
+    """Inside a `parts()` block a part is built once per build and point
+    objects, a `dist` once for both orders; equal points that are other
+    objects build again, and a failed part is not kept.  Outside any
+    block, and after the block ends, every call builds; a block entered
+    again goes on with its parts."""
+    built, lengths = [], []
+
+    def build(*points):
+        built.append(points)
+        return len(built)
+
+    def failing(*points):
+        built.append(points)
+        raise CoincidentPoints("coincident")
+
+    monkeypatch.setattr(core, "hypot", lambda x, y: lengths.append(x) or 5.0)
+    a, b, same_as_a = Point(0.0, 0.0), Point(3.0, 4.0), Point(0.0, 0.0)
+    assert shared(build, a, b) == 1 and shared(build, a, b) == 2
+    block = parts()
+    with block:
+        assert shared(build, a, b) == shared(build, a, b) == 3
+        assert shared(build, b, a) == 4
+        assert shared(build, same_as_a, b) == 5
+        assert shared(dist, a, b) == shared(dist, b, a) == 5.0
+        assert len(lengths) == 1
+        for _ in range(2):
+            with pytest.raises(CoincidentPoints):
+                shared(failing, a, same_as_a)
+        assert len(built) == 7
+    assert shared(build, a, b) == 8
+    with block:
+        assert shared(build, a, b) == 3
+    with parts():
+        assert shared(build, a, b) == 9
