@@ -142,7 +142,7 @@ def _report_entry(named: NamedClaim, report: VerificationReport,
         "samples": report.samples,
         "seed": report.seed,
         "rel_tol": report.rel_tol,
-        "refute_tol": report.refute_tol,
+        "refute_tol": _finite(report.refute_tol),
         "scaling_exponent": _finite(report.scaling_exponent),
         "exponent_note": report.exponent_note,
         "flags": list(report.flags),

@@ -56,6 +56,9 @@ INVOCATIONS: list[tuple[str, list[str], dict[str, str]]] = [
     ("verify_theorem1_perp_huge_grid",
      ["verify", "theorem1_perp", "--eps-grid", "1e-3,1e-2,1.5e308",
       "--json", REPORT], {}),
+    ("verify_theorem1_perp_huge_tol",
+     ["verify", "theorem1_perp", "--samples", "3", "--tol", "1e308",
+      "--json", REPORT], {}),
     *((f"run_{name}",
        ["run", f"scripts/{name}.geo", "--json", REPORT, "--svg", FIGURE], {})
       for name in SCRIPTS),

@@ -401,6 +401,20 @@ def test_verify_json_document(capsys, tmp_path):
         assert "wall_time_s" in entry
 
 
+def test_verify_json_with_a_huge_tolerance(capsys, tmp_path):
+    """--tol takes any finite value above 0; the refutation bound, 100
+    times it, overflows past 1.8e306 and is written as null, as a
+    non-finite residual is."""
+    out_path = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "verify", "theorem1_perp",
+                             "--samples", "3", "--tol", "1e308",
+                             "--json", str(out_path))
+    assert (code, out, err) == (0, "theorem1_perp: theorem max_residual="
+                                   "0.000e+00 mean_residual=0.000e+00\n", "")
+    text = out_path.read_text()
+    assert '      "rel_tol": 1e+308,\n      "refute_tol": null,\n' in text
+
+
 def _claims_json(capsys, tmp_path, *argv):
     """The scrubbed `claims` entries of `verify ... --json`."""
     out_path = tmp_path / "claims.json"
