@@ -155,8 +155,6 @@ def second_intersection(origin: Point, through: Point,
     return best
 
 
-# a construction builds the circles and bisectors it reads by `shared`,
-# so the statements of one figure that read the same ones build them once
 Construction = Callable[[list[Point], float | None], Point]
 
 

@@ -29,6 +29,7 @@ import platform
 import re
 import sys
 import tempfile
+from unittest import mock
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 LEDGER = ROOT / "tests" / "golden" / "ledger.json"
@@ -90,16 +91,22 @@ def run(argv: list[str], files: dict[str, str]) -> dict:
     """The record of one invocation (see the module docstring)."""
     from geodeform.cli import main
 
+    # argparse wraps its usage text to the terminal's width: fix it
     with tempfile.TemporaryDirectory() as tmp, \
-            contextlib.chdir(ROOT), _columns():
+            mock.patch.dict(os.environ, COLUMNS="80"):
         for name, text in files.items():
             pathlib.Path(tmp, name).write_text(text, encoding="utf-8")
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
+        cwd = os.getcwd()
+        os.chdir(ROOT)  # contextlib.chdir needs Python 3.11
+        try:
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
                 code = main([a.replace("$TMP", tmp) for a in argv])
-            except SystemExit as exc:  # argparse rejects the flags
-                code = exc.code
+        except SystemExit as exc:  # argparse rejects the flags
+            code = exc.code
+        finally:
+            os.chdir(cwd)
 
         def written(path: str) -> str | None:
             path = pathlib.Path(path.replace("$TMP", tmp))
@@ -112,20 +119,6 @@ def run(argv: list[str], files: dict[str, str]) -> dict:
         return {"exit": code, "stdout": _lines(texts[0]),
                 "stderr": _lines(texts[1]), "report": _lines(texts[2]),
                 "svg": _lines(written(FIGURE))}
-
-
-@contextlib.contextmanager
-def _columns():
-    """argparse wraps its usage text to the terminal's width: fix it."""
-    saved = os.environ.get("COLUMNS")
-    os.environ["COLUMNS"] = "80"
-    try:
-        yield
-    finally:
-        if saved is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = saved
 
 
 def versions() -> dict[str, str]:

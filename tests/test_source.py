@@ -132,20 +132,12 @@ def test_every_export_is_bound(module):
 
 def _modules_bound(tree: ast.Module) -> set[str]:
     """The names the module binds to a module of the package, by `from .
-    import deform` or `import geodeform.deform as deform`, anywhere."""
+    import deform`, anywhere."""
     stems = {module.removesuffix(".py") for module in MODULES}
-    bound = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module in (None,
-                                                                "geodeform"):
-            bound.update(alias.asname or alias.name for alias in node.names
-                         if alias.name in stems)
-        elif isinstance(node, ast.Import):
-            bound.update(alias.asname for alias in node.names
-                         if alias.asname and alias.name.startswith(
-                             "geodeform.")
-                         and alias.name.split(".")[1] in stems)
-    return bound
+    return {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            and node.module is None
+            for alias in node.names if alias.name in stems}
 
 
 def _read_in_package() -> set[str]:
