@@ -18,7 +18,8 @@ without the source line that raised it.  Exit code 0 means every selected
 claim or assertion held, 1 means at least one did not, 2 means the
 invocation itself was unusable (bad flags, unknown claim, unreadable or
 malformed script, a verified program without `deform` or named assert,
-unwritable output, no valid deformation within the rejection budget).
+an epsilon a selected family does not admit, unwritable output, no valid
+deformation within the rejection budget).
 """
 
 from __future__ import annotations
@@ -199,6 +200,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # until the sweeps end.
     judged: dict[NamedClaim, tuple[VerificationReport, float]] = {}
     try:
+        # unusable before any verdict: an epsilon a family has no radius for
+        for family in dict.fromkeys(named.family for named in selected):
+            for epsilon in grid or [args.eps]:
+                family.radius(epsilon)
         with sharing():
             for named in selected:
                 if named not in judged:

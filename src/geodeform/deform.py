@@ -76,8 +76,7 @@ APPROXIMATE_MIN_EXPONENT = 0.5
 
 class RejectionBudgetExhausted(GeometryError):
     """No valid sample found within the re-draw budget.  From a batch,
-    `row` is the grid row of the sample; a batch's ValueError for an
-    epsilon without a radius names the row its block starts at."""
+    `row` is the grid row of the sample."""
 
     row: int | None = None
 
@@ -235,10 +234,23 @@ class DeformationFamily:
     def base_diameter(self) -> float:
         return diameter(self.base_points)
 
-    def admits(self, epsilon: float) -> bool:
-        if epsilon == 0.0:
-            return self.epsilon_floor == 0.0
-        return epsilon >= self.epsilon_floor
+    def radius(self, epsilon: float) -> float:
+        """The perturbation radius at `epsilon`, epsilon times the base
+        diameter: 0.0 at epsilon 0, the base figure.  ValueError where
+        there is none: epsilon not finite, negative or below the floor,
+        or the radius not finite."""
+        if epsilon < 0.0 or not math.isfinite(epsilon):
+            raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
+        if epsilon < self.epsilon_floor:
+            raise ValueError(
+                f"family {self.name!r} requires epsilon >= "
+                f"{self.epsilon_floor} (got {epsilon})")
+        radius = epsilon * self.base_diameter() if epsilon > 0.0 else 0.0
+        if not math.isfinite(radius):
+            raise ValueError(
+                f"family {self.name!r}: the figure is too large to deform: "
+                f"epsilon={epsilon} times its diameter is not finite")
+        return radius
 
 
 @dataclass(frozen=True)
@@ -294,7 +306,8 @@ def sample(family: DeformationFamily, epsilon: float | Sequence[float],
     each: row k * count + i is `sample(family, epsilon[k], seed + i)`.
     `rows`, a range of the grid's rows, builds those alone.  Where a row
     finds no valid draw within the budget, the single sample of its
-    (epsilon, seed) raises the error.
+    (epsilon, seed) raises the error.  A batch only draws: a grid that
+    holds epsilon 0, the base figure, raises ValueError before any draw.
     """
     if count is not None:
         grid = ((epsilon,) if isinstance(epsilon, (int, float))
@@ -302,29 +315,12 @@ def sample(family: DeformationFamily, epsilon: float | Sequence[float],
         if rows is None:
             rows = range(len(grid) * count)
         return _sample_rows(family, grid, seed, count, rows, max_rejections)
-    radius = _radius(family, epsilon)
+    radius = family.radius(epsilon)
     if epsilon == 0.0:
         return family.builder(*family.base_points)
     return _first_built(family, _draws(family.base_points, radius,
                                        SplitMix64(seed), max_rejections),
                         epsilon, seed, max_rejections)
-
-
-def _radius(family: DeformationFamily, epsilon: float) -> float:
-    """The perturbation radius at `epsilon`; ValueError where there is
-    none."""
-    if epsilon < 0.0 or not math.isfinite(epsilon):
-        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
-    if not family.admits(epsilon):
-        raise ValueError(
-            f"family {family.name!r} requires epsilon >= {family.epsilon_floor} "
-            f"(got {epsilon})")
-    radius = epsilon * family.base_diameter() if epsilon > 0.0 else 0.0
-    if not math.isfinite(radius):
-        raise ValueError(
-            f"family {family.name!r}: the figure is too large to deform: "
-            f"epsilon={epsilon} times its diameter is not finite")
-    return radius
 
 
 def _draws(base: Sequence[Point], radius: float, rng: SplitMix64,
@@ -369,13 +365,13 @@ def _sample_rows(family: DeformationFamily, grid: tuple[float, ...],
     screens them in one call, twice as many per row as the sub-round
     before, at most BATCH_ROWS attempts in all and none past a row's
     budget.  A row the build rejects goes on from its stream's state
-    after its last attempt.  A row of epsilon 0 draws nothing and makes
-    one attempt.  A screen or build call that raises rejects every attempt
-    it holds.  When a build holds one attempt of every row and accepts
-    each, it is the batch.  Where a row finds no valid draw within the
-    budget, the batch raises the error of the first such row's single
-    sample, whose last attempt is built again on floats for its text; an
-    epsilon without a radius raises its ValueError before any draw.
+    after its last attempt.  A screen or build call that raises rejects
+    every attempt it holds.  When a build holds one attempt of every row
+    and accepts each, it is the batch.  Where a row finds no valid draw
+    within the budget, the batch raises the error of the first such row's
+    single sample, whose last attempt is built again on floats for its
+    text.  An epsilon of the grid without a radius raises its ValueError
+    before any draw, and so does epsilon 0.
     Inside `sharing()`, the first batch of a sweep (rows from 0) draws
     through the shared draws and reads its first round, every row's first
     screened attempt, from an equal deformation that screened it before.
@@ -387,50 +383,33 @@ def _sample_rows(family: DeformationFamily, grid: tuple[float, ...],
     base = family.base_points
     step = len(base)
     size = len(rows)
+    radii = [family.radius(e) for e in grid]
+    if 0.0 in grid:
+        raise ValueError(f"family {family.name!r}: a batch draws at epsilon "
+                         f"> 0 only; epsilon 0 is the base figure")
     block, offset = np.divmod(np.arange(rows.start, rows.stop), count)
-    first = rows.start // count
-    spanned = grid[first:(rows.stop - 1) // count + 1]  # their epsilons
-    radii = []
-    for k, e in enumerate(spanned, first):
-        try:
-            radii.append(_radius(family, e))
-        except ValueError as exc:  # the batch ends at the block's first row
-            exc.row = max(rows.start, k * count)
-            raise
-    radius = np.array(radii)[block - first]
-    drawn = np.array(spanned)[block - first] > 0.0
+    radius = np.array(radii)[block]
     start = np.uint64(seed & MASK64) + offset.astype(np.uint64)
     # the pairs each row's stream has used, and the attempts it has made
     used = np.zeros(size, np.uint64)
     made = np.zeros(size, np.int64)
-    budget = np.where(drawn, max_rejections, 1)
     config = None  # the batch: the first build's, with its rows in columns
     # the x and y of each label of the batch, row by row as it is kept
     columns: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def attempts(live: np.ndarray, tries: int
-                 ) -> tuple[list[Point], np.ndarray | None]:
+                 ) -> tuple[list[Point], np.ndarray]:
         """The next `tries` attempts of each row of `live`, attempt j of
         live[k] at row k * tries + j, and the pairs each row's stream took
-        for them up to and including each, a (rows, tries) array (None
-        where no row draws)."""
-        if not drawn[live].any():
-            return [Point(np.full(live.size * tries, p.x),
-                          np.full(live.size * tries, p.y))
-                    for p in base], None
+        for them up to and including each, a (rows, tries) array."""
         dx, dy, ends = draw(
             start[live] + used[live] * np.uint64(2 * GAMMA & MASK64),
             tries * step)
         # attempt j of a row is its pairs j * P .. j * P + P - 1
         r = radius[live, None]
-        xy = [(p.x + r * dx[:, i::step], p.y + r * dy[:, i::step])
-              for i, p in enumerate(base)]
-        flat = ~drawn[live]
-        if flat.any():  # the epsilon 0 rows of a grid keep the base points
-            for (x, y), p in zip(xy, base):
-                x[flat], y[flat] = p.x, p.y
-        return [Point(x.ravel(), y.ravel()) for x, y in xy], \
-            ends[:, step - 1::step]
+        return [Point((p.x + r * dx[:, i::step]).ravel(),
+                      (p.y + r * dy[:, i::step]).ravel())
+                for i, p in enumerate(base)], ends[:, step - 1::step]
 
     def screened(live: np.ndarray, tries: int
                  ) -> list[tuple[np.ndarray, list[Point]]]:
@@ -439,21 +418,20 @@ def _sample_rows(family: DeformationFamily, grid: tuple[float, ...],
         sub-round: each sub-round's rows they belong to, attempt after
         attempt, and their points."""
         found = []
-        live = live[made[live] < budget[live]]
+        live = live[made[live] < max_rejections]
         need = np.full(live.size, tries)  # the passing attempts still due
         t = tries
         while live.size:
             n = live.size
             pts, ends = attempts(live, t)
-            left = budget[live] - made[live]
+            left = max_rejections - made[live]
             passed = True if family.screen is None else ~np.broadcast_to(
                 _rejected(family.screen, pts)[1], (n * t,))
             if (t == tries and not found and t <= left.min()
                     and (passed is True or passed.all())):
                 # every row takes all of its attempts: no gathers
                 made[live] += t
-                if ends is not None:
-                    used[live] += ends[:, -1]
+                used[live] += ends[:, -1]
                 found.append((live.repeat(t), pts))
                 break
             ok = np.broadcast_to(passed, (n * t,)).reshape(n, t)
@@ -466,8 +444,7 @@ def _sample_rows(family: DeformationFamily, grid: tuple[float, ...],
             spent = np.where(done, (rank < need[:, None]).sum(axis=1) + 1,
                              np.minimum(t, left))
             made[live] += spent
-            if ends is not None:
-                used[live] += ends[np.arange(n), spent - 1]
+            used[live] += ends[np.arange(n), spent - 1]
             hits = (ok & (rank <= need[:, None])).ravel().nonzero()[0]
             if hits.size:
                 found.append((live[hits // t],
@@ -485,8 +462,8 @@ def _sample_rows(family: DeformationFamily, grid: tuple[float, ...],
         if shared is None:
             return screened(live, tries)
         key = (np.array([(p.x, p.y) for p in base], float).tobytes(),
-               family.screen, radius.tobytes(), drawn.tobytes(), seed, count,
-               rows, max_rejections)
+               family.screen, radius.tobytes(), seed, count, rows,
+               max_rejections)
         held = shared.rounds.get(key)
         if held is None:
             found = screened(live, tries)
@@ -535,7 +512,7 @@ def _sample_rows(family: DeformationFamily, grid: tuple[float, ...],
                 waiting[picked_rows] = False
                 todo = todo[waiting[todo]]
             built = None  # free this round's rows before the next
-        spent = made[todo] >= budget[todo]
+        spent = made[todo] >= max_rejections
         if spent.any():
             out = min(out, int(todo[spent][0]))
             todo = todo[~spent & (todo < out)]
@@ -544,7 +521,7 @@ def _sample_rows(family: DeformationFamily, grid: tuple[float, ...],
         r = out
         epsilon, s = grid[block[r]], seed + int(offset[r])
         try:
-            if drawn[r] and max_rejections > 0:
+            if max_rejections > 0:
                 # its last attempt, whose error the single sample names
                 dx, dy, _ = _disk_draws(start[r:r + 1], max_rejections * step)
                 rad = float(radius[r])
@@ -552,7 +529,7 @@ def _sample_rows(family: DeformationFamily, grid: tuple[float, ...],
                     Point(p.x + rad * float(dx[0, i - step]),
                           p.y + rad * float(dy[0, i - step]))
                     for i, p in enumerate(base)]], epsilon, s, max_rejections)
-            else:  # no draw, or no attempt: the single sample is as cheap
+            else:  # no attempt: the single sample is as cheap
                 sample(family, epsilon, s, max_rejections=max_rejections)
         except RejectionBudgetExhausted as exc:
             exc.row = rows.start + r
@@ -643,25 +620,30 @@ def _judge_rows(family: DeformationFamily, claims: Sequence[RelationClaim],
                 ) -> list[tuple[list[float], tuple[str, ...]]]:
     """Each claim's residuals on rows `rows` of the grid, row k * samples
     + i the sample of (epsilons[k], seed + i), drawn, built and judged as
-    one batch, with the flags they raised.
+    one batch, with the flags they raised.  At epsilon 0 every row is the
+    base figure, whose single sample is judged once for them all.
 
     The error raised is the one the per-draw loop meets first: where the
-    batch names the row of a sample without a valid draw or epsilon, the
-    rows before it run again as a batch; a row that the batch marks
-    failed, or whose residual is NaN, runs again alone on floats.  Any
-    other error of the batch is raised as it comes.
+    batch names the row of a sample without a valid draw, the rows before
+    it run again as a batch; a row that the batch marks failed, or whose
+    residual is NaN, runs again alone on floats, where a claim that
+    raises names itself, the epsilon and the seed.  Any other error of
+    the batch is raised as it comes.
     """
     import numpy as np
 
+    if tuple(epsilons) == (0.0,):
+        config = sample(family, 0.0, seed)
+        return [([float(v.residual)] * len(rows), v.flags) for v in (
+            _judged(claim, config, scale, 0.0, seed) for claim in claims)]
     with np.errstate(all="ignore"):
         try:
             config = sample(family, epsilons, seed, samples, rows=rows)
-        except (RejectionBudgetExhausted, ValueError) as exc:
-            row = getattr(exc, "row", None)
-            if row is not None and row > rows.start:
+        except RejectionBudgetExhausted as exc:
+            if exc.row is not None and exc.row > rows.start:
                 # their error, if any, comes first
                 _judge_rows(family, claims, epsilons, samples, seed,
-                            range(rows.start, row), scale)
+                            range(rows.start, exc.row), scale)
             raise
         judged = []
         suspect = np.zeros(len(rows), bool)
@@ -676,10 +658,22 @@ def _judge_rows(family: DeformationFamily, claims: Sequence[RelationClaim],
     # a row that failed, or whose residual is NaN, raises here if the
     # per-draw loop raises on it
     for g in (rows.start + np.flatnonzero(suspect)).tolist():
-        config = sample(family, epsilons[g // samples], seed + g % samples)
+        epsilon, s = epsilons[g // samples], seed + g % samples
+        config = sample(family, epsilon, s)
         for claim in claims:
-            claim.evaluate(config, scale=scale)
+            _judged(claim, config, scale, epsilon, s)
     return judged
+
+
+def _judged(claim: RelationClaim, config: Configuration, scale: float,
+            epsilon: float, seed: int) -> RelationVerdict:
+    """`claim.evaluate` of the single sample of (epsilon, seed): an error
+    it raises names the claim, the epsilon and the seed."""
+    try:
+        return claim.evaluate(config, scale=scale)
+    except GeometryError as exc:
+        raise type(exc)(f"{claim.kind}({', '.join(claim.labels)}) at "
+                        f"epsilon={epsilon}, seed={seed}: {exc}") from exc
 
 
 def verify(family: DeformationFamily, claims: Sequence[RelationClaim],
@@ -717,11 +711,9 @@ def fit_scaling_exponent(epsilons: Sequence[float],
 def _holds_at_zero(family: DeformationFamily, claims: Sequence[RelationClaim],
                    rel_tol: float) -> tuple[bool, ...]:
     """Whether each claim holds on the undeformed base figure, built once."""
-    if not family.admits(0.0):
-        return (False,) * len(claims)
     try:
-        config = family.builder(*family.base_points)
-    except GeometryError:
+        config = sample(family, 0.0, 0)
+    except (ValueError, GeometryError):  # no base figure, or none built
         return (False,) * len(claims)
     scale = family.base_diameter()
     held = []
@@ -746,17 +738,11 @@ def scaling_probe(family: DeformationFamily, claims: Sequence[RelationClaim],
     epsilon and is classified `approximate` (it held at epsilon = 0) or
     `refuted`.
     """
-    for e in epsilons:
-        if not math.isfinite(e):
-            raise ValueError(f"epsilon {e} is not a finite number")
     eps = sorted(set(float(e) for e in epsilons))
     if len(eps) < 3:
         raise ValueError("scaling probe needs >= 3 distinct epsilon values")
     if eps[0] <= 0.0 or eps[-1] / eps[0] < 100.0:
         raise ValueError("epsilon values must be positive and span >= 2 decades")
-    for e in eps:
-        if not family.admits(e):
-            raise ValueError(f"epsilon {e} below family floor {family.epsilon_floor}")
     # Every block reuses seeds seed..seed+samples-1, so sample i sees the
     # same perturbation direction at every epsilon.  Pairing the blocks
     # this way removes the block-to-block sampling noise that would

@@ -15,7 +15,8 @@ Rewrite the ledger after an intended output change with
 
     PYTHONPATH=src python tests/ledger.py
 
-and read the diff: every changed line is a changed output.
+It names on standard error each entry it added, removed or changed.  Read
+the diff of those: every changed line is a changed output.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ import re
 import sys
 import tempfile
 from unittest import mock
+
+from test_batch import ALL_KINDS_PROGRAM
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 LEDGER = ROOT / "tests" / "golden" / "ledger.json"
@@ -54,6 +57,12 @@ INVOCATIONS: list[tuple[str, list[str], dict[str, str]]] = [
      ["verify", "all", "--eps", "0", "--samples", "5", "--json", REPORT], {}),
     ("verify_all_eps_1e-7",
      ["verify", "all", "--eps", "1e-7", "--json", REPORT], {}),
+    ("verify_all_eps_grid_1e-7",
+     ["verify", "all", "--eps-grid", "1e-7,1e-6,1e-5", "--samples", "20",
+      "--json", REPORT], {}),
+    ("verify_theorem1_perp_eps_0",
+     ["verify", "theorem1_perp", "--eps", "0", "--samples", "2",
+      "--json", REPORT], {}),
     ("verify_theorem1_perp_huge_grid",
      ["verify", "theorem1_perp", "--eps-grid", "1e-3,1e-2,1.5e308",
       "--json", REPORT], {}),
@@ -67,6 +76,12 @@ INVOCATIONS: list[tuple[str, list[str], dict[str, str]]] = [
       for name in SHAPES),
     ("render_script", ["render", "scripts/example3.geo", "--out", FIGURE],
      {}),
+    ("run_all_kinds",
+     ["run", "$TMP/all_kinds.geo", "--json", REPORT, "--svg", FIGURE],
+     {"all_kinds.geo": ALL_KINDS_PROGRAM}),
+    ("verify_all_kinds",
+     ["verify", "$TMP/all_kinds.geo", "--json", REPORT, "--svg", FIGURE],
+     {"all_kinds.geo": ALL_KINDS_PROGRAM}),
     ("shapes", ["shapes"], {}),
     ("verify_unknown_claim", ["verify", "nosuch"], {}),
     ("verify_empty_eps_grid", ["verify", "all", "--eps-grid", ","], {}),
@@ -127,13 +142,26 @@ def versions() -> dict[str, str]:
     return {"python": platform.python_version(), "numpy": numpy.__version__}
 
 
-def main() -> None:
+def main(ledger: pathlib.Path = LEDGER) -> None:
+    """Write the record of every invocation to `ledger`, and name on
+    standard error each entry whose record it added, removed or changed."""
+    old = ({e["name"]: e for e in
+            json.loads(ledger.read_text(encoding="utf-8"))["entries"]}
+           if ledger.exists() else {})
     entries = [{"name": name, "argv": argv, "files": files, **run(argv, files)}
                for name, argv, files in INVOCATIONS]
     text = json.dumps({**versions(), "entries": entries}, indent=1,
                       ensure_ascii=False)
-    LEDGER.write_text(text + "\n", encoding="utf-8")
-    print(f"wrote {len(entries)} entries to {LEDGER.relative_to(ROOT)}",
+    ledger.write_text(text + "\n", encoding="utf-8")
+    new = {e["name"]: e for e in entries}
+    for name in [*old, *(name for name in new if name not in old)]:
+        if name not in new:
+            print(f"removed {name}", file=sys.stderr)
+        elif name not in old:
+            print(f"added {name}", file=sys.stderr)
+        elif new[name] != old[name]:
+            print(f"changed {name}", file=sys.stderr)
+    print(f"wrote {len(entries)} entries to {os.path.relpath(ledger, ROOT)}",
           file=sys.stderr)
 
 

@@ -134,14 +134,25 @@ def _bits(value):
     return float(value).hex()
 
 
+def _named_error(claim, epsilon, seed, error):
+    """The error of a claim judged on the single sample of (epsilon, seed),
+    as the sweep words it."""
+    return type(error)(f"{claim.kind}({', '.join(claim.labels)}) at "
+                       f"epsilon={epsilon}, seed={seed}: {error}")
+
+
 def _per_draw_judge(family, claims, epsilons, samples, seed, rows, scale):
     """The loop the batch replaces: one sample at a time, epsilon by
     epsilon."""
     judged = [([], {}) for _ in claims]
     for g in rows:
-        config = sample(family, epsilons[g // samples], seed + g % samples)
+        epsilon, s = epsilons[g // samples], seed + g % samples
+        config = sample(family, epsilon, s)
         for claim, (residuals, flags) in zip(claims, judged):
-            verdict = claim.evaluate(config, scale=scale)
+            try:
+                verdict = claim.evaluate(config, scale=scale)
+            except GeometryError as exc:
+                raise _named_error(claim, epsilon, s, exc) from None
             residuals.append(verdict.residual)
             flags.update(dict.fromkeys(verdict.flags))
     return [(residuals, tuple(flags)) for residuals, flags in judged]
@@ -216,16 +227,23 @@ def _scalar_error(family, claims, epsilon, seed):
 
 
 def test_evaluation_error_is_the_per_draw_one(capsys):
-    """At epsilon 0 the square's apex diagonals have zero length: the
-    batch raises the error of the first failing sample, and the CLI
+    """At epsilon 0, and at 1e-300, the square's apex diagonals have zero
+    length: the sweep raises the error of the first failing sample, from
+    the base figure's judgement at 0 and from a failed row's float rerun
+    at 1e-300, naming the claim, the epsilon and the seed, and the CLI
     prints it on one line with exit 2."""
     family, claims = FAMILY_CLAIMS["theorem1"]
-    want = _scalar_error(family, claims, 0.0, 0)
-    with pytest.raises(type(want)) as caught:
-        verify(family, claims, 5, 0.0, 0)
-    assert str(caught.value) == str(want)
-    assert main(["verify", "all", "--eps", "0", "--samples", "5"]) == 2
-    assert capsys.readouterr().err == f"error: {want}\n"
+    for epsilon in (0.0, 1e-300):
+        error = _scalar_error(family, claims, epsilon, 3)
+        want = (f"perpendicular(O_ab, O_cd, O_bc, O_da) at "
+                f"epsilon={epsilon}, seed=3: {error}")
+        assert str(_named_error(claims[0], epsilon, 3, error)) == want
+        with pytest.raises(type(error)) as caught:
+            verify(family, claims, 5, epsilon, 3)
+        assert str(caught.value) == want
+        code = main(["verify", "theorem1_perp", "theorem1_equal", "--eps",
+                     str(epsilon), "--samples", "5", "--seed", "3"])
+        assert (code, capsys.readouterr()) == (2, ("", f"error: {want}\n"))
 
 
 def test_exhausted_budget_is_the_per_draw_error(capsys, tmp_path):
@@ -512,13 +530,33 @@ assert collinear(A, M, B) as mid "the midpoint of AB is on AB"
 
 
 @pytest.mark.parametrize("name", ["theorem1", "signed_zero"])
-def test_grid_epsilon_zero_rows_keep_the_base_points(name):
-    """Rows of epsilon 0 in a grid draw nothing and make one attempt, as
-    the single sample at epsilon 0 does, down to the sign of a zero."""
-    family = (_user_claims(SIGNED_ZERO_PROGRAM, name)[0]
-              if name == "signed_zero" else FAMILIES[name])
-    _assert_rows_are_single_samples(sample(family, (0.0, 0.5), 7, 30),
-                                    family, (0.0, 0.5), 7, 30)
+def test_epsilon_zero_judges_the_base_figure(monkeypatch, name):
+    """At epsilon 0 every sample is the base figure, down to the sign of
+    a zero: `verify` reports its single sample's judgement once per
+    sample, bit for bit.  A batch only draws: a grid that holds epsilon
+    0 raises ValueError before any draw."""
+    if name == "signed_zero":
+        family, claims = _user_claims(SIGNED_ZERO_PROGRAM, name)
+        assert _bits(sample(family, 0.0, 7).point("A").x) == _bits(-0.0)
+    else:
+        family, claims = FAMILIES[name], [CLAIMS["theorem1_equal"].claim]
+    scale = family.base_diameter()
+    base = [claim.evaluate(sample(family, 0.0, 7), scale=scale)
+            for claim in claims]
+    judged = deform._judge_rows(family, claims, (0.0,), 30, 7, range(30),
+                                scale)
+    assert [([_bits(r) for r in residuals], flags)
+            for residuals, flags in judged] == [
+        ([_bits(v.residual)] * 30, v.flags) for v in base]
+    for report, v in zip(verify(family, claims, 30, 0.0, 7), base):
+        assert _bits(report.max_residual) == _bits(v.residual)
+
+    def no_draw(*args):
+        raise AssertionError("a grid that holds epsilon 0 drew")
+
+    monkeypatch.setattr(deform, "_disk_draws", no_draw)
+    with pytest.raises(ValueError, match="epsilon 0 is the base figure"):
+        sample(family, (0.0, 0.5), 7, 30)
 
 
 def test_an_exhausted_row_names_its_last_attempt():
@@ -593,17 +631,22 @@ def test_grid_report_equals_block_by_block(monkeypatch, capsys, tmp_path):
 
 
 @pytest.mark.parametrize("program, claim, grid", [
-    # the first block cannot be judged, the last is not finite to deform
+    # the first block cannot be judged, and the last is not finite to
+    # deform: the last's error comes first
     (None, "theorem1_perp", "1e-300,1e-200,1.5e308"),
+    # the first block cannot be judged
     (None, "theorem1_perp", "1e-300,1e-200,1e308"),
+    # the last block is not finite to deform
     (None, "theorem1_perp", "1e-3,1e-2,1.5e308"),
     # the first block exhausts the rejection budget
     (DART_PROGRAM, None, "1e-3,1e-2,1e308"),
 ])
 def test_grid_errors_keep_the_per_draw_order(monkeypatch, capsys, tmp_path,
                                              program, claim, grid):
-    """The error a grid raises is the one the per-draw loop meets first,
-    epsilon by epsilon and then seed by seed: one `error:` line, exit 2."""
+    """An epsilon without a perturbation radius anywhere in a grid raises
+    before any draw, ahead of an error in an earlier block.  Any other
+    error a grid raises is the one the per-draw loop meets first, epsilon
+    by epsilon and then seed by seed: one `error:` line, exit 2."""
     if program is not None:
         claim = str(tmp_path / "prog.geo")
         (tmp_path / "prog.geo").write_text(program, encoding="utf-8")

@@ -147,14 +147,22 @@ def test_verify_program_parse_error_is_usage_error(capsys, tmp_path):
 
 
 def test_verify_eps_below_family_floor(capsys):
-    code, _, err = run_cli(capsys, "verify", "example2_concyclic",
-                           "--samples", "5", "--eps", "1e-9")
-    assert code == 2
-    assert err.strip()
-    code, out, err = run_cli(capsys, "verify", "example2_concyclic",
-                             "--samples", "3", "--eps-grid", "1e-8,1e-7,1e-5")
-    assert (code, out, err) == (
-        2, "", "error: epsilon 1e-08 below family floor 1e-06\n")
+    """An epsilon below a selected family's floor, alone or in a grid,
+    makes the invocation unusable before any claim is judged: exit 2,
+    nothing on stdout, and one `error:` line naming the first family and
+    epsilon that have no perturbation radius."""
+    floor = "error: family 'example2' requires epsilon >= 1e-06 (got {})\n"
+    for argv, got in [
+            (["example2_concyclic", "--samples", "5", "--eps", "1e-9"],
+             "1e-09"),
+            (["example2_concyclic", "--samples", "3",
+              "--eps-grid", "1e-8,1e-7,1e-5"], "1e-08"),
+            (["all", "--eps", "1e-7"], "1e-07"),
+            (["all", "--eps", "0", "--samples", "5"], "0.0"),
+            (["all", "--eps-grid", "1e-7,1e-6,1e-5", "--samples", "20"],
+             "1e-07")]:
+        assert run_cli(capsys, "verify", *argv) == (
+            2, "", floor.format(got)), argv
 
 
 def test_verify_bad_eps_grid_is_usage_error(capsys):
@@ -169,7 +177,7 @@ def test_verify_bad_eps_grid_is_usage_error(capsys):
         ": error: argument --eps-grid: --eps-grid is empty")
     # a non-finite value is named, wherever it stands in the grid; a
     # value that starts with "-" reads as it does glued on with "="
-    not_finite = "epsilon {} is not a finite number"
+    not_finite = "epsilon must be finite and >= 0, got {}"
     for flag, value, message in [
             ("--eps-grid", "0.001,0.01,0.1,nan", not_finite.format("nan")),
             ("--eps-grid", "nan,0.001,0.01,0.1", not_finite.format("nan")),

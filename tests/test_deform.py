@@ -214,8 +214,11 @@ def test_scaling_probe_flags_first_order_coincidence():
 def test_scaling_probe_epsilon_floor_respected():
     fam = FAMILIES["example2"]
     assert fam.epsilon_floor == 1e-6
-    assert not fam.admits(1e-9)
-    assert fam.admits(1e-3)
+    assert fam.radius(1e-6) == 1e-6 * fam.base_diameter()
+    for epsilon in (1e-9, 0.0):
+        with pytest.raises(ValueError, match="requires epsilon >= 1e-06"):
+            fam.radius(epsilon)
+    assert FAMILIES["theorem1"].radius(0.0) == 0.0
     with pytest.raises(ValueError):
         scaling_probe(fam, (CLAIMS["example2_concyclic"].claim,),
                       (1e-9, 1e-3), 10, 0)

@@ -3,7 +3,7 @@ writes and exits as recorded in `tests/golden/ledger.json`."""
 
 import json
 
-from ledger import INVOCATIONS, LEDGER, run, versions
+from ledger import INVOCATIONS, LEDGER, main, run, versions
 
 
 def _first_difference(want: dict, got: dict) -> str | None:
@@ -39,3 +39,21 @@ def test_every_invocation_gives_its_recorded_output():
     recorded = {k: ledger[k] for k in ("python", "numpy")}
     assert not mismatches, "\n".join(
         [*mismatches, f"(recorded with {recorded}, running {versions()})"])
+
+
+def test_a_rewrite_names_each_entry_it_adds_removes_or_changes(
+        monkeypatch, tmp_path, capsys):
+    shapes = {"name": "kept", "argv": ["shapes"], "files": {},
+              **run(["shapes"], {})}
+    path = tmp_path / "ledger.json"
+    path.write_text(json.dumps({"entries": [
+        shapes, {**shapes, "name": "edited", "exit": 1},
+        {**shapes, "name": "dropped"}]}), encoding="utf-8")
+    monkeypatch.setattr("ledger.INVOCATIONS", [
+        ("kept", ["shapes"], {}), ("edited", ["shapes"], {}),
+        ("new", ["shapes"], {})])
+    main(path)
+    assert capsys.readouterr().err.splitlines()[:-1] == [
+        "changed edited", "removed dropped", "added new"]
+    written = json.loads(path.read_text(encoding="utf-8"))["entries"]
+    assert [e["name"] for e in written] == ["kept", "edited", "new"]

@@ -109,7 +109,7 @@ def test_the_memo_holds_one_batch_read_only(monkeypatch):
             assert a.shape[0] <= BATCH_ROWS and a.tobytes() == b.tobytes()
     assert len(many.rounds) == len(one.rounds) == 3
     for key, (found, made, used) in many.rounds.items():
-        assert key[6] == range(BATCH_ROWS)  # the rows of the first batch
+        assert key[5] == range(BATCH_ROWS)  # the rows of the first batch
         arrays = [made, used, *(a for owner, pts in found
                                 for a in (owner, *(c for p in pts
                                                    for c in (p.x, p.y))))]
