@@ -73,17 +73,79 @@ def _tool_tag() -> str:
     return f"geodeform {__version__}"
 
 
-def _json_text(document: dict) -> str:
-    """The report as text; ValueError when a number in it is not finite
-    (JSON has no Infinity or NaN)."""
-    import json
+# json's C string encoder, bound on first use: `render` and `shapes`
+# never load json
+_quote: Callable[[str], str] | None = None
 
-    return json.dumps(document, indent=2, allow_nan=False) + "\n"
+
+def _json_text(document: dict) -> str:
+    """The report as `json.dumps(document, indent=2, allow_nan=False)`
+    writes it, and a newline; ValueError when a number in it is not finite
+    (JSON has no Infinity or NaN), TypeError for a value JSON has no form
+    for or a key that is not a str.  (json's own indenting encoder is pure
+    Python, and leaves a reference cycle behind each call.)"""
+    global _quote
+    if _quote is None:
+        import json.encoder
+
+        _quote = json.encoder.encode_basestring_ascii
+    out: list[str] = []
+    _put_json(document, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _put_json(value, out: list[str], newline: str) -> None:
+    """Append `value` to `out`, its lines after the first starting with
+    `newline` (a line break and the indent of `value`)."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError("Out of range float values are not JSON "
+                             "compliant: " + repr(value))
+        out.append(float.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _put_json(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():  # a key that is not a str: TypeError
+            out.append(sep + _quote(key) + ": ")
+            _put_json(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} "
+                        f"is not JSON serializable")
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+    """Write `text` to `path` as UTF-8, its line ends as they are; text
+    that does not encode leaves no file behind."""
+    data = text.encode("utf-8")
+    with open(path, "wb") as handle:
+        handle.write(data)
 
 
 def _finite(value: float | None) -> float | None:
@@ -271,12 +333,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _parse_overrides(pairs: list[str]) -> dict[str, float]:
     overrides: dict[str, float] = {}
+    read = _ascii(float)
     for pair in pairs:
         name, sep, value = pair.partition("=")
         if not sep or not name:
             raise ValueError(f"--param wants name=value, got {pair!r}")
         try:
-            number = _ascii(float)(value)
+            number = read(value)
         except ValueError:
             number = math.nan  # reported as not finite, below
         if not math.isfinite(number):
@@ -463,6 +526,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_NEGATIVE_NUMBER = re.compile(r"-(?:[0-9.]|inf|nan)", re.I).match
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # argparse reads a value that starts with "-" and is not a plain
@@ -471,7 +537,7 @@ def main(argv: list[str] | None = None) -> int:
     end = argv.index("--") if "--" in argv else len(argv)
     for i in reversed(range(1, end)):
         if (argv[i - 1].startswith("--") and "=" not in argv[i - 1]
-                and re.match(r"-(?:[0-9.]|inf|nan)", argv[i], re.I)):
+                and _NEGATIVE_NUMBER(argv[i])):
             argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = _build_parser().parse_args(argv)
     # a warning prints as an error does, the same line wherever the package

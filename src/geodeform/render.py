@@ -28,9 +28,10 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
-def _fmt(value: float) -> str:
-    out = f"{value:.4f}"
-    return "0.0000" if out == "-0.0000" else out
+def _numbers(template: str, values: tuple) -> str:
+    """`template % values`, its every number a `%.4f` (as f"{v:.4f}"), with
+    -0.0000 written as 0.0000."""
+    return (template % values).replace("-0.0000", "0.0000")
 
 
 def _bounds(config: Configuration) -> tuple[float, float, float, float]:
@@ -65,40 +66,42 @@ def render_svg(config: Configuration) -> str:
         raise ValueError("the figure is too large to draw: its pixel "
                          "frame is not finite")
 
-    def to_px(p: Point) -> tuple[float, float]:
-        return p.x * PX_PER_UNIT, -p.y * PX_PER_UNIT
-
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_fmt(width)}" height="{_fmt(height)}" '
-        f'viewBox="{_fmt(px0)} {_fmt(py0)} {_fmt(width)} {_fmt(height)}">',
+        _numbers('<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+                 'width="%.4f" height="%.4f" viewBox="%.4f %.4f %.4f %.4f">',
+                 (width, height, px0, py0, width, height)),
     ]
 
     for a, b in config.edges:
-        xa, ya = to_px(config.point(a))
-        xb, yb = to_px(config.point(b))
-        parts.append(f'<line x1="{_fmt(xa)}" y1="{_fmt(ya)}" '
-                     f'x2="{_fmt(xb)}" y2="{_fmt(yb)}" '
-                     'stroke="black" stroke-width="1"/>')
+        pa, pb = config.point(a), config.point(b)
+        parts.append(_numbers(
+            '<line x1="%.4f" y1="%.4f" x2="%.4f" y2="%.4f" '
+            'stroke="black" stroke-width="1"/>',
+            (pa.x * PX_PER_UNIT, -pa.y * PX_PER_UNIT,
+             pb.x * PX_PER_UNIT, -pb.y * PX_PER_UNIT)))
 
     for obj in config.objects.values():
         if isinstance(obj, Circle):
-            cx, cy = to_px(obj.center)
-            parts.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
-                         f'r="{_fmt(obj.radius * PX_PER_UNIT)}" '
-                         'fill="none" stroke="black" stroke-width="1"/>')
+            parts.append(_numbers(
+                '<circle cx="%.4f" cy="%.4f" r="%.4f" '
+                'fill="none" stroke="black" stroke-width="1"/>',
+                (obj.center.x * PX_PER_UNIT, -obj.center.y * PX_PER_UNIT,
+                 obj.radius * PX_PER_UNIT)))
 
     for label, obj in config.objects.items():
         if not isinstance(obj, Point):
             continue
-        x, y = to_px(obj)
-        parts.append(f'<circle class="point" cx="{_fmt(x)}" cy="{_fmt(y)}" '
-                     f'r="{_fmt(POINT_RADIUS_PX)}" '
-                     'fill="white" stroke="black" stroke-width="1"/>')
-        parts.append(f'<text x="{_fmt(x + 4.0)}" y="{_fmt(y - 4.0)}" '
-                     f'font-size="10" font-family="serif">'
-                     f'{_escape(label)}</text>')
+        x, y = obj.x * PX_PER_UNIT, -obj.y * PX_PER_UNIT
+        parts.append(_numbers(
+            '<circle class="point" cx="%.4f" cy="%.4f" r="%.4f" '
+            'fill="white" stroke="black" stroke-width="1"/>',
+            (x, y, POINT_RADIUS_PX)))
+        # the label goes in after the numbers' fix, kept as given
+        parts.append(_numbers('<text x="%.4f" y="%.4f" '
+                              'font-size="10" font-family="serif">',
+                              (x + 4.0, y - 4.0))
+                     + _escape(label) + "</text>")
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -106,6 +109,6 @@ def render_svg(config: Configuration) -> str:
 
 def render(config: Configuration, path: str) -> None:
     """Write the configuration's SVG to `path` (UTF-8)."""
-    document = render_svg(config)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(document)
+    data = render_svg(config).encode("utf-8")
+    with open(path, "wb") as handle:
+        handle.write(data)

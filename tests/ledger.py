@@ -42,6 +42,18 @@ SCRIPTS = sorted(p.stem for p in (ROOT / "scripts").glob("*.geo"))
 
 REPORT, FIGURE = "$TMP/report.json", "$TMP/figure.svg"
 
+# no params, and a description with a backslash, a tab and non-ASCII
+# letters: the reports' string escapes and `"params": {}`
+ESCAPES_PROGRAM = """\
+point A = (0, 0)
+point B = (4, 0.3)
+point C = (1.2, 3.1)
+deform A B C about (0, 0) (1, 0) (0.5, 0.8660254037844386)
+point G = centroid(A, B, C)
+point M = midpoint(B, C)
+assert collinear(A, G, M) as median "Schwerpunkt\tauf der \\ Seitenhalbierenden: Größe égale"
+"""
+
 # (name, argv, {input file name: its text})
 INVOCATIONS: list[tuple[str, list[str], dict[str, str]]] = [
     *((f"verify_all_seed_{seed}",
@@ -82,6 +94,12 @@ INVOCATIONS: list[tuple[str, list[str], dict[str, str]]] = [
     ("verify_all_kinds",
      ["verify", "$TMP/all_kinds.geo", "--json", REPORT, "--svg", FIGURE],
      {"all_kinds.geo": ALL_KINDS_PROGRAM}),
+    ("verify_escapes",
+     ["verify", "$TMP/escapes.geo", "--samples", "20", "--json", REPORT],
+     {"escapes.geo": ESCAPES_PROGRAM}),
+    ("run_escapes",
+     ["run", "$TMP/escapes.geo", "--json", REPORT, "--svg", FIGURE],
+     {"escapes.geo": ESCAPES_PROGRAM}),
     ("shapes", ["shapes"], {}),
     ("verify_unknown_claim", ["verify", "nosuch"], {}),
     ("verify_empty_eps_grid", ["verify", "all", "--eps-grid", ","], {}),

@@ -2,7 +2,9 @@
 
 import argparse
 import dataclasses
+import gc
 import json
+import math
 import os
 import pathlib
 import re
@@ -12,6 +14,8 @@ from importlib import metadata
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geodeform import cli, script
 from geodeform.catalog import CLAIMS, claim_names
@@ -256,6 +260,19 @@ def test_start_up_loads_no_network_or_xml_modules():
     loaded = [m for m in _modules_after()
               if m.split(".")[0] in ("urllib", "http", "email", "xml")]
     assert set(loaded) <= {"urllib", "urllib.parse"}, loaded
+
+
+@pytest.mark.parametrize("argv, loads_json", [
+    ((), False),
+    (("render", "crown", "--out", "{tmp}/crown.svg"), False),
+    (("shapes",), False),
+    (("run", "scripts/example3.geo", "--json", "{tmp}/run.json"), True),
+])
+def test_only_a_json_report_loads_json(tmp_path, argv, loads_json):
+    """Start-up, `render` and `shapes` load no json module; the report
+    writer binds json's string encoder on first use."""
+    modules = _modules_after(*(a.format(tmp=tmp_path) for a in argv))
+    assert any(m.split(".")[0] == "json" for m in modules) == loads_json
 
 
 @pytest.mark.parametrize("argv, loads_numpy", [
@@ -987,3 +1004,66 @@ def test_console_entry_point():
     assert ep.load() is main
     if installed is not None:
         assert installed == [declared]
+
+
+# ---------------------------------------------------------------------------
+# the report writer
+
+_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x08\t\n\x1f\x7f'
+                                          '\u00e9\u00df\u2028\ud800'
+                                          '\U0001f600'),
+                          st.characters()))
+_LEAF = st.one_of(
+    _TEXT, st.none(), st.booleans(), st.integers(),
+    st.integers(-10**300, 10**300),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, -1e-7, 1e16]))
+_DOCUMENT = st.recursive(
+    _LEAF, lambda inner: st.one_of(st.lists(inner, max_size=4),
+                                   st.lists(inner, max_size=4).map(tuple),
+                                   st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=25)
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(_DOCUMENT)
+def test_report_text_is_json_dumps_indent_2(document):
+    assert cli._json_text(document) == json.dumps(
+        document, indent=2, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_report_text_refuses_a_non_finite_float_as_json_does(value):
+    document = {"claims": [{"max_residual": 1.0}, {"max_residual": value}]}
+    with pytest.raises(ValueError) as want:
+        json.dumps(document, indent=2, allow_nan=False)
+    with pytest.raises(ValueError) as got:
+        cli._json_text(document)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("document", [{"a": [object()]}, {1: "x"}, {1.5}])
+def test_report_text_refuses_what_it_has_no_form_for(document):
+    with pytest.raises(TypeError):
+        cli._json_text(document)
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "scripts/example3.geo", "--json", "{tmp}/run.json",
+     "--svg", "{tmp}/run.svg"),
+    ("verify", "theorem1_perp", "--samples", "20", "--json",
+     "{tmp}/verify.json"),
+])
+def test_a_command_with_reports_leaves_no_cyclic_garbage(capsys, tmp_path,
+                                                         argv):
+    """After a first call, which loads modules and builds the parser, a
+    call leaves nothing for the cycle collector."""
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert main(argv) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -3,10 +3,12 @@
 from importlib.resources import files
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geodeform.configurations import Configuration
-from geodeform.core import Point
-from geodeform.render import render, render_svg
+from geodeform.core import Circle, Point
+from geodeform.render import _bounds, _escape, render, render_svg
 from geodeform.script import evaluate, parse
 
 SHAPES = files("geodeform") / "shapes"
@@ -135,3 +137,106 @@ def test_a_large_frame_that_fits_is_drawn():
     svg = render_svg(simple_config({"A": Point(-1e300, 0.0),
                                     "B": Point(1e300, 0.0)}))
     assert "inf" not in svg and "nan" not in svg
+
+
+# ---------------------------------------------------------------------------
+# the writer against a per-value oracle
+
+def _fmt(value):
+    out = f"{value:.4f}"
+    return "0.0000" if out == "-0.0000" else out
+
+
+def oracle_svg(config):
+    """The SVG as the writer that formatted each number on its own wrote
+    it, frame check aside."""
+    xmin, ymin, xmax, ymax = _bounds(config)
+    span = max(xmax - xmin, ymax - ymin)
+    if span == 0.0:
+        span = 1.0
+    pad = 0.05 * span
+    px0 = (xmin - pad) * 100.0
+    py0 = -(ymax + pad) * 100.0
+    width = (xmax - xmin + 2.0 * pad) * 100.0
+    height = (ymax - ymin + 2.0 * pad) * 100.0
+
+    def to_px(p):
+        return p.x * 100.0, -p.y * 100.0
+
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{_fmt(width)}" height="{_fmt(height)}" '
+        f'viewBox="{_fmt(px0)} {_fmt(py0)} {_fmt(width)} {_fmt(height)}">',
+    ]
+    for a, b in config.edges:
+        xa, ya = to_px(config.point(a))
+        xb, yb = to_px(config.point(b))
+        parts.append(f'<line x1="{_fmt(xa)}" y1="{_fmt(ya)}" '
+                     f'x2="{_fmt(xb)}" y2="{_fmt(yb)}" '
+                     'stroke="black" stroke-width="1"/>')
+    for obj in config.objects.values():
+        if isinstance(obj, Circle):
+            cx, cy = to_px(obj.center)
+            parts.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
+                         f'r="{_fmt(obj.radius * 100.0)}" '
+                         'fill="none" stroke="black" stroke-width="1"/>')
+    for label, obj in config.objects.items():
+        if not isinstance(obj, Point):
+            continue
+        x, y = to_px(obj)
+        parts.append(f'<circle class="point" cx="{_fmt(x)}" cy="{_fmt(y)}" '
+                     f'r="{_fmt(2.0)}" '
+                     'fill="white" stroke="black" stroke-width="1"/>')
+        parts.append(f'<text x="{_fmt(x + 4.0)}" y="{_fmt(y - 4.0)}" '
+                     f'font-size="10" font-family="serif">'
+                     f'{_escape(label)}</text>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+# near 0 in pixels (-0.0000 unfixed), near -4 and 4 pixels (the label's
+# offsets), and large
+_COORD = st.one_of(
+    st.floats(-5e-7, 0.0), st.floats(-5e-5, 5e-5), st.sampled_from([-0.0]),
+    st.floats(-0.04 - 1e-6, -0.04 + 1e-6), st.floats(0.04 - 1e-6, 0.04 + 1e-6),
+    st.floats(-1e300, 1e300), st.floats(-1e3, 1e3))
+_RADIUS = st.one_of(st.floats(0.0, 5e-7), st.floats(0.0, 1e3))
+_LABELS = ["A", "B'", "-0.0000", "a<&>b", "x&amp;y", "\u00e9", "P-0.0000"]
+
+
+@st.composite
+def _figures(draw):
+    labels = draw(st.lists(st.sampled_from(_LABELS), min_size=1, max_size=6,
+                           unique=True))
+    objects = {label: (Circle(Point(draw(_COORD), draw(_COORD)),
+                              draw(_RADIUS)) if draw(st.booleans())
+                       else Point(draw(_COORD), draw(_COORD)))
+               for label in labels}
+    points = [label for label, obj in objects.items()
+              if isinstance(obj, Point) and label.isascii()]
+    edges = (draw(st.lists(st.tuples(st.sampled_from(points),
+                                     st.sampled_from(points)), max_size=4))
+             if points else [])
+    # the constructor takes ASCII labels only; a caller can still put any
+    # label in the dict it holds, and the writer keeps it as given
+    config = Configuration({k: v for k, v in objects.items() if k.isascii()},
+                           {}, tuple(edges))
+    config.objects.update(objects)
+    return config
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(_figures())
+def test_the_writer_matches_the_per_value_oracle(config):
+    assert render_svg(config) == oracle_svg(config)
+
+
+def test_a_label_is_written_as_given_in_utf8(tmp_path):
+    config = simple_config({"A": Point(-1e-9, 0.0)})
+    config.objects["-0.0000 \u00e9"] = Point(1.0, 2e-7)
+    path = tmp_path / "fig.svg"
+    render(config, str(path))
+    data = path.read_bytes()
+    assert data == oracle_svg(config).encode("utf-8")
+    assert '"serif">-0.0000 \u00e9</text>'.encode("utf-8") in data
