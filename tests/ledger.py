@@ -111,6 +111,23 @@ INVOCATIONS: list[tuple[str, list[str], dict[str, str]]] = [
                          "point C = (0, 1)\n"
                          "deform A B C about (0, 0) (1, 0) (0, 1)\n"
                          "assert perspective(A, B, C, A, B, C) as p \"x\"\n"}),
+    # argument parsing: help, usage errors, and the spellings argparse
+    # accepts for a valid invocation
+    ("no_arguments", [], {}),
+    ("help", ["-h"], {}),
+    *((f"{command}_help", [command, "-h"], {})
+      for command in ("run", "verify", "render")),
+    ("unknown_command", ["nosuch"], {}),
+    ("shapes_extra_argument", ["shapes", "extra"], {}),
+    ("run_extra_argument", ["run", "scripts/eps_demo.geo", "extra"], {}),
+    ("run_param_without_value", ["run", "scripts/eps_demo.geo", "--param"],
+     {}),
+    ("run_without_path", ["run"], {}),
+    ("run_after_double_dash", ["run", "--", "scripts/eps_demo.geo"], {}),
+    ("verify_abbreviated_flag", ["verify", "theorem1_perp", "--sam", "3"],
+     {}),
+    ("run_equals_forms",
+     ["run", "scripts/eps_demo.geo", "--param=eps=0.3", "--tol=1e-3"], {}),
 ]
 
 _WALL_TIME = re.compile(r'("wall_time_s": )[^,\n}]+')
