@@ -19,7 +19,9 @@ claim or assertion held, 1 means at least one did not, 2 means the
 invocation itself was unusable (bad flags, unknown claim, unreadable or
 malformed script, a verified program without `deform` or named assert,
 an epsilon a selected family does not admit, unwritable output, no valid
-deformation within the rejection budget).
+deformation within the rejection budget).  A valid invocation's arguments
+are parsed once, by its subcommand's parser; the top-level parser only
+prints help or a usage error.
 """
 
 from __future__ import annotations
@@ -477,9 +479,12 @@ def cmd_render(args: argparse.Namespace) -> int:
 # argument parsing
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process: parsing keeps no state in
-    it, so every `main` of a process shares it."""
+def _build_parser() -> tuple[argparse.ArgumentParser,
+                             dict[str, argparse.ArgumentParser]]:
+    """The CLI's parser and its subcommands' parsers by name, built once
+    per process: parsing keeps no state in them, so every `main` of a
+    process shares them.  A valid invocation is parsed once, by its
+    subcommand's parser (`_parse_args`)."""
     parser = argparse.ArgumentParser(
         prog="geodeform",
         description="Verify geometric coincidences under random deformation.")
@@ -523,7 +528,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p_render.add_argument("--param", action="append", default=[],
                           metavar="NAME=VALUE")
     p_render.set_defaults(func=cmd_render)
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """`argv` parsed as the top-level parser's `parse_args` parses it, but
+    for the `command` it leaves out.  An argv that starts with a
+    subcommand goes straight to that subcommand's parser, as the
+    subparsers action would hand it on, and is scanned once; any other
+    argv is help or a usage error, which the top-level parser gives."""
+    parser, commands = _build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 _NEGATIVE_NUMBER = re.compile(r"-(?:[0-9.]|inf|nan)", re.I).match
@@ -539,7 +560,7 @@ def main(argv: list[str] | None = None) -> int:
         if (argv[i - 1].startswith("--") and "=" not in argv[i - 1]
                 and _NEGATIVE_NUMBER(argv[i])):
             argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(argv)
     # a warning prints as an error does, the same line wherever the package
     # is; the filters stay, so `-W error` still raises, and entering the
     # block lets every call show its warnings again

@@ -21,6 +21,7 @@ from geodeform import cli, script
 from geodeform.catalog import CLAIMS, claim_names
 from geodeform.cli import main
 from geodeform.script import parse
+from ledger import INVOCATIONS
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -620,6 +621,71 @@ def test_one_parser_serves_every_call_of_a_process(capsys, monkeypatch,
     assert run() == first
     # the top-level parser and one per subcommand, each built once
     assert len(built) == len(set(built)) == 5 and "geodeform" in built
+
+
+# argv beyond the ledger's: help glued to a value or after other flags,
+# "--" before the command, an abbreviation argparse finds ambiguous, a
+# command in the wrong case, and leftovers after a valid parse
+_PARSE_EDGES = {
+    "help_abbreviated": ["run", "x.geo", "--he"],
+    "help_with_a_value": ["run", "x.geo", "-hx"],
+    "help_then_command": ["-h", "run"],
+    "help_then_extra": ["run", "-h", "extra"],
+    "dash_before_command": ["--", "run", "x.geo"],
+    "dash_after_path": ["run", "x.geo", "--", "--json"],
+    "dash_in_claims": ["verify", "all", "--", "nosuch"],
+    "ambiguous_abbreviation": ["verify", "all", "--s", "3"],
+    "unknown_flag": ["verify", "all", "--bogus", "x"],
+    "two_leftovers": ["shapes", "a", "-b"],
+    "command_in_capitals": ["RUN", "x.geo"],
+    "invalid_value": ["run", "x.geo", "--tol", "0"],
+    "glued_negative": ["verify", "all", "--eps=-1e-3"],
+    "render_without_out": ["render", "crown"],
+    "repeated_params": ["render", "crown", "--out", "f.svg", "--param",
+                        "a=1", "--param=b=2"],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    *(pytest.param(argv, id=name) for name, argv, _ in INVOCATIONS),
+    *(pytest.param(argv, id=name) for name, argv in _PARSE_EDGES.items())])
+def test_dispatch_parses_as_the_top_level_parser(capsys, monkeypatch, argv):
+    """`main`'s dispatch to a subcommand's parser gives what the top-level
+    parser's `parse_args` gives, but for the `command` no one reads: the
+    same arguments, or the same exit and the same help or usage text."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to it
+    parser, _ = cli._build_parser()
+
+    def parsed(parse):
+        try:
+            args = vars(parse(list(argv)))
+        except SystemExit as exc:
+            return exc.code, capsys.readouterr()
+        args.pop("command", None)
+        return args, capsys.readouterr()
+
+    assert parsed(cli._parse_args) == parsed(parser.parse_args)
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "render", "shapes"])
+def test_a_valid_invocation_is_parsed_once(capsys, monkeypatch, tmp_path,
+                                           command):
+    """Only the subcommand's parser scans the arguments: the top-level
+    parser, which would scan them all again, is not asked."""
+    argv = {"run": ["run", str(SCRIPTS / "bisector.geo"), "--param", "ax=0.05"],
+            "verify": ["verify", "theorem1_perp", "--samples", "5"],
+            "render": ["render", "crown", "--out", str(tmp_path / "f.svg")],
+            "shapes": ["shapes"]}[command]
+    scanned = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        scanned.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    assert run_cli(capsys, *argv)[0] == 0
+    assert scanned == [f"geodeform {command}"]
 
 
 def test_run_missing_file(capsys, tmp_path):
