@@ -367,8 +367,8 @@ def _read_program(path: str | Traversable, hint: str | None = None):
     except UnicodeDecodeError:
         print(f"error: {path}: the file is not UTF-8 text", file=sys.stderr)
         return None
-    try:
-        return parse(source)
+    try:  # a byte-order mark, as Windows Notepad writes, is not source
+        return parse(source.removeprefix("\ufeff"))
     except ParseError as exc:
         print(f"{path}:{exc.line}:{exc.col}: {exc.message}", file=sys.stderr)
         return None

@@ -100,6 +100,9 @@ INVOCATIONS: list[tuple[str, list[str], dict[str, str]]] = [
     ("run_escapes",
      ["run", "$TMP/escapes.geo", "--json", REPORT, "--svg", FIGURE],
      {"escapes.geo": ESCAPES_PROGRAM}),
+    ("run_byte_order_mark",
+     ["run", "$TMP/marked.geo", "--json", REPORT, "--svg", FIGURE],
+     {"marked.geo": "\ufeff" + ESCAPES_PROGRAM}),
     ("shapes", ["shapes"], {}),
     ("verify_unknown_claim", ["verify", "nosuch"], {}),
     ("verify_empty_eps_grid", ["verify", "all", "--eps-grid", ","], {}),

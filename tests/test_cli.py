@@ -583,6 +583,32 @@ def test_a_program_that_is_not_utf8_is_usage_error(capsys, tmp_path,
     assert not svg.exists()
 
 
+@pytest.mark.parametrize("command", [["run"], ["verify", "--samples", "5"],
+                                     ["render"]])
+def test_a_leading_byte_order_mark_is_skipped(capsys, tmp_path, command):
+    """A program saved with a UTF-8 byte-order mark, as Windows Notepad
+    writes it, gives what the same program without one gives; a second
+    mark is a character the program does not have."""
+    def outputs(name, prefix):
+        path = tmp_path / name
+        path.write_bytes(prefix + USER_FIGURE.encode())
+        svg = tmp_path / f"{name}.svg"
+        option = "--out" if command == ["render"] else "--svg"
+        code, out, err = run_cli(capsys, *command, str(path), option, str(svg))
+        return code, out, err.replace(str(path), "PATH"), svg.read_text()
+
+    plain = outputs("plain.geo", b"")
+    assert plain[0] in (0, 1)
+    assert outputs("marked.geo", b"\xef\xbb\xbf") == plain
+    twice = tmp_path / "twice.geo"
+    twice.write_bytes(b"\xef\xbb\xbf" * 2 + USER_FIGURE.encode())
+    code, out, err = run_cli(capsys, *command, str(twice),
+                             *(["--out", str(tmp_path / "f.svg")]
+                               if command == ["render"] else []))
+    assert (code, out) == (2, "")
+    assert err == f"{twice}:1:1: unexpected character '\\ufeff'\n"
+
+
 def test_one_parser_serves_every_call_of_a_process(capsys, monkeypatch,
                                                    tmp_path):
     """The parser is built once per process, and no call leaves anything
