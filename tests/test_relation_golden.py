@@ -1,9 +1,9 @@
 """Golden residuals: the bits every relation kind gives on fixed figures.
 
-For each kind, six figures: in general position, on the kind's locus,
+For each kind, seven figures: in general position, on the kind's locus,
 on one line, a cluster of coincident points, a generic figure a thousand
-sizes from the origin, and a generic figure judged against an external
-scale.  Each records the `float.hex` of the residual and the flags, or the
+sizes from the origin, a generic figure judged against an external
+scale, and the cluster judged against that scale.  Each records the `float.hex` of the residual and the flags, or the
 class of the error that `evaluate_relation` raises.  A change to a
 detector's arithmetic or to its order of operations shows here as a
 changed bit."""
@@ -31,7 +31,7 @@ ON_LOCUS = {
 
 
 def fixtures(kind):
-    """(name, points, scale) for the six figures of `kind`."""
+    """(name, points, scale) for the seven figures of `kind`."""
     n = RELATIONS[kind][0]
     generic = [Point(x, y) for x, y in GENERIC[:n]]
     return [
@@ -42,6 +42,7 @@ def fixtures(kind):
         ("far", [Point(x + 3000.0, y - 2000.0) for x, y in GENERIC[:n]],
          None),
         ("scaled", generic, 10.0),
+        ("cluster_scaled", [Point(0.3, 0.7)] * n, 10.0),
     ]
 
 
@@ -61,6 +62,7 @@ GOLDEN = {
         "cluster": ("0x0.0p+0", ("coincident_cluster",)),
         "far": ("0x1.eee6fd4266e59p-3", ()),
         "scaled": ("0x1.6a461de6778aap-5", ()),
+        "cluster_scaled": ("0x0.0p+0", ("coincident_cluster",)),
     },
     "concyclic": {
         "generic": ("0x1.0d384e6dc6155p-4", ()),
@@ -69,6 +71,7 @@ GOLDEN = {
         "cluster": ("0x0.0p+0", ("coincident_cluster",)),
         "far": ("0x1.0d384e6dc6793p-4", ()),
         "scaled": ("0x1.8a24d5bfd312dp-7", ()),
+        "cluster_scaled": ("0x0.0p+0", ("coincident_cluster",)),
     },
     "concurrent": {
         "generic": ("0x1.d4a153eda64d9p-5", ()),
@@ -77,6 +80,7 @@ GOLDEN = {
         "cluster": "CoincidentPoints",
         "far": ("0x1.d4a153edaadecp-5", ()),
         "scaled": ("0x1.d4a153eda64d9p-5", ()),
+        "cluster_scaled": "CoincidentPoints",
     },
     "perpendicular": {
         "generic": ("0x1.fc8f1af6e1f83p-1", ()),
@@ -85,6 +89,7 @@ GOLDEN = {
         "cluster": "CoincidentPoints",
         "far": ("0x1.fc8f1af6e1e61p-1", ()),
         "scaled": ("0x1.fc8f1af6e1f83p-1", ()),
+        "cluster_scaled": "CoincidentPoints",
     },
     "equal_length": {
         "generic": ("0x1.d204968316b41p-3", ()),
@@ -93,6 +98,7 @@ GOLDEN = {
         "cluster": ("0x0.0p+0", ("coincident_cluster",)),
         "far": ("0x1.d20496831535dp-3", ()),
         "scaled": ("0x1.5521558d9fd26p-5", ()),
+        "cluster_scaled": ("0x0.0p+0", ("coincident_cluster",)),
     },
     "on_conic": {
         "generic": ("0x1.a371c772ab763p-3", ()),
@@ -101,6 +107,7 @@ GOLDEN = {
         "cluster": "DegeneratePosition",
         "far": ("0x1.a371c772ab1efp-3", ()),
         "scaled": ("0x1.a371c772ab763p-3", ()),
+        "cluster_scaled": "DegeneratePosition",
     },
     "midpoints_coincide": {
         "generic": ("0x1.53eea695b8696p-1", ()),
@@ -109,6 +116,7 @@ GOLDEN = {
         "cluster": ("0x0.0p+0", ("coincident_cluster",)),
         "far": ("0x1.53eea695b7fa5p-1", ()),
         "scaled": ("0x1.f1ab10122cc0ep-4", ()),
+        "cluster_scaled": ("0x0.0p+0", ("coincident_cluster",)),
     },
 }
 
