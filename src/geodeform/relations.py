@@ -13,8 +13,11 @@ A detector returns the residual; the threshold that judges it is the
 caller's (`passed` reads REL_TOL, the default).  The degeneracy guards
 inside the detectors are the fixed FLOOR and GUARD of `core`.
 
-Each relation kind is one row of RELATIONS: its point counts and its
-detector, reached through `evaluate_relation`.  Every detector takes
+Each relation kind is one row of RELATIONS: its point counts, whether
+it reads the claim's scale, and its detector, reached through
+`evaluate_relation`.  That function puts the points in their normalized
+frame and, for a kind that reads the scale, passes a coincident cluster
+without measuring it; a detector only measures.  Every detector takes
 points whose coordinates are floats or float64 arrays, one row per
 sample, like the constructions of `core`; a branch between verdicts goes
 through `_branch`, so the flags of a batch are those of the rows that
@@ -125,16 +128,17 @@ class RelationVerdict:
 # ---------------------------------------------------------------------------
 # normalization
 
-def _normalized(points: Sequence[Point],
-                scale: float | None = None) -> tuple[list[Point], float, float]:
+def _normalized(points: Sequence[Point], scale: float | None = None
+                ) -> tuple[list[Point], float, float, float]:
     """Points divided by a power-of-two snap of the normalization scale.
 
     The scale defaults to the points' own diameter; callers checking a
     label subset of a larger configuration pass the configuration diameter
     instead, so that defects of a collapsing subset are still measured
     against the whole figure.  Returns the scaled points, their diameter in
-    the scaled frame, and the normalization denominator in that frame.
-    Power of two, because dividing by it is exact.
+    the scaled frame, the normalization denominator in that frame, and the
+    power of two divided by.  Power of two, because dividing by it is
+    exact.
     """
     cloud = diameter(points)
     basis = cloud if scale is None else scale
@@ -142,7 +146,7 @@ def _normalized(points: Sequence[Point],
     tiny = basis <= FLOOR * _local_scale(*points)
     snap = pow2_near(where(tiny, 1.0, basis))
     return ([p / snap for p in points], where(tiny, 0.0, cloud / snap),
-            where(tiny, 0.0, basis / snap))
+            where(tiny, 0.0, basis / snap), snap)
 
 
 def _branch(cond, then: Callable[[], RelationVerdict],
@@ -168,22 +172,14 @@ def _branch(cond, then: Callable[[], RelationVerdict],
         taken.flags + tuple(f for f in other.flags if f not in taken.flags))
 
 
-def _cluster(kind: str) -> Callable[[], RelationVerdict]:
-    """The verdict on a coincident cluster: there is nothing to measure."""
-    return lambda: RelationVerdict(kind, 0.0, ("coincident_cluster",))
-
-
 # ---------------------------------------------------------------------------
 # point-set detectors
+#
+# Each takes the normalized points q, their diameter dq and the
+# denominator, both in the frame of q (see `_normalized`).
 
-def _collinear(points: Sequence[Point], scale) -> RelationVerdict:
+def _collinear(q: Sequence[Point], dq, denom) -> RelationVerdict:
     """Total-least-squares line fit; residual is the worst normal deviation."""
-    q, dq, denom = _normalized(points, scale)
-    return _branch(dq == 0.0, _cluster("collinear"),
-                   lambda: _line_fit(q, denom))
-
-
-def _line_fit(q: Sequence[Point], denom: float) -> RelationVerdict:
     cx = sum(p.x for p in q) / len(q)
     cy = sum(p.y for p in q) / len(q)
     sxx = sum((p.x - cx) * (p.x - cx) for p in q)
@@ -230,20 +226,14 @@ def _pick(points: Sequence[Point], index) -> Point:
     return picked
 
 
-def _concyclic(points: Sequence[Point], scale) -> RelationVerdict:
+def _concyclic(q: Sequence[Point], dq, denom) -> RelationVerdict:
     """Circle through the widest-spread triple; residual is the worst
     radial deviation of the remaining points."""
-    q, dq, denom = _normalized(points, scale)
-
-    def fit() -> RelationVerdict:
-        i, j, k, area = _anchor_triple(q)
-        return _branch(area <= GUARD * dq * dq, flat,
-                       lambda: circle_fit(i, j, k))
 
     def flat() -> RelationVerdict:
         # every triple is flat: fall back to the line fit, which flags
-        # nothing of its own here (its cloud is the same, so not a cluster)
-        return RelationVerdict("concyclic", _line_fit(q, denom).residual,
+        # nothing of its own
+        return RelationVerdict("concyclic", _collinear(q, dq, denom).residual,
                                ("collinear_witness",))
 
     def circle_fit(i, j, k) -> RelationVerdict:
@@ -256,13 +246,14 @@ def _concyclic(points: Sequence[Point], scale) -> RelationVerdict:
             for t, p in enumerate(q))) / denom
         return RelationVerdict.from_residual("concyclic", residual)
 
-    return _branch(dq == 0.0, _cluster("concyclic"), fit)
+    i, j, k, area = _anchor_triple(q)
+    return _branch(area <= GUARD * dq * dq, flat,
+                   lambda: circle_fit(i, j, k))
 
 
-def _perpendicular(points: Sequence[Point], scale) -> RelationVerdict:
+def _perpendicular(q: Sequence[Point], dq, denom) -> RelationVerdict:
     """Cosine of the angle between the segments p1p2 and q1q2 of the
     points (p1, p2, q1, q2); the scale does not enter an angle."""
-    q, dq, _ = _normalized(points)
     guard(dq == 0.0, CoincidentPoints,
           "perpendicularity of zero-length segments")
     u = q[1] - q[0]
@@ -274,29 +265,21 @@ def _perpendicular(points: Sequence[Point], scale) -> RelationVerdict:
     return RelationVerdict.from_residual("perpendicular", residual)
 
 
-def _equal_length(points: Sequence[Point], scale) -> RelationVerdict:
+def _equal_length(q: Sequence[Point], dq, denom) -> RelationVerdict:
     """Points taken as consecutive segment endpoint pairs; residual is the
     largest pairwise length difference over the diameter."""
-    q, dq, denom = _normalized(points, scale)
-
-    def compare() -> RelationVerdict:
-        lengths = [dist(q[t], q[t + 1]) for t in range(0, len(q), 2)]
-        residual = maximum(*(abs(a - b) for i, a in enumerate(lengths)
-                             for b in lengths[i + 1:])) / denom
-        return RelationVerdict.from_residual("equal_length", residual)
-
-    return _branch(dq == 0.0, _cluster("equal_length"), compare)
+    lengths = [dist(q[t], q[t + 1]) for t in range(0, len(q), 2)]
+    residual = maximum(*(abs(a - b) for i, a in enumerate(lengths)
+                         for b in lengths[i + 1:])) / denom
+    return RelationVerdict.from_residual("equal_length", residual)
 
 
-def _midpoints_coincide(points: Sequence[Point], scale) -> RelationVerdict:
+def _midpoints_coincide(q: Sequence[Point], dq, denom) -> RelationVerdict:
     """Distance between the midpoints of the segments p1p2 and q1q2 of the
     points (p1, p2, q1, q2), over the diameter."""
-    q, dq, denom = _normalized(points, scale)
-    return _branch(
-        dq == 0.0, _cluster("midpoints_coincide"),
-        lambda: RelationVerdict.from_residual(
-            "midpoints_coincide",
-            dist(midpoint(q[0], q[1]), midpoint(q[2], q[3])) / denom))
+    return RelationVerdict.from_residual(
+        "midpoints_coincide",
+        dist(midpoint(q[0], q[1]), midpoint(q[2], q[3])) / denom)
 
 
 # ---------------------------------------------------------------------------
@@ -306,14 +289,13 @@ def _midpoints_coincide(points: Sequence[Point], scale) -> RelationVerdict:
 # their residuals do not depend on the size of the figure; the scale does
 # not enter them.
 
-def _concurrent(points: Sequence[Point], scale) -> RelationVerdict:
+def _concurrent(q: Sequence[Point], dq, denom) -> RelationVerdict:
     """The points in pairs, each pair a line: are the lines concurrent?
 
     Least-squares common point; residual is the worst distance to any line
     over the larger of the figure's size and the spread of the lines'
     pairwise meets.  A pair of lines parallel within the floor fails the
     verdict."""
-    q, dq, _ = _normalized(points)
     lines = [line_through(q[i], q[i + 1]) for i in range(0, len(q), 2)]
     pairs = [(li, lj) for i, li in enumerate(lines) for lj in lines[i + 1:]]
     crosses = [_cross(li, lj) for li, lj in pairs]
@@ -331,7 +313,7 @@ def _concurrent(points: Sequence[Point], scale) -> RelationVerdict:
                        "concurrent", flags=("non_concurrent_parallel",)), meet)
 
 
-def _on_conic(points: Sequence[Point], scale) -> RelationVerdict:
+def _on_conic(q: Sequence[Point], dq, denom) -> RelationVerdict:
     """The conic a x^2 + b xy + c y^2 + d x + e y + f = 0 through the first
     five points; residual is the largest first-order geometric distance
     |f| / |grad f| of the others from it, over the five's diameter.
@@ -345,13 +327,12 @@ def _on_conic(points: Sequence[Point], scale) -> RelationVerdict:
     # on_conic assert runs without loading it
     import numpy as np
 
-    q, _, _ = _normalized(points)
     cx = sum(p.x for p in q[:5]) / 5.0
     cy = sum(p.y for p in q[:5]) / 5.0
     q = [Point(p.x - cx, p.y - cy) for p in q]
     five = q[:5]
     diam = diameter(five)
-    r, dr, _ = _normalized(five)
+    r, dr, _, k = _normalized(five)
     guard(dr == 0.0, DegeneratePosition, "conic fit to a coincident cluster")
     cx = sum(p.x for p in r) / 5.0
     cy = sum(p.y for p in r) / 5.0
@@ -375,12 +356,7 @@ def _on_conic(points: Sequence[Point], scale) -> RelationVerdict:
     d2 = d - 2.0 * a * cx - b * cy
     e2 = e - b * cx - 2.0 * c * cy
     f2 = f + a * cx * cx + b * cx * cy + c * cy * cy - d * cx - e * cy
-    # undo the scaling p -> p / k, k = p / r for the first nonzero
-    # coordinate of r: the chain runs backwards, so the first one wins
-    k = 1.0
-    for orig, scaled in reversed(list(zip(five, r))):
-        for o, z in ((orig.y, scaled.y), (orig.x, scaled.x)):
-            k = where(z != 0.0, o / where(z != 0.0, z, 1.0), k)
+    # undo the scaling p -> p / k
     v = (a / (k * k), b / (k * k), c / (k * k), d2 / k, e2 / k, f2)
     n = sqrt(sum(x * x for x in v))
     guard((n - n != 0.0) | (n == 0.0), DegeneratePosition,
@@ -403,22 +379,23 @@ def _on_conic(points: Sequence[Point], scale) -> RelationVerdict:
 # the relation table, shared by the claim catalog and the script language
 
 # kind: (min points, max points or None, group size the count must divide,
-# detector over (points, scale))
-RELATIONS: dict[str, tuple[int, int | None, int,
+# whether the claim's scale divides the defect, detector over the
+# normalized (points, diameter, denominator))
+RELATIONS: dict[str, tuple[int, int | None, int, bool,
                            Callable[..., RelationVerdict]]] = {
-    "collinear": (3, None, 1, _collinear),
-    "concyclic": (4, None, 1, _concyclic),
-    "concurrent": (6, None, 2, _concurrent),
-    "perpendicular": (4, 4, 2, _perpendicular),
-    "equal_length": (4, None, 2, _equal_length),
-    "on_conic": (6, None, 1, _on_conic),
-    "midpoints_coincide": (4, 4, 2, _midpoints_coincide),
+    "collinear": (3, None, 1, True, _collinear),
+    "concyclic": (4, None, 1, True, _concyclic),
+    "concurrent": (6, None, 2, False, _concurrent),
+    "perpendicular": (4, 4, 2, False, _perpendicular),
+    "equal_length": (4, None, 2, True, _equal_length),
+    "on_conic": (6, None, 1, False, _on_conic),
+    "midpoints_coincide": (4, 4, 2, True, _midpoints_coincide),
 }
 
 
 def arity_fits(kind: str, n: int) -> bool:
     """Whether the relation `kind` takes `n` points."""
-    lo, hi, step, _ = RELATIONS[kind]
+    lo, hi, step, *_ = RELATIONS[kind]
     return lo <= n and (hi is None or n <= hi) and n % step == 0
 
 
@@ -428,8 +405,10 @@ def evaluate_relation(kind: str, points: Sequence[Point],
     list.
 
     The optional scale overrides the normalization diameter for the kinds
-    whose residual is a length ratio, so a claim about a tight cluster
-    inside a larger figure is still judged against the whole figure.
+    whose row reads it, those whose residual is a length ratio, so a claim
+    about a tight cluster inside a larger figure is still judged against
+    the whole figure; for those kinds a cluster of coincident points
+    passes, flagged `coincident_cluster`, with nothing to measure.
     ValueError for an unknown kind, TooFewPoints for a point count the
     kind does not take.
     """
@@ -437,4 +416,10 @@ def evaluate_relation(kind: str, points: Sequence[Point],
         raise ValueError(f"unknown relation kind {kind!r}")
     if not arity_fits(kind, len(points)):
         raise TooFewPoints(f"{kind} cannot take {len(points)} points")
-    return RELATIONS[kind][-1](points, scale)
+    *_, scaled, detect = RELATIONS[kind]
+    q, dq, denom, _ = _normalized(points, scale if scaled else None)
+    if not scaled:
+        return detect(q, dq, denom)
+    return _branch(dq == 0.0,
+                   lambda: RelationVerdict(kind, 0.0, ("coincident_cluster",)),
+                   lambda: detect(q, dq, denom))

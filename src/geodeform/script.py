@@ -228,7 +228,7 @@ STATEMENTS = ("point", "param", "assert", "require", *DRAWABLES, "deform")
 
 
 def _arity_phrase(kind: str) -> str:
-    lo, hi, step, _ = RELATIONS[kind]
+    lo, hi, step, *_ = RELATIONS[kind]
     if hi == lo:
         return f"exactly {lo} point labels"
     grouped = "" if step == 1 else f" in groups of {step}"

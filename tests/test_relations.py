@@ -42,7 +42,7 @@ def circle_points(cx, cy, r, angles):
 def test_arity_is_checked_once_against_the_table(kind):
     """A count the table refuses raises TooFewPoints before any detector
     runs; a count it takes reaches the detector."""
-    lo, hi, step, _ = RELATIONS[kind]
+    lo, hi, step, *_ = RELATIONS[kind]
     for n in range(0, 16):
         takes = lo <= n and (hi is None or n <= hi) and n % step == 0
         assert arity_fits(kind, n) == takes, (kind, n)
@@ -503,7 +503,7 @@ def test_rows_judge_as_their_floats(kind, scaled):
     failed where the floats raise, and the batch raises the flags of its
     rows that do not fail."""
     np = pytest.importorskip("numpy")
-    lo, hi, step, _ = RELATIONS[kind]
+    lo, hi, step, *_ = RELATIONS[kind]
     rng = random.Random(f"{kind} {scaled}")
     for n in sorted({lo, hi or lo + step}):
         figures = [_figure(kind, n, rng) for _ in range(300)]
