@@ -404,9 +404,10 @@ class Point:
 class Line:
     """Implicit line a*x + b*y + c = 0.
 
-    The constructor normalizes so a**2 + b**2 == 1 and fixes the sign so
-    a > 0, or a == 0 and b > 0.  `value(p)` is therefore the signed distance
-    from p to the line.
+    The constructor normalizes so a**2 + b**2 == 1, keeping the sign it is
+    given: (a, b, c) and (-a, -b, -c) are the same line with opposite
+    orientations.  `value(p)` is therefore the signed distance from p to
+    the line, its sign that of the orientation.
     """
 
     a: float
@@ -425,14 +426,9 @@ class Line:
         failed = n == 0.0
         if failed is not False:
             guard(failed, NonFiniteInput, "line normal vector is zero")
-        a, b, c = a / n, b / n, c / n
-        # times -1.0 is an exact negation
-        sign = where((a < 0.0) | ((a == 0.0) & (b < 0.0)), -1.0, 1.0)
-        # + 0.0 turns -0.0 into 0.0, so equal lines serialize identically
-        a, b, c = sign * a + 0.0, sign * b + 0.0, sign * c + 0.0
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "a", a / n)
+        object.__setattr__(self, "b", b / n)
+        object.__setattr__(self, "c", c / n)
 
     def value(self, p: Point) -> float:
         """Signed distance from p to the line."""
@@ -532,7 +528,8 @@ def line_through(p: Point, q: Point) -> Line:
     guard(dist(p, q) <= FLOOR * _local_scale(p, q), CoincidentPoints,
           "line through coincident points {} and {}", p, q)
     d = q - p
-    # normal (dy, -dx); Line.__post_init__ normalizes and fixes the sign
+    # normal (dy, -dx), so the direction runs from p to q;
+    # Line.__post_init__ normalizes it
     return Line(d.y, -d.x, -(d.y * p.x - d.x * p.y))
 
 
@@ -628,7 +625,8 @@ def line_circle_meets(line: Line, circle: Circle
     `miss` holds when the discriminant is clearly negative and `touch`
     when it is within the floor of zero (or below), where first and
     second are both the foot of the perpendicular from the center;
-    otherwise they are the two meets in (x, y) order.  Per row on rows.
+    otherwise first is the meet behind the foot along the line's
+    direction and second the one ahead.  Per row on rows.
     """
     s = line.value(circle.center)
     disc = circle.radius * circle.radius - s * s
@@ -637,11 +635,9 @@ def line_circle_meets(line: Line, circle: Circle
     touch = disc <= floor
     h = sqrt(where(touch, 0.0, disc))
     d = line.direction()
-    lo = Point(foot.x - h * d.x, foot.y - h * d.y)
-    hi = Point(foot.x + h * d.x, foot.y + h * d.y)
-    swap = (hi.x < lo.x) | ((hi.x == lo.x) & (hi.y < lo.y))
-    return (disc < -floor, touch, where(touch, foot, where(swap, hi, lo)),
-            where(touch, foot, where(swap, lo, hi)))
+    return (disc < -floor, touch,
+            where(touch, foot, Point(foot.x - h * d.x, foot.y - h * d.y)),
+            where(touch, foot, Point(foot.x + h * d.x, foot.y + h * d.y)))
 
 
 # ---------------------------------------------------------------------------

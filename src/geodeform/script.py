@@ -144,7 +144,8 @@ def second_intersection(origin: Point, through: Point,
                         circle: Circle) -> Point:
     """The meet of line origin-through with the circle that is not the
     origin itself (origin is assumed to lie on the circle): the meet
-    farther from the origin, the first one on a tie."""
+    farther from the origin, on a tie the one behind the foot of the
+    center along the line from origin to through."""
     miss, _, first, second = line_circle_meets(line_through(origin, through),
                                                circle)
     guard(miss, DegeneratePosition, "the line misses the circle")
