@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import Circle, GeometryError, Point, diameter
+from .core import Circle, GeometryError, Point
 
 __all__ = [
     "NonConvexQuadrilateral",
@@ -66,6 +66,3 @@ class Configuration:
 
     def points(self) -> dict[str, Point]:
         return {k: v for k, v in self.objects.items() if isinstance(v, Point)}
-
-    def diameter(self) -> float:
-        return diameter(list(self.points().values()))

@@ -262,13 +262,11 @@ class RelationClaim:
     description: str = ""
 
     def evaluate(self, config: Configuration,
-                 scale: float | None = None) -> RelationVerdict:
+                 scale: float) -> RelationVerdict:
         # Judge the defect against the whole figure, not just the claimed
         # labels: near a degenerate base the claimed points may cluster,
         # and a residual over their own diameter would hide growth.
         points = [config.point(label) for label in self.labels]
-        if scale is None:
-            scale = config.diameter()
         return evaluate_relation(self.kind, points, scale=scale)
 
 

@@ -18,7 +18,7 @@ from geodeform.catalog import CLAIMS, FAMILIES
 from geodeform.centers import CenterKind, triangle_center
 from geodeform.cli import main
 from geodeform.configurations import Configuration
-from geodeform.core import Circle, GeometryError, Point, dist
+from geodeform.core import Circle, GeometryError, Point, diameter, dist
 from geodeform.deform import RelationClaim, SplitMix64, sample, \
     scaling_probe, verify
 from geodeform.relations import evaluate_relation
@@ -207,9 +207,10 @@ def test_criterion_10_residuals_survive_similarity_transforms():
     stable = True
     for bc in CLAIMS.values():
         cfg = sample(bc.family, 0.35, 12345)
-        plain = bc.claim.evaluate(cfg).residual
-        moved = bc.claim.evaluate(_transformed(cfg, rotated, 1.0)).residual
-        grown = bc.claim.evaluate(_transformed(cfg, scaled, 1000.0)).residual
+        plain, moved, grown = (
+            bc.claim.evaluate(c, scale=diameter(list(c.points().values())))
+            .residual for c in (cfg, _transformed(cfg, rotated, 1.0),
+                                _transformed(cfg, scaled, 1000.0)))
         worst_drift = max(worst_drift, abs(moved - plain))
         stable = stable and (grown == plain)
     ok = worst_drift <= 10 * EPS and stable

@@ -268,15 +268,6 @@ def test_shared_sweep_judges_each_claim_as_alone():
     assert verified == tuple(verify(fam, (c,), 30, 0.5, 4)[0] for c in claims)
 
 
-def test_claim_evaluate_defaults_to_configuration_diameter():
-    config = FAMILIES["theorem1"].builder(Point(0, 0), Point(1, 0.02),
-                                          Point(1.03, 1.0), Point(-0.01, 0.97))
-    claim = CLAIMS["theorem1_equal"].claim
-    v_default = claim.evaluate(config)
-    v_scaled = claim.evaluate(config, scale=10.0 * config.diameter())
-    assert v_default.passed and v_scaled.passed
-
-
 def test_engine_constants():
     assert REFUTE_FACTOR == 100.0
     assert APPROXIMATE_MIN_EXPONENT == 0.5
