@@ -238,14 +238,19 @@ class DeformationFamily:
         """The perturbation radius at `epsilon`, epsilon times the base
         diameter: 0.0 at epsilon 0, the base figure.  ValueError where
         there is none: epsilon not finite, negative or below the floor,
-        or the radius not finite."""
+        base points that span no length, or the radius not finite."""
         if epsilon < 0.0 or not math.isfinite(epsilon):
             raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
         if epsilon < self.epsilon_floor:
             raise ValueError(
                 f"family {self.name!r} requires epsilon >= "
                 f"{self.epsilon_floor} (got {epsilon})")
-        radius = epsilon * self.base_diameter() if epsilon > 0.0 else 0.0
+        span = self.base_diameter()
+        if span == 0.0:
+            # no radius, and no scale to judge a claim against either
+            raise ValueError(f"family {self.name!r}: the base points span "
+                             "no length, so the figure cannot be deformed")
+        radius = epsilon * span if epsilon > 0.0 else 0.0
         if not math.isfinite(radius):
             raise ValueError(
                 f"family {self.name!r}: the figure is too large to deform: "

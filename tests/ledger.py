@@ -114,6 +114,12 @@ INVOCATIONS: list[tuple[str, list[str], dict[str, str]]] = [
                          "point C = (0, 1)\n"
                          "deform A B C about (0, 0) (1, 0) (0, 1)\n"
                          "assert perspective(A, B, C, A, B, C) as p \"x\"\n"}),
+    ("verify_coincident_base",
+     ["verify", "$TMP/coincident.geo", "--json", REPORT],
+     {"coincident.geo": "point A = (0, 0)\npoint C = (1, 0)\n"
+                        "point D = (0, 1)\n"
+                        "deform A about (0.2, 0.3)\n"
+                        "assert collinear(A, C, D) as bogus \"x\"\n"}),
     # argument parsing: help, usage errors, and the spellings argparse
     # accepts for a valid invocation
     ("no_arguments", [], {}),

@@ -170,6 +170,26 @@ def test_verify_eps_below_family_floor(capsys):
             2, "", floor.format(got)), argv
 
 
+@pytest.mark.parametrize("deform", ["deform A about (0.2, 0.3)",
+                                    "deform A C about (0.2, 0.3) (0.2, 0.3)"])
+@pytest.mark.parametrize("eps", [["--eps", "0.5"], ["--eps", "0"],
+                                 ["--eps-grid", "0.001,0.01,0.1"]])
+def test_verify_base_without_length_is_usage_error(capsys, tmp_path, deform,
+                                                   eps):
+    """Base points that span no length give no deformation radius and no
+    scale to judge against: exit 2 with one `error:` line before any
+    verdict, not a `theorem` of a claim that `run` finds false."""
+    geo = tmp_path / "bogus.geo"
+    geo.write_text("point A = (0, 0)\npoint C = (1, 0)\npoint D = (0, 1)\n"
+                   f"{deform}\n"
+                   'assert collinear(A, C, D) as bogus "x"\n',
+                   encoding="utf-8")
+    assert run_cli(capsys, "verify", str(geo), *eps) == (
+        2, "", "error: family 'bogus': the base points span no length, so "
+               "the figure cannot be deformed\n")
+    assert run_cli(capsys, "run", str(geo))[0] == 1
+
+
 def test_verify_bad_eps_grid_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["verify", "theorem1_perp", "--eps-grid", "banana"])
