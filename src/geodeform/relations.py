@@ -174,9 +174,6 @@ def _branch(cond, then: Callable[[], RelationVerdict],
 
 # ---------------------------------------------------------------------------
 # point-set detectors
-#
-# Each takes the normalized points q, their diameter dq and the
-# denominator, both in the frame of q (see `_normalized`).
 
 def _collinear(q: Sequence[Point], dq, denom) -> RelationVerdict:
     """Total-least-squares line fit; residual is the worst normal deviation."""
@@ -331,8 +328,9 @@ def _on_conic(q: Sequence[Point], dq, denom) -> RelationVerdict:
     cy = sum(p.y for p in q[:5]) / 5.0
     q = [Point(p.x - cx, p.y - cy) for p in q]
     five = q[:5]
-    diam = diameter(five)
     r, dr, _, k = _normalized(five)
+    # the five's diameter: scaling back by a power of two is exact
+    diam = dr * k
     guard(dr == 0.0, DegeneratePosition, "conic fit to a coincident cluster")
     cx = sum(p.x for p in r) / 5.0
     cy = sum(p.y for p in r) / 5.0
@@ -379,8 +377,8 @@ def _on_conic(q: Sequence[Point], dq, denom) -> RelationVerdict:
 # the relation table, shared by the claim catalog and the script language
 
 # kind: (min points, max points or None, group size the count must divide,
-# whether the claim's scale divides the defect, detector over the
-# normalized (points, diameter, denominator))
+# whether the claim's scale divides the defect, detector over the points,
+# diameter and denominator of `_normalized`)
 RELATIONS: dict[str, tuple[int, int | None, int, bool,
                            Callable[..., RelationVerdict]]] = {
     "collinear": (3, None, 1, True, _collinear),
