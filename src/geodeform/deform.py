@@ -279,7 +279,6 @@ class RelationClaim:
 class VerificationReport:
     """Aggregate result of running a claim over sampled deformations."""
 
-    claim: str
     kind: str
     family: str
     samples: int
@@ -523,17 +522,15 @@ def _sample_rows(family: DeformationFamily, grid: tuple[float, ...],
     if out < size:
         r = out
         epsilon, s = grid[block[r]], seed + int(offset[r])
+        last = []  # its last attempt, if any: the single sample names it
+        if max_rejections > 0:
+            dx, dy, _ = _disk_draws(start[r:r + 1], max_rejections * step)
+            rad = float(radius[r])
+            last.append([Point(p.x + rad * float(dx[0, i - step]),
+                               p.y + rad * float(dy[0, i - step]))
+                         for i, p in enumerate(base)])
         try:
-            if max_rejections > 0:
-                # its last attempt, whose error the single sample names
-                dx, dy, _ = _disk_draws(start[r:r + 1], max_rejections * step)
-                rad = float(radius[r])
-                _first_built(family, [[
-                    Point(p.x + rad * float(dx[0, i - step]),
-                          p.y + rad * float(dy[0, i - step]))
-                    for i, p in enumerate(base)]], epsilon, s, max_rejections)
-            else:  # no attempt: the single sample is as cheap
-                sample(family, epsilon, s, max_rejections=max_rejections)
+            _first_built(family, last, epsilon, s, max_rejections)
         except RejectionBudgetExhausted as exc:
             exc.row = rows.start + r
             raise
@@ -598,7 +595,6 @@ def _sweep(family: DeformationFamily, claims: Sequence[RelationClaim],
     for claim, residuals, seen in zip(claims, grids, flags):
         max_res = max(residuals)
         reports.append(VerificationReport(
-            claim=claim.description or claim.kind,
             kind=claim.kind,
             family=family.name,
             samples=total,

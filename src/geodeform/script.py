@@ -114,15 +114,11 @@ class ScriptError(Exception):
 class ParseError(ScriptError):
     """Syntax or static-semantics failure at a 1-based source position."""
 
-    def __init__(self, line: int, col: int, message: str,
-                 expected: tuple[str, ...]) -> None:
-        if not expected:
-            raise ValueError("a ParseError must name what it expected")
+    def __init__(self, line: int, col: int, message: str) -> None:
         super().__init__(f"{line}:{col}: {message}")
         self.line = line
         self.col = col
         self.message = message
-        self.expected = expected
 
 
 class UseBeforeDefine(ParseError):
@@ -224,8 +220,6 @@ REQUIREMENTS: dict[str, tuple[int, Callable[..., None]]] = {
 
 # drawable -> number of point labels
 DRAWABLES: dict[str, int] = {"segment": 2, "circle": 3}
-
-STATEMENTS = ("point", "param", "assert", "require", *DRAWABLES, "deform")
 
 
 def _arity_phrase(kind: str) -> str:
@@ -377,13 +371,11 @@ def _lex(source: str) -> list[_Token]:
             elif ch == '"':
                 j = raw.find('"', col)
                 if j < 0:
-                    raise ParseError(lineno, col, "unterminated string",
-                                     expected=('"',))
+                    raise ParseError(lineno, col, "unterminated string")
                 append(("string", raw[col:j], lineno, col))
                 i = j + 1
             else:
-                raise ParseError(lineno, col, f"unexpected character {ch!r}",
-                                 expected=("a statement",))
+                raise ParseError(lineno, col, f"unexpected character {ch!r}")
         # a line without tokens ends no statement
         if tokens and tokens[-1][0] != "newline":
             append(("newline", "", lineno, n + 1))
@@ -430,10 +422,8 @@ class _Parser:
         if self.cur[0] == text:
             self.cur = self._next()  # advance, inlined in this hot call
             return
-        options = (text,) + alternatives
-        shown = " or ".join(f"'{t}'" for t in options)
-        raise ParseError(*self.prev[2:], f"expected {shown}",
-                         expected=options)
+        shown = " or ".join(f"'{t}'" for t in (text, *alternatives))
+        raise ParseError(*self.prev[2:], f"expected {shown}")
 
     def expect_ident(self, what: str) -> _Token:
         tok = self.cur
@@ -441,15 +431,13 @@ class _Parser:
             self.cur = self._next()  # advance, inlined in this hot call
             return tok
         raise ParseError(*tok[2:],
-                         f"expected {what}, found {tok[1] or tok[0]!r}",
-                         expected=(what,))
+                         f"expected {what}, found {tok[1] or tok[0]!r}")
 
     def number(self) -> float:
         tok = self.advance()
         value = float(tok[1])
         if value == math.inf:
-            raise ParseError(*tok[2:], f"number {tok[1]} is out of range",
-                             expected=("a finite number",))
+            raise ParseError(*tok[2:], f"number {tok[1]} is out of range")
         return value
 
     # ---- statements ----
@@ -461,12 +449,10 @@ class _Parser:
         while self.cur[0] != "eof":
             statements.append(self.statement())
             if self.cur[0] != "newline":
-                raise ParseError(*self.prev[2:], "expected end of statement",
-                                 expected=("newline",))
+                raise ParseError(*self.prev[2:], "expected end of statement")
             self.advance()
         if not statements:
-            raise ParseError(*self.cur[2:], "empty program",
-                             expected=STATEMENTS)
+            raise ParseError(*self.cur[2:], "empty program")
         return Program(tuple(statements))
 
     def statement(self) -> Statement:
@@ -474,15 +460,13 @@ class _Parser:
         parse = self._STATEMENT.get(tok[1]) if tok[0] == "ident" else None
         if parse is None:
             raise ParseError(*tok[2:],
-                             f"expected a statement, found {tok[1]!r}",
-                             expected=STATEMENTS)
+                             f"expected a statement, found {tok[1]!r}")
         return parse(self, tok)
 
     def _fresh(self, tok: _Token) -> str:
         text = tok[1]
         if text in self.point_labels or text in self.param_names:
-            raise ParseError(*tok[2:], f"duplicate definition of {text!r}",
-                             expected=("a fresh name",))
+            raise ParseError(*tok[2:], f"duplicate definition of {text!r}")
         return text
 
     def point_stmt(self, keyword: _Token) -> Define:
@@ -501,8 +485,7 @@ class _Parser:
         if negate:
             self.advance()
         if self.cur[0] != "number":
-            raise ParseError(*self.prev[2:], "expected a number",
-                             expected=("a number",))
+            raise ParseError(*self.prev[2:], "expected a number")
         value = self.number()
         self.param_names.add(name)
         return ParamDecl(name, -value if negate else value)
@@ -522,25 +505,21 @@ class _Parser:
         tok = self.expect_ident("a relation name")
         kind = tok[1]
         if kind not in RELATIONS:
-            raise ParseError(*tok[2:], f"unknown relation {kind!r}",
-                             expected=tuple(RELATIONS))
+            raise ParseError(*tok[2:], f"unknown relation {kind!r}")
         arg_toks = self.label_list()
         n = len(arg_toks)
         if not arity_fits(kind, n):
             raise ArityError(*tok[2:],
-                             f"{kind} takes {_arity_phrase(kind)}, got {n}",
-                             expected=(_arity_phrase(kind),))
+                             f"{kind} takes {_arity_phrase(kind)}, got {n}")
         labels = tuple(map(self.resolve_point, arg_toks))
         if not (self.cur[0] == "ident" and self.cur[1] == "as"):
             return AssertStmt(kind, labels)
         self.advance()
         name = self.expect_ident("a claim name")
         if name[1] in self.claim_names:
-            raise ParseError(*name[2:], f"duplicate claim name {name[1]!r}",
-                             expected=("a fresh claim name",))
+            raise ParseError(*name[2:], f"duplicate claim name {name[1]!r}")
         if self.cur[0] != "string":
-            raise ParseError(*self.prev[2:], "expected a quoted description",
-                             expected=("a quoted description",))
+            raise ParseError(*self.prev[2:], "expected a quoted description")
         self.claim_names.add(name[1])
         return AssertStmt(kind, labels, name[1], self.advance()[1])
 
@@ -548,8 +527,7 @@ class _Parser:
         tok = self.expect_ident("a requirement name")
         kind = tok[1]
         if kind not in REQUIREMENTS:
-            raise ParseError(*tok[2:], f"unknown requirement {kind!r}",
-                             expected=tuple(REQUIREMENTS))
+            raise ParseError(*tok[2:], f"unknown requirement {kind!r}")
         arg_toks = self.label_list()
         self.expect_count(tok, len(arg_toks), REQUIREMENTS[kind][0])
         return Require(kind, tuple(map(self.resolve_point, arg_toks)))
@@ -563,14 +541,12 @@ class _Parser:
 
     def deform_stmt(self, keyword: _Token) -> Deform:
         if self.deformed:
-            raise ParseError(*keyword[2:], "a program deforms only once",
-                             expected=("one deform statement",))
+            raise ParseError(*keyword[2:], "a program deforms only once")
         arg_toks = [self.expect_ident("a point label")]
         while self.cur[0] == "ident" and self.cur[1] != "about":
             arg_toks.append(self.advance())
         if self.cur[0] != "ident":
-            raise ParseError(*self.prev[2:], "expected 'about'",
-                             expected=("about",))
+            raise ParseError(*self.prev[2:], "expected 'about'")
         self.advance()
         base = [self.coord_pair()]
         while self.cur[0] == "(":
@@ -582,16 +558,14 @@ class _Parser:
         if len(base) != len(arg_toks):
             raise ArityError(*keyword[2:],
                              f"deform names {len(arg_toks)} point labels but "
-                             f"gives {len(base)} base points",
-                             expected=(f"{len(arg_toks)} base points",))
+                             f"gives {len(base)} base points")
         labels: list[str] = []
         for tok in arg_toks:
             label = self.resolve_point(tok)
             if label in labels or label not in self.coordinate_labels:
                 why = ("is named twice" if label in labels
                        else "is constructed, not given by coordinates")
-                raise ParseError(*tok[2:], f"deform: {label!r} {why}",
-                                 expected=("a coordinate point",))
+                raise ParseError(*tok[2:], f"deform: {label!r} {why}")
             labels.append(label)
         self.deformed = True
         return Deform(tuple(labels), tuple(base), floor)
@@ -599,18 +573,15 @@ class _Parser:
     def expect_count(self, tok: _Token, got: int, wants: int) -> None:
         if got != wants:
             raise ArityError(*tok[2:],
-                             f"{tok[1]} takes {wants} point labels, got {got}",
-                             expected=(f"{wants} point labels",))
+                             f"{tok[1]} takes {wants} point labels, got {got}")
 
     def resolve_point(self, tok: _Token) -> str:
         text = tok[1]
         if text in self.point_labels:
             return text
         if text in self.param_names:
-            raise ParseError(*tok[2:], f"{text!r} is a param, not a point",
-                             expected=("a point label",))
-        raise UseBeforeDefine(*tok[2:], f"point {text!r} is not defined yet",
-                              expected=("a previously defined point",))
+            raise ParseError(*tok[2:], f"{text!r} is a param, not a point")
+        raise UseBeforeDefine(*tok[2:], f"point {text!r} is not defined yet")
 
     # statement keyword -> the parser of the rest of its statement
     _STATEMENT = {"point": point_stmt, "param": param_stmt,
@@ -626,11 +597,9 @@ class _Parser:
         if tok[0] == "ident":
             if tok[1] in FUNCTIONS:
                 return self.construct()
-            raise ParseError(*tok[2:], f"unknown construction {tok[1]!r}",
-                             expected=tuple(sorted(FUNCTIONS)))
+            raise ParseError(*tok[2:], f"unknown construction {tok[1]!r}")
         raise ParseError(*tok[2:],
-                         "expected coordinates or a construction call",
-                         expected=("(", "a construction name"))
+                         "expected coordinates or a construction call")
 
     def coord_pair(self) -> CoordPair:
         self.expect("(")
@@ -665,8 +634,7 @@ class _Parser:
         if got != total:
             wants = (f"{n_points} point labels and an angle" if takes_angle
                      else f"{n_points} point labels")
-            raise ArityError(*tok[2:], f"{func} takes {wants}, got {got}",
-                             expected=(wants,))
+            raise ArityError(*tok[2:], f"{func} takes {wants}, got {got}")
         return Construct(func, tuple(args), angle)
 
     def scalar(self) -> Scalar:
@@ -695,11 +663,9 @@ class _Parser:
                 return ParamRef(text)
             if text in self.point_labels:
                 raise ParseError(*tok[2:],
-                                 f"{text!r} is a point, not a number",
-                                 expected=("a param name", "a number"))
+                                 f"{text!r} is a point, not a number")
             raise UseBeforeDefine(*tok[2:],
-                                  f"param {text!r} is not declared yet",
-                                  expected=("a declared param",))
+                                  f"param {text!r} is not declared yet")
         if kind == "(":
             self.advance()
             node = self.scalar()
@@ -708,8 +674,7 @@ class _Parser:
         if kind == "-":
             self.advance()
             return UnaryNeg(self.factor())
-        raise ParseError(*tok[2:], "expected a numeric expression",
-                         expected=("a number", "a param name", "(", "-"))
+        raise ParseError(*tok[2:], "expected a numeric expression")
 
 
 # keyed by the text, so an edited file parses afresh; a ParseError is not

@@ -582,6 +582,21 @@ def test_an_exhausted_row_names_its_last_attempt():
             break
 
 
+def test_a_zero_budget_batch_raises_the_single_samples_error():
+    """With no attempt allowed, the batch raises at its first row the
+    error of that row's single sample, which names no last attempt."""
+    family = FAMILIES["theorem1"]
+    with pytest.raises(RejectionBudgetExhausted) as single:
+        sample(family, 0.5, 3, max_rejections=0)
+    with pytest.raises(RejectionBudgetExhausted) as batch:
+        sample(family, 0.5, 3, 10, max_rejections=0)
+    assert str(batch.value) == str(single.value) == (
+        "family 'theorem1': no valid sample within 0 draws at "
+        "epsilon=0.5, seed=3 (last: None)")
+    assert batch.value.row == 0
+    assert single.value.row is None
+
+
 def test_grid_batches_split_across_blocks(monkeypatch):
     """Batches of 7 rows straddle the 20-row epsilon blocks, and every
     family's scaling reports stay the same."""

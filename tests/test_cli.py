@@ -69,7 +69,8 @@ def test_verify_unknown_claim(capsys):
 
 @pytest.mark.parametrize("extra, message", [
     ("nosuch", "unknown claim(s): nosuch"),
-    (str(SCRIPTS / "eps_demo.geo"), "no deform statement"),
+    pytest.param(str(SCRIPTS / "eps_demo.geo"), "no deform statement",
+                 id="eps_demo.geo-no deform statement"),
 ])
 def test_verify_all_does_not_hide_other_arguments(capsys, extra, message):
     """`all` stands for every built-in claim in its place; the other
@@ -203,6 +204,7 @@ def test_verify_bad_eps_grid_is_usage_error(capsys):
     # a non-finite value is named, wherever it stands in the grid; a
     # value that starts with "-" reads as it does glued on with "="
     not_finite = "epsilon must be finite and >= 0, got {}"
+    two_decades = "epsilon values must be positive and span >= 2 decades"
     for flag, value, message in [
             ("--eps-grid", "0.001,0.01,0.1,nan", not_finite.format("nan")),
             ("--eps-grid", "nan,0.001,0.01,0.1", not_finite.format("nan")),
@@ -210,11 +212,12 @@ def test_verify_bad_eps_grid_is_usage_error(capsys):
             ("--eps-grid", "-inf,0.001,0.01,0.1", not_finite.format("-inf")),
             ("--eps", "-1e-3", "epsilon must be finite and >= 0, got -0.001"),
             ("--eps-grid", "0.001,0.1",
-             "scaling probe needs >= 3 distinct epsilon values")]:
+             "scaling probe needs >= 3 distinct epsilon values"),
+            ("--eps-grid", "0.01,0.02,0.05", two_decades),
+            ("--eps-grid", "0,0.01,0.1", two_decades)]:
         for argv in ([flag, value], [f"{flag}={value}"]):
-            code, _, err = run_cli(capsys, "verify", "theorem1_perp",
-                                   "--samples", "5", *argv)
-            assert (code, err) == (2, f"error: {message}\n"), argv
+            assert run_cli(capsys, "verify", "theorem1_perp", "--samples",
+                           "5", *argv) == (2, "", f"error: {message}\n"), argv
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "-1e-9", "-inf"])
@@ -758,6 +761,24 @@ def test_run_failing_assert_exits_one(capsys, tmp_path):
              f"FAIL collinear(A,B,D) residual=inf [{degenerate}]\n")]:
         script.write_text(head + source)
         assert run_cli(capsys, "run", str(script)) == (1, want, "")
+
+
+def test_run_fails_an_assert_whose_detector_raises(capsys, tmp_path):
+    """A detector that raises on the figure's points fails its assert with
+    the error's message; the asserts after it are still judged."""
+    script = tmp_path / "raising.geo"
+    script.write_text("point A = (0, 0)\npoint B = (1, 0)\npoint C = (0, 1)\n"
+                      "assert perpendicular(A, A, B, C)\n"
+                      "assert concurrent(A, A, B, C, A, C)\n"
+                      "assert on_conic(A, A, A, A, A, B)\n")
+    coincident = ("line through coincident points Point(x=0.0, y=0.0) and "
+                  "Point(x=0.0, y=0.0)")
+    assert run_cli(capsys, "run", str(script)) == (1, (
+        "FAIL perpendicular(A,A,B,C) residual=inf "
+        "[perpendicularity of a zero-length segment]\n"
+        f"FAIL concurrent(A,A,B,C,A,C) residual=inf [{coincident}]\n"
+        "FAIL on_conic(A,A,A,A,A,B) residual=inf "
+        "[conic fit to a coincident cluster]\n"), "")
 
 
 def test_run_param_override(capsys):
