@@ -9,7 +9,7 @@ iteration (`tests/fermat_oracle.py`).
 
 Every construction builds the parts it reads by `core.shared`, so in a
 `parts()` block those over one triangle share its check and circle, and
-those on one ordered side its apex candidates.
+those on one side, in either order, its apex candidates.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .core import (
     Line,
     Parallel,
     Point,
+    _held,
     _local_scale,
     circumcircle,
     diameter,
@@ -91,16 +92,27 @@ def _candidates(base1: Point, base2: Point, k: float) -> tuple:
     coordinates, which are checked only where they are picked, and
     whether plus lies on the negative side of base1 -> base2."""
     m = midpoint(base1, base2)
-    offset = perp(base2 - base1) * k
-    plus = Point(m.x + offset.x, m.y + offset.y)
-    return plus, m.x - offset.x, m.y - offset.y, _below(base1, base2, plus)
+    # the offset in bare floats, as in circumcircle: the difference is
+    # checked, and |k| <= 1 keeps its product finite
+    v = perp(base2 - base1)
+    ox, oy = v.x * k, v.y * k
+    plus = Point(m.x + ox, m.y + oy)
+    return plus, m.x - ox, m.y - oy, _below(base1, base2, plus)
 
 
 def _equilateral_side(base1: Point, base2: Point) -> tuple:
     """The `_candidates` of the equilateral apexes on base1 -> base2, the
-    part that every apex on that ordered side shares: a reversed side
-    rounds the signed area of plus differently."""
-    return _candidates(base1, base2, math.sqrt(3.0) / 2.0)
+    part every apex on that ordered side shares: those of the reversed
+    side swapped where the block holds it, as the midpoint commutes and
+    the offset negates exactly (up to the sign of a zero coordinate where
+    the midpoint has a -0.0 one).  The side test is this side's own:
+    `signed_area(A, C, X)` is not `-signed_area(C, A, X)` bit for bit."""
+    reverse = _held(_equilateral_side, base2, base1)
+    if reverse is None:
+        return _candidates(base1, base2, math.sqrt(3.0) / 2.0)
+    minus, plus_x, plus_y, _ = reverse
+    plus = Point(plus_x, plus_y)  # checked, as every plus candidate is
+    return plus, minus.x, minus.y, _below(base1, base2, plus)
 
 
 def _pick_side(side: tuple, orientation: Orientation,

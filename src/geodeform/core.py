@@ -16,7 +16,10 @@ and `pow2_near` is exact or correctly rounded on both, so a row has the
 bits of the float; a branch on a value goes through `where`, and every
 degeneracy test goes through `guard`: on floats it raises, on arrays it
 marks the failing rows in the enclosing `failures()` block and the other
-rows go on.
+rows go on.  A point is checked where its coordinates are computed: a
+point whose coordinates select, negate or swap those of checked points
+(`where`, `perp`, `Line.direction`, a batch's row gathers) is not checked
+again, and `line_through` normalizes its line by the length it guards.
 
 This module never imports numpy (see `array_module`), so the float path
 of `run`, `render` and `shapes` starts without it.
@@ -205,8 +208,8 @@ def where(cond, a, b):
             or type(cond) is not _ARRAY and not array_module(cond)):
         return a if cond else b
     if isinstance(a, Point):
-        return Point(_numpy.where(cond, a.x, b.x),
-                     _numpy.where(cond, a.y, b.y))
+        return _selected(_numpy.where(cond, a.x, b.x),
+                         _numpy.where(cond, a.y, b.y))
     return _numpy.where(cond, a, b)
 
 
@@ -357,6 +360,14 @@ def shared(build, *points):
     return held[0]
 
 
+def _held(build, *points):
+    """The part `build(*points)` that the open `parts()` block has built
+    and kept, or None: it builds nothing."""
+    built = _PARTS.get()
+    held = None if built is None else built.get((build, *map(id, points)))
+    return None if held is None else held[0]
+
+
 # ---------------------------------------------------------------------------
 # value types
 
@@ -400,6 +411,16 @@ class Point:
         return hypot(self.x, self.y)
 
 
+def _selected(x, y) -> Point:
+    """The point (x, y), whose coordinates are a selection, negation or
+    swap of coordinates already checked where they were computed: not
+    checked again.  A non-finite row of it was marked by that check in
+    the same `failures()` block, or raised."""
+    point = object.__new__(Point)
+    point.__dict__.update(x=x, y=y)
+    return point
+
+
 @dataclass(frozen=True)
 class Line:
     """Implicit line a*x + b*y + c = 0.
@@ -436,7 +457,7 @@ class Line:
 
     def direction(self) -> Point:
         """A unit vector along the line."""
-        return Point(-self.b, self.a)
+        return _selected(-self.b, self.a)
 
 
 @dataclass(frozen=True)
@@ -504,7 +525,7 @@ def midpoint(p: Point, q: Point) -> Point:
 
 def perp(v: Point) -> Point:
     """v rotated a quarter turn counterclockwise."""
-    return Point(-v.y, v.x)
+    return _selected(-v.y, v.x)
 
 
 def _local_scale(*pts: Point) -> float:
@@ -525,12 +546,24 @@ def signed_area(p: Point, q: Point, r: Point) -> float:
 
 def line_through(p: Point, q: Point) -> Line:
     """The unique line through two distinct points."""
-    guard(dist(p, q) <= FLOOR * _local_scale(p, q), CoincidentPoints,
-          "line through coincident points {} and {}", p, q)
     d = q - p
-    # normal (dy, -dx), so the direction runs from p to q;
-    # Line.__post_init__ normalizes it
-    return Line(d.y, -d.x, -(d.y * p.x - d.x * p.y))
+    # dist(p, q), and the length of the normal (dy, -dx): the squares are
+    # the same, their sum commutes and the rescale is symmetric.  The
+    # guard and d's check never both fail, so their order is free
+    length = hypot(d.x, d.y)
+    guard(length <= FLOOR * _local_scale(p, q), CoincidentPoints,
+          "line through coincident points {} and {}", p, q)
+    # the normal (dy, -dx) runs the direction from p to q; it is checked
+    # and its length is apart from 0, so `Line`'s checks are not taken
+    # again and only c is left
+    a, b, c = d.y, -d.x, -(d.y * p.x - d.x * p.y)
+    failed = c - c != 0.0
+    if failed is not False:
+        guard(failed, NonFiniteInput,
+              "non-finite line ({}, {}, {})", a, b, c)
+    line = object.__new__(Line)
+    line.__dict__.update(a=a / length, b=b / length, c=c / length)
+    return line
 
 
 def circumcircle(p: Point, q: Point, r: Point) -> Circle:

@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .configurations import Configuration
-from .core import GeometryError, Point, diameter, failures
+from .core import GeometryError, Point, _selected, diameter, failures
 from .relations import REL_TOL, RelationVerdict, evaluate_relation
 
 if TYPE_CHECKING:
@@ -450,7 +450,7 @@ def _sample_rows(family: DeformationFamily, grid: tuple[float, ...],
             hits = (ok & (rank <= need[:, None])).ravel().nonzero()[0]
             if hits.size:
                 found.append((live[hits // t],
-                              [Point(p.x[hits], p.y[hits]) for p in pts]))
+                              [_selected(p.x[hits], p.y[hits]) for p in pts]))
             more = ~done & (spent < left)
             live, need = live[more], (need - rank[:, -1])[more]
             t = max(1, min(2 * t, BATCH_ROWS // max(live.size, 1)))
@@ -488,9 +488,10 @@ def _sample_rows(family: DeformationFamily, grid: tuple[float, ...],
                 owner = np.concatenate([o for o, _ in found])
                 order = owner.argsort(kind="stable")
                 owner = owner[order]
-                pts = [Point(np.concatenate([p[i].x for _, p in found])[order],
-                             np.concatenate([p[i].y for _, p in found])[order])
-                       for i in range(step)]
+                pts = [_selected(
+                    np.concatenate([p[i].x for _, p in found])[order],
+                    np.concatenate([p[i].y for _, p in found])[order])
+                    for i in range(step)]
             built, rejected = _rejected(family.builder, pts)
             hits = np.flatnonzero(~np.broadcast_to(rejected, (owner.size,)))
             if tries == 1 and owner.size == hits.size == size:

@@ -287,7 +287,8 @@ def _within(block, build, *args):
 # (name, unshared construction, construction in the `parts()` block
 # `built`) in the order of example1: A' = eq_apex(B, C, A), then F1 and F2
 # of A, B, C, which share the side B C with A' and their check with each
-# other
+# other; last an apex on C B, the side B C reversed, whose candidates are
+# the shared ones swapped
 _FERMAT_STEPS = [
     ("eq_apex", lambda a, b, c: _unshared_apex(
         b, c, Orientation.TOWARD_REFERENCE, a),
@@ -297,6 +298,10 @@ _FERMAT_STEPS = [
        lambda a, b, c, built, kind=kind: _within(
            built, triangle_center, kind, a, b, c))
       for kind in (CenterKind.X13, CenterKind.X14)),
+    ("reversed eq_apex", lambda a, b, c: _unshared_apex(
+        c, b, Orientation.AWAY_FROM_REFERENCE, a),
+     lambda a, b, c, built: _within(
+         built, equilateral_apex, c, b, Orientation.AWAY_FROM_REFERENCE, a)),
 ]
 
 
@@ -343,11 +348,11 @@ def _float_outcome(build):
 @given(triangles=st.lists(_near_degenerate_triangle(), min_size=1,
                           max_size=6))
 def test_fermat_points_from_shared_parts_are_the_unshared_ones(triangles):
-    """eq_apex, X13 and X14 built in turn over one run's parts give, on
-    floats, the bits or the error text of the unshared construction; on
-    rows, each alone marks the rows the unshared one marks, the three in
-    one block mark the rows on which a float build raises, and every row
-    has the unshared bits."""
+    """eq_apex, X13, X14 and the reversed eq_apex built in turn over one
+    run's parts give, on floats, the bits or the error text of the
+    unshared construction; on rows, each alone marks the rows the
+    unshared one marks, the four in one block mark the rows on which a
+    float build raises, and every row has the unshared bits."""
     floats_raise = []
     for a, b, c in triangles:
         built, raised = parts(), False

@@ -3,6 +3,7 @@
 import math
 import random
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from geodeform import core
 from geodeform.core import (
+    FLOOR,
     Circle,
     CoincidentPoints,
     CollinearPoints,
@@ -39,7 +41,9 @@ from geodeform.core import (
     rotate,
     shared,
     signed_area,
+    where,
 )
+from numpy_calls import _counting
 
 
 def close(p: Point, q: Point, tol: float = 1e-12) -> bool:
@@ -499,6 +503,130 @@ def test_diameter_rows_of_coincident_points_are_in_range(monkeypatch, points,
         diameter([Point(float(np.broadcast_to(x, (n,))[i]),
                         float(np.broadcast_to(y, (n,))[i]))
                   for x, y in points]).hex() for i in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# a point is checked where its coordinates are computed, and a line
+# through two points is normalized by the length its guard measured
+
+def _line_through_as_before(p: Point, q: Point) -> Line:
+    """`line_through` as it stood while `Line` normalized its line: the
+    guard, then `Line`'s own checks and its length of the normal."""
+    guard(dist(p, q) <= FLOOR * core._local_scale(p, q), CoincidentPoints,
+          "line through coincident points {} and {}", p, q)
+    d = q - p
+    return Line(d.y, -d.x, -(d.y * p.x - d.x * p.y))
+
+
+# the exponents where hypot rescales (2^-450, 2^450) and past them, where
+# a difference or c overflows, and anywhere
+_EXPONENTS = st.one_of(
+    st.sampled_from([-1074, -1000, -470, -460, -451, -450, -449, 0, 449,
+                     450, 451, 460, 470, 520, 1000, 1023]),
+    st.integers(-1074, 1023))
+
+
+@st.composite
+def _line_ends(draw):
+    """Two points: p of coordinates near 2^s, and q = p + a difference
+    near 2^e, q = p exactly, or q mirrored across the y axis from an x
+    past 1e308, where the difference overflows."""
+    unit = st.floats(-1.0, 1.0)
+    s, e = draw(_EXPONENTS), draw(_EXPONENTS)
+    p = (draw(unit) * 2.0 ** s, draw(unit) * 2.0 ** s)
+    pick = draw(st.integers(0, 9))
+    if pick == 0:
+        return p, p
+    if pick == 1:
+        x = draw(st.floats(0.6, 1.0)) * 1.7e308
+        return (x, p[1]), (-x, p[1])
+    dx, dy = draw(unit) * 2.0 ** e, draw(unit) * 2.0 ** e
+    return p, (p[0] + dx, p[1] + dy)
+
+
+def _line_outcome(build, p, q):
+    """`build` on float points p and q: its coefficients' bits, or its
+    error's type and text."""
+    try:
+        line = build(Point(*p), Point(*q))
+    except GeometryError as exc:
+        return type(exc), str(exc)
+    return line.a.hex(), line.b.hex(), line.c.hex()
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(ends=st.lists(_line_ends(), min_size=1, max_size=8))
+def test_line_through_is_normalized_by_its_guarded_length(ends):
+    """`line_through` divides by the length it guarded with, which has
+    the bits of the normal's: on floats its coefficients have the bits of
+    `Line(d.y, -d.x, -(d.y * p.x - d.x * p.y))`, and where that raises, it
+    raises the same error with the same text (`CoincidentPoints`, a
+    non-finite difference, `non-finite line`).  On rows it marks the
+    same rows, and every row has the same bits."""
+    for p, q in ends:
+        assert _line_outcome(line_through, p, q) \
+            == _line_outcome(_line_through_as_before, p, q), (p, q)
+
+    def on_rows(build):
+        with np.errstate(all="ignore"), failures() as failed:
+            # q overflows in some rows, which its check marks
+            line = build(*(Point(np.array([e[i][0] for e in ends]),
+                                 np.array([e[i][1] for e in ends]))
+                           for i in (0, 1)))
+        marked = np.broadcast_to(failed.rows, (len(ends),))
+        return [marked.tobytes(), line.a.tobytes(), line.b.tobytes(),
+                line.c.tobytes()]
+
+    assert on_rows(line_through) == on_rows(_line_through_as_before)
+
+
+def test_line_through_errors_keep_their_text():
+    """The three float errors of `line_through`, one example each."""
+    with pytest.raises(CoincidentPoints, match=r"^line through coincident "
+                       r"points Point\(x=1\.0, y=2\.0\) and Point\(x=1\.0, "
+                       r"y=2\.0\)$"):
+        line_through(Point(1.0, 2.0), Point(1.0, 2.0))
+    with pytest.raises(NonFiniteInput, match=r"^non-finite point \(inf, "):
+        line_through(Point(-1e308, 0.0), Point(1e308, 1.0))
+    with pytest.raises(NonFiniteInput,
+                       match=r"^non-finite line \(1e\+300, -1e\+300, -inf\)$"):
+        line_through(Point(1e300, 0.0), Point(2e300, 1e300))
+
+
+def test_a_selection_of_checked_points_is_not_checked_again():
+    """Inside `failures()`, `where`, `perp` and `direction` of row points
+    and lines that hold a non-finite row mark no row beyond those their
+    inputs' construction marked, and make no numpy call beyond the
+    selection itself: a `where` of two points is 2 calls, `perp` and
+    `direction` 1 each (the negation).  On floats `where` returns one of
+    its points."""
+    counts = Counter()
+    counting = _counting(counts)
+
+    def rows(*values):
+        return np.array(values).view(counting)
+
+    with np.errstate(all="ignore"), failures() as failed:
+        p = Point(rows(0.0, math.nan, 1.0, 2.0), rows(1.0, 1.0, -1.0, 3.0))
+        q = Point(rows(4.0, 5.0, math.inf, 6.0), rows(0.0, 0.0, 0.0, -0.0))
+        line = Line(rows(1.0, 0.0, math.nan, 3.0), rows(0.0, 1.0, 1.0, 4.0),
+                    rows(2.0, 2.0, 2.0, 2.0))
+        marked = failed.rows.tolist()
+        assert marked == [False, True, True, False]
+        counts.clear()
+        picked = where(rows(True, False, False, True), p, q)
+        assert sum(counts.values()) == 2
+        counts.clear()
+        turned, along = perp(p), line.direction()
+        assert sum(counts.values()) == 2
+        assert failed.rows.tolist() == marked
+    assert [float(v).hex() for v in picked.x] \
+        == [v.hex() for v in (0.0, 5.0, math.inf, 2.0)]
+    assert [float(v).hex() for v in turned.x] \
+        == [v.hex() for v in (-1.0, -1.0, 1.0, -3.0)]
+    assert np.isnan(along.y[2]) and along.y[3] == 0.6
+    a, b = Point(1.0, 2.0), Point(3.0, 4.0)
+    assert where(True, a, b) is a and where(False, a, b) is b
 
 
 # ---------------------------------------------------------------------------

@@ -408,19 +408,22 @@ def test_shared_circles_and_bisectors_are_built_once(monkeypatch, family,
 @pytest.mark.parametrize("on_rows", [False, True], ids=["floats", "rows"])
 @pytest.mark.parametrize("family, build, per_run", [
     ("example2", "_equilateral_side", 8),
+    ("example2", "_candidates", 6),
     ("example2", "_require_triangle", 4),
     ("example1", "_equilateral_side", 3),
+    ("example1", "_candidates", 3),
     ("example1", "_require_triangle", 4),
 ])
 def test_fermat_points_share_their_sides_and_triangle_checks(
         monkeypatch, family, build, per_run, on_rows):
-    """example2's five Fermat points erect 15 apexes on 8 ordered sides
-    and check 4 triangles: fermat1 and fermat2 of A, B, C share one check
-    and three sides, and F_a, F_b and F_c share the sides B C, A B, C F1
-    and F1 A with them or each other.  example1's A', B' and C' are
-    built on the sides of F1's apexes, and 3 centroids and F1 check 4
-    triangles.  A run builds each side's candidates and each triangle's
-    check once, on floats and on rows."""
+    """example2's five Fermat points erect 15 apexes on 8 ordered sides,
+    6 sides in either order, and check 4 triangles: fermat1 and fermat2
+    of A, B, C share one check and three sides, and F_a, F_b and F_c
+    share the sides B C, A B, C F1 and F1 A with them or each other, and
+    A C and B F1 reversed.  example1's A', B' and C' are built on the
+    sides of F1's apexes, and 3 centroids and F1 check 4 triangles.  A
+    run builds each side's candidates and each triangle's check once, on
+    floats and on rows."""
     calls = []
     original = getattr(centers, build)
 
